@@ -75,9 +75,10 @@ func BenchmarkFig3_FinalState(b *testing.B) {
 	}
 }
 
-// BenchmarkFig4_OpacityVsDU re-derives Proposition 2 on Figure 4: opaque
-// (prefix-by-prefix final-state check) but not du-opaque (static
-// deferred-update refutation).
+// BenchmarkFig4_OpacityVsDU re-derives Proposition 2 on Figure 4: not
+// du-opaque (static deferred-update refutation), yet opaque — CheckOpacity's
+// fallback: bisect for the first non-du-opaque prefix, then walk the
+// remaining response prefixes with the final-state check.
 func BenchmarkFig4_OpacityVsDU(b *testing.B) {
 	h := litmus.Figure4()
 	b.Run("opacity", func(b *testing.B) {
@@ -167,8 +168,10 @@ func BenchmarkTheorem5_ChainExtension(b *testing.B) {
 // --- T10/T11: the comparison theorems -------------------------------------
 
 // BenchmarkTheorem10_BothCheckers measures deciding du-opacity vs opacity
-// on the same histories (du-opacity decides once; opacity re-checks every
-// response prefix).
+// on the same histories. On du-opaque ones both run a single du-opacity
+// search (Theorem 10); opacity/refuted measures the other path, where du
+// is refuted and CheckOpacity bisects and walks: Figure 4 (the walk
+// accepts) and the ple-recorded golden violation (the walk rejects).
 func BenchmarkTheorem10_BothCheckers(b *testing.B) {
 	hs := make([]*history.History, 8)
 	for i := range hs {
@@ -190,6 +193,31 @@ func BenchmarkTheorem10_BothCheckers(b *testing.B) {
 			}
 		}
 	})
+	// The golden ple episode (harness/testdata/ple_violation.hist).
+	ple, _, err := harness.RunInterleaved(harness.Workload{
+		Engine: "ple", Objects: 3, Goroutines: 4, TxnsPerGoroutine: 2, OpsPerTxn: 4, ReadFraction: 0.5, Seed: 8,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		h      *history.History
+		opaque bool
+	}{{"figure4", litmus.Figure4(), true}, {"ple", ple, false}} {
+		c := c
+		b.Run("opacity/refuted/"+c.name, func(b *testing.B) {
+			if spec.CheckDUOpacity(c.h).OK {
+				b.Fatal("must not be du-opaque")
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if spec.CheckOpacity(c.h).OK != c.opaque {
+					b.Fatalf("opaque must be %v", c.opaque)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkTheorem11_FastPath compares the exact du-opacity search with

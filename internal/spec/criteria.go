@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"sort"
 
 	"duopacity/internal/history"
 )
@@ -30,44 +31,68 @@ func CheckFinalStateOpacity(h *history.History, opts ...Option) Verdict {
 }
 
 // CheckOpacity decides Definition 5: every finite prefix of H (including H
-// itself) is final-state opaque.
+// itself) is final-state opaque. Only prefixes ending in a response event
+// (plus H itself) matter: an appended invocation is aborted by every
+// completion, and a pending tryC only adds completion choices (validated
+// against the all-prefixes definition in the tests). It takes three steps:
 //
-// Only prefixes ending in a response event (plus the empty prefix and H
-// itself) are checked: appending an invocation event to a final-state
-// opaque history preserves final-state opacity, because the new pending
-// operation is aborted by every completion without constraining legality,
-// and a new pending tryC only adds completion choices. (This pruning is
-// validated against the all-prefixes definition in the tests.)
+//  1. One du-opacity search on H. If it accepts, H is opaque (Theorem 10)
+//     and the du-opaque serialization is the witness: by Lemma 1 it
+//     restricts to a serialization of every prefix.
+//  2. If du-opacity is refuted, bisect the response prefixes for the
+//     shortest one that is not du-opaque, i*; du-opacity is prefix-closed
+//     (Corollary 2), so the predicate is monotone.
+//  3. Walk the response prefixes from i* on with the final-state search
+//     and report the first that fails.
+//
+// Reason is what the walk from the first prefix reports: every prefix
+// shorter than i* is du-opaque, hence final-state opaque, so the first
+// failing prefix — and the search run on it — is the same. (Under unique
+// writes it is i* itself, Theorem 11.) A du search that hits the node limit
+// decides nothing about i*, and the walk then starts at the first prefix.
 func CheckOpacity(h *history.History, opts ...Option) Verdict {
 	o := buildOptions(opts)
-	total := 0
+	du := searchMode{local: true, realTime: true}
+	v := decide(h, Opacity, du, o)
+	if v.OK {
+		return v
+	}
+	total := v.Nodes
+	var ends []int // lengths of the response prefixes, H itself last
 	for i := 1; i <= h.Len(); i++ {
-		if i < h.Len() && h.At(i-1).Kind != history.Res {
-			continue
-		}
-		v := decide(h.Prefix(i), FinalStateOpacity, searchMode{realTime: true}, o)
-		total += v.Nodes
-		if v.Undecided {
-			v.Criterion = Opacity
-			v.Nodes = total
-			v.Reason = fmt.Sprintf("prefix of length %d: %s", i, v.Reason)
-			return v
-		}
-		if !v.OK {
-			return Verdict{
-				Criterion: Opacity,
-				Reason:    fmt.Sprintf("prefix of length %d is not final-state opaque: %s", i, v.Reason),
-				Nodes:     total,
-			}
-		}
-		if i == h.Len() {
-			v.Criterion = Opacity
-			v.Nodes = total
-			return v
+		if i == h.Len() || h.At(i-1).Kind == history.Res {
+			ends = append(ends, i)
 		}
 	}
-	// Empty history.
-	return Verdict{Criterion: Opacity, OK: true, Serialization: &history.Seq{}}
+	from, bailed := 0, v.Undecided
+	if !bailed {
+		from = sort.Search(len(ends)-1, func(k int) bool {
+			if bailed {
+				return true
+			}
+			p := decide(h.Prefix(ends[k]), DUOpacity, du, o)
+			total += p.Nodes
+			bailed = p.Undecided
+			return !p.OK
+		})
+	}
+	if bailed {
+		from = 0
+	}
+	for _, i := range ends[from:] {
+		v = decide(h.Prefix(i), Opacity, searchMode{realTime: true}, o)
+		total += v.Nodes
+		if v.Undecided {
+			v.Reason = fmt.Sprintf("prefix of length %d: %s", i, v.Reason)
+			break
+		}
+		if !v.OK {
+			v.Reason = fmt.Sprintf("prefix of length %d is not final-state opaque: %s", i, v.Reason)
+			break
+		}
+	}
+	v.Nodes = total
+	return v
 }
 
 // CheckTMS2 decides the TMS2-style restriction discussed in Section 4.2:

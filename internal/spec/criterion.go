@@ -209,7 +209,11 @@ type Verdict struct {
 	OK bool
 	// Serialization is a witness when OK: a legal t-complete t-sequential
 	// history satisfying the criterion's conditions. For Opacity the
-	// witness is the final-state serialization of the full history.
+	// witness is a du-opaque serialization of the full history whenever
+	// one exists — Lemma 1 (koenig.RestrictSerialization) then restricts
+	// it to a serialization of every prefix — and otherwise (opaque but
+	// not du-opaque, e.g. Figure 4) the final-state serialization of the
+	// full history only.
 	Serialization *history.Seq
 	// Reason explains a rejection (or an undecided result).
 	Reason string

@@ -12,11 +12,24 @@ import (
 // diffCompare asserts that the optimized engine and the frozen reference
 // engine agree on (OK, Reason, Undecided, Nodes) for one history and
 // criterion.
+//
+// Opacity is the exception: the reference walks every response prefix
+// (Definition 5 literally) while CheckOpacity goes through du-opacity
+// (Theorem 10), so the node counts differ by design and the rule is
+// one-directional — whenever the reference decides, the checker decides
+// the same with the same reason; the checker may also decide where the
+// reference runs out of nodes on a prefix the checker never searches.
 func diffCompare(t *testing.T, h *history.History, c spec.Criterion, nodeLimit int) {
 	t.Helper()
 	got := spec.Check(h, c, spec.WithNodeLimit(nodeLimit))
 	want := spec.CheckReference(h, c, spec.WithNodeLimit(nodeLimit))
-	if got.OK != want.OK || got.Undecided != want.Undecided || got.Reason != want.Reason || got.Nodes != want.Nodes {
+	same := got.OK == want.OK && got.Undecided == want.Undecided && got.Reason == want.Reason
+	if c == spec.Opacity {
+		same = same || want.Undecided
+	} else {
+		same = same && got.Nodes == want.Nodes
+	}
+	if !same {
 		t.Fatalf("%s: engine disagreement\n  new: OK=%v undecided=%v nodes=%d reason=%q\n  ref: OK=%v undecided=%v nodes=%d reason=%q\nhistory:\n%s",
 			c, got.OK, got.Undecided, got.Nodes, got.Reason,
 			want.OK, want.Undecided, want.Nodes, want.Reason, h)

@@ -262,8 +262,9 @@ func TestPdurSeedEncoderRoundTrips(t *testing.T) {
 
 // FuzzCheckerDifferential asserts verdict equality — OK, rejection reason,
 // undecided flag and explored node count — between the optimized engine
-// and the frozen reference engine, for every criterion, on histories
-// decoded from the fuzz payload. It also cross-checks the parallel
+// and the frozen reference engine, for every criterion (Opacity under
+// diffCompare's one-directional rule), on histories decoded from the fuzz
+// payload. It also cross-checks the parallel
 // portfolio search against the sequential verdict whenever both decide,
 // and — drawing a monitorable criterion, a retirement window and the
 // TMS2 exemption from the sel byte — runs the online monitor over the
@@ -318,18 +319,7 @@ func FuzzCheckerDifferential(f *testing.F) {
 		}
 		const limit = 30_000
 		for _, c := range spec.AllCriteria() {
-			got := spec.Check(h, c, spec.WithNodeLimit(limit))
-			want := spec.CheckReference(h, c, spec.WithNodeLimit(limit))
-			if got.OK != want.OK || got.Undecided != want.Undecided || got.Reason != want.Reason || got.Nodes != want.Nodes {
-				t.Fatalf("%s: engine disagreement\n  new: OK=%v undecided=%v nodes=%d reason=%q\n  ref: OK=%v undecided=%v nodes=%d reason=%q\nhistory:\n%s",
-					c, got.OK, got.Undecided, got.Nodes, got.Reason,
-					want.OK, want.Undecided, want.Nodes, want.Reason, h)
-			}
-			if got.OK && c == spec.DUOpacity {
-				if err := spec.VerifySerialization(h, got.Serialization); err != nil {
-					t.Fatalf("du-opacity witness rejected by the independent validator: %v\nhistory:\n%s", err, h)
-				}
-			}
+			diffCompare(t, h, c, limit)
 		}
 		// Portfolio: acceptance must match whenever both runs decide.
 		seq := spec.Check(h, spec.DUOpacity, spec.WithNodeLimit(limit))

@@ -280,8 +280,8 @@ func (m *Monitor) recheck(e history.Event) Verdict {
 		// Opacity: every response prefix seen so far was accepted (or the
 		// monitor would have latched, or undecidedPrefix would be set),
 		// so final-state opacity of the current history decides opacity
-		// incrementally — the monitor never re-walks earlier prefixes the
-		// way batch CheckOpacity must.
+		// incrementally. (Batch CheckOpacity has seen no earlier prefix;
+		// it vouches for them through du-opacity instead, Theorem 10.)
 		v = decide(h, FinalStateOpacity, searchMode{realTime: true}, m.recheckOpts)
 		v.Criterion = Opacity
 		if v.Undecided {
