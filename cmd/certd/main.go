@@ -14,13 +14,16 @@
 // work is accepted, outstanding shards degrade into explicit artifacts
 // so every submitted job completes, and open streams are torn down.
 //
-// work runs a pull worker against a coordinator: it leases shards,
-// heartbeats while computing, posts results, and survives shard panics
-// (the coordinator requeues). Kill it freely; the lease protocol
-// absorbs the loss.
+// work runs a pull worker against a coordinator: it leases grants — the
+// coordinator sizes them, many short shards or one long one — heartbeats
+// while computing, posts the outcomes in one request, and survives shard
+// panics (the coordinator requeues). An idle worker's poll is held by the
+// coordinator for up to -poll and answered the moment work arrives. Kill
+// it freely; the lease protocol absorbs the loss.
 //
 // submit reads a checkfarm.JobSpec as JSON (from -spec, or stdin with
-// "-"), submits it, and with -wait polls until the fold lands and prints
+// "-"), submits it, and with -wait asks for the status with requests the
+// coordinator holds (up to -poll each) until the fold lands, then prints
 // the report — byte-identical to the in-process farm's output for the
 // same spec. Exit status with -wait: 0 on a clean report, 1 when shards
 // degraded, 2 on errors.
@@ -83,7 +86,7 @@ func runServe(args []string, stdout io.Writer, ready chan<- [2]string) (int, err
 	fs := flag.NewFlagSet("certd serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":9240", "HTTP job/lease/ops address")
 	streamAddr := fs.String("stream-addr", ":9241", "monitor-stream listener address")
-	leaseTTL := fs.Duration("lease-ttl", 3*time.Second, "shard lease TTL (heartbeats extend)")
+	leaseTTL := fs.Duration("lease-ttl", 3*time.Second, "lease TTL of a grant (heartbeats extend)")
 	maxStreams := fs.Int("max-streams", 256, "concurrent monitor-stream cap (past it: ERR busy)")
 	queue := fs.Int("queue", 256, "per-stream input queue depth")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-drain budget on SIGTERM")
@@ -138,7 +141,7 @@ func runWork(args []string, stdout io.Writer) (int, error) {
 	fs := flag.NewFlagSet("certd work", flag.ContinueOnError)
 	connect := fs.String("connect", "", "coordinator URL (http://host:port)")
 	name := fs.String("name", "", "worker name (default host.pid)")
-	poll := fs.Duration("poll", 100*time.Millisecond, "idle re-poll interval")
+	poll := fs.Duration("poll", 100*time.Millisecond, "how long the coordinator may hold an idle lease poll")
 	if err := fs.Parse(args); err != nil {
 		return 2, err
 	}
@@ -163,8 +166,8 @@ func runSubmit(args []string, stdin io.Reader, stdout io.Writer) (int, error) {
 	fs := flag.NewFlagSet("certd submit", flag.ContinueOnError)
 	connect := fs.String("connect", "", "coordinator URL (http://host:port)")
 	specPath := fs.String("spec", "", `job spec JSON file ("-" for stdin)`)
-	wait := fs.Bool("wait", true, "poll until the job folds and print the report")
-	poll := fs.Duration("poll", 250*time.Millisecond, "status poll interval with -wait")
+	wait := fs.Bool("wait", true, "wait until the job folds and print the report")
+	poll := fs.Duration("poll", 250*time.Millisecond, "how long the coordinator may hold a status request with -wait")
 	if err := fs.Parse(args); err != nil {
 		return 2, err
 	}

@@ -46,7 +46,12 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	// Read the body out before closing it, on every status: net/http only
+	// reuses a keep-alive connection whose response was consumed.
+	defer func() {
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+		resp.Body.Close()
+	}()
 	switch resp.StatusCode {
 	case http.StatusOK:
 		if out != nil {
@@ -77,10 +82,11 @@ func (c *Client) Submit(ctx context.Context, spec checkfarm.JobSpec) (string, in
 	return resp.ID, resp.Shards, nil
 }
 
-// Lease pulls one shard; ok is false when the coordinator has no work.
-func (c *Client) Lease(ctx context.Context, worker string) (*LeaseGrant, bool, error) {
+// Lease pulls one grant; the coordinator may hold the request for up to
+// hold while it has nothing to hand out. ok is false when it had no work.
+func (c *Client) Lease(ctx context.Context, worker string, hold time.Duration) (*LeaseGrant, bool, error) {
 	var g LeaseGrant
-	err := c.do(ctx, http.MethodPost, "/v1/lease", LeaseRequest{Worker: worker}, &g)
+	err := c.do(ctx, http.MethodPost, "/v1/lease", LeaseRequest{Worker: worker, WaitMillis: hold.Milliseconds()}, &g)
 	if err == errNoContent {
 		return nil, false, nil
 	}
@@ -91,7 +97,7 @@ func (c *Client) Lease(ctx context.Context, worker string) (*LeaseGrant, bool, e
 }
 
 // Heartbeat extends a lease; ok is false when the lease is gone and the
-// worker should abandon the shard.
+// worker should abandon the grant.
 func (c *Client) Heartbeat(ctx context.Context, leaseID string) (bool, error) {
 	err := c.do(ctx, http.MethodPost, "/v1/heartbeat", HeartbeatRequest{LeaseID: leaseID}, nil)
 	if err == errGone {
@@ -103,7 +109,7 @@ func (c *Client) Heartbeat(ctx context.Context, leaseID string) (bool, error) {
 	return true, nil
 }
 
-// Result delivers a shard outcome (idempotent on the coordinator).
+// Result delivers the outcomes of a grant (idempotent on the coordinator).
 func (c *Client) Result(ctx context.Context, req ResultRequest) error {
 	return c.do(ctx, http.MethodPost, "/v1/result", req, nil)
 }
@@ -117,23 +123,21 @@ func (c *Client) Job(ctx context.Context, id string) (*JobStatus, error) {
 	return &st, nil
 }
 
-// WaitJob polls until the job reaches a terminal state.
+// WaitJob returns once the job reaches a terminal state. It asks with
+// wait_millis=poll, so the coordinator holds each request until the fold
+// lands: the answer arrives when the job is done, not a poll later.
 func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (*JobStatus, error) {
 	if poll <= 0 {
 		poll = 50 * time.Millisecond
 	}
+	path := fmt.Sprintf("/v1/jobs/%s?wait_millis=%d", id, max(poll.Milliseconds(), 1))
 	for {
-		st, err := c.Job(ctx, id)
-		if err != nil {
+		var st JobStatus
+		if err := c.do(ctx, http.MethodGet, path, nil, &st); err != nil {
 			return nil, err
 		}
 		if st.State == JobDone || st.State == JobFailed {
-			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(poll):
+			return &st, nil
 		}
 	}
 }

@@ -143,7 +143,7 @@ func TestWorkerDiesMidRunRequeues(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The doomed worker grabs the shard and dies (no heartbeat).
-	g, ok, err := c.Lease(ctx, "doomed")
+	g, ok, err := c.Lease(ctx, "doomed", 0)
 	if err != nil || !ok {
 		t.Fatalf("doomed lease: %v ok=%v", err, ok)
 	}
@@ -184,7 +184,7 @@ func TestAllWorkersDeadDegrades(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			_, ok, err := c.Lease(ctx, fmt.Sprintf("doomed%d", i))
+			_, ok, err := c.Lease(ctx, fmt.Sprintf("doomed%d", i), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -214,9 +214,15 @@ func TestAllWorkersDeadDegrades(t *testing.T) {
 
 // TestHealthzStatsz smoke-tests the ops surface end to end.
 func TestHealthzStatsz(t *testing.T) {
-	_, c := startFarm(t, Config{}, 1)
+	s, c := startFarm(t, Config{}, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
+	for s.Metrics.LeasePollsParked.Load() == 0 { // the idle worker's poll is held, not bounced
+		if ctx.Err() != nil {
+			t.Fatal("the idle worker's lease poll was never parked")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	submitAndWait(t, c, checkJobSpec("write 1 X 1\ncommit 1\n"))
 	snap, err := c.Stats(ctx)
 	if err != nil {
@@ -227,5 +233,8 @@ func TestHealthzStatsz(t *testing.T) {
 	}
 	if snap.Jobs.Open != 0 {
 		t.Fatalf("finished job still open in statsz: %+v", snap.Jobs)
+	}
+	if snap.Jobs.LeasesGranted != 1 || snap.Jobs.ShardsGranted != 1 || snap.Jobs.LeasePollsParked < 1 {
+		t.Fatalf("grant counters wrong: %+v", snap.Jobs)
 	}
 }

@@ -22,11 +22,15 @@ type Metrics struct {
 	JobsSubmitted  atomic.Int64
 	JobsDone       atomic.Int64
 	JobsFailed     atomic.Int64
-	LeasesGranted  atomic.Int64
+	LeasesGranted  atomic.Int64 // grants; ShardsGranted / LeasesGranted is the mean grant size
+	ShardsGranted  atomic.Int64
 	LeasesExpired  atomic.Int64
 	ShardsDone     atomic.Int64
 	ShardsRequeued atomic.Int64
 	ShardsDegraded atomic.Int64
+	// LeasePollsParked counts lease polls that found nothing to grant and
+	// were held by the coordinator.
+	LeasePollsParked atomic.Int64
 }
 
 // StatsSnapshot is the /statsz payload: the counters plus the gauges
@@ -50,6 +54,8 @@ type StatsSnapshot struct {
 		Done              int64 `json:"done"`
 		Failed            int64 `json:"failed"`
 		LeasesGranted     int64 `json:"leases_granted"`
+		ShardsGranted     int64 `json:"shards_granted"`
+		LeasePollsParked  int64 `json:"lease_polls_parked"`
 		LeasesOutstanding int64 `json:"leases_outstanding"`
 		LeasesExpired     int64 `json:"leases_expired"`
 		ShardsDone        int64 `json:"shards_done"`
@@ -76,6 +82,8 @@ func (m *Metrics) snapshot() StatsSnapshot {
 	s.Jobs.Done = m.JobsDone.Load()
 	s.Jobs.Failed = m.JobsFailed.Load()
 	s.Jobs.LeasesGranted = m.LeasesGranted.Load()
+	s.Jobs.ShardsGranted = m.ShardsGranted.Load()
+	s.Jobs.LeasePollsParked = m.LeasePollsParked.Load()
 	s.Jobs.LeasesExpired = m.LeasesExpired.Load()
 	s.Jobs.ShardsDone = m.ShardsDone.Load()
 	s.Jobs.ShardsRequeued = m.ShardsRequeued.Load()

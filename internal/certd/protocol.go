@@ -11,10 +11,10 @@
 //
 // The coordinator never trusts a worker to stay alive: every grant
 // carries a lease with a TTL, heartbeats extend it, and an expired lease
-// requeues the shard. A shard that burns through its attempts degrades
-// into the explicit artifacts of checkfarm.(JobSpec).DegradedShard — the
-// PR 7 contract that a dead worker costs coverage, visibly, never a hung
-// or silently-wrong run.
+// requeues the shards it still owes. A shard that burns through its
+// attempts degrades into the explicit artifacts of
+// checkfarm.(JobSpec).DegradedShard — the PR 7 contract that a dead worker
+// costs coverage, visibly, never a hung or silently-wrong run.
 //
 // # Job protocol (HTTP/JSON)
 //
@@ -22,9 +22,34 @@
 //	POST /v1/lease      LeaseRequest   -> LeaseGrant, or 204 (no work)
 //	POST /v1/heartbeat  HeartbeatRequest -> 200, or 410 (lease gone)
 //	POST /v1/result     ResultRequest  -> 200 (idempotent)
-//	GET  /v1/jobs/{id}  -> JobStatus
+//	GET  /v1/jobs/{id}[?wait_millis=N] -> JobStatus
 //	GET  /healthz       -> "ok" | "draining"
 //	GET  /statsz        -> StatsSnapshot
+//
+// A grant is a batch: Shards of one job under one lease, so the spec
+// travels, the lease is bookkept and the worker heartbeats once per grant,
+// and one ResultRequest brings back one outcome per shard. The lease
+// machine's rules hold per shard inside the grant: the lease owns a shard
+// until that shard's outcome arrives; expiry requeues exactly the shards
+// still owed; an Err outcome requeues only its own shard, and only while
+// the presenting lease still owns it; a result for a done shard is an
+// acknowledged no-op; every grant of a shard burns one of its attempts.
+//
+// The coordinator sizes each grant itself (grantSizeLocked): a job that
+// has not had a result delivered yet is probed with single shards; after
+// that a grant is ceil(pending / 2W) shards — W the workers seen polling
+// within the last LeaseTTL — cut down so that its expected compute, from
+// the job's own observed grant-to-result time per shard, fits one
+// heartbeat interval (LeaseTTL/3). Shards that take as long as a
+// heartbeat interval therefore still travel one per grant, and a dead
+// worker costs at most about one heartbeat interval of work, redone after
+// at most one TTL.
+//
+// Both waits are long polls. A lease request with wait_millis is parked
+// while there is nothing to grant and answered the moment a job is
+// submitted, a shard is requeued or the coordinator drains — or with 204
+// when the wait runs out; a status request with wait_millis is parked
+// until the job's fold lands. Either wait is clamped to LeaseTTL.
 //
 // # Stream protocol (line-oriented TCP)
 //
@@ -67,41 +92,51 @@ type SubmitResponse struct {
 	Shards int    `json:"shards"`
 }
 
-// LeaseRequest is a worker pulling for a shard.
+// LeaseRequest is a worker pulling for work. WaitMillis is how long the
+// coordinator may hold the request while it has nothing to grant (0: answer
+// at once).
 type LeaseRequest struct {
-	Worker string `json:"worker"`
+	Worker     string `json:"worker"`
+	WaitMillis int64  `json:"wait_millis,omitempty"`
 }
 
-// LeaseGrant hands one shard to a worker under a lease. The spec arrives
-// normalized: the worker computes Spec.RunShard(ctx, Shard) and posts
-// the result back under the lease.
+// LeaseGrant hands shards of one job to a worker under one lease. The
+// spec arrives normalized: the worker computes Spec.RunShard(ctx, shard)
+// for each of Shards, in order, and posts the outcomes back under the
+// lease in one ResultRequest.
 type LeaseGrant struct {
 	JobID     string            `json:"job_id"`
-	Shard     int               `json:"shard"`
+	Shards    []int             `json:"shards"`
 	LeaseID   string            `json:"lease_id"`
 	TTLMillis int64             `json:"ttl_millis"`
 	Spec      checkfarm.JobSpec `json:"spec"`
 }
 
 // HeartbeatRequest extends a lease. A 410 response means the lease
-// already expired (the shard is requeued or degraded); the worker should
-// abandon the shard.
+// already expired (its shards are requeued or degraded); the worker should
+// abandon the rest of the grant.
 type HeartbeatRequest struct {
 	LeaseID string `json:"lease_id"`
 }
 
-// ResultRequest delivers a shard outcome. Err reports a failed
+// ShardOutcome is what became of one granted shard. Err reports a failed
 // computation (the shard is requeued, or degraded past its attempts);
-// otherwise Result carries the computed shard. Delivery is idempotent:
-// posting a result for an already-folded shard is an acknowledged no-op,
-// so retried or duplicated deliveries are harmless.
+// otherwise Result carries the computed shard.
+type ShardOutcome struct {
+	Shard  int                    `json:"shard"`
+	Result *checkfarm.ShardResult `json:"result,omitempty"`
+	Err    string                 `json:"err,omitempty"`
+}
+
+// ResultRequest delivers the outcomes of a grant. Delivery is idempotent
+// per shard: an outcome for an already-folded shard is an acknowledged
+// no-op, so retried or duplicated deliveries are harmless. Shards of the
+// grant that the request does not name stay under the lease.
 type ResultRequest struct {
-	JobID   string                 `json:"job_id"`
-	Shard   int                    `json:"shard"`
-	LeaseID string                 `json:"lease_id"`
-	Worker  string                 `json:"worker,omitempty"`
-	Result  *checkfarm.ShardResult `json:"result,omitempty"`
-	Err     string                 `json:"err,omitempty"`
+	JobID    string         `json:"job_id"`
+	LeaseID  string         `json:"lease_id"`
+	Worker   string         `json:"worker,omitempty"`
+	Outcomes []ShardOutcome `json:"outcomes"`
 }
 
 // Job states reported by JobStatus.

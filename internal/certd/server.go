@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -70,12 +71,18 @@ type job struct {
 	spec     checkfarm.JobSpec // normalized
 	n        int
 	state    []int
+	owner    []*lease // the live lease holding each shardLeased shard
 	attempts []int
 	results  []*checkfarm.ShardResult
 	pending  []int // FIFO of pending shard indices
 	done     int
-	leased   int
+	leased   int // shards under live leases
 	degraded int
+
+	// Grant-to-result time of the shards delivered by their owning lease:
+	// what a grant of this job is expected to cost (grantSizeLocked).
+	turnSum    time.Duration
+	turnShards int
 
 	folded    bool
 	foldErr   error
@@ -84,11 +91,16 @@ type job struct {
 	foldedCh  chan struct{} // closed when the fold finishes
 }
 
+// lease is one grant: shards of one job owned until each one's outcome
+// arrives or the lease expires. It lives in Server.leases while it still
+// owns a shard (open > 0).
 type lease struct {
 	id      string
-	jobID   string
-	shard   int
+	job     *job
+	shards  []int // as granted; the lease owns those with job.owner[shard] == this lease
+	open    int
 	worker  string
+	granted time.Time // start of the turnaround being measured
 	expires time.Time
 }
 
@@ -102,8 +114,10 @@ type Server struct {
 	jobs     map[string]*job
 	order    []string // submission order; leases are granted oldest-job-first
 	leases   map[string]*lease
+	polled   map[string]time.Time // worker -> its last lease poll
+	wake     chan struct{}        // closed, and replaced, when parked lease polls should look again
 	seq      int64
-	draining bool
+	draining bool // written under mu and streamMu both; either suffices to read it
 
 	streams   sync.WaitGroup
 	streamMu  sync.Mutex
@@ -119,8 +133,16 @@ func NewServer(cfg Config) *Server {
 		cfg:    cfg.withDefaults(),
 		jobs:   make(map[string]*job),
 		leases: make(map[string]*lease),
+		polled: make(map[string]time.Time),
+		wake:   make(chan struct{}),
 		conns:  make(map[interface{ Close() error }]struct{}),
 	}
+}
+
+// wakeLocked sends every parked lease poll back to look for work.
+func (s *Server) wakeLocked() {
+	close(s.wake)
+	s.wake = make(chan struct{})
 }
 
 // Submit registers a job and returns its id. The spec is normalized
@@ -142,6 +164,7 @@ func (s *Server) Submit(spec checkfarm.JobSpec) (string, int, error) {
 		spec:     spec,
 		n:        n,
 		state:    make([]int, n),
+		owner:    make([]*lease, n),
 		attempts: make([]int, n),
 		results:  make([]*checkfarm.ShardResult, n),
 		pending:  make([]int, 0, n),
@@ -153,16 +176,47 @@ func (s *Server) Submit(spec checkfarm.JobSpec) (string, int, error) {
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.Metrics.JobsSubmitted.Add(1)
+	s.wakeLocked()
 	return j.id, n, nil
 }
 
-// Lease grants the oldest pending shard to a worker, or returns nil when
-// no work is available. Expired leases are reclaimed first, so a polling
-// worker doubles as the liveness scan.
-func (s *Server) Lease(worker string) *LeaseGrant {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// Lease grants the oldest pending shards of the oldest job that has any
+// to a worker, or returns nil when no work is available. With hold > 0
+// (clamped to LeaseTTL) a call that finds nothing to grant parks until a
+// submit, a requeue or a drain wakes it, the hold runs out or ctx ends.
+// Expired leases are reclaimed first, so a polling worker doubles as the
+// liveness scan.
+func (s *Server) Lease(ctx context.Context, worker string, hold time.Duration) *LeaseGrant {
+	hold = min(hold, s.cfg.LeaseTTL)
+	var timeout <-chan time.Time
+	for {
+		s.mu.Lock()
+		g := s.grantLocked(worker)
+		wake, draining := s.wake, s.draining
+		s.mu.Unlock()
+		if g != nil || draining || hold <= 0 {
+			return g
+		}
+		if timeout == nil {
+			t := time.NewTimer(hold)
+			defer t.Stop()
+			timeout = t.C
+			s.Metrics.LeasePollsParked.Add(1)
+		}
+		select {
+		case <-wake:
+		case <-timeout:
+			return nil
+		case <-ctx.Done():
+			return nil
+		}
+	}
+}
+
+func (s *Server) grantLocked(worker string) *LeaseGrant {
 	s.expireLocked()
+	now := s.cfg.Clock()
+	s.polled[worker] = now
 	if s.draining {
 		return nil
 	}
@@ -171,24 +225,31 @@ func (s *Server) Lease(worker string) *LeaseGrant {
 		if len(j.pending) == 0 {
 			continue
 		}
-		shard := j.pending[0]
-		j.pending = j.pending[1:]
-		j.state[shard] = shardLeased
-		j.leased++
-		j.attempts[shard]++
+		n := s.grantSizeLocked(j, now)
+		shards := append([]int(nil), j.pending[:n]...)
+		j.pending = j.pending[n:]
 		s.seq++
 		l := &lease{
 			id:      fmt.Sprintf("L%d", s.seq),
-			jobID:   j.id,
-			shard:   shard,
+			job:     j,
+			shards:  shards,
+			open:    n,
 			worker:  worker,
-			expires: s.cfg.Clock().Add(s.cfg.LeaseTTL),
+			granted: now,
+			expires: now.Add(s.cfg.LeaseTTL),
 		}
+		for _, shard := range shards {
+			j.state[shard] = shardLeased
+			j.owner[shard] = l
+			j.attempts[shard]++
+		}
+		j.leased += n
 		s.leases[l.id] = l
 		s.Metrics.LeasesGranted.Add(1)
+		s.Metrics.ShardsGranted.Add(int64(n))
 		return &LeaseGrant{
 			JobID:     j.id,
-			Shard:     shard,
+			Shards:    shards,
 			LeaseID:   l.id,
 			TTLMillis: s.cfg.LeaseTTL.Milliseconds(),
 			Spec:      j.spec,
@@ -197,8 +258,37 @@ func (s *Server) Lease(worker string) *LeaseGrant {
 	return nil
 }
 
+// grantSizeLocked is the batching policy — guided self-scheduling under a
+// heartbeat budget. A job nobody has delivered a result for yet is probed
+// with single shards. After that a grant takes ceil(pending / 2W) shards,
+// W being the workers seen polling within the last LeaseTTL: big while
+// there is plenty left, small near the end, so that W workers finish
+// together and a straggler holds at most half a worker's share. The
+// grant is then cut down so that its expected compute — at the job's own
+// observed grant-to-result time per shard — fits one heartbeat interval,
+// LeaseTTL/3: what dies with a worker is bounded by that, and shards as
+// long as the interval travel one per grant.
+func (s *Server) grantSizeLocked(j *job, now time.Time) int {
+	if j.turnShards == 0 {
+		return 1
+	}
+	workers := 0
+	for w, at := range s.polled {
+		if now.Sub(at) > s.cfg.LeaseTTL {
+			delete(s.polled, w)
+			continue
+		}
+		workers++
+	}
+	n := (len(j.pending) + 2*workers - 1) / (2 * workers)
+	if perShard := j.turnSum / time.Duration(j.turnShards); perShard > 0 {
+		n = min(n, int(s.cfg.LeaseTTL/3/perShard))
+	}
+	return max(n, 1)
+}
+
 // Heartbeat extends a lease by a full TTL; false means the lease is gone
-// (expired and reclaimed, or its shard already resolved).
+// (expired and reclaimed, or every shard of it already resolved).
 func (s *Server) Heartbeat(leaseID string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -211,10 +301,11 @@ func (s *Server) Heartbeat(leaseID string) bool {
 	return true
 }
 
-// Result folds one shard outcome. Idempotent: a result for an
-// already-done shard — a retried delivery, or a slow worker racing the
-// requeue — is an acknowledged no-op. An Err outcome requeues the shard
-// (or degrades it past its attempts).
+// Result folds the outcomes of a grant, shard by shard. Idempotent: a
+// result for an already-done shard — a retried delivery, or a slow worker
+// racing the requeue — is an acknowledged no-op. An Err outcome requeues
+// its shard (or degrades it past its attempts). A malformed request is
+// refused whole, before any outcome is applied.
 func (s *Server) Result(req ResultRequest) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -222,40 +313,51 @@ func (s *Server) Result(req ResultRequest) error {
 	if !ok {
 		return fmt.Errorf("certd: unknown job %q", req.JobID)
 	}
-	if req.Shard < 0 || req.Shard >= j.n {
-		return fmt.Errorf("certd: job %s has no shard %d", req.JobID, req.Shard)
-	}
-	// Release the delivering lease regardless of outcome; the leased
-	// count is settled by requeueLocked/resolveLocked below. Whether the
-	// lease still owned its shard decides the error path.
-	owned := false
-	if l, ok := s.leases[req.LeaseID]; ok && l.jobID == req.JobID && l.shard == req.Shard {
-		delete(s.leases, req.LeaseID)
-		owned = true
-	}
-	if j.state[req.Shard] == shardDone {
-		return nil // duplicate delivery
-	}
-	if req.Err != "" {
-		// Only the lease that still owns the shard may requeue it. A
-		// stale Err — the lease expired and the shard is already back in
-		// the queue or re-leased — already had its requeue; acting on it
-		// again would enqueue the shard twice.
-		if owned && j.state[req.Shard] == shardLeased {
-			s.requeueLocked(j, req.Shard, fmt.Sprintf("worker %s: %s", req.Worker, req.Err))
+	for _, o := range req.Outcomes {
+		if o.Shard < 0 || o.Shard >= j.n {
+			return fmt.Errorf("certd: job %s has no shard %d", req.JobID, o.Shard)
 		}
-		return nil
+		if o.Err == "" && o.Result == nil {
+			return fmt.Errorf("certd: result for job %s shard %d carries neither a result nor an error", req.JobID, o.Shard)
+		}
 	}
-	if req.Result == nil {
-		return fmt.Errorf("certd: result for job %s shard %d carries neither a result nor an error", req.JobID, req.Shard)
+	l := s.leases[req.LeaseID]
+	computed := 0
+	for _, o := range req.Outcomes {
+		// Whether the presenting lease still owns the shard decides the
+		// error path; resolveLocked/requeueLocked take the shard off
+		// whichever lease holds it and settle the leased count.
+		owned := l != nil && j.owner[o.Shard] == l
+		switch {
+		case j.state[o.Shard] == shardDone: // duplicate delivery
+		case o.Err != "":
+			// Only the lease that still owns the shard may requeue it. A
+			// stale Err — the lease expired and the shard is already back in
+			// the queue or re-leased — already had its requeue; acting on it
+			// again would enqueue the shard twice.
+			if owned {
+				s.requeueLocked(j, o.Shard, fmt.Sprintf("worker %s: %s", req.Worker, o.Err))
+			}
+		default:
+			if owned {
+				computed++
+			}
+			s.resolveLocked(j, o.Shard, o.Result)
+		}
 	}
-	s.resolveLocked(j, req.Shard, req.Result)
+	if computed > 0 {
+		now := s.cfg.Clock()
+		j.turnSum += now.Sub(l.granted)
+		j.turnShards += computed
+		l.granted = now
+	}
 	return nil
 }
 
-// Expire reclaims every lease past its deadline: the shard goes back to
-// the pending queue, or — past MaxShardAttempts grants — degrades into
-// the explicit dead-worker artifact. Safe to call from a ticker.
+// Expire reclaims every lease past its deadline: the shards it still
+// owes go back to the pending queue, or — past MaxShardAttempts grants —
+// degrade into the explicit dead-worker artifact. Safe to call from a
+// ticker.
 func (s *Server) Expire() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -264,28 +366,38 @@ func (s *Server) Expire() {
 
 func (s *Server) expireLocked() {
 	now := s.cfg.Clock()
-	for id, l := range s.leases {
+	for _, l := range s.leases {
 		if now.Before(l.expires) {
 			continue
 		}
-		delete(s.leases, id)
 		s.Metrics.LeasesExpired.Add(1)
-		j := s.jobs[l.jobID]
-		if j == nil || j.state[l.shard] != shardLeased {
-			continue
+		for _, shard := range l.shards {
+			if l.job.owner[shard] == l {
+				s.requeueLocked(l.job, shard, fmt.Sprintf("worker %s: lease expired", l.worker))
+			}
 		}
-		s.requeueLocked(j, l.shard, fmt.Sprintf("worker %s: lease expired", l.worker))
 	}
 }
 
-// requeueLocked returns a shard to the queue, or degrades it once its
-// grants are spent. It settles the leased count for a shard coming off a
-// lease.
-func (s *Server) requeueLocked(j *job, shard int, reason string) {
-	if j.state[shard] == shardLeased {
-		j.leased--
-		j.state[shard] = shardPending
+// releaseLocked takes a shard off the lease that holds it, if any, and
+// settles the leased count; a lease that owes nothing more is dropped.
+func (s *Server) releaseLocked(j *job, shard int) {
+	l := j.owner[shard]
+	if l == nil {
+		return
 	}
+	j.owner[shard] = nil
+	j.leased--
+	if l.open--; l.open == 0 {
+		delete(s.leases, l.id)
+	}
+}
+
+// requeueLocked returns a leased shard to the queue, or degrades it once
+// its grants are spent.
+func (s *Server) requeueLocked(j *job, shard int, reason string) {
+	s.releaseLocked(j, shard)
+	j.state[shard] = shardPending
 	if j.attempts[shard] >= s.cfg.MaxShardAttempts {
 		res := j.spec.DegradedShard(shard, fmt.Sprintf("%s (attempt %d/%d)", reason, j.attempts[shard], s.cfg.MaxShardAttempts))
 		s.Metrics.ShardsDegraded.Add(1)
@@ -293,35 +405,30 @@ func (s *Server) requeueLocked(j *job, shard int, reason string) {
 		s.resolveLocked(j, shard, &res)
 		return
 	}
-	j.state[shard] = shardPending
 	j.pending = append(j.pending, shard)
 	s.Metrics.ShardsRequeued.Add(1)
+	s.wakeLocked()
 }
 
 // resolveLocked marks a shard done and kicks the fold when it was the
 // last one. The fold runs outside the lock (soak folds shrink
-// counterexamples — real compute). Any lease still pointing at the shard
-// — a second worker racing a stale delivery — is released; its eventual
-// result lands as a duplicate no-op.
+// counterexamples — real compute). A lease still holding the shard — a
+// second worker racing a stale delivery — loses it; its eventual result
+// lands as a duplicate no-op.
 func (s *Server) resolveLocked(j *job, shard int, res *checkfarm.ShardResult) {
 	if j.state[shard] == shardDone {
 		return // racing duplicate — the first resolution stands
 	}
-	for id, l := range s.leases {
-		if l.jobID == j.id && l.shard == shard {
-			delete(s.leases, id)
-		}
-	}
-	if j.state[shard] == shardLeased {
-		j.leased--
-	}
+	s.releaseLocked(j, shard)
 	// A stale result can land while the shard sits requeued in the
 	// pending FIFO (lease expired, delivery raced the re-lease): pull it
 	// out so a later Lease can't grant an already-done shard.
-	for i, p := range j.pending {
-		if p == shard {
-			j.pending = append(j.pending[:i], j.pending[i+1:]...)
-			break
+	if j.state[shard] == shardPending {
+		for i, p := range j.pending {
+			if p == shard {
+				j.pending = append(j.pending[:i], j.pending[i+1:]...)
+				break
+			}
 		}
 	}
 	j.state[shard] = shardDone
@@ -408,15 +515,17 @@ func (s *Server) Report(ctx context.Context, id string) (*checkfarm.JobReport, s
 // every stream handler has returned, or with ctx's error.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
+	s.streamMu.Lock() // ServeStreams reads draining under streamMu alone
 	s.draining = true
+	s.streamMu.Unlock()
 	var open []*job
-	for id, l := range s.leases {
-		delete(s.leases, id)
-		j := s.jobs[l.jobID]
-		if j != nil && j.state[l.shard] == shardLeased {
-			j.leased--
-			j.state[l.shard] = shardPending
-			j.pending = append(j.pending, l.shard)
+	for _, l := range s.leases {
+		for _, shard := range l.shards {
+			if j := l.job; j.owner[shard] == l {
+				s.releaseLocked(j, shard)
+				j.state[shard] = shardPending
+				j.pending = append(j.pending, shard)
+			}
 		}
 	}
 	for _, id := range s.order {
@@ -436,6 +545,7 @@ func (s *Server) Drain(ctx context.Context) error {
 			open = append(open, j)
 		}
 	}
+	s.wakeLocked() // parked lease polls answer "no work" now, not when their hold runs out
 	s.mu.Unlock()
 
 	s.closeStreamListeners()
@@ -539,6 +649,11 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("/v1/jobs/", func(w http.ResponseWriter, r *http.Request) {
 		id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
+		if ms, _ := strconv.ParseInt(r.URL.Query().Get("wait_millis"), 10, 64); ms > 0 {
+			ctx, cancel := context.WithTimeout(r.Context(), min(time.Duration(ms)*time.Millisecond, s.cfg.LeaseTTL))
+			_, _, _ = s.Report(ctx, id) // only the wait; Status answers, unknown job included
+			cancel()
+		}
 		st, err := s.Status(id)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusNotFound)
@@ -552,7 +667,7 @@ func (s *Server) Handler() http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		g := s.Lease(req.Worker)
+		g := s.Lease(r.Context(), req.Worker, time.Duration(req.WaitMillis)*time.Millisecond)
 		if g == nil {
 			w.WriteHeader(http.StatusNoContent)
 			return

@@ -4,25 +4,27 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
+	"sync/atomic"
 	"time"
 
 	"duopacity/internal/checkfarm"
 )
 
 // Worker is a pull-based shard computer: it polls the coordinator for
-// leases, heartbeats while computing, and posts results (or errors —
-// which the coordinator requeues). Workers hold no job state; killing
-// one mid-shard costs at most that shard's lease TTL.
+// grants, heartbeats while computing one, and posts the outcomes (results,
+// or errors — which the coordinator requeues). Workers hold no job state;
+// killing one mid-grant costs the shards of that grant it had not
+// delivered, for at most the lease TTL.
 type Worker struct {
 	Client *Client
 	// Name identifies the worker in leases and degradation artifacts.
 	Name string
-	// Poll is the idle re-poll interval when the coordinator has no work
-	// (default 100ms).
+	// Poll is how long the coordinator may hold a lease poll while it has
+	// no work (default 100ms); an idle worker asks once per Poll.
 	Poll time.Duration
 }
 
-// Run pulls and computes shards until ctx ends or the coordinator
+// Run pulls and computes grants until ctx ends or the coordinator
 // becomes unreachable twice in a row (a drained coordinator answers
 // polls with no work, which keeps the worker alive and idle).
 func (w *Worker) Run(ctx context.Context) error {
@@ -35,7 +37,8 @@ func (w *Worker) Run(ctx context.Context) error {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		grant, ok, err := w.Client.Lease(ctx, w.Name)
+		asked := time.Now()
+		grant, ok, err := w.Client.Lease(ctx, w.Name, poll)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -44,36 +47,38 @@ func (w *Worker) Run(ctx context.Context) error {
 			if consecutiveErrs >= 2 {
 				return fmt.Errorf("certd worker %s: coordinator unreachable: %w", w.Name, err)
 			}
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(poll):
-			}
+		} else {
+			consecutiveErrs = 0
+		}
+		if ok {
+			w.runGrant(ctx, grant)
 			continue
 		}
-		consecutiveErrs = 0
-		if !ok {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(poll):
-			}
-			continue
+		// The coordinator normally holds an idle poll for the whole of Poll.
+		// When it answers sooner — it is draining, or the request failed —
+		// wait the rest out here rather than ask again at once.
+		t := time.NewTimer(poll - time.Since(asked))
+		select {
+		case <-ctx.Done():
+			t.Stop()
+			return ctx.Err()
+		case <-t.C:
 		}
-		w.runShard(ctx, grant)
 	}
 }
 
-// runShard computes one leased shard with heartbeats at TTL/3 and panic
-// recovery: a crashing shard reports an error result — the coordinator
-// requeues or degrades it — instead of killing the worker loop.
-func (w *Worker) runShard(ctx context.Context, g *LeaseGrant) {
+// runGrant computes the shards of one grant in order, under one heartbeat
+// loop at TTL/3, and delivers their outcomes in one request. A crashing
+// shard becomes an error outcome — the coordinator requeues or degrades
+// it — instead of killing the worker loop.
+func (w *Worker) runGrant(ctx context.Context, g *LeaseGrant) {
 	hbCtx, stopHB := context.WithCancel(ctx)
 	defer stopHB()
 	ttl := time.Duration(g.TTLMillis) * time.Millisecond
 	if ttl <= 0 {
 		ttl = 3 * time.Second
 	}
+	var gone atomic.Bool // set when a heartbeat learns the lease was reclaimed
 	go func() {
 		t := time.NewTicker(ttl / 3)
 		defer t.Stop()
@@ -83,23 +88,40 @@ func (w *Worker) runShard(ctx context.Context, g *LeaseGrant) {
 				return
 			case <-t.C:
 				if alive, err := w.Client.Heartbeat(hbCtx, g.LeaseID); err == nil && !alive {
-					return // lease reclaimed; the result post will be a no-op or requeue
+					gone.Store(true)
+					return
 				}
 			}
 		}
 	}()
 
-	res, rerr := w.computeShard(ctx, g)
-	stopHB()
-
-	req := ResultRequest{JobID: g.JobID, Shard: g.Shard, LeaseID: g.LeaseID, Worker: w.Name}
-	if rerr != nil {
-		req.Err = rerr.Error()
-	} else {
-		req.Result = &res
+	req := ResultRequest{JobID: g.JobID, LeaseID: g.LeaseID, Worker: w.Name, Outcomes: make([]ShardOutcome, 0, len(g.Shards))}
+	for _, shard := range g.Shards {
+		if gone.Load() {
+			break // the rest is requeued already; computing it would only race the new owner
+		}
+		res, err := w.computeShard(ctx, g, shard)
+		if ctx.Err() != nil {
+			// Stopped mid-shard: what came back may be cut short, and the
+			// rest was not tried. Deliver what is whole; the lease's expiry
+			// requeues the remainder.
+			break
+		}
+		o := ShardOutcome{Shard: shard}
+		if err != nil {
+			o.Err = err.Error()
+		} else {
+			o.Result = &res
+		}
+		req.Outcomes = append(req.Outcomes, o)
 	}
+	stopHB()
+	if len(req.Outcomes) == 0 {
+		return
+	}
+
 	// Best-effort delivery with one retry; past that the lease expiry
-	// requeues the shard anyway.
+	// requeues the shards anyway.
 	rctx, cancel := context.WithTimeout(context.Background(), ttl)
 	defer cancel()
 	if err := w.Client.Result(rctx, req); err != nil {
@@ -107,11 +129,11 @@ func (w *Worker) runShard(ctx context.Context, g *LeaseGrant) {
 	}
 }
 
-func (w *Worker) computeShard(ctx context.Context, g *LeaseGrant) (res checkfarm.ShardResult, err error) {
+func (w *Worker) computeShard(ctx context.Context, g *LeaseGrant, shard int) (res checkfarm.ShardResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("shard panicked: %v\n%s", r, debug.Stack())
 		}
 	}()
-	return g.Spec.RunShard(ctx, g.Shard)
+	return g.Spec.RunShard(ctx, shard)
 }
