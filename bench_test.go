@@ -1039,7 +1039,7 @@ func BenchmarkExplorePlan(b *testing.B) {
 		b.Run(tc.name+"/pruned", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				r, err := harness.ExplorePlan(tc.engine, p, harness.ExploreConfig{})
+				r, err := harness.ExplorePlanCtx(context.Background(), tc.engine, p, harness.ExploreConfig{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -1052,7 +1052,7 @@ func BenchmarkExplorePlan(b *testing.B) {
 			b.ReportAllocs()
 			cfg := harness.ExploreConfig{DisableSleepSets: true, DisableSymmetry: true, DisablePrefixCut: true}
 			for i := 0; i < b.N; i++ {
-				r, err := harness.ExplorePlan(tc.engine, p, cfg)
+				r, err := harness.ExplorePlanCtx(context.Background(), tc.engine, p, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

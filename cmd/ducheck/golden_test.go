@@ -1,0 +1,110 @@
+package main
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite the follow goldens under internal/follow/testdata")
+
+// goldenDir holds the follow cases shared with the certd transcript
+// goldens (internal/certd/golden_test.go): NAME.in is a STREAM hello line
+// followed by the input, NAME.ducheck the ducheck -follow transcript.
+const goldenDir = "../../internal/follow/testdata"
+
+// followArgs maps a case's STREAM hello to the ducheck flags carrying the
+// same policies; ok is false for the certd-only keywords.
+func followArgs(hello string) (args []string, ok bool) {
+	fields := strings.Fields(hello)
+	args = []string{"-follow", "-criteria", fields[1]}
+	for _, f := range fields[2:] {
+		switch {
+		case f == "skipbad":
+			args = append(args, "-skip-bad")
+		case f == "strict":
+			args = append(args, "-strict")
+		case strings.HasPrefix(f, "retire="):
+			args = append(args, "-retire", strings.TrimPrefix(f, "retire="))
+		case strings.HasPrefix(f, "nodelimit="):
+			args = append(args, "-node-limit", strings.TrimPrefix(f, "nodelimit="))
+		default:
+			return nil, false
+		}
+	}
+	return args, true
+}
+
+// TestGoldenFollow pins ducheck -follow's stdout, stderr, exit code and
+// error byte for byte. Every golden was captured from the two-loop
+// implementation PR 15 replaced, except latched-retire and retired-id:
+// those two record the PR 15 fixes (a latched criterion no longer stops
+// retirement; one well-formedness answer per event), which change their
+// retirement summary lines and nothing else — see DESIGN.md, "One follow
+// session".
+func TestGoldenFollow(t *testing.T) {
+	ins, err := filepath.Glob(filepath.Join(goldenDir, "*.in"))
+	if err != nil || len(ins) == 0 {
+		t.Fatalf("no golden cases under %s: %v", goldenDir, err)
+	}
+	type followCase struct{ name, hello, input string }
+	cases := []followCase{{
+		// A line past bufio.Scanner's 64 KB token limit is a read error:
+		// exit 2, no summary.
+		name: "longline", hello: "STREAM du", input: "write 1 X 1\n" + strings.Repeat("x", 2<<20) + "\n",
+	}}
+	for _, in := range ins {
+		src, err := os.ReadFile(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hello, input, _ := strings.Cut(string(src), "\n")
+		cases = append(cases, followCase{strings.TrimSuffix(filepath.Base(in), ".in"), hello, input})
+	}
+	for _, c := range cases {
+		args, ok := followArgs(c.hello)
+		if !ok {
+			continue
+		}
+		t.Run(c.name, func(t *testing.T) {
+			var out, errOut strings.Builder
+			code, err := runWith(args, strings.NewReader(c.input), &out, &errOut)
+			got := fmt.Sprintf("exit %d\nerror %v\n--- stdout\n%s--- stderr\n%s", code, err, out.String(), errOut.String())
+			golden := filepath.Join(goldenDir, c.name+".ducheck")
+			if *update {
+				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Errorf("ducheck %s diverges from %s:\n%s", strings.Join(args, " "), golden, firstDiff(got, string(want)))
+			}
+		})
+	}
+}
+
+// firstDiff renders the first line where got and want differ.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			return fmt.Sprintf("line %d:\n  got  %q\n  want %q", i+1, gl, wl)
+		}
+	}
+	return "(identical)"
+}

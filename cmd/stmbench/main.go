@@ -27,7 +27,7 @@
 //
 // The explore subcommand replaces sampling with proof: for each engine it
 // enumerates *every* schedule of the deterministic stepper's space for a
-// set of small seeded plans (harness.ExplorePlan via
+// set of small seeded plans (harness.ExplorePlanCtx via
 // checkfarm.ExplorePlans) and reports a per-plan verdict — proven
 // du-opaque on all schedules of that space, violated with the causing
 // schedule pinned, or budget-exhausted with frontier stats.

@@ -38,6 +38,7 @@
 package duopacity
 
 import (
+	"context"
 	"io"
 
 	"duopacity/internal/harness"
@@ -257,7 +258,7 @@ func RunMonitored(w Workload, c Criterion, nodeLimit int, interleaved bool) (Onl
 // schedule of that space violates the criterion), a refutation pinned at
 // the causing schedule and event, or budget exhaustion.
 func ExplorePlan(engine string, p Plan, cfg ExploreConfig) (ExploreReport, error) {
-	return harness.ExplorePlan(engine, p, cfg)
+	return harness.ExplorePlanCtx(context.Background(), engine, p, cfg)
 }
 
 // ParsePlan reads a plan from its text form: one line per thread, '|'

@@ -35,11 +35,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		status := "ok"
-		if !v.OK {
-			status = "VIOLATED"
-		}
-		fmt.Printf("  %2d  %-26v %s\n", idx, e, status)
+		fmt.Printf("  %2d  %-26v %s\n", idx, e, v.Status())
 		idx++
 	})
 

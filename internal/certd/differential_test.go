@@ -237,4 +237,21 @@ func TestHealthzStatsz(t *testing.T) {
 	if snap.Jobs.LeasesGranted != 1 || snap.Jobs.ShardsGranted != 1 || snap.Jobs.LeasePollsParked < 1 {
 		t.Fatalf("grant counters wrong: %+v", snap.Jobs)
 	}
+
+	// The stream side: when a stream ends its deciders' search and
+	// fast-hit counts are folded in, so append latency can be attributed.
+	// Figure 4 under du,opacity: five responses per criterion, every one
+	// decided by exactly one of the two paths, and du-opacity's refutation
+	// at the last of them needs the search.
+	sc := dialStream(t, startStreams(t, s), "STREAM du,opacity")
+	sc.send(t, "write 1 X 1", "inv tryc 1", "read 2 X 1", "write 3 X 1", "commit 3", "res tryc 1 A", "END")
+	if done := lastPrefixed(sc.collect(t), "DONE "); done != "DONE events=10 bad=0 dropped=0 violations=1" {
+		t.Fatalf("stream did not complete: %q", done)
+	}
+	if snap, err = c.Stats(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := snap.Streams; st.Events != 10 || st.Searches < 1 || st.FastHits < 1 || st.Searches+st.FastHits != 10 {
+		t.Fatalf("statsz stream counters wrong: %+v", st)
+	}
 }

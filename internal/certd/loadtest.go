@@ -8,6 +8,9 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"duopacity/internal/follow"
+	"duopacity/internal/spec"
 )
 
 // LoadTestConfig parameterizes the streaming load harness: Streams
@@ -71,13 +74,13 @@ func LoadTest(ctx context.Context, cfg LoadTestConfig) (*LoadTestReport, error) 
 		wg.Add(1)
 		go func(conn int) {
 			defer wg.Done()
-			events, violations, bad, dropped, err := runLoadStream(ctx, cfg, conn)
+			done, err := runLoadStream(ctx, cfg, conn)
 			mu.Lock()
 			defer mu.Unlock()
-			rep.Events += events
-			rep.Violations += violations
-			rep.Bad += bad
-			rep.Dropped += dropped
+			rep.Events += int64(done.Events)
+			rep.Violations += int64(done.Violations)
+			rep.Bad += int64(done.Bad)
+			rep.Dropped += int64(done.Dropped)
 			if err != nil && firstErr == nil {
 				firstErr = fmt.Errorf("stream %d: %w", conn, err)
 			}
@@ -96,12 +99,12 @@ func LoadTest(ctx context.Context, cfg LoadTestConfig) (*LoadTestReport, error) 
 }
 
 // runLoadStream feeds one connection's worth of synthetic transactions
-// and parses the terminal DONE line.
-func runLoadStream(ctx context.Context, cfg LoadTestConfig, conn int) (events, violations, bad, dropped int64, err error) {
+// and returns the terminal DONE line.
+func runLoadStream(ctx context.Context, cfg LoadTestConfig, conn int) (follow.Done, error) {
 	d := net.Dialer{}
 	c, err := d.DialContext(ctx, "tcp", cfg.Addr)
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return follow.Done{}, err
 	}
 	defer c.Close()
 	if deadline, ok := ctx.Deadline(); ok {
@@ -109,15 +112,15 @@ func runLoadStream(ctx context.Context, cfg LoadTestConfig, conn int) (events, v
 	}
 	w := bufio.NewWriter(c)
 	r := bufio.NewScanner(c)
-	fmt.Fprintf(w, "STREAM du retire=%d quiet\n", cfg.Retire)
+	fmt.Fprintln(w, follow.Options{Criteria: []spec.Criterion{spec.DUOpacity}, Retire: cfg.Retire, Quiet: true}.Hello())
 	if err := w.Flush(); err != nil {
-		return 0, 0, 0, 0, err
+		return follow.Done{}, err
 	}
 	if !r.Scan() {
-		return 0, 0, 0, 0, fmt.Errorf("no hello response: %v", r.Err())
+		return follow.Done{}, fmt.Errorf("no hello response: %v", r.Err())
 	}
 	if resp := r.Text(); !strings.HasPrefix(resp, "OK ") {
-		return 0, 0, 0, 0, fmt.Errorf("hello refused: %s", resp)
+		return follow.Done{}, fmt.Errorf("hello refused: %s", resp)
 	}
 	for t := 1; t <= cfg.Txns; t++ {
 		// Distinct value per (conn, txn) keeps the read-write semantics
@@ -126,32 +129,12 @@ func runLoadStream(ctx context.Context, cfg LoadTestConfig, conn int) (events, v
 	}
 	fmt.Fprintln(w, "END")
 	if err := w.Flush(); err != nil {
-		return 0, 0, 0, 0, err
+		return follow.Done{}, err
 	}
 	for r.Scan() {
-		line := r.Text()
-		if !strings.HasPrefix(line, "DONE ") {
-			continue // final verdict lines
+		if d, ok := follow.ParseDone(r.Text()); ok { // the other lines are the final verdicts
+			return d, nil
 		}
-		for _, f := range strings.Fields(line[len("DONE "):]) {
-			k, v, ok := strings.Cut(f, "=")
-			if !ok {
-				continue
-			}
-			var n int64
-			fmt.Sscanf(v, "%d", &n)
-			switch k {
-			case "events":
-				events = n
-			case "violations":
-				violations = n
-			case "bad":
-				bad = n
-			case "dropped":
-				dropped = n
-			}
-		}
-		return events, violations, bad, dropped, nil
 	}
-	return 0, 0, 0, 0, fmt.Errorf("stream ended without DONE: %v", r.Err())
+	return follow.Done{}, fmt.Errorf("stream ended without DONE: %v", r.Err())
 }

@@ -17,6 +17,8 @@ type Metrics struct {
 	StreamDropped   atomic.Int64 // events dropped by lossy streams
 	StreamStalls    atomic.Int64 // reads paused on a full queue (backpressure)
 	AppendNanos     atomic.Int64 // cumulative monitor-append latency
+	StreamSearches  atomic.Int64 // responses decided by a full search, folded in when a stream ends
+	StreamFastHits  atomic.Int64 // responses decided by the incremental witness, likewise
 
 	// Job-side counters.
 	JobsSubmitted  atomic.Int64
@@ -47,6 +49,10 @@ type StatsSnapshot struct {
 		// AvgAppendNanos is the mean monitor-append latency over the
 		// server's lifetime (0 before the first event).
 		AvgAppendNanos int64 `json:"avg_append_nanos"`
+		// Searches and FastHits split the ended streams' verdict work (per
+		// response and criterion) into full searches and witness reuses.
+		Searches int64 `json:"searches"`
+		FastHits int64 `json:"fast_hits"`
 	} `json:"streams"`
 	Jobs struct {
 		Submitted         int64 `json:"submitted"`
@@ -78,6 +84,8 @@ func (m *Metrics) snapshot() StatsSnapshot {
 	if ev := s.Streams.Events; ev > 0 {
 		s.Streams.AvgAppendNanos = m.AppendNanos.Load() / ev
 	}
+	s.Streams.Searches = m.StreamSearches.Load()
+	s.Streams.FastHits = m.StreamFastHits.Load()
 	s.Jobs.Submitted = m.JobsSubmitted.Load()
 	s.Jobs.Done = m.JobsDone.Load()
 	s.Jobs.Failed = m.JobsFailed.Load()

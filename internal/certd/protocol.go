@@ -5,9 +5,11 @@
 // to pull-based workers over a lease/heartbeat protocol, folding the
 // ordered results with checkfarm.FoldJob so a distributed run's report
 // is byte-identical to the in-process farm's. A second, line-oriented
-// listener generalizes `ducheck -follow` to the network: each connection
-// feeds a spec.Monitor incrementally and gets per-event verdicts back,
-// with bounded per-stream queues and explicit backpressure.
+// listener puts `ducheck -follow` on the network: each connection runs
+// the same follow core (package follow — one spec.Session, so one shared
+// stream however many criteria the hello names) and gets per-event
+// verdicts back, with bounded per-stream queues and explicit
+// backpressure.
 //
 // The coordinator never trusts a worker to stay alive: every grant
 // carries a lease with a TTL, heartbeats extend it, and an expired lease
@@ -53,7 +55,7 @@
 //
 // # Stream protocol (line-oriented TCP)
 //
-// The client opens with a hello line:
+// The client opens with a hello line (package follow has its codec, and DONE's):
 //
 //	STREAM <criteria-csv> [retire=N] [nodelimit=N] [skipbad|strict] [lossy] [quiet]
 //
@@ -70,7 +72,7 @@
 //
 //	DONE events=<n> bad=<n> dropped=<n> violations=<n>
 //
-// line. Per-stream memory is bounded by the monitor's retirement window
+// line. Per-stream memory is bounded by the session's retirement window
 // plus a fixed-depth input queue; when the queue fills, the server
 // either stops reading (default — TCP flow control pushes back on the
 // producer, counted as a stall) or drops the overflow (lossy, counted

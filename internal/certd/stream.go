@@ -4,74 +4,12 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"strconv"
-	"strings"
 	"time"
 
-	"duopacity/internal/histio"
+	"duopacity/internal/follow"
 	"duopacity/internal/history"
 	"duopacity/internal/spec"
 )
-
-// streamOpts is a parsed STREAM hello. Criteria names are ducheck's
-// -criteria flag names (spec.ParseCriterion aliases); NewMonitor rejects
-// the non-monitorable ones, so a STREAM hello asking for a batch-only
-// baseline (strictser, ser) fails with the monitor's own explanation,
-// which lists the monitorable set — du, tms2, rco, opacity, finalstate.
-type streamOpts struct {
-	criteria  []spec.Criterion
-	retire    int
-	nodeLimit int
-	skipBad   bool
-	strict    bool
-	lossy     bool
-	quiet     bool
-}
-
-func parseHello(line string) (streamOpts, error) {
-	var o streamOpts
-	fields := strings.Fields(line)
-	if len(fields) < 2 || fields[0] != "STREAM" {
-		return o, fmt.Errorf("want: STREAM <criteria> [retire=N] [nodelimit=N] [skipbad|strict] [lossy] [quiet]")
-	}
-	for _, name := range strings.Split(fields[1], ",") {
-		c, ok := spec.ParseCriterion(strings.TrimSpace(name))
-		if !ok {
-			return o, fmt.Errorf("unknown criterion %q", name)
-		}
-		o.criteria = append(o.criteria, c)
-	}
-	for _, f := range fields[2:] {
-		switch {
-		case f == "skipbad":
-			o.skipBad = true
-		case f == "strict":
-			o.strict = true
-		case f == "lossy":
-			o.lossy = true
-		case f == "quiet":
-			o.quiet = true
-		case strings.HasPrefix(f, "retire="):
-			n, err := strconv.Atoi(f[len("retire="):])
-			if err != nil || n < 0 {
-				return o, fmt.Errorf("bad retire value %q", f)
-			}
-			o.retire = n
-		case strings.HasPrefix(f, "nodelimit="):
-			n, err := strconv.Atoi(f[len("nodelimit="):])
-			if err != nil || n < 0 {
-				return o, fmt.Errorf("bad nodelimit value %q", f)
-			}
-			o.nodeLimit = n
-		default:
-			return o, fmt.Errorf("unknown option %q", f)
-		}
-	}
-	if o.skipBad && o.strict {
-		return o, fmt.Errorf("skipbad and strict are mutually exclusive")
-	}
-	return o, nil
-}
 
 // ServeStreams accepts monitor-stream connections on ln until the
 // listener closes (Drain closes it). Each connection is handled on its
@@ -126,10 +64,10 @@ func (s *Server) trackConn(c net.Conn) func() {
 	}
 }
 
-// handleStream runs one monitored stream: the network generalization of
-// ducheck's runFollow, with the same three bad-input policies and the
-// same per-event rendering, plus the queue/backpressure machinery a
-// network producer needs.
+// handleStream runs one monitored stream: the follow core ducheck -follow
+// runs (package follow: one session, the bad-input policies, the echo,
+// the summary, DONE) behind what only a network producer needs — admission
+// control, a bounded queue with backpressure, flushing, metrics.
 func (s *Server) handleStream(conn net.Conn) {
 	defer conn.Close()
 	defer s.trackConn(conn)()
@@ -159,33 +97,43 @@ func (s *Server) handleStream(conn net.Conn) {
 		}
 		return
 	}
-	o, err := parseHello(in.Text())
+	o, err := follow.ParseHello(in.Text())
 	if err != nil {
 		fmt.Fprintf(out, "ERR %v\n", err)
 		return
 	}
-	monitors := make([]*spec.Monitor, len(o.criteria))
-	for i, c := range o.criteria {
-		opts := []spec.Option{spec.WithNodeLimit(o.nodeLimit)}
-		if o.retire > 0 {
-			opts = append(opts, spec.WithRetirement(o.retire))
+	f, err := follow.New(o, out)
+	if err != nil {
+		fmt.Fprintf(out, "ERR %v\n", err)
+		return
+	}
+	defer func() {
+		searches, fastHits := f.Stats()
+		s.Metrics.StreamSearches.Add(int64(searches))
+		s.Metrics.StreamFastHits.Add(int64(fastHits))
+	}()
+	// The network's share of an append: the fault-injection delay, and the
+	// latency and event counters behind /statsz (accepted events only).
+	appendEvent := f.Append
+	f.Append = func(e history.Event) ([]spec.Verdict, error) {
+		time.Sleep(s.cfg.SlowAppend)
+		start := time.Now()
+		vs, err := appendEvent(e)
+		if err == nil {
+			s.Metrics.AppendNanos.Add(time.Since(start).Nanoseconds())
+			s.Metrics.StreamEvents.Add(1)
 		}
-		m, merr := spec.NewMonitor(c, opts...)
-		if merr != nil {
-			fmt.Fprintf(out, "ERR %v\n", merr)
-			return
-		}
-		monitors[i] = m
+		return vs, err
 	}
 	fmt.Fprintf(out, "OK %s\n", streamID)
 	out.Flush()
 
 	// The bounded input queue: the reader goroutine feeds it, this
-	// goroutine drains it through the monitors. A full queue either
-	// pauses the reader — TCP flow control then pushes back on the
-	// producer, counted as a stall — or, on lossy streams, drops the
-	// line, counted and reported. Memory per stream is queue depth plus
-	// the monitors' retirement windows, independent of stream length.
+	// goroutine drains it through the follow. A full queue either pauses
+	// the reader — TCP flow control then pushes back on the producer,
+	// counted as a stall — or, on lossy streams, drops the line, counted
+	// and reported. Memory per stream is queue depth plus the session's
+	// retirement window, independent of stream length.
 	type inLine struct {
 		no   int
 		text string
@@ -194,7 +142,7 @@ func (s *Server) handleStream(conn net.Conn) {
 	consumerGone := make(chan struct{})
 	defer close(consumerGone) // any early return unblocks a stalled reader
 	var (
-		dropped int64
+		dropped int
 		readErr error // written before close(queue), read after the drain loop
 	)
 	go func() {
@@ -210,7 +158,7 @@ func (s *Server) handleStream(conn net.Conn) {
 			select {
 			case queue <- l:
 			default:
-				if o.lossy {
+				if o.Lossy {
 					dropped++
 					s.Metrics.StreamDropped.Add(1)
 					continue
@@ -226,95 +174,25 @@ func (s *Server) handleStream(conn net.Conn) {
 		readErr = in.Err()
 	}()
 
-	const maxBadDetail = 10
-	type badInput struct {
-		no   int
-		text string
-		err  error
-	}
-	var (
-		badCount  int
-		badDetail []badInput
-		strictErr error
-		idx       int
-	)
-	noteBad := func(no int, text string, err error) bool {
-		s.Metrics.StreamBad.Add(1)
-		badCount++
-		switch {
-		case o.strict:
-			strictErr = fmt.Errorf("line %d: %w", no, err)
-			return true
-		case o.skipBad:
-			if len(badDetail) < maxBadDetail {
-				badDetail = append(badDetail, badInput{no: no, text: text, err: err})
-			}
-		default:
-			fmt.Fprintf(out, "BAD %d %v\n", no, err)
-		}
-		return false
-	}
-drain:
 	for l := range queue {
-		evs, perr := histio.ParseEvents(l.text)
-		if perr != nil {
-			if noteBad(l.no, l.text, perr) {
-				break
+		if bad := f.Line(l.no, l.text); bad != nil {
+			s.Metrics.StreamBad.Add(1)
+			if o.Strict {
+				// Fail the stream the way -strict fails the CLI: no final
+				// verdicts. The deferred close(consumerGone) unblocks the
+				// reader.
+				fmt.Fprintf(out, "ERR %v\n", bad)
+				return
 			}
-			continue
-		}
-		for _, e := range evs {
-			if s.cfg.SlowAppend > 0 {
-				time.Sleep(s.cfg.SlowAppend)
+			if !o.SkipBad {
+				fmt.Fprintf(out, "BAD %d %v\n", bad.No, bad.Err)
 			}
-			var verdicts []spec.Verdict
-			rejected := false
-			start := time.Now()
-			for _, m := range monitors {
-				v, aerr := m.Append(e)
-				if aerr != nil {
-					rejected = true
-					if noteBad(l.no, l.text, aerr) {
-						break drain
-					}
-					break
-				}
-				verdicts = append(verdicts, v)
-			}
-			if rejected {
-				break
-			}
-			s.Metrics.AppendNanos.Add(time.Since(start).Nanoseconds())
-			s.Metrics.StreamEvents.Add(1)
-			if !o.quiet {
-				fmt.Fprintf(out, "%4d  %-28v", idx, e)
-				if e.Kind == history.Res {
-					for i, v := range verdicts {
-						status := "ok"
-						switch {
-						case v.Undecided:
-							status = "undecided"
-						case !v.OK:
-							status = "VIOLATED"
-						}
-						fmt.Fprintf(out, "  %s:%s", o.criteria[i], status)
-					}
-				}
-				fmt.Fprintln(out)
-			}
-			idx++
 		}
 		if out.Buffered() > 32*1024 {
 			if out.Flush() != nil {
 				return // client gone
 			}
 		}
-	}
-	if strictErr != nil {
-		// Fail the stream the way -strict fails the CLI: no final
-		// verdicts. The deferred close(consumerGone) unblocks the reader.
-		fmt.Fprintf(out, "ERR %v\n", strictErr)
-		return
 	}
 	if readErr != nil {
 		// The input died mid-stream (read error, or a line past the
@@ -323,30 +201,7 @@ drain:
 		fmt.Fprintf(out, "ERR read: %v\n", readErr)
 		return
 	}
-
-	if o.skipBad && badCount > 0 {
-		fmt.Fprintf(out, "QUARANTINED %d bad input line(s):\n", badCount)
-		for _, b := range badDetail {
-			fmt.Fprintf(out, "  line %d: %v: %q\n", b.no, b.err, b.text)
-		}
-		if badCount > len(badDetail) {
-			fmt.Fprintf(out, "  ... and %d more\n", badCount-len(badDetail))
-		}
-	}
-	if o.skipBad {
-		fmt.Fprintf(out, "follow: events=%d bad=%d\n", idx, badCount)
-	}
-	violations := 0
-	for i, m := range monitors {
-		v := m.Verdict()
-		fmt.Fprintln(out, v)
-		if o.retire > 0 {
-			fmt.Fprintf(out, "%v: %d events, %d transactions retired, %d live\n",
-				o.criteria[i], m.Len(), m.Retired(), m.LiveTxns())
-		}
-		if !v.OK && !v.Undecided {
-			violations++
-		}
-	}
-	fmt.Fprintf(out, "DONE events=%d bad=%d dropped=%d violations=%d\n", idx, badCount, dropped, violations)
+	done := f.Finish(out, "QUARANTINED")
+	done.Dropped = dropped
+	fmt.Fprintln(out, done)
 }

@@ -16,7 +16,7 @@
 // latches violations at the causing event); ExplorePlans enumerates every
 // interleaving of the deterministic stepper's schedule space for small
 // plans and returns per-plan proofs over that space or pinned refutations
-// (harness.ExplorePlan). On top of the pool, the
+// (harness.ExplorePlanCtx). On top of the pool, the
 // differential soak mode (Soak) runs every registered engine against
 // every implemented criterion — du-opacity against final-state opacity
 // (Definition 4), opacity (Definition 5), TMS2/RCO (Section 4.2) and the
@@ -229,7 +229,7 @@ func streamOrdered[T any](ctx context.Context, n, jobs int, run func(ep int) (T,
 
 // CertifyOnline is the online certification mode of the farm: each
 // episode runs with a spec.Monitor attached to its recorder
-// (harness.CertifyEpisodeOnline), so events stream through the
+// (harness.CertifyEpisodeOnlineCtx), so events stream through the
 // incremental checker as the engine produces them instead of being
 // materialized into histories and batch-checked afterwards. Episodes are
 // sharded over jobs workers and folded strictly in episode order, so the
@@ -320,7 +320,7 @@ func Sweep(ctx context.Context, cfg harness.SweepConfig, jobs int) ([]harness.Sw
 }
 
 // ExplorePlans runs the exhaustive schedule exploration of
-// harness.ExplorePlan for every plan, sharded across jobs workers, and
+// harness.ExplorePlanCtx for every plan, sharded across jobs workers, and
 // returns the reports in input order: results[i] is the per-plan verdict
 // (proven / violation with the pinned causing schedule / budget
 // exhausted) for plans[i]. Explorations are independent — each replays
@@ -332,7 +332,7 @@ func Sweep(ctx context.Context, cfg harness.SweepConfig, jobs int) ([]harness.Sw
 // cfg is shared by every shard: with jobs > 1 a cfg.OnSchedule callback
 // is invoked concurrently from all workers and must be safe for
 // concurrent use (a plain map accumulator, fine under a single
-// ExplorePlan call, races here).
+// ExplorePlanCtx call, races here).
 // Cancellation propagates into every exploration's replay loop and
 // monitor checks (harness.ExplorePlanCtx), and a shard panicking past its
 // retries degrades into a BudgetExhausted report with DegradedReason set

@@ -26,7 +26,7 @@ func TestExplorePlansMatchesSequential(t *testing.T) {
 	for _, eng := range []string{"tl2", "ple"} {
 		var want []harness.ExploreReport
 		for _, p := range plans {
-			r, err := harness.ExplorePlan(eng, p, harness.ExploreConfig{})
+			r, err := harness.ExplorePlanCtx(context.Background(), eng, p, harness.ExploreConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -29,7 +29,7 @@ func TestCertifyOnlineMatchesSequential(t *testing.T) {
 	want := harness.OnlineStats{Engine: "ple", Criterion: spec.DUOpacity}
 	cfgd := cfg.WithDefaults()
 	for ep := 0; ep < cfgd.Episodes; ep++ {
-		r, err := harness.CertifyEpisodeOnline(cfgd, ep, spec.DUOpacity)
+		r, err := harness.CertifyEpisodeOnlineCtx(context.Background(), cfgd, ep, spec.DUOpacity)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,0 +1,246 @@
+// Package follow is the one follow core under ducheck -follow (events on
+// stdin) and certd's STREAM protocol (events on a connection): one
+// spec.Session fed line by line, with everything about it that is not
+// transport — the options and their wire form (the STREAM hello), the
+// bad-input policies, the echo, the final summary, the DONE line and its
+// exit status. The front ends keep the routing of bad-input notes and
+// what a network adds (admission, backpressure, flushing, metrics).
+package follow
+
+import (
+	"fmt"
+	"io"
+	"strconv"
+	"strings"
+
+	"duopacity/internal/histio"
+	"duopacity/internal/history"
+	"duopacity/internal/spec"
+)
+
+// Options configure one follow: exactly what a STREAM hello carries.
+type Options struct {
+	Criteria  []spec.Criterion // in echo-column order
+	Retire    int              // the session's retirement window; 0 keeps everything
+	NodeLimit int              // bound on each search; 0 is unlimited
+	// SkipBad and Strict select the bad-input policy; with neither, a bad
+	// line is noted and skipped. They are mutually exclusive.
+	SkipBad, Strict bool
+	Lossy           bool // a network front end may drop lines instead of stalling the producer
+	Quiet           bool // no per-event echo
+}
+
+// helloFields are the hello's optional fields in Hello's order: a counter
+// travels as "key=N" when positive, a flag as its bare keyword when set.
+func (o *Options) helloFields() []helloField {
+	return []helloField{
+		{key: "retire=", n: &o.Retire}, {key: "nodelimit=", n: &o.NodeLimit},
+		{key: "skipbad", on: &o.SkipBad}, {key: "strict", on: &o.Strict},
+		{key: "lossy", on: &o.Lossy}, {key: "quiet", on: &o.Quiet},
+	}
+}
+
+type helloField struct {
+	key string
+	n   *int
+	on  *bool
+}
+
+// Hello renders the options as a STREAM hello line (without newline).
+func (o Options) Hello() string {
+	names := make([]string, len(o.Criteria))
+	for i, c := range o.Criteria {
+		names[i], _ = spec.CriterionAlias(c)
+	}
+	h := "STREAM " + strings.Join(names, ",")
+	for _, f := range o.helloFields() {
+		switch {
+		case f.n != nil && *f.n > 0:
+			h += " " + f.key + strconv.Itoa(*f.n)
+		case f.on != nil && *f.on:
+			h += " " + f.key
+		}
+	}
+	return h
+}
+
+// ParseHello is the inverse of Hello. Criteria names are ducheck's
+// -criteria names (spec.ParseCriterion); whether they are monitorable is
+// New's to decide, so a hello asking for a batch-only baseline fails there,
+// with the session's own explanation.
+func ParseHello(line string) (Options, error) {
+	var o Options
+	words := strings.Fields(line)
+	if len(words) < 2 || words[0] != "STREAM" {
+		return o, fmt.Errorf("want: STREAM <criteria> [retire=N] [nodelimit=N] [skipbad|strict] [lossy] [quiet]")
+	}
+	for _, name := range strings.Split(words[1], ",") {
+		c, ok := spec.ParseCriterion(name)
+		if !ok {
+			return o, fmt.Errorf("unknown criterion %q", name)
+		}
+		o.Criteria = append(o.Criteria, c)
+	}
+next:
+	for _, w := range words[2:] {
+		for _, f := range o.helloFields() {
+			switch {
+			case f.on != nil && w == f.key:
+				*f.on = true
+				continue next
+			case f.n != nil && strings.HasPrefix(w, f.key):
+				n, err := strconv.Atoi(w[len(f.key):])
+				if err != nil || n < 0 {
+					return o, fmt.Errorf("bad %s value %q", strings.TrimSuffix(f.key, "="), w)
+				}
+				*f.n = n
+				continue next
+			}
+		}
+		return o, fmt.Errorf("unknown option %q", w)
+	}
+	if o.SkipBad && o.Strict {
+		return o, fmt.Errorf("skipbad and strict are mutually exclusive")
+	}
+	return o, nil
+}
+
+// Done is the outcome of a completed follow, and the DONE line that ends
+// a STREAM conversation.
+type Done struct {
+	Events     int // events the session accepted
+	Bad        int // input lines refused: unparsable, or making the history ill-formed
+	Dropped    int // lines a lossy network front end discarded unseen; zero in process
+	Violations int // criteria whose final verdict is a violation (undecided is not one)
+}
+
+// String renders the DONE line (without newline).
+func (d Done) String() string {
+	return fmt.Sprintf("DONE events=%d bad=%d dropped=%d violations=%d", d.Events, d.Bad, d.Dropped, d.Violations)
+}
+
+// ParseDone is the inverse of String; ok is false for any other line.
+func ParseDone(line string) (d Done, ok bool) {
+	_, err := fmt.Sscanf(line, "DONE events=%d bad=%d dropped=%d violations=%d", &d.Events, &d.Bad, &d.Dropped, &d.Violations)
+	return d, err == nil && line == d.String()
+}
+
+// Exit is the process exit status: 1 when any criterion was violated.
+func (d Done) Exit() int { return min(d.Violations, 1) }
+
+// BadLine is one refused input line; Error renders "line N: cause".
+type BadLine struct {
+	No   int
+	Text string
+	Err  error
+}
+
+func (b *BadLine) Error() string { return fmt.Sprintf("line %d: %v", b.No, b.Err) }
+
+// maxBadDetail caps the skip-bad ledger; bad lines past it are only counted.
+const maxBadDetail = 10
+
+// Follow is one follow in progress.
+type Follow struct {
+	// Append is the session's Append; a front end may interpose (certd
+	// adds its append-latency metrics and fault-injection delay).
+	Append func(history.Event) ([]spec.Verdict, error)
+
+	opts Options
+	sess *spec.Session
+	out  io.Writer
+	line []byte // echo scratch
+
+	events, bad int
+	ledger      []BadLine
+}
+
+// New starts a follow writing its echo lines and final summary to out.
+// Write errors on out are ignored, as for any line-printing command; a
+// network front end notices a vanished client when it flushes.
+func New(o Options, out io.Writer) (*Follow, error) {
+	sess, err := spec.NewSession(o.Criteria, spec.WithNodeLimit(o.NodeLimit), spec.WithRetirement(o.Retire))
+	if err != nil {
+		return nil, err
+	}
+	return &Follow{Append: sess.Append, opts: o, sess: sess, out: out}, nil
+}
+
+// Stats is the session's: full searches and fast-path hits over all criteria.
+func (f *Follow) Stats() (searches, fastHits int) { return f.sess.Stats() }
+
+// Line feeds input line number no: every event it parses to is appended
+// to the session and echoed. A line that does not parse, or whose event
+// the session refuses as ill-formed (side-effect-free for the session; the
+// rest of the line goes with it), is bad: counted, entered in the ledger
+// under SkipBad, and returned under every policy for the front end to
+// route — under Strict it must stop feeding and fail the follow.
+func (f *Follow) Line(no int, text string) *BadLine {
+	evs, err := histio.ParseEvents(text)
+	for i := 0; err == nil && i < len(evs); i++ {
+		var vs []spec.Verdict
+		if vs, err = f.Append(evs[i]); err == nil {
+			f.echo(evs[i], vs)
+			f.events++
+		}
+	}
+	if err == nil {
+		return nil
+	}
+	f.bad++
+	b := BadLine{No: no, Text: text, Err: err}
+	if f.opts.SkipBad && len(f.ledger) < maxBadDetail {
+		f.ledger = append(f.ledger, b)
+	}
+	return &b
+}
+
+// echo prints one accepted event: its index and rendering, and after a
+// response one status column per criterion.
+func (f *Follow) echo(e history.Event, vs []spec.Verdict) {
+	if f.opts.Quiet {
+		return
+	}
+	f.line = fmt.Appendf(f.line[:0], "%4d  %-28v", f.events, e)
+	if e.Kind == history.Res {
+		for _, v := range vs {
+			f.line = append(f.line, "  "...)
+			f.line = append(f.line, v.Criterion.String()...)
+			f.line = append(f.line, ':')
+			f.line = append(f.line, v.Status()...)
+		}
+	}
+	f.line = append(f.line, '\n')
+	_, _ = f.out.Write(f.line)
+}
+
+// Finish prints the skip-bad quarantine report to report (the total under
+// "<title> N bad input line(s):", then the ledger) and the final block to
+// out (the skip-bad accounting line, then per criterion its verdict and,
+// with retirement on, the retirement summary), and returns the outcome.
+func (f *Follow) Finish(report io.Writer, title string) Done {
+	if f.opts.SkipBad {
+		if f.bad > 0 {
+			fmt.Fprintf(report, "%s %d bad input line(s):\n", title, f.bad)
+			for _, b := range f.ledger {
+				fmt.Fprintf(report, "  line %d: %v: %q\n", b.No, b.Err, b.Text)
+			}
+			if f.bad > len(f.ledger) {
+				fmt.Fprintf(report, "  ... and %d more\n", f.bad-len(f.ledger))
+			}
+		}
+		fmt.Fprintf(f.out, "follow: events=%d bad=%d\n", f.events, f.bad)
+	}
+	d := Done{Events: f.events, Bad: f.bad}
+	for _, v := range f.sess.Verdicts() {
+		fmt.Fprintln(f.out, v)
+		if f.opts.Retire > 0 {
+			fmt.Fprintf(f.out, "%v: %d events, %d transactions retired, %d live\n",
+				v.Criterion, f.events, f.sess.Retired(), f.sess.LiveTxns())
+		}
+		if !v.OK && !v.Undecided {
+			d.Violations++
+		}
+	}
+	return d
+}

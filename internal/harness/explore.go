@@ -15,7 +15,7 @@ import (
 )
 
 // This file is the systematic counterpart of interleave.go: where
-// RunInterleaved samples one seeded schedule of a plan, ExplorePlan
+// RunInterleaved samples one seeded schedule of a plan, ExplorePlanCtx
 // enumerates *every* schedule of the same stepper space and certifies
 // each recorded history online, turning per-plan certification from
 // sampled evidence into a proof over that space (for plans small enough
@@ -133,7 +133,7 @@ type ExploreConfig struct {
 	// is cut at its latching step — even when that step happens to be its
 	// last — and is counted in PrefixCut, not delivered here; set
 	// DisablePrefixCut to observe every schedule of the space. One
-	// ExplorePlan call invokes the callback sequentially, but a config
+	// ExplorePlanCtx call invokes the callback sequentially, but a config
 	// shared across concurrent explorations (checkfarm.ExplorePlans with
 	// jobs > 1) invokes it from all workers — such a callback must be
 	// safe for concurrent use.
@@ -223,20 +223,15 @@ type ExploreReport struct {
 	DegradedReason string
 }
 
-// ExplorePlan enumerates every schedule of the deterministic stepper's
+// ExplorePlanCtx enumerates every schedule of the deterministic stepper's
 // space for the plan — the engine's exclusion policy plus the stepper's
 // abort-backoff discipline, exactly the space RunInterleaved samples —
 // certifies each recorded history online against cfg.Criterion, and
 // aggregates a per-plan verdict: ProvenDUOpaque when the space was
 // exhausted violation-free, ViolationFound with the pinned causing
 // schedule, or BudgetExhausted with frontier statistics. See the file
-// comment for what the quantifier does and does not cover.
-func ExplorePlan(engine string, p stm.Plan, cfg ExploreConfig) (ExploreReport, error) {
-	return ExplorePlanCtx(context.Background(), engine, p, cfg)
-}
-
-// ExplorePlanCtx is ExplorePlan with cancellation: the context is checked
-// between replays and propagated into every monitor check
+// comment for what the quantifier does and does not cover. The context is
+// checked between replays and propagated into every monitor check
 // (spec.WithContext), so a farm deadline stops even a pathological
 // exploration promptly. Cancellation surfaces as Outcome BudgetExhausted
 // with DegradedReason set — an honest undecided result.
@@ -394,7 +389,7 @@ func (e *explorer) backtrack() bool {
 func (e *explorer) replay() pathEnd {
 	eng, err := engines.New(e.engine, e.p.Objects)
 	if err != nil {
-		panic("harness: explore engine vanished: " + err.Error()) // validated by ExplorePlan
+		panic("harness: explore engine vanished: " + err.Error()) // validated by ExplorePlanCtx
 	}
 	rec := recorder.New(eng)
 	mopts := []spec.Option{spec.WithNodeLimit(e.cfg.NodeLimit)}
@@ -403,7 +398,7 @@ func (e *explorer) replay() pathEnd {
 	}
 	m, err := spec.NewMonitor(e.cfg.Criterion, mopts...)
 	if err != nil {
-		panic("harness: explore monitor: " + err.Error()) // criterion validated by ExplorePlan
+		panic("harness: explore monitor: " + err.Error()) // criterion validated by ExplorePlanCtx
 	}
 	latched, latchAt, events := false, -1, 0
 	tapFault := ""

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -44,7 +45,7 @@ func TestExploreProvesDeferredUpdateEngines(t *testing.T) {
 	for _, plan := range []string{pleLitmusPlan, abortedReaderPlan} {
 		p := stm.MustParsePlan(plan)
 		for _, eng := range []string{"tl2", "norec", "gl", "dstm", "pdur", "tl2+karma", "pdur+backoff"} {
-			r, err := ExplorePlan(eng, p, ExploreConfig{})
+			r, err := ExplorePlanCtx(context.Background(), eng, p, ExploreConfig{})
 			if err != nil {
 				t.Fatalf("%s: %v", eng, err)
 			}
@@ -70,7 +71,7 @@ func TestExploreProvesAtAcceptanceCeiling(t *testing.T) {
 	if p.NumTxns() != 4 || p.NumOps() != 8 {
 		t.Fatalf("ceiling plan is %d txns / %d ops, want 4/8", p.NumTxns(), p.NumOps())
 	}
-	r, err := ExplorePlan("tl2", p, ExploreConfig{})
+	r, err := ExplorePlanCtx(context.Background(), "tl2", p, ExploreConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestExploreProvesAtAcceptanceCeiling(t *testing.T) {
 	if r.SleepPruned == 0 {
 		t.Error("no sleep-set pruning on a write-only tl2 plan")
 	}
-	naive, err := ExplorePlan("tl2", p, naiveConfig())
+	naive, err := ExplorePlanCtx(context.Background(), "tl2", p, naiveConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestExploreProvesAtAcceptanceCeiling(t *testing.T) {
 // batch checker (monitor and checker agree).
 func TestExplorePinsPLEViolation(t *testing.T) {
 	p := stm.MustParsePlan(pleLitmusPlan)
-	r, err := ExplorePlan("ple", p, ExploreConfig{})
+	r, err := ExplorePlanCtx(context.Background(), "ple", p, ExploreConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestExplorePinsPLEViolation(t *testing.T) {
 	}
 	// Prefix closure must have cut violating subtrees: the naive space of
 	// this plan is strictly larger than what the pruned walk replayed.
-	naive, err := ExplorePlan("ple", p, naiveConfig())
+	naive, err := ExplorePlanCtx(context.Background(), "ple", p, naiveConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestExplorePinsPLEViolation(t *testing.T) {
 // reproduce testdata/explore_ple_litmus.golden on every machine.
 func TestExploreGolden(t *testing.T) {
 	p := stm.MustParsePlan(pleLitmusPlan)
-	r, err := ExplorePlan("ple", p, ExploreConfig{})
+	r, err := ExplorePlanCtx(context.Background(), "ple", p, ExploreConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestExploreContainsSampledSchedules(t *testing.T) {
 			cfg.OnSchedule = func(_ []int, eh *history.History, _ spec.Verdict) {
 				seen[histio.FormatString(eh)] = true
 			}
-			r, err := ExplorePlan(eng, PlanOf(w), cfg)
+			r, err := ExplorePlanCtx(context.Background(), eng, PlanOf(w), cfg)
 			if err != nil {
 				t.Fatalf("%s/%d: %v", eng, seed, err)
 			}
@@ -228,7 +229,7 @@ func TestExplorePruningSound(t *testing.T) {
 			ncfg.OnSchedule = func(_ []int, h *history.History, _ spec.Verdict) {
 				naiveSeen[histio.FormatString(h)] = true
 			}
-			naive, err := ExplorePlan(eng, p, ncfg)
+			naive, err := ExplorePlanCtx(context.Background(), eng, p, ncfg)
 			if err != nil {
 				t.Fatalf("%s on %q: %v", eng, src, err)
 			}
@@ -241,7 +242,7 @@ func TestExplorePruningSound(t *testing.T) {
 						eng, src, histio.FormatString(h))
 				}
 			}
-			pruned, err = ExplorePlan(eng, p, pcfg)
+			pruned, err = ExplorePlanCtx(context.Background(), eng, p, pcfg)
 			if err != nil {
 				t.Fatalf("%s on %q: %v", eng, src, err)
 			}
@@ -262,7 +263,7 @@ func TestExplorePruningSound(t *testing.T) {
 // purpose: a violation is definitive evidence regardless of exhaustion.
 func TestExploreRefutesPLEGoldenWorkload(t *testing.T) {
 	p := PlanOf(pleGoldenWorkload())
-	r, err := ExplorePlan("ple", p, ExploreConfig{
+	r, err := ExplorePlanCtx(context.Background(), "ple", p, ExploreConfig{
 		MaxSchedules:         5_000,
 		StopAtFirstViolation: true,
 	})
@@ -284,7 +285,7 @@ func TestExploreRefutesPLEGoldenWorkload(t *testing.T) {
 // returns at the latching step.
 func TestExploreTruncatedScheduleKeepsLatchedViolation(t *testing.T) {
 	p := stm.MustParsePlan(pleLitmusPlan)
-	r, err := ExplorePlan("ple", p, ExploreConfig{DisablePrefixCut: true, MaxSteps: 2})
+	r, err := ExplorePlanCtx(context.Background(), "ple", p, ExploreConfig{DisablePrefixCut: true, MaxSteps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +305,7 @@ func TestExploreBudgetExhausted(t *testing.T) {
 		Engine: "tl2", Objects: 4, Goroutines: 4,
 		TxnsPerGoroutine: 2, OpsPerTxn: 4, Seed: 1,
 	})
-	r, err := ExplorePlan("tl2", p, ExploreConfig{MaxSchedules: 50})
+	r, err := ExplorePlanCtx(context.Background(), "tl2", p, ExploreConfig{MaxSchedules: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,14 +323,14 @@ func TestExploreBudgetExhausted(t *testing.T) {
 // opaque completion).
 func TestExploreOpacity(t *testing.T) {
 	p := stm.MustParsePlan(pleLitmusPlan)
-	r, err := ExplorePlan("ple", p, ExploreConfig{Criterion: spec.Opacity})
+	r, err := ExplorePlanCtx(context.Background(), "ple", p, ExploreConfig{Criterion: spec.Opacity})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Outcome != ViolationFound {
 		t.Errorf("ple/opacity outcome %s, want violation", r.Outcome)
 	}
-	r, err = ExplorePlan("tl2", p, ExploreConfig{Criterion: spec.Opacity})
+	r, err = ExplorePlanCtx(context.Background(), "tl2", p, ExploreConfig{Criterion: spec.Opacity})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,11 +344,11 @@ func TestExploreOpacity(t *testing.T) {
 func TestExploreDeterministic(t *testing.T) {
 	p := stm.MustParsePlan("w0 r1\nr0 w1")
 	for _, eng := range []string{"tl2", "ple"} {
-		a, err := ExplorePlan(eng, p, ExploreConfig{})
+		a, err := ExplorePlanCtx(context.Background(), eng, p, ExploreConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := ExplorePlan(eng, p, ExploreConfig{})
+		b, err := ExplorePlanCtx(context.Background(), eng, p, ExploreConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -367,14 +368,14 @@ func TestExploreDeterministic(t *testing.T) {
 // TestExploreErrors pins the input validation.
 func TestExploreErrors(t *testing.T) {
 	good := stm.MustParsePlan(pleLitmusPlan)
-	if _, err := ExplorePlan("bogus", good, ExploreConfig{}); err == nil {
+	if _, err := ExplorePlanCtx(context.Background(), "bogus", good, ExploreConfig{}); err == nil {
 		t.Error("unknown engine accepted")
 	}
-	if _, err := ExplorePlan("tl2", stm.Plan{}, ExploreConfig{}); err == nil {
+	if _, err := ExplorePlanCtx(context.Background(), "tl2", stm.Plan{}, ExploreConfig{}); err == nil {
 		t.Error("invalid plan accepted")
 	}
 	for _, c := range []spec.Criterion{spec.FinalStateOpacity, spec.TMS2, spec.RCO, spec.Serializability} {
-		if _, err := ExplorePlan("tl2", good, ExploreConfig{Criterion: c}); err == nil {
+		if _, err := ExplorePlanCtx(context.Background(), "tl2", good, ExploreConfig{Criterion: c}); err == nil {
 			t.Errorf("non-prefix-closed criterion %v accepted", c)
 		}
 	}
@@ -382,7 +383,7 @@ func TestExploreErrors(t *testing.T) {
 	for i := range big.Threads {
 		big.Threads[i] = []stm.PlanTxn{{{Read: true}}}
 	}
-	if _, err := ExplorePlan("tl2", big, ExploreConfig{}); err == nil {
+	if _, err := ExplorePlanCtx(context.Background(), "tl2", big, ExploreConfig{}); err == nil {
 		t.Error("65-thread plan accepted")
 	}
 }
@@ -390,7 +391,7 @@ func TestExploreErrors(t *testing.T) {
 // TestFormatExploreTable smoke-checks the CLI rendering.
 func TestFormatExploreTable(t *testing.T) {
 	p := stm.MustParsePlan(pleLitmusPlan)
-	r, err := ExplorePlan("ple", p, ExploreConfig{})
+	r, err := ExplorePlanCtx(context.Background(), "ple", p, ExploreConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

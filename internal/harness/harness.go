@@ -14,7 +14,7 @@
 //     workload's plan (stm.Plan), reproducible bit-for-bit anywhere and
 //     able to steer through preemption windows real goroutines almost
 //     never hit.
-//   - ExplorePlan exhausts that same schedule space: every interleaving
+//   - ExplorePlanCtx exhausts that same schedule space: every interleaving
 //     the engine's exclusion policy (policy.go) allows is enumerated and
 //     certified online, with the prefix-closure cut of Corollary 2, sleep
 //     sets, and symmetry reduction pruning redundant subtrees — turning
@@ -164,7 +164,7 @@ func planFor(w Workload) stm.Plan {
 }
 
 // PlanOf exposes the seeded per-goroutine transaction programs of a
-// workload as an stm.Plan — the unit ExplorePlan enumerates and
+// workload as an stm.Plan — the unit ExplorePlanCtx enumerates and
 // checkfarm.ExplorePlans shards. The plan is a pure function of the
 // workload (seed, shape), exactly the programs Run, RunRecorded and
 // RunInterleaved execute.
@@ -331,7 +331,7 @@ type CertConfig struct {
 	// keep 0 for bit-reproducible statistics.
 	Portfolio int
 	// Explore certifies each episode by exhaustively exploring the
-	// episode plan's schedule space (ExplorePlan) instead of sampling one
+	// episode plan's schedule space (ExplorePlanCtx) instead of sampling one
 	// recorded run: an accepted episode means *no* schedule of the
 	// deterministic stepper's space — the engine's exclusion policy plus
 	// its abort-backoff discipline, the space RunInterleaved samples —
@@ -423,19 +423,14 @@ func DegradedEpisode(criteria []spec.Criterion, reason string) EpisodeReport {
 	return r
 }
 
-// CertifyEpisode runs episode ep of the certification described by cfg and
-// checks it against the criteria. Episodes are independent: each runs on a
-// fresh engine with a seed derived only from cfg.Seed and ep, so they can
-// be evaluated in any order (or concurrently) and folded with AddEpisode.
-// Call cfg.WithDefaults first when bypassing Certify.
-func CertifyEpisode(cfg CertConfig, ep int, criteria []spec.Criterion) (EpisodeReport, error) {
-	return CertifyEpisodeCtx(context.Background(), cfg, ep, criteria)
-}
-
-// CertifyEpisodeCtx is CertifyEpisode with cancellation threaded into the
-// exact checks (spec.WithContext) — and, with cfg.Explore, into the
-// exploration — so a farm deadline stops even a pathological search
-// promptly with an undecided verdict.
+// CertifyEpisodeCtx runs episode ep of the certification described by cfg
+// and checks it against the criteria. Episodes are independent: each runs
+// on a fresh engine with a seed derived only from cfg.Seed and ep, so they
+// can be evaluated in any order (or concurrently) and folded with
+// AddEpisode. Call cfg.WithDefaults first when bypassing Certify.
+// Cancellation is threaded into the exact checks (spec.WithContext) —
+// and, with cfg.Explore, into the exploration — so a farm deadline stops
+// even a pathological search promptly with an undecided verdict.
 func CertifyEpisodeCtx(ctx context.Context, cfg CertConfig, ep int, criteria []spec.Criterion) (EpisodeReport, error) {
 	w := cfg.Workload
 	w.Seed = cfg.Workload.Seed + int64(ep)*episodeSeedStride
@@ -471,7 +466,7 @@ func CertifyEpisodeCtx(ctx context.Context, cfg CertConfig, ep int, criteria []s
 	return r, nil
 }
 
-// exploreEpisode is the CertConfig.Explore path of CertifyEpisode: the
+// exploreEpisode is the CertConfig.Explore path of CertifyEpisodeCtx: the
 // episode's seeded plan is explored exhaustively per criterion, and the
 // per-plan verdicts (proven / violation with the pinned causing schedule /
 // budget-exhausted) are folded into the ordinary episode report so the
@@ -557,7 +552,7 @@ func Certify(cfg CertConfig, criteria []spec.Criterion) (CertStats, error) {
 	cfg = cfg.WithDefaults()
 	stats := NewCertStats(cfg.Workload.Engine)
 	for ep := 0; ep < cfg.Episodes; ep++ {
-		r, err := CertifyEpisode(cfg, ep, criteria)
+		r, err := CertifyEpisodeCtx(context.Background(), cfg, ep, criteria)
 		if err != nil {
 			return stats, err
 		}

@@ -21,14 +21,14 @@ import (
 //
 // Engines that block inside an operation are stepped under an exclusion
 // policy derived from the engine's locking discipline (the shared
-// schedulePolicy of policy.go, also used by ExplorePlan), so the
+// schedulePolicy of policy.go, also used by ExplorePlanCtx), so the
 // single-threaded scheduler never deadlocks; for "gl", whose global lock
 // spans the whole transaction, this degenerates to the serial execution
 // the real engine produces anyway.
 //
 // RunInterleaved samples exactly one schedule of the workload's plan; the
 // exhaustive counterpart enumerating every schedule the policy allows is
-// ExplorePlan.
+// ExplorePlanCtx.
 func RunInterleaved(w Workload) (*history.History, RunStats, error) {
 	return runInterleaved(w, nil)
 }

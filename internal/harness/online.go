@@ -114,21 +114,16 @@ func RunMonitored(w Workload, c spec.Criterion, nodeLimit int, interleaved bool,
 	}, nil
 }
 
-// CertifyEpisodeOnline runs episode ep of the certification described by
-// cfg through the online monitor instead of the record-then-check
+// CertifyEpisodeOnlineCtx runs episode ep of the certification described
+// by cfg through the online monitor instead of the record-then-check
 // pipeline: the episode's events are fed through the monitor's stream as
 // they occur and never materialized into a batch history. Episodes are
-// seeded exactly as CertifyEpisode seeds them, so online and batch
+// seeded exactly as CertifyEpisodeCtx seeds them, so online and batch
 // certification cover the same executions. Call cfg.WithDefaults first
-// when bypassing CertifyOnline aggregation.
-func CertifyEpisodeOnline(cfg CertConfig, ep int, c spec.Criterion) (OnlineReport, error) {
-	return CertifyEpisodeOnlineCtx(context.Background(), cfg, ep, c)
-}
-
-// CertifyEpisodeOnlineCtx is CertifyEpisodeOnline with cancellation
-// threaded into the monitor's checks (spec.WithContext): a farm deadline
-// turns the episode's remaining searches into prompt undecided verdicts
-// instead of running each to the node limit.
+// when bypassing CertifyOnline aggregation. Cancellation is threaded into
+// the monitor's checks (spec.WithContext): a farm deadline turns the
+// episode's remaining searches into prompt undecided verdicts instead of
+// running each to the node limit.
 func CertifyEpisodeOnlineCtx(ctx context.Context, cfg CertConfig, ep int, c spec.Criterion) (OnlineReport, error) {
 	w := cfg.Workload
 	w.Seed = cfg.Workload.Seed + int64(ep)*episodeSeedStride

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"testing"
 
 	"duopacity/internal/spec"
@@ -152,12 +153,12 @@ func TestCertifyEpisodeOnlineSeeding(t *testing.T) {
 	online.Criterion = spec.DUOpacity
 	batch := NewCertStats(cfg.Workload.Engine)
 	for ep := 0; ep < cfg.Episodes; ep++ {
-		r, err := CertifyEpisodeOnline(cfg, ep, spec.DUOpacity)
+		r, err := CertifyEpisodeOnlineCtx(context.Background(), cfg, ep, spec.DUOpacity)
 		if err != nil {
 			t.Fatal(err)
 		}
 		online.AddEpisode(r)
-		br, err := CertifyEpisode(cfg, ep, []spec.Criterion{spec.DUOpacity})
+		br, err := CertifyEpisodeCtx(context.Background(), cfg, ep, []spec.Criterion{spec.DUOpacity})
 		if err != nil {
 			t.Fatal(err)
 		}

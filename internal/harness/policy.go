@@ -8,7 +8,7 @@ import (
 
 // This file is the single home of the deterministic stepwise execution
 // model shared by the seeded sampler (RunInterleaved) and the exhaustive
-// schedule explorer (ExplorePlan): virtual threads, the engine-aware
+// schedule explorer (ExplorePlanCtx): virtual threads, the engine-aware
 // exclusion policy deciding which threads may take a step without
 // blocking the one real goroutine, and the stepper that advances a thread
 // by one t-operation. Keeping sampler and explorer on the same stepper is

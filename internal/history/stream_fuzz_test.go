@@ -48,10 +48,11 @@ func decodeEvent(b0, b1, b2 byte) history.Event {
 // the checker rewrite's FuzzCheckerDifferential provides for the search
 // engine. The sel byte additionally draws a monitorable criterion (and
 // a retirement window, and the TMS2 aborted-reader exemption): the
-// accepted events are replayed through a spec.Monitor, and whenever the
-// monitor latches a violation the batch checker must reject that exact
-// response prefix; if it never latches, the final verdicts must agree
-// at the last response prefix.
+// accepted events are replayed through a spec.Monitor and through a
+// five-criteria spec.Session, and whenever a criterion latches a
+// violation the batch checker must reject that exact response prefix; if
+// it never latches, the final verdicts must agree at the last response
+// prefix.
 func FuzzStreamDifferential(f *testing.F) {
 	f.Add([]byte{}, byte(0))
 	// write_1(X,1) ok, tryC_1 C, read_2(X)->1, tryC_2 C.
@@ -130,12 +131,15 @@ func FuzzStreamDifferential(f *testing.F) {
 
 		// Online monitor differential: replay the accepted events through a
 		// spec.Monitor for the criterion (retirement window, exemption)
-		// drawn from sel. A latched violation must be confirmed by the
-		// batch checker on that exact response prefix; a never-latched run
-		// must agree with the batch verdict at the last response prefix
-		// (responses are where the monitor's verdict is defined — trailing
-		// invocations only add completion choices or record deferred
-		// edges). Undecided verdicts on either side skip the comparison.
+		// drawn from sel, and through one spec.Session deciding every
+		// monitorable criterion over its shared stream with the same
+		// options. For each subject and criterion, a latched violation must
+		// be confirmed by the batch checker on that exact response prefix;
+		// a never-latched run must agree with the batch verdict at the last
+		// response prefix (responses are where the verdict is defined —
+		// trailing invocations only add completion choices or record
+		// deferred edges). Undecided verdicts on either side skip the
+		// comparison.
 		const monLimit = 2_000
 		mcs := spec.MonitorableCriteria()
 		mc := mcs[int(sel&0x0f)%len(mcs)]
@@ -144,7 +148,8 @@ func FuzzStreamDifferential(f *testing.F) {
 		if window := []int{0, 0, 4, 16}[int(sel>>4)%4]; window > 0 {
 			monOpts = append(monOpts, spec.WithRetirement(window))
 		}
-		if mc == spec.TMS2 && sel&0x80 != 0 {
+		if sel&0x80 != 0 {
+			// Only TMS2 checks, monitors and deciders read the exemption.
 			monOpts = append(monOpts, spec.WithTMS2AbortedReaderExemption())
 			batchOpts = append(batchOpts, spec.WithTMS2AbortedReaderExemption())
 		}
@@ -152,31 +157,58 @@ func FuzzStreamDifferential(f *testing.F) {
 		if err != nil {
 			t.Fatalf("NewMonitor(%v): %v", mc, err)
 		}
-		var mv spec.Verdict
-		latchedAt, lastRes := -1, -1
-		for i, e := range accepted {
-			mv, err = m.Append(e)
-			if err != nil {
-				t.Fatalf("monitor rejected stream-accepted event %v: %v", e, err)
-			}
-			if e.Kind == history.Res {
-				lastRes = i
-			}
-			if latchedAt < 0 && !mv.OK && !mv.Undecided {
-				latchedAt = i
-			}
+		sess, err := spec.NewSession(mcs, monOpts...)
+		if err != nil {
+			t.Fatalf("NewSession: %v", err)
 		}
-		if latchedAt >= 0 {
-			want := spec.Check(batch.Prefix(latchedAt+1), mc, batchOpts...)
-			if want.OK {
-				t.Fatalf("%v monitor latched a violation at event %d (%q) but the batch checker accepts that prefix",
-					mc, latchedAt, mv.Reason)
+		for _, subject := range []struct {
+			name     string
+			criteria []spec.Criterion
+			append   func(history.Event) ([]spec.Verdict, error)
+		}{
+			{"monitor", []spec.Criterion{mc}, func(e history.Event) ([]spec.Verdict, error) {
+				v, err := m.Append(e)
+				return []spec.Verdict{v}, err
+			}},
+			{"session", mcs, sess.Append},
+		} {
+			latchedAt := make([]int, len(subject.criteria))
+			final := make([]spec.Verdict, len(subject.criteria))
+			for k := range latchedAt {
+				latchedAt[k] = -1
 			}
-		} else if lastRes >= 0 && !mv.Undecided {
-			want := spec.Check(batch.Prefix(lastRes+1), mc, batchOpts...)
-			if !want.Undecided && mv.OK != want.OK {
-				t.Fatalf("%v final verdicts diverge at response prefix %d: monitor OK=%v, batch OK=%v (reason %q)",
-					mc, lastRes+1, mv.OK, want.OK, want.Reason)
+			lastRes := -1
+			for i, e := range accepted {
+				vs, err := subject.append(e)
+				if err != nil {
+					t.Fatalf("%s rejected stream-accepted event %v: %v", subject.name, e, err)
+				}
+				if e.Kind == history.Res {
+					lastRes = i
+				}
+				for k, v := range vs {
+					final[k] = v
+					final[k].Serialization = nil // owned by the subject until the next append
+					if latchedAt[k] < 0 && !v.OK && !v.Undecided {
+						latchedAt[k] = i
+					}
+				}
+			}
+			for k, c := range subject.criteria {
+				mv := final[k]
+				if latchedAt[k] >= 0 {
+					want := spec.Check(batch.Prefix(latchedAt[k]+1), c, batchOpts...)
+					if want.OK {
+						t.Fatalf("%v %s latched a violation at event %d (%q) but the batch checker accepts that prefix",
+							c, subject.name, latchedAt[k], mv.Reason)
+					}
+				} else if lastRes >= 0 && !mv.Undecided {
+					want := spec.Check(batch.Prefix(lastRes+1), c, batchOpts...)
+					if !want.Undecided && mv.OK != want.OK {
+						t.Fatalf("%v final verdicts diverge at response prefix %d: %s OK=%v, batch OK=%v (reason %q)",
+							c, lastRes+1, subject.name, mv.OK, want.OK, want.Reason)
+					}
+				}
 			}
 		}
 	})

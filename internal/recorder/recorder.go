@@ -17,7 +17,7 @@
 // a batch history for the exact checkers, and Tap exposes each event the
 // moment it is linearized — the hook through which spec.Monitor certifies
 // an execution while it runs (harness.RunMonitored) and the schedule
-// explorer latches violations mid-schedule (harness.ExplorePlan, using
+// explorer latches violations mid-schedule (harness.ExplorePlanCtx, using
 // the prefix closure of Corollary 2). A transaction's position in the
 // real-time order of H (its t-completion preceding another's first event)
 // is therefore decided exactly where the engine decided it.

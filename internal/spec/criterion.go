@@ -238,6 +238,19 @@ func (v Verdict) String() string {
 	}
 }
 
+// Status is the verdict as one word — "ok", "undecided" or "VIOLATED" —
+// the per-event status column of a follow (ducheck -follow, certd STREAM).
+func (v Verdict) Status() string {
+	switch {
+	case v.Undecided:
+		return "undecided"
+	case v.OK:
+		return "ok"
+	default:
+		return "VIOLATED"
+	}
+}
+
 // Option configures a check.
 type Option func(*options)
 

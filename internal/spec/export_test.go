@@ -12,11 +12,17 @@ func CheckReference(h *history.History, c Criterion, opts ...Option) Verdict {
 // maintained conflict-order edge set (nil for criteria without one) so
 // the differential tests can pin it against the batch edge builders.
 func MonitorEdges(m *Monitor) [][2]history.TxnID {
-	if m.edges == nil {
+	et := m.s.deciders[0].edges
+	if et == nil {
 		return nil
 	}
-	return append([][2]history.TxnID(nil), m.edges.edges...)
+	return append([][2]history.TxnID(nil), et.edges...)
 }
+
+// SessionHistory exposes a snapshot of the session's live history — the
+// (checkpointed) history its witnesses serialize — to the differential
+// tests.
+func SessionHistory(s *Session) *history.History { return s.st.History() }
 
 // BatchConflictEdges recomputes the batch checkers' edge set for c over
 // the whole history — the oracle the incremental tracker must match.

@@ -268,8 +268,9 @@ func TestPdurSeedEncoderRoundTrips(t *testing.T) {
 // portfolio search against the sequential verdict whenever both decide,
 // and — drawing a monitorable criterion, a retirement window and the
 // TMS2 exemption from the sel byte — runs the online monitor over the
-// same history, pinned per response prefix against the batch checker
-// (the fuzzed counterpart of TestMonitorDifferentialAllCriteria).
+// same history, pinned per response prefix against the batch checker,
+// and then a five-criteria Session with the same window (the fuzzed
+// counterpart of TestMonitorDifferentialAllCriteria).
 func FuzzCheckerDifferential(f *testing.F) {
 	f.Add([]byte{}, byte(0))
 	f.Add([]byte{0, 44, 0, 8, 1, 0, 1, 4, 0, 88, 1, 9}, byte(0))
@@ -343,5 +344,8 @@ func FuzzCheckerDifferential(f *testing.F) {
 		window := []int{0, 0, 4, 16}[int(sel>>4)%4]
 		exempt := mc == spec.TMS2 && sel&0x80 != 0
 		feedCompareOpts(t, mc, h, window, exempt)
+		// The same history through one five-criteria Session over its
+		// shared stream, against five one-criterion monitors and batch.
+		sessionCompare(t, h, window, 0)
 	})
 }

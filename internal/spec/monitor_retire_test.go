@@ -297,39 +297,73 @@ func TestMonitorRetirementRejectsCheckpointID(t *testing.T) {
 	}
 }
 
-// TestMonitorCleanResponseAllocs gates the copy-on-write witness: clean
-// (non-commit) responses on the fast path must be allocation-free on
-// average once the monitor's buffers are warm (amortized slice growth is
-// the only remaining source).
+// TestMonitorCleanResponseAllocs gates the copy-on-write witness and the
+// session-owned verdict slice: clean (non-commit) responses on the fast
+// path must be allocation-free once the buffers are warm, for a
+// one-criterion monitor and for a session deciding all five monitorable
+// criteria over its one stream (amortized slice growth is the only
+// remaining source). It also pins what constructing a one-criterion
+// monitor allocates — the explorer builds thousands per second — at the
+// counts measured before Monitor became a one-criterion Session.
 func TestMonitorCleanResponseAllocs(t *testing.T) {
 	m, err := spec.NewMonitor(spec.DUOpacity)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm: one live transaction with 64 writes grows every buffer.
-	w := func(v history.Value) {
-		inv := history.Event{Kind: history.Inv, Op: history.OpWrite, Txn: 1, Obj: "X", Arg: v}
-		res := history.Event{Kind: history.Res, Op: history.OpWrite, Txn: 1, Obj: "X", Arg: v, Out: history.OutOK}
-		if _, err := m.Append(inv); err != nil {
-			t.Fatal(err)
+	s, err := spec.NewSession(spec.MonitorableCriteria())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each subject reports whether every criterion accepts.
+	for name, appendEvent := range map[string]func(history.Event) (bool, error){
+		"monitor": func(e history.Event) (bool, error) {
+			v, err := m.Append(e)
+			return v.OK, err
+		},
+		"session": func(e history.Event) (bool, error) {
+			vs, err := s.Append(e)
+			ok := true
+			for _, v := range vs {
+				ok = ok && v.OK
+			}
+			return ok, err
+		},
+	} {
+		// One live transaction's writes: the first 64 grow every buffer.
+		w := func(v history.Value) {
+			inv := history.Event{Kind: history.Inv, Op: history.OpWrite, Txn: 1, Obj: "X", Arg: v}
+			res := history.Event{Kind: history.Res, Op: history.OpWrite, Txn: 1, Obj: "X", Arg: v, Out: history.OutOK}
+			if _, err := appendEvent(inv); err != nil {
+				t.Fatal(err)
+			}
+			if ok, err := appendEvent(res); err != nil || !ok {
+				t.Fatalf("%s: clean write refused (err %v)", name, err)
+			}
 		}
-		v2, err := m.Append(res)
-		if err != nil {
-			t.Fatal(err)
+		for i := 0; i < 64; i++ {
+			w(history.Value(i))
 		}
-		if !v2.OK {
-			t.Fatalf("clean write refused: %+v", v2)
+		v := history.Value(64)
+		avg := testing.AllocsPerRun(200, func() {
+			w(v)
+			v++
+		})
+		if avg > 0.5 {
+			t.Errorf("%s: clean response allocates %.2f objects/op on average, want ~0", name, avg)
 		}
 	}
-	for i := 0; i < 64; i++ {
-		w(history.Value(i))
-	}
-	v := history.Value(64)
-	avg := testing.AllocsPerRun(200, func() {
-		w(v)
-		v++
-	})
-	if avg > 0.5 {
-		t.Fatalf("clean response allocates %.2f objects/op on average, want ~0", avg)
+	for _, c := range spec.MonitorableCriteria() {
+		want := 9.0
+		if c == spec.TMS2 || c == spec.RCO {
+			want = 10 // the edge tracker
+		}
+		got := testing.AllocsPerRun(100, func() {
+			if _, err := spec.NewMonitor(c, spec.WithNodeLimit(1000), spec.WithRetirement(8)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > want {
+			t.Errorf("NewMonitor(%v) allocates %.0f objects, want at most %.0f", c, got, want)
+		}
 	}
 }

@@ -1,0 +1,332 @@
+package spec
+
+import (
+	"fmt"
+
+	"duopacity/internal/history"
+)
+
+// Session checks any number of monitorable criteria online over one
+// history. Every criterion is a predicate over the same H, and
+// well-formedness (the paper's Section 2) does not depend on which is
+// asked, so the session owns the one streaming ingestion core
+// (history.Stream): each event is validated in O(1) amortized time and
+// folded into the live history and its incrementally maintained index
+// exactly once, and each criterion keeps only a decider — witness order,
+// conflict-order edges, latch — that reads the shared index. Prefix
+// closure (Corollary 2 for du-opacity; Definition 5 for opacity) makes
+// monitoring sound: once a prefix is rejected, every extension is
+// rejected, so a decider latches its violation.
+//
+// Verdict work happens only at response events: an invocation appended
+// to an accepted history preserves acceptance (see decider.step).
+//
+// Each verdict's witness Seq is materialized copy-on-write into
+// decider-owned buffers (see decider.materialize), so a clean response on
+// the fast path allocates nothing once the buffers are warm. The flip
+// side is an ownership rule: the verdict slice Append returns, and every
+// Serialization in it, is valid only until the next Append.
+//
+// With WithRetirement(window) the session also bounds its *memory*: it
+// replaces a settled prefix by a single committed checkpoint transaction
+// (see WithRetirement; soundness by Corollary 2, exactness by the
+// forced-state condition, both in DESIGN.md), so state and per-event cost
+// stay O(live window) over arbitrarily long runs. The conditions read
+// only the history, so they are tested once per response and the stream
+// is rebuilt once, whatever the number of criteria.
+//
+// Appending a malformed event returns an error and leaves the session
+// completely unchanged (the stream's rejection is side-effect-free and no
+// decider is consulted), so a session can skip one bad event and keep
+// consuming the stream. A Session must be fed from one goroutine at a
+// time; use an external lock (e.g. the recorder's capture mutex, see
+// recorder.Recorder.Tap) to monitor concurrent executions.
+type Session struct {
+	retireWindow int
+	// recheckOpts is what a recheck hands to the batch decision procedure:
+	// the node limit and context only, resolved once for the hot path.
+	recheckOpts options
+
+	st       *history.Stream
+	deciders []decider
+	// verdicts is the slice Append hands out, refreshed in place (nil for
+	// the one-criterion Monitor, which reads its decider directly).
+	verdicts []Verdict
+
+	// totalEvents and retired count everything observed, including what
+	// windowed retirement has discarded from the live stream.
+	totalEvents int
+	retired     int
+}
+
+// ckptTxn is the transaction identifier reserved for the retirement
+// checkpoint: the committed transaction that replaces a retired prefix,
+// writing the prefix's forced final committed values. At most one exists
+// at a time (a retirement always swallows the previous checkpoint, which
+// sits at dense index 0), so one reserved identifier suffices. A session
+// with retirement enabled rejects events carrying it.
+const ckptTxn history.TxnID = -1
+
+// NewSession returns a session deciding the given criteria, each one of
+// MonitorableCriteria() (see NewMonitor for what each is monitored as).
+func NewSession(criteria []Criterion, opts ...Option) (*Session, error) {
+	s := &Session{}
+	if err := s.init(criteria, opts); err != nil {
+		return nil, err
+	}
+	s.verdicts = make([]Verdict, len(criteria))
+	s.Verdicts()
+	return s, nil
+}
+
+func (s *Session) init(criteria []Criterion, opts []Option) error {
+	for _, c := range criteria {
+		if !Monitorable(c) {
+			return fmt.Errorf("spec: criterion %v not supported by the monitor (monitorable criteria: %s)", c, MonitorableNames())
+		}
+	}
+	o := buildOptions(opts)
+	s.retireWindow = o.retireWindow
+	// With spec.WithContext a cancelled context turns further rechecks
+	// into prompt undecided verdicts instead of full searches.
+	s.recheckOpts = options{nodeLimit: o.nodeLimit, ctx: o.ctx}
+	s.st = history.NewStream()
+	s.deciders = make([]decider, len(criteria))
+	for i, c := range criteria {
+		d := &s.deciders[i]
+		d.crit, d.witnessOK, d.localReads = c, true, c == DUOpacity
+		if c == TMS2 || c == RCO {
+			d.edges = newEdgeTracker(c, o.tms2AbortedExemption, o.retireWindow > 0)
+		}
+		d.verdict = Verdict{Criterion: c, OK: true, Serialization: &d.seq}
+	}
+	return nil
+}
+
+// Stats reports the deciders' full searches and incremental witness reuses.
+func (s *Session) Stats() (searches, fastHits int) {
+	for i := range s.deciders {
+		searches += s.deciders[i].searches
+		fastHits += s.deciders[i].fastHits
+	}
+	return searches, fastHits
+}
+
+// Retired returns the number of observed transactions that windowed
+// retirement has replaced by a checkpoint (zero without WithRetirement),
+// LiveTxns the number in the live history, the checkpoint included.
+func (s *Session) Retired() int  { return s.retired }
+func (s *Session) LiveTxns() int { return s.st.NumTxns() }
+
+// Verdicts returns the current verdicts, as the last Append did.
+func (s *Session) Verdicts() []Verdict {
+	for i := range s.deciders {
+		s.verdicts[i] = s.deciders[i].verdict
+	}
+	return s.verdicts
+}
+
+// Append observes one event and returns the updated verdicts, one per
+// criterion in NewSession order, in a slice the session owns and
+// overwrites at the next Append. It returns an error (leaving the session
+// unchanged) when the event would make the history ill-formed or, with
+// retirement on, carries the reserved checkpoint transaction identifier.
+func (s *Session) Append(e history.Event) ([]Verdict, error) {
+	err := s.append(e)
+	return s.Verdicts(), err
+}
+
+func (s *Session) append(e history.Event) error {
+	if s.retireWindow > 0 && e.Txn == ckptTxn {
+		return fmt.Errorf("spec: transaction id %d is reserved for the monitor's retirement checkpoint", ckptTxn)
+	}
+	if err := s.st.Append(e); err != nil {
+		return err
+	}
+	s.totalEvents++
+	h := s.st.Live()
+	for i := range s.deciders {
+		s.deciders[i].step(h, e, s.recheckOpts)
+	}
+	if e.Kind == history.Res && s.retireWindow > 0 {
+		s.maybeRetire()
+	}
+	return nil
+}
+
+// maybeRetire attempts a windowed retirement after a response: it looks
+// for the largest settled prefix — contiguous t-complete transactions
+// behind a real-time barrier whose per-object final committed state is
+// forced — and retires it when that is worth a rebuild (at least half a
+// window). Soundness and exactness are argued in DESIGN.md ("Windowed
+// retirement"; "One follow session" for the vote).
+func (s *Session) maybeRetire() {
+	w := s.retireWindow
+	ix := s.st.Live().Index()
+	n := ix.NumTxns()
+	if n < 2*w {
+		return
+	}
+	// The vote: every live decider must accept with a witness placing all
+	// n transactions, which shift then carries over. Dead deciders do not
+	// vote, so a latched criterion cannot pin the session's memory; an
+	// undecided live one only delays the retirement, which is exact
+	// whenever it happens.
+	for i := range s.deciders {
+		if d := &s.deciders[i]; !d.dead() && !(d.verdict.OK && d.witnessOK && len(d.order) == n) {
+			return
+		}
+	}
+	limit := n
+	for {
+		r := settledPrefix(ix, limit)
+		if r < max(w/2, 1) {
+			return
+		}
+		sigma, bound := forcedState(ix, r)
+		if bound < 0 {
+			s.retire(ix, r, sigma)
+			return
+		}
+		// The final committed value of some object is not forced with the
+		// transaction at index bound included; shrink the prefix past it
+		// and retry. The loop terminates: limit strictly decreases.
+		limit = bound
+	}
+}
+
+// settledPrefix returns the largest r <= limit such that transactions
+// [0,r) are all t-complete and sit behind a real-time barrier: every one
+// of them finished before the first event of transaction r (dense order
+// is first-appearance order, so transaction r's first event bounds every
+// live and future transaction's). Such a prefix real-time precedes
+// everything still running or yet to come, so any serialization of any
+// extension must place it first, as a block.
+func settledPrefix(ix *history.Indexed, limit int) int {
+	n := ix.NumTxns()
+	if limit > n {
+		limit = n
+	}
+	best := 0
+	maxLast := -1
+	for i := 0; i < limit; i++ {
+		it := &ix.Txns[i]
+		if maxLast < it.First {
+			best = i
+		}
+		if !it.TComplete {
+			return best
+		}
+		if it.Last > maxLast {
+			maxLast = it.Last
+		}
+	}
+	if limit == n {
+		// Every transaction is t-complete: the whole history is settled.
+		return n
+	}
+	if maxLast < ix.Txns[limit].First {
+		return limit
+	}
+	return best
+}
+
+// forcedState computes the retired prefix's final committed state. For
+// each object the candidate is its highest-indexed committed writer wl
+// below r; the state is forced when every other committed writer of the
+// object in the prefix real-time precedes wl, so every serialization
+// (all respect real-time order) installs wl's value last. When some
+// committed writer overlaps wl instead, the final value is ambiguous —
+// a future read could legally observe either order — and forcedState
+// returns that wl as the bound the prefix must shrink below (the
+// barrier recheck in settledPrefix then also excludes the overlapping
+// writer). InitValue writes are dropped from sigma: a checkpoint write
+// of the initial value is indistinguishable from T_0's.
+func forcedState(ix *history.Indexed, r int) (sigma []history.IndexedWrite, bound int) {
+	for oi := range ix.Writers {
+		wl := -1
+		ix.Writers[oi].Range(func(wr int) bool {
+			if wr >= r {
+				return false
+			}
+			if ix.Txns[wr].Committed {
+				wl = wr
+			}
+			return true
+		})
+		if wl < 0 {
+			continue
+		}
+		first := ix.Txns[wl].First
+		conflict := false
+		ix.Writers[oi].Range(func(wr int) bool {
+			if wr >= wl {
+				return false
+			}
+			if ix.Txns[wr].Committed && ix.Txns[wr].Last >= first {
+				conflict = true
+				return false
+			}
+			return true
+		})
+		if conflict {
+			return nil, wl
+		}
+		for _, wv := range ix.Txns[wl].Writes {
+			if wv.Obj == oi {
+				if wv.Val != history.InitValue {
+					sigma = append(sigma, history.IndexedWrite{Obj: oi, Val: wv.Val})
+				}
+				break
+			}
+		}
+	}
+	return sigma, -1
+}
+
+// retire replaces the settled prefix [0,r) by a checkpoint transaction
+// committing sigma, rebuilding the live stream from the checkpoint's
+// events followed by the live transactions' events (the real-time
+// barrier guarantees the prefix's events and the live events do not
+// interleave, so the suffix of the event log from transaction r's first
+// event is exactly the live transactions' history). Every live decider
+// then carries its witness and edges over (see decider.shift).
+func (s *Session) retire(ix *history.Indexed, r int, sigma []history.IndexedWrite) {
+	old := s.st.Live()
+	firstLive := old.Len()
+	if r < ix.NumTxns() {
+		firstLive = ix.Txns[r].First
+	}
+	ns := history.NewStream()
+	for _, wv := range sigma {
+		obj := ix.Objs[wv.Obj]
+		if ns.Append(history.Event{Kind: history.Inv, Op: history.OpWrite, Txn: ckptTxn, Obj: obj, Arg: wv.Val}) != nil ||
+			ns.Append(history.Event{Kind: history.Res, Op: history.OpWrite, Txn: ckptTxn, Obj: obj, Arg: wv.Val, Out: history.OutOK}) != nil {
+			return
+		}
+	}
+	if ns.Append(history.Event{Kind: history.Inv, Op: history.OpTryCommit, Txn: ckptTxn}) != nil ||
+		ns.Append(history.Event{Kind: history.Res, Op: history.OpTryCommit, Txn: ckptTxn, Out: history.OutCommit}) != nil {
+		return
+	}
+	for i := firstLive; i < old.Len(); i++ {
+		if ns.Append(old.At(i)) != nil {
+			// Unreachable: the suffix was valid in the old stream and the
+			// checkpoint prefix cannot invalidate other transactions'
+			// events. Abandon the retirement; the old stream is untouched.
+			return
+		}
+	}
+	for i := 0; i < r; i++ {
+		if ix.TxnIDs[i] != ckptTxn {
+			s.retired++
+		}
+	}
+	s.st = ns
+	nix := ns.Live().Index()
+	for i := range s.deciders {
+		if d := &s.deciders[i]; !d.dead() {
+			d.shift(nix, r)
+		}
+	}
+}

@@ -27,7 +27,7 @@ type PlanTxn []PlanOp
 // transaction). A plan fixes everything about an execution except the
 // interleaving, so the set of histories an engine can produce for a plan
 // is exactly the set of schedules the scheduler allows — the object that
-// harness.RunInterleaved samples one point of and harness.ExplorePlan
+// harness.RunInterleaved samples one point of and harness.ExplorePlanCtx
 // enumerates exhaustively.
 type Plan struct {
 	// Objects is the number of t-objects the engine manages; every PlanOp
