@@ -254,4 +254,27 @@ func TestHealthzStatsz(t *testing.T) {
 	if st := snap.Streams; st.Events != 10 || st.Searches < 1 || st.FastHits < 1 || st.Searches+st.FastHits != 10 {
 		t.Fatalf("statsz stream counters wrong: %+v", st)
 	}
+	// What the fast path touched, per criterion: committing T3 is a flip
+	// with no reader placed after it; aborting T1, whose commit the witness
+	// had guessed to explain T2's read, is one that re-checks that read.
+	if st := snap.Streams; st.Flips != 4 || st.ReadsRechecked != 2 || st.RetireProbes != 0 {
+		t.Fatalf("statsz flip counters wrong: %+v", st)
+	}
+	// A retiring stream of serial writers: one flip per commit, no reader
+	// to re-check, and a retirement probe only when a transaction has
+	// t-completed since the last one that found nothing.
+	sc = dialStream(t, startStreams(t, s), "STREAM du retire=2")
+	for k := 1; k <= 8; k++ {
+		sc.send(t, fmt.Sprintf("write %d X %d", k, k), fmt.Sprintf("commit %d", k))
+	}
+	sc.send(t, "END")
+	if done := lastPrefixed(sc.collect(t), "DONE "); done != "DONE events=32 bad=0 dropped=0 violations=0" {
+		t.Fatalf("retiring stream did not complete: %q", done)
+	}
+	if snap, err = c.Stats(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := snap.Streams; st.Flips != 12 || st.ReadsRechecked != 2 || st.RetireProbes < 1 || st.RetireProbes > 8 {
+		t.Fatalf("statsz counters after the retiring stream wrong: %+v", st)
+	}
 }

@@ -19,6 +19,10 @@ type Metrics struct {
 	AppendNanos     atomic.Int64 // cumulative monitor-append latency
 	StreamSearches  atomic.Int64 // responses decided by a full search, folded in when a stream ends
 	StreamFastHits  atomic.Int64 // responses decided by the incremental witness, likewise
+	// What those fast hits touched (spec.Counters), folded in likewise.
+	StreamFlips          atomic.Int64 // commit-decision flips
+	StreamReadsRechecked atomic.Int64 // reads re-validated at flips
+	StreamRetireProbes   atomic.Int64 // retirement probes run (not skipped as unchanged)
 
 	// Job-side counters.
 	JobsSubmitted  atomic.Int64
@@ -53,6 +57,13 @@ type StatsSnapshot struct {
 		// response and criterion) into full searches and witness reuses.
 		Searches int64 `json:"searches"`
 		FastHits int64 `json:"fast_hits"`
+		// Flips, ReadsRechecked and RetireProbes say what the fast hits
+		// touched: commit-decision flips, the reads they re-validated
+		// (per flip, a handful whatever the retirement window), and the
+		// retirement probes that ran because a transaction had t-completed.
+		Flips          int64 `json:"flips"`
+		ReadsRechecked int64 `json:"reads_rechecked"`
+		RetireProbes   int64 `json:"retire_probes"`
 	} `json:"streams"`
 	Jobs struct {
 		Submitted         int64 `json:"submitted"`
@@ -86,6 +97,9 @@ func (m *Metrics) snapshot() StatsSnapshot {
 	}
 	s.Streams.Searches = m.StreamSearches.Load()
 	s.Streams.FastHits = m.StreamFastHits.Load()
+	s.Streams.Flips = m.StreamFlips.Load()
+	s.Streams.ReadsRechecked = m.StreamReadsRechecked.Load()
+	s.Streams.RetireProbes = m.StreamRetireProbes.Load()
 	s.Jobs.Submitted = m.JobsSubmitted.Load()
 	s.Jobs.Done = m.JobsDone.Load()
 	s.Jobs.Failed = m.JobsFailed.Load()

@@ -111,6 +111,10 @@ func (s *Server) handleStream(conn net.Conn) {
 		searches, fastHits := f.Stats()
 		s.Metrics.StreamSearches.Add(int64(searches))
 		s.Metrics.StreamFastHits.Add(int64(fastHits))
+		c := f.Counters()
+		s.Metrics.StreamFlips.Add(int64(c.Flips))
+		s.Metrics.StreamReadsRechecked.Add(int64(c.ReadsRechecked))
+		s.Metrics.StreamRetireProbes.Add(int64(c.RetireProbes))
 	}()
 	// The network's share of an append: the fault-injection delay, and the
 	// latency and event counters behind /statsz (accepted events only).

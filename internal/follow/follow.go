@@ -166,8 +166,10 @@ func New(o Options, out io.Writer) (*Follow, error) {
 	return &Follow{Append: sess.Append, opts: o, sess: sess, out: out}, nil
 }
 
-// Stats is the session's: full searches and fast-path hits over all criteria.
+// Stats is the session's: full searches and fast-path hits over all
+// criteria; Counters what its flips and retirement probes touched.
 func (f *Follow) Stats() (searches, fastHits int) { return f.sess.Stats() }
+func (f *Follow) Counters() spec.Counters         { return f.sess.Counters() }
 
 // Line feeds input line number no: every event it parses to is appended
 // to the session and echoed. A line that does not parse, or whose event

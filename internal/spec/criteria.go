@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"duopacity/internal/history"
@@ -115,11 +116,13 @@ func CheckTMS2(h *history.History, opts ...Option) Verdict {
 func tms2Edges(h *history.History, exemptAbortedReaders bool) [][2]history.TxnID {
 	ix := h.Index()
 	var edges [][2]history.TxnID
+	var objs []history.Var
 	for ai := range ix.Txns {
 		t1 := &ix.Txns[ai]
 		if !t1.Committed || len(t1.Writes) == 0 || t1.TryCRes < 0 {
 			continue
 		}
+		objs = writeVars(ix, t1, objs[:0])
 		for bi := range ix.Txns {
 			if bi == ai {
 				continue
@@ -131,7 +134,7 @@ func tms2Edges(h *history.History, exemptAbortedReaders bool) [][2]history.TxnID
 			if exemptAbortedReaders && t2.TComplete && !t2.Committed {
 				continue
 			}
-			if readsObjectWrittenBy(ix, t2, t1) {
+			if readsAny(t2, objs, math.MaxInt) {
 				edges = append(edges, [2]history.TxnID{t1.Info.ID, t2.Info.ID})
 			}
 		}
@@ -153,16 +156,29 @@ func writesObj(t *history.IndexedTxn, obj int) bool {
 	return false
 }
 
-// readsObjectWrittenBy reports whether reader has a completed successful
-// read (Rset membership, own-write reads included) of an object writer
-// installs.
-func readsObjectWrittenBy(ix *history.Indexed, reader, writer *history.IndexedTxn) bool {
-	for _, op := range reader.Info.Ops {
-		if op.Kind != history.OpRead || op.Pending || op.Out != history.OutOK {
+// writeVars appends to buf the names of the objects t installs: the
+// conflict-order edge builders resolve a writer's few names once instead
+// of hashing every read's name to an index.
+func writeVars(ix *history.Indexed, t *history.IndexedTxn, buf []history.Var) []history.Var {
+	for _, w := range t.Writes {
+		buf = append(buf, ix.Objs[w.Obj])
+	}
+	return buf
+}
+
+// readsAny reports whether reader has a completed successful read (Rset
+// membership, own-write reads included) of one of objs whose response
+// precedes the event at index before.
+func readsAny(reader *history.IndexedTxn, objs []history.Var, before int) bool {
+	for i := range reader.Info.Ops {
+		op := &reader.Info.Ops[i]
+		if op.Kind != history.OpRead || op.Pending || op.Out != history.OutOK || op.ResIndex >= before {
 			continue
 		}
-		if writesObj(writer, ix.ObjIndexOf(op.Obj)) {
-			return true
+		for _, o := range objs {
+			if o == op.Obj {
+				return true
+			}
 		}
 	}
 	return false
@@ -181,24 +197,16 @@ func CheckRCO(h *history.History, opts ...Option) Verdict {
 func rcoEdges(h *history.History) [][2]history.TxnID {
 	ix := h.Index()
 	var edges [][2]history.TxnID
+	var objs []history.Var
 	for mi := range ix.Txns {
 		tm := &ix.Txns[mi]
 		if !tm.Committed || tm.TryCInv < 0 || len(tm.Writes) == 0 {
 			continue
 		}
+		objs = writeVars(ix, tm, objs[:0])
 		for ki := range ix.Txns {
-			if ki == mi {
-				continue
-			}
-			tk := &ix.Txns[ki]
-			for _, op := range tk.Info.Ops {
-				if op.Kind != history.OpRead || op.Pending || op.Out != history.OutOK {
-					continue
-				}
-				if op.ResIndex < tm.TryCInv && writesObj(tm, ix.ObjIndexOf(op.Obj)) {
-					edges = append(edges, [2]history.TxnID{tk.Info.ID, tm.Info.ID})
-					break
-				}
+			if ki != mi && readsAny(&ix.Txns[ki], objs, tm.TryCInv) {
+				edges = append(edges, [2]history.TxnID{ix.TxnIDs[ki], tm.Info.ID})
 			}
 		}
 	}

@@ -1,6 +1,10 @@
 package spec
 
-import "duopacity/internal/history"
+import (
+	"testing"
+
+	"duopacity/internal/history"
+)
 
 // CheckReference exposes the frozen PR 1 engine (reference.go) to the
 // differential tests and the fuzz target in package spec_test.
@@ -34,4 +38,37 @@ func BatchConflictEdges(h *history.History, c Criterion, exemptAborted bool) [][
 		return rcoEdges(h)
 	}
 	return nil
+}
+
+// FlipOracle tallies what WatchFlips saw: the commit-decision flips, and
+// the reads in the witness order at each of them — what the whole-order
+// revalidate checks where flip's restricted check counts ReadsRechecked.
+type FlipOracle struct {
+	Flips     int
+	Aborts    int // of Flips, those taking back a commit the witness had guessed
+	FullReads int
+}
+
+// WatchFlips installs the flip-equivalence oracle until tb ends: at each
+// flip of any decider, in both directions, the whole-order revalidate runs
+// beside the restricted check, and tb fails when they disagree. It
+// replaces the oracle of an earlier call; the tests that use it do not
+// run in parallel.
+func WatchFlips(tb testing.TB) *FlipOracle {
+	o := &FlipOracle{}
+	flipOracle = func(d *decider, ix *history.Indexed, p int, ok bool) {
+		o.Flips++
+		if !d.commit[p] {
+			o.Aborts++
+		}
+		for _, gi := range d.order {
+			o.FullReads += len(ix.Txns[gi].Reads)
+		}
+		if full := d.revalidate(ix); full != ok {
+			tb.Errorf("%v flip at event %d: restricted check says %v, whole-order revalidate %v\nhistory:\n%s",
+				d.crit, ix.H.Len(), ok, full, ix.H)
+		}
+	}
+	tb.Cleanup(func() { flipOracle = nil })
+	return o
 }

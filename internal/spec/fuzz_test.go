@@ -226,6 +226,18 @@ func pdurSeedWorkload(seed int64) harness.Workload {
 	}
 }
 
+// addPdurSeeds plants the recorded pdur episodes that fit the fuzz
+// alphabet into the corpus, each with a sel byte drawn from its seed.
+func addPdurSeeds(f *testing.F) {
+	for seed := int64(1); seed <= 12; seed++ {
+		if h, _, err := harness.RunInterleaved(pdurSeedWorkload(seed)); err == nil {
+			if data, ok := encodeHistory(h); ok {
+				f.Add(data, byte(seed%5))
+			}
+		}
+	}
+}
+
 // TestPdurSeedEncoderRoundTrips pins the corpus encoder: a recorded
 // pdur episode decodes back with the same event skeleton (kind, op,
 // transaction, outcome per event), and enough of the seed range
@@ -306,13 +318,7 @@ func FuzzCheckerDifferential(f *testing.F) {
 	// from interleavings a partitioned certifier actually produces
 	// (cross-partition reads, disjoint commits, partition-ordered locks)
 	// rather than only synthetic shapes.
-	for seed := int64(1); seed <= 12; seed++ {
-		if h, _, err := harness.RunInterleaved(pdurSeedWorkload(seed)); err == nil {
-			if data, ok := encodeHistory(h); ok {
-				f.Add(data, byte(seed%5))
-			}
-		}
-	}
+	addPdurSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte, sel byte) {
 		h := historyFromBytes(data)
 		if h.Len() == 0 {

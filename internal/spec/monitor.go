@@ -32,12 +32,13 @@ func NewMonitor(c Criterion, opts ...Option) (*Monitor, error) {
 }
 
 // Stats reports the monitor's full searches and incremental witness
-// reuses; Len the events observed so far, including those of retired
-// transactions; Retired the transactions windowed retirement has replaced
-// by a checkpoint (zero without WithRetirement); LiveTxns the transactions
-// in the live history, checkpoint included; Verdict the verdict for the
-// history observed so far.
+// reuses; Counters what its flips and retirement probes touched; Len the
+// events observed so far, including those of retired transactions; Retired
+// the transactions windowed retirement has replaced by a checkpoint (zero
+// without WithRetirement); LiveTxns the transactions in the live history,
+// checkpoint included; Verdict the verdict for the history observed so far.
 func (m *Monitor) Stats() (searches, fastHits int) { return m.s.Stats() }
+func (m *Monitor) Counters() Counters              { return m.s.Counters() }
 func (m *Monitor) Len() int                        { return m.s.totalEvents }
 func (m *Monitor) Retired() int                    { return m.s.Retired() }
 func (m *Monitor) LiveTxns() int                   { return m.s.LiveTxns() }
@@ -71,16 +72,20 @@ func (m *Monitor) Append(e history.Event) (Verdict, error) {
 //   - a value-returning external read is checked — alone — against the
 //     committed writers placed before its transaction (both the latest
 //     committed value and the deferred-update local-serialization value);
-//   - only commit-decision flips (a pending tryC resolving against the
-//     witness's guess) trigger a full re-validation of the order, and
-//     only its failure falls back to the exhaustive search.
+//   - a commit-decision flip (a pending tryC resolving against the
+//     witness's guess) re-checks only what it can change — the later
+//     reads of the flipped transaction's write set, see flip — and only
+//     its failure falls back to the exhaustive search.
 type decider struct {
 	crit    Criterion
 	verdict Verdict
 	// searches and fastHits count full searches vs. incremental witness
-	// reuses, for introspection and benchmarks.
-	searches int
-	fastHits int
+	// reuses, flips and readsRechecked the commit-decision flips and the
+	// reads they re-validated, for introspection and benchmarks.
+	searches       int
+	fastHits       int
+	flips          int
+	readsRechecked int
 
 	// The incrementally maintained witness: a serialization order over
 	// dense transaction indexes with per-position commit decisions. It
@@ -91,12 +96,6 @@ type decider struct {
 	commit    []bool
 	pos       []int // dense txn index -> position in order
 	witnessOK bool
-
-	// edges maintains the criterion's extra conflict-order constraints
-	// incrementally (TMS2 / RCO only, nil otherwise): standing edges feed
-	// every full search, edges added since the last recheck are validated
-	// against the witness on the fast path. See monitor_edges.go.
-	edges *edgeTracker
 	// localReads selects the read-legality the fast path enforces:
 	// du-opacity checks each external read against both the latest
 	// committed writer placed before it and the deferred-update local
@@ -104,6 +103,12 @@ type decider struct {
 	// checking both would reject valid witnesses adopted from their
 	// weaker searches, degrading the fast path to a search per event.
 	localReads bool
+
+	// edges maintains the criterion's extra conflict-order constraints
+	// incrementally (TMS2 / RCO only, nil otherwise): standing edges feed
+	// every full search, edges added since the last recheck are validated
+	// against the witness on the fast path. See monitor_edges.go.
+	edges *edgeTracker
 
 	// seq and seqOps are the copy-on-write witness materialization owned
 	// by the decider (see materialize): seq is the Seq handed out via
@@ -263,30 +268,15 @@ func (d *decider) fastRecheck(ix *history.Indexed, e history.Event) bool {
 	p := d.pos[gi]
 	switch {
 	case e.Op == history.OpTryCommit && e.Out == history.OutCommit:
-		if d.commit[p] {
-			return true // the witness had already committed the pending tryC
-		}
-		// Flip to committed: the transaction's writes enter the stacks at
-		// its position; re-validate the whole order.
-		d.commit[p] = true
-		if d.revalidate(ix) {
-			return true
-		}
-		d.commit[p] = false
-		return false
+		// The witness had already committed the pending tryC, or flips to
+		// committed: the transaction's writes enter the stacks at p.
+		return d.commit[p] || d.flip(ix, p)
 	case e.Out != history.OutOK:
 		// A_k on any operation. The witness aborts live transactions, so
 		// an abort adds no constraint — unless it had committed a
-		// commit-pending transaction that now aborted.
-		if !d.commit[p] {
-			return true
-		}
-		d.commit[p] = false
-		if d.revalidate(ix) {
-			return true
-		}
-		d.commit[p] = true
-		return false
+		// commit-pending transaction that now aborted, whose writes leave
+		// the stacks.
+		return !d.commit[p] || d.flip(ix, p)
 	case e.Op == history.OpRead:
 		// A value-returning read. An own-write read constrains nothing
 		// once consistent; BadReadOp >= 0 here means e just made the
@@ -310,6 +300,45 @@ func (d *decider) fastRecheck(ix *history.Indexed, e history.Event) bool {
 	default:
 		return false
 	}
+}
+
+// flipOracle is nil outside tests, which set it to run the whole-order
+// revalidate beside every flip's restricted check (export_test.go).
+var flipOracle func(d *decider, ix *history.Indexed, p int, ok bool)
+
+// flip inverts the commit decision at position p, where a tryC just
+// resolved against the witness's guess, and reports whether the witness
+// still certifies; if not, the decision is restored for the search. The
+// witness certified the previous response prefix and only commit[p] has
+// changed since (transactions entered at the end without reads; a position
+// the witness commits has invoked its tryC, so its Writes and TryCInv are
+// final), while checkRead(q, r) reads nothing but commit, Writes and
+// TryCInv of the positions before q that write r.Obj. So the only checks
+// that can come out differently are T_p's own role constraint and the
+// reads, by transactions placed after p, of an object T_p writes — the
+// deferred-update reading of what a commit can change (DESIGN.md, "What a
+// flip can change").
+func (d *decider) flip(ix *history.Indexed, p int) bool {
+	d.flips++
+	d.commit[p] = !d.commit[p]
+	tp := &ix.Txns[d.order[p]]
+	ok := d.commit[p] == tp.Committed || d.commit[p] && tp.CommitPending
+	for q := p + 1; ok && q < len(d.order); q++ {
+		reads := ix.Txns[d.order[q]].Reads
+		for i := 0; ok && i < len(reads); i++ {
+			if writesObj(tp, reads[i].Obj) {
+				d.readsRechecked++
+				ok = d.checkRead(ix, q, reads[i])
+			}
+		}
+	}
+	if flipOracle != nil {
+		flipOracle(d, ix, p, ok)
+	}
+	if !ok {
+		d.commit[p] = !d.commit[p]
+	}
+	return ok
 }
 
 // checkRead verifies one external value-returning read of the transaction
@@ -347,9 +376,9 @@ func (d *decider) checkRead(ix *history.Indexed, readerPos int, r history.Indexe
 }
 
 // revalidate re-checks the whole witness order: commit decisions against
-// transaction roles, and every external read via checkRead. It runs only
-// when a commit decision flips (or defensively), not on the per-event
-// fast path.
+// transaction roles, and every external read via checkRead. It is the
+// defensive path (a write by a transaction the witness already commits)
+// and the oracle the tests hold flip's restricted check against.
 func (d *decider) revalidate(ix *history.Indexed) bool {
 	for p, gi := range d.order {
 		it := &ix.Txns[gi]
@@ -426,21 +455,21 @@ func (d *decider) shift(live *history.Indexed, r int) {
 	if d.edges != nil {
 		d.edges.dropRetired(live)
 	}
-	n := len(d.order)
-	order := make([]int, 0, n-r+1)
-	commit := make([]bool, 0, n-r+1)
-	order = append(order, 0)
-	commit = append(commit, true)
+	// Compact the live tail to the front in place, then make room for the
+	// checkpoint at position 0 (r >= 1, so the slices are long enough).
+	n := 0
 	for p, gi := range d.order {
 		if gi >= r {
-			order = append(order, gi-r+1)
-			commit = append(commit, d.commit[p])
+			d.order[n], d.commit[n] = gi-r+1, d.commit[p]
+			n++
 		}
 	}
-	pos := make([]int, len(order))
-	for p, gi := range order {
-		pos[gi] = p
+	copy(d.order[1:n+1], d.order[:n])
+	copy(d.commit[1:n+1], d.commit[:n])
+	d.order[0], d.commit[0] = 0, true
+	d.order, d.commit, d.pos = d.order[:n+1], d.commit[:n+1], d.pos[:n+1]
+	for p, gi := range d.order {
+		d.pos[gi] = p
 	}
-	d.order, d.commit, d.pos = order, commit, pos
 	d.verdict.Serialization = d.materialize(live)
 }

@@ -1,6 +1,10 @@
 package spec
 
-import "duopacity/internal/history"
+import (
+	"math"
+
+	"duopacity/internal/history"
+)
 
 // edgeTracker maintains a criterion's extra conflict-order edges (TMS2 /
 // RCO) incrementally while the monitor's stream grows, so a recheck never
@@ -53,6 +57,7 @@ type edgeTracker struct {
 
 	edges   [][2]history.TxnID
 	pending [][2]history.TxnID
+	objs    []history.Var // writeVars scratch
 }
 
 func newEdgeTracker(c Criterion, exempt, retiring bool) *edgeTracker {
@@ -106,7 +111,8 @@ func (et *edgeTracker) tms2ReaderArrived(ix *history.Indexed, reader history.Txn
 		if et.skipCkpt && t1.Info.ID == ckptTxn {
 			continue
 		}
-		if readsObjectWrittenBy(ix, t2, t1) {
+		et.objs = writeVars(ix, t1, et.objs[:0])
+		if readsAny(t2, et.objs, math.MaxInt) {
 			et.add(t1.Info.ID, reader)
 		}
 	}
@@ -124,19 +130,10 @@ func (et *edgeTracker) rcoWriterCommitted(ix *history.Indexed, writer history.Tx
 	if len(tm.Writes) == 0 || tm.TryCInv < 0 {
 		return
 	}
+	et.objs = writeVars(ix, tm, et.objs[:0])
 	for ki := range ix.Txns {
-		if ki == mi {
-			continue
-		}
-		tk := &ix.Txns[ki]
-		for _, op := range tk.Info.Ops {
-			if op.Kind != history.OpRead || op.Pending || op.Out != history.OutOK {
-				continue
-			}
-			if op.ResIndex < tm.TryCInv && writesObj(tm, ix.ObjIndexOf(op.Obj)) {
-				et.add(tk.Info.ID, writer)
-				break
-			}
+		if ki != mi && readsAny(&ix.Txns[ki], et.objs, tm.TryCInv) {
+			et.add(ix.TxnIDs[ki], writer)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package spec_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"duopacity/internal/gen"
@@ -112,6 +113,7 @@ func feedBoth(t *testing.T, c spec.Criterion, window int, evs []history.Event) (
 	if err != nil {
 		t.Fatal(err)
 	}
+	spec.WatchFlips(t)
 	for i, e := range evs {
 		vr, errR := retiring.Append(e)
 		vf, errF := full.Append(e)
@@ -304,7 +306,8 @@ func TestMonitorRetirementRejectsCheckpointID(t *testing.T) {
 // criteria over its one stream (amortized slice growth is the only
 // remaining source). It also pins what constructing a one-criterion
 // monitor allocates — the explorer builds thousands per second — at the
-// counts measured before Monitor became a one-criterion Session.
+// counts measured before Monitor became a one-criterion Session. In
+// between, the same gate for a warm commit flip and for a retirement.
 func TestMonitorCleanResponseAllocs(t *testing.T) {
 	m, err := spec.NewMonitor(spec.DUOpacity)
 	if err != nil {
@@ -351,6 +354,46 @@ func TestMonitorCleanResponseAllocs(t *testing.T) {
 		if avg > 0.5 {
 			t.Errorf("%s: clean response allocates %.2f objects/op on average, want ~0", name, avg)
 		}
+	}
+	// A warm commit flip — every commit response of a stream of writers is
+	// one, the witness aborts live transactions — allocates nothing either,
+	// and a retirement nothing per decider: its only allocation is the one
+	// stream rebuild, so five criteria retire for what one does.
+	var retireAllocs [2]uint64
+	for k, criteria := range [][]spec.Criterion{{spec.DUOpacity}, spec.MonitorableCriteria()} {
+		s, err := spec.NewSession(criteria, spec.WithRetirement(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := spec.WatchFlips(t)
+		var ms runtime.MemStats
+		mallocs := func() uint64 { runtime.ReadMemStats(&ms); return ms.Mallocs }
+		var flipAllocs, flips uint64
+		for txn := history.TxnID(1); txn <= 264; txn++ {
+			evs := seqTxnEvents(nil, txn, "X", history.Value(txn-1), history.Value(txn))
+			for i, e := range evs {
+				retired, m0 := s.Retired(), mallocs()
+				if vs, err := s.Append(e); err != nil || !vs[0].OK {
+					t.Fatalf("%v refused (err %v)", e, err)
+				}
+				switch n := mallocs() - m0; {
+				case s.Retired() != retired:
+					retireAllocs[k] = n // the last, warmest one counts
+				case i == len(evs)-1 && txn > 64:
+					flipAllocs, flips = flipAllocs+n, flips+1
+				}
+			}
+		}
+		if oracle.Flips != 264*len(criteria) || s.Retired() == 0 {
+			t.Fatalf("%d criteria: %d flips, %d retired; the stream measured something else", len(criteria), oracle.Flips, s.Retired())
+		}
+		if avg := float64(flipAllocs) / float64(flips); avg > 0.5 {
+			t.Errorf("%d criteria: a warm commit flip allocates %.2f objects on average, want ~0", len(criteria), avg)
+		}
+	}
+	t.Logf("retirement allocations: %d (du), %d (five criteria)", retireAllocs[0], retireAllocs[1])
+	if retireAllocs[1] > retireAllocs[0] {
+		t.Errorf("a retirement allocates %d objects under five criteria, %d under one; want the stream rebuild alone", retireAllocs[1], retireAllocs[0])
 	}
 	for _, c := range spec.MonitorableCriteria() {
 		want := 9.0

@@ -198,6 +198,7 @@ func feedCompare(t *testing.T, c spec.Criterion, h *history.History) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	spec.WatchFlips(t)
 	evs := h.Events()
 	latched := false
 	for i, e := range evs {
@@ -262,6 +263,7 @@ func feedCompareOpts(t *testing.T, c spec.Criterion, h *history.History, window 
 	if err != nil {
 		t.Fatal(err)
 	}
+	spec.WatchFlips(t)
 	evs := h.Events()
 	latched := false
 	for i, e := range evs {
@@ -334,6 +336,7 @@ func sessionCompare(t *testing.T, h *history.History, window, nodeLimit int) (pa
 	if err != nil {
 		t.Fatal(err)
 	}
+	spec.WatchFlips(t)
 	var monitors []*spec.Monitor
 	for _, c := range criteria {
 		if nodeLimit > 0 {

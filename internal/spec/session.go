@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"context"
 	"fmt"
 
 	"duopacity/internal/history"
@@ -43,9 +44,10 @@ import (
 // recorder.Recorder.Tap) to monitor concurrent executions.
 type Session struct {
 	retireWindow int
-	// recheckOpts is what a recheck hands to the batch decision procedure:
-	// the node limit and context only, resolved once for the hot path.
-	recheckOpts options
+	// nodeLimit and ctx are what a recheck hands to the batch decision
+	// procedure, and all of the options it may see.
+	nodeLimit int
+	ctx       context.Context
 
 	st       *history.Stream
 	deciders []decider
@@ -57,6 +59,24 @@ type Session struct {
 	// windowed retirement has discarded from the live stream.
 	totalEvents int
 	retired     int
+
+	// probeRefused: maybeRetire's last probe found no prefix to retire and
+	// no transaction has t-completed since, so the next would find the same
+	// (see there). probes and probesSkipped count the probes run and the
+	// ones that memory saved.
+	probeRefused          bool
+	probes, probesSkipped int
+	// Session (128 bytes) and decider (224) each fill an allocation size
+	// class exactly; the explorer builds thousands of monitors a second.
+}
+
+// Counters says what a session's per-response work touched, beside how
+// often it ran (Stats): the commit-decision flips its deciders took on the
+// fast path, the reads those flips re-validated, and the retirement probes
+// (settled prefix + forced state) run and skipped as unchanged.
+type Counters struct {
+	Flips, ReadsRechecked             int
+	RetireProbes, RetireProbesSkipped int
 }
 
 // ckptTxn is the transaction identifier reserved for the retirement
@@ -89,7 +109,7 @@ func (s *Session) init(criteria []Criterion, opts []Option) error {
 	s.retireWindow = o.retireWindow
 	// With spec.WithContext a cancelled context turns further rechecks
 	// into prompt undecided verdicts instead of full searches.
-	s.recheckOpts = options{nodeLimit: o.nodeLimit, ctx: o.ctx}
+	s.nodeLimit, s.ctx = o.nodeLimit, o.ctx
 	s.st = history.NewStream()
 	s.deciders = make([]decider, len(criteria))
 	for i, c := range criteria {
@@ -110,6 +130,16 @@ func (s *Session) Stats() (searches, fastHits int) {
 		fastHits += s.deciders[i].fastHits
 	}
 	return searches, fastHits
+}
+
+// Counters reports the deciders' flips and the session's retirement probes.
+func (s *Session) Counters() Counters {
+	c := Counters{RetireProbes: s.probes, RetireProbesSkipped: s.probesSkipped}
+	for i := range s.deciders {
+		c.Flips += s.deciders[i].flips
+		c.ReadsRechecked += s.deciders[i].readsRechecked
+	}
+	return c
 }
 
 // Retired returns the number of observed transactions that windowed
@@ -144,11 +174,14 @@ func (s *Session) append(e history.Event) error {
 		return err
 	}
 	s.totalEvents++
-	h := s.st.Live()
+	h, ro := s.st.Live(), options{nodeLimit: s.nodeLimit, ctx: s.ctx}
 	for i := range s.deciders {
-		s.deciders[i].step(h, e, s.recheckOpts)
+		s.deciders[i].step(h, e, ro)
 	}
 	if e.Kind == history.Res && s.retireWindow > 0 {
+		if e.Out != history.OutOK {
+			s.probeRefused = false // C_k or A_k: a transaction t-completed
+		}
 		s.maybeRetire()
 	}
 	return nil
@@ -160,6 +193,12 @@ func (s *Session) append(e history.Event) error {
 // forced — and retires it when that is worth a rebuild (at least half a
 // window). Soundness and exactness are argued in DESIGN.md ("Windowed
 // retirement"; "One follow session" for the vote).
+//
+// The probe below the vote reads only t-complete transactions (their
+// First, Last, Committed and Writes, all final) and the first event of the
+// one that ends the prefix, so a probe that found nothing to retire finds
+// nothing again until another transaction t-completes; it is skipped
+// until then (DESIGN.md, "What a flip can change").
 func (s *Session) maybeRetire() {
 	w := s.retireWindow
 	ix := s.st.Live().Index()
@@ -177,10 +216,16 @@ func (s *Session) maybeRetire() {
 			return
 		}
 	}
+	if s.probeRefused {
+		s.probesSkipped++
+		return
+	}
+	s.probes++
 	limit := n
 	for {
 		r := settledPrefix(ix, limit)
 		if r < max(w/2, 1) {
+			s.probeRefused = true
 			return
 		}
 		sigma, bound := forcedState(ix, r)
