@@ -328,19 +328,25 @@ func runExplore(engine string, criteria []spec.Criterion, paths []string, stdinS
 // (package follow: one session, one stream, one decider per criterion —
 // the echo, the bad-input policies and the summary are its), and what is
 // left here is ducheck's routing: notes and the quarantine report go to
-// stderr, a strict failure or a read error is exit status 2.
+// stderr, a strict failure or a read error is exit status 2. Stdout is
+// buffered and leaves when stdin goes idle (follow.OnIdle): a producer
+// that pauses sees every verdict so far, one that does not costs a write
+// per read, not per event.
 func runFollow(o follow.Options, stdin io.Reader, stdout, stderr io.Writer) (int, error) {
-	f, err := follow.New(o, stdout)
+	out := follow.NewOut(stdout)
+	defer out.Flush()
+	f, err := follow.New(o, out)
 	if err != nil {
 		return 2, fmt.Errorf("-follow: %w", err)
 	}
-	sc := bufio.NewScanner(stdin)
+	sc := bufio.NewScanner(follow.OnIdle(stdin, out.Idle))
 	for lineNo := 1; sc.Scan(); lineNo++ {
-		if bad := f.Line(lineNo, sc.Text()); bad != nil {
+		if bad := f.Line(lineNo, sc.Bytes()); bad != nil {
 			if o.Strict {
 				return 2, bad
 			}
 			if !o.SkipBad {
+				_ = out.Flush() // a terminal showing both streams keeps them in order
 				fmt.Fprintf(stderr, "ducheck: %v (skipped)\n", bad)
 			}
 		}
@@ -357,19 +363,23 @@ func runFollow(o follow.Options, stdin io.Reader, stdout, stderr io.Writer) (int
 // the DONE summary — are printed as they arrive. The server runs the same
 // follow core (the options travel as the STREAM hello) and the exit status
 // maps the same way: 1 when DONE carries violations, 2 on protocol or
-// strict failures.
+// strict failures. Both directions are buffered and leave by the rule the
+// server's echo leaves by: when their input — stdin, the connection — goes
+// idle.
 func runFollowConnect(addr string, o follow.Options, stdin io.Reader, stdout io.Writer) (int, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return 2, fmt.Errorf("-connect: %w", err)
 	}
 	defer conn.Close()
-	w := bufio.NewWriter(conn)
+	w := follow.NewOut(conn)
 	fmt.Fprintln(w, o.Hello())
 	if err := w.Flush(); err != nil {
 		return 2, fmt.Errorf("-connect: %w", err)
 	}
-	r := bufio.NewScanner(conn)
+	out := follow.NewOut(stdout)
+	defer out.Flush()
+	r := bufio.NewScanner(follow.OnIdle(conn, out.Idle))
 	if !r.Scan() {
 		return 2, fmt.Errorf("-connect: no hello response: %v", r.Err())
 	}
@@ -380,9 +390,10 @@ func runFollowConnect(addr string, o follow.Options, stdin io.Reader, stdout io.
 	// Forward stdin verbatim on its own goroutine (the server echoes
 	// while we send), then END + half-close so the server finalizes.
 	go func() {
-		sc := bufio.NewScanner(stdin)
+		sc := bufio.NewScanner(follow.OnIdle(stdin, w.Idle))
 		for sc.Scan() {
-			fmt.Fprintln(w, sc.Text())
+			_, _ = w.Write(sc.Bytes())
+			_ = w.WriteByte('\n')
 		}
 		fmt.Fprintln(w, "END")
 		_ = w.Flush()
@@ -393,12 +404,16 @@ func runFollowConnect(addr string, o follow.Options, stdin io.Reader, stdout io.
 
 	var done *follow.Done
 	for r.Scan() {
-		line := r.Text()
-		fmt.Fprintln(stdout, line)
-		if d, ok := follow.ParseDone(line); ok {
-			done = &d
-		} else if strings.HasPrefix(line, "ERR ") {
-			return 2, fmt.Errorf("-connect: %s", strings.TrimPrefix(line, "ERR "))
+		line := r.Bytes()
+		_, _ = out.Write(line)
+		_ = out.WriteByte('\n')
+		switch {
+		case bytes.HasPrefix(line, []byte("DONE ")):
+			if d, ok := follow.ParseDone(string(line)); ok {
+				done = &d
+			}
+		case bytes.HasPrefix(line, []byte("ERR ")):
+			return 2, fmt.Errorf("-connect: %s", line[len("ERR "):])
 		}
 	}
 	if err := r.Err(); err != nil {

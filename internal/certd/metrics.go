@@ -16,6 +16,7 @@ type Metrics struct {
 	StreamBad       atomic.Int64 // malformed or rejected input lines
 	StreamDropped   atomic.Int64 // events dropped by lossy streams
 	StreamStalls    atomic.Int64 // reads paused on a full queue (backpressure)
+	StreamBatches   atomic.Int64 // reader-to-drain hand-offs taken; events / batches is the mean batch
 	AppendNanos     atomic.Int64 // cumulative monitor-append latency
 	StreamSearches  atomic.Int64 // responses decided by a full search, folded in when a stream ends
 	StreamFastHits  atomic.Int64 // responses decided by the incremental witness, likewise
@@ -23,6 +24,9 @@ type Metrics struct {
 	StreamFlips          atomic.Int64 // commit-decision flips
 	StreamReadsRechecked atomic.Int64 // reads re-validated at flips
 	StreamRetireProbes   atomic.Int64 // retirement probes run (not skipped as unchanged)
+	// Writes to stream connections, by what caused them, folded in likewise.
+	StreamFlushesIdle atomic.Int64 // the input had gone idle
+	StreamFlushesFull atomic.Int64 // 32 KB of output were waiting
 
 	// Job-side counters.
 	JobsSubmitted  atomic.Int64
@@ -50,6 +54,14 @@ type StatsSnapshot struct {
 		Bad      int64 `json:"bad"`
 		Dropped  int64 `json:"dropped"`
 		Stalls   int64 `json:"stalls"`
+		// Batches counts hand-offs from a stream's reader to its drain
+		// (events / batches is the mean batch); FlushesIdle and FlushesFull
+		// the writes of ended streams, by cause: the input went idle, or
+		// 32 KB of output were waiting. Verdict lag moves with the first
+		// two, syscalls per event with all three.
+		Batches     int64 `json:"batches"`
+		FlushesIdle int64 `json:"flushes_idle"`
+		FlushesFull int64 `json:"flushes_full"`
 		// AvgAppendNanos is the mean monitor-append latency over the
 		// server's lifetime (0 before the first event).
 		AvgAppendNanos int64 `json:"avg_append_nanos"`
@@ -92,6 +104,9 @@ func (m *Metrics) snapshot() StatsSnapshot {
 	s.Streams.Bad = m.StreamBad.Load()
 	s.Streams.Dropped = m.StreamDropped.Load()
 	s.Streams.Stalls = m.StreamStalls.Load()
+	s.Streams.Batches = m.StreamBatches.Load()
+	s.Streams.FlushesIdle = m.StreamFlushesIdle.Load()
+	s.Streams.FlushesFull = m.StreamFlushesFull.Load()
 	if ev := s.Streams.Events; ev > 0 {
 		s.Streams.AvgAppendNanos = m.AppendNanos.Load() / ev
 	}

@@ -72,11 +72,15 @@
 //
 //	DONE events=<n> bad=<n> dropped=<n> violations=<n>
 //
-// line. Per-stream memory is bounded by the session's retirement window
-// plus a fixed-depth input queue; when the queue fills, the server
-// either stops reading (default — TCP flow control pushes back on the
-// producer, counted as a stall) or drops the overflow (lossy, counted
-// and reported in DONE and /statsz). It never buffers without bound.
+// line. What the server has to say leaves when the client's input goes
+// idle — nothing further read and queued — so a producer that pauses
+// after an event has that event's verdict, and one that never pauses is
+// answered 32 KB at a time; there is no flush interval. Per-stream memory
+// is bounded by the session's retirement window plus a fixed-depth input
+// queue; when the queue fills, the server either stops reading (default —
+// TCP flow control pushes back on the producer, counted as a stall) or
+// drops the overflow (lossy, counted and reported in DONE and /statsz).
+// It never buffers without bound.
 package certd
 
 import (

@@ -30,8 +30,9 @@ type Config struct {
 	// cap are refused with "ERR busy" (default 256).
 	MaxStreams int
 	// StreamQueue is the per-stream input queue depth (default 256
-	// lines). A full queue stalls the reader (default) or drops (lossy
-	// streams) — never grows.
+	// lines): what the reader may have waiting for the drain, which takes
+	// the whole queue at a time. A full queue stalls the reader (default)
+	// or drops (lossy streams) — never grows.
 	StreamQueue int
 	// SlowAppend artificially delays every monitor append — a test knob
 	// for making backpressure observable deterministically.

@@ -66,15 +66,13 @@ func (s *Server) trackConn(c net.Conn) func() {
 
 // handleStream runs one monitored stream: the follow core ducheck -follow
 // runs (package follow: one session, the bad-input policies, the echo,
-// the summary, DONE) behind what only a network producer needs — admission
-// control, a bounded queue with backpressure, flushing, metrics.
+// the summary, DONE, and the rule for when output leaves) behind what only
+// a network producer needs — admission control, a bounded queue with
+// backpressure, metrics.
 func (s *Server) handleStream(conn net.Conn) {
 	defer conn.Close()
 	defer s.trackConn(conn)()
-	// The out-buffer must exceed the 32KB flush threshold below, or the
-	// explicit flush (with its client-gone check) could never fire —
-	// bufio would auto-flush first and swallow the error.
-	out := bufio.NewWriterSize(conn, 64*1024)
+	out := follow.NewOut(conn)
 	defer out.Flush()
 
 	// Admission control: past MaxStreams the hello is refused outright —
@@ -89,7 +87,11 @@ func (s *Server) handleStream(conn net.Conn) {
 	defer s.Metrics.StreamsOpen.Add(-1)
 	streamID := fmt.Sprintf("s%d", s.Metrics.StreamsTotal.Add(1))
 
-	in := bufio.NewScanner(conn)
+	// The reader hands the queue over each time it is about to wait for the
+	// connection: one hand-off per read, whatever number of lines it held.
+	q := newLineQueue(s.cfg.StreamQueue)
+	defer q.abandon() // any early return unblocks a stalled reader
+	in := bufio.NewScanner(follow.OnIdle(conn, q.handOff))
 	in.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	if !in.Scan() {
 		if err := in.Err(); err != nil {
@@ -107,7 +109,19 @@ func (s *Server) handleStream(conn net.Conn) {
 		fmt.Fprintf(out, "ERR %v\n", err)
 		return
 	}
+	// The network's share of an append: the fault-injection delay, and the
+	// latency and event counters behind /statsz (accepted events only),
+	// kept here and folded into the shared atomics once per batch.
+	var appendNanos, appended int64
+	fold := func() {
+		s.Metrics.AppendNanos.Add(appendNanos)
+		s.Metrics.StreamEvents.Add(appended)
+		appendNanos, appended = 0, 0
+	}
 	defer func() {
+		fold()
+		s.Metrics.StreamFlushesIdle.Add(int64(out.IdleFlushes))
+		s.Metrics.StreamFlushesFull.Add(int64(out.FullFlushes))
 		searches, fastHits := f.Stats()
 		s.Metrics.StreamSearches.Add(int64(searches))
 		s.Metrics.StreamFastHits.Add(int64(fastHits))
@@ -116,96 +130,90 @@ func (s *Server) handleStream(conn net.Conn) {
 		s.Metrics.StreamReadsRechecked.Add(int64(c.ReadsRechecked))
 		s.Metrics.StreamRetireProbes.Add(int64(c.RetireProbes))
 	}()
-	// The network's share of an append: the fault-injection delay, and the
-	// latency and event counters behind /statsz (accepted events only).
 	appendEvent := f.Append
 	f.Append = func(e history.Event) ([]spec.Verdict, error) {
-		time.Sleep(s.cfg.SlowAppend)
+		if s.cfg.SlowAppend > 0 {
+			time.Sleep(s.cfg.SlowAppend)
+		}
 		start := time.Now()
 		vs, err := appendEvent(e)
 		if err == nil {
-			s.Metrics.AppendNanos.Add(time.Since(start).Nanoseconds())
-			s.Metrics.StreamEvents.Add(1)
+			appendNanos += time.Since(start).Nanoseconds()
+			appended++
 		}
 		return vs, err
 	}
 	fmt.Fprintf(out, "OK %s\n", streamID)
 	out.Flush()
 
-	// The bounded input queue: the reader goroutine feeds it, this
-	// goroutine drains it through the follow. A full queue either pauses
-	// the reader — TCP flow control then pushes back on the producer,
-	// counted as a stall — or, on lossy streams, drops the line, counted
-	// and reported. Memory per stream is queue depth plus the session's
-	// retirement window, independent of stream length.
-	type inLine struct {
-		no   int
-		text string
-	}
-	queue := make(chan inLine, s.cfg.StreamQueue)
-	consumerGone := make(chan struct{})
-	defer close(consumerGone) // any early return unblocks a stalled reader
-	var (
-		dropped int
-		readErr error // written before close(queue), read after the drain loop
-	)
-	go func() {
-		defer close(queue)
-		lineNo := 0
-		for in.Scan() {
-			lineNo++
-			text := in.Text()
-			if text == "END" {
-				return
-			}
-			l := inLine{no: lineNo, text: text}
-			select {
-			case queue <- l:
-			default:
-				if o.Lossy {
-					dropped++
-					s.Metrics.StreamDropped.Add(1)
-					continue
-				}
-				s.Metrics.StreamStalls.Add(1)
-				select {
-				case queue <- l:
-				case <-consumerGone:
+	go s.readLines(in, q, o.Lossy)
+
+	// The drain: take everything the reader has handed over, feed it through
+	// the follow, and let the echo leave when nothing more is waiting.
+	var batch lineBatch
+	for {
+		more, err := q.take(&batch, out.Idle)
+		if err != nil {
+			return // client gone
+		}
+		if !more {
+			break
+		}
+		s.Metrics.StreamBatches.Add(1)
+		for i := range batch.lines {
+			no, text := batch.line(i)
+			if bad := f.Line(no, text); bad != nil {
+				s.Metrics.StreamBad.Add(1)
+				if o.Strict {
+					// Fail the stream the way -strict fails the CLI: no final
+					// verdicts. The deferred abandon unblocks the reader.
+					fmt.Fprintf(out, "ERR %v\n", bad)
 					return
 				}
+				if !o.SkipBad {
+					fmt.Fprintf(out, "BAD %d %v\n", bad.No, bad.Err)
+				}
 			}
-		}
-		readErr = in.Err()
-	}()
-
-	for l := range queue {
-		if bad := f.Line(l.no, l.text); bad != nil {
-			s.Metrics.StreamBad.Add(1)
-			if o.Strict {
-				// Fail the stream the way -strict fails the CLI: no final
-				// verdicts. The deferred close(consumerGone) unblocks the
-				// reader.
-				fmt.Fprintf(out, "ERR %v\n", bad)
-				return
-			}
-			if !o.SkipBad {
-				fmt.Fprintf(out, "BAD %d %v\n", bad.No, bad.Err)
-			}
-		}
-		if out.Buffered() > 32*1024 {
-			if out.Flush() != nil {
+			if out.Full() != nil {
 				return // client gone
 			}
 		}
+		fold()
 	}
-	if readErr != nil {
+	dropped, err := q.ended()
+	if err != nil {
 		// The input died mid-stream (read error, or a line past the
 		// scanner's 1MB limit): fail explicitly rather than emitting a
 		// DONE that pretends the stream completed.
-		fmt.Fprintf(out, "ERR read: %v\n", readErr)
+		fmt.Fprintf(out, "ERR read: %v\n", err)
 		return
 	}
 	done := f.Finish(out, "QUARANTINED")
 	done.Dropped = dropped
 	fmt.Fprintln(out, done)
+}
+
+// readLines is a stream's reader goroutine: every input line up to END
+// goes into the queue. A full queue either pauses it — TCP flow control
+// then pushes back on the producer, counted as a stall — or, on lossy
+// streams, drops the line, counted and reported.
+func (s *Server) readLines(in *bufio.Scanner, q *lineQueue, lossy bool) {
+	lineNo := 0
+	for in.Scan() {
+		lineNo++
+		text := in.Bytes()
+		if string(text) == "END" {
+			q.close(nil)
+			return
+		}
+		switch q.push(lineNo, text, lossy) {
+		case pushDropped:
+			s.Metrics.StreamDropped.Add(1)
+		case pushStalled:
+			s.Metrics.StreamStalls.Add(1)
+		case pushAbandoned:
+			return
+		}
+	}
+	q.close(in.Err())
 }

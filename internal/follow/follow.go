@@ -3,15 +3,18 @@
 // spec.Session fed line by line, with everything about it that is not
 // transport — the options and their wire form (the STREAM hello), the
 // bad-input policies, the echo, the final summary, the DONE line and its
-// exit status. The front ends keep the routing of bad-input notes and
-// what a network adds (admission, backpressure, flushing, metrics).
+// exit status — and the rule for when output leaves (Out, OnIdle): when
+// the input goes idle. The front ends keep the routing of bad-input notes
+// and what a network adds (admission, backpressure, metrics).
 package follow
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"duopacity/internal/histio"
 	"duopacity/internal/history"
@@ -140,6 +143,69 @@ func (b *BadLine) Error() string { return fmt.Sprintf("line %d: %v", b.No, b.Err
 // maxBadDetail caps the skip-bad ledger; bad lines past it are only counted.
 const maxBadDetail = 10
 
+// flushAt is how much output may wait for the input to go idle before it
+// is written anyway.
+const flushAt = 32 * 1024
+
+// Out buffers what a follow writes — echo lines, notes, the summary — and
+// owns the rule for when it leaves: when the input has nothing more ready
+// (Idle), so a verdict is never held back for company, or when flushAt
+// bytes are waiting (Full), so a producer that never pauses is still
+// answered. Idleness is a fact about the input, not a time: there is no
+// interval to tune. A front end that reads its input itself learns of it
+// from OnIdle; one that is handed its input by another goroutine calls
+// Idle when nothing has been handed over.
+type Out struct {
+	*bufio.Writer
+	IdleFlushes, FullFlushes int // flushes that had something to write, by cause
+}
+
+// NewOut buffers w. The buffer is larger than flushAt, so that bufio never
+// flushes on its own ahead of Full and the caller sees every write error.
+func NewOut(w io.Writer) *Out {
+	return &Out{Writer: bufio.NewWriterSize(w, 2*flushAt)}
+}
+
+// Idle flushes what is buffered, if anything; the error is the write's.
+func (o *Out) Idle() error {
+	if o.Buffered() == 0 {
+		return nil
+	}
+	o.IdleFlushes++
+	return o.Flush()
+}
+
+// Full flushes once more than flushAt bytes are buffered; a front end
+// whose peer may be gone calls it after every line and stops on an error.
+func (o *Out) Full() error {
+	if o.Buffered() <= flushAt {
+		return nil
+	}
+	o.FullFlushes++
+	return o.Flush()
+}
+
+// OnIdle returns a reader of r that calls idle before every Read of r. A
+// line splitter (bufio.Scanner) reads only when what it holds contains no
+// further line, so idle runs exactly when the input has gone idle, and at
+// most once per read — however many lines a read carried. An error from
+// idle is returned as the Read's.
+func OnIdle(r io.Reader, idle func() error) io.Reader {
+	return &idleReader{r: r, idle: idle}
+}
+
+type idleReader struct {
+	r    io.Reader
+	idle func() error
+}
+
+func (ir *idleReader) Read(p []byte) (int, error) {
+	if err := ir.idle(); err != nil {
+		return 0, err
+	}
+	return ir.r.Read(p)
+}
+
 // Follow is one follow in progress.
 type Follow struct {
 	// Append is the session's Append; a front end may interpose (certd
@@ -148,8 +214,14 @@ type Follow struct {
 
 	opts Options
 	sess *spec.Session
-	out  io.Writer
-	line []byte // echo scratch
+	out  *Out
+
+	// Per-line scratch, reused: a warm Line allocates what the session's
+	// stream allocates and nothing else.
+	evs   []history.Event
+	names histio.Names
+	line  []byte   // the echo line
+	cols  [][]byte // per criterion, the echo's "  <criterion>:"
 
 	events, bad int
 	ledger      []BadLine
@@ -158,12 +230,16 @@ type Follow struct {
 // New starts a follow writing its echo lines and final summary to out.
 // Write errors on out are ignored, as for any line-printing command; a
 // network front end notices a vanished client when it flushes.
-func New(o Options, out io.Writer) (*Follow, error) {
+func New(o Options, out *Out) (*Follow, error) {
 	sess, err := spec.NewSession(o.Criteria, spec.WithNodeLimit(o.NodeLimit), spec.WithRetirement(o.Retire))
 	if err != nil {
 		return nil, err
 	}
-	return &Follow{Append: sess.Append, opts: o, sess: sess, out: out}, nil
+	f := &Follow{Append: sess.Append, opts: o, sess: sess, out: out, names: histio.Names{}}
+	for _, c := range o.Criteria {
+		f.cols = append(f.cols, []byte("  "+c.String()+":"))
+	}
+	return f, nil
 }
 
 // Stats is the session's: full searches and fast-path hits over all
@@ -176,13 +252,15 @@ func (f *Follow) Counters() spec.Counters         { return f.sess.Counters() }
 // the session refuses as ill-formed (side-effect-free for the session; the
 // rest of the line goes with it), is bad: counted, entered in the ledger
 // under SkipBad, and returned under every policy for the front end to
-// route — under Strict it must stop feeding and fail the follow.
-func (f *Follow) Line(no int, text string) *BadLine {
-	evs, err := histio.ParseEvents(text)
-	for i := 0; err == nil && i < len(evs); i++ {
+// route — under Strict it must stop feeding and fail the follow. text is
+// not retained.
+func (f *Follow) Line(no int, text []byte) *BadLine {
+	var err error
+	f.evs, err = histio.AppendEvents(f.evs[:0], text, f.names)
+	for i := 0; err == nil && i < len(f.evs); i++ {
 		var vs []spec.Verdict
-		if vs, err = f.Append(evs[i]); err == nil {
-			f.echo(evs[i], vs)
+		if vs, err = f.Append(f.evs[i]); err == nil {
+			f.echo(f.evs[i], vs)
 			f.events++
 		}
 	}
@@ -190,30 +268,52 @@ func (f *Follow) Line(no int, text string) *BadLine {
 		return nil
 	}
 	f.bad++
-	b := BadLine{No: no, Text: text, Err: err}
+	b := BadLine{No: no, Text: string(text), Err: err}
 	if f.opts.SkipBad && len(f.ledger) < maxBadDetail {
 		f.ledger = append(f.ledger, b)
 	}
 	return &b
 }
 
-// echo prints one accepted event: its index and rendering, and after a
-// response one status column per criterion.
+// echoWidth is the column the event's rendering is padded to, in runes.
+const echoWidth = 28
+
+// echo prints one accepted event.
 func (f *Follow) echo(e history.Event, vs []spec.Verdict) {
 	if f.opts.Quiet {
 		return
 	}
-	f.line = fmt.Appendf(f.line[:0], "%4d  %-28v", f.events, e)
+	f.line = f.appendEcho(f.line[:0], f.events, e, vs)
+	_, _ = f.out.Write(f.line)
+}
+
+// appendEcho appends the echo line of event number i: its index and
+// rendering, and after a response one status column per criterion (vs is
+// in Options.Criteria order). The bytes are those of "%4d  %-28v" on the
+// index and the event, then "  <criterion>:<status>" per column.
+func (f *Follow) appendEcho(b []byte, i int, e history.Event, vs []spec.Verdict) []byte {
+	switch {
+	case i < 10:
+		b = append(b, "   "...)
+	case i < 100:
+		b = append(b, "  "...)
+	case i < 1000:
+		b = append(b, ' ')
+	}
+	b = strconv.AppendInt(b, int64(i), 10)
+	b = append(b, "  "...)
+	start := len(b)
+	b = e.AppendText(b)
+	for n := utf8.RuneCount(b[start:]); n < echoWidth; n++ {
+		b = append(b, ' ')
+	}
 	if e.Kind == history.Res {
-		for _, v := range vs {
-			f.line = append(f.line, "  "...)
-			f.line = append(f.line, v.Criterion.String()...)
-			f.line = append(f.line, ':')
-			f.line = append(f.line, v.Status()...)
+		for c, v := range vs {
+			b = append(b, f.cols[c]...)
+			b = append(b, v.Status()...)
 		}
 	}
-	f.line = append(f.line, '\n')
-	_, _ = f.out.Write(f.line)
+	return append(b, '\n')
 }
 
 // Finish prints the skip-bad quarantine report to report (the total under

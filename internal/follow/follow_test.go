@@ -1,6 +1,8 @@
 package follow
 
 import (
+	"bufio"
+	"errors"
 	"reflect"
 	"regexp"
 	"sort"
@@ -151,4 +153,45 @@ func FuzzParseHello(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestOutAndOnIdle: the flush rule on its own. A scanner over OnIdle calls
+// the hook once per read of the input, however many lines the read held,
+// and a failing hook ends the input with its error; Idle writes only when
+// something is buffered, Full only past flushAt, and both count.
+func TestOutAndOnIdle(t *testing.T) {
+	var sink strings.Builder
+	out := NewOut(&sink)
+	idles := 0
+	sc := bufio.NewScanner(OnIdle(strings.NewReader("a\nb\nc\n"), func() error {
+		idles++
+		return out.Idle()
+	}))
+	lines := 0
+	for sc.Scan() {
+		lines++
+		_, _ = out.Write(sc.Bytes())
+	}
+	// One read carried all three lines, a second found the end.
+	if lines != 3 || idles != 2 || out.IdleFlushes != 1 || sink.String() != "abc" {
+		t.Errorf("%d lines, %d idle calls, %d idle flushes, wrote %q; want 3, 2, 1, \"abc\"", lines, idles, out.IdleFlushes, sink.String())
+	}
+
+	if err := out.Full(); err != nil || out.FullFlushes != 0 {
+		t.Errorf("Full on an empty buffer: err %v, %d flushes", err, out.FullFlushes)
+	}
+	_, _ = out.Write(make([]byte, flushAt))
+	if _ = out.Full(); out.FullFlushes != 0 {
+		t.Error("Full flushed at flushAt, want only past it")
+	}
+	_, _ = out.Write([]byte{'x'})
+	if _ = out.Full(); out.FullFlushes != 1 || out.Buffered() != 0 {
+		t.Errorf("Full past flushAt: %d flushes, %d bytes still buffered", out.FullFlushes, out.Buffered())
+	}
+
+	boom := errors.New("boom")
+	sc = bufio.NewScanner(OnIdle(strings.NewReader("a\n"), func() error { return boom }))
+	if sc.Scan() || sc.Err() != boom {
+		t.Errorf("failing hook: Scan succeeded or Err() = %v, want the hook's error", sc.Err())
+	}
 }

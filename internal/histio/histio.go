@@ -38,10 +38,13 @@ package histio
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"duopacity/internal/history"
 )
@@ -61,8 +64,10 @@ func Format(w io.Writer, h *history.History) error {
 // FuzzEventRoundTrip).
 func WriteEvents(w io.Writer, evs []history.Event) error {
 	bw := bufio.NewWriter(w)
+	var line []byte
 	for _, e := range evs {
-		if err := formatEvent(bw, e); err != nil {
+		line = append(AppendEvent(line[:0], e), '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
@@ -74,9 +79,8 @@ func WriteEvents(w io.Writer, evs []history.Event) error {
 // frame lines themselves (the certd stream client sends one event line
 // per network write).
 func FormatEvent(e history.Event) string {
-	var sb strings.Builder
-	_ = formatEvent(&sb, e) // strings.Builder never errors
-	return strings.TrimSuffix(sb.String(), "\n")
+	var buf [64]byte
+	return string(AppendEvent(buf[:0], e))
 }
 
 // FormatString renders h to a string.
@@ -86,63 +90,236 @@ func FormatString(h *history.History) string {
 	return sb.String()
 }
 
-func formatEvent(w io.Writer, e history.Event) error {
-	var err error
+// AppendEvent appends e's event line to b, without a newline: the one
+// encoder under FormatEvent and WriteEvents. It allocates nothing beyond
+// b's growth.
+func AppendEvent(b []byte, e history.Event) []byte {
+	inv := e.Kind == history.Inv
 	switch {
-	case e.Kind == history.Inv && e.Op == history.OpRead:
-		_, err = fmt.Fprintf(w, "inv read %d %s\n", e.Txn, e.Obj)
-	case e.Kind == history.Inv && e.Op == history.OpWrite:
-		_, err = fmt.Fprintf(w, "inv write %d %s %d\n", e.Txn, e.Obj, e.Arg)
-	case e.Kind == history.Inv && e.Op == history.OpTryCommit:
-		_, err = fmt.Fprintf(w, "inv tryc %d\n", e.Txn)
-	case e.Kind == history.Inv && e.Op == history.OpTryAbort:
-		_, err = fmt.Fprintf(w, "inv trya %d\n", e.Txn)
+	case inv && e.Op == history.OpRead:
+		return appendLine(b, e, "inv read ", 1, "")
+	case inv && e.Op == history.OpWrite:
+		return appendLine(b, e, "inv write ", 2, "")
+	case inv && e.Op == history.OpTryCommit:
+		return appendLine(b, e, "inv tryc ", 0, "")
+	case inv && e.Op == history.OpTryAbort:
+		return appendLine(b, e, "inv trya ", 0, "")
 	case e.Op == history.OpRead && e.Out == history.OutOK:
-		_, err = fmt.Fprintf(w, "res read %d %s %d\n", e.Txn, e.Obj, e.Val)
+		return strconv.AppendInt(appendLine(b, e, "res read ", 1, " "), int64(e.Val), 10)
 	case e.Op == history.OpRead:
-		_, err = fmt.Fprintf(w, "res read %d %s A\n", e.Txn, e.Obj)
+		return appendLine(b, e, "res read ", 1, " A")
 	case e.Op == history.OpWrite && e.Out == history.OutOK:
-		_, err = fmt.Fprintf(w, "res write %d %s %d ok\n", e.Txn, e.Obj, e.Arg)
+		return appendLine(b, e, "res write ", 2, " ok")
 	case e.Op == history.OpWrite:
-		_, err = fmt.Fprintf(w, "res write %d %s %d A\n", e.Txn, e.Obj, e.Arg)
+		return appendLine(b, e, "res write ", 2, " A")
 	case e.Op == history.OpTryCommit && e.Out == history.OutCommit:
-		_, err = fmt.Fprintf(w, "res tryc %d C\n", e.Txn)
+		return appendLine(b, e, "res tryc ", 0, " C")
 	case e.Op == history.OpTryCommit:
-		_, err = fmt.Fprintf(w, "res tryc %d A\n", e.Txn)
+		return appendLine(b, e, "res tryc ", 0, " A")
 	default:
-		_, err = fmt.Fprintf(w, "res trya %d A\n", e.Txn)
+		return appendLine(b, e, "res trya ", 0, " A")
 	}
-	return err
+}
+
+// appendLine appends head, the transaction, the first operands of e (the
+// object, then a write's argument) and tail.
+func appendLine(b []byte, e history.Event, head string, operands int, tail string) []byte {
+	b = append(b, head...)
+	b = strconv.AppendInt(b, int64(e.Txn), 10)
+	if operands >= 1 {
+		b = append(b, ' ')
+		b = append(b, e.Obj...)
+	}
+	if operands >= 2 {
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(e.Arg), 10)
+	}
+	return append(b, tail...)
 }
 
 // ParseEvents parses one line of the text format into its events: an
 // event line yields one event, a shorthand line yields the adjacent
 // invocation/response pair, and a comment or blank line yields none. It
-// is the line-level entry used by streaming consumers (ducheck -follow)
-// that feed events into a history.Stream or spec.Monitor as they arrive.
+// is AppendEvents for a caller with one line in a string and no buffers to
+// reuse.
 func ParseEvents(line string) ([]history.Event, error) {
-	if i := strings.IndexByte(line, '#'); i >= 0 {
+	return AppendEvents(nil, []byte(line), nil)
+}
+
+// Names interns object names: a consumer that parses line after line out
+// of a buffer it reuses (a scanner's, a connection's) gets each name as a
+// string that outlives the buffer, allocated the first time the name is
+// seen. One Names (made with Names{}) serves one stream of lines, from one
+// goroutine.
+type Names map[string]history.Var
+
+// maxNames bounds what one Names holds on to: a stream that keeps
+// inventing names (a line the session then refuses costs the session
+// nothing) gets a fresh string for each one past the bound.
+const maxNames = 4096
+
+func (n Names) intern(tok []byte) history.Var {
+	if v, ok := n[string(tok)]; ok {
+		return v
+	}
+	v := history.Var(tok)
+	if n != nil && len(n) < maxNames {
+		n[string(v)] = v
+	}
+	return v
+}
+
+// AppendEvents parses one line like ParseEvents and appends its events to
+// dst: the entry for streaming consumers (package follow, Parse) that feed
+// line after line and keep dst, the line buffer and names across calls —
+// then a line costs no allocation. line is not retained; object names come
+// out of names, or are fresh strings when names is nil. On error dst is
+// returned as it came.
+func AppendEvents(dst []history.Event, line []byte, names Names) ([]history.Event, error) {
+	if i := bytes.IndexByte(line, '#'); i >= 0 {
 		line = line[:i]
 	}
-	fields := strings.Fields(line)
-	if len(fields) == 0 {
-		return nil, nil
+	stored, n := fields(line)
+	if n == 0 {
+		return dst, nil
 	}
-	return parseLine(fields)
+	f := stored[:min(n, maxFields)]
+	switch string(f[0]) {
+	case "inv", "res":
+		e, err := parseEvent(f, n, names)
+		if err != nil {
+			return dst, err
+		}
+		return append(dst, e), nil
+	case "read":
+		// read <txn> <obj> <value>|A
+		if n != 4 {
+			return dst, fmt.Errorf("read wants 3 arguments, got %d", n-1)
+		}
+		k, err := parseTxn(f[1])
+		if err != nil {
+			return dst, err
+		}
+		res := history.Event{Kind: history.Res, Op: history.OpRead, Txn: k, Out: history.OutAbort}
+		if string(f[3]) != "A" {
+			if res.Val, err = parseValue(f[3]); err != nil {
+				return dst, err
+			}
+			res.Out = history.OutOK
+		}
+		res.Obj = names.intern(f[2])
+		return append(dst, history.Event{Kind: history.Inv, Op: history.OpRead, Txn: k, Obj: res.Obj}, res), nil
+	case "write":
+		// write <txn> <obj> <value> [A]
+		if n != 4 && n != 5 {
+			return dst, fmt.Errorf("write wants 3 or 4 arguments, got %d", n-1)
+		}
+		k, err := parseTxn(f[1])
+		if err != nil {
+			return dst, err
+		}
+		v, err := parseValue(f[3])
+		if err != nil {
+			return dst, err
+		}
+		out := history.OutOK
+		if n == 5 {
+			if string(f[4]) != "A" {
+				return dst, fmt.Errorf("write outcome must be A, got %q", string(f[4]))
+			}
+			out = history.OutAbort
+		}
+		obj := names.intern(f[2])
+		return append(dst,
+			history.Event{Kind: history.Inv, Op: history.OpWrite, Txn: k, Obj: obj, Arg: v},
+			history.Event{Kind: history.Res, Op: history.OpWrite, Txn: k, Obj: obj, Arg: v, Out: out}), nil
+	case "commit":
+		// commit <txn> [A]
+		if n != 2 && n != 3 {
+			return dst, fmt.Errorf("commit wants 1 or 2 arguments, got %d", n-1)
+		}
+		k, err := parseTxn(f[1])
+		if err != nil {
+			return dst, err
+		}
+		out := history.OutCommit
+		if n == 3 {
+			if string(f[2]) != "A" {
+				return dst, fmt.Errorf("commit outcome must be A, got %q", string(f[2]))
+			}
+			out = history.OutAbort
+		}
+		return append(dst,
+			history.Event{Kind: history.Inv, Op: history.OpTryCommit, Txn: k},
+			history.Event{Kind: history.Res, Op: history.OpTryCommit, Txn: k, Out: out}), nil
+	case "abort":
+		if n != 2 {
+			return dst, fmt.Errorf("abort wants 1 argument, got %d", n-1)
+		}
+		k, err := parseTxn(f[1])
+		if err != nil {
+			return dst, err
+		}
+		return append(dst,
+			history.Event{Kind: history.Inv, Op: history.OpTryAbort, Txn: k},
+			history.Event{Kind: history.Res, Op: history.OpTryAbort, Txn: k, Out: history.OutAbort}), nil
+	default:
+		return dst, fmt.Errorf("unknown directive %q", string(f[0]))
+	}
+}
+
+// maxFields is the longest line of the format ("res write <txn> <obj>
+// <value> ok"); fields counts what a longer line holds past it without
+// storing it, for the arity messages.
+const maxFields = 6
+
+// fields splits line around runs of white space exactly as strings.Fields
+// does (unicode.IsSpace, invalid UTF-8 is not space), in place: it returns
+// the first maxFields fields and the count of all of them.
+func fields(line []byte) (f [maxFields][]byte, n int) {
+	start := -1
+	for i := 0; i < len(line); {
+		space, width := false, 1
+		if c := line[i]; c < utf8.RuneSelf {
+			space = c == ' ' || '\t' <= c && c <= '\r'
+		} else {
+			var r rune
+			r, width = utf8.DecodeRune(line[i:])
+			space = unicode.IsSpace(r)
+		}
+		switch {
+		case !space && start < 0:
+			start = i
+		case space && start >= 0:
+			if n < maxFields {
+				f[n] = line[start:i]
+			}
+			n++
+			start = -1
+		}
+		i += width
+	}
+	if start >= 0 {
+		if n < maxFields {
+			f[n] = line[start:]
+		}
+		n++
+	}
+	return f, n
 }
 
 // Parse reads a history from r.
 func Parse(r io.Reader) (*history.History, error) {
 	var evs []history.Event
+	names := Names{}
 	sc := bufio.NewScanner(r)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		es, err := ParseEvents(sc.Text())
-		if err != nil {
+		var err error
+		if evs, err = AppendEvents(evs, sc.Bytes(), names); err != nil {
 			return nil, fmt.Errorf("histio: line %d: %w", lineNo, err)
 		}
-		evs = append(evs, es...)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("histio: %w", err)
@@ -159,101 +336,14 @@ func ParseString(s string) (*history.History, error) {
 	return Parse(strings.NewReader(s))
 }
 
-func parseLine(f []string) ([]history.Event, error) {
-	switch f[0] {
-	case "inv", "res":
-		e, err := parseEvent(f)
-		if err != nil {
-			return nil, err
-		}
-		return []history.Event{e}, nil
-	case "read":
-		// read <txn> <obj> <value>|A
-		if len(f) != 4 {
-			return nil, fmt.Errorf("read wants 3 arguments, got %d", len(f)-1)
-		}
-		k, err := parseTxn(f[1])
-		if err != nil {
-			return nil, err
-		}
-		obj := history.Var(f[2])
-		inv := history.Event{Kind: history.Inv, Op: history.OpRead, Txn: k, Obj: obj}
-		if f[3] == "A" {
-			return []history.Event{inv, {Kind: history.Res, Op: history.OpRead, Txn: k, Obj: obj, Out: history.OutAbort}}, nil
-		}
-		v, err := parseValue(f[3])
-		if err != nil {
-			return nil, err
-		}
-		return []history.Event{inv, {Kind: history.Res, Op: history.OpRead, Txn: k, Obj: obj, Val: v, Out: history.OutOK}}, nil
-	case "write":
-		// write <txn> <obj> <value> [A]
-		if len(f) != 4 && len(f) != 5 {
-			return nil, fmt.Errorf("write wants 3 or 4 arguments, got %d", len(f)-1)
-		}
-		k, err := parseTxn(f[1])
-		if err != nil {
-			return nil, err
-		}
-		obj := history.Var(f[2])
-		v, err := parseValue(f[3])
-		if err != nil {
-			return nil, err
-		}
-		out := history.OutOK
-		if len(f) == 5 {
-			if f[4] != "A" {
-				return nil, fmt.Errorf("write outcome must be A, got %q", f[4])
-			}
-			out = history.OutAbort
-		}
-		return []history.Event{
-			{Kind: history.Inv, Op: history.OpWrite, Txn: k, Obj: obj, Arg: v},
-			{Kind: history.Res, Op: history.OpWrite, Txn: k, Obj: obj, Arg: v, Out: out},
-		}, nil
-	case "commit":
-		// commit <txn> [A]
-		if len(f) != 2 && len(f) != 3 {
-			return nil, fmt.Errorf("commit wants 1 or 2 arguments, got %d", len(f)-1)
-		}
-		k, err := parseTxn(f[1])
-		if err != nil {
-			return nil, err
-		}
-		out := history.OutCommit
-		if len(f) == 3 {
-			if f[2] != "A" {
-				return nil, fmt.Errorf("commit outcome must be A, got %q", f[2])
-			}
-			out = history.OutAbort
-		}
-		return []history.Event{
-			{Kind: history.Inv, Op: history.OpTryCommit, Txn: k},
-			{Kind: history.Res, Op: history.OpTryCommit, Txn: k, Out: out},
-		}, nil
-	case "abort":
-		if len(f) != 2 {
-			return nil, fmt.Errorf("abort wants 1 argument, got %d", len(f)-1)
-		}
-		k, err := parseTxn(f[1])
-		if err != nil {
-			return nil, err
-		}
-		return []history.Event{
-			{Kind: history.Inv, Op: history.OpTryAbort, Txn: k},
-			{Kind: history.Res, Op: history.OpTryAbort, Txn: k, Out: history.OutAbort},
-		}, nil
-	default:
-		return nil, fmt.Errorf("unknown directive %q", f[0])
-	}
-}
-
-func parseEvent(f []string) (history.Event, error) {
-	if len(f) < 3 {
+// parseEvent parses an event line: f holds its first maxFields fields, n
+// counts all of them.
+func parseEvent(f [][]byte, n int, names Names) (history.Event, error) {
+	if n < 3 {
 		return history.Event{}, fmt.Errorf("event line too short")
 	}
 	kind := history.Inv
-	if f[0] == "res" {
+	if string(f[0]) == "res" {
 		kind = history.Res
 	}
 	k, err := parseTxn(f[2])
@@ -261,111 +351,113 @@ func parseEvent(f []string) (history.Event, error) {
 		return history.Event{}, err
 	}
 	e := history.Event{Kind: kind, Txn: k}
-	switch f[1] {
+	switch string(f[1]) {
 	case "read":
 		e.Op = history.OpRead
-		if len(f) < 4 {
+		if n < 4 {
 			return e, fmt.Errorf("read event wants an object")
 		}
-		e.Obj = history.Var(f[3])
 		if kind == history.Inv {
-			if len(f) != 4 {
+			if n != 4 {
 				return e, fmt.Errorf("inv read wants 2 arguments")
 			}
+			e.Obj = names.intern(f[3])
 			return e, nil
 		}
-		if len(f) != 5 {
+		if n != 5 {
 			return e, fmt.Errorf("res read wants 3 arguments")
 		}
-		if f[4] == "A" {
+		if string(f[4]) == "A" {
 			e.Out = history.OutAbort
-			return e, nil
+		} else {
+			v, err := parseValue(f[4])
+			if err != nil {
+				return e, err
+			}
+			e.Val, e.Out = v, history.OutOK
 		}
-		v, err := parseValue(f[4])
-		if err != nil {
-			return e, err
-		}
-		e.Val, e.Out = v, history.OutOK
+		e.Obj = names.intern(f[3])
 		return e, nil
 	case "write":
 		e.Op = history.OpWrite
-		if len(f) < 5 {
+		if n < 5 {
 			return e, fmt.Errorf("write event wants object and value")
 		}
-		e.Obj = history.Var(f[3])
 		v, err := parseValue(f[4])
 		if err != nil {
 			return e, err
 		}
 		e.Arg = v
 		if kind == history.Inv {
-			if len(f) != 5 {
+			if n != 5 {
 				return e, fmt.Errorf("inv write wants 3 arguments")
 			}
+			e.Obj = names.intern(f[3])
 			return e, nil
 		}
-		if len(f) != 6 {
+		if n != 6 {
 			return e, fmt.Errorf("res write wants 4 arguments")
 		}
-		switch f[5] {
+		switch string(f[5]) {
 		case "ok":
 			e.Out = history.OutOK
 		case "A":
 			e.Out = history.OutAbort
 		default:
-			return e, fmt.Errorf("write outcome must be ok or A, got %q", f[5])
+			return e, fmt.Errorf("write outcome must be ok or A, got %q", string(f[5]))
 		}
+		e.Obj = names.intern(f[3])
 		return e, nil
 	case "tryc":
 		e.Op = history.OpTryCommit
 		if kind == history.Inv {
-			if len(f) != 3 {
+			if n != 3 {
 				return e, fmt.Errorf("inv tryc wants 1 argument")
 			}
 			return e, nil
 		}
-		if len(f) != 4 {
+		if n != 4 {
 			return e, fmt.Errorf("res tryc wants 2 arguments")
 		}
-		switch f[3] {
+		switch string(f[3]) {
 		case "C":
 			e.Out = history.OutCommit
 		case "A":
 			e.Out = history.OutAbort
 		default:
-			return e, fmt.Errorf("tryc outcome must be C or A, got %q", f[3])
+			return e, fmt.Errorf("tryc outcome must be C or A, got %q", string(f[3]))
 		}
 		return e, nil
 	case "trya":
 		e.Op = history.OpTryAbort
 		if kind == history.Inv {
-			if len(f) != 3 {
+			if n != 3 {
 				return e, fmt.Errorf("inv trya wants 1 argument")
 			}
 			return e, nil
 		}
-		if len(f) != 4 || f[3] != "A" {
+		if n != 4 || string(f[3]) != "A" {
 			return e, fmt.Errorf("res trya wants outcome A")
 		}
 		e.Out = history.OutAbort
 		return e, nil
 	default:
-		return e, fmt.Errorf("unknown operation %q", f[1])
+		return e, fmt.Errorf("unknown operation %q", string(f[1]))
 	}
 }
 
-func parseTxn(s string) (history.TxnID, error) {
-	n, err := strconv.Atoi(s)
+func parseTxn(s []byte) (history.TxnID, error) {
+	n, err := strconv.Atoi(string(s))
 	if err != nil || n <= 0 {
-		return 0, fmt.Errorf("invalid transaction id %q", s)
+		return 0, fmt.Errorf("invalid transaction id %q", string(s))
 	}
 	return history.TxnID(n), nil
 }
 
-func parseValue(s string) (history.Value, error) {
-	n, err := strconv.ParseInt(s, 10, 64)
+func parseValue(s []byte) (history.Value, error) {
+	n, err := strconv.ParseInt(string(s), 10, 64)
 	if err != nil {
-		return 0, fmt.Errorf("invalid value %q", s)
+		return 0, fmt.Errorf("invalid value %q", string(s))
 	}
 	return history.Value(n), nil
 }

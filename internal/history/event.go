@@ -24,7 +24,10 @@
 // InitValue, and T_0 is treated as committed before every event.
 package history
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // TxnID identifies a transaction. ID 0 is reserved for the imaginary
 // initial transaction T_0 and never appears in a history.
@@ -149,22 +152,39 @@ type Event struct {
 // String renders the event in the paper's notation, e.g. "inv read_2(X)" or
 // "res read_2(X)->1" or "res tryC_1->C".
 func (e Event) String() string {
-	switch {
-	case e.Kind == Inv && e.Op == OpRead:
-		return fmt.Sprintf("inv read_%d(%s)", e.Txn, e.Obj)
-	case e.Kind == Inv && e.Op == OpWrite:
-		return fmt.Sprintf("inv write_%d(%s,%d)", e.Txn, e.Obj, e.Arg)
-	case e.Kind == Inv:
-		return fmt.Sprintf("inv %s_%d", e.Op, e.Txn)
-	case e.Op == OpRead && e.Out == OutOK:
-		return fmt.Sprintf("res read_%d(%s)->%d", e.Txn, e.Obj, e.Val)
-	case e.Op == OpRead:
-		return fmt.Sprintf("res read_%d(%s)->%s", e.Txn, e.Obj, e.Out)
-	case e.Op == OpWrite:
-		return fmt.Sprintf("res write_%d(%s,%d)->%s", e.Txn, e.Obj, e.Arg, e.Out)
-	default:
-		return fmt.Sprintf("res %s_%d->%s", e.Op, e.Txn, e.Out)
+	var buf [48]byte
+	return string(e.AppendText(buf[:0]))
+}
+
+// AppendText appends String's rendering to b. For the declared kinds,
+// operations and outcomes it allocates nothing beyond b's growth: the
+// follow echo renders every accepted event through it.
+func (e Event) AppendText(b []byte) []byte {
+	if e.Kind == Inv {
+		b = append(b, "inv "...)
+	} else {
+		b = append(b, "res "...)
 	}
+	b = append(b, e.Op.String()...)
+	b = append(b, '_')
+	b = strconv.AppendInt(b, int64(e.Txn), 10)
+	if e.Op == OpRead || e.Op == OpWrite {
+		b = append(b, '(')
+		b = append(b, e.Obj...)
+		if e.Op == OpWrite {
+			b = append(b, ',')
+			b = strconv.AppendInt(b, int64(e.Arg), 10)
+		}
+		b = append(b, ')')
+	}
+	if e.Kind == Inv {
+		return b
+	}
+	b = append(b, "->"...)
+	if e.Op == OpRead && e.Out == OutOK {
+		return strconv.AppendInt(b, int64(e.Val), 10)
+	}
+	return append(b, e.Out.String()...)
 }
 
 // matches reports whether r is a well-formed response to invocation i.
