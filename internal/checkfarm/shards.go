@@ -283,6 +283,8 @@ type WireExplore struct {
 	SymmetryPruned int            `json:"symmetry_pruned"`
 	Steps          int64          `json:"steps"`
 	Replays        int            `json:"replays"`
+	MonitorEvents  int64          `json:"monitor_events"`
+	SharedEvents   int64          `json:"shared_events"`
 	MaxFrontier    int            `json:"max_frontier"`
 	Undecided      int            `json:"undecided"`
 	DegradedReason string         `json:"degraded_reason,omitempty"`
@@ -295,6 +297,7 @@ func WireExploreOf(r harness.ExploreReport) WireExplore {
 		Outcome: uint8(r.Outcome), Schedules: r.Schedules, PrefixCut: r.PrefixCut,
 		Violations: r.Violations, SleepPruned: r.SleepPruned, SymmetryPruned: r.SymmetryPruned,
 		Steps: r.Steps, Replays: r.Replays, MaxFrontier: r.MaxFrontier,
+		MonitorEvents: r.MonitorEvents, SharedEvents: r.SharedEvents,
 		Undecided: r.Undecided, DegradedReason: r.DegradedReason,
 	}
 	if r.Violation != nil {
@@ -321,6 +324,7 @@ func (w WireExplore) Report() (harness.ExploreReport, error) {
 		PrefixCut: w.PrefixCut, Violations: w.Violations,
 		SleepPruned: w.SleepPruned, SymmetryPruned: w.SymmetryPruned,
 		Steps: w.Steps, Replays: w.Replays, MaxFrontier: w.MaxFrontier,
+		MonitorEvents: w.MonitorEvents, SharedEvents: w.SharedEvents,
 		Undecided: w.Undecided, DegradedReason: w.DegradedReason,
 	}
 	if w.Violation != nil {

@@ -125,6 +125,8 @@ func TestFoldMatchesLocalFarmExplore(t *testing.T) {
 		l, r := local[i], rep.Explore[i]
 		if l.Outcome != r.Outcome || l.Schedules != r.Schedules || l.Steps != r.Steps ||
 			l.Violations != r.Violations || l.SleepPruned != r.SleepPruned ||
+			l.MonitorEvents != r.MonitorEvents || l.SharedEvents != r.SharedEvents ||
+			l.MonitorEvents+l.SharedEvents == 0 ||
 			l.Plan.String() != r.Plan.String() || l.Plan.Objects != r.Plan.Objects {
 			t.Fatalf("plan %d diverged:\nlocal:  %+v\nremote: %+v", i, l, r)
 		}

@@ -40,10 +40,14 @@ import (
 //     programs are interchangeable, so only the lower-indexed one may take
 //     its first step first.
 //
-// Engines cannot be checkpointed, so the DFS is stateless in the model-
-// checking sense: each leaf re-executes the plan from a fresh engine along
-// the decision stack (replay), which the deterministic stepper makes
-// byte-reproducible.
+// Engines cannot be checkpointed, so the DFS is stateless in the engine:
+// each leaf re-executes the plan from a fresh engine along the decision
+// stack (replay), which the deterministic stepper makes byte-reproducible.
+// The monitor, in contrast, is shared: one spec.Monitor lives for the
+// whole exploration and is rewound (spec.Session.Rewind, the paper's
+// Lemma 1) to the first event at which a replay departs from the one
+// before it — in DFS order most of a replay is the previous replay's
+// steps, producing the same events, which the monitor already holds.
 //
 // The quantifier is the stepper's schedule space — the engine's exclusion
 // policy plus the stepper's abort-backoff discipline (an aborted thread
@@ -132,7 +136,9 @@ type ExploreConfig struct {
 	// and its verdict. With the default prefix cut a violating schedule
 	// is cut at its latching step — even when that step happens to be its
 	// last — and is counted in PrefixCut, not delivered here; set
-	// DisablePrefixCut to observe every schedule of the space. One
+	// DisablePrefixCut to observe every schedule of the space. The
+	// verdict's Serialization belongs to the exploration's one monitor and
+	// is valid only during the callback. One
 	// ExplorePlanCtx call invokes the callback sequentially, but a config
 	// shared across concurrent explorations (checkfarm.ExplorePlans with
 	// jobs > 1) invokes it from all workers — such a callback must be
@@ -208,6 +214,12 @@ type ExploreReport struct {
 	// nothing).
 	Steps   int64
 	Replays int
+	// MonitorEvents counts the recorded events appended to the monitor,
+	// SharedEvents those it already held from the replay before (the
+	// rewound prefix): their sum is every event the replays recorded, and
+	// SharedEvents is what rewinding instead of rebuilding saved.
+	MonitorEvents int64
+	SharedEvents  int64
 	// MaxFrontier is the deepest decision stack reached — with
 	// BudgetExhausted, how deep the explored frontier got.
 	MaxFrontier int
@@ -242,7 +254,8 @@ func ExplorePlanCtx(ctx context.Context, engine string, p stm.Plan, cfg ExploreC
 	if len(p.Threads) > 64 {
 		return ExploreReport{}, fmt.Errorf("harness: explore supports at most 64 threads, plan has %d", len(p.Threads))
 	}
-	if _, err := engines.New(engine, p.Objects); err != nil {
+	eng, err := engines.New(engine, p.Objects)
+	if err != nil {
 		return ExploreReport{}, err
 	}
 	cfg = cfg.withDefaults(p)
@@ -251,15 +264,18 @@ func ExplorePlanCtx(ctx context.Context, engine string, p stm.Plan, cfg ExploreC
 	default:
 		return ExploreReport{}, fmt.Errorf("harness: explore requires a prefix-closed monitorable criterion (du-opacity or opacity), got %v", cfg.Criterion)
 	}
+	rec := recorder.New(eng) // every replay restarts it on a fresh engine
 	e := &explorer{
 		engine:   engine,
 		p:        p,
-		policy:   policyFor(engine),
 		cfg:      cfg,
 		ctx:      ctx,
 		symClass: symClasses(p.Threads),
 		rep:      ExploreReport{Engine: engine, Criterion: cfg.Criterion, Plan: p},
+		rec:      rec,
+		st:       stepper{rec: rec, threads: threadsFor(p), policy: policyFor(engine), maxAttempts: cfg.MaxAttempts},
 	}
+	e.newMonitor()
 	e.run()
 	return e.rep, nil
 }
@@ -290,11 +306,28 @@ const (
 type explorer struct {
 	engine   string
 	p        stm.Plan
-	policy   schedulePolicy
 	cfg      ExploreConfig
 	ctx      context.Context
 	symClass []int // per-thread program class, see symClasses
 	rep      ExploreReport
+
+	// One recorder, one stepper and one monitor serve every replay: the
+	// recorder and the stepper's threads are restarted, the monitor is
+	// rewound (see observe).
+	rec *recorder.Recorder
+	st  stepper
+	m   *spec.Monitor
+	// events counts the events of the current replay; while following, each
+	// one so far equalled the event the monitor holds at its index. latchAt
+	// is the index of the event at which the monitor latched its violation,
+	// -1 while it has none — it outlives the replay like the monitor, so a
+	// replay that shares the latching event latches at the same index
+	// without being told again. tapFault is the current replay's first
+	// monitor failure.
+	events    int
+	following bool
+	latchAt   int
+	tapFault  string
 
 	stack []exFrame
 	sched []int // thread stepped at each point of the current replay
@@ -302,6 +335,80 @@ type explorer struct {
 	cbuf  []int // symmetry-filter scratch
 
 	budget bool // a budget bound was hit (schedules or steps)
+}
+
+// newMonitor gives the exploration its monitor and taps it onto the
+// recorder: once per exploration, and again only after a monitor panicked
+// (the recorder detaches a panicking tap, and the monitor it interrupted
+// is not to be trusted).
+func (e *explorer) newMonitor() {
+	mopts := []spec.Option{spec.WithNodeLimit(e.cfg.NodeLimit)}
+	if e.ctx != nil {
+		mopts = append(mopts, spec.WithContext(e.ctx))
+	}
+	m, err := spec.NewMonitor(e.cfg.Criterion, mopts...)
+	if err != nil {
+		panic("harness: explore monitor: " + err.Error()) // criterion validated by ExplorePlanCtx
+	}
+	e.m, e.latchAt = m, -1
+	e.rec.Tap(e.observe)
+}
+
+// latched reports whether the current replay's events so far include the
+// one that latched the monitor.
+func (e *explorer) latched() bool { return e.latchAt >= 0 && e.latchAt < e.events }
+
+// observe is the recorder's tap. The recorder restarts transaction
+// identifiers with every replay and the stepper is deterministic, so two
+// replays that share a schedule prefix record a byte-identical event
+// prefix: while each event equals the one the monitor already holds at
+// its index there is nothing to tell the monitor. At the first difference
+// the monitor is rewound to that index and fed from there.
+func (e *explorer) observe(ev history.Event) {
+	if e.tapFault != "" {
+		return
+	}
+	if e.following {
+		if e.events < e.m.Len() && e.m.EventAt(e.events) == ev {
+			e.events++
+			e.rep.SharedEvents++
+			return
+		}
+		e.following = false
+		if !e.rewindMonitor() {
+			return
+		}
+	}
+	v, err := e.m.Append(ev)
+	if err != nil {
+		// The recorder only emits matched, well-ordered events, so a
+		// rejection means the monitor and recorder disagree — degrade
+		// this exploration honestly instead of crashing the farm.
+		e.tapFault = "monitor rejected recorded event: " + err.Error()
+		return
+	}
+	if e.latchAt < 0 && !v.OK && !v.Undecided {
+		e.latchAt = e.events
+	}
+	e.events++
+	e.rep.MonitorEvents++
+}
+
+// rewindMonitor trims the monitor to the current replay's events,
+// forgetting a latch the rewind lifted; false means it could not (and the
+// replay is degraded).
+func (e *explorer) rewindMonitor() bool {
+	if e.events == e.m.Len() {
+		return true
+	}
+	if err := e.m.Rewind(e.events); err != nil {
+		e.tapFault = "monitor rewind: " + err.Error() // unreachable: the monitor never retires
+		return false
+	}
+	if e.latchAt >= e.events {
+		e.latchAt = -1
+	}
+	return true
 }
 
 // noteDegraded records the first exceptional-degradation reason and marks
@@ -391,40 +498,10 @@ func (e *explorer) replay() pathEnd {
 	if err != nil {
 		panic("harness: explore engine vanished: " + err.Error()) // validated by ExplorePlanCtx
 	}
-	rec := recorder.New(eng)
-	mopts := []spec.Option{spec.WithNodeLimit(e.cfg.NodeLimit)}
-	if e.ctx != nil {
-		mopts = append(mopts, spec.WithContext(e.ctx))
-	}
-	m, err := spec.NewMonitor(e.cfg.Criterion, mopts...)
-	if err != nil {
-		panic("harness: explore monitor: " + err.Error()) // criterion validated by ExplorePlanCtx
-	}
-	latched, latchAt, events := false, -1, 0
-	tapFault := ""
-	rec.Tap(func(ev history.Event) {
-		if tapFault != "" {
-			return
-		}
-		v, aerr := m.Append(ev)
-		if aerr != nil {
-			// The recorder only emits matched, well-ordered events, so a
-			// rejection means the monitor and recorder disagree — degrade
-			// this exploration honestly instead of crashing the farm.
-			tapFault = "monitor rejected recorded event: " + aerr.Error()
-			return
-		}
-		if !latched && !v.OK && !v.Undecided {
-			latched, latchAt = true, events
-		}
-		events++
-	})
-	st := &stepper{
-		rec:         rec,
-		threads:     threadsFor(e.p),
-		policy:      e.policy,
-		maxAttempts: e.cfg.MaxAttempts,
-	}
+	e.rec.Restart(eng)
+	e.events, e.following, e.tapFault = 0, true, ""
+	st := &e.st
+	st.restart()
 	e.sched = e.sched[:0]
 	var sleep uint64 // the running sleep set along the path
 	frameIdx := 0
@@ -432,7 +509,7 @@ func (e *explorer) replay() pathEnd {
 		r := st.runnable(e.buf)
 		e.buf = r[:0]
 		if len(r) == 0 {
-			e.finishSchedule(rec, m, latchAt)
+			e.finishSchedule()
 			return endComplete
 		}
 		if len(e.sched) >= e.cfg.MaxSteps {
@@ -440,8 +517,8 @@ func (e *explorer) replay() pathEnd {
 			// prefix-closed, so the violating prefix refutes the plan no
 			// matter how the schedule would have continued (reachable only
 			// with DisablePrefixCut — the cut returns at the latching step).
-			if latched {
-				e.recordViolation(rec, m, latchAt)
+			if e.latched() {
+				e.recordViolation()
 			}
 			return endSteps
 		}
@@ -473,49 +550,82 @@ func (e *explorer) replay() pathEnd {
 		default:
 			// A fresh decision point: open a frame, skipping branches that
 			// start inside the inherited sleep set.
-			f := exFrame{choices: append([]int(nil), choices...), base: sleep}
+			f := e.pushFrame(choices, sleep)
 			for f.next < len(f.choices) && !e.cfg.DisableSleepSets && f.base&(1<<uint(f.choices[f.next])) != 0 {
 				e.rep.SleepPruned++
 				f.explored |= 1 << uint(f.choices[f.next])
 				f.next++
 			}
 			if f.next == len(f.choices) {
+				e.stack = e.stack[:len(e.stack)-1]
 				return endSleepCut
 			}
 			taken = f.choices[f.next]
 			sleep = e.childSleep(st, f.base|f.explored, taken)
-			e.stack = append(e.stack, f)
 			frameIdx++
 		}
 		e.sched = append(e.sched, taken)
 		st.step(st.threads[taken])
 		e.rep.Steps++
-		if tapFault == "" {
-			if terr := rec.TapError(); terr != nil {
+		if e.tapFault == "" {
+			if terr := e.rec.TapError(); terr != nil {
 				// The recorder recovered a panicking monitor; the capture is
-				// intact but unobserved from here on.
-				tapFault = terr.Error()
+				// intact but unobserved from here on, and the replays to come
+				// get a monitor that was not interrupted mid-append.
+				e.tapFault = terr.Error()
+				e.newMonitor()
 			}
 		}
-		if tapFault != "" {
-			e.noteDegraded(tapFault)
+		if e.tapFault != "" {
+			e.noteDegraded(e.tapFault)
 			return endSteps
 		}
-		if latched && !e.cfg.DisablePrefixCut {
+		if e.latched() && !e.cfg.DisablePrefixCut {
 			// Corollary 2: the prefix is not du-opaque (resp. opaque), so
 			// no extension is — cut the whole subtree at the causing
 			// event.
-			e.recordViolation(rec, m, latchAt)
+			e.recordViolation()
 			e.rep.PrefixCut++
 			return endPrefixCut
 		}
 	}
 }
 
+// pushFrame opens a decision point, taking over the choices storage of a
+// frame popped earlier.
+func (e *explorer) pushFrame(choices []int, sleep uint64) *exFrame {
+	n := len(e.stack)
+	if n == cap(e.stack) {
+		e.stack = append(e.stack, exFrame{})
+	}
+	e.stack = e.stack[:n+1]
+	f := &e.stack[n]
+	*f = exFrame{choices: append(f.choices[:0], choices...), base: sleep}
+	return f
+}
+
+// exploreOracle is nil outside tests, which set it to hold the rewound
+// monitor against a fresh one wherever a verdict is read (explore_test.go).
+var exploreOracle func(e *explorer, v spec.Verdict)
+
+// verdict returns the monitor's verdict for the current replay's events,
+// first trimming off what a longer earlier replay left behind (a replay
+// that only followed and stopped short never rewound).
+func (e *explorer) verdict() spec.Verdict {
+	if !e.rewindMonitor() {
+		return spec.Verdict{Criterion: e.cfg.Criterion, Undecided: true, Reason: e.tapFault}
+	}
+	v := e.m.Verdict()
+	if exploreOracle != nil {
+		exploreOracle(e, v)
+	}
+	return v
+}
+
 // finishSchedule accounts a completed schedule.
-func (e *explorer) finishSchedule(rec *recorder.Recorder, m *spec.Monitor, latchAt int) {
+func (e *explorer) finishSchedule() {
 	e.rep.Schedules++
-	v := m.Verdict()
+	v := e.verdict()
 	switch {
 	case v.Undecided:
 		e.rep.Undecided++
@@ -524,21 +634,22 @@ func (e *explorer) finishSchedule(rec *recorder.Recorder, m *spec.Monitor, latch
 		// Reachable only with DisablePrefixCut (the naive reference
 		// mode): with the cut enabled a latch — even on the schedule's
 		// final step — returns endPrefixCut before finishSchedule runs.
-		e.recordViolation(rec, m, latchAt)
+		e.recordViolation()
 	}
 	if e.cfg.OnSchedule != nil {
-		e.cfg.OnSchedule(append([]int(nil), e.sched...), rec.History(), v)
+		e.cfg.OnSchedule(append([]int(nil), e.sched...), e.rec.History(), v)
 	}
 }
 
-func (e *explorer) recordViolation(rec *recorder.Recorder, m *spec.Monitor, latchAt int) {
+func (e *explorer) recordViolation() {
 	e.rep.Violations++
+	v := e.verdict() // a rejection: no Serialization to outlive the monitor's next move
 	if e.rep.Violation == nil {
 		e.rep.Violation = &ExploreViolation{
 			Schedule: append([]int(nil), e.sched...),
-			History:  rec.History(),
-			Verdict:  m.Verdict(),
-			At:       latchAt,
+			History:  e.rec.History(),
+			Verdict:  v,
+			At:       e.latchAt,
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -209,19 +210,155 @@ func TestExploreContainsSampledSchedules(t *testing.T) {
 	}
 }
 
+// pruningPlans are the plan families the pruning-soundness and the
+// rewound-monitor differentials walk.
+var pruningPlans = []string{
+	pleLitmusPlan,
+	abortedReaderPlan,
+	"w0 w1 w0\nw1 w0 w1", // write-only: sleep sets bite on tl2/norec
+	"r0 w0\nr0 w0",       // identical threads: symmetry bites
+	"w0 r1 | r0\nr0 w1",  // two txns on one thread
+}
+
+// watchRewoundMonitor installs the rewound-monitor oracle until tb ends:
+// wherever the explorer reads a verdict — every finished schedule, every
+// cut — a fresh monitor is fed the recorder's events and must report the
+// same verdict, reason and latching event as the exploration's one
+// monitor, which got there by following and rewinding. It returns the
+// number of verdicts checked. The tests that use it do not run in
+// parallel.
+func watchRewoundMonitor(tb testing.TB) *int {
+	checked := new(int)
+	exploreOracle = func(e *explorer, v spec.Verdict) {
+		*checked++
+		fresh, err := spec.NewMonitor(e.cfg.Criterion, spec.WithNodeLimit(e.cfg.NodeLimit))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		h := e.rec.History()
+		latchAt := -1
+		for i, ev := range h.Events() {
+			fv, err := fresh.Append(ev)
+			if err != nil {
+				tb.Fatalf("fresh monitor rejected recorded event %d: %v", i, err)
+			}
+			if latchAt < 0 && !fv.OK && !fv.Undecided {
+				latchAt = i
+			}
+		}
+		got := -1
+		if e.latched() {
+			got = e.latchAt
+		}
+		if fv := fresh.Verdict(); fv.OK != v.OK || fv.Undecided != v.Undecided || fv.Reason != v.Reason || latchAt != got {
+			tb.Errorf("%s/%v schedule %v: rewound monitor says %v (latched at %d), a fresh one %v (latched at %d)\n%s",
+				e.engine, e.cfg.Criterion, e.sched, v, got, fv, latchAt, histio.FormatString(h))
+		}
+	}
+	tb.Cleanup(func() { exploreOracle = nil })
+	return checked
+}
+
+// TestExploreRewoundMonitorMatchesFresh is the explorer's share of the
+// rewind oracle: over the pruning-soundness plans and engines, for both
+// explorable criteria, with the prefix cut on and off, the one rewound
+// monitor is indistinguishable from a monitor built fresh for each replay
+// — and the walk did share events, or the comparison would be vacuous.
+func TestExploreRewoundMonitorMatchesFresh(t *testing.T) {
+	checked := watchRewoundMonitor(t)
+	var shared, appended int64
+	for _, src := range pruningPlans {
+		p := stm.MustParsePlan(src)
+		for _, eng := range []string{"tl2", "norec", "ple", "gl", "etl", "dstm"} {
+			for _, c := range []spec.Criterion{spec.DUOpacity, spec.Opacity} {
+				for _, noCut := range []bool{false, true} {
+					r, err := ExplorePlanCtx(context.Background(), eng, p, ExploreConfig{Criterion: c, DisablePrefixCut: noCut})
+					if err != nil {
+						t.Fatalf("%s on %q: %v", eng, src, err)
+					}
+					shared, appended = shared+r.SharedEvents, appended+r.MonitorEvents
+				}
+			}
+		}
+	}
+	if *checked == 0 || shared == 0 {
+		t.Fatalf("vacuous: %d verdicts checked, %d events shared, %d appended", *checked, shared, appended)
+	}
+	t.Logf("%d verdicts checked; %d events appended to the monitors, %d shared", *checked, appended, shared)
+}
+
+// TestExploreReplayAllocs is the allocation gate of the rewound replay, on
+// the benchmark's explore-farm plan shape (3 threads, one transaction of 3
+// operations each, 2 objects, 2048 schedules) under tl2: what a replay
+// still allocates is the engine, its transactions and the recorder's —
+// not a monitor, a stream, a recorder or event buffers. At the parent
+// commit a replay cost 161 allocations and 22.8 KB.
+func TestExploreReplayAllocs(t *testing.T) {
+	p := PlanOf(Workload{Goroutines: 3, TxnsPerGoroutine: 1, OpsPerTxn: 3, Objects: 2, Seed: 1})
+	cfg := ExploreConfig{MaxSchedules: 2048}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r, err := ExplorePlanCtx(context.Background(), "tl2", p, cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Replays < 1000 {
+		t.Fatalf("only %d replays; the gate wants a walk long enough to amortise the set-up", r.Replays)
+	}
+	allocs := float64(after.Mallocs-before.Mallocs) / float64(r.Replays)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(r.Replays)
+	t.Logf("%d replays: %.1f allocations and %.0f bytes per replay; %d events appended, %d shared",
+		r.Replays, allocs, bytes, r.MonitorEvents, r.SharedEvents)
+	if allocs > 64 || bytes > 4096 {
+		t.Errorf("a replay costs %.1f allocations and %.0f bytes, want at most 64 and 4096", allocs, bytes)
+	}
+}
+
+// BenchmarkExploreReplay prices one replay — engine, recorder, stepper
+// and the rewound monitor — per engine of the benchmark's explore-farm
+// workload, on 16 plans of its shape at its schedule budget; the
+// in-process table of EXPERIMENTS.md "PR 24" is this benchmark's output.
+func BenchmarkExploreReplay(b *testing.B) {
+	plans := make([]stm.Plan, 16)
+	for i := range plans {
+		plans[i] = PlanOf(Workload{Goroutines: 3, TxnsPerGoroutine: 1, OpsPerTxn: 3, Objects: 2, Seed: int64(i + 1)})
+	}
+	for _, eng := range []string{"tl2", "norec", "pdur", "ple"} {
+		b.Run(eng, func(b *testing.B) {
+			var replays int
+			var appended, shared int64
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, p := range plans {
+					r, err := ExplorePlanCtx(context.Background(), eng, p, ExploreConfig{MaxSchedules: 2048})
+					if err != nil {
+						b.Fatal(err)
+					}
+					replays += r.Replays
+					appended, shared = appended+r.MonitorEvents, shared+r.SharedEvents
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			n := float64(replays)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/replay")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/replay")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/replay")
+			b.ReportMetric(float64(shared)/float64(shared+appended), "shared-share")
+		})
+	}
+}
+
 // TestExplorePruningSound: the pruned walk must agree with the naive
 // reference on the outcome, and every history a pruned complete schedule
 // records must be one the naive enumeration also records (prunings only
 // ever remove redundant interleavings, never invent new ones).
 func TestExplorePruningSound(t *testing.T) {
-	plans := []string{
-		pleLitmusPlan,
-		abortedReaderPlan,
-		"w0 w1 w0\nw1 w0 w1", // write-only: sleep sets bite on tl2/norec
-		"r0 w0\nr0 w0",       // identical threads: symmetry bites
-		"w0 r1 | r0\nr0 w1",  // two txns on one thread
-	}
-	for _, src := range plans {
+	for _, src := range pruningPlans {
 		p := stm.MustParsePlan(src)
 		for _, eng := range []string{"tl2", "norec", "ple", "gl", "etl", "dstm"} {
 			naiveSeen := make(map[string]bool)

@@ -120,15 +120,26 @@ func (b Bits) Equal(o Bits) bool {
 	return true
 }
 
-// CloneWords returns a copy of b with exactly the given word count,
-// truncating or zero-padding as needed.
-func (b Bits) CloneWords(words int) Bits {
-	if words == 0 {
-		return nil
+// CloneWordsInto returns a copy of b with exactly the given word count,
+// truncating or zero-padding as needed, in dst's storage when that is
+// large enough (dst's contents are overwritten; nil allocates).
+func (b Bits) CloneWordsInto(dst Bits, words int) Bits {
+	if cap(dst) < words {
+		dst = make(Bits, words)
 	}
-	c := make(Bits, words)
-	copy(c, b)
-	return c
+	dst = dst[:words]
+	clear(dst[copy(dst, b):])
+	return dst
+}
+
+// Trimmed returns b without its trailing zero words — the shape of a set
+// sized to its highest member, as SetGrow builds it.
+func (b Bits) Trimmed() Bits {
+	n := len(b)
+	for n > 0 && b[n-1] == 0 {
+		n--
+	}
+	return b[:n]
 }
 
 // Range calls f for every set bit in ascending order until f returns

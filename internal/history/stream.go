@@ -23,6 +23,11 @@ import "fmt"
 //     already-written event storage), safe to retain, share and check
 //     like any FromEvents-built history.
 //
+// Truncate takes the newest events back off again — every effect of an
+// Append is invertible from what the stream holds — which is what lets a
+// consumer that explores many continuations of one prefix (the schedule
+// explorer's monitor) return to the prefix instead of re-ingesting it.
+//
 // FromEvents, Prefix and Builder are thin wrappers over this core, so the
 // batch and streaming paths validate histories identically. The
 // incremental index is maintained only for streams built with NewStream
@@ -38,6 +43,16 @@ type Stream struct {
 	// transactions: a transaction's real-time predecessors are exactly
 	// the transactions already t-complete at its first event.
 	ix *Indexed
+
+	// objFirst[o] is the index of the event that registered object o, the
+	// one whose undoing unregisters it (live-indexed streams only).
+	objFirst []int
+	// free holds the views of transactions Truncate removed; the next new
+	// transaction takes one over, Ops storage included.
+	free []*TxnInfo
+	// shared: History has handed out a snapshot aliasing the event and Ops
+	// storage, which Truncate must therefore leave behind (see detach).
+	shared bool
 }
 
 // NewStream returns an empty stream with live incremental indexing.
@@ -105,7 +120,12 @@ func (s *Stream) check(e Event) error {
 func (s *Stream) admit(i int, e Event) {
 	t := s.h.txns[e.Txn]
 	if t == nil {
-		t = &TxnInfo{ID: e.Txn, First: i, TryCInv: -1, TryCRes: -1}
+		if n := len(s.free); n > 0 {
+			t, s.free = s.free[n-1], s.free[:n-1]
+			*t = TxnInfo{ID: e.Txn, First: i, TryCInv: -1, TryCRes: -1, Ops: t.Ops[:0]}
+		} else {
+			t = &TxnInfo{ID: e.Txn, First: i, TryCInv: -1, TryCRes: -1}
+		}
 		s.h.txns[e.Txn] = t
 		s.h.ids = append(s.h.ids, e.Txn)
 		if s.ix != nil {
@@ -121,40 +141,57 @@ func (s *Stream) admit(i int, e Event) {
 // addTxn registers a new transaction with the live index. Its real-time
 // predecessors are the transactions t-complete right now; transactions
 // completing later can never precede it (their last event is at or after
-// this one).
+// this one). A slot Truncate vacated is taken over with its Reads, Writes
+// and RTPred storage.
 func (s *Stream) addTxn(t *TxnInfo) {
 	ix := s.ix
 	gi := len(ix.TxnIDs)
 	ix.TxnIDs = append(ix.TxnIDs, t.ID)
 	ix.txnIdx[t.ID] = gi
-	ix.Txns = append(ix.Txns, IndexedTxn{Info: t, BadReadOp: -1, TryCInv: -1, TryCRes: -1})
+	ix.Txns = extend(ix.Txns)
+	it := &ix.Txns[gi]
+	*it = IndexedTxn{Info: t, Reads: it.Reads[:0], Writes: it.Writes[:0], BadReadOp: -1, TryCInv: -1, TryCRes: -1}
 	// The new transaction's real-time predecessors are the transactions
 	// t-complete right now, cloned to the row shape the batch builder
 	// produces (bitsWords(gi) words: only lower indexes can precede gi).
-	ix.RTPred = append(ix.RTPred, ix.TComplete.CloneWords(bitsWords(gi)))
+	ix.RTPred = extend(ix.RTPred)
+	ix.RTPred[gi] = ix.TComplete.CloneWordsInto(ix.RTPred[gi], bitsWords(gi))
 }
 
-// objIndex returns the dense index of v, registering it on first use.
-func (s *Stream) objIndex(v Var) int {
-	if oi, ok := s.ix.objIdx[v]; ok {
-		return oi
+// addObj registers v, first named by the event at index i, taking over
+// the Writers row of a slot Truncate vacated.
+func (s *Stream) addObj(i int, v Var) {
+	ix := s.ix
+	oi := len(ix.Objs)
+	ix.Objs = append(ix.Objs, v)
+	ix.objIdx[v] = oi
+	s.objFirst = append(s.objFirst, i)
+	ix.Writers = extend(ix.Writers)
+	ix.Writers[oi] = ix.Writers[oi][:0]
+}
+
+// extend lengthens s by one element without clearing it: a slot Truncate
+// vacated comes back with the storage its element owned (a never-used one
+// is zero).
+func extend[T any](s []T) []T {
+	if len(s) == cap(s) {
+		var zero T
+		return append(s, zero)
 	}
-	oi := len(s.ix.Objs)
-	s.ix.Objs = append(s.ix.Objs, v)
-	s.ix.objIdx[v] = oi
-	s.ix.Writers = append(s.ix.Writers, nil)
-	return oi
+	return s[:len(s)+1]
 }
 
-// index folds event e (already applied to t) into the live index.
-func (s *Stream) index(_ int, e Event, t *TxnInfo) {
+// index folds event e at index i (already applied to t) into the live index.
+func (s *Stream) index(i int, e Event, t *TxnInfo) {
 	ix := s.ix
 	gi := ix.txnIdx[t.ID]
 	it := &ix.Txns[gi]
 	it.Last = t.Last
 	if e.Kind == Inv {
 		if e.Op == OpRead || e.Op == OpWrite {
-			s.objIndex(e.Obj)
+			if _, ok := ix.objIdx[e.Obj]; !ok {
+				s.addObj(i, e.Obj)
+			}
 		}
 		it.First = t.First
 		it.TryCInv = t.TryCInv
@@ -201,7 +238,7 @@ func (s *Stream) indexRead(it *IndexedTxn, op Op) {
 // indexWrite folds a completed successful write into the latest-write
 // summary (kept sorted by object index) and the per-object writer mask.
 func (s *Stream) indexWrite(it *IndexedTxn, gi int, op Op) {
-	oi := s.objIndex(op.Obj)
+	oi := s.ix.objIdx[op.Obj] // registered at the invocation
 	s.ix.Writers[oi] = s.ix.Writers[oi].SetGrow(gi)
 	pos := len(it.Writes)
 	for wi := range it.Writes {
@@ -217,6 +254,123 @@ func (s *Stream) indexWrite(it *IndexedTxn, gi int, op Op) {
 	it.Writes = append(it.Writes, IndexedWrite{})
 	copy(it.Writes[pos+1:], it.Writes[pos:])
 	it.Writes[pos] = IndexedWrite{Obj: oi, Val: op.Arg}
+}
+
+// Truncate undoes the newest events until n remain, leaving the stream —
+// events, per-transaction views and live index — exactly as n Appends
+// left it; Truncate(0) is the reset. It is for streams built by NewStream
+// and panics when n is out of range. Like Append it invalidates what Live
+// handed out; snapshots taken with History are unaffected. The storage of
+// what it removes (views, index rows) is kept for the Appends that follow.
+func (s *Stream) Truncate(n int) {
+	if n < 0 || n > len(s.h.events) {
+		panic(fmt.Sprintf("history: truncate to length %d out of range [0,%d]", n, len(s.h.events)))
+	}
+	if n == len(s.h.events) {
+		return
+	}
+	if s.shared {
+		s.detach()
+	}
+	for i := len(s.h.events) - 1; i >= n; i-- {
+		s.retract(i, s.h.events[i])
+	}
+	s.h.events = s.h.events[:n]
+}
+
+// detach moves the stream onto event and Ops storage of its own. A
+// snapshot aliases both on the promise that the stream only ever writes
+// past what the snapshot sees; un-completing an operation and overwriting
+// a truncated tail would break it.
+func (s *Stream) detach() {
+	s.h.events = append(make([]Event, 0, cap(s.h.events)), s.h.events...)
+	for _, t := range s.h.txns {
+		t.Ops = append(make([]Op, 0, cap(t.Ops)), t.Ops...)
+	}
+	s.shared = false
+}
+
+// retract undoes admit for the stream's newest event e, at index i. Each
+// case inverts the matching one of applyExtend and index from what is
+// still held: a transaction's previous event is its pending operation's
+// invocation (undoing a response) or the response before it (undoing an
+// invocation), and a transaction or object the event registered is the
+// newest dense index, because both orders are first-appearance orders.
+func (s *Stream) retract(i int, e Event) {
+	ix := s.ix
+	t := s.h.txns[e.Txn]
+	gi := ix.txnIdx[e.Txn]
+	it := &ix.Txns[gi]
+	last := len(t.Ops) - 1
+	op := &t.Ops[last]
+	if e.Kind == Res {
+		switch {
+		case e.Out != OutOK:
+			it.TComplete, it.Committed = false, false
+			ix.TComplete.Clear(gi)
+			ix.TComplete = ix.TComplete.Trimmed()
+		case op.Kind == OpRead:
+			// External (the newest summary entry) or satisfied by an own
+			// write, which may have made it the first bad read.
+			if n := len(it.Reads); n > 0 && it.Reads[n-1].ResIdx == i {
+				it.Reads = it.Reads[:n-1]
+			} else if it.BadReadOp == last {
+				it.BadReadOp, it.BadReadWant = -1, 0
+			}
+		case op.Kind == OpWrite:
+			s.retractWrite(it, gi, t.Ops[:last], op.Obj)
+		}
+		op.Pending, op.Out, op.Val, op.ResIndex = true, 0, 0, -1
+		if op.Kind == OpTryCommit {
+			t.TryCRes = -1
+		}
+		t.Last = op.InvIndex
+		it.Last, it.TryCRes = t.Last, t.TryCRes
+		it.Complete = false
+		it.CommitPending = op.Kind == OpTryCommit
+		return
+	}
+	if op.Kind == OpTryCommit {
+		t.TryCInv = -1
+	}
+	t.Ops = t.Ops[:last]
+	if o := len(ix.Objs) - 1; o >= 0 && s.objFirst[o] == i {
+		delete(ix.objIdx, ix.Objs[o])
+		ix.Objs, ix.Writers, s.objFirst = ix.Objs[:o], ix.Writers[:o], s.objFirst[:o]
+	}
+	if last == 0 {
+		// The transaction's first event: the transaction goes too.
+		delete(s.h.txns, e.Txn)
+		delete(ix.txnIdx, e.Txn)
+		s.h.ids = s.h.ids[:gi]
+		ix.TxnIDs, ix.Txns, ix.RTPred = ix.TxnIDs[:gi], ix.Txns[:gi], ix.RTPred[:gi]
+		s.free = append(s.free, t)
+		return
+	}
+	t.Last = t.Ops[last-1].ResIndex
+	it.Last, it.TryCInv = t.Last, t.TryCInv
+	it.Complete = true
+	it.CommitPending = false
+}
+
+// retractWrite undoes indexWrite for a write of obj by transaction gi: the
+// latest-write entry falls back to the latest successful write among the
+// remaining (all completed) operations, or goes with the Writers bit.
+func (s *Stream) retractWrite(it *IndexedTxn, gi int, ops []Op, obj Var) {
+	oi := s.ix.objIdx[obj]
+	wi := 0
+	for it.Writes[wi].Obj != oi {
+		wi++
+	}
+	for p := len(ops) - 1; p >= 0; p-- {
+		if ops[p].Kind == OpWrite && ops[p].Out == OutOK && ops[p].Obj == obj {
+			it.Writes[wi].Val = ops[p].Arg
+			return
+		}
+	}
+	it.Writes = append(it.Writes[:wi], it.Writes[wi+1:]...)
+	s.ix.Writers[oi].Clear(gi)
+	s.ix.Writers[oi] = s.ix.Writers[oi].Trimmed()
 }
 
 // Len returns the number of events appended so far.
@@ -237,10 +391,11 @@ func (s *Stream) Live() *History { return s.h }
 
 // History returns an immutable snapshot of the history observed so far.
 // The snapshot shares the already-written event storage with the stream
-// (appending more events never mutates it) and costs O(transactions), not
-// O(events); its index is built on first use, like any batch-built
-// history's.
+// (appending more events never mutates it, and Truncate moves the stream
+// off it first) and costs O(transactions), not O(events); its index is
+// built on first use, like any batch-built history's.
 func (s *Stream) History() *History {
+	s.shared = true
 	evs := s.h.events
 	h := &History{
 		events: evs[:len(evs):len(evs)],

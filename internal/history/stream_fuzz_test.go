@@ -213,3 +213,79 @@ func FuzzStreamDifferential(f *testing.F) {
 		}
 	})
 }
+
+// FuzzStreamTruncate pins Stream.Truncate as the exact inverse of Append
+// under arbitrary interleavings of the two. Each byte triple is one step:
+// b0 >= 0xE0 truncates to a length drawn from the other two bytes, b0 in
+// [0xD0, 0xE0) takes a snapshot (so truncation under a held snapshot — the
+// storage-sharing case — is reached), anything else offers the decoded
+// event, which the stream must accept or reject exactly as FromEvents
+// does over the surviving events. After every truncation and at the end
+// the live history and its incremental index (recycled rows included) must
+// equal the batch constructions, and every snapshot must still hold
+// exactly the events it was taken over.
+func FuzzStreamTruncate(f *testing.F) {
+	f.Add([]byte{})
+	// T1 writes X and commits, T2 reads it; back to 3 events, T1 aborts
+	// instead, a snapshot, back to nothing, then another transaction.
+	f.Add([]byte{
+		1, 1, 4, 5, 1, 4, 2, 1, 0, 14, 1, 0,
+		0, 2, 0, 4, 2, 4,
+		0xE0, 0, 3, 22, 1, 0,
+		0xD0, 0, 0, 0xE0, 0, 0,
+		1, 3, 5, 5, 3, 5,
+	})
+	// An own-write read that misses its write (BadReadOp), undone and redone.
+	f.Add([]byte{1, 1, 4, 5, 1, 4, 0, 1, 0, 4, 1, 8, 0xE0, 0, 3, 4, 1, 4, 0xE0, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const maxSteps = 400
+		s := history.NewStream()
+		var accepted []history.Event
+		type held struct {
+			h   *history.History
+			evs []history.Event
+		}
+		var snaps []held
+		check := func(when string) {
+			batch, err := history.FromEvents(accepted)
+			if err != nil {
+				t.Fatalf("%s: surviving events rejected by batch path: %v", when, err)
+			}
+			if err := history.EqualHistoriesForTest(s.Live(), batch); err != nil {
+				t.Fatalf("%s: live history diverges from batch: %v", when, err)
+			}
+			if err := history.EqualIndexesForTest(s.Live().Index(), history.BuildIndexForTest(batch)); err != nil {
+				t.Fatalf("%s: incremental index diverges from batch: %v", when, err)
+			}
+		}
+		for i := 0; i+3 <= len(data) && i/3 < maxSteps; i += 3 {
+			switch b0 := data[i]; {
+			case b0 >= 0xE0:
+				n := (int(data[i+1])<<8 | int(data[i+2])) % (len(accepted) + 1)
+				s.Truncate(n)
+				accepted = accepted[:n]
+				check("after truncate")
+			case b0 >= 0xD0:
+				if len(snaps) < 8 {
+					snaps = append(snaps, held{s.History(), append([]history.Event(nil), accepted...)})
+				}
+			default:
+				e := decodeEvent(data[i], data[i+1], data[i+2])
+				_, batchErr := history.FromEvents(append(append([]history.Event(nil), accepted...), e))
+				streamErr := s.Append(e)
+				if (batchErr == nil) != (streamErr == nil) {
+					t.Fatalf("event %v: stream err %v, batch err %v", e, streamErr, batchErr)
+				}
+				if streamErr == nil {
+					accepted = append(accepted, e)
+				}
+			}
+		}
+		check("at the end")
+		for k, sn := range snaps {
+			if err := history.EqualHistoriesForTest(sn.h, history.MustFromEvents(sn.evs)); err != nil {
+				t.Fatalf("snapshot %d changed under the stream: %v", k, err)
+			}
+		}
+	})
+}

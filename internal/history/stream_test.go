@@ -269,6 +269,79 @@ func TestStreamSnapshotImmutable(t *testing.T) {
 	if err := equalIndexes(snap.Index(), batch.Index()); err != nil {
 		t.Fatal(err)
 	}
+
+	// Truncate under held snapshots: un-completing the tryC (an in-place
+	// write to an operation both snapshots alias) and re-appending other
+	// events over the truncated tail must reach neither.
+	all := append(append([]Event(nil), feed...), rest...)
+	snap2 := s.History()
+	s.Truncate(len(feed))
+	for _, e := range []Event{
+		{Kind: Res, Op: OpTryCommit, Txn: 1, Out: OutAbort},
+		{Kind: Inv, Op: OpWrite, Txn: 3, Obj: "Y", Arg: 9},
+		{Kind: Res, Op: OpWrite, Txn: 3, Obj: "Y", Arg: 9, Out: OutOK},
+	} {
+		if err := s.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := equalHistories(snap, batch); err != nil {
+		t.Fatalf("first snapshot after truncate and re-append: %v", err)
+	}
+	if err := equalHistories(snap2, MustFromEvents(all)); err != nil {
+		t.Fatalf("second snapshot after truncate and re-append: %v", err)
+	}
+	if err := checkStreamAgainstBatch(s); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStreamTruncateMatchesBatch pins Truncate as the exact inverse of
+// Append: through random rounds of advancing and truncating, the live
+// history and the incrementally maintained index (recycled rows and all)
+// equal the batch constructions over the surviving events. Every other
+// round also takes a snapshot, so both the shared-storage path (detach)
+// and the in-place one are walked.
+func TestStreamTruncateMatchesBatch(t *testing.T) {
+	prop := func(rh randHistory, seed int64) bool {
+		evs := rh.H.Events()
+		r := rand.New(rand.NewSource(seed))
+		s := NewStream()
+		check := func(what string, snapshot bool) bool {
+			batch := MustFromEvents(evs[:s.Len()])
+			err := equalHistories(s.Live(), batch)
+			if err == nil {
+				err = equalIndexes(s.Live().Index(), buildIndex(batch))
+			}
+			if err == nil && snapshot {
+				err = checkStreamAgainstBatch(s)
+			}
+			if err != nil {
+				t.Logf("%s, %d of %d events: %v", what, s.Len(), len(evs), err)
+			}
+			return err == nil
+		}
+		for round := 0; round < 10; round++ {
+			for to := s.Len() + r.Intn(len(evs)-s.Len()+1); s.Len() < to; {
+				if err := s.Append(evs[s.Len()]); err != nil {
+					t.Logf("re-append %d: %v", s.Len(), err)
+					return false
+				}
+			}
+			if !check("advanced", round%2 == 1) {
+				return false
+			}
+			s.Truncate(r.Intn(s.Len() + 1))
+			if !check("truncated", false) {
+				return false
+			}
+		}
+		s.Truncate(0)
+		return check("reset", true)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestStreamManyTxnsKeepsMasks crosses the old 64-transaction mask

@@ -25,6 +25,7 @@ package recorder
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -33,10 +34,21 @@ import (
 )
 
 // VarName maps an object index to the t-object name used in recorded
-// histories ("X0", "X1", ...).
+// histories ("X0", "X1", ...). It runs on every recorded read and write,
+// so the small indexes every workload uses come from a table.
 func VarName(obj int) history.Var {
-	return history.Var(fmt.Sprintf("X%d", obj))
+	if obj >= 0 && obj < len(varNames) {
+		return varNames[obj]
+	}
+	return history.Var("X" + strconv.Itoa(obj))
 }
+
+var varNames = func() (t [256]history.Var) {
+	for i := range t {
+		t[i] = history.Var("X" + strconv.Itoa(i))
+	}
+	return t
+}()
 
 // Recorder wraps an engine and captures histories.
 type Recorder struct {
@@ -69,12 +81,31 @@ func (r *Recorder) Begin() *Txn {
 // Reset discards the events recorded so far (the engine's state is left
 // untouched) and clears any recorded tap error. It must not be called
 // while transactions are in flight. A registered tap is kept but is not
-// informed of the discard.
+// informed of the discard. The event buffer is reused: History copies.
 func (r *Recorder) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.evs = nil
+	r.evs = r.evs[:0]
 	r.tapErr = nil
+}
+
+// Restart is Reset onto a new engine with transaction identifiers starting
+// again from 1: the recorder is as New(eng) would return it, except that
+// it keeps its event buffer and its tap. Two runs that make the same
+// calls therefore record identical events, identifiers included — what
+// lets the schedule explorer's tap recognise a shared prefix by comparing
+// events.
+func (r *Recorder) Restart(eng stm.Engine) {
+	r.Reset()
+	r.eng = eng
+	r.nextID.Store(0)
+}
+
+// Len returns the number of events recorded so far.
+func (r *Recorder) Len() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.evs)
 }
 
 // Tap registers fn to observe every event at the moment it is recorded,

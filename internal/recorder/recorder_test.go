@@ -2,6 +2,7 @@ package recorder
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -116,6 +117,67 @@ func TestResetClearsEvents(t *testing.T) {
 		t.Fatalf("id after reset = %d, want 2", tx.ID())
 	}
 	tx.Abort()
+}
+
+// TestVarNameMatchesSprintf pins the table-and-strconv VarName to the
+// "X%d" form every recorded history and golden file was written with.
+func TestVarNameMatchesSprintf(t *testing.T) {
+	objs := []int{-1, 1001, 4095, 65536, 1<<31 - 1}
+	for i := 0; i <= 1000; i++ {
+		objs = append(objs, i)
+	}
+	for _, obj := range objs {
+		if got, want := VarName(obj), history.Var(fmt.Sprintf("X%d", obj)); got != want {
+			t.Fatalf("VarName(%d) = %q, want %q", obj, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = VarName(7) }); n != 0 {
+		t.Errorf("VarName of a small index allocates %v times", n)
+	}
+}
+
+// TestRestartRecordsIdenticalRuns: after Restart the recorder is as New
+// would return it but for its buffer and tap — the same calls on a new
+// engine record the same events, identifiers included, and the tap still
+// sees them.
+func TestRestartRecordsIdenticalRuns(t *testing.T) {
+	run := func(r *Recorder) []history.Event {
+		tx := r.Begin()
+		if err := tx.Write(0, 5); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Atomically(func(tx *Txn) error { _, err := tx.Read(0); return err }); err != nil {
+			t.Fatal(err)
+		}
+		return r.History().Events()
+	}
+	r := New(tl2.New(1))
+	tapped := 0
+	r.Tap(func(history.Event) { tapped++ })
+	first := run(r)
+	if r.Len() != len(first) || tapped != len(first) {
+		t.Fatalf("Len %d, tapped %d, recorded %d", r.Len(), tapped, len(first))
+	}
+	eng := tl2.New(1)
+	r.Restart(eng)
+	if r.Len() != 0 || r.Engine() != eng {
+		t.Fatalf("after Restart: %d events, engine replaced: %v", r.Len(), r.Engine() == eng)
+	}
+	second := run(r)
+	if len(second) != len(first) {
+		t.Fatalf("second run recorded %d events, first %d", len(second), len(first))
+	}
+	for i := range first {
+		if first[i] != second[i] {
+			t.Fatalf("event %d: %v after Restart, %v on the first run", i, second[i], first[i])
+		}
+	}
+	if tapped != 2*len(first) {
+		t.Fatalf("tap saw %d events over two runs of %d", tapped, len(first))
+	}
 }
 
 // orchestrate runs the two-transaction deferred-update probe against an

@@ -15,8 +15,11 @@ func CheckReference(h *history.History, c Criterion, opts ...Option) Verdict {
 // MonitorEdges exposes a snapshot of the monitor's incrementally
 // maintained conflict-order edge set (nil for criteria without one) so
 // the differential tests can pin it against the batch edge builders.
-func MonitorEdges(m *Monitor) [][2]history.TxnID {
-	et := m.s.deciders[0].edges
+func MonitorEdges(m *Monitor) [][2]history.TxnID { return SessionEdges(&m.s, 0) }
+
+// SessionEdges is MonitorEdges for the session's k-th criterion.
+func SessionEdges(s *Session, k int) [][2]history.TxnID {
+	et := s.deciders[k].edges
 	if et == nil {
 		return nil
 	}

@@ -36,13 +36,17 @@ func NewMonitor(c Criterion, opts ...Option) (*Monitor, error) {
 // events observed so far, including those of retired transactions; Retired
 // the transactions windowed retirement has replaced by a checkpoint (zero
 // without WithRetirement); LiveTxns the transactions in the live history,
-// checkpoint included; Verdict the verdict for the history observed so far.
+// checkpoint included; Verdict the verdict for the history observed so far;
+// EventAt event i of the live history (observed event i while nothing has
+// been retired); Rewind is Session.Rewind.
 func (m *Monitor) Stats() (searches, fastHits int) { return m.s.Stats() }
 func (m *Monitor) Counters() Counters              { return m.s.Counters() }
 func (m *Monitor) Len() int                        { return m.s.totalEvents }
 func (m *Monitor) Retired() int                    { return m.s.Retired() }
 func (m *Monitor) LiveTxns() int                   { return m.s.LiveTxns() }
 func (m *Monitor) Verdict() Verdict                { return m.s.deciders[0].verdict }
+func (m *Monitor) EventAt(i int) history.Event     { return m.s.st.Live().At(i) }
+func (m *Monitor) Rewind(n int) error              { return m.s.Rewind(n) }
 
 // History returns a snapshot of the live history: everything observed so
 // far, minus any prefix windowed retirement has replaced by its
@@ -51,7 +55,7 @@ func (m *Monitor) Verdict() Verdict                { return m.s.deciders[0].verd
 func (m *Monitor) History() *history.History { return m.s.st.History() }
 
 // Append is Session.Append for the one criterion: the updated verdict,
-// whose Serialization is valid only until the next Append.
+// whose Serialization is valid only until the next Append or Rewind.
 func (m *Monitor) Append(e history.Event) (Verdict, error) {
 	err := m.s.append(e)
 	return m.s.deciders[0].verdict, err
@@ -79,6 +83,10 @@ func (m *Monitor) Append(e history.Event) (Verdict, error) {
 type decider struct {
 	crit    Criterion
 	verdict Verdict
+	// diedAt is the index of the event whose recheck made the decider dead
+	// (-1 while it lives): a rewind that undoes that event revives it, any
+	// other leaves it latched.
+	diedAt int
 	// searches and fastHits count full searches vs. incremental witness
 	// reuses, flips and readsRechecked the commit-decision flips and the
 	// reads they re-validated, for introspection and benchmarks.
@@ -148,6 +156,60 @@ func (d *decider) step(h *history.History, e history.Event, ro options) {
 	// verdict carries over; the witness order catches up at a response.
 	if e.Kind == history.Res {
 		d.verdict = d.recheck(h, e, ro)
+		if d.dead() {
+			d.diedAt = h.Len() - 1
+		}
+	}
+}
+
+// rewind re-anchors the decider on h, the session's live history just
+// truncated to a response prefix (or to nothing) that the decider had
+// accepted — or skipped undecided — on the way up. A decider that died
+// at an event h still holds stays latched; any other comes back live.
+//
+// The witness is restricted as in the proof of Lemma 1: the positions of
+// transactions that vanished are dropped, a commit decision that no tryC
+// backs any more (the transaction is neither committed nor commit-pending
+// in h) becomes an abort, everything else stays. The restricted order
+// respects h's real-time order (a sub-relation of the longer history's on
+// the surviving transactions), so what is left to check is what
+// revalidate checks, plus — TMS2 / RCO — the conflict-order edges, which
+// are rebuilt from the batch builder. For du-opacity Lemma 1 says the
+// check succeeds; where it may not (final-state opacity is not
+// prefix-closed, and conflict-order edges are not part of Lemma 1) the
+// exact search decides, so a rewind can cost a search, never an answer —
+// short of the node limit or the context cutting that search off, which
+// leaves this decider Undecided where one that got here on the fast path
+// is OK (and the other way round: the restricted witness can re-validate
+// at a prefix the forward search gave up on).
+func (d *decider) rewind(h *history.History, ro options) {
+	if d.dead() && d.diedAt < h.Len() {
+		return
+	}
+	d.diedAt = -1
+	ix := h.Index()
+	n, k := ix.NumTxns(), 0
+	for p, gi := range d.order {
+		if gi < n { // dense order is first-appearance order: the survivors are [0,n)
+			it := &ix.Txns[gi]
+			d.order[k], d.commit[k] = gi, d.commit[p] && (it.Committed || it.CommitPending)
+			d.pos[gi] = k
+			k++
+		}
+	}
+	d.order, d.commit, d.pos = d.order[:k], d.commit[:k], d.pos[:k]
+	d.syncOrder(ix) // a stale order (undecided stretch) may lack some; the end is always a valid place
+	if d.edges != nil {
+		d.edges.rebuild(h)
+	}
+	if (d.edges == nil || d.edges.allOK(ix, d.pos)) && d.revalidate(ix) {
+		d.witnessOK = true
+		d.verdict = Verdict{Criterion: d.crit, OK: true, Serialization: d.materialize(ix)}
+		return
+	}
+	d.verdict = d.search(h, ro)
+	if d.dead() {
+		d.diedAt = h.Len() - 1
 	}
 }
 
@@ -167,12 +229,19 @@ func (d *decider) recheck(h *history.History, e history.Event, ro options) Verdi
 		}
 		return Verdict{Criterion: d.crit, OK: true, Serialization: d.materialize(ix)}
 	}
-	d.searches++
+	v := d.search(h, ro)
 	if d.edges != nil {
 		// The search enforces the whole standing edge set; nothing stays
 		// pending past it, whatever the outcome.
-		defer d.edges.clearPending()
+		d.edges.clearPending()
 	}
+	return v
+}
+
+// search decides h exhaustively and adopts the witness of an accepting
+// answer.
+func (d *decider) search(h *history.History, ro options) Verdict {
+	d.searches++
 	var v Verdict
 	switch d.crit {
 	case DUOpacity:
@@ -199,7 +268,7 @@ func (d *decider) recheck(h *history.History, e history.Event, ro options) Verdi
 		}
 	}
 	if v.OK && v.Serialization != nil {
-		d.adoptWitness(ix, v.Serialization)
+		d.adoptWitness(h.Index(), v.Serialization)
 	}
 	return v
 }
@@ -376,9 +445,10 @@ func (d *decider) checkRead(ix *history.Indexed, readerPos int, r history.Indexe
 }
 
 // revalidate re-checks the whole witness order: commit decisions against
-// transaction roles, and every external read via checkRead. It is the
-// defensive path (a write by a transaction the witness already commits)
-// and the oracle the tests hold flip's restricted check against.
+// transaction roles, and every external read via checkRead. It is how a
+// rewind confirms the restricted witness, the defensive path (a write by a
+// transaction the witness already commits) and the oracle the tests hold
+// flip's restricted check against.
 func (d *decider) revalidate(ix *history.Indexed) bool {
 	for p, gi := range d.order {
 		it := &ix.Txns[gi]

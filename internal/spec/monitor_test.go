@@ -399,6 +399,44 @@ func sessionCompare(t *testing.T, h *history.History, window, nodeLimit int) (pa
 	return pauses, s.Retired() - retiredAtPause
 }
 
+// corpusEntry is one named stream of the differential corpus.
+type corpusEntry struct {
+	name string
+	h    *history.History
+}
+
+// differentialCorpus is the stream set of the per-prefix differential
+// suites: the golden litmus histories, generated du-opaque histories and
+// the three mutators' planted violations.
+func differentialCorpus() []corpusEntry {
+	var histories []corpusEntry
+	for _, lc := range litmus.Cases() {
+		histories = append(histories, corpusEntry{lc.Name, lc.H})
+	}
+	rng := rand.New(rand.NewSource(99))
+	for seed := int64(0); seed < 6; seed++ {
+		h := gen.DUOpaque(gen.Config{
+			Txns: 8, Objects: 3, OpsPerTxn: 3, ReadFraction: 0.5,
+			PAbort: 0.2, PNoTryC: 0.15, Relax: 5, Seed: 300 + seed,
+		})
+		histories = append(histories, corpusEntry{fmt.Sprintf("gen-%d", seed), h})
+		hu := gen.DUOpaque(gen.Config{
+			Txns: 8, Objects: 3, OpsPerTxn: 3, UniqueWrites: true,
+			PAbort: 0.15, Relax: 5, Seed: 400 + seed,
+		})
+		if mh, ok := gen.MutateFutureRead(hu, rng); ok {
+			histories = append(histories, corpusEntry{fmt.Sprintf("future-read-%d", seed), mh})
+		}
+		if mh, ok := gen.MutateSourcelessRead(hu, rng); ok {
+			histories = append(histories, corpusEntry{fmt.Sprintf("sourceless-%d", seed), mh})
+		}
+		if mh, ok := gen.MutateAbortWriter(hu, rng); ok {
+			histories = append(histories, corpusEntry{fmt.Sprintf("abort-writer-%d", seed), mh})
+		}
+	}
+	return histories
+}
+
 // TestMonitorDifferentialAllCriteria is the per-prefix differential
 // suite for the whole monitorable lattice: golden litmus streams and
 // randomized generator/mutator streams are fed event by event to a
@@ -410,37 +448,8 @@ func sessionCompare(t *testing.T, h *history.History, window, nodeLimit int) (pa
 // batch edge builders at every prefix. The same streams then go through
 // one five-criteria Session (sessionCompare), windows 0, 1, 4 and 32.
 func TestMonitorDifferentialAllCriteria(t *testing.T) {
-	type entry struct {
-		name string
-		h    *history.History
-	}
-	var histories []entry
-	for _, lc := range litmus.Cases() {
-		histories = append(histories, entry{lc.Name, lc.H})
-	}
-	rng := rand.New(rand.NewSource(99))
-	for seed := int64(0); seed < 6; seed++ {
-		h := gen.DUOpaque(gen.Config{
-			Txns: 8, Objects: 3, OpsPerTxn: 3, ReadFraction: 0.5,
-			PAbort: 0.2, PNoTryC: 0.15, Relax: 5, Seed: 300 + seed,
-		})
-		histories = append(histories, entry{fmt.Sprintf("gen-%d", seed), h})
-		hu := gen.DUOpaque(gen.Config{
-			Txns: 8, Objects: 3, OpsPerTxn: 3, UniqueWrites: true,
-			PAbort: 0.15, Relax: 5, Seed: 400 + seed,
-		})
-		if mh, ok := gen.MutateFutureRead(hu, rng); ok {
-			histories = append(histories, entry{fmt.Sprintf("future-read-%d", seed), mh})
-		}
-		if mh, ok := gen.MutateSourcelessRead(hu, rng); ok {
-			histories = append(histories, entry{fmt.Sprintf("sourceless-%d", seed), mh})
-		}
-		if mh, ok := gen.MutateAbortWriter(hu, rng); ok {
-			histories = append(histories, entry{fmt.Sprintf("abort-writer-%d", seed), mh})
-		}
-	}
 	windows := []int{0, 4, 16}
-	for _, hh := range histories {
+	for _, hh := range differentialCorpus() {
 		hh := hh
 		t.Run(hh.name, func(t *testing.T) {
 			for _, c := range spec.MonitorableCriteria() {

@@ -1,0 +1,293 @@
+package spec_test
+
+import (
+	"math/rand"
+	"testing"
+
+	"duopacity/internal/gen"
+	"duopacity/internal/history"
+	"duopacity/internal/spec"
+)
+
+// prefixVerdict is what a rewound session must reproduce of a verdict.
+type prefixVerdict struct {
+	ok, undecided bool
+	reason        string
+}
+
+// neverRewound feeds evs to a fresh session and returns, per prefix length
+// and criterion, the verdict it reported there.
+func neverRewound(t *testing.T, criteria []spec.Criterion, evs []history.Event, opts []spec.Option) [][]prefixVerdict {
+	t.Helper()
+	s, err := spec.NewSession(criteria, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := func(vs []spec.Verdict) []prefixVerdict {
+		out := make([]prefixVerdict, len(vs))
+		for k, v := range vs {
+			out[k] = prefixVerdict{v.OK, v.Undecided, v.Reason}
+		}
+		return out
+	}
+	ref := [][]prefixVerdict{snap(s.Verdicts())}
+	for i, e := range evs {
+		vs, err := s.Append(e)
+		if err != nil {
+			t.Fatalf("reference append %d (%v): %v", i, e, err)
+		}
+		ref = append(ref, snap(vs))
+	}
+	return ref
+}
+
+// TestSessionRewindDifferential is the rewind oracle: over the per-prefix
+// differential corpus, a five-criteria session is driven through random
+// advance / rewind rounds, then swept from its end state back to every
+// length, and must be indistinguishable, at every length it passes
+// through, from a session that was fed that prefix and nothing else — each verdict's OK, Undecided and Reason (latches that survive a
+// rewind and latches that a rewind lifts included), every du-opacity
+// witness at a response prefix accepted by the independent validator, and
+// the TMS2 / RCO conflict-order edge sets equal to the batch builders'.
+// It runs plain, with the TMS2 aborted-reader exemption, and with a
+// retirement window too large to ever retire (which must not matter).
+func TestSessionRewindDifferential(t *testing.T) {
+	criteria := spec.MonitorableCriteria()
+	configs := []struct {
+		name   string
+		exempt bool
+		opts   []spec.Option
+	}{
+		{"plain", false, nil},
+		{"exempt", true, []spec.Option{spec.WithTMS2AbortedReaderExemption()}},
+		{"window-64", false, []spec.Option{spec.WithRetirement(64)}},
+	}
+	for ci, hh := range differentialCorpus() {
+		ci, hh := ci, hh
+		t.Run(hh.name, func(t *testing.T) {
+			evs := hh.h.Events()
+			for _, cfg := range configs {
+				ref := neverRewound(t, criteria, evs, cfg.opts)
+				s, err := spec.NewSession(criteria, cfg.opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				spec.WatchFlips(t)
+				at := 0 // the session's length
+				check := func(how string) {
+					t.Helper()
+					vs := s.Verdicts()
+					for k, c := range criteria {
+						want := ref[at][k]
+						if got := (prefixVerdict{vs[k].OK, vs[k].Undecided, vs[k].Reason}); got != want {
+							t.Fatalf("%s %s to %d, %v: got %+v, a never-rewound session reports %+v",
+								cfg.name, how, at, c, got, want)
+						}
+						if want.ok && (c == spec.TMS2 || c == spec.RCO) {
+							got := sortedEdges(spec.SessionEdges(s, k))
+							batch := sortedEdges(spec.BatchConflictEdges(hh.h.Prefix(at), c, cfg.exempt))
+							if len(got) != len(batch) {
+								t.Fatalf("%s %s to %d, %v: edges %v, batch %v", cfg.name, how, at, c, got, batch)
+							}
+							for j := range got {
+								if got[j] != batch[j] {
+									t.Fatalf("%s %s to %d, %v: edges %v, batch %v", cfg.name, how, at, c, got, batch)
+								}
+							}
+						}
+						if c == spec.DUOpacity && want.ok && at > 0 && evs[at-1].Kind == history.Res {
+							if err := spec.VerifySerialization(hh.h.Prefix(at), vs[k].Serialization); err != nil {
+								t.Fatalf("%s %s to %d: du-opacity witness invalid: %v", cfg.name, how, at, err)
+							}
+						}
+					}
+				}
+				rng := rand.New(rand.NewSource(int64(1000 + ci)))
+				for round := 0; round < 12; round++ {
+					for to := at + rng.Intn(len(evs)-at+1); at < to; {
+						if _, err := s.Append(evs[at]); err != nil {
+							t.Fatalf("%s append %d (%v): %v", cfg.name, at, evs[at], err)
+						}
+						at++
+						check("advanced")
+					}
+					at = rng.Intn(at + 1)
+					if err := s.Rewind(at); err != nil {
+						t.Fatalf("%s rewind to %d: %v", cfg.name, at, err)
+					}
+					check("rewound")
+				}
+				for ; at < len(evs); at++ {
+					if _, err := s.Append(evs[at]); err != nil {
+						t.Fatalf("%s append %d (%v): %v", cfg.name, at, evs[at], err)
+					}
+				}
+				check("finished")
+				// The sweep: from the end state (latches and all) back to
+				// every length, invocation-ended ones included — where an
+				// edge a tryC invocation just created must not be enforced
+				// before the next response — and forward again.
+				for n := len(evs) - 1; n >= 0; n-- {
+					at = n
+					if err := s.Rewind(at); err != nil {
+						t.Fatalf("%s rewind to %d: %v", cfg.name, at, err)
+					}
+					check("swept")
+					for ; at < len(evs); at++ {
+						if _, err := s.Append(evs[at]); err != nil {
+							t.Fatalf("%s append %d (%v): %v", cfg.name, at, evs[at], err)
+						}
+					}
+					check("re-finished")
+				}
+				if err := s.Rewind(len(evs) + 1); err == nil {
+					t.Fatalf("%s: rewind past the end accepted", cfg.name)
+				}
+			}
+		})
+	}
+}
+
+// TestSessionRewindUnderNodeLimit pins the caveat of Session.Rewind: when a
+// search is cut short the rewound session and a never-rewound one may
+// disagree on Undecided — one searches where the other has a fast hit —
+// but an answer never flips. For du-opacity (prefix-closed) and opacity
+// (an undecided prefix latches), every verdict a node-limited session
+// decides, through random advance / rewind rounds, is the unlimited
+// never-rewound session's.
+func TestSessionRewindUnderNodeLimit(t *testing.T) {
+	criteria := []spec.Criterion{spec.DUOpacity, spec.Opacity}
+	undecided := 0
+	for ci, hh := range differentialCorpus() {
+		evs := hh.h.Events()
+		ref := neverRewound(t, criteria, evs, nil)
+		for _, limit := range []int{1, 4, 16} {
+			s, err := spec.NewSession(criteria, spec.WithNodeLimit(limit))
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := 0
+			check := func(how string) {
+				t.Helper()
+				for k, v := range s.Verdicts() {
+					if v.Undecided {
+						undecided++
+					} else if v.OK != ref[at][k].ok {
+						t.Fatalf("%s, node limit %d, %s to %d, %v: decided OK=%v (%s), unlimited reference %+v",
+							hh.name, limit, how, at, criteria[k], v.OK, v.Reason, ref[at][k])
+					}
+				}
+			}
+			rng := rand.New(rand.NewSource(int64(2000 + ci)))
+			for round := 0; round < 12; round++ {
+				for to := at + rng.Intn(len(evs)-at+1); at < to; {
+					if _, err := s.Append(evs[at]); err != nil {
+						t.Fatalf("%s append %d (%v): %v", hh.name, at, evs[at], err)
+					}
+					at++
+					check("advanced")
+				}
+				at = rng.Intn(at + 1)
+				if err := s.Rewind(at); err != nil {
+					t.Fatalf("%s rewind to %d: %v", hh.name, at, err)
+				}
+				check("rewound")
+			}
+		}
+	}
+	if undecided == 0 {
+		t.Fatal("no search hit the node limit; the test needs smaller limits")
+	}
+}
+
+// TestRewindRefusedAfterRetirement: the events of a retired prefix are
+// gone by design, so a session that has retired anything refuses to
+// rewind — with an error, and without moving.
+func TestRewindRefusedAfterRetirement(t *testing.T) {
+	evs := seqStream(24, 2)
+	s, err := spec.NewSession(spec.MonitorableCriteria(), spec.WithRetirement(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := len(evs) / 2
+	for _, e := range evs[:half] {
+		if _, err := s.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Retired() == 0 {
+		t.Fatal("the stream retired nothing; the test needs a retirement")
+	}
+	retired, live := s.Retired(), s.LiveTxns()
+	before := spec.SessionHistory(s).Events()
+	for _, n := range []int{0, 1, len(before)} {
+		if err := s.Rewind(n); err == nil {
+			t.Fatalf("Rewind(%d) accepted after %d transactions retired", n, retired)
+		}
+	}
+	if s.Retired() != retired || s.LiveTxns() != live {
+		t.Fatalf("refused rewind moved the session: retired %d -> %d, live %d -> %d",
+			retired, s.Retired(), live, s.LiveTxns())
+	}
+	after := spec.SessionHistory(s).Events()
+	if len(after) != len(before) {
+		t.Fatalf("refused rewind changed the live history: %d -> %d events", len(before), len(after))
+	}
+	for _, e := range evs[half:] {
+		vs, err := s.Append(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range vs {
+			if !v.OK {
+				t.Fatalf("serial stream rejected after a refused rewind: %v", v)
+			}
+		}
+	}
+}
+
+// TestRewindIsLemma1 pins that a du-opacity rewind is the lemma and not a
+// search: from accepted states of du-opaque streams, 2 000 random rewinds
+// re-anchor the witness by restriction alone (Stats counts no search
+// across any of them), and each restricted witness validates.
+func TestRewindIsLemma1(t *testing.T) {
+	const want = 2000
+	rewinds := 0
+	for seed := int64(0); rewinds < want; seed++ {
+		h := gen.DUOpaque(gen.Config{
+			Txns: 10, Objects: 3, OpsPerTxn: 3, ReadFraction: 0.5,
+			PAbort: 0.2, PNoTryC: 0.15, Relax: 5, Seed: 7000 + seed,
+		})
+		evs := h.Events()
+		m, err := spec.NewMonitor(spec.DUOpacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		at := 0
+		for round := 0; round < 40 && rewinds < want; round++ {
+			for to := at + 1 + rng.Intn(len(evs)-at+1); at < to && at < len(evs); at++ {
+				if v, err := m.Append(evs[at]); err != nil || !v.OK {
+					t.Fatalf("seed %d: generated du-opaque stream not accepted at event %d: %v %v", seed, at, err, v)
+				}
+			}
+			searches, _ := m.Stats()
+			at = rng.Intn(at + 1)
+			if err := m.Rewind(at); err != nil {
+				t.Fatal(err)
+			}
+			rewinds++
+			if after, _ := m.Stats(); after != searches {
+				t.Fatalf("seed %d: rewind to %d ran %d searches; Lemma 1's restricted witness should have served",
+					seed, at, after-searches)
+			}
+			if v := m.Verdict(); !v.OK {
+				t.Fatalf("seed %d: rewind to %d: %v", seed, at, v)
+			} else if at > 0 && evs[at-1].Kind == history.Res {
+				if err := spec.VerifySerialization(h.Prefix(at), v.Serialization); err != nil {
+					t.Fatalf("seed %d: restricted witness at %d invalid: %v", seed, at, err)
+				}
+			}
+		}
+	}
+}

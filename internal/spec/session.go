@@ -26,7 +26,12 @@ import (
 // decider-owned buffers (see decider.materialize), so a clean response on
 // the fast path allocates nothing once the buffers are warm. The flip
 // side is an ownership rule: the verdict slice Append returns, and every
-// Serialization in it, is valid only until the next Append.
+// Serialization in it, is valid only until the next Append or Rewind.
+//
+// Rewind(n) takes the session back to the first n events — the one
+// operation a consumer that walks many continuations of a shared prefix
+// (the schedule explorer) needs — by undoing the stream and restricting
+// each witness, the construction of the paper's Lemma 1; see there.
 //
 // With WithRetirement(window) the session also bounds its *memory*: it
 // replaces a settled prefix by a single committed checkpoint transaction
@@ -66,8 +71,6 @@ type Session struct {
 	// ones that memory saved.
 	probeRefused          bool
 	probes, probesSkipped int
-	// Session (128 bytes) and decider (224) each fill an allocation size
-	// class exactly; the explorer builds thousands of monitors a second.
 }
 
 // Counters says what a session's per-response work touched, beside how
@@ -114,7 +117,7 @@ func (s *Session) init(criteria []Criterion, opts []Option) error {
 	s.deciders = make([]decider, len(criteria))
 	for i, c := range criteria {
 		d := &s.deciders[i]
-		d.crit, d.witnessOK, d.localReads = c, true, c == DUOpacity
+		d.crit, d.witnessOK, d.localReads, d.diedAt = c, true, c == DUOpacity, -1
 		if c == TMS2 || c == RCO {
 			d.edges = newEdgeTracker(c, o.tms2AbortedExemption, o.retireWindow > 0)
 		}
@@ -183,6 +186,65 @@ func (s *Session) append(e history.Event) error {
 			s.probeRefused = false // C_k or A_k: a transaction t-completed
 		}
 		s.maybeRetire()
+	}
+	return nil
+}
+
+// Rewind takes the session back to the first n events it observed, as if
+// the rest had never been appended: the stream is truncated (a dropped
+// transaction identifier is free again) and every verdict is the one a
+// session fed only those n events reports — same OK, Undecided and Reason;
+// the witness may be a different valid one. Stats and Counters stay
+// cumulative.
+//
+// That equality holds while no search is cut short by the node limit
+// (WithNodeLimit) or the context: a rewound decider may run a search where
+// the never-rewound one had a fast hit, or have a fast hit where the other
+// searched, so only then can Undecided — never an OK or a violation —
+// appear on one side and not on the other. For opacity an Undecided
+// latches like a violation does.
+//
+// Verdicts are defined at response prefixes, so the deciders are
+// re-anchored (decider.rewind: the restricted witness of Lemma 1,
+// re-validated, the exact search where that fails) at the last response
+// prefix within the n events, and the invocations behind it are appended
+// again. A decider that died at one of the surviving events stays latched;
+// one that died later is live again.
+//
+// It returns an error, leaving the session untouched, when n is out of
+// range or the session has retired anything: those events are gone by
+// design (WithRetirement), and the checkpoint that replaced them cannot
+// be split.
+func (s *Session) Rewind(n int) error {
+	if s.retired > 0 {
+		return fmt.Errorf("spec: cannot rewind a session that has retired %d transactions: their events are gone", s.retired)
+	}
+	h := s.st.Live()
+	if n < 0 || n > h.Len() {
+		return fmt.Errorf("spec: rewind to length %d out of range [0,%d]", n, h.Len())
+	}
+	if n == h.Len() {
+		return nil
+	}
+	m := n
+	for m > 0 && h.At(m-1).Kind == history.Inv {
+		m--
+	}
+	var invs []history.Event
+	for i := m; i < n; i++ {
+		invs = append(invs, h.At(i))
+	}
+	s.st.Truncate(m)
+	s.totalEvents = m
+	s.probeRefused = false // the probe's inputs are no longer the ones it refused
+	ro := options{nodeLimit: s.nodeLimit, ctx: s.ctx}
+	for i := range s.deciders {
+		s.deciders[i].rewind(h, ro)
+	}
+	for _, e := range invs {
+		if err := s.append(e); err != nil {
+			return err // unreachable: the stream accepted e after these same m events
+		}
 	}
 	return nil
 }
