@@ -19,6 +19,7 @@ import (
 	"duopacity/internal/checkfarm"
 	"duopacity/internal/gen"
 	"duopacity/internal/harness"
+	"duopacity/internal/histio"
 	"duopacity/internal/history"
 	"duopacity/internal/koenig"
 	"duopacity/internal/litmus"
@@ -508,8 +509,8 @@ func BenchmarkCertifyEpisode(b *testing.B) {
 
 // --- Checkfarm: the parallel certification pipeline ------------------------
 
-// BenchmarkCheckfarmCertify measures a 30-episode certification of the
-// tl2 engine (deterministic interleaved episodes, so every jobs setting
+// BenchmarkCheckfarmCertify measures a 30-episode certification job
+// (JobSpec.Run) of the tl2 engine (deterministic interleaved episodes, so every jobs setting
 // does byte-identical work) sharded across 1, 2 and 4 workers. Episodes
 // are independent CPU-bound units, so on a machine with >= 4 cores the
 // jobs=4 case completes the same certification in under half the jobs=1
@@ -529,16 +530,17 @@ func BenchmarkCheckfarmCertify(b *testing.B) {
 		Interleaved: true,
 	}
 	criteria := []spec.Criterion{spec.DUOpacity, spec.FinalStateOpacity}
+	job := checkfarm.JobSpec{Kind: checkfarm.KindCertify, Certify: &checkfarm.CertifyJob{Config: cfg, Criteria: criteria}}
 	for _, jobs := range []int{1, 2, 4} {
 		jobs := jobs
 		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				stats, err := checkfarm.Certify(context.Background(), cfg, criteria, jobs)
+				rep, err := job.Run(context.Background(), jobs)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if stats.Episodes+stats.Skipped != cfg.Episodes {
+				if stats := rep.Certify; stats.Episodes+stats.Skipped != cfg.Episodes {
 					b.Fatalf("lost episodes: %d+%d != %d", stats.Episodes, stats.Skipped, cfg.Episodes)
 				}
 			}
@@ -546,20 +548,23 @@ func BenchmarkCheckfarmCertify(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckfarmCheckBatch measures batch history checking (the
-// ducheck -parallel path) across worker counts.
+// BenchmarkCheckfarmCheckBatch measures a batch check job (the ducheck
+// -parallel path) across worker counts; each shard parses its history
+// from histio text, as ducheck's and certd's check jobs do.
 func BenchmarkCheckfarmCheckBatch(b *testing.B) {
-	hs := make([]*history.History, 24)
-	for i := range hs {
-		hs[i] = gen.DUOpaque(gen.Config{Txns: 8, Objects: 3, OpsPerTxn: 3, Relax: 5, Seed: int64(40 + i)})
+	texts := make([]string, 24)
+	for i := range texts {
+		texts[i] = histio.FormatString(gen.DUOpaque(gen.Config{Txns: 8, Objects: 3, OpsPerTxn: 3, Relax: 5, Seed: int64(40 + i)}))
 	}
-	criteria := []spec.Criterion{spec.DUOpacity, spec.FinalStateOpacity}
+	job := checkfarm.JobSpec{Kind: checkfarm.KindCheck, Check: &checkfarm.CheckJob{
+		Histories: texts, Criteria: []spec.Criterion{spec.DUOpacity, spec.FinalStateOpacity},
+	}}
 	for _, jobs := range []int{1, 4} {
 		jobs := jobs
 		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := checkfarm.CheckBatch(context.Background(), hs, criteria, jobs); err != nil {
+				if _, err := job.Run(context.Background(), jobs); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -1065,19 +1070,20 @@ func BenchmarkExplorePlan(b *testing.B) {
 }
 
 // BenchmarkCheckfarmExplore measures the sharded exploration of a batch
-// of seeded plans — the farm's proof mode (checkfarm.ExplorePlans).
+// of seeded plans — the farm's proof mode (an explore job).
 func BenchmarkCheckfarmExplore(b *testing.B) {
-	var plans []stm.Plan
+	var plans []checkfarm.WirePlan
 	for i := 0; i < 8; i++ {
-		plans = append(plans, harness.PlanOf(harness.Workload{
+		plans = append(plans, checkfarm.WirePlanOf(harness.PlanOf(harness.Workload{
 			Engine: "tl2", Objects: 2, Goroutines: 2,
 			TxnsPerGoroutine: 1, OpsPerTxn: 3, ReadFraction: 0.5, Seed: int64(i + 1),
-		}))
+		})))
 	}
+	job := checkfarm.JobSpec{Kind: checkfarm.KindExplore, Explore: &checkfarm.ExploreJob{Engine: "tl2", Plans: plans}}
 	for _, jobs := range []int{1, 4} {
 		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := checkfarm.ExplorePlans(context.Background(), "tl2", plans, harness.ExploreConfig{}, jobs); err != nil {
+				if _, err := job.Run(context.Background(), jobs); err != nil {
 					b.Fatal(err)
 				}
 			}

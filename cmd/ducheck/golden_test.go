@@ -7,9 +7,12 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"duopacity/internal/histio"
+	"duopacity/internal/litmus"
 )
 
-var update = flag.Bool("update", false, "rewrite the follow goldens under internal/follow/testdata")
+var update = flag.Bool("update", false, "rewrite the goldens under internal/follow/testdata and testdata")
 
 // goldenDir holds the follow cases shared with the certd transcript
 // goldens (internal/certd/golden_test.go): NAME.in is a STREAM hello line
@@ -86,6 +89,58 @@ func TestGoldenFollow(t *testing.T) {
 			}
 			if got != string(want) {
 				t.Errorf("ducheck %s diverges from %s:\n%s", strings.Join(args, " "), golden, firstDiff(got, string(want)))
+			}
+		})
+	}
+}
+
+// TestGoldenBatch pins the farm-backed batch modes byte for byte: the
+// witness and -parallel checks over the paper's litmus histories
+// (testdata/litmus holds litmus.Cases in histio text; -update rewrites
+// them from the registry) and the explorer on the pinned ple plan of
+// internal/harness/testdata/explore_ple_litmus.golden.
+func TestGoldenBatch(t *testing.T) {
+	litmusDir := filepath.Join("testdata", "litmus")
+	if *update {
+		if err := os.MkdirAll(litmusDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for _, lc := range litmus.Cases() {
+			if err := os.WriteFile(filepath.Join(litmusDir, lc.Name+".hist"), []byte(histio.FormatString(lc.H)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	files, err := filepath.Glob(filepath.Join(litmusDir, "*.hist"))
+	if err != nil || len(files) != len(litmus.Cases()) {
+		t.Fatalf("want %d litmus files under %s, got %d (%v)", len(litmus.Cases()), litmusDir, len(files), err)
+	}
+	cases := []struct {
+		name string
+		args []string
+	}{
+		{"witness", append([]string{"-witness"}, files...)},
+		{"parallel", append([]string{"-parallel", "-jobs", "2"}, files...)},
+		{"explore_ple", []string{"-explore", "-engine", "ple", filepath.Join("testdata", "litmus.plan")}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var out, errOut strings.Builder
+			code, err := runWith(c.args, nil, &out, &errOut)
+			got := fmt.Sprintf("exit %d\nerror %v\n--- stdout\n%s--- stderr\n%s", code, err, out.String(), errOut.String())
+			golden := filepath.Join("testdata", c.name+".golden")
+			if *update {
+				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Errorf("ducheck %s diverges from %s:\n%s", strings.Join(c.args, " "), golden, firstDiff(got, string(want)))
 			}
 		})
 	}

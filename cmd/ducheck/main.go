@@ -5,17 +5,15 @@
 // Usage:
 //
 //	ducheck [-criteria du,opacity,...] [-witness] file...
-//	ducheck -parallel [-jobs N] [-portfolio N] file...
+//	ducheck -parallel [-jobs N] file...
 //	ducheck -follow [-criteria du,tms2,rco,opacity,finalstate] [-retire N] [-skip-bad|-strict] [-connect host:port] [-]
 //	ducheck -explore -engine tl2 [-criteria du,opacity] [-max-schedules N] plan...
 //
 // With several files (or -parallel), every file is checked against every
-// requested criterion; -parallel shards the batch across -jobs workers
-// (default GOMAXPROCS) via the certification farm, with results printed
-// in input order regardless of completion order. -portfolio parallelizes
-// inside a single check instead, fanning the top-level branches of the
-// serialization search across workers — the right knob when one large
-// history dominates.
+// requested criterion. The batch is a checkfarm check job (one shard per
+// file): sequentially by default, and with -parallel sharded across -jobs
+// workers (default GOMAXPROCS), with results printed in input order
+// regardless of completion order.
 //
 // -follow monitors a history as it is produced: events are read from
 // stdin line by line (same text format) and fed to one online session
@@ -49,8 +47,9 @@
 // from — and certifies each online, so the answer is a per-plan proof
 // ("no schedule of that space violates du-opacity") or a refutation
 // pinned at the causing schedule and event. Criteria are limited to the
-// prefix-closed monitorable ones (du, opacity); -parallel/-jobs shard
-// plans across the certification farm.
+// prefix-closed monitorable ones (du, opacity). Each criterion's plans
+// run as a checkfarm explore job; -parallel/-jobs shard the plans across
+// workers.
 //
 // Exit status: 0 if every requested criterion accepts every history
 // (with -explore: proves every plan), 1 if any rejects (with -explore:
@@ -102,8 +101,6 @@ func runWith(args []string, stdin io.Reader, stdout, stderr io.Writer) (int, err
 	nodeLimit := fs.Int("node-limit", 0, "bound the search (0 = unlimited)")
 	parallel := fs.Bool("parallel", false, "check the files concurrently via the certification farm")
 	jobs := fs.Int("jobs", 0, "worker count for -parallel (0 = GOMAXPROCS)")
-	portfolio := fs.Int("portfolio", 0,
-		"fan each check's top-level search branches across this many workers (spec.WithParallelism; useful for one hard history, combine with -parallel for many)")
 	followFlag := fs.Bool("follow", false,
 		"monitor events from stdin as they arrive (streaming ingestion; criteria limited to "+spec.MonitorableNames()+")")
 	retire := fs.Int("retire", 0,
@@ -205,12 +202,16 @@ func runWith(args []string, stdin io.Reader, stdout, stderr io.Writer) (int, err
 		}, exploreJobs, stdout)
 	}
 	hs := make([]*history.History, len(paths))
+	texts := make([]string, len(paths))
 	for i, path := range paths {
-		h, err := parseFile(path, stdinSrc)
+		src, err := readFile(path, stdinSrc)
 		if err != nil {
 			return 2, err
 		}
-		hs[i] = h
+		if hs[i], err = histio.Parse(bytes.NewReader(src)); err != nil {
+			return 2, err
+		}
+		texts[i] = string(src)
 	}
 
 	// Sequential mode is the farm at one worker: one code path to keep
@@ -219,11 +220,10 @@ func runWith(args []string, stdin io.Reader, stdout, stderr io.Writer) (int, err
 	if *parallel {
 		seqJobs = *jobs
 	}
-	opts := []spec.Option{spec.WithNodeLimit(*nodeLimit)}
-	if *portfolio > 1 {
-		opts = append(opts, spec.WithParallelism(*portfolio))
-	}
-	verdicts, err := checkfarm.CheckBatch(context.Background(), hs, criteria, seqJobs, opts...)
+	job := checkfarm.JobSpec{Kind: checkfarm.KindCheck, Check: &checkfarm.CheckJob{
+		Histories: texts, Criteria: criteria, NodeLimit: *nodeLimit,
+	}}
+	rep, err := job.Run(context.Background(), seqJobs)
 	if err != nil {
 		return 2, err
 	}
@@ -241,13 +241,13 @@ func runWith(args []string, stdin io.Reader, stdout, stderr io.Writer) (int, err
 				fmt.Fprintf(stdout, "  %s\n", ri)
 			}
 		}
-		for _, v := range verdicts[i] {
+		for _, v := range rep.Check[i] {
 			fmt.Fprintln(stdout, v)
 			if !v.OK {
 				violations++
 			}
-			if *witness && v.OK && v.Serialization != nil {
-				printWitness(stdout, v.Serialization)
+			if *witness && v.OK {
+				fmt.Fprintf(stdout, "  witness: %s\n", v.Witness)
 			}
 		}
 	}
@@ -276,31 +276,28 @@ func runExplore(engine string, criteria []spec.Criterion, paths []string, stdinS
 			return 2, fmt.Errorf("-explore requires prefix-closed monitorable criteria (du, opacity), got %v", c)
 		}
 	}
-	plans := make([]stm.Plan, len(paths))
+	plans := make([]checkfarm.WirePlan, len(paths))
 	for i, path := range paths {
-		src := stdinSrc
-		if path != "-" {
-			b, err := os.ReadFile(path)
-			if err != nil {
-				return 2, err
-			}
-			src = b
+		src, err := readFile(path, stdinSrc)
+		if err != nil {
+			return 2, err
 		}
 		p, err := stm.ParsePlan(string(src))
 		if err != nil {
 			return 2, fmt.Errorf("%s: %w", path, err)
 		}
-		plans[i] = p
+		plans[i] = checkfarm.WirePlanOf(p)
 	}
 	unproven := 0
 	for _, c := range criteria {
 		ccfg := cfg
 		ccfg.Criterion = c
-		reports, err := checkfarm.ExplorePlans(context.Background(), engine, plans, ccfg, jobs)
+		job := checkfarm.JobSpec{Kind: checkfarm.KindExplore, Explore: &checkfarm.ExploreJob{Engine: engine, Plans: plans, Config: ccfg}}
+		rep, err := job.Run(context.Background(), jobs)
 		if err != nil {
 			return 2, err
 		}
-		for i, r := range reports {
+		for i, r := range rep.Explore {
 			if len(paths) > 1 || len(criteria) > 1 {
 				fmt.Fprintf(stdout, "== %s, %s ==\n", paths[i], c)
 			}
@@ -437,18 +434,10 @@ func flagWasSet(fs *flag.FlagSet, name string) bool {
 	return set
 }
 
-func parseFile(path string, stdinSrc []byte) (*history.History, error) {
+// readFile returns the contents of path, or the buffered stdin for "-".
+func readFile(path string, stdinSrc []byte) ([]byte, error) {
 	if path == "-" {
-		return histio.Parse(bytes.NewReader(stdinSrc))
+		return stdinSrc, nil
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return histio.Parse(f)
-}
-
-func printWitness(w io.Writer, s *history.Seq) {
-	fmt.Fprintf(w, "  witness: %s\n", s)
+	return os.ReadFile(path)
 }

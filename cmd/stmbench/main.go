@@ -8,8 +8,8 @@
 //
 //	stmbench [-engines tl2,norec,...] [-objects 8] [-goroutines 4]
 //	         [-txns 2000] [-ops 4] [-read-frac 0.5] [-seed 1]
-//	         [-certify] [-episodes 20] [-jobs N] [-portfolio N]
-//	stmbench soak [-engines ...] [-rounds 6] [-seed 1] [-jobs N] [-portfolio N]
+//	         [-certify] [-episodes 20] [-interleaved] [-jobs N] [-sweep]
+//	stmbench soak [-engines ...] [-rounds 6] [-seed 1] [-jobs N] [-node-limit N]
 //	stmbench explore [-engines ...] [-threads 2] [-txns 1] [-ops 2] [-plans 4]
 //	         [-seed 1] [-max-schedules N] [-jobs N] [-opacity]
 //	stmbench chaos [-engines tl2,norec,dstm] [-trials 50] [-seed 1]
@@ -27,8 +27,8 @@
 //
 // The explore subcommand replaces sampling with proof: for each engine it
 // enumerates *every* schedule of the deterministic stepper's space for a
-// set of small seeded plans (harness.ExplorePlanCtx via
-// checkfarm.ExplorePlans) and reports a per-plan verdict — proven
+// set of small seeded plans (harness.ExplorePlanCtx, one checkfarm
+// explore job per engine) and reports a per-plan verdict — proven
 // du-opaque on all schedules of that space, violated with the causing
 // schedule pinned, or budget-exhausted with frontier stats.
 //
@@ -37,16 +37,20 @@
 // over a randomized workload grid (each shape once under real goroutines
 // and once under the deterministic interleaved scheduler), reporting
 // criteria divergences with greedily shrunk minimal counterexamples.
-// -jobs shards episodes/cells across workers (0 = GOMAXPROCS).
+// -certify, soak and explore run as checkfarm jobs (JobSpec.Run), and
+// -jobs shards their episodes, cells or plans across workers
+// (0 = GOMAXPROCS); the report is the same at every -jobs. -sweep
+// measures its cells one at a time (harness.Sweep), so throughput
+// numbers never contend with each other.
 //
 // The chaos subcommand runs the fault-injection soak (harness.ChaosSoak
 // over internal/chaos): randomized engine, stream and farm fault
 // schedules through the whole pipeline, asserting that faults only ever
 // produce honest undecided verdicts or reported-and-rejected input —
 // never an OK↔violation flip against the fault-free differential. The
-// farm stage is wired through checkfarm.CheckBatch, so injected worker
-// panics exercise the farm's recovery and degradation for real. A
-// non-empty flip list makes the command fail.
+// farm stage runs each trial's history as a one-history checkfarm check
+// job, so injected worker panics exercise the farm's recovery and
+// degradation for real. A non-empty flip list makes the command fail.
 package main
 
 import (
@@ -60,9 +64,9 @@ import (
 	"duopacity/internal/chaos"
 	"duopacity/internal/checkfarm"
 	"duopacity/internal/harness"
+	"duopacity/internal/histio"
 	"duopacity/internal/history"
 	"duopacity/internal/spec"
-	"duopacity/internal/stm"
 	"duopacity/internal/stm/engines"
 )
 
@@ -100,11 +104,9 @@ func run(args []string, stdout io.Writer) error {
 	certify := fs.Bool("certify", false, "also certify recorded episodes")
 	episodes := fs.Int("episodes", 20, "episodes per engine when certifying")
 	sweep := fs.Bool("sweep", false, "sweep goroutines x read-fraction instead of a single run")
-	jobs := fs.Int("jobs", 1, "shard certification episodes or sweep cells across this many workers (0 = GOMAXPROCS; parallel sweep cells contend, keep 1 for publication-grade throughput)")
+	jobs := fs.Int("jobs", 1, "shard certification episodes across this many workers (0 = GOMAXPROCS)")
 	interleaved := fs.Bool("interleaved", false,
 		"certify deterministic interleaved episodes instead of real goroutines (reproducible on any machine)")
-	portfolio := fs.Int("portfolio", 0,
-		"fan each exact check's top-level search branches across this many workers (parallel portfolio search)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -118,7 +120,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *sweep {
-		points, err := checkfarm.Sweep(context.Background(), harness.SweepConfig{
+		points, err := harness.Sweep(harness.SweepConfig{
 			Engines:       names,
 			Goroutines:    []int{1, 2, 4, 8},
 			ReadFractions: []float64{0.1, 0.5, 0.9},
@@ -128,7 +130,7 @@ func run(args []string, stdout io.Writer) error {
 				OpsPerTxn:        *ops,
 				Seed:             *seed,
 			},
-		}, *jobs)
+		})
 		if err != nil {
 			return err
 		}
@@ -175,12 +177,13 @@ func run(args []string, stdout io.Writer) error {
 			},
 			Episodes:    *episodes,
 			Interleaved: *interleaved,
-			Portfolio:   *portfolio,
 		}
-		stats, err := checkfarm.Certify(context.Background(), cfg, criteria, *jobs)
+		job := checkfarm.JobSpec{Kind: checkfarm.KindCertify, Certify: &checkfarm.CertifyJob{Config: cfg, Criteria: criteria}}
+		rep, err := job.Run(context.Background(), *jobs)
 		if err != nil {
 			return err
 		}
+		stats := *rep.Certify
 		fmt.Fprint(stdout, harness.FormatCertTable(stats, criteria))
 		for _, c := range criteria {
 			if r := stats.FirstReason[c]; r != "" {
@@ -227,9 +230,9 @@ func runExplore(args []string, stdout io.Writer) error {
 	}
 	for _, name := range names {
 		name = strings.TrimSpace(name)
-		ps := make([]stm.Plan, *plans)
+		ps := make([]checkfarm.WirePlan, *plans)
 		for i := range ps {
-			ps[i] = harness.PlanOf(harness.Workload{
+			ps[i] = checkfarm.WirePlanOf(harness.PlanOf(harness.Workload{
 				Engine:           name,
 				Objects:          *objects,
 				Goroutines:       *threads,
@@ -237,14 +240,15 @@ func runExplore(args []string, stdout io.Writer) error {
 				OpsPerTxn:        *ops,
 				ReadFraction:     rf,
 				Seed:             *seed + int64(i),
-			})
+			}))
 		}
-		reports, err := checkfarm.ExplorePlans(context.Background(), name, ps, cfg, *jobs)
+		job := checkfarm.JobSpec{Kind: checkfarm.KindExplore, Explore: &checkfarm.ExploreJob{Engine: name, Plans: ps, Config: cfg}}
+		rep, err := job.Run(context.Background(), *jobs)
 		if err != nil {
 			return err
 		}
 		proven, violated, budgeted := 0, 0, 0
-		for _, r := range reports {
+		for _, r := range rep.Explore {
 			switch r.Outcome {
 			case harness.ProvenDUOpaque:
 				proven++
@@ -256,14 +260,14 @@ func runExplore(args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "== %s: %d proven, %d violated, %d budget-exhausted ==\n",
 			name, proven, violated, budgeted)
-		fmt.Fprint(stdout, harness.FormatExploreTable(reports))
+		fmt.Fprint(stdout, harness.FormatExploreTable(rep.Explore))
 	}
 	return nil
 }
 
 // runChaos is the fault-injection soak as a CLI surface: randomized
 // fault schedules through engine, stream and farm, with the farm stage
-// certifying each trial's history through checkfarm.CheckBatch under an
+// certifying each trial's history as a checkfarm check job under an
 // injected worker-fault schedule. Soundness flips fail the command.
 func runChaos(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("stmbench chaos", flag.ContinueOnError)
@@ -286,7 +290,7 @@ func runChaos(args []string, stdout io.Writer) error {
 		Seed:      *seed,
 		NodeLimit: *nodeLimit,
 		Profile:   chaos.Profile{SpuriousAbort: *abortP, CommitDelay: *delayP},
-		Farm:      farmViaCheckBatch,
+		Farm:      farmViaCheckJob,
 	})
 	if err != nil {
 		return err
@@ -301,17 +305,19 @@ func runChaos(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// farmViaCheckBatch is the soak's farm stage: one history, one criterion,
-// certified through the farm's batch path so the fault schedule on ctx
-// strikes inside a real shard. A degraded shard surfaces through the
-// verdict's "degraded: " reason, which is split back out for the soak's
-// accounting.
-func farmViaCheckBatch(ctx context.Context, h *history.History, c spec.Criterion, nodeLimit int) (spec.Verdict, string, error) {
-	vs, err := checkfarm.CheckBatch(ctx, []*history.History{h}, []spec.Criterion{c}, 1, spec.WithNodeLimit(nodeLimit))
+// farmViaCheckJob is the soak's farm stage: one history, one criterion,
+// certified as a one-shard check job so the fault schedule on ctx strikes
+// inside a real shard. A degraded shard surfaces through the verdict's
+// "degraded: " reason, which is split back out for the soak's accounting.
+func farmViaCheckJob(ctx context.Context, h *history.History, c spec.Criterion, nodeLimit int) (spec.Verdict, string, error) {
+	job := checkfarm.JobSpec{Kind: checkfarm.KindCheck, Check: &checkfarm.CheckJob{
+		Histories: []string{histio.FormatString(h)}, Criteria: []spec.Criterion{c}, NodeLimit: nodeLimit,
+	}}
+	rep, err := job.Run(ctx, 1)
 	if err != nil {
 		return spec.Verdict{}, "", err
 	}
-	v := vs[0][0]
+	v := rep.Check[0][0].Verdict()
 	if reason, ok := strings.CutPrefix(v.Reason, "degraded: "); ok {
 		return v, reason, nil
 	}
@@ -325,8 +331,6 @@ func runSoak(args []string, stdout io.Writer) error {
 	seed := fs.Int64("seed", 1, "workload grid seed")
 	jobs := fs.Int("jobs", 0, "worker count (0 = GOMAXPROCS)")
 	nodeLimit := fs.Int("node-limit", 0, "bound each exact check (0 = soak default)")
-	portfolio := fs.Int("portfolio", 0,
-		"fan each exact check's top-level search branches across this many workers (parallel portfolio search)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -339,12 +343,11 @@ func runSoak(args []string, stdout io.Writer) error {
 		Rounds:    *rounds,
 		Seed:      *seed,
 		NodeLimit: *nodeLimit,
-		Portfolio: *portfolio,
 	}
-	res, err := checkfarm.Soak(context.Background(), cfg, *jobs)
+	rep, err := checkfarm.JobSpec{Kind: checkfarm.KindSoak, Soak: &checkfarm.SoakJob{Config: cfg}}.Run(context.Background(), *jobs)
 	if err != nil {
 		return err
 	}
-	fmt.Fprint(stdout, checkfarm.FormatSoakReport(cfg, res))
+	fmt.Fprint(stdout, checkfarm.FormatSoakReport(cfg, rep.Soak))
 	return nil
 }

@@ -184,10 +184,6 @@ func CheckFinalStateOpacity(h *History, opts ...CheckOption) Verdict {
 // WithNodeLimit bounds a check's search.
 func WithNodeLimit(n int) CheckOption { return spec.WithNodeLimit(n) }
 
-// WithParallelism fans a check's top-level search branches across n
-// workers.
-func WithParallelism(n int) CheckOption { return spec.WithParallelism(n) }
-
 // WithRetirement lets a Monitor checkpoint and discard its settled
 // committed prefix once more than window transactions are live, bounding
 // memory on unbounded streams without changing any verdict. Ignored by

@@ -53,15 +53,15 @@ func submitAndWait(t *testing.T, c *Client, job checkfarm.JobSpec) *JobStatus {
 
 // TestDistributedCertifyByteIdentical is the acceptance gate: a
 // certification sliced into leases, computed by networked workers, and
-// folded by the coordinator renders byte-for-byte what the in-process
-// farm renders for the same spec.
+// folded by the coordinator renders byte-for-byte what the sequential
+// harness.Certify renders for the same config.
 func TestDistributedCertifyByteIdentical(t *testing.T) {
 	criteria := []spec.Criterion{spec.DUOpacity, spec.Serializability}
 	cfg := harness.CertConfig{
 		Workload: harness.Workload{Engine: "tl2", Objects: 3, Goroutines: 3, TxnsPerGoroutine: 2, OpsPerTxn: 3, Seed: 99},
 		Episodes: 10, Interleaved: true,
 	}
-	local, err := checkfarm.Certify(context.Background(), cfg, criteria, 2)
+	local, err := harness.Certify(cfg, criteria)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestDistributedCertifyByteIdentical(t *testing.T) {
 	_, c := startFarm(t, Config{LeaseTTL: 2 * time.Second}, 3)
 	st := submitAndWait(t, c, spec2)
 	if st.Formatted != want {
-		t.Fatalf("distributed certification diverged from in-process farm:\nlocal:\n%s\ndistributed:\n%s", want, st.Formatted)
+		t.Fatalf("distributed certification diverged from sequential certification:\nlocal:\n%s\ndistributed:\n%s", want, st.Formatted)
 	}
 	if st.Degraded != 0 {
 		t.Fatalf("healthy run degraded %d shard(s)", st.Degraded)
@@ -86,9 +86,13 @@ func TestDistributedExploreByteIdentical(t *testing.T) {
 		stm.MustParsePlan("w0 | r0 r1\nw1"),
 		stm.MustParsePlan("r0 w1\nr1 w0"),
 	}
-	local, err := checkfarm.ExplorePlans(context.Background(), "gl", plans, harness.ExploreConfig{}, 2)
-	if err != nil {
-		t.Fatal(err)
+	local := make([]harness.ExploreReport, len(plans))
+	for i, p := range plans {
+		r, err := harness.ExplorePlanCtx(context.Background(), "gl", p, harness.ExploreConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		local[i] = r
 	}
 	want := harness.FormatExploreTable(local)
 
@@ -103,6 +107,10 @@ func TestDistributedExploreByteIdentical(t *testing.T) {
 	}
 }
 
+// TestDistributedSoakByteIdentical compares against the local farm: the
+// soak's sequential reference (cells observed and folded without the
+// wire) is internal to checkfarm, where TestFoldMatchesLocalFarmSoak pins
+// the local farm to it.
 func TestDistributedSoakByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak differential is not -short")
@@ -113,15 +121,15 @@ func TestDistributedSoakByteIdentical(t *testing.T) {
 		Rounds:   2,
 		Seed:     11,
 	}
-	local, err := checkfarm.Soak(context.Background(), cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	job, err := checkfarm.JobSpec{Kind: checkfarm.KindSoak, Soak: &checkfarm.SoakJob{Config: cfg}}.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := checkfarm.FormatSoakReport(job.Soak.Config, local)
+	local, err := job.Run(context.Background(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := checkfarm.FormatJobReport(job, local)
 
 	_, c := startFarm(t, Config{LeaseTTL: 5 * time.Second}, 2)
 	st := submitAndWait(t, c, job)

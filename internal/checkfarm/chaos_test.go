@@ -3,6 +3,7 @@ package checkfarm
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ import (
 )
 
 // acceptingHistories returns a few litmus histories known du-opaque, as
-// CheckBatch fodder.
+// check job fodder.
 func acceptingHistories(t *testing.T, n int) []*history.History {
 	t.Helper()
 	var hs []*history.History
@@ -89,23 +90,15 @@ func TestRunProtectedOrdinaryErrorIsNotRetried(t *testing.T) {
 // below the retry bound must leave the results byte-identical to a
 // fault-free run.
 func TestCheckBatchRecoversInjectedPanic(t *testing.T) {
-	hs := acceptingHistories(t, 4)
-	criteria := []spec.Criterion{spec.DUOpacity, spec.FinalStateOpacity}
-	want, err := CheckBatch(context.Background(), hs, criteria, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := checkJob(acceptingHistories(t, 4), []spec.Criterion{spec.DUOpacity, spec.FinalStateOpacity})
+	want := mustRun(t, context.Background(), s, 2)
 	ff := &chaos.FarmFaults{PanicEvery: 1, PanicAttempts: shardAttempts - 1}
-	ctx := chaos.WithFarmFaults(context.Background(), ff)
-	got, err := CheckBatch(ctx, hs, criteria, 2)
-	if err != nil {
-		t.Fatalf("recovered panics failed the farm: %v", err)
-	}
+	got := mustRun(t, chaos.WithFarmFaults(context.Background(), ff), s, 2)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("results differ after recovered panics:\ngot  %v\nwant %v", got, want)
+		t.Fatalf("results differ after recovered panics:\ngot  %v\nwant %v", got.Check, want.Check)
 	}
-	if ff.Panics() != int64(len(hs)*(shardAttempts-1)) {
-		t.Fatalf("injected %d panics, want %d", ff.Panics(), len(hs)*(shardAttempts-1))
+	if n := len(s.Check.Histories); ff.Panics() != int64(n*(shardAttempts-1)) {
+		t.Fatalf("injected %d panics, want %d", ff.Panics(), n*(shardAttempts-1))
 	}
 }
 
@@ -113,115 +106,60 @@ func TestCheckBatchRecoversInjectedPanic(t *testing.T) {
 // degrades into explicit undecided verdicts instead of failing the batch,
 // and the other shards are untouched.
 func TestCheckBatchDegradesPastRetries(t *testing.T) {
-	hs := acceptingHistories(t, 3)
-	criteria := []spec.Criterion{spec.DUOpacity}
-	want, err := CheckBatch(context.Background(), hs, criteria, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := checkJob(acceptingHistories(t, 3), []spec.Criterion{spec.DUOpacity})
+	want := mustRun(t, context.Background(), s, 2)
 	// Strike only shard 0, forever.
-	ff := &chaos.FarmFaults{PanicEvery: len(hs), PanicAttempts: 100}
-	ctx := chaos.WithFarmFaults(context.Background(), ff)
-	got, err := CheckBatch(ctx, hs, criteria, 2)
-	if err != nil {
-		t.Fatalf("degraded shard failed the batch: %v", err)
+	ff := &chaos.FarmFaults{PanicEvery: len(s.Check.Histories), PanicAttempts: 100}
+	got := mustRun(t, chaos.WithFarmFaults(context.Background(), ff), s, 2)
+	if got.Degraded != 1 {
+		t.Fatalf("report counts %d degraded shards, want 1", got.Degraded)
 	}
-	v := got[0][0]
+	v := got.Check[0][0]
 	if !v.Undecided {
 		t.Fatalf("degraded shard verdict decided: %v", v)
 	}
 	if !strings.Contains(v.Reason, "degraded:") || !strings.Contains(v.Reason, "panicked") {
 		t.Fatalf("degraded reason %q does not report the panic", v.Reason)
 	}
-	for i := 1; i < len(hs); i++ {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("healthy shard %d changed: %v vs %v", i, got[i], want[i])
+	for i := 1; i < len(got.Check); i++ {
+		if !reflect.DeepEqual(got.Check[i], want.Check[i]) {
+			t.Fatalf("healthy shard %d changed: %v vs %v", i, got.Check[i], want.Check[i])
 		}
 	}
 }
 
 // TestCertifyStreamDegradesPastRetries: episode shards that crash past
-// the retry bound arrive as DegradedEpisode reports, in order, with every
-// verdict undecided and the panic reason attached.
+// the retry bound fold as degraded episodes — counted, every verdict
+// undecided, never accepted.
 func TestCertifyStreamDegradesPastRetries(t *testing.T) {
 	criteria := []spec.Criterion{spec.DUOpacity, spec.FinalStateOpacity}
 	cfg := interleavedCfg("tl2", 6)
 	ff := &chaos.FarmFaults{PanicEvery: 3, PanicAttempts: 100} // episodes 0 and 3
-	ctx := chaos.WithFarmFaults(context.Background(), ff)
-	var got []harness.EpisodeReport
-	err := CertifyStream(ctx, cfg, criteria, 2, func(ep int, r harness.EpisodeReport) error {
-		got = append(got, r)
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("degraded episodes failed the stream: %v", err)
+	rep := mustRun(t, chaos.WithFarmFaults(context.Background(), ff), certifyJob(cfg, criteria), 2)
+	stats := rep.Certify
+	if rep.Degraded != 2 || stats.Degraded != 2 {
+		t.Fatalf("degraded counts: report %d, stats %d (want 2, 2)", rep.Degraded, stats.Degraded)
 	}
-	if len(got) != cfg.Episodes {
-		t.Fatalf("emitted %d reports, want %d", len(got), cfg.Episodes)
-	}
-	for ep, r := range got {
-		wantDegraded := ep%3 == 0
-		if (r.Degraded != "") != wantDegraded {
-			t.Fatalf("episode %d degraded=%q, want degraded=%v", ep, r.Degraded, wantDegraded)
+	for _, c := range criteria {
+		if stats.Undecided[c] < 2 || stats.Accepted[c]+stats.Rejected[c]+stats.Undecided[c] != stats.Episodes {
+			t.Fatalf("criterion %v: degraded episodes not counted undecided: %+v", c, stats)
 		}
-		if wantDegraded {
-			for _, c := range criteria {
-				v := r.Verdicts[c]
-				if !v.Undecided || !strings.Contains(v.Reason, "degraded:") {
-					t.Fatalf("episode %d criterion %v: verdict %v not honestly degraded", ep, c, v)
-				}
-			}
-		}
-	}
-
-	// The aggregate counts degraded episodes (and never as accepted).
-	stats, err := Certify(ctx, cfg, criteria, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Degraded != 2 {
-		t.Fatalf("CertStats.Degraded = %d, want 2", stats.Degraded)
 	}
 }
 
 // TestCertifyStreamRecoversInjectedPanic: below the bound, sharded
-// results stay byte-identical to the fault-free run.
+// results stay identical to the sequential certification.
 func TestCertifyStreamRecoversInjectedPanic(t *testing.T) {
 	criteria := []spec.Criterion{spec.DUOpacity}
 	cfg := interleavedCfg("tl2", 6)
-	want, err := Certify(context.Background(), cfg, criteria, 2)
+	want, err := harness.Certify(cfg, criteria)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ff := &chaos.FarmFaults{PanicEvery: 2, PanicAttempts: shardAttempts - 1}
-	ctx := chaos.WithFarmFaults(context.Background(), ff)
-	got, err := Certify(ctx, cfg, criteria, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("recovered panics changed certification:\ngot  %#v\nwant %#v", got, want)
-	}
-}
-
-// TestCertifyOnlineDegradesPastRetries: the online farm counts degraded
-// episodes and their verdicts land in Undecided, never Accepted.
-func TestCertifyOnlineDegradesPastRetries(t *testing.T) {
-	cfg := interleavedCfg("tl2", 4)
-	ff := &chaos.FarmFaults{PanicEvery: 2, PanicAttempts: 100} // episodes 0 and 2
-	ctx := chaos.WithFarmFaults(context.Background(), ff)
-	stats, err := CertifyOnline(ctx, cfg, spec.DUOpacity, 2)
-	if err != nil {
-		t.Fatalf("degraded episodes failed the online farm: %v", err)
-	}
-	if stats.Degraded != 2 {
-		t.Fatalf("OnlineStats.Degraded = %d, want 2", stats.Degraded)
-	}
-	if stats.Undecided < 2 {
-		t.Fatalf("degraded episodes not counted undecided: %+v", stats)
-	}
-	if stats.Accepted+stats.Rejected+stats.Undecided != stats.Episodes {
-		t.Fatalf("episode accounting broken: %+v", stats)
+	rep := mustRun(t, chaos.WithFarmFaults(context.Background(), ff), certifyJob(cfg, criteria), 2)
+	if !reflect.DeepEqual(*rep.Certify, want) {
+		t.Fatalf("recovered panics changed certification:\ngot  %#v\nwant %#v", *rep.Certify, want)
 	}
 }
 
@@ -234,42 +172,94 @@ func TestExplorePlansDegradesPastRetries(t *testing.T) {
 		harness.PlanOf(harness.Workload{Engine: "tl2", Objects: 2, Goroutines: 2, TxnsPerGoroutine: 1, OpsPerTxn: 2, Seed: 2}),
 	}
 	ff := &chaos.FarmFaults{PanicEvery: 2, PanicAttempts: 100} // plan 0 only
-	ctx := chaos.WithFarmFaults(context.Background(), ff)
-	reports, err := ExplorePlans(ctx, "tl2", plans, harness.ExploreConfig{}, 2)
-	if err != nil {
-		t.Fatalf("degraded exploration failed the batch: %v", err)
-	}
-	r0 := reports[0]
+	rep := mustRun(t, chaos.WithFarmFaults(context.Background(), ff), exploreJob("tl2", plans, harness.ExploreConfig{}), 2)
+	r0 := rep.Explore[0]
 	if r0.Outcome != harness.BudgetExhausted || r0.DegradedReason == "" {
 		t.Fatalf("crashed shard report: outcome=%v degraded=%q, want budget-exhausted with a reason", r0.Outcome, r0.DegradedReason)
 	}
 	if r0.Engine != "tl2" || len(r0.Plan.Threads) == 0 {
 		t.Fatalf("degraded report lost its identity: %+v", r0)
 	}
-	if reports[1].Outcome != harness.ProvenDUOpaque {
-		t.Fatalf("healthy plan outcome = %v, want proven", reports[1].Outcome)
+	if rep.Explore[1].Outcome != harness.ProvenDUOpaque {
+		t.Fatalf("healthy plan outcome = %v, want proven", rep.Explore[1].Outcome)
 	}
 }
 
-// TestCertifyCancelledContext: an already-cancelled context stops the
-// farm promptly with the context's error and no partial emission damage.
+// TestCertifyCancelledContext: an already-cancelled context stops a job
+// of every kind before any shard runs, with the context's error.
 func TestCertifyCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Certify(ctx, interleavedCfg("tl2", 8), []spec.Criterion{spec.DUOpacity}, 2)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled farm returned %v, want context.Canceled", err)
+	for _, s := range everyKind(t) {
+		if _, err := s.Run(ctx, 2); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: cancelled farm returned %v, want context.Canceled", s.Kind, err)
+		}
 	}
 }
 
-// farmStage wires the soak's farm hook through the real batch path, as
-// cmd/stmbench does.
+// everyKind returns one small deterministic job per kind.
+func everyKind(t *testing.T) []JobSpec {
+	return []JobSpec{
+		certifyJob(interleavedCfg("tl2", 4), []spec.Criterion{spec.DUOpacity}),
+		exploreJob("tl2", explorePlans(), harness.ExploreConfig{}),
+		checkJob(acceptingHistories(t, 3), []spec.Criterion{spec.DUOpacity, spec.Opacity}),
+		// gl serializes its goroutines, so even the concurrent cells of the
+		// soak accept: the report does not depend on the interleaving.
+		soakJob(SoakConfig{Engines: []string{"gl"}, Criteria: []spec.Criterion{spec.DUOpacity}, Rounds: 2, Seed: 5}),
+	}
+}
+
+// TestRunDegradesEveryKind: Run contains a shard that panics on every
+// attempt the same way for all four kinds — the report counts one
+// degraded shard and renders exactly the fold of the fault-free shards
+// with DegradedShard in the struck slot, as certd renders a shard lost
+// to its workers.
+func TestRunDegradesEveryKind(t *testing.T) {
+	for _, s := range everyKind(t) {
+		s := mustNormalize(t, s)
+		t.Run(string(s.Kind), func(t *testing.T) {
+			n := s.NumShards()
+			ff := &chaos.FarmFaults{PanicEvery: n, PanicAttempts: shardAttempts} // shard 0, every attempt
+			rep := mustRun(t, chaos.WithFarmFaults(context.Background(), ff), s, 2)
+			if rep.Degraded != 1 {
+				t.Fatalf("report counts %d degraded shards, want 1", rep.Degraded)
+			}
+			reason := (&ShardPanicError{
+				Shard: 0, Attempt: shardAttempts - 1,
+				Value: fmt.Sprintf("chaos: injected worker panic (shard 0, attempt %d)", shardAttempts-1),
+			}).Error()
+			results := make([]*ShardResult, n)
+			for i := range results {
+				r := s.DegradedShard(i, reason)
+				if i > 0 {
+					var err error
+					if r, err = s.RunShard(context.Background(), i); err != nil {
+						t.Fatal(err)
+					}
+				}
+				results[i] = &r
+			}
+			want, err := FoldJob(context.Background(), s, results, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := FormatJobReport(s, rep), FormatJobReport(s, want); got != want {
+				t.Fatalf("degraded run renders\n%s\nwant\n%s", got, want)
+			}
+		})
+	}
+}
+
+// farmStage wires the soak's farm hook through a one-history check job,
+// as cmd/stmbench does.
 func farmStage(ctx context.Context, h *history.History, c spec.Criterion, nodeLimit int) (spec.Verdict, string, error) {
-	vs, err := CheckBatch(ctx, []*history.History{h}, []spec.Criterion{c}, 1, spec.WithNodeLimit(nodeLimit))
+	s := checkJob([]*history.History{h}, []spec.Criterion{c})
+	s.Check.NodeLimit = nodeLimit
+	rep, err := s.Run(ctx, 1)
 	if err != nil {
 		return spec.Verdict{}, "", err
 	}
-	v := vs[0][0]
+	v := rep.Check[0][0].Verdict()
 	if reason, ok := strings.CutPrefix(v.Reason, "degraded: "); ok {
 		return v, reason, nil
 	}

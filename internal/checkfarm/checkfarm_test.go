@@ -5,11 +5,15 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 
+	"duopacity/internal/chaos"
 	"duopacity/internal/harness"
+	"duopacity/internal/histio"
 	"duopacity/internal/history"
 	"duopacity/internal/litmus"
 	"duopacity/internal/spec"
+	"duopacity/internal/stm"
 )
 
 func interleavedCfg(engine string, episodes int) harness.CertConfig {
@@ -28,9 +32,44 @@ func interleavedCfg(engine string, episodes int) harness.CertConfig {
 	}
 }
 
+func certifyJob(cfg harness.CertConfig, criteria []spec.Criterion) JobSpec {
+	return JobSpec{Kind: KindCertify, Certify: &CertifyJob{Config: cfg, Criteria: criteria}}
+}
+
+func exploreJob(engine string, plans []stm.Plan, cfg harness.ExploreConfig) JobSpec {
+	wire := make([]WirePlan, len(plans))
+	for i, p := range plans {
+		wire[i] = WirePlanOf(p)
+	}
+	return JobSpec{Kind: KindExplore, Explore: &ExploreJob{Engine: engine, Plans: wire, Config: cfg}}
+}
+
+func checkJob(hs []*history.History, criteria []spec.Criterion) JobSpec {
+	texts := make([]string, len(hs))
+	for i, h := range hs {
+		texts[i] = histio.FormatString(h)
+	}
+	return JobSpec{Kind: KindCheck, Check: &CheckJob{Histories: texts, Criteria: criteria}}
+}
+
+func soakJob(cfg SoakConfig) JobSpec {
+	return JobSpec{Kind: KindSoak, Soak: &SoakJob{Config: cfg}}
+}
+
+// mustRun runs s in process and fails the test on error.
+func mustRun(t *testing.T, ctx context.Context, s JobSpec, jobs int) *JobReport {
+	t.Helper()
+	rep, err := s.Run(ctx, jobs)
+	if err != nil {
+		t.Fatalf("%s job, jobs=%d: %v", s.Kind, jobs, err)
+	}
+	return rep
+}
+
 // TestCertifyMatchesSequential is the pipeline's core guarantee: sharded
-// certification aggregates to byte-identical statistics, at every worker
-// count, for deterministic episodes.
+// certification aggregates to the statistics of the sequential
+// harness.Certify, and renders the same table, at every worker count, for
+// deterministic episodes.
 func TestCertifyMatchesSequential(t *testing.T) {
 	criteria := []spec.Criterion{spec.DUOpacity, spec.FinalStateOpacity, spec.StrictSerializability}
 	for _, engine := range []string{"tl2", "ple", "gl"} {
@@ -39,18 +78,14 @@ func TestCertifyMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: sequential: %v", engine, err)
 		}
+		s := mustNormalize(t, certifyJob(cfg, criteria))
 		for _, jobs := range []int{1, 2, 4, 0} {
-			got, err := Certify(context.Background(), cfg, criteria, jobs)
-			if err != nil {
-				t.Fatalf("%s/jobs=%d: %v", engine, jobs, err)
+			rep := mustRun(t, context.Background(), s, jobs)
+			if !reflect.DeepEqual(*rep.Certify, want) {
+				t.Errorf("%s/jobs=%d: farm stats differ:\ngot  %#v\nwant %#v", engine, jobs, *rep.Certify, want)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s/jobs=%d: parallel stats differ:\ngot  %#v\nwant %#v", engine, jobs, got, want)
-			}
-			gotTable := harness.FormatCertTable(got, criteria)
-			wantTable := harness.FormatCertTable(want, criteria)
-			if gotTable != wantTable {
-				t.Errorf("%s/jobs=%d: rendered tables differ:\n%s\nvs\n%s", engine, jobs, gotTable, wantTable)
+			if got, want := FormatJobReport(s, rep), harness.FormatCertTable(want, criteria); got != want {
+				t.Errorf("%s/jobs=%d: rendered tables differ:\n%s\nvs\n%s", engine, jobs, got, want)
 			}
 		}
 	}
@@ -58,7 +93,7 @@ func TestCertifyMatchesSequential(t *testing.T) {
 
 func TestCertifyUnknownEngine(t *testing.T) {
 	cfg := harness.CertConfig{Workload: harness.Workload{Engine: "bogus"}, Episodes: 4}
-	if _, err := Certify(context.Background(), cfg, []spec.Criterion{spec.DUOpacity}, 2); err == nil {
+	if _, err := certifyJob(cfg, []spec.Criterion{spec.DUOpacity}).Run(context.Background(), 2); err == nil {
 		t.Fatal("unknown engine accepted")
 	}
 }
@@ -66,12 +101,15 @@ func TestCertifyUnknownEngine(t *testing.T) {
 func TestCertifyCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Certify(ctx, interleavedCfg("tl2", 8), []spec.Criterion{spec.DUOpacity}, 2)
+	_, err := certifyJob(interleavedCfg("tl2", 8), []spec.Criterion{spec.DUOpacity}).Run(ctx, 2)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
+// TestCheckBatchOrderAndVerdicts: a check job over the litmus histories
+// returns one row per history, in input order, each verdict rendering
+// exactly as a sequential spec.Check of the same history does.
 func TestCheckBatchOrderAndVerdicts(t *testing.T) {
 	cases := litmus.Cases()
 	hs := make([]*history.History, len(cases))
@@ -79,69 +117,16 @@ func TestCheckBatchOrderAndVerdicts(t *testing.T) {
 		hs[i] = c.H
 	}
 	criteria := []spec.Criterion{spec.DUOpacity, spec.FinalStateOpacity}
-	got, err := CheckBatch(context.Background(), hs, criteria, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(hs) {
-		t.Fatalf("got %d results, want %d", len(got), len(hs))
+	rep := mustRun(t, context.Background(), checkJob(hs, criteria), 4)
+	if len(rep.Check) != len(hs) {
+		t.Fatalf("got %d results, want %d", len(rep.Check), len(hs))
 	}
 	for i, h := range hs {
 		for j, c := range criteria {
-			want := spec.Check(h, c)
-			if got[i][j].OK != want.OK || got[i][j].Criterion != want.Criterion {
-				t.Errorf("case %q criterion %s: got OK=%v, want OK=%v",
-					cases[i].Name, c, got[i][j].OK, want.OK)
+			if got, want := rep.Check[i][j].String(), spec.Check(h, c).String(); got != want {
+				t.Errorf("case %q: got %q, want %q", cases[i].Name, got, want)
 			}
 		}
-	}
-}
-
-func TestSweepParallelGridOrder(t *testing.T) {
-	cfg := harness.SweepConfig{
-		Engines:       []string{"gl", "norec"},
-		Goroutines:    []int{1, 2},
-		ReadFractions: []float64{0.5},
-		Base: harness.Workload{
-			Objects:          4,
-			TxnsPerGoroutine: 20,
-			OpsPerTxn:        2,
-			Seed:             1,
-		},
-	}
-	points, err := Sweep(context.Background(), cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := harness.Sweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != len(want) {
-		t.Fatalf("got %d points, want %d", len(points), len(want))
-	}
-	for i := range points {
-		if points[i].Engine != want[i].Engine ||
-			points[i].Goroutines != want[i].Goroutines ||
-			points[i].ReadFraction != want[i].ReadFraction {
-			t.Errorf("point %d: grid order diverged: got %s/g=%d/rf=%.2f, want %s/g=%d/rf=%.2f",
-				i, points[i].Engine, points[i].Goroutines, points[i].ReadFraction,
-				want[i].Engine, want[i].Goroutines, want[i].ReadFraction)
-		}
-		if points[i].Stats.Commits == 0 {
-			t.Errorf("point %d: no commits", i)
-		}
-	}
-}
-
-func TestSweepUnknownEngine(t *testing.T) {
-	_, err := Sweep(context.Background(), harness.SweepConfig{
-		Engines:       []string{"bogus"},
-		Goroutines:    []int{1},
-		ReadFractions: []float64{0.5},
-	}, 2)
-	if err == nil {
-		t.Fatal("unknown engine accepted")
 	}
 }
 
@@ -160,11 +145,67 @@ func TestResolveJobs(t *testing.T) {
 func TestCertifyNegativeEpisodesDefaults(t *testing.T) {
 	cfg := interleavedCfg("gl", 2)
 	cfg.Episodes = -1 // must fall back to the default, not panic
-	stats, err := Certify(context.Background(), cfg, []spec.Criterion{spec.DUOpacity}, 2)
+	rep := mustRun(t, context.Background(), certifyJob(cfg, []spec.Criterion{spec.DUOpacity}), 2)
+	if stats := rep.Certify; stats.Episodes+stats.Skipped != 20 {
+		t.Fatalf("episodes+skipped = %d, want the default 20", stats.Episodes+stats.Skipped)
+	}
+}
+
+// TestCertifyStreamOrdered: results fold in shard order, not completion
+// order. Slowing every third episode makes later shards finish first; the
+// statistics (FirstReason included) must still equal the sequential
+// certification's.
+func TestCertifyStreamOrdered(t *testing.T) {
+	criteria := []spec.Criterion{spec.DUOpacity, spec.FinalStateOpacity}
+	cfg := interleavedCfg("ple", 12)
+	want, err := harness.Certify(cfg, criteria)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Episodes+stats.Skipped != 20 {
-		t.Fatalf("episodes+skipped = %d, want the default 20", stats.Episodes+stats.Skipped)
+	if want.Rejected[spec.DUOpacity] == 0 {
+		t.Fatal("sanity: ple episodes should be rejected, so FirstReason pins the fold order")
+	}
+	ff := &chaos.FarmFaults{SlowEvery: 3, Delay: 5 * time.Millisecond}
+	for _, jobs := range []int{3, 8} {
+		rep := mustRun(t, chaos.WithFarmFaults(context.Background(), ff), certifyJob(cfg, criteria), jobs)
+		if !reflect.DeepEqual(*rep.Certify, want) {
+			t.Errorf("jobs=%d: folded statistics differ from sequential certification\n got: %+v\nwant: %+v",
+				jobs, *rep.Certify, want)
+		}
+	}
+	if ff.Slowed() == 0 {
+		t.Fatal("no shard was slowed")
+	}
+}
+
+// TestCertifyStreamContextCancel: cancelling mid-run stops the farm with
+// the context's error; unclaimed shards never start.
+func TestCertifyStreamContextCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	ff := &chaos.FarmFaults{SlowEvery: 1, Delay: 20 * time.Millisecond}
+	time.AfterFunc(30*time.Millisecond, cancel)
+	_, err := certifyJob(interleavedCfg("tl2", 64), []spec.Criterion{spec.DUOpacity}).Run(chaos.WithFarmFaults(ctx, ff), 4)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if n := ff.Slowed(); n >= 64 {
+		t.Fatalf("all %d shards started after the cancel", n)
+	}
+}
+
+// TestCertifyMatchesStreamedFold: the rendered job report of a local run
+// equals the sequential certification's table across jobs settings.
+func TestCertifyMatchesStreamedFold(t *testing.T) {
+	cfg := interleavedCfg("tl2", 16)
+	criteria := []spec.Criterion{spec.DUOpacity, spec.StrictSerializability}
+	want, err := harness.Certify(cfg, criteria)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustNormalize(t, certifyJob(cfg, criteria))
+	for _, jobs := range []int{1, 4} {
+		if got := FormatJobReport(s, mustRun(t, context.Background(), s, jobs)); got != harness.FormatCertTable(want, criteria) {
+			t.Errorf("jobs=%d: report differs from sequential harness.Certify:\n%s", jobs, got)
+		}
 	}
 }

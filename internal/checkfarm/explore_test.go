@@ -19,8 +19,9 @@ func explorePlans() []stm.Plan {
 	}
 }
 
-// TestExplorePlansMatchesSequential: the sharded exploration must return
-// exactly the reports a sequential loop produces, in input order.
+// TestExplorePlansMatchesSequential: an explore job must return exactly
+// the reports a sequential loop of harness.ExplorePlanCtx produces, in
+// input order, rendered by FormatExploreTable.
 func TestExplorePlansMatchesSequential(t *testing.T) {
 	plans := explorePlans()
 	for _, eng := range []string{"tl2", "ple"} {
@@ -32,21 +33,14 @@ func TestExplorePlansMatchesSequential(t *testing.T) {
 			}
 			want = append(want, r)
 		}
+		s := mustNormalize(t, exploreJob(eng, plans, harness.ExploreConfig{}))
 		for _, jobs := range []int{1, 4} {
-			got, err := ExplorePlans(context.Background(), eng, plans, harness.ExploreConfig{}, jobs)
-			if err != nil {
-				t.Fatal(err)
+			rep := mustRun(t, context.Background(), s, jobs)
+			if got, want := FormatJobReport(s, rep), harness.FormatExploreTable(want); got != want {
+				t.Errorf("%s jobs=%d: explore table diverged:\n%s\nvs\n%s", eng, jobs, got, want)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("%s jobs=%d: %d reports, want %d", eng, jobs, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].Outcome != want[i].Outcome || got[i].Schedules != want[i].Schedules ||
-					got[i].Steps != want[i].Steps || got[i].SleepPruned != want[i].SleepPruned ||
-					got[i].PrefixCut != want[i].PrefixCut {
-					t.Errorf("%s jobs=%d plan %d: report diverged: %+v vs %+v", eng, jobs, i, got[i], want[i])
-				}
-				gv, wv := got[i].Violation, want[i].Violation
+			for i, got := range rep.Explore {
+				gv, wv := got.Violation, want[i].Violation
 				if (gv == nil) != (wv == nil) {
 					t.Fatalf("%s jobs=%d plan %d: violation presence diverged", eng, jobs, i)
 				}
@@ -60,8 +54,7 @@ func TestExplorePlansMatchesSequential(t *testing.T) {
 
 // TestExplorePlansError: an invalid engine fails the whole batch.
 func TestExplorePlansError(t *testing.T) {
-	_, err := ExplorePlans(context.Background(), "bogus", explorePlans(), harness.ExploreConfig{}, 2)
-	if err == nil {
+	if _, err := exploreJob("bogus", explorePlans(), harness.ExploreConfig{}).Run(context.Background(), 2); err == nil {
 		t.Fatal("unknown engine accepted")
 	}
 }
@@ -96,10 +89,7 @@ func TestCertifyExploreMode(t *testing.T) {
 		t.Errorf("tl2 explore-certify: %d rejected, %d undecided; want none (reason %q)",
 			seq.Rejected[spec.DUOpacity], seq.Undecided[spec.DUOpacity], seq.FirstReason[spec.DUOpacity])
 	}
-	par, err := Certify(context.Background(), cfg, criteria, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	par := *mustRun(t, context.Background(), certifyJob(cfg, criteria), 4).Certify
 	if par.Accepted[spec.DUOpacity] != seq.Accepted[spec.DUOpacity] ||
 		par.Rejected[spec.DUOpacity] != seq.Rejected[spec.DUOpacity] ||
 		par.FirstReason[spec.DUOpacity] != seq.FirstReason[spec.DUOpacity] {

@@ -1,15 +1,15 @@
 // This file is the farm's process boundary: serializable descriptions of
 // farm jobs (JobSpec), of their independent work units (shards), and of
-// per-shard results (ShardResult), plus the two entry points a
-// distributed deployment needs — RunShard, the worker-side compute of
-// one shard, and FoldJob, the coordinator-side ordered aggregation. The
-// contract is the one the in-process farm has pinned since PR 1: a shard
-// is a pure function of (spec, index), results are folded strictly in
-// shard order, and the folded report is byte-identical to the in-process
-// farm's for the same spec (TestFoldMatchesLocalFarm). internal/certd
-// ships these types as JSON between its coordinator and workers;
-// histories, plans and witnesses travel in the histio / stm text
-// formats, which are lossless for everything the folds consume.
+// per-shard results (ShardResult), plus the two entry points every farm
+// runs — RunShard, the compute of one shard, and FoldJob, the ordered
+// aggregation. A shard is a pure function of (spec, index) and results
+// are folded strictly in shard order, so the folded report is the same
+// whether JobSpec.Run computed the shards in process or internal/certd
+// shipped them as JSON to remote workers, and it matches the sequential
+// reference paths (harness.Certify, harness.ExplorePlanCtx, spec.Check;
+// TestFoldMatchesLocalFarm*). Histories, plans and witnesses travel in
+// the histio / stm text formats, which are lossless for everything the
+// folds consume.
 package checkfarm
 
 import (
@@ -28,17 +28,17 @@ import (
 type ShardKind string
 
 const (
-	// KindCertify shards the episodes of Certify: shard i is episode i of
-	// the certification config.
+	// KindCertify shards the episodes of harness.Certify: shard i is
+	// episode i of the certification config.
 	KindCertify ShardKind = "certify"
-	// KindExplore shards the plans of ExplorePlans: shard i is the
-	// exhaustive exploration of plan i.
+	// KindExplore shards a batch of plans: shard i is the exhaustive
+	// exploration of plan i (harness.ExplorePlanCtx).
 	KindExplore ShardKind = "explore"
-	// KindCheck shards the histories of CheckBatch: shard i checks
-	// history i against every requested criterion.
+	// KindCheck shards a batch of histories: shard i checks history i
+	// against every requested criterion.
 	KindCheck ShardKind = "check"
-	// KindSoak shards the cells of Soak: shard i is cell i of the
-	// canonical (round, engine, mode) grid order.
+	// KindSoak shards the cells of the differential soak: shard i is cell
+	// i of the canonical (round, engine, mode) grid order.
 	KindSoak ShardKind = "soak"
 )
 
@@ -52,22 +52,24 @@ type JobSpec struct {
 	Soak    *SoakJob    `json:"soak,omitempty"`
 }
 
-// CertifyJob distributes Certify: each shard runs one episode.
+// CertifyJob distributes harness.Certify: each shard runs one episode.
 type CertifyJob struct {
 	Config   harness.CertConfig `json:"config"`
 	Criteria []spec.Criterion   `json:"criteria"`
 }
 
-// ExploreJob distributes ExplorePlans: each shard explores one plan.
+// ExploreJob distributes plan exploration: each shard explores one plan.
+// Config is shared by every shard, so a Config.OnSchedule callback must
+// be safe for concurrent use when the job runs with jobs > 1.
 type ExploreJob struct {
 	Engine string                `json:"engine"`
 	Plans  []WirePlan            `json:"plans"`
 	Config harness.ExploreConfig `json:"config"`
 }
 
-// CheckJob distributes CheckBatch: each shard checks one history (histio
-// text format) against every criterion. NodeLimit 0 leaves the searches
-// unbounded, as ducheck's batch mode does.
+// CheckJob distributes a batch check: each shard checks one history
+// (histio text format) against every criterion. NodeLimit 0 leaves the
+// searches unbounded, as ducheck's batch mode does.
 type CheckJob struct {
 	Histories []string         `json:"histories"`
 	Criteria  []spec.Criterion `json:"criteria"`
@@ -109,12 +111,11 @@ func (w WirePlan) Plan() (stm.Plan, error) {
 // Normalize validates the spec and pins every defaulted knob, so that
 // NumShards and RunShard become pure functions of the returned spec —
 // the property that lets a coordinator and its workers agree on the work
-// without sharing memory. It mirrors exactly the defaulting the
-// in-process entry points apply (CertConfig.WithDefaults,
-// SoakConfig.withDefaults, ExplorePlans' criterion default). Engine
-// names — including "engine+cm" matrix cells — are validated through
-// engines.Parse, so a bad name fails at submit time on the
-// coordinator, not at lease time on some worker.
+// without sharing memory. It applies the sequential paths' defaulting
+// (CertConfig.WithDefaults, SoakConfig.withDefaults, the explorer's
+// criterion default). Engine names — including "engine+cm" matrix cells
+// — are validated through engines.Parse, so a bad name fails at submit
+// time on the coordinator, not at lease time on some worker.
 func (s JobSpec) Normalize() (JobSpec, error) {
 	switch s.Kind {
 	case KindCertify:
@@ -215,15 +216,17 @@ func (w WireVerdict) Verdict() spec.Verdict {
 	return spec.Verdict{Criterion: w.Criterion, OK: w.OK, Undecided: w.Undecided, Reason: w.Reason, Nodes: w.Nodes}
 }
 
-// String renders exactly as spec.Verdict.String does, witness included.
+// String renders exactly as spec.Verdict.String does for a verdict of
+// spec.Check, witness included. Every acceptance spec.Check returns
+// carries its serialization, so an OK renders its brackets even when the
+// witness is the empty serialization (a history whose serialization has
+// no transactions: "OK []").
 func (w WireVerdict) String() string {
 	switch {
 	case w.Undecided:
 		return fmt.Sprintf("%s: undecided (%s)", w.Criterion, w.Reason)
-	case w.OK && w.Witness != "":
-		return fmt.Sprintf("%s: OK [%s]", w.Criterion, w.Witness)
 	case w.OK:
-		return fmt.Sprintf("%s: OK", w.Criterion)
+		return fmt.Sprintf("%s: OK [%s]", w.Criterion, w.Witness)
 	default:
 		return fmt.Sprintf("%s: violated (%s)", w.Criterion, w.Reason)
 	}
@@ -405,8 +408,8 @@ type ShardResult struct {
 // RunShard computes shard i of a normalized spec — the worker-side
 // compute unit. It is a pure function of (spec, i) up to scheduling
 // nondeterminism of real-goroutine workloads (under Interleaved configs
-// it is bit-reproducible, exactly as the in-process farm's shards are).
-// Cancellation propagates into checks, monitors and explorations.
+// it is bit-reproducible). Cancellation propagates into checks, monitors
+// and explorations.
 func (s JobSpec) RunShard(ctx context.Context, i int) (ShardResult, error) {
 	if i < 0 || i >= s.NumShards() {
 		return ShardResult{}, fmt.Errorf("checkfarm: shard %d out of range (%d shards)", i, s.NumShards())
@@ -456,9 +459,10 @@ func (s JobSpec) RunShard(ctx context.Context, i int) (ShardResult, error) {
 }
 
 // DegradedShard builds the explicit degradation artifact for a shard
-// that could not be computed — a worker dead past its lease retries, or
-// a drain with the shard still outstanding. It reuses the PR 7 shapes:
-// certify episodes become harness.DegradedEpisode, explorations a
+// that could not be computed — a shard that panicked past its retries
+// (JobSpec.Run), a worker dead past its lease retries, or a drain with
+// the shard still outstanding (internal/certd). Per kind, certify
+// episodes become harness.DegradedEpisode, explorations a
 // BudgetExhausted report with DegradedReason, check rows degraded
 // undecided verdicts, soak cells a Degraded cell. Folding a degraded
 // shard always surfaces in the report (CertStats.Degraded,
@@ -492,10 +496,10 @@ func (s JobSpec) DegradedShard(i int, reason string) ShardResult {
 	return res
 }
 
-// JobReport is the folded outcome of a distributed job; the field
-// matching the kind is set. Check rows keep the wire verdict form (the
-// structural witness stays on the worker); their String renderings match
-// the in-process CheckBatch verdicts exactly.
+// JobReport is the folded outcome of a job; the field matching the kind
+// is set. Check rows keep the wire verdict form (the structural witness
+// stays with RunShard); their String renderings match spec.Verdict's
+// exactly.
 type JobReport struct {
 	Kind     ShardKind               `json:"kind"`
 	Certify  *harness.CertStats      `json:"certify,omitempty"`
@@ -506,12 +510,12 @@ type JobReport struct {
 }
 
 // FoldJob aggregates shard results, given in shard order, exactly as the
-// in-process farm entry points do: certify results fold through
-// CertStats.AddEpisode in episode order, explorations and check rows
-// assemble in input order, soak cells run the same divergence extraction
-// and shrinking as Soak (jobs bounds the shrinking pool; shrinking is
-// the only compute FoldJob performs). results[i] == nil is rejected —
-// a missing shard must be degraded explicitly, not skipped.
+// sequential paths do: certify results fold through CertStats.AddEpisode
+// in episode order (harness.Certify's fold), explorations and check rows
+// assemble in input order, soak cells run divergence extraction and
+// shrinking (jobs bounds the shrinking pool; shrinking is the only
+// compute FoldJob performs). results[i] == nil is rejected — a missing
+// shard must be degraded explicitly, not skipped.
 func FoldJob(ctx context.Context, s JobSpec, results []*ShardResult, jobs int) (*JobReport, error) {
 	if len(results) != s.NumShards() {
 		return nil, fmt.Errorf("checkfarm: fold wants %d results, got %d", s.NumShards(), len(results))
@@ -581,12 +585,12 @@ func FoldJob(ctx context.Context, s JobSpec, results []*ShardResult, jobs int) (
 }
 
 // FormatJobReport renders the folded report with the same formatters the
-// in-process CLIs use, so a distributed run's output is comparable (and,
-// for deterministic jobs, byte-identical) to a local one.
+// CLIs use, so a distributed run's output is comparable (and, for
+// deterministic jobs, byte-identical) to a local one.
 func FormatJobReport(s JobSpec, rep *JobReport) string {
 	var b strings.Builder
 	if rep.Degraded > 0 {
-		fmt.Fprintf(&b, "%d of %d shard(s) degraded (dead workers); their results are explicit undecided artifacts\n",
+		fmt.Fprintf(&b, "%d of %d shard(s) degraded (lost to worker failures); their results are explicit undecided artifacts\n",
 			rep.Degraded, s.NumShards())
 	}
 	switch rep.Kind {

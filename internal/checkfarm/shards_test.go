@@ -3,13 +3,13 @@ package checkfarm
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"duopacity/internal/harness"
 	"duopacity/internal/histio"
-	"duopacity/internal/history"
 	"duopacity/internal/spec"
 	"duopacity/internal/stm"
 	"duopacity/internal/stm/engines"
@@ -69,35 +69,38 @@ func mustNormalize(t *testing.T, s JobSpec) JobSpec {
 	return n
 }
 
+// assertReports checks that the remote fold of s and a local Run of it
+// both render want — a reference computed without RunShard or FoldJob.
+func assertReports(t *testing.T, s JobSpec, want string) {
+	t.Helper()
+	if got := FormatJobReport(s, runRemote(t, s)); got != want {
+		t.Fatalf("remote fold diverged from the reference:\nreference:\n%s\nremote:\n%s", want, got)
+	}
+	if got := FormatJobReport(s, mustRun(t, context.Background(), s, 2)); got != want {
+		t.Fatalf("local farm diverged from the reference:\nreference:\n%s\nlocal:\n%s", want, got)
+	}
+}
+
 // TestFoldMatchesLocalFarmCertify pins the acceptance criterion at the
 // checkfarm layer: a certification distributed shard-by-shard over the
-// wire folds byte-identically to the in-process farm.
+// wire, and the same job run by the local farm, fold to the statistics
+// of the sequential harness.Certify.
 func TestFoldMatchesLocalFarmCertify(t *testing.T) {
 	criteria := []spec.Criterion{spec.DUOpacity, spec.Serializability}
-	s := mustNormalize(t, JobSpec{Kind: KindCertify, Certify: &CertifyJob{
-		Config: harness.CertConfig{
-			Workload: harness.Workload{Engine: "tl2", Objects: 3, Goroutines: 3, TxnsPerGoroutine: 2, OpsPerTxn: 3, Seed: 42},
-			Episodes: 8, Interleaved: true,
-		},
-		Criteria: criteria,
-	}})
+	s := mustNormalize(t, certifyJob(harness.CertConfig{
+		Workload: harness.Workload{Engine: "tl2", Objects: 3, Goroutines: 3, TxnsPerGoroutine: 2, OpsPerTxn: 3, Seed: 42},
+		Episodes: 8, Interleaved: true,
+	}, criteria))
 
-	local, err := Certify(context.Background(), s.Certify.Config, criteria, 2)
+	want, err := harness.Certify(s.Certify.Config, criteria)
 	if err != nil {
-		t.Fatalf("local Certify: %v", err)
+		t.Fatalf("sequential Certify: %v", err)
 	}
 	rep := runRemote(t, s)
-	if rep.Certify == nil {
-		t.Fatalf("remote fold produced no certify stats")
+	if rep.Certify == nil || !reflect.DeepEqual(want, *rep.Certify) {
+		t.Fatalf("remote fold diverged from sequential certification:\nsequential: %+v\nremote:     %+v", want, rep.Certify)
 	}
-	if !reflect.DeepEqual(local, *rep.Certify) {
-		t.Fatalf("remote fold diverged from local farm:\nlocal:  %+v\nremote: %+v", local, *rep.Certify)
-	}
-	want := harness.FormatCertTable(local, criteria)
-	got := FormatJobReport(s, rep)
-	if got != want {
-		t.Fatalf("formatted reports differ:\nlocal:\n%s\nremote:\n%s", want, got)
-	}
+	assertReports(t, s, harness.FormatCertTable(want, criteria))
 }
 
 func TestFoldMatchesLocalFarmExplore(t *testing.T) {
@@ -105,37 +108,31 @@ func TestFoldMatchesLocalFarmExplore(t *testing.T) {
 		stm.MustParsePlan("w0 | r0 r1\nw1"),
 		stm.MustParsePlan("r0 w1\nr1 w0"),
 	}
-	wire := make([]WirePlan, len(plans))
-	for i, p := range plans {
-		wire[i] = WirePlanOf(p)
-	}
-	s := mustNormalize(t, JobSpec{Kind: KindExplore, Explore: &ExploreJob{
-		Engine: "gl", Plans: wire, Config: harness.ExploreConfig{},
-	}})
+	s := mustNormalize(t, exploreJob("gl", plans, harness.ExploreConfig{}))
 
-	local, err := ExplorePlans(context.Background(), "gl", plans, harness.ExploreConfig{}, 2)
-	if err != nil {
-		t.Fatalf("local ExplorePlans: %v", err)
+	want := make([]harness.ExploreReport, len(plans))
+	for i, p := range plans {
+		r, err := harness.ExplorePlanCtx(context.Background(), "gl", p, harness.ExploreConfig{})
+		if err != nil {
+			t.Fatalf("sequential exploration %d: %v", i, err)
+		}
+		want[i] = r
 	}
 	rep := runRemote(t, s)
-	if len(rep.Explore) != len(local) {
-		t.Fatalf("remote fold has %d reports, local %d", len(rep.Explore), len(local))
+	if len(rep.Explore) != len(want) {
+		t.Fatalf("remote fold has %d reports, sequential %d", len(rep.Explore), len(want))
 	}
-	for i := range local {
-		l, r := local[i], rep.Explore[i]
+	for i := range want {
+		l, r := want[i], rep.Explore[i]
 		if l.Outcome != r.Outcome || l.Schedules != r.Schedules || l.Steps != r.Steps ||
 			l.Violations != r.Violations || l.SleepPruned != r.SleepPruned ||
 			l.MonitorEvents != r.MonitorEvents || l.SharedEvents != r.SharedEvents ||
 			l.MonitorEvents+l.SharedEvents == 0 ||
 			l.Plan.String() != r.Plan.String() || l.Plan.Objects != r.Plan.Objects {
-			t.Fatalf("plan %d diverged:\nlocal:  %+v\nremote: %+v", i, l, r)
+			t.Fatalf("plan %d diverged:\nsequential: %+v\nremote:     %+v", i, l, r)
 		}
 	}
-	want := harness.FormatExploreTable(local)
-	got := FormatJobReport(s, rep)
-	if got != want {
-		t.Fatalf("formatted explore tables differ:\nlocal:\n%s\nremote:\n%s", want, got)
-	}
+	assertReports(t, s, harness.FormatExploreTable(want))
 }
 
 func TestFoldMatchesLocalFarmCheck(t *testing.T) {
@@ -143,66 +140,60 @@ func TestFoldMatchesLocalFarmCheck(t *testing.T) {
 		"write 1 X 1\ncommit 1\nread 2 X 1\ncommit 2\n",
 		// Deferred-update violation: T2 reads T1's write before T1 commits.
 		"inv write 1 X 5\nres write 1 X 5 ok\nread 2 X 5\ncommit 2\ncommit 1\n",
+		// Serializability's witness is the empty serialization: "OK []".
+		"write 1 X 1\nabort 1\n",
 	}
 	criteria := []spec.Criterion{spec.DUOpacity, spec.Serializability}
 	s := mustNormalize(t, JobSpec{Kind: KindCheck, Check: &CheckJob{
 		Histories: histories, Criteria: criteria, NodeLimit: 200_000,
 	}})
 
-	hs := make([]*history.History, len(histories))
+	var want strings.Builder
 	for i, src := range histories {
 		h, err := histio.ParseString(src)
 		if err != nil {
 			t.Fatalf("parse history %d: %v", i, err)
 		}
-		hs[i] = h
-	}
-	local, err := CheckBatch(context.Background(), hs, criteria, 2, spec.WithNodeLimit(200_000))
-	if err != nil {
-		t.Fatalf("local CheckBatch: %v", err)
-	}
-
-	rep := runRemote(t, s)
-	if len(rep.Check) != len(local) {
-		t.Fatalf("remote fold has %d rows, local %d", len(rep.Check), len(local))
-	}
-	for i := range local {
-		for j := range local[i] {
-			if got, want := rep.Check[i][j].String(), local[i][j].String(); got != want {
-				t.Fatalf("history %d criterion %d: remote %q, local %q", i, j, got, want)
+		fmt.Fprintf(&want, "== history %d ==\n", i)
+		for _, c := range criteria {
+			v := spec.Check(h, c, spec.WithNodeLimit(200_000))
+			if i == 1 && c == spec.DUOpacity && v.OK {
+				t.Fatalf("sanity: the early-read history should violate du-opacity")
 			}
+			fmt.Fprintln(&want, v)
 		}
 	}
-	if local[1][0].OK {
-		t.Fatalf("sanity: the early-read history should violate du-opacity")
-	}
+	assertReports(t, s, want.String())
 }
 
+// TestFoldMatchesLocalFarmSoak: the soak reference observes every cell
+// with runSoakCell and folds the cells as they were observed — never
+// encoded, never decoded — with foldSoak.
 func TestFoldMatchesLocalFarmSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak differential is not -short")
 	}
-	cfg := SoakConfig{
+	s := mustNormalize(t, soakJob(SoakConfig{
 		Engines:  []string{"gl", "norec"},
 		Criteria: []spec.Criterion{spec.DUOpacity, spec.Serializability},
 		Rounds:   2,
 		Seed:     7,
+	}))
+	cfg := s.Soak.Config
+	tasks := soakTasks(cfg)
+	cells := make([]SoakCell, len(tasks))
+	for i, task := range tasks {
+		cell, err := runSoakCell(cfg, task)
+		if err != nil {
+			t.Fatalf("cell %d: %v", i, err)
+		}
+		cells[i] = cell
 	}
-	s := mustNormalize(t, JobSpec{Kind: KindSoak, Soak: &SoakJob{Config: cfg}})
-
-	local, err := Soak(context.Background(), cfg, 2)
+	res, err := foldSoak(context.Background(), cfg, cells, 1)
 	if err != nil {
-		t.Fatalf("local Soak: %v", err)
+		t.Fatalf("foldSoak: %v", err)
 	}
-	rep := runRemote(t, s)
-	if rep.Soak == nil {
-		t.Fatalf("remote fold produced no soak result")
-	}
-	want := FormatSoakReport(s.Soak.Config, local)
-	got := FormatJobReport(s, rep)
-	if got != want {
-		t.Fatalf("formatted soak reports differ:\nlocal:\n%s\nremote:\n%s", want, got)
-	}
+	assertReports(t, s, FormatSoakReport(cfg, res))
 }
 
 // TestDegradedShardFold pins the dead-worker contract per kind: a shard

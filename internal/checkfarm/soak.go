@@ -54,19 +54,6 @@ type SoakConfig struct {
 	NodeLimit int
 	// MaxTxns skips histories too large for exact checking (default 40).
 	MaxTxns int
-	// Portfolio > 1 runs each exact check as a parallel portfolio search
-	// with that many workers (spec.WithParallelism). Combine with a small
-	// jobs count when a few hard cells dominate the soak.
-	Portfolio int
-}
-
-// checkOpts builds the spec options shared by the soak's checks.
-func (c SoakConfig) checkOpts() []spec.Option {
-	opts := []spec.Option{spec.WithNodeLimit(c.NodeLimit)}
-	if c.Portfolio > 1 {
-		opts = append(opts, spec.WithParallelism(c.Portfolio))
-	}
-	return opts
 }
 
 func (c SoakConfig) withDefaults() SoakConfig {
@@ -115,9 +102,9 @@ type SoakCell struct {
 	Skipped  bool
 	Verdicts map[spec.Criterion]spec.Verdict
 	History  *history.History
-	// Degraded is set when the cell could not be observed at all — under
-	// distributed execution (internal/certd), a worker that died past its
-	// lease retries. A degraded cell is excluded from the per-criterion
+	// Degraded is set when the cell could not be observed at all: its
+	// shard panicked past its retries, or (under internal/certd) its worker
+	// died past its lease retries. A degraded cell is excluded from the per-criterion
 	// counts like a skipped one, but the degradation is always reported,
 	// never a silent drop (the PR 7 contract).
 	Degraded string
@@ -146,8 +133,8 @@ type SoakResult struct {
 	// Accepted/Rejected/Undecided count decided cells per engine and
 	// criterion (skipped cells excluded).
 	Accepted, Rejected, Undecided map[string]map[spec.Criterion]int
-	// Degraded counts cells lost to dead workers under distributed
-	// execution; always 0 for the in-process farm.
+	// Degraded counts cells lost to worker failures (see
+	// SoakCell.Degraded).
 	Degraded int
 }
 
@@ -168,8 +155,8 @@ func (r *SoakResult) MinimalCounterexample(engine string, c spec.Criterion) *his
 
 // soakTask names one cell of the soak grid. The task order — rounds
 // outermost, engines inner, the concurrent cell before its interleaved
-// probe — is the soak's canonical shard order, shared by the in-process
-// farm and the distributed one (certd jobs index shards into this list).
+// probe — is the soak's canonical shard order (soak jobs index shards
+// into this list, in process and under certd).
 type soakTask struct {
 	engine string
 	round  int
@@ -215,45 +202,21 @@ func runSoakCell(cfg SoakConfig, t soakTask) (SoakCell, error) {
 		cell.Skipped = true
 		return cell, nil
 	}
-	checkOpts := cfg.checkOpts()
 	cell.Verdicts = make(map[spec.Criterion]spec.Verdict, len(cfg.Criteria))
 	for _, c := range cfg.Criteria {
-		cell.Verdicts[c] = spec.Check(h, c, checkOpts...)
+		cell.Verdicts[c] = spec.Check(h, c, spec.WithNodeLimit(cfg.NodeLimit))
 	}
 	return cell, nil
 }
 
-// Soak runs the differential soak: every engine under every criterion over
-// the randomized workload grid, cells sharded across jobs workers. Each
-// violating history is shrunk to a minimal counterexample before being
-// recorded as a divergence. jobs <= 0 uses GOMAXPROCS.
-func Soak(ctx context.Context, cfg SoakConfig, jobs int) (*SoakResult, error) {
-	cfg = cfg.withDefaults()
-	tasks := soakTasks(cfg)
-	cells := make([]SoakCell, len(tasks))
-	err := shard(ctx, len(tasks), jobs, func(i int) error {
-		cell, cerr := runSoakCell(cfg, tasks[i])
-		if cerr != nil {
-			return cerr
-		}
-		cells[i] = cell
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return foldSoak(ctx, cfg, cells, jobs)
-}
-
 // foldSoak aggregates observed cells into the soak result: per-criterion
 // counts, divergence extraction, and greedy shrinking of each divergent
-// history. It is the fold entry point of the soak — given the cells in
-// canonical task order (however they were computed: the in-process shard
-// pool or certd workers), it reproduces Soak's aggregation byte for
-// byte. cfg must be the same (defaulted) config the cells were computed
-// under, since shrinking re-checks with the soak's node limit.
+// history. FoldJob calls it with the cells in canonical task order
+// (jobs bounds the shrinking pool). cfg must be the same (defaulted)
+// config the cells were computed under, since shrinking re-checks with
+// the soak's node limit.
 func foldSoak(ctx context.Context, cfg SoakConfig, cells []SoakCell, jobs int) (*SoakResult, error) {
-	checkOpts := cfg.checkOpts()
+	checkOpt := spec.WithNodeLimit(cfg.NodeLimit)
 	res := &SoakResult{
 		Cells:     cells,
 		Accepted:  make(map[string]map[spec.Criterion]int),
@@ -319,18 +282,18 @@ func foldSoak(ctx context.Context, cfg SoakConfig, cells []SoakCell, jobs int) (
 		// satisfy that and lose the divergence).
 		d.Minimal = gen.Shrink(cell.History, func(g *history.History) bool {
 			for _, c := range d.Accepted {
-				if v := spec.Check(g, c, checkOpts...); !v.OK {
+				if v := spec.Check(g, c, checkOpt); !v.OK {
 					return false
 				}
 			}
 			for _, c := range d.Rejected {
-				if v := spec.Check(g, c, checkOpts...); v.OK || v.Undecided {
+				if v := spec.Check(g, c, checkOpt); v.OK || v.Undecided {
 					return false
 				}
 			}
 			return true
 		})
-		d.Reason = spec.Check(d.Minimal, target, checkOpts...).Reason
+		d.Reason = spec.Check(d.Minimal, target, checkOpt).Reason
 		divs[j] = d
 		return nil
 	})
@@ -362,7 +325,7 @@ func FormatSoakReport(cfg SoakConfig, res *SoakResult) string {
 	fmt.Fprintf(&b, "differential soak: %d engines x %d criteria, %d cells (%d divergent)\n",
 		len(cfg.Engines), len(cfg.Criteria), len(res.Cells), len(res.Divergences))
 	if res.Degraded > 0 {
-		fmt.Fprintf(&b, "%d cell(s) degraded: lost to dead workers, excluded from the counts below\n", res.Degraded)
+		fmt.Fprintf(&b, "%d cell(s) degraded: lost to worker failures, excluded from the counts below\n", res.Degraded)
 	}
 	tw := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
 	fmt.Fprint(tw, "engine")

@@ -23,10 +23,7 @@ func shortSoakConfig() SoakConfig {
 // pessimistic in-place engine under du-opacity.
 func TestSoakDifferential(t *testing.T) {
 	cfg := shortSoakConfig()
-	res, err := Soak(context.Background(), cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, context.Background(), soakJob(cfg), 0).Soak
 	full := cfg.withDefaults()
 	if len(full.Engines) != 7 {
 		t.Fatalf("default soak covers %d engines, want 7", len(full.Engines))
@@ -101,10 +98,7 @@ func TestSoakDeferredUpdateEnginesStayClean(t *testing.T) {
 	cfg := shortSoakConfig()
 	cfg.Engines = []string{"gl", "tl2", "norec"}
 	cfg.Criteria = []spec.Criterion{spec.DUOpacity}
-	res, err := Soak(context.Background(), cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, context.Background(), soakJob(cfg), 2).Soak
 	for _, cell := range res.Cells {
 		if cell.Skipped || !cell.Probe {
 			continue

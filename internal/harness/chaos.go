@@ -34,8 +34,8 @@ import (
 // because package checkfarm sits above harness: it certifies h against c
 // under the fault schedule attached to ctx (chaos.WithFarmFaults) and
 // returns the verdict together with the degradation reason the farm
-// reported, or "" for a clean run. checkfarm wires this to CheckBatch in
-// its soak test and cmd/stmbench wires it for the chaos subcommand.
+// reported, or "" for a clean run. checkfarm's soak test and cmd/stmbench's
+// chaos subcommand wire it to a one-history check job.
 type ChaosFarmFunc func(ctx context.Context, h *history.History, c spec.Criterion, nodeLimit int) (spec.Verdict, string, error)
 
 // ChaosConfig parameterizes a soak. The zero value is runnable: kill-safe

@@ -140,8 +140,8 @@ type ExploreConfig struct {
 	// verdict's Serialization belongs to the exploration's one monitor and
 	// is valid only during the callback. One
 	// ExplorePlanCtx call invokes the callback sequentially, but a config
-	// shared across concurrent explorations (checkfarm.ExplorePlans with
-	// jobs > 1) invokes it from all workers — such a callback must be
+	// shared across concurrent explorations (a checkfarm explore job run
+	// with jobs > 1) invokes it from all workers — such a callback must be
 	// safe for concurrent use.
 	// The field is excluded from serialization (checkfarm.JobSpec ships
 	// ExploreConfig over the certd wire; a callback cannot travel).
@@ -228,9 +228,8 @@ type ExploreReport struct {
 	Undecided int
 	// DegradedReason is set when the exploration did not run to its
 	// configured budget for an exceptional reason — the context was
-	// cancelled, a monitor rejected a recorded event, or (under
-	// checkfarm.ExplorePlans) the exploration shard panicked past its
-	// retries. The Outcome is BudgetExhausted in that case: degraded
+	// cancelled, a monitor rejected a recorded event, or (under the
+	// checkfarm) the exploration shard panicked past its retries. The Outcome is BudgetExhausted in that case: degraded
 	// explorations are honest undecided results, never silent drops.
 	DegradedReason string
 }

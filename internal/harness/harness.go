@@ -164,8 +164,8 @@ func planFor(w Workload) stm.Plan {
 }
 
 // PlanOf exposes the seeded per-goroutine transaction programs of a
-// workload as an stm.Plan — the unit ExplorePlanCtx enumerates and
-// checkfarm.ExplorePlans shards. The plan is a pure function of the
+// workload as an stm.Plan — the unit ExplorePlanCtx enumerates and a
+// checkfarm explore job shards. The plan is a pure function of the
 // workload (seed, shape), exactly the programs Run, RunRecorded and
 // RunInterleaved execute.
 func PlanOf(w Workload) stm.Plan {
@@ -324,12 +324,6 @@ type CertConfig struct {
 	// including single-CPU machines where real goroutines rarely
 	// interleave mid-transaction.
 	Interleaved bool
-	// Portfolio > 1 runs each exact check as a parallel portfolio search
-	// with that many workers (spec.WithParallelism): useful when a few
-	// hard episodes dominate a certification. Acceptance is unaffected,
-	// but undecided verdicts near the node limit may vary between runs;
-	// keep 0 for bit-reproducible statistics.
-	Portfolio int
 	// Explore certifies each episode by exhaustively exploring the
 	// episode plan's schedule space (ExplorePlanCtx) instead of sampling one
 	// recorded run: an accepted episode means *no* schedule of the
@@ -404,7 +398,7 @@ type EpisodeReport struct {
 	// History is the recorded episode (also set when Skipped).
 	History *history.History
 	// Degraded is set when the episode could not be certified for an
-	// exceptional reason (under checkfarm.Certify: the episode's shard
+	// exceptional reason (under the checkfarm: the episode's shard
 	// panicked past its retries); Verdicts then holds an undecided verdict
 	// per criterion carrying the same reason. Degradation is always
 	// reported, never a silent drop.
@@ -454,9 +448,6 @@ func CertifyEpisodeCtx(ctx context.Context, cfg CertConfig, ep int, criteria []s
 	}
 	r := EpisodeReport{Verdicts: make(map[spec.Criterion]spec.Verdict, len(criteria)), History: h}
 	opts := []spec.Option{spec.WithNodeLimit(cfg.NodeLimit)}
-	if cfg.Portfolio > 1 {
-		opts = append(opts, spec.WithParallelism(cfg.Portfolio))
-	}
 	if ctx != nil {
 		opts = append(opts, spec.WithContext(ctx))
 	}
@@ -470,7 +461,7 @@ func CertifyEpisodeCtx(ctx context.Context, cfg CertConfig, ep int, criteria []s
 // episode's seeded plan is explored exhaustively per criterion, and the
 // per-plan verdicts (proven / violation with the pinned causing schedule /
 // budget-exhausted) are folded into the ordinary episode report so the
-// whole certification stack — AddEpisode, checkfarm.Certify, the CLIs —
+// whole certification stack — AddEpisode, the checkfarm, the CLIs —
 // aggregates proofs exactly as it aggregates samples.
 func exploreEpisode(ctx context.Context, cfg CertConfig, w Workload, criteria []spec.Criterion) (EpisodeReport, error) {
 	// Capture MaxAttempts before the sampler defaulting: its 10,000-retry

@@ -1,11 +1,6 @@
 package harness
 
 import (
-	"context"
-	"fmt"
-	"strings"
-	"text/tabwriter"
-
 	"duopacity/internal/history"
 	"duopacity/internal/spec"
 )
@@ -33,11 +28,10 @@ type OnlineReport struct {
 	// Stats summarizes the underlying run.
 	Stats RunStats
 	// DegradedReason is set when online certification could not observe
-	// the whole run — the monitor rejected or panicked on a recorded
-	// event, or (under checkfarm.CertifyOnline) the episode shard panicked
-	// past its retries. The Verdict is then honest: a violation latched
-	// before the fault stands (prefix closure), but an OK is downgraded to
-	// undecided because the tail of the run went unmonitored.
+	// the whole run because the monitor rejected a recorded event. The
+	// Verdict is then honest: a violation latched before the fault stands
+	// (prefix closure), but an OK is downgraded to undecided because the
+	// tail of the run went unmonitored.
 	DegradedReason string
 }
 
@@ -112,82 +106,4 @@ func RunMonitored(w Workload, c spec.Criterion, nodeLimit int, interleaved bool,
 		Stats:          stats,
 		DegradedReason: degraded,
 	}, nil
-}
-
-// CertifyEpisodeOnlineCtx runs episode ep of the certification described
-// by cfg through the online monitor instead of the record-then-check
-// pipeline: the episode's events are fed through the monitor's stream as
-// they occur and never materialized into a batch history. Episodes are
-// seeded exactly as CertifyEpisodeCtx seeds them, so online and batch
-// certification cover the same executions. Call cfg.WithDefaults first
-// when bypassing CertifyOnline aggregation. Cancellation is threaded into
-// the monitor's checks (spec.WithContext): a farm deadline turns the
-// episode's remaining searches into prompt undecided verdicts instead of
-// running each to the node limit.
-func CertifyEpisodeOnlineCtx(ctx context.Context, cfg CertConfig, ep int, c spec.Criterion) (OnlineReport, error) {
-	w := cfg.Workload
-	w.Seed = cfg.Workload.Seed + int64(ep)*episodeSeedStride
-	var extra []spec.Option
-	if ctx != nil {
-		extra = append(extra, spec.WithContext(ctx))
-	}
-	return RunMonitored(w, c, cfg.NodeLimit, cfg.Interleaved, extra...)
-}
-
-// OnlineStats aggregates online certification outcomes.
-type OnlineStats struct {
-	Engine    string
-	Criterion spec.Criterion
-	Episodes  int
-	Accepted  int
-	Rejected  int
-	Undecided int
-	// Degraded counts episodes whose monitoring was cut short (see
-	// OnlineReport.DegradedReason); each is also counted in Undecided or
-	// Rejected, never in Accepted.
-	Degraded int
-	// FirstReason records the first rejection reason.
-	FirstReason string
-	// Events, Searches and FastHits accumulate the monitors' cost
-	// counters across episodes.
-	Events, Searches, FastHits int64
-}
-
-// AddEpisode folds one monitored episode into the statistics. Folding
-// reports in episode order keeps FirstReason deterministic.
-func (s *OnlineStats) AddEpisode(r OnlineReport) {
-	s.Episodes++
-	if r.DegradedReason != "" {
-		s.Degraded++
-	}
-	v := r.Verdict
-	switch {
-	case v.Undecided:
-		s.Undecided++
-	case v.OK:
-		s.Accepted++
-	default:
-		s.Rejected++
-		if s.FirstReason == "" {
-			s.FirstReason = v.Reason
-		}
-	}
-	s.Events += int64(r.Events)
-	s.Searches += int64(r.Searches)
-	s.FastHits += int64(r.FastHits)
-}
-
-// FormatOnlineTable renders online certification statistics.
-func FormatOnlineTable(s OnlineStats) string {
-	var b strings.Builder
-	tw := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "engine %s, %s (online): %d episodes\n", s.Engine, s.Criterion, s.Episodes)
-	fmt.Fprintln(tw, "accepted\trejected\tundecided\tevents\tsearches\tfast-hits")
-	fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%d\n",
-		s.Accepted, s.Rejected, s.Undecided, s.Events, s.Searches, s.FastHits)
-	if s.FirstReason != "" {
-		fmt.Fprintf(tw, "first reason: %s\n", s.FirstReason)
-	}
-	_ = tw.Flush()
-	return b.String()
 }

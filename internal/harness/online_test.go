@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"testing"
 
 	"duopacity/internal/spec"
@@ -132,51 +131,5 @@ func TestRunMonitoredWithRetirement(t *testing.T) {
 	}
 	if ret.Retired == 0 {
 		t.Fatal("sequential workload retired nothing")
-	}
-}
-
-// TestCertifyEpisodeOnlineSeeding pins that online episodes cover the
-// same executions as batch episodes (same seed derivation).
-func TestCertifyEpisodeOnlineSeeding(t *testing.T) {
-	cfg := CertConfig{Workload: Workload{
-		Engine:           "ple",
-		Objects:          4,
-		Goroutines:       8,
-		TxnsPerGoroutine: 4,
-		OpsPerTxn:        8,
-		ReadFraction:     0.5,
-		Seed:             4,
-	}, Episodes: 6, Interleaved: true}
-	cfg = cfg.WithDefaults()
-	var online OnlineStats
-	online.Engine = cfg.Workload.Engine
-	online.Criterion = spec.DUOpacity
-	batch := NewCertStats(cfg.Workload.Engine)
-	for ep := 0; ep < cfg.Episodes; ep++ {
-		r, err := CertifyEpisodeOnlineCtx(context.Background(), cfg, ep, spec.DUOpacity)
-		if err != nil {
-			t.Fatal(err)
-		}
-		online.AddEpisode(r)
-		br, err := CertifyEpisodeCtx(context.Background(), cfg, ep, []spec.Criterion{spec.DUOpacity})
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch.AddEpisode([]spec.Criterion{spec.DUOpacity}, br)
-	}
-	if online.Accepted != batch.Accepted[spec.DUOpacity] ||
-		online.Rejected != batch.Rejected[spec.DUOpacity] {
-		t.Fatalf("online (%d accepted, %d rejected) diverges from batch (%d, %d)",
-			online.Accepted, online.Rejected,
-			batch.Accepted[spec.DUOpacity], batch.Rejected[spec.DUOpacity])
-	}
-	// The verdicts agree (du-opacity is prefix-closed); the reasons need
-	// not: the monitor latches at the first violating prefix, whose
-	// refutation can name an earlier cause than the full episode's.
-	if online.Rejected > 0 && online.FirstReason == "" {
-		t.Fatal("rejections without a first reason")
-	}
-	if out := FormatOnlineTable(online); out == "" {
-		t.Fatal("empty online table")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"duopacity/internal/history"
 )
@@ -104,14 +103,6 @@ type engine struct {
 	memo        fpTable
 	nodes       int
 
-	// Portfolio state (nil when searching sequentially): a shared
-	// first-witness-wins cancellation flag and a shared node budget that
-	// workers claim in chunks.
-	stop      *atomic.Bool
-	budget    *atomic.Int64
-	chunk     int // nodes left in the locally claimed budget chunk
-	chunkSize int // claim granularity, sized by decideParallel to the budget
-
 	// Cancellation state (nil unless WithContext was given): the context's
 	// Done channel, polled every ctxPollMask+1 nodes in search().
 	ctxDone   <-chan struct{}
@@ -158,7 +149,6 @@ func (e *engine) release() {
 	e.h, e.ix = nil, nil
 	e.mode = searchMode{}
 	e.pred = nil // may alias ix.RTPred; predBuf stays pooled
-	e.stop, e.budget = nil, nil
 	e.ctxDone, e.cancelled = nil, false
 	e.collect = nil
 	e.witness = nil
@@ -175,11 +165,11 @@ func newEngine(h *history.History, mode searchMode, opts options) (*engine, stri
 	ix := h.Index()
 	e := enginePool.Get().(*engine)
 	e.h, e.ix, e.mode, e.opts = h, ix, mode, opts
-	e.placedCount, e.fp, e.nodes, e.chunk, e.chunkSize = 0, 0, 0, 0, 0
+	e.placedCount, e.fp, e.nodes = 0, 0, 0
 	e.order = grow(e.order, 0)
 	e.commits = grow(e.commits, 0)
 	e.witness, e.reason, e.bailed = nil, "", false
-	e.stop, e.budget, e.collect = nil, nil, nil
+	e.collect = nil
 	e.ctxDone, e.cancelled = nil, false
 	if opts.ctx != nil {
 		e.ctxDone = opts.ctx.Done()
@@ -428,40 +418,10 @@ func (e *engine) run() (ok bool, witness *history.Seq, reason string, bailed boo
 // searching), keeping the per-node cost of WithContext to a nil check.
 const ctxPollMask = 255
 
-// claimNode draws one search node from the shared portfolio budget,
-// claiming it in chunks to keep the atomic traffic low. It reports false
-// when the budget is exhausted. Workers refund unused chunk remainders
-// between branches (decideParallel), so short branches don't strand
-// budget.
-func (e *engine) claimNode() bool {
-	if e.chunk > 0 {
-		e.chunk--
-		return true
-	}
-	size := e.chunkSize
-	if size <= 0 {
-		size = 256
-	}
-	after := e.budget.Add(-int64(size))
-	claimed := size + int(after)
-	if claimed > size {
-		claimed = size
-	}
-	if claimed <= 0 {
-		return false
-	}
-	e.chunk = claimed - 1
-	return true
-}
-
 // search tries to extend the current partial serialization to a full one.
 // It returns true when a witness has been found (and, when not
 // enumerating, the search should stop).
 func (e *engine) search() bool {
-	if e.stop != nil && e.stop.Load() {
-		// Another portfolio worker already found a witness.
-		return false
-	}
 	if e.ctxDone != nil && e.nodes&ctxPollMask == 0 {
 		select {
 		case <-e.ctxDone:
@@ -470,12 +430,7 @@ func (e *engine) search() bool {
 		default:
 		}
 	}
-	if e.budget != nil {
-		if !e.claimNode() {
-			e.bailed = true
-			return false
-		}
-	} else if e.opts.nodeLimit > 0 && e.nodes > e.opts.nodeLimit {
+	if e.opts.nodeLimit > 0 && e.nodes > e.opts.nodeLimit {
 		e.bailed = true
 		return false
 	}

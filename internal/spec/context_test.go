@@ -52,18 +52,6 @@ func TestCheckAlreadyCancelledContextIsUndecided(t *testing.T) {
 	}
 }
 
-func TestCheckAlreadyCancelledContextPortfolio(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	v := Check(searchyHistory(), DUOpacity, WithContext(ctx), WithParallelism(4))
-	if !v.Undecided {
-		t.Fatalf("portfolio search under cancelled context decided: %v", v)
-	}
-	if !strings.Contains(v.Reason, "context cancelled") {
-		t.Fatalf("portfolio undecided reason %q does not name the context", v.Reason)
-	}
-}
-
 func TestCheckContextBackgroundIsHarmless(t *testing.T) {
 	v := Check(searchyHistory(), DUOpacity, WithContext(context.Background()))
 	if !v.OK || v.Undecided {

@@ -228,9 +228,6 @@ func CheckSerializability(h *history.History, opts ...Option) Verdict {
 }
 
 func decide(h *history.History, c Criterion, mode searchMode, o options) Verdict {
-	if o.parallelism > 1 {
-		return decideParallel(h, c, mode, o)
-	}
 	e, reject := newEngine(h, mode, o)
 	if reject != "" {
 		return Verdict{Criterion: c, Reason: reject}

@@ -256,16 +256,13 @@ type Option func(*options)
 
 type options struct {
 	nodeLimit            int
-	parallelism          int
 	tms2AbortedExemption bool
 	retireWindow         int
 	ctx                  context.Context
 }
 
 // WithNodeLimit bounds the number of search nodes explored before the
-// checker gives up with an undecided verdict. Zero means unlimited. Under
-// WithParallelism the limit becomes a shared budget that all portfolio
-// workers draw from.
+// checker gives up with an undecided verdict. Zero means unlimited.
 func WithNodeLimit(n int) Option {
 	return func(o *options) { o.nodeLimit = n }
 }
@@ -275,22 +272,9 @@ func WithNodeLimit(n int) Option {
 // "context cancelled" instead of running to the node limit. The search
 // polls the context every few hundred nodes, so cancellation stops even a
 // pathological search promptly without slowing the per-node hot path.
-// Under WithParallelism every portfolio worker polls the same context.
 // A nil context (the default) disables polling entirely.
 func WithContext(ctx context.Context) Option {
 	return func(o *options) { o.ctx = ctx }
-}
-
-// WithParallelism fans the top-level branches of the serialization search
-// across n workers with first-witness-wins cancellation and a shared
-// atomic node budget. Values <= 1 keep the sequential search.
-//
-// Acceptance and refutation are unaffected by parallelism; the specific
-// witness, the node count, and — when a node limit is set — which checks
-// come back undecided at the budget boundary may vary between runs. The
-// sequential path stays bit-reproducible.
-func WithParallelism(n int) Option {
-	return func(o *options) { o.parallelism = n }
 }
 
 // WithTMS2AbortedReaderExemption drops the TMS2 conflict-order edges

@@ -6,6 +6,7 @@ import (
 
 	"duopacity/internal/gen"
 	"duopacity/internal/history"
+	"duopacity/internal/koenig"
 	"duopacity/internal/spec"
 )
 
@@ -249,7 +250,16 @@ func TestRewindRefusedAfterRetirement(t *testing.T) {
 // TestRewindIsLemma1 pins that a du-opacity rewind is the lemma and not a
 // search: from accepted states of du-opaque streams, 2 000 random rewinds
 // re-anchor the witness by restriction alone (Stats counts no search
-// across any of them), and each restricted witness validates.
+// across any of them), and each restricted witness validates. The oracle
+// is Lemma 1's construction itself, koenig.RestrictSerialization: the
+// witness held before the rewind, restricted to the rewound prefix, must
+// be the rewound session's witness — the same transaction order and the
+// same commit bits. Verdicts (and witnesses) are defined at response
+// prefixes, so both ends of the restriction are the last response prefix
+// within the events held: a witness held after trailing invocations
+// serializes the prefix before them, and restricting it to a prefix that
+// ends in an invocation of tryC would keep a commit decision that the
+// rewound session, sitting at the response before it, has no tryC for.
 func TestRewindIsLemma1(t *testing.T) {
 	const want = 2000
 	rewinds := 0
@@ -264,6 +274,12 @@ func TestRewindIsLemma1(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(seed))
+		responsePrefix := func(n int) int {
+			for n > 0 && evs[n-1].Kind != history.Res {
+				n--
+			}
+			return n
+		}
 		at := 0
 		for round := 0; round < 40 && rewinds < want; round++ {
 			for to := at + 1 + rng.Intn(len(evs)-at+1); at < to && at < len(evs); at++ {
@@ -272,7 +288,13 @@ func TestRewindIsLemma1(t *testing.T) {
 				}
 			}
 			searches, _ := m.Stats()
+			held, from := m.Verdict().Serialization, responsePrefix(at)
+			heldText := held.String() // the session reuses the Seq's storage
 			at = rng.Intn(at + 1)
+			want, err := koenig.RestrictSerialization(h.Prefix(from), held, responsePrefix(at))
+			if err != nil {
+				t.Fatalf("seed %d: koenig cannot restrict the held witness to %d: %v", seed, at, err)
+			}
 			if err := m.Rewind(at); err != nil {
 				t.Fatal(err)
 			}
@@ -283,6 +305,9 @@ func TestRewindIsLemma1(t *testing.T) {
 			}
 			if v := m.Verdict(); !v.OK {
 				t.Fatalf("seed %d: rewind to %d: %v", seed, at, v)
+			} else if got := v.Serialization.String(); got != want.String() {
+				t.Fatalf("seed %d: rewind %d -> %d: witness [%s], Lemma 1 restricts [%s] to [%s]",
+					seed, from, at, got, heldText, want)
 			} else if at > 0 && evs[at-1].Kind == history.Res {
 				if err := spec.VerifySerialization(h.Prefix(at), v.Serialization); err != nil {
 					t.Fatalf("seed %d: restricted witness at %d invalid: %v", seed, at, err)
