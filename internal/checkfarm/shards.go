@@ -286,6 +286,8 @@ type WireExplore struct {
 	SymmetryPruned int            `json:"symmetry_pruned"`
 	Steps          int64          `json:"steps"`
 	Replays        int            `json:"replays"`
+	StepsExecuted  int64          `json:"steps_executed"`
+	Forks          int            `json:"forks"`
 	MonitorEvents  int64          `json:"monitor_events"`
 	SharedEvents   int64          `json:"shared_events"`
 	MaxFrontier    int            `json:"max_frontier"`
@@ -300,6 +302,7 @@ func WireExploreOf(r harness.ExploreReport) WireExplore {
 		Outcome: uint8(r.Outcome), Schedules: r.Schedules, PrefixCut: r.PrefixCut,
 		Violations: r.Violations, SleepPruned: r.SleepPruned, SymmetryPruned: r.SymmetryPruned,
 		Steps: r.Steps, Replays: r.Replays, MaxFrontier: r.MaxFrontier,
+		StepsExecuted: r.StepsExecuted, Forks: r.Forks,
 		MonitorEvents: r.MonitorEvents, SharedEvents: r.SharedEvents,
 		Undecided: r.Undecided, DegradedReason: r.DegradedReason,
 	}
@@ -327,6 +330,7 @@ func (w WireExplore) Report() (harness.ExploreReport, error) {
 		PrefixCut: w.PrefixCut, Violations: w.Violations,
 		SleepPruned: w.SleepPruned, SymmetryPruned: w.SymmetryPruned,
 		Steps: w.Steps, Replays: w.Replays, MaxFrontier: w.MaxFrontier,
+		StepsExecuted: w.StepsExecuted, Forks: w.Forks,
 		MonitorEvents: w.MonitorEvents, SharedEvents: w.SharedEvents,
 		Undecided: w.Undecided, DegradedReason: w.DegradedReason,
 	}

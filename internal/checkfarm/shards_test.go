@@ -128,6 +128,7 @@ func TestFoldMatchesLocalFarmExplore(t *testing.T) {
 			l.Violations != r.Violations || l.SleepPruned != r.SleepPruned ||
 			l.MonitorEvents != r.MonitorEvents || l.SharedEvents != r.SharedEvents ||
 			l.MonitorEvents+l.SharedEvents == 0 ||
+			l.StepsExecuted != r.StepsExecuted || l.Forks != r.Forks ||
 			l.Plan.String() != r.Plan.String() || l.Plan.Objects != r.Plan.Objects {
 			t.Fatalf("plan %d diverged:\nsequential: %+v\nremote:     %+v", i, l, r)
 		}

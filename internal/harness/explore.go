@@ -40,14 +40,17 @@ import (
 //     programs are interchangeable, so only the lower-indexed one may take
 //     its first step first.
 //
-// Engines cannot be checkpointed, so the DFS is stateless in the engine:
-// each leaf re-executes the plan from a fresh engine along the decision
-// stack (replay), which the deterministic stepper makes byte-reproducible.
-// The monitor, in contrast, is shared: one spec.Monitor lives for the
-// whole exploration and is rewound (spec.Session.Rewind, the paper's
-// Lemma 1) to the first event at which a replay departs from the one
-// before it — in DFS order most of a replay is the previous replay's
-// steps, producing the same events, which the monitor already holds.
+// Under the stepper the whole world is single-threaded plain data — the
+// engine with its transactions in flight (stm.Forkable), the virtual
+// threads, the recorder's log and the monitor — so the DFS is stateful:
+// each decision frame forks the world once, when it opens, into storage
+// the frame slot keeps across pushes. A backtrack restores the top frame's
+// fork in place — the engine and its transactions overwritten from the
+// copy, the recorder truncated, the monitor rewound (spec.Session.Rewind,
+// the paper's Lemma 1) to the fork's length — and steps only the new
+// suffix. The restored prefix is the one the frame recorded, by
+// construction, so nothing is re-executed or compared. The engine is
+// built once per exploration, for the root.
 //
 // The quantifier is the stepper's schedule space — the engine's exclusion
 // policy plus the stepper's abort-backoff discipline (an aborted thread
@@ -206,18 +209,24 @@ type ExploreReport struct {
 	// the respective prunings (each skip cuts a whole subtree).
 	SleepPruned    int
 	SymmetryPruned int
-	// Steps is the total number of t-operation steps executed across all
-	// replays. Replays counts every walk down the tree regardless of how
-	// it ended: completed schedules, prefix-cut and sleep-cut paths, and
+	// Steps is the total length of the walked schedules, in t-operation
+	// steps. Replays counts every walk down the tree regardless of how it
+	// ended: completed schedules, prefix-cut and sleep-cut paths, and
 	// step-budget truncations (it is not derivable from the other
 	// counters — SleepPruned also counts sibling skips that replay
 	// nothing).
 	Steps   int64
 	Replays int
+	// StepsExecuted counts the steps actually run: a replay restores the
+	// fork of its decision frame and runs only the new suffix, so Steps −
+	// StepsExecuted is what forking saved. Forks counts the forks taken,
+	// one per decision frame opened.
+	StepsExecuted int64
+	Forks         int
 	// MonitorEvents counts the recorded events appended to the monitor,
-	// SharedEvents those it already held from the replay before (the
-	// rewound prefix): their sum is every event the replays recorded, and
-	// SharedEvents is what rewinding instead of rebuilding saved.
+	// SharedEvents those of the restored prefixes, which it already held:
+	// their sum is every event of the walked schedules, and SharedEvents is
+	// what rewinding instead of rebuilding saved.
 	MonitorEvents int64
 	SharedEvents  int64
 	// MaxFrontier is the deepest decision stack reached — with
@@ -257,22 +266,37 @@ func ExplorePlanCtx(ctx context.Context, engine string, p stm.Plan, cfg ExploreC
 	if err != nil {
 		return ExploreReport{}, err
 	}
+	return explore(ctx, engine, eng, p, cfg)
+}
+
+// explore is ExplorePlanCtx on an engine already built: the root of the
+// world every decision frame forks.
+func explore(ctx context.Context, engine string, eng stm.Engine, p stm.Plan, cfg ExploreConfig) (ExploreReport, error) {
+	root, ok := eng.(stm.Forkable)
+	if !ok {
+		return ExploreReport{}, fmt.Errorf("harness: explore needs a forkable engine, %s is not", engine)
+	}
 	cfg = cfg.withDefaults(p)
 	switch cfg.Criterion {
 	case spec.DUOpacity, spec.Opacity:
 	default:
 		return ExploreReport{}, fmt.Errorf("harness: explore requires a prefix-closed monitorable criterion (du-opacity or opacity), got %v", cfg.Criterion)
 	}
-	rec := recorder.New(eng) // every replay restarts it on a fresh engine
+	rec := recorder.New(root)
+	n := len(p.Threads)
 	e := &explorer{
 		engine:   engine,
-		p:        p,
 		cfg:      cfg,
 		ctx:      ctx,
 		symClass: symClasses(p.Threads),
 		rep:      ExploreReport{Engine: engine, Criterion: cfg.Criterion, Plan: p},
+		eng:      root,
 		rec:      rec,
 		st:       stepper{rec: rec, threads: threadsFor(p), policy: policyFor(engine), maxAttempts: cfg.MaxAttempts},
+		in:       make([]stm.Txn, n),
+		out:      make([]stm.Txn, n),
+		targets:  make([]*recorder.Txn, n),
+		free:     make([]*recorder.Txn, 0, n),
 	}
 	e.newMonitor()
 	e.run()
@@ -280,8 +304,8 @@ func ExplorePlanCtx(ctx context.Context, engine string, p stm.Plan, cfg ExploreC
 }
 
 // exFrame is one decision point of the DFS: the scheduling choices that
-// were admissible there, the one currently being explored, and the sleep
-// machinery.
+// were admissible there, the one currently being explored, the sleep
+// machinery, and the world every branch starts from.
 type exFrame struct {
 	choices []int // admissible thread ids, post-symmetry-filter
 	next    int   // index into choices of the branch being explored
@@ -290,6 +314,24 @@ type exFrame struct {
 	// for the remaining siblings (the classic sleep-set discipline).
 	base     uint64
 	explored uint64
+	world    world
+}
+
+// world is a fork of everything a step changes, taken at a decision point
+// before its branch is stepped. Its storage belongs to the frame slot and
+// is reused by every frame pushed there.
+type world struct {
+	eng     stm.Forkable    // copy of the engine
+	txns    []stm.Txn       // per thread: copy of its transaction in flight, in eng
+	ids     []history.TxnID // per thread: that transaction's identifier, 0 when none
+	threads []vthread       // per thread: its state, tx cleared
+	vals    int64           // the stepper's counters
+	commits int64
+	aborts  int64
+	failed  int64
+	lastID  history.TxnID // the recorder's last identifier
+	events  int           // events recorded (and held by the monitor)
+	depth   int           // schedule length
 }
 
 // pathEnd describes how one replay ended.
@@ -304,34 +346,35 @@ const (
 
 type explorer struct {
 	engine   string
-	p        stm.Plan
 	cfg      ExploreConfig
 	ctx      context.Context
 	symClass []int // per-thread program class, see symClasses
 	rep      ExploreReport
 
-	// One recorder, one stepper and one monitor serve every replay: the
-	// recorder and the stepper's threads are restarted, the monitor is
-	// rewound (see observe).
+	// One engine, one recorder, one stepper and one monitor serve every
+	// replay: restore overwrites the first three from a frame's fork and
+	// rewinds the monitor.
+	eng stm.Forkable
 	rec *recorder.Recorder
 	st  stepper
 	m   *spec.Monitor
-	// events counts the events of the current replay; while following, each
-	// one so far equalled the event the monitor holds at its index. latchAt
-	// is the index of the event at which the monitor latched its violation,
-	// -1 while it has none — it outlives the replay like the monitor, so a
-	// replay that shares the latching event latches at the same index
-	// without being told again. tapFault is the current replay's first
-	// monitor failure.
-	events    int
-	following bool
-	latchAt   int
-	tapFault  string
+	// events counts the events of the current schedule, all of which the
+	// monitor holds. latchAt is the index of the event at which the monitor
+	// latched its violation, -1 while it has none — a restore keeps it when
+	// the restored prefix contains that event. tapFault is the current
+	// replay's first monitor failure.
+	events   int
+	latchAt  int
+	tapFault string
 
 	stack []exFrame
 	sched []int // thread stepped at each point of the current replay
 	buf   []int // runnable scratch
 	cbuf  []int // symmetry-filter scratch
+	// Per-thread fork scratch: the transactions handed to Fork and their
+	// copies, and the recorded transactions whose storage a restore reuses.
+	in, out       []stm.Txn
+	targets, free []*recorder.Txn
 
 	budget bool // a budget bound was hit (schedules or steps)
 }
@@ -339,7 +382,8 @@ type explorer struct {
 // newMonitor gives the exploration its monitor and taps it onto the
 // recorder: once per exploration, and again only after a monitor panicked
 // (the recorder detaches a panicking tap, and the monitor it interrupted
-// is not to be trusted).
+// is not to be trusted). The next restore feeds the new monitor the
+// prefix it restores.
 func (e *explorer) newMonitor() {
 	mopts := []spec.Option{spec.WithNodeLimit(e.cfg.NodeLimit)}
 	if e.ctx != nil {
@@ -353,30 +397,14 @@ func (e *explorer) newMonitor() {
 	e.rec.Tap(e.observe)
 }
 
-// latched reports whether the current replay's events so far include the
-// one that latched the monitor.
-func (e *explorer) latched() bool { return e.latchAt >= 0 && e.latchAt < e.events }
+// latched reports whether the current schedule's events include the one
+// that latched the monitor.
+func (e *explorer) latched() bool { return e.latchAt >= 0 }
 
-// observe is the recorder's tap. The recorder restarts transaction
-// identifiers with every replay and the stepper is deterministic, so two
-// replays that share a schedule prefix record a byte-identical event
-// prefix: while each event equals the one the monitor already holds at
-// its index there is nothing to tell the monitor. At the first difference
-// the monitor is rewound to that index and fed from there.
+// observe is the recorder's tap: every recorded event goes to the monitor.
 func (e *explorer) observe(ev history.Event) {
 	if e.tapFault != "" {
 		return
-	}
-	if e.following {
-		if e.events < e.m.Len() && e.m.EventAt(e.events) == ev {
-			e.events++
-			e.rep.SharedEvents++
-			return
-		}
-		e.following = false
-		if !e.rewindMonitor() {
-			return
-		}
 	}
 	v, err := e.m.Append(ev)
 	if err != nil {
@@ -393,21 +421,101 @@ func (e *explorer) observe(ev history.Event) {
 	e.rep.MonitorEvents++
 }
 
-// rewindMonitor trims the monitor to the current replay's events,
-// forgetting a latch the rewind lifted; false means it could not (and the
-// replay is degraded).
-func (e *explorer) rewindMonitor() bool {
-	if e.events == e.m.Len() {
-		return true
+// fork takes the world at a decision point into w, reusing w's storage.
+func (e *explorer) fork(w *world) {
+	st := &e.st
+	if w.threads == nil {
+		n := len(st.threads)
+		w.txns, w.ids, w.threads = make([]stm.Txn, n), make([]history.TxnID, n), make([]vthread, n)
 	}
-	if err := e.m.Rewind(e.events); err != nil {
-		e.tapFault = "monitor rewind: " + err.Error() // unreachable: the monitor never retires
-		return false
+	for i, t := range st.threads {
+		e.in[i], w.ids[i] = nil, 0
+		if t.tx != nil {
+			e.in[i], w.ids[i] = t.tx.Inner(), t.tx.ID()
+		}
+		w.threads[i] = *t
+		w.threads[i].tx = nil
 	}
-	if e.latchAt >= e.events {
+	// The copies are never stepped, so none of them ever reaches a pool
+	// and each stays a safe copy target for the next fork into this slot.
+	w.eng = e.eng.Fork(w.eng, e.in, w.txns).(stm.Forkable)
+	w.vals, w.commits, w.aborts, w.failed = st.vals, st.commits, st.aborts, st.failed
+	w.lastID, w.events, w.depth = e.rec.LastID(), e.events, len(e.sched)
+	e.rep.Forks++
+}
+
+// restore returns the world to the fork w: the engine and the threads'
+// transactions are overwritten in place, the recorder truncated, the
+// monitor rewound to the fork's events. The restored prefix counts as
+// steps walked and as shared events.
+func (e *explorer) restore(w *world) {
+	st := &e.st
+	// Copy targets: a transaction still in flight at the end of the last
+	// replay has not ended, so it cannot be in the engine's pool (the pool
+	// rule of stm.Forkable); Fork draws any further ones from the pool.
+	free := e.free[:0]
+	for _, t := range st.threads {
+		if t.tx != nil {
+			free = append(free, t.tx)
+		}
+	}
+	for i := range st.threads {
+		e.in[i], e.out[i], e.targets[i] = nil, nil, nil
+		if w.ids[i] == 0 {
+			continue
+		}
+		e.in[i] = w.txns[i]
+		if k := len(free) - 1; k >= 0 {
+			e.targets[i], e.out[i], free = free[k], free[k].Inner(), free[:k]
+		}
+	}
+	w.eng.Fork(e.eng, e.in, e.out)
+	for i, t := range st.threads {
+		*t = w.threads[i]
+		if w.ids[i] != 0 {
+			t.tx = e.rec.Resume(e.targets[i], w.ids[i], e.out[i])
+		}
+	}
+	st.vals, st.commits, st.aborts, st.failed = w.vals, w.commits, w.aborts, w.failed
+	e.rec.Restore(e.eng, w.events, w.lastID)
+	e.sched = e.sched[:w.depth]
+	e.rep.Steps += int64(w.depth)
+
+	e.tapFault = ""
+	if e.latchAt >= w.events {
 		e.latchAt = -1
 	}
-	return true
+	if e.m.Len() > w.events {
+		if err := e.m.Rewind(w.events); err != nil {
+			e.tapFault = "monitor rewind: " + err.Error() // unreachable: the monitor never retires
+			return
+		}
+	}
+	fed := e.feedMonitor(w.events)
+	e.events = w.events
+	e.rep.SharedEvents += int64(w.events - fed)
+}
+
+// feedMonitor appends to the monitor the recorded events it lacks up to
+// n — after newMonitor, the restored prefix the new monitor never saw —
+// and returns how many it appended. A panic is handled as the recorder
+// handles a panicking tap.
+func (e *explorer) feedMonitor(n int) (fed int) {
+	if e.m.Len() == n {
+		return 0
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			e.tapFault = fmt.Sprintf("explore: monitor panicked on a restored prefix: %v", r)
+			e.newMonitor()
+		}
+	}()
+	e.events = e.m.Len()
+	for _, ev := range e.rec.History().Events()[e.events:n] {
+		e.observe(ev)
+		fed++
+	}
+	return fed
 }
 
 // noteDegraded records the first exceptional-degradation reason and marks
@@ -427,6 +535,9 @@ func (e *explorer) run() {
 			break
 		}
 		end := e.replay()
+		if replayOracle != nil {
+			replayOracle(e)
+		}
 		e.rep.Replays++
 		if len(e.stack) > e.rep.MaxFrontier {
 			e.rep.MaxFrontier = len(e.stack)
@@ -488,22 +599,23 @@ func (e *explorer) backtrack() bool {
 	return false
 }
 
-// replay re-executes the plan from a fresh engine along the decision
-// stack, then extends the path depth-first (first unslept branch at every
+// replay restores the world of the deepest decision frame — the root
+// world on the first replay, which has none — takes the frame's current
+// branch, then extends the path depth-first (first unslept branch at every
 // new decision point) until the schedule completes, the monitor latches,
 // or a pruning cuts it.
 func (e *explorer) replay() pathEnd {
-	eng, err := engines.New(e.engine, e.p.Objects)
-	if err != nil {
-		panic("harness: explore engine vanished: " + err.Error()) // validated by ExplorePlanCtx
-	}
-	e.rec.Restart(eng)
-	e.events, e.following, e.tapFault = 0, true, ""
-	st := &e.st
-	st.restart()
-	e.sched = e.sched[:0]
-	var sleep uint64 // the running sleep set along the path
 	frameIdx := 0
+	if n := len(e.stack); n > 0 {
+		frameIdx = n - 1
+		e.restore(&e.stack[frameIdx].world)
+		if e.tapFault != "" {
+			e.noteDegraded(e.tapFault)
+			return endSteps
+		}
+	}
+	st := &e.st
+	var sleep uint64 // the running sleep set along the path
 	for {
 		r := st.runnable(e.buf)
 		e.buf = r[:0]
@@ -526,9 +638,9 @@ func (e *explorer) replay() pathEnd {
 		var taken int
 		switch {
 		case replaying && len(choices) > 1:
-			// A decision point already on the stack: follow it. The prefix
-			// is identical to the replay that created the frame, so the
-			// recomputed choices must match the stored ones.
+			// The restored decision point: take its current branch. The
+			// world is the one the frame forked, so the recomputed choices
+			// must match the stored ones.
 			f := &e.stack[frameIdx]
 			if len(f.choices) != len(choices) {
 				panic("harness: explore replay diverged (nondeterministic engine?)")
@@ -559,6 +671,7 @@ func (e *explorer) replay() pathEnd {
 				e.stack = e.stack[:len(e.stack)-1]
 				return endSleepCut
 			}
+			e.fork(&f.world)
 			taken = f.choices[f.next]
 			sleep = e.childSleep(st, f.base|f.explored, taken)
 			frameIdx++
@@ -566,6 +679,7 @@ func (e *explorer) replay() pathEnd {
 		e.sched = append(e.sched, taken)
 		st.step(st.threads[taken])
 		e.rep.Steps++
+		e.rep.StepsExecuted++
 		if e.tapFault == "" {
 			if terr := e.rec.TapError(); terr != nil {
 				// The recorder recovered a panicking monitor; the capture is
@@ -590,8 +704,8 @@ func (e *explorer) replay() pathEnd {
 	}
 }
 
-// pushFrame opens a decision point, taking over the choices storage of a
-// frame popped earlier.
+// pushFrame opens a decision point, taking over the choices and world
+// storage of a frame popped earlier.
 func (e *explorer) pushFrame(choices []int, sleep uint64) *exFrame {
 	n := len(e.stack)
 	if n == cap(e.stack) {
@@ -599,21 +713,21 @@ func (e *explorer) pushFrame(choices []int, sleep uint64) *exFrame {
 	}
 	e.stack = e.stack[:n+1]
 	f := &e.stack[n]
-	*f = exFrame{choices: append(f.choices[:0], choices...), base: sleep}
+	*f = exFrame{choices: append(f.choices[:0], choices...), base: sleep, world: f.world}
 	return f
 }
 
-// exploreOracle is nil outside tests, which set it to hold the rewound
-// monitor against a fresh one wherever a verdict is read (explore_test.go).
-var exploreOracle func(e *explorer, v spec.Verdict)
+// exploreOracle and replayOracle are nil outside tests, which set them to
+// hold the rewound monitor against a fresh one wherever a verdict is read,
+// and the forked world against a replay from scratch wherever a walk ends
+// (explore_test.go).
+var (
+	exploreOracle func(e *explorer, v spec.Verdict)
+	replayOracle  func(e *explorer)
+)
 
-// verdict returns the monitor's verdict for the current replay's events,
-// first trimming off what a longer earlier replay left behind (a replay
-// that only followed and stopped short never rewound).
+// verdict returns the monitor's verdict for the current schedule's events.
 func (e *explorer) verdict() spec.Verdict {
-	if !e.rewindMonitor() {
-		return spec.Verdict{Criterion: e.cfg.Criterion, Undecided: true, Reason: e.tapFault}
-	}
 	v := e.m.Verdict()
 	if exploreOracle != nil {
 		exploreOracle(e, v)

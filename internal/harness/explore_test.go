@@ -11,8 +11,11 @@ import (
 
 	"duopacity/internal/histio"
 	"duopacity/internal/history"
+	"duopacity/internal/recorder"
 	"duopacity/internal/spec"
 	"duopacity/internal/stm"
+	"duopacity/internal/stm/engines"
+	"duopacity/internal/stm/tl2"
 )
 
 // pleLitmusPlan is the minimal plan separating deferred-update from
@@ -224,39 +227,162 @@ var pruningPlans = []string{
 // wherever the explorer reads a verdict — every finished schedule, every
 // cut — a fresh monitor is fed the recorder's events and must report the
 // same verdict, reason and latching event as the exploration's one
-// monitor, which got there by following and rewinding. It returns the
+// monitor, which got there by restores and rewinds. It returns the
 // number of verdicts checked. The tests that use it do not run in
 // parallel.
 func watchRewoundMonitor(tb testing.TB) *int {
 	checked := new(int)
 	exploreOracle = func(e *explorer, v spec.Verdict) {
 		*checked++
-		fresh, err := spec.NewMonitor(e.cfg.Criterion, spec.WithNodeLimit(e.cfg.NodeLimit))
-		if err != nil {
-			tb.Fatal(err)
-		}
-		h := e.rec.History()
-		latchAt := -1
-		for i, ev := range h.Events() {
-			fv, err := fresh.Append(ev)
-			if err != nil {
-				tb.Fatalf("fresh monitor rejected recorded event %d: %v", i, err)
-			}
-			if latchAt < 0 && !fv.OK && !fv.Undecided {
-				latchAt = i
-			}
-		}
-		got := -1
-		if e.latched() {
-			got = e.latchAt
-		}
-		if fv := fresh.Verdict(); fv.OK != v.OK || fv.Undecided != v.Undecided || fv.Reason != v.Reason || latchAt != got {
-			tb.Errorf("%s/%v schedule %v: rewound monitor says %v (latched at %d), a fresh one %v (latched at %d)\n%s",
-				e.engine, e.cfg.Criterion, e.sched, v, got, fv, latchAt, histio.FormatString(h))
-		}
+		checkRewound(tb, e, v)
 	}
 	tb.Cleanup(func() { exploreOracle = nil })
 	return checked
+}
+
+// checkRewound holds the exploration's monitor, which holds the recorder's
+// events, and its verdict v against a fresh monitor fed those events.
+func checkRewound(tb testing.TB, e *explorer, v spec.Verdict) {
+	fresh, err := spec.NewMonitor(e.cfg.Criterion, spec.WithNodeLimit(e.cfg.NodeLimit))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	h := e.rec.History()
+	if e.m.Len() != h.Len() || e.events != h.Len() {
+		tb.Fatalf("%s schedule %v: the monitor holds %d events and counts %d, the recorder %d",
+			e.engine, e.sched, e.m.Len(), e.events, h.Len())
+	}
+	latchAt := -1
+	for i, ev := range h.Events() {
+		fv, err := fresh.Append(ev)
+		if err != nil {
+			tb.Fatalf("fresh monitor rejected recorded event %d: %v", i, err)
+		}
+		if latchAt < 0 && !fv.OK && !fv.Undecided {
+			latchAt = i
+		}
+	}
+	got := -1
+	if e.latched() {
+		got = e.latchAt
+	}
+	if fv := fresh.Verdict(); fv.OK != v.OK || fv.Undecided != v.Undecided || fv.Reason != v.Reason || latchAt != got {
+		tb.Errorf("%s/%v schedule %v: rewound monitor says %v (latched at %d), a fresh one %v (latched at %d)\n%s",
+			e.engine, e.cfg.Criterion, e.sched, v, got, fv, latchAt, histio.FormatString(h))
+	}
+}
+
+// watchForkedWorld installs the fork-vs-replay oracle until tb ends:
+// wherever a walk ends — a finished schedule or any cut — its schedule is
+// run again from a fresh engine through the stepper, and the recorded
+// events must be byte-identical to the recorder's, and the stepper's
+// counters and threads equal to the forked world's. It returns the number
+// of walks checked. The tests that use it do not run in parallel.
+func watchForkedWorld(tb testing.TB) *int {
+	checked := new(int)
+	replayOracle = func(e *explorer) {
+		*checked++
+		eng, err := engines.New(e.engine, e.rep.Plan.Objects)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		rec := recorder.New(eng)
+		st := stepper{rec: rec, threads: threadsFor(e.rep.Plan), policy: policyFor(e.engine), maxAttempts: e.cfg.MaxAttempts}
+		var buf []int
+		for _, th := range e.sched {
+			buf = st.runnable(buf)
+			st.step(st.threads[th])
+		}
+		got, want := histio.FormatString(e.rec.History()), histio.FormatString(rec.History())
+		if got != want || e.rec.LastID() != rec.LastID() {
+			tb.Fatalf("%s/%v schedule %v: the forked world recorded\n%s(last id %d), a replay from scratch\n%s(last id %d)",
+				e.engine, e.cfg.Criterion, e.sched, got, e.rec.LastID(), want, rec.LastID())
+		}
+		fs := &e.st
+		if fs.vals != st.vals || fs.commits != st.commits || fs.aborts != st.aborts || fs.failed != st.failed {
+			tb.Fatalf("%s schedule %v: stepper counters %d/%d/%d/%d forked, %d/%d/%d/%d replayed", e.engine, e.sched,
+				fs.vals, fs.commits, fs.aborts, fs.failed, st.vals, st.commits, st.aborts, st.failed)
+		}
+		for i, ft := range fs.threads {
+			rt := st.threads[i]
+			if ft.txnIdx != rt.txnIdx || ft.opIdx != rt.opIdx || ft.attempts != rt.attempts ||
+				ft.wrote != rt.wrote || ft.done != rt.done || (ft.tx == nil) != (rt.tx == nil) ||
+				(ft.tx != nil && ft.tx.ID() != rt.tx.ID()) {
+				tb.Fatalf("%s schedule %v: thread %d forked %+v, replayed %+v", e.engine, e.sched, i, *ft, *rt)
+			}
+		}
+	}
+	tb.Cleanup(func() { replayOracle = nil })
+	return checked
+}
+
+// TestExploreForkMatchesReplay is the fork-vs-replay oracle over the
+// pruning-soundness plans, every engine of the matrix and both explorable
+// criteria, with the prefix cut on and off: every walk's world, restored
+// from forks and stepped only along its new suffix, is the world a replay
+// from scratch builds — and forking did skip steps, or the comparison
+// would be vacuous.
+func TestExploreForkMatchesReplay(t *testing.T) {
+	checked := watchForkedWorld(t)
+	var steps, executed int64
+	for _, src := range pruningPlans {
+		p := stm.MustParsePlan(src)
+		for _, eng := range engines.Matrix() {
+			for _, c := range []spec.Criterion{spec.DUOpacity, spec.Opacity} {
+				for _, noCut := range []bool{false, true} {
+					r, err := ExplorePlanCtx(context.Background(), eng, p, ExploreConfig{Criterion: c, DisablePrefixCut: noCut})
+					if err != nil {
+						t.Fatalf("%s on %q: %v", eng, src, err)
+					}
+					if (r.Forks == 0 && r.Replays > 1) || r.StepsExecuted > r.Steps {
+						t.Fatalf("%s on %q: %d forks, %d of %d steps executed", eng, src, r.Forks, r.StepsExecuted, r.Steps)
+					}
+					steps, executed = steps+r.Steps, executed+r.StepsExecuted
+				}
+			}
+		}
+	}
+	if *checked == 0 || executed == steps {
+		t.Fatalf("vacuous: %d walks checked, %d of %d steps executed", *checked, executed, steps)
+	}
+	t.Logf("%d walks checked; %d of %d steps executed", *checked, executed, steps)
+}
+
+// TestExploreMonitorPanicDegrades makes the monitor panic in the middle of
+// an exploration (a tap that panics, recovered by the recorder) and checks
+// that the rest of the walk is still certified: every later verdict of
+// the new monitor — fed the restored prefix it never saw — equals a fresh
+// monitor's, every later world equals a replay from scratch, and the
+// report says it is degraded.
+func TestExploreMonitorPanicDegrades(t *testing.T) {
+	watchForkedWorld(t)
+	t.Cleanup(func() { exploreOracle = nil })
+	for _, eng := range []string{"tl2", "ple", "dstm"} {
+		for _, src := range []string{abortedReaderPlan, "w0 r1 | r0\nr0 w1"} {
+			verdicts, after := 0, 0
+			exploreOracle = func(e *explorer, v spec.Verdict) {
+				verdicts++
+				switch {
+				case verdicts == 3:
+					e.rec.Tap(func(history.Event) { panic("injected monitor fault") })
+				case verdicts > 3:
+					after++
+					checkRewound(t, e, v)
+				}
+			}
+			r, err := ExplorePlanCtx(context.Background(), eng, stm.MustParsePlan(src), ExploreConfig{DisablePrefixCut: true})
+			exploreOracle = nil
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(r.DegradedReason, "injected monitor fault") || r.Outcome == ProvenDUOpaque {
+				t.Errorf("%s on %q: outcome %s, degraded %q; want the fault, and no proof", eng, src, r.Outcome, r.DegradedReason)
+			}
+			if after == 0 {
+				t.Errorf("%s on %q: no verdict read after the fault", eng, src)
+			}
+		}
+	}
 }
 
 // TestExploreRewoundMonitorMatchesFresh is the explorer's share of the
@@ -287,39 +413,44 @@ func TestExploreRewoundMonitorMatchesFresh(t *testing.T) {
 	t.Logf("%d verdicts checked; %d events appended to the monitors, %d shared", *checked, appended, shared)
 }
 
-// TestExploreReplayAllocs is the allocation gate of the rewound replay, on
+// TestExploreReplayAllocs is the allocation gate of the forked replay, on
 // the benchmark's explore-farm plan shape (3 threads, one transaction of 3
-// operations each, 2 objects, 2048 schedules) under tl2: what a replay
-// still allocates is the engine, its transactions and the recorder's —
-// not a monitor, a stream, a recorder or event buffers. At the parent
-// commit a replay cost 161 allocations and 22.8 KB.
+// operations each, 2 objects, 2048 schedules) under each engine the
+// benchmark explores: a replay restores its frame's fork in place and runs
+// only its new suffix, so what it still allocates is what that suffix's
+// Begins and events cost — not an engine, a monitor, a stream, a recorder
+// or event buffers. Before forking, a tl2 replay cost 29 allocations and
+// 1.8 KB; before the rewound monitor, 161 and 22.8 KB.
 func TestExploreReplayAllocs(t *testing.T) {
 	p := PlanOf(Workload{Goroutines: 3, TxnsPerGoroutine: 1, OpsPerTxn: 3, Objects: 2, Seed: 1})
 	cfg := ExploreConfig{MaxSchedules: 2048}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	r, err := ExplorePlanCtx(context.Background(), "tl2", p, cfg)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Replays < 1000 {
-		t.Fatalf("only %d replays; the gate wants a walk long enough to amortise the set-up", r.Replays)
-	}
-	allocs := float64(after.Mallocs-before.Mallocs) / float64(r.Replays)
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(r.Replays)
-	t.Logf("%d replays: %.1f allocations and %.0f bytes per replay; %d events appended, %d shared",
-		r.Replays, allocs, bytes, r.MonitorEvents, r.SharedEvents)
-	if allocs > 64 || bytes > 4096 {
-		t.Errorf("a replay costs %.1f allocations and %.0f bytes, want at most 64 and 4096", allocs, bytes)
+	for _, eng := range []string{"tl2", "norec", "pdur", "ple"} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		r, err := ExplorePlanCtx(context.Background(), eng, p, cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Replays < 200 {
+			t.Fatalf("%s: only %d replays; the gate wants a walk long enough to amortise the set-up", eng, r.Replays)
+		}
+		allocs := float64(after.Mallocs-before.Mallocs) / float64(r.Replays)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(r.Replays)
+		t.Logf("%s, %d replays: %.1f allocations and %.0f bytes per replay; %d forks, %d of %d steps executed",
+			eng, r.Replays, allocs, bytes, r.Forks, r.StepsExecuted, r.Steps)
+		if allocs > 24 || bytes > 2048 {
+			t.Errorf("%s: a replay costs %.1f allocations and %.0f bytes, want at most 24 and 2048", eng, allocs, bytes)
+		}
 	}
 }
 
-// BenchmarkExploreReplay prices one replay — engine, recorder, stepper
-// and the rewound monitor — per engine of the benchmark's explore-farm
-// workload, on 16 plans of its shape at its schedule budget; the
-// in-process table of EXPERIMENTS.md "PR 24" is this benchmark's output.
+// BenchmarkExploreReplay prices one replay — fork restore, the new
+// suffix's engine steps and recording, and the rewound monitor — per
+// engine of the benchmark's explore-farm workload, on 16 plans of its
+// shape at its schedule budget; the in-process tables of EXPERIMENTS.md
+// "PR 24" and "PR 28" are this benchmark's output.
 func BenchmarkExploreReplay(b *testing.B) {
 	plans := make([]stm.Plan, 16)
 	for i := range plans {
@@ -328,7 +459,7 @@ func BenchmarkExploreReplay(b *testing.B) {
 	for _, eng := range []string{"tl2", "norec", "pdur", "ple"} {
 		b.Run(eng, func(b *testing.B) {
 			var replays int
-			var appended, shared int64
+			var appended, shared, steps, executed int64
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			b.ResetTimer()
@@ -340,6 +471,7 @@ func BenchmarkExploreReplay(b *testing.B) {
 					}
 					replays += r.Replays
 					appended, shared = appended+r.MonitorEvents, shared+r.SharedEvents
+					steps, executed = steps+r.Steps, executed+r.StepsExecuted
 				}
 			}
 			b.StopTimer()
@@ -348,7 +480,9 @@ func BenchmarkExploreReplay(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/replay")
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/replay")
 			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/replay")
+			b.ReportMetric(float64(appended)/n, "events/replay")
 			b.ReportMetric(float64(shared)/float64(shared+appended), "shared-share")
+			b.ReportMetric(float64(executed)/float64(steps), "executed-share")
 		})
 	}
 }
@@ -522,6 +656,18 @@ func TestExploreErrors(t *testing.T) {
 	}
 	if _, err := ExplorePlanCtx(context.Background(), "tl2", big, ExploreConfig{}); err == nil {
 		t.Error("65-thread plan accepted")
+	}
+	// Forking is the only way the explorer replays: an engine without it
+	// is refused, and every registered engine has it.
+	if _, err := explore(context.Background(), "wrapped", struct{ stm.Engine }{tl2.New(1)}, good, ExploreConfig{}); err == nil {
+		t.Error("engine that is not stm.Forkable accepted")
+	}
+	for _, name := range engines.Matrix() {
+		if e, err := engines.New(name, 1); err != nil {
+			t.Error(err)
+		} else if _, ok := e.(stm.Forkable); !ok {
+			t.Errorf("engine %s is not stm.Forkable", name)
+		}
 	}
 }
 

@@ -134,15 +134,6 @@ type stepper struct {
 	failed  int64
 }
 
-// restart returns the stepper to the start of a run of its threads' plan,
-// keeping their storage.
-func (s *stepper) restart() {
-	for _, t := range s.threads {
-		*t = vthread{plan: t.plan}
-	}
-	s.vals, s.commits, s.aborts, s.failed = 0, 0, 0, 0
-}
-
 // runnable appends the indexes of the threads that may take a step into
 // buf (reused across calls) and returns it. When every live thread is
 // backing off, the backoffs are lifted and the set recomputed — exactly

@@ -89,16 +89,38 @@ func (r *Recorder) Reset() {
 	r.tapErr = nil
 }
 
-// Restart is Reset onto a new engine with transaction identifiers starting
-// again from 1: the recorder is as New(eng) would return it, except that
-// it keeps its event buffer and its tap. Two runs that make the same
-// calls therefore record identical events, identifiers included — what
-// lets the schedule explorer's tap recognise a shared prefix by comparing
-// events.
-func (r *Recorder) Restart(eng stm.Engine) {
-	r.Reset()
+// Restore returns the recorder to an earlier point of a run: the log
+// truncated to its first n events, eng as the engine, and the next Begin
+// numbered lastID+1. With the engine and the transactions in flight
+// restored to that point too (stm.Forkable, Resume), the calls that
+// follow record exactly the events they recorded from there the first
+// time — identifiers included. A tap error is cleared, a registered tap
+// is kept and is not informed, and no transaction may be in flight in
+// another goroutine. Restore(eng, 0, 0) leaves the recorder as New(eng)
+// would return it, except for its event buffer and its tap.
+func (r *Recorder) Restore(eng stm.Engine, n int, lastID history.TxnID) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.evs = r.evs[:n]
+	r.tapErr = nil
 	r.eng = eng
-	r.nextID.Store(0)
+	r.nextID.Store(int64(lastID))
+}
+
+// LastID returns the identifier of the transaction begun last, 0 before
+// the first.
+func (r *Recorder) LastID() history.TxnID { return history.TxnID(r.nextID.Load()) }
+
+// Resume returns a recorded transaction that continues inner — an engine
+// transaction in flight, restored by a fork — under identifier id, in the
+// storage of into when into is non-nil. The transaction must not have
+// t-completed in the log.
+func (r *Recorder) Resume(into *Txn, id history.TxnID, inner stm.Txn) *Txn {
+	if into == nil {
+		into = new(Txn)
+	}
+	*into = Txn{r: r, inner: inner, id: id}
+	return into
 }
 
 // Len returns the number of events recorded so far.
@@ -198,6 +220,9 @@ var _ stm.Txn = (*Txn)(nil)
 
 // ID returns the recorded transaction identifier.
 func (t *Txn) ID() history.TxnID { return t.id }
+
+// Inner returns the engine transaction t records.
+func (t *Txn) Inner() stm.Txn { return t.inner }
 
 // Read implements stm.Txn.
 func (t *Txn) Read(obj int) (int64, error) {

@@ -136,12 +136,13 @@ func TestVarNameMatchesSprintf(t *testing.T) {
 	}
 }
 
-// TestRestartRecordsIdenticalRuns: after Restart the recorder is as New
-// would return it but for its buffer and tap — the same calls on a new
-// engine record the same events, identifiers included, and the tap still
-// sees them.
-func TestRestartRecordsIdenticalRuns(t *testing.T) {
-	run := func(r *Recorder) []history.Event {
+// TestRestoreRecordsIdenticalRuns: Restore(eng, 0, 0) leaves the recorder
+// as New would return it but for its buffer and tap, and a Restore to the
+// middle of a run — with the engine forked there and a transaction in
+// flight resumed — records the rest of the run again byte for byte,
+// identifiers included; the tap sees every event.
+func TestRestoreRecordsIdenticalRuns(t *testing.T) {
+	first := func(r *Recorder) *Txn {
 		tx := r.Begin()
 		if err := tx.Write(0, 5); err != nil {
 			t.Fatal(err)
@@ -149,34 +150,55 @@ func TestRestartRecordsIdenticalRuns(t *testing.T) {
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.Atomically(func(tx *Txn) error { _, err := tx.Read(0); return err }); err != nil {
+		rd := r.Begin()
+		if _, err := rd.Read(0); err != nil {
+			t.Fatal(err)
+		}
+		return rd
+	}
+	rest := func(r *Recorder, rd *Txn) []history.Event {
+		if err := rd.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Atomically(func(tx *Txn) error { return tx.Write(0, 6) }); err != nil {
 			t.Fatal(err)
 		}
 		return r.History().Events()
 	}
-	r := New(tl2.New(1))
+	eng := tl2.New(1)
+	r := New(eng)
 	tapped := 0
 	r.Tap(func(history.Event) { tapped++ })
-	first := run(r)
-	if r.Len() != len(first) || tapped != len(first) {
-		t.Fatalf("Len %d, tapped %d, recorded %d", r.Len(), tapped, len(first))
+	rd := first(r)
+	mid, lastID := r.Len(), r.LastID()
+	out := make([]stm.Txn, 1)
+	fork := eng.Fork(nil, []stm.Txn{rd.Inner()}, out)
+	whole := rest(r, rd)
+	if r.Len() != len(whole) || tapped != len(whole) || lastID != rd.ID() {
+		t.Fatalf("Len %d, tapped %d, recorded %d; last id %d at the fork, reader %d",
+			r.Len(), tapped, len(whole), lastID, rd.ID())
 	}
-	eng := tl2.New(1)
-	r.Restart(eng)
-	if r.Len() != 0 || r.Engine() != eng {
-		t.Fatalf("after Restart: %d events, engine replaced: %v", r.Len(), r.Engine() == eng)
+
+	r.Restore(fork, mid, lastID)
+	if r.Len() != mid || r.Engine() != fork || r.TapError() != nil {
+		t.Fatalf("after Restore: %d events, engine replaced: %v", r.Len(), r.Engine() == fork)
 	}
-	second := run(r)
-	if len(second) != len(first) {
-		t.Fatalf("second run recorded %d events, first %d", len(second), len(first))
-	}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("event %d: %v after Restart, %v on the first run", i, second[i], first[i])
+	again := rest(r, r.Resume(nil, rd.ID(), out[0]))
+	fresh := tl2.New(1)
+	r.Restore(fresh, 0, 0)
+	again2 := rest(r, first(r))
+	for _, got := range [][]history.Event{again, again2} {
+		if len(got) != len(whole) {
+			t.Fatalf("a restored run recorded %d events, the first %d", len(got), len(whole))
+		}
+		for i := range whole {
+			if got[i] != whole[i] {
+				t.Fatalf("event %d: %v after Restore, %v on the first run", i, got[i], whole[i])
+			}
 		}
 	}
-	if tapped != 2*len(first) {
-		t.Fatalf("tap saw %d events over two runs of %d", tapped, len(first))
+	if want := 2*len(whole) + len(whole) - mid; tapped != want {
+		t.Fatalf("tap saw %d events, want %d", tapped, want)
 	}
 }
 

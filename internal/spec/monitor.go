@@ -37,15 +37,13 @@ func NewMonitor(c Criterion, opts ...Option) (*Monitor, error) {
 // the transactions windowed retirement has replaced by a checkpoint (zero
 // without WithRetirement); LiveTxns the transactions in the live history,
 // checkpoint included; Verdict the verdict for the history observed so far;
-// EventAt event i of the live history (observed event i while nothing has
-// been retired); Rewind is Session.Rewind.
+// Rewind is Session.Rewind.
 func (m *Monitor) Stats() (searches, fastHits int) { return m.s.Stats() }
 func (m *Monitor) Counters() Counters              { return m.s.Counters() }
 func (m *Monitor) Len() int                        { return m.s.totalEvents }
 func (m *Monitor) Retired() int                    { return m.s.Retired() }
 func (m *Monitor) LiveTxns() int                   { return m.s.LiveTxns() }
 func (m *Monitor) Verdict() Verdict                { return m.s.deciders[0].verdict }
-func (m *Monitor) EventAt(i int) history.Event     { return m.s.st.Live().At(i) }
 func (m *Monitor) Rewind(n int) error              { return m.s.Rewind(n) }
 
 // History returns a snapshot of the live history: everything observed so

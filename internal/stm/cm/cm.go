@@ -193,6 +193,24 @@ func (s *Source) Reset(m *Manager) {
 	m.waits = 0
 }
 
+// CopyTo makes dst a copy of s — its policy and greedy's age counter —
+// for an engine fork (stm.Forkable). Like the fork it serves, it must not
+// race with transactions of either engine.
+func (s *Source) CopyTo(dst *Source) {
+	dst.policy = s.policy
+	dst.births.Store(s.births.Load())
+}
+
+// CopyTo makes dst a copy of m — policy, age, work and wait budget — for
+// an engine fork. Unlike Source.Reset it mints nothing: the copy continues
+// the attempt m belongs to.
+func (m *Manager) CopyTo(dst *Manager) {
+	dst.policy = m.policy
+	dst.birth = m.birth
+	dst.work.Store(m.work.Load())
+	dst.waits = m.waits
+}
+
 // Opened records that the transaction opened (read or wrote) one
 // object — the karma currency. Cheap enough to call unconditionally.
 func (m *Manager) Opened() {

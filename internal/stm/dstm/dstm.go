@@ -93,7 +93,7 @@ type TM struct {
 	objs     []atomic.Pointer[locator]
 }
 
-var _ stm.Engine = (*TM)(nil)
+var _ stm.Forkable = (*TM)(nil)
 
 // Option configures the engine.
 type Option func(*TM)
@@ -299,4 +299,75 @@ func (x *txn) Commit() error {
 
 func (x *txn) Abort() {
 	x.self.status.CompareAndSwap(active, aborted)
+}
+
+// Fork implements stm.Forkable. A descriptor that has committed or
+// aborted never changes again, and neither do the locators it owns, so
+// dst shares them; each still-active descriptor is copied once, with its
+// manager, and each locator it owns is copied once and points at the
+// copy — in dst's object table and in the copied transaction's write set
+// alike.
+func (t *TM) Fork(dst stm.Engine, txns, out []stm.Txn) stm.Engine {
+	d, _ := dst.(*TM)
+	if d == nil {
+		opts := []Option{WithManager(t.policy)}
+		if t.useCM {
+			opts = append(opts, WithPolicy(t.cmPolicy))
+		}
+		d = New(len(t.objs), opts...)
+	}
+	if t.src != nil {
+		t.src.CopyTo(d.src)
+	}
+	descs := make(map[*desc]*desc)
+	locs := make(map[*locator]*locator)
+	copyDesc := func(o *desc) *desc {
+		if o.status.Load() != active {
+			return o
+		}
+		n := descs[o]
+		if n == nil {
+			n = &desc{}
+			n.status.Store(active)
+			o.mgr.CopyTo(&n.mgr)
+			descs[o] = n
+		}
+		return n
+	}
+	copyLoc := func(l *locator) *locator {
+		if l.owner.status.Load() != active {
+			return l
+		}
+		n := locs[l]
+		if n == nil {
+			n = &locator{owner: copyDesc(l.owner), oldVal: l.oldVal, newVal: l.newVal}
+			locs[l] = n
+		}
+		return n
+	}
+	for i := range t.objs {
+		d.objs[i].Store(copyLoc(t.objs[i].Load()))
+	}
+	for i, tx := range txns {
+		if tx == nil {
+			continue
+		}
+		x := tx.(*txn)
+		y, _ := out[i].(*txn)
+		if y == nil {
+			y = &txn{}
+		}
+		y.tm = d
+		y.self = copyDesc(x.self)
+		y.rset = append(y.rset[:0], x.rset...)
+		clear(y.wrote)
+		for o, l := range x.wrote {
+			if y.wrote == nil {
+				y.wrote = make(map[int]*locator)
+			}
+			y.wrote[o] = copyLoc(l)
+		}
+		out[i] = y
+	}
+	return d
 }

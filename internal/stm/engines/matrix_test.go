@@ -41,3 +41,30 @@ func TestEngineCMMatrix(t *testing.T) {
 		})
 	}
 }
+
+// TestEngineForks runs the stm.Forkable conformance check over every cell
+// of the engine×CM matrix — gl and ple included — so every engine New
+// returns forks (the schedule explorer needs nothing else). CI runs it
+// under the race detector.
+func TestEngineForks(t *testing.T) {
+	for i, name := range Matrix() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			f := func(objects int) stm.Engine {
+				e, err := New(name, objects)
+				if err != nil {
+					t.Fatalf("New(%q): %v", name, err)
+				}
+				return e
+			}
+			b := stmtest.NoBlocking
+			switch Base(name) {
+			case "gl":
+				b = stmtest.GlobalLock
+			case "ple":
+				b = stmtest.WriterLock
+			}
+			stmtest.Fork(t, f, b, int64(i+1))
+		})
+	}
+}

@@ -39,7 +39,7 @@ type TM struct {
 	vals     []atomic.Int64
 }
 
-var _ stm.Engine = (*TM)(nil)
+var _ stm.Forkable = (*TM)(nil)
 
 // Option configures the engine.
 type Option func(*TM)
@@ -212,6 +212,50 @@ func (x *txn) Abort() {
 		return
 	}
 	x.rollback()
+}
+
+// Fork implements stm.Forkable: the serial counter, every owner serial
+// and value, the manager source, and per live transaction its serial,
+// owned objects and their acquisition values, undo and read logs, and
+// manager.
+func (t *TM) Fork(dst stm.Engine, txns, out []stm.Txn) stm.Engine {
+	d, _ := dst.(*TM)
+	if d == nil {
+		d = New(len(t.vals), WithPolicy(t.policy))
+		d.validate = t.validate
+	}
+	d.nextID.Store(t.nextID.Load())
+	for i := range t.vals {
+		d.owner[i].Store(t.owner[i].Load())
+		d.vals[i].Store(t.vals[i].Load())
+	}
+	t.src.CopyTo(d.src)
+	for i, tx := range txns {
+		if tx == nil {
+			continue
+		}
+		x := tx.(*txn)
+		y, _ := out[i].(*txn)
+		if y == nil {
+			y = &txn{}
+		}
+		y.tm = d
+		y.id = x.id
+		y.owned = append(y.owned[:0], x.owned...)
+		clear(y.acqVal)
+		for o, v := range x.acqVal {
+			if y.acqVal == nil {
+				y.acqVal = make(map[int]int64)
+			}
+			y.acqVal[o] = v
+		}
+		y.undo = append(y.undo[:0], x.undo...)
+		y.rset = append(y.rset[:0], x.rset...)
+		x.mgr.CopyTo(&y.mgr)
+		y.dead = x.dead
+		out[i] = y
+	}
+	return d
 }
 
 // rollback undoes in-place writes in reverse order and releases ownership.

@@ -17,7 +17,7 @@ type TM struct {
 	vals []int64
 }
 
-var _ stm.Engine = (*TM)(nil)
+var _ stm.Forkable = (*TM)(nil)
 
 // New returns a global-lock TM over objects t-objects initialized to zero.
 func New(objects int) *TM {
@@ -35,6 +35,38 @@ func (t *TM) Objects() int { return len(t.vals) }
 func (t *TM) Begin() stm.Txn {
 	t.mu.Lock()
 	return &txn{tm: t}
+}
+
+// Fork implements stm.Forkable: the values, and per live transaction its
+// undo log. dst's global lock ends up held exactly when a transaction
+// that has not ended is among txns — the one that holds the receiver's.
+func (t *TM) Fork(dst stm.Engine, txns, out []stm.Txn) stm.Engine {
+	d, _ := dst.(*TM)
+	if d == nil {
+		d = New(len(t.vals))
+	}
+	copy(d.vals, t.vals)
+	held := false
+	for i, tx := range txns {
+		if tx == nil {
+			continue
+		}
+		x := tx.(*txn)
+		y, _ := out[i].(*txn)
+		if y == nil {
+			y = &txn{}
+		}
+		y.tm = d
+		y.undo = append(y.undo[:0], x.undo...)
+		y.dead = x.dead
+		held = held || !x.dead
+		out[i] = y
+	}
+	d.mu.TryLock() // locked from here on, by this call or already before it
+	if !held {
+		d.mu.Unlock()
+	}
+	return d
 }
 
 type undoEntry struct {

@@ -42,7 +42,7 @@ type TM struct {
 	pool   sync.Pool
 }
 
-var _ stm.Engine = (*TM)(nil)
+var _ stm.Forkable = (*TM)(nil)
 
 // Option configures a TM.
 type Option func(*TM)
@@ -226,6 +226,41 @@ func (x *txn) Abort() {
 	}
 	x.dead = true
 	x.put()
+}
+
+// Fork implements stm.Forkable: the sequence lock, the values, the
+// manager source, and per live transaction its snapshot, read log, write
+// set and manager. Copy targets not supplied come from dst's pool.
+func (t *TM) Fork(dst stm.Engine, txns, out []stm.Txn) stm.Engine {
+	d, _ := dst.(*TM)
+	if d == nil {
+		d = New(len(t.vals), WithPolicy(t.policy))
+	}
+	d.seq.Store(t.seq.Load())
+	for i := range t.vals {
+		d.vals[i].Store(t.vals[i].Load())
+	}
+	t.src.CopyTo(d.src)
+	for i, tx := range txns {
+		if tx == nil {
+			continue
+		}
+		x := tx.(*txn)
+		y, _ := out[i].(*txn)
+		if y == nil {
+			y = d.pool.Get().(*txn)
+		}
+		y.tm = d
+		y.snap = x.snap
+		y.rset = append(y.rset[:0], x.rset...)
+		y.wobjs = append(y.wobjs[:0], x.wobjs...)
+		y.wvals = append(y.wvals[:0], x.wvals...)
+		x.mgr.CopyTo(&y.mgr)
+		y.dead = x.dead
+		y.pooled = false
+		out[i] = y
+	}
+	return d
 }
 
 // put recycles the transaction. Callers must not touch x afterwards.

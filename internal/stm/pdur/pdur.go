@@ -73,7 +73,7 @@ type TM struct {
 	pool   sync.Pool
 }
 
-var _ stm.Engine = (*TM)(nil)
+var _ stm.Forkable = (*TM)(nil)
 
 // Option configures a TM.
 type Option func(*TM)
@@ -426,6 +426,45 @@ func (x *txn) Abort() {
 	}
 	x.dead = true
 	x.put()
+}
+
+// Fork implements stm.Forkable: every certifier's sequence, the values,
+// the manager source, and per live transaction its snapshot vector, read
+// log, write set and manager. Copy targets not supplied come from dst's
+// pool.
+func (t *TM) Fork(dst stm.Engine, txns, out []stm.Txn) stm.Engine {
+	d, _ := dst.(*TM)
+	if d == nil {
+		d = New(len(t.vals), WithPolicy(t.policy), WithPartitions(len(t.parts)))
+	}
+	for i := range t.parts {
+		d.parts[i].seq.Store(t.parts[i].seq.Load())
+	}
+	for i := range t.vals {
+		d.vals[i].Store(t.vals[i].Load())
+	}
+	t.src.CopyTo(d.src)
+	for i, tx := range txns {
+		if tx == nil {
+			continue
+		}
+		x := tx.(*txn)
+		y, _ := out[i].(*txn)
+		if y == nil {
+			y = d.pool.Get().(*txn)
+		}
+		y.tm = d
+		y.snaps = append(y.snaps[:0], x.snaps...)
+		y.rset = append(y.rset[:0], x.rset...)
+		y.wobjs = append(y.wobjs[:0], x.wobjs...)
+		y.wvals = append(y.wvals[:0], x.wvals...)
+		y.wparts, y.wbase = y.wparts[:0], y.wbase[:0] // commit scratch
+		x.mgr.CopyTo(&y.mgr)
+		y.dead = x.dead
+		y.pooled = false
+		out[i] = y
+	}
+	return d
 }
 
 // put recycles the transaction. Callers must not touch x afterwards.

@@ -27,7 +27,7 @@ type TM struct {
 	vals []atomic.Int64
 }
 
-var _ stm.Engine = (*TM)(nil)
+var _ stm.Forkable = (*TM)(nil)
 
 // New returns a pessimistic TM over objects t-objects initialized to zero.
 func New(objects int) *TM {
@@ -42,6 +42,42 @@ func (t *TM) Objects() int { return len(t.vals) }
 
 // Begin implements stm.Engine.
 func (t *TM) Begin() stm.Txn { return &txn{tm: t} }
+
+// Fork implements stm.Forkable: the values, and per live transaction
+// whether it writes and its undo log. dst's writer lock ends up held
+// exactly when a writer that has not ended is among txns — the one that
+// holds the receiver's.
+func (t *TM) Fork(dst stm.Engine, txns, out []stm.Txn) stm.Engine {
+	d, _ := dst.(*TM)
+	if d == nil {
+		d = New(len(t.vals))
+	}
+	for i := range t.vals {
+		d.vals[i].Store(t.vals[i].Load())
+	}
+	held := false
+	for i, tx := range txns {
+		if tx == nil {
+			continue
+		}
+		x := tx.(*txn)
+		y, _ := out[i].(*txn)
+		if y == nil {
+			y = &txn{}
+		}
+		y.tm = d
+		y.writer = x.writer
+		y.undo = append(y.undo[:0], x.undo...)
+		y.dead = x.dead
+		held = held || (x.writer && !x.dead)
+		out[i] = y
+	}
+	d.wmu.TryLock() // locked from here on, by this call or already before it
+	if !held {
+		d.wmu.Unlock()
+	}
+	return d
+}
 
 type undoEntry struct {
 	obj int

@@ -32,6 +32,27 @@
 // a contention-management policy from internal/stm/cm, selected by the
 // "engine+policy" names that internal/stm/engines parses ("tl2+karma",
 // "pdur+backoff", ...).
+//
+// Every engine is also Forkable: its whole state — t-objects, metadata
+// and the transactions in flight — can be copied into a second instance,
+// which is how the schedule explorer (internal/harness) keeps one world
+// per decision point instead of re-executing a schedule's prefix. The
+// contract has three rules:
+//
+//   - Single goroutine. Fork reads the source and writes the destination
+//     with plain loads and stores: no other goroutine may use either
+//     engine, or any of their transactions, while it runs, and no
+//     operation may be in flight.
+//   - Deep copy. Afterwards the two engines share nothing mutable: running
+//     transactions on either side changes nothing the other observes.
+//     Only state that can never change again (a dstm descriptor that has
+//     committed or aborted, and the locators it owns) may be shared.
+//   - Pool rule. A copy target handed to Fork must be a transaction nobody
+//     else holds. A transaction that has ended — Commit or Abort returned,
+//     or an operation returned ErrAborted — may already sit in its
+//     engine's pool (tl2, norec and pdur recycle descriptors through a
+//     sync.Pool), where a later Begin hands it out again; reusing it as a
+//     copy target would give one descriptor to two threads.
 package stm
 
 import "errors"
@@ -51,6 +72,22 @@ type Engine interface {
 	// Begin starts a transaction. Every transaction must end with Commit
 	// or Abort.
 	Begin() Txn
+}
+
+// Forkable is an Engine whose state can be copied into another instance
+// of the same engine (see the package comment for the contract).
+type Forkable interface {
+	Engine
+	// Fork makes dst an exact copy of the engine together with its live
+	// transactions txns, and returns dst — or, when dst is nil, a new
+	// engine of the same configuration. dst must be such an engine, one
+	// this engine type returned earlier. For each non-nil txns[i], out[i]
+	// receives its copy, a transaction of dst; a non-nil out[i] on entry
+	// is a transaction of dst whose storage the copy reuses (see the pool
+	// rule), and out[i] is left as it is where txns[i] is nil. Every
+	// transaction of the engine that has begun and not ended must be among
+	// txns: those left out are not carried over.
+	Fork(dst Engine, txns, out []Txn) Engine
 }
 
 // Txn is a transaction in progress. A transaction is not safe for

@@ -68,7 +68,7 @@ type TM struct {
 	pool    sync.Pool
 }
 
-var _ stm.Engine = (*TM)(nil)
+var _ stm.Forkable = (*TM)(nil)
 
 // Option configures a TM.
 type Option func(*TM)
@@ -292,6 +292,45 @@ func (x *txn) Abort() {
 	}
 	x.dead = true
 	x.put()
+}
+
+// Fork implements stm.Forkable: the clock, every lock word and value, the
+// manager source, and per live transaction its read version, read and
+// write sets and manager. Copy targets not supplied come from dst's pool.
+func (t *TM) Fork(dst stm.Engine, txns, out []stm.Txn) stm.Engine {
+	d, _ := dst.(*TM)
+	if d == nil {
+		d = New(len(t.vals), WithPolicy(t.policy))
+	}
+	d.clock.Store(t.clock.Load())
+	for i := range t.stripes {
+		d.stripes[i].lock.Store(t.stripes[i].lock.Load())
+	}
+	for i := range t.vals {
+		d.vals[i].Store(t.vals[i].Load())
+	}
+	t.src.CopyTo(d.src)
+	for i, tx := range txns {
+		if tx == nil {
+			continue
+		}
+		x := tx.(*txn)
+		y, _ := out[i].(*txn)
+		if y == nil {
+			y = d.pool.Get().(*txn)
+		}
+		y.tm = d
+		y.rv = x.rv
+		y.rset = append(y.rset[:0], x.rset...)
+		y.wobjs = append(y.wobjs[:0], x.wobjs...)
+		y.wvals = append(y.wvals[:0], x.wvals...)
+		y.sset = y.sset[:0] // commit scratch, rebuilt by every Commit
+		x.mgr.CopyTo(&y.mgr)
+		y.dead = x.dead
+		y.pooled = false
+		out[i] = y
+	}
+	return d
 }
 
 // releaseStripes unlocks the first n acquired write stripes, restoring
