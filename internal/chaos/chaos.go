@@ -44,6 +44,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"duopacity/internal/lazyrand"
 	"duopacity/internal/stm"
 )
 
@@ -108,7 +109,7 @@ func (e *Engine) Begin() stm.Txn {
 	t := &txn{e: e, inner: e.inner.Begin()}
 	if e.prof.SpuriousAbort > 0 || e.prof.CommitDelay > 0 {
 		serial := e.seq.Add(1)
-		t.rng = rand.New(rand.NewSource(int64(splitmix64(uint64(e.prof.Seed) ^ uint64(serial)*0x9e3779b97f4a7c15))))
+		t.rng = lazyrand.New(int64(splitmix64(uint64(e.prof.Seed) ^ uint64(serial)*0x9e3779b97f4a7c15)))
 	}
 	return t
 }

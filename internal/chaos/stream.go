@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"duopacity/internal/history"
+	"duopacity/internal/lazyrand"
 )
 
 // JunkSource generates stream faults: events that a well-formed
@@ -40,7 +41,7 @@ type JunkSource struct {
 // NewJunkSource returns a generator with its own seeded schedule.
 func NewJunkSource(seed int64) *JunkSource {
 	return &JunkSource{
-		rng:        rand.New(rand.NewSource(int64(splitmix64(uint64(seed))))),
+		rng:        lazyrand.New(int64(splitmix64(uint64(seed)))),
 		pending:    make(map[history.TxnID]bool),
 		isComplete: make(map[history.TxnID]bool),
 	}

@@ -188,9 +188,11 @@ func (s JobSpec) NumShards() int {
 	return 0
 }
 
-// WireVerdict is spec.Verdict in serializable form: the witness
-// serialization travels as its rendered text (enough to reproduce the
-// CLI output byte for byte; the structural Seq stays local).
+// WireVerdict is spec.Verdict in serializable form. Where a consumer
+// prints verdicts (check jobs, soak cells, explore violations) the witness
+// serialization travels as its rendered text, enough to reproduce the CLI
+// output byte for byte; the structural Seq stays local. Certify episodes
+// carry the verdict bits only (see WireEpisode).
 type WireVerdict struct {
 	Criterion spec.Criterion `json:"criterion"`
 	OK        bool           `json:"ok,omitempty"`
@@ -200,18 +202,24 @@ type WireVerdict struct {
 	Witness   string         `json:"witness,omitempty"`
 }
 
-// WireVerdictOf encodes a verdict.
+// WireVerdictOf encodes a verdict, witness text included.
 func WireVerdictOf(v spec.Verdict) WireVerdict {
-	w := WireVerdict{Criterion: v.Criterion, OK: v.OK, Undecided: v.Undecided, Reason: v.Reason, Nodes: v.Nodes}
+	w := wireVerdictBits(v)
 	if v.Serialization != nil {
 		w.Witness = v.Serialization.String()
 	}
 	return w
 }
 
-// Verdict decodes back to a spec.Verdict; the witness text cannot be
-// rebuilt into a structural Seq, so Serialization stays nil (no fold
-// consumes it — aggregation only reads OK/Undecided/Reason).
+// wireVerdictBits encodes a verdict without its witness.
+func wireVerdictBits(v spec.Verdict) WireVerdict {
+	return WireVerdict{Criterion: v.Criterion, OK: v.OK, Undecided: v.Undecided, Reason: v.Reason, Nodes: v.Nodes}
+}
+
+// Verdict decodes back to a spec.Verdict with a nil Serialization: witness
+// text cannot be rebuilt into a structural Seq, and a certify episode's
+// verdicts carry none. No fold consumes it — aggregation only reads
+// OK/Undecided/Reason.
 func (w WireVerdict) Verdict() spec.Verdict {
 	return spec.Verdict{Criterion: w.Criterion, OK: w.OK, Undecided: w.Undecided, Reason: w.Reason, Nodes: w.Nodes}
 }
@@ -232,9 +240,12 @@ func (w WireVerdict) String() string {
 	}
 }
 
-// WireEpisode is harness.EpisodeReport without the recorded history
-// (certify aggregation never reads it; keeping episodes light is what
-// makes remote certification cheap).
+// WireEpisode is harness.EpisodeReport without the recorded history and
+// without witness text: its verdicts carry the criterion, OK, Undecided,
+// Reason and Nodes only. Certify aggregation (CertStats.AddEpisode) reads
+// nothing else, and rendering seven witnesses per episode was most of a
+// certify shard's result bytes; keeping episodes light is what makes
+// remote certification cheap.
 type WireEpisode struct {
 	Skipped  bool          `json:"skipped,omitempty"`
 	Degraded string        `json:"degraded,omitempty"`
@@ -257,7 +268,7 @@ func wireEpisodeOf(r harness.EpisodeReport, criteria []spec.Criterion) WireEpiso
 	w := WireEpisode{Skipped: r.Skipped, Degraded: r.Degraded}
 	if r.Verdicts != nil {
 		for _, c := range criteria {
-			w.Verdicts = append(w.Verdicts, WireVerdictOf(r.Verdicts[c]))
+			w.Verdicts = append(w.Verdicts, wireVerdictBits(r.Verdicts[c]))
 		}
 	}
 	return w

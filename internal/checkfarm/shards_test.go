@@ -103,6 +103,51 @@ func TestFoldMatchesLocalFarmCertify(t *testing.T) {
 	assertReports(t, s, harness.FormatCertTable(want, criteria))
 }
 
+// TestCertifyResultsCarryVerdictBits: a certify shard's verdicts are the
+// episode's verdicts minus the witness text, which no certify fold reads;
+// a check shard of the same history keeps its witnesses.
+func TestCertifyResultsCarryVerdictBits(t *testing.T) {
+	criteria := spec.AllCriteria()
+	s := mustNormalize(t, certifyJob(harness.CertConfig{
+		Workload: harness.Workload{Engine: "tl2", Objects: 4, Goroutines: 4, TxnsPerGoroutine: 3, OpsPerTxn: 4, Seed: 7},
+		Episodes: 4, Interleaved: true,
+	}, criteria))
+	for i := 0; i < s.NumShards(); i++ {
+		res, err := s.RunShard(context.Background(), i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep, err := harness.CertifyEpisodeCtx(context.Background(), s.Certify.Config, i, criteria)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Episode.Verdicts) != len(criteria) {
+			t.Fatalf("episode %d: %d verdicts for %d criteria", i, len(res.Episode.Verdicts), len(criteria))
+		}
+		for j, c := range criteria {
+			got, want := res.Episode.Verdicts[j], WireVerdictOf(ep.Verdicts[c])
+			if got.Witness != "" {
+				t.Fatalf("episode %d %s: certify result carries witness text %q", i, c, got.Witness)
+			}
+			if want.Witness = ""; got != want {
+				t.Fatalf("episode %d %s: %+v, want %+v", i, c, got, want)
+			}
+		}
+		check := mustNormalize(t, JobSpec{Kind: KindCheck, Check: &CheckJob{
+			Histories: []string{histio.FormatString(ep.History)}, Criteria: criteria, NodeLimit: s.Certify.Config.NodeLimit,
+		}})
+		cres, err := check.RunShard(context.Background(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, c := range criteria {
+			if v := ep.Verdicts[c]; v.OK && cres.Check[j].String() != v.String() {
+				t.Fatalf("episode %d %s: check shard renders %q, want %q", i, c, cres.Check[j], v)
+			}
+		}
+	}
+}
+
 func TestFoldMatchesLocalFarmExplore(t *testing.T) {
 	plans := []stm.Plan{
 		stm.MustParsePlan("w0 | r0 r1\nw1"),

@@ -3,7 +3,6 @@ package checkfarm
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"text/tabwriter"
@@ -12,6 +11,7 @@ import (
 	"duopacity/internal/harness"
 	"duopacity/internal/histio"
 	"duopacity/internal/history"
+	"duopacity/internal/lazyrand"
 	"duopacity/internal/spec"
 )
 
@@ -79,7 +79,7 @@ func (c SoakConfig) withDefaults() SoakConfig {
 // the soak seed. The shapes stay small (exact checking is exponential in
 // the worst case) but contended: few objects, several threads.
 func (c SoakConfig) roundWorkload(r int) harness.Workload {
-	rng := rand.New(rand.NewSource(c.Seed*1_000_003 + int64(r)))
+	rng := lazyrand.New(c.Seed*1_000_003 + int64(r))
 	return harness.Workload{
 		Objects:          2 + rng.Intn(4), // 2..5
 		Goroutines:       2 + rng.Intn(5), // 2..6

@@ -21,6 +21,7 @@ import (
 	"math/rand"
 
 	"duopacity/internal/history"
+	"duopacity/internal/lazyrand"
 )
 
 // Config parameterizes generation. The zero value is not useful; call
@@ -124,7 +125,7 @@ func DUOpaque(cfg Config) *history.History {
 // serialization that witnesses it.
 func DUOpaqueWithWitness(cfg Config) (*history.History, Witness) {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := lazyrand.New(cfg.Seed)
 
 	state := make([]history.Value, cfg.Objects) // committed state
 	nextVal := int64(0)

@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,6 +11,7 @@ import (
 	"duopacity/internal/gen"
 	"duopacity/internal/histio"
 	"duopacity/internal/history"
+	"duopacity/internal/lazyrand"
 	"duopacity/internal/recorder"
 	"duopacity/internal/spec"
 	"duopacity/internal/stm/engines"
@@ -225,7 +225,7 @@ func soakTrial(cfg ChaosConfig, engine string, seed int64, rep *ChaosReport) err
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed + int64(g)*104_729))
+			rng := lazyrand.New(seed + int64(g)*104_729)
 			for txn := 0; txn < cfg.Txns; txn++ {
 				// A kill abandons the transaction mid-flight — no commit, no
 				// abort, the recorded transaction stays live in the history.
@@ -290,7 +290,7 @@ func soakTrial(cfg ChaosConfig, engine string, seed int64, rep *ChaosReport) err
 	// check of that prefix.
 	evs := hf.Events()
 	cut := len(evs)
-	srng := rand.New(rand.NewSource(seed ^ 0x5dee_ce66d))
+	srng := lazyrand.New(seed ^ 0x5dee_ce66d)
 	if len(evs) > 0 && srng.Float64() < 0.3 {
 		cut = srng.Intn(len(evs) + 1)
 		if cut < len(evs) {
@@ -356,7 +356,7 @@ func soakTrial(cfg ChaosConfig, engine string, seed int64, rep *ChaosReport) err
 	// panics past the bound (must degrade), and slow shards.
 	if cfg.Farm != nil {
 		ff := &chaos.FarmFaults{}
-		frng := rand.New(rand.NewSource(seed ^ 0x2545_F491_4F6C_DD1D))
+		frng := lazyrand.New(seed ^ 0x2545_F491_4F6C_DD1D)
 		forceDegrade := false
 		switch frng.Intn(3) {
 		case 0:

@@ -15,7 +15,7 @@ import (
 	"duopacity/internal/stm"
 )
 
-var updateDigest = flag.Bool("update", false, "rewrite testdata/explore_digest.golden")
+var updateDigest = flag.Bool("update", false, "rewrite the digest goldens under testdata")
 
 // digestEngines are the eight base engines plus one contention-managed
 // form each of a validating and an obstruction-free engine.
@@ -92,9 +92,16 @@ func TestExploreDigestGolden(t *testing.T) {
 			}
 		}
 	}
-	path := filepath.Join("testdata", "explore_digest.golden")
+	compareDigest(t, "explore_digest.golden", b.String())
+}
+
+// compareDigest checks a digest against testdata/name line by line, or
+// rewrites the file under -update.
+func compareDigest(t *testing.T, name, digest string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateDigest {
-		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(digest), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -104,7 +111,7 @@ func TestExploreDigestGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := strings.Split(string(raw), "\n")
-	got := strings.Split(b.String(), "\n")
+	got := strings.Split(digest, "\n")
 	if len(got) != len(want) {
 		t.Fatalf("%d digest lines, golden has %d", len(got), len(want))
 	}
@@ -112,11 +119,75 @@ func TestExploreDigestGolden(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			if bad++; bad <= 10 {
-				t.Errorf("exploration diverged from the golden:\ngot:  %s\nwant: %s", got[i], want[i])
+				t.Errorf("line %d diverged from %s:\ngot:  %s\nwant: %s", i+1, name, got[i], want[i])
 			}
 		}
 	}
 	if bad > 10 {
 		t.Errorf("... %d lines diverged in all", bad)
 	}
+}
+
+// certifyDigestEngines are the certify-farm engines, the three in-place or
+// lock-based ones, and one contention-managed form.
+var certifyDigestEngines = []string{"tl2", "norec", "pdur", "dstm", "gl", "ple", "etl", "tl2+karma"}
+
+// certifyDigestShapes are the certify-farm episode shape (4 threads × 3
+// transactions × 4 operations over 4 objects) and a smaller 3 × 2 × 3 one.
+var certifyDigestShapes = []Workload{
+	{Goroutines: 4, TxnsPerGoroutine: 3, OpsPerTxn: 4, Objects: 4, Seed: 1},
+	{Goroutines: 3, TxnsPerGoroutine: 2, OpsPerTxn: 3, Objects: 3, Seed: 2},
+}
+
+// TestCertifyEpisodeDigestGolden pins 400 interleaved certify episodes —
+// eight engines × two shapes × 25 episodes — and the plans of the 16
+// explore-farm seeds to testdata/certify_digest.golden. An episode line
+// holds the run's commit/abort/failed counts, a hash of the recorded
+// history's histio text and the seven verdicts of the episode's checks,
+// witnesses included. Every seeded draw an episode makes (the plan per
+// thread, the schedule) is thereby pinned; a change to how a generator is
+// seeded or a history is assembled must leave the file untouched (-update
+// rewrites it, only for an intended change of results).
+func TestCertifyEpisodeDigestGolden(t *testing.T) {
+	var b strings.Builder
+	criteria := spec.AllCriteria()
+	for _, eng := range certifyDigestEngines {
+		for si, shape := range certifyDigestShapes {
+			cfg := CertConfig{Workload: shape, Episodes: 25, Interleaved: true}.WithDefaults()
+			cfg.Engine = eng
+			for ep := 0; ep < cfg.Episodes; ep++ {
+				w := cfg.Workload
+				w.Seed += int64(ep) * episodeSeedStride
+				h, st, err := RunInterleaved(w)
+				if err != nil {
+					t.Fatalf("%s episode %d: %v", eng, ep, err)
+				}
+				r, err := CertifyEpisodeCtx(context.Background(), cfg, ep, criteria)
+				if err != nil {
+					t.Fatalf("%s episode %d: %v", eng, ep, err)
+				}
+				text := histio.FormatString(h)
+				if got := histio.FormatString(r.History); got != text {
+					t.Fatalf("%s episode %d: CertifyEpisodeCtx recorded another history than RunInterleaved", eng, ep)
+				}
+				fmt.Fprintf(&b, "%s %d/%d %d/%d/%d %x", eng, si, ep, st.Commits, st.Aborts, st.Failed, sha256.Sum256([]byte(text)))
+				if r.Skipped {
+					b.WriteString(" | skipped")
+				}
+				for _, c := range criteria {
+					if v, ok := r.Verdicts[c]; ok {
+						fmt.Fprintf(&b, " | %s", v)
+					}
+				}
+				b.WriteByte('\n')
+			}
+		}
+	}
+	// The explore-farm workload's plans: shape 3 × 1 × 3 over 2 objects,
+	// seeded as the benchmark seeds plan p of a run with seed 1.
+	for p := 0; p < 16; p++ {
+		plan := PlanOf(Workload{Goroutines: 3, TxnsPerGoroutine: 1, OpsPerTxn: 3, Objects: 2, Seed: 1*1_000_003 + int64(p)*101 + 1})
+		fmt.Fprintf(&b, "plan %d objects=%d %q\n", p, plan.Objects, plan.String())
+	}
+	compareDigest(t, "certify_digest.golden", b.String())
 }

@@ -42,6 +42,7 @@ import (
 
 	"duopacity/internal/gen"
 	"duopacity/internal/history"
+	"duopacity/internal/lazyrand"
 	"duopacity/internal/recorder"
 	"duopacity/internal/spec"
 	"duopacity/internal/stm"
@@ -137,11 +138,13 @@ func (s RunStats) AbortRate() float64 {
 // measured section does no RNG work. The result is the workload's plan:
 // everything about the execution except the interleaving. Written values
 // are not planned — they are drawn fresh per attempt from the run's value
-// source so that retries stay distinguishable.
-func planFor(w Workload) stm.Plan {
+// source so that retries stay distinguishable. rng is re-seeded for every
+// goroutine, so its state on entry does not matter; an episode passes the
+// one generator it later re-seeds for its schedule.
+func planFor(w Workload, rng *rand.Rand) stm.Plan {
 	p := stm.Plan{Objects: w.Objects, Threads: make([][]stm.PlanTxn, w.Goroutines)}
 	for g := 0; g < w.Goroutines; g++ {
-		rng := rand.New(rand.NewSource(w.Seed + int64(g)*7919))
+		rng.Seed(w.Seed + int64(g)*7919)
 		// Under Disjoint, goroutine g draws from its own contiguous
 		// block of the object space (the access-locality shape
 		// partitioned certification exploits).
@@ -169,7 +172,7 @@ func planFor(w Workload) stm.Plan {
 // workload (seed, shape), exactly the programs Run, RunRecorded and
 // RunInterleaved execute.
 func PlanOf(w Workload) stm.Plan {
-	return planFor(w.withDefaults())
+	return planFor(w.withDefaults(), lazyrand.New(0))
 }
 
 // Run executes the workload unrecorded and returns performance statistics.
@@ -179,7 +182,7 @@ func Run(w Workload) (RunStats, error) {
 	if err != nil {
 		return RunStats{}, err
 	}
-	plans := planFor(w)
+	plans := planFor(w, lazyrand.New(0))
 	var commits, aborts, failed atomic.Int64
 	var vals atomic.Int64 // unique written values
 
@@ -243,7 +246,7 @@ func runRecorded(w Workload, tap func(history.Event)) (*history.History, RunStat
 	if tap != nil {
 		rec.Tap(tap)
 	}
-	plans := planFor(w)
+	plans := planFor(w, lazyrand.New(0))
 	var commits, aborts, failed atomic.Int64
 	var vals atomic.Int64
 
@@ -316,7 +319,12 @@ type CertConfig struct {
 	// NodeLimit bounds each exact check (default 2_000_000 nodes).
 	NodeLimit int
 	// MaxTxns skips episodes whose recorded history exceeds this many
-	// transactions (default 56, under the checker's 64-transaction cap).
+	// transactions (default 56). The checker has had no transaction cap
+	// since bitset rows replaced its 64-bit masks; 56 stays because it
+	// keeps every certified episode within the frozen reference checker's
+	// 64 transactions (the differential oracle), bounds the exact searches
+	// of one farm shard, and moving it would change which episodes every
+	// existing certify report skips.
 	MaxTxns int
 	// Interleaved runs each episode under the deterministic stepwise
 	// scheduler (RunInterleaved) instead of real goroutines, making
@@ -470,7 +478,7 @@ func exploreEpisode(ctx context.Context, cfg CertConfig, w Workload, criteria []
 	// through to the explorer's own default (2), as ducheck -explore does.
 	maxAttempts := w.MaxAttempts
 	w = w.withDefaults()
-	p := planFor(w)
+	p := planFor(w, lazyrand.New(0))
 	r := EpisodeReport{Verdicts: make(map[spec.Criterion]spec.Verdict, len(criteria))}
 	for _, c := range criteria {
 		er, err := ExplorePlanCtx(ctx, w.Engine, p, ExploreConfig{

@@ -1,9 +1,8 @@
 package harness
 
 import (
-	"math/rand"
-
 	"duopacity/internal/history"
+	"duopacity/internal/lazyrand"
 	"duopacity/internal/recorder"
 	"duopacity/internal/stm/engines"
 )
@@ -47,13 +46,16 @@ func runInterleaved(w Workload, tap func(history.Event)) (*history.History, RunS
 	if tap != nil {
 		rec.Tap(tap)
 	}
+	// One generator serves the episode: planFor re-seeds it per thread,
+	// then it is re-seeded for the schedule.
+	rng := lazyrand.New(0)
 	st := &stepper{
 		rec:         rec,
-		threads:     threadsFor(planFor(w)),
+		threads:     threadsFor(planFor(w, rng)),
 		policy:      policyFor(w.Engine),
 		maxAttempts: w.MaxAttempts,
 	}
-	rng := rand.New(rand.NewSource(w.Seed*6364136223846793005 + 1442695040888963407))
+	rng.Seed(w.Seed*6364136223846793005 + 1442695040888963407)
 	buf := make([]int, 0, len(st.threads))
 	for {
 		r := st.runnable(buf)

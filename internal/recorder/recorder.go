@@ -165,12 +165,13 @@ func (r *Recorder) TapError() error {
 }
 
 // History snapshots the recorded events as a history. Transactions still
-// in flight appear with pending operations, which is well-formed.
+// in flight appear with pending operations, which is well-formed. The
+// history is built under the capture mutex from FromEvents' own copy of
+// the log, so the events are copied once.
 func (r *Recorder) History() *history.History {
 	r.mu.Lock()
-	evs := append([]history.Event(nil), r.evs...)
+	h, err := history.FromEvents(r.evs)
 	r.mu.Unlock()
-	h, err := history.FromEvents(evs)
 	if err != nil {
 		// The recorder only appends matched, well-ordered events.
 		panic("recorder: recorded history malformed: " + err.Error())
