@@ -140,10 +140,11 @@ func BenchmarkLemma1_Restriction(b *testing.B) {
 	if !v.OK {
 		b.Fatal("generated history must be du-opaque")
 	}
+	s := v.Witness()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for p := 0; p <= h.Len(); p += 4 {
-			if _, err := koenig.RestrictSerialization(h, v.Serialization, p); err != nil {
+			if _, err := koenig.RestrictSerialization(h, s, p); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -290,7 +291,7 @@ func BenchmarkVerifySerialization(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := spec.VerifySerialization(h, v.Serialization); err != nil {
+		if err := spec.VerifySerialization(h, v.Witness()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -416,7 +417,10 @@ func BenchmarkEngineTxnAllocs(b *testing.B) {
 // and slice-read-set rewrite: once the pools are warm, a read-only
 // transaction on tl2, norec and pdur performs zero engine-side heap
 // allocations. A regression to map read sets, per-Begin descriptor
-// allocation or sort.Ints in commit fails this immediately.
+// allocation or sort.Ints in commit fails this immediately. Under -race
+// the transactions still run but the count is not asserted: the race
+// detector drops sync.Pool Puts at random, so a pooled descriptor is
+// sometimes allocated afresh.
 func TestReadOnlyTxnZeroAllocs(t *testing.T) {
 	for _, name := range []string{"tl2", "norec", "pdur"} {
 		eng, err := engines.New(name, 16)
@@ -440,7 +444,7 @@ func TestReadOnlyTxnZeroAllocs(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			readOnly()
 		}
-		if avg := testing.AllocsPerRun(200, readOnly); avg != 0 {
+		if avg := testing.AllocsPerRun(200, readOnly); avg != 0 && !raceEnabled {
 			t.Errorf("%s: read-only txn allocates %.2f objects/op, want 0", name, avg)
 		}
 	}

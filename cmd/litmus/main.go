@@ -70,7 +70,7 @@ func run(args []string) error {
 			_ = tw.Flush()
 			fmt.Printf("\n%s — %s\n%s", lc.Name, lc.Desc, lc.H)
 			if v := spec.CheckDUOpacity(lc.H); v.OK {
-				fmt.Printf("du-opaque serialization: %s\n\n", v.Serialization)
+				fmt.Printf("du-opaque serialization: %s\n\n", v.Witness())
 			} else {
 				fmt.Printf("du-opacity refutation: %s\n\n", v.Reason)
 			}

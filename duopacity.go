@@ -15,7 +15,7 @@
 //	b.Read(2, "X", 1)
 //	b.Commit(2)
 //	v := duopacity.CheckDUOpacity(b.History())
-//	fmt.Println(v.OK, v.Serialization) // true [T1+ T2+]
+//	fmt.Println(v.OK, v.Witness()) // true T1+ T2+
 //
 // or, running a real STM and certifying what it did:
 //

@@ -19,7 +19,7 @@ func TestFacadeHistoryAndCheck(t *testing.T) {
 	if !v.OK {
 		t.Fatalf("du-opacity rejected: %s", v.Reason)
 	}
-	if err := duopacity.VerifySerialization(h, v.Serialization); err != nil {
+	if err := duopacity.VerifySerialization(h, v.Witness()); err != nil {
 		t.Fatalf("witness verification: %v", err)
 	}
 	for _, c := range duopacity.AllCriteria() {
@@ -30,7 +30,7 @@ func TestFacadeHistoryAndCheck(t *testing.T) {
 	if !duopacity.UniqueWrites(h) {
 		t.Error("UniqueWrites should hold")
 	}
-	s, err := duopacity.RestrictSerialization(h, v.Serialization, 4)
+	s, err := duopacity.RestrictSerialization(h, v.Witness(), 4)
 	if err != nil || len(s.Txns) != 1 {
 		t.Errorf("RestrictSerialization: %v, %v", s, err)
 	}

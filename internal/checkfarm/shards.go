@@ -190,8 +190,8 @@ func (s JobSpec) NumShards() int {
 
 // WireVerdict is spec.Verdict in serializable form. Where a consumer
 // prints verdicts (check jobs, soak cells, explore violations) the witness
-// serialization travels as its rendered text, enough to reproduce the CLI
-// output byte for byte; the structural Seq stays local. Certify episodes
+// travels as the text of its seq(S), enough to reproduce the CLI output
+// byte for byte; the structural witness stays local. Certify episodes
 // carry the verdict bits only (see WireEpisode).
 type WireVerdict struct {
 	Criterion spec.Criterion `json:"criterion"`
@@ -202,11 +202,12 @@ type WireVerdict struct {
 	Witness   string         `json:"witness,omitempty"`
 }
 
-// WireVerdictOf encodes a verdict, witness text included.
+// WireVerdictOf encodes a verdict, the text of v.Witness() included (so,
+// for a session's verdict, before the session's next Append or Rewind).
 func WireVerdictOf(v spec.Verdict) WireVerdict {
 	w := wireVerdictBits(v)
-	if v.Serialization != nil {
-		w.Witness = v.Serialization.String()
+	if s := v.Witness(); s != nil {
+		w.Witness = s.String()
 	}
 	return w
 }
@@ -216,10 +217,10 @@ func wireVerdictBits(v spec.Verdict) WireVerdict {
 	return WireVerdict{Criterion: v.Criterion, OK: v.OK, Undecided: v.Undecided, Reason: v.Reason, Nodes: v.Nodes}
 }
 
-// Verdict decodes back to a spec.Verdict with a nil Serialization: witness
-// text cannot be rebuilt into a structural Seq, and a certify episode's
-// verdicts carry none. No fold consumes it — aggregation only reads
-// OK/Undecided/Reason.
+// Verdict decodes back to a spec.Verdict whose Witness is nil: witness
+// text cannot be rebuilt into a serialization of a history the decoder
+// does not have, and a certify episode's verdicts carry none. No fold
+// consumes it — aggregation only reads OK/Undecided/Reason.
 func (w WireVerdict) Verdict() spec.Verdict {
 	return spec.Verdict{Criterion: w.Criterion, OK: w.OK, Undecided: w.Undecided, Reason: w.Reason, Nodes: w.Nodes}
 }

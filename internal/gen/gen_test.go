@@ -85,7 +85,7 @@ func TestWitnessAgreesWithChecker(t *testing.T) {
 		if !v.OK {
 			t.Fatalf("seed %d: rejected: %s", seed, v.Reason)
 		}
-		if err := spec.VerifySerialization(h, v.Serialization); err != nil {
+		if err := spec.VerifySerialization(h, v.Witness()); err != nil {
 			t.Fatalf("seed %d: checker witness fails verification: %v", seed, err)
 		}
 	}

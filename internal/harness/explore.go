@@ -140,8 +140,8 @@ type ExploreConfig struct {
 	// is cut at its latching step — even when that step happens to be its
 	// last — and is counted in PrefixCut, not delivered here; set
 	// DisablePrefixCut to observe every schedule of the space. The
-	// verdict's Serialization belongs to the exploration's one monitor and
-	// is valid only during the callback. One
+	// verdict's witness is the exploration's one monitor's: ask for
+	// v.Witness() during the callback, not after it returns. One
 	// ExplorePlanCtx call invokes the callback sequentially, but a config
 	// shared across concurrent explorations (a checkfarm explore job run
 	// with jobs > 1) invokes it from all workers — such a callback must be
@@ -756,7 +756,7 @@ func (e *explorer) finishSchedule() {
 
 func (e *explorer) recordViolation() {
 	e.rep.Violations++
-	v := e.verdict() // a rejection: no Serialization to outlive the monitor's next move
+	v := e.verdict() // a rejection: no witness to outlive the monitor's next move
 	if e.rep.Violation == nil {
 		e.rep.Violation = &ExploreViolation{
 			Schedule: append([]int(nil), e.sched...),

@@ -2,7 +2,7 @@ package history
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // SeqTxn is one transaction of a t-complete t-sequential history: all its
@@ -64,18 +64,19 @@ func (s *Seq) Position(k TxnID) int {
 
 // String renders seq(S) with commit status, e.g. "T2+ T3+ T1+ T4-".
 func (s *Seq) String() string {
-	var b strings.Builder
+	b := make([]byte, 0, 8*len(s.Txns))
 	for i := range s.Txns {
 		if i > 0 {
-			b.WriteByte(' ')
+			b = append(b, ' ')
 		}
-		mark := "-"
+		b = strconv.AppendInt(append(b, 'T'), int64(s.Txns[i].ID), 10)
 		if s.Txns[i].Committed() {
-			mark = "+"
+			b = append(b, '+')
+		} else {
+			b = append(b, '-')
 		}
-		fmt.Fprintf(&b, "T%d%s", s.Txns[i].ID, mark)
 	}
-	return b.String()
+	return string(b)
 }
 
 // IllegalReadError reports the first read that does not return the latest

@@ -188,7 +188,6 @@ func FuzzStreamDifferential(f *testing.F) {
 				}
 				for k, v := range vs {
 					final[k] = v
-					final[k].Serialization = nil // owned by the subject until the next append
 					if latchedAt[k] < 0 && !v.OK && !v.Undecided {
 						latchedAt[k] = i
 					}

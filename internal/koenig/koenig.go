@@ -30,9 +30,10 @@ import (
 // prefix's status (keeping s's commit decision for transactions whose tryC
 // is pending in the prefix).
 func RestrictSerialization(h *history.History, s *history.Seq, i int) (*history.Seq, error) {
-	// The prefix's per-transaction views are computed by Prefix itself;
-	// building the dense index here would cost more than it saves, since
-	// each restriction touches each transaction once.
+	// The prefix's per-transaction views are computed by Prefix itself, and
+	// SeqFromHistory completes them without the dense index: building it
+	// (real-time predecessors included) would cost more than it saves,
+	// since each restriction touches each transaction once.
 	hi := h.Prefix(i)
 	commit := make(map[history.TxnID]bool)
 	var order []history.TxnID

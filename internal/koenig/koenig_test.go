@@ -34,9 +34,9 @@ func TestLemma1PrefixSerializations(t *testing.T) {
 		if !v.OK {
 			t.Fatalf("history not du-opaque: %s", v.Reason)
 		}
-		full := v.Serialization.Order()
+		full := v.Witness().Order()
 		for i := 0; i <= h.Len(); i++ {
-			si, err := RestrictSerialization(h, v.Serialization, i)
+			si, err := RestrictSerialization(h, v.Witness(), i)
 			if err != nil {
 				t.Fatalf("prefix %d: %v", i, err)
 			}
@@ -80,13 +80,13 @@ func TestLemma4LiveSetOrder(t *testing.T) {
 		if !v.OK {
 			t.Fatalf("seed %d: not du-opaque: %s", seed, v.Reason)
 		}
-		s, err := LiveSetOrder(h, v.Serialization)
+		s, err := LiveSetOrder(h, v.Witness())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if err := spec.VerifySerialization(h, s); err != nil {
 			t.Fatalf("seed %d: reordered sequence is not a serialization: %v\nbefore: %s\nafter:  %s",
-				seed, err, v.Serialization, s)
+				seed, err, v.Witness(), s)
 		}
 		for _, k := range h.Txns() {
 			for _, m := range h.Txns() {
@@ -193,11 +193,11 @@ func TestRestrictSerializationFullPrefixIsIdentity(t *testing.T) {
 	if !v.OK {
 		t.Fatal("figure 1 must be du-opaque")
 	}
-	s, err := RestrictSerialization(h, v.Serialization, h.Len())
+	s, err := RestrictSerialization(h, v.Witness(), h.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := s.String(), v.Serialization.String(); got != want {
+	if got, want := s.String(), v.Witness().String(); got != want {
 		t.Fatalf("full-prefix restriction = %s, want %s", got, want)
 	}
 }

@@ -23,10 +23,10 @@ func TestRegistryVerdicts(t *testing.T) {
 					t.Errorf("%s: got %v, want %v (reason: %s)", crit, v.OK, want, v.Reason)
 				}
 				if v.OK && crit == spec.DUOpacity {
-					if err := v.Serialization.Legal(); err != nil {
+					if err := v.Witness().Legal(); err != nil {
 						t.Errorf("du witness not legal: %v", err)
 					}
-					if err := v.Serialization.MatchesCompletionOf(c.H); err != nil {
+					if err := v.Witness().MatchesCompletionOf(c.H); err != nil {
 						t.Errorf("du witness not a completion: %v", err)
 					}
 				}
@@ -103,7 +103,7 @@ func TestFigure3FinalStateNotPrefixClosed(t *testing.T) {
 	}
 	hp := h.Prefix(Figure3PrefixLen)
 	if v := spec.CheckFinalStateOpacity(hp); v.OK {
-		t.Fatalf("prefix H' should not be final-state opaque (got witness %s)", v.Serialization)
+		t.Fatalf("prefix H' should not be final-state opaque (got witness %s)", v.Witness())
 	}
 }
 
@@ -131,7 +131,7 @@ func TestFigure4FinalSerialization(t *testing.T) {
 	if !v.OK {
 		t.Fatalf("final-state opacity rejected: %s", v.Reason)
 	}
-	s := v.Serialization
+	s := v.Witness()
 	if s.Position(3) > s.Position(2) {
 		t.Errorf("T3 must precede T2 in %s", s)
 	}

@@ -111,12 +111,13 @@ type engine struct {
 	// Enumeration state (nil unless enumerating).
 	collect func(*history.Seq) bool
 
-	// Scratch for witness materialization.
-	orderBuf []int
+	// The witness emit found: dense indexes and commit decisions in
+	// serialization order.
+	orderBuf  []int
+	commitBuf []bool
 
-	witness *history.Seq
-	reason  string
-	bailed  bool // node limit reached
+	reason string
+	bailed bool // node limit reached
 }
 
 var enginePool = sync.Pool{New: func() any { return new(engine) }}
@@ -151,7 +152,6 @@ func (e *engine) release() {
 	e.pred = nil // may alias ix.RTPred; predBuf stays pooled
 	e.ctxDone, e.cancelled = nil, false
 	e.collect = nil
-	e.witness = nil
 	for i := range e.txs {
 		e.txs[i] = nil
 	}
@@ -168,7 +168,7 @@ func newEngine(h *history.History, mode searchMode, opts options) (*engine, stri
 	e.placedCount, e.fp, e.nodes = 0, 0, 0
 	e.order = grow(e.order, 0)
 	e.commits = grow(e.commits, 0)
-	e.witness, e.reason, e.bailed = nil, "", false
+	e.reason, e.bailed = "", false
 	e.collect = nil
 	e.ctxDone, e.cancelled = nil, false
 	if opts.ctx != nil {
@@ -395,21 +395,25 @@ func (e *engine) staticReject() string {
 	return ""
 }
 
-// run performs the search and returns the verdict fields.
-func (e *engine) run() (ok bool, witness *history.Seq, reason string, bailed bool, nodes int) {
-	if e.search() {
-		return true, e.witness, "", false, e.nodes
+// run performs the search and returns the verdict; an accepting one owns
+// a copy of the witness emit recorded.
+func (e *engine) run(c Criterion) Verdict {
+	v := Verdict{Criterion: c}
+	switch {
+	case e.search():
+		v.OK = true
+		v.w = &witness{ix: e.ix, order: append([]int(nil), e.orderBuf...), commit: append([]bool(nil), e.commitBuf...)}
+	case e.cancelled:
+		v.Reason, v.Undecided = "context cancelled", true
+	case e.bailed:
+		v.Reason, v.Undecided = "node limit exceeded", true
+	case e.reason == "":
+		v.Reason = "no serialization satisfies the criterion"
+	default:
+		v.Reason = e.reason
 	}
-	if e.bailed {
-		if e.cancelled {
-			return false, nil, "context cancelled", true, e.nodes
-		}
-		return false, nil, "node limit exceeded", true, e.nodes
-	}
-	if e.reason == "" {
-		e.reason = "no serialization satisfies the criterion"
-	}
-	return false, nil, e.reason, false, e.nodes
+	v.Nodes = e.nodes
+	return v
 }
 
 // ctxPollMask gates the cancellation poll in search(): the context's Done
@@ -625,25 +629,17 @@ func (e *engine) place(i int, commit bool) bool {
 	return found
 }
 
-// emit materializes the witness for the current complete order. When
-// enumerating it forwards the witness to the collector and reports whether
-// to stop.
+// emit records the current complete order as the witness, in dense
+// indexes (the search unwinds order and commits on its way out). When
+// enumerating it materializes the witness for the collector and reports
+// whether to stop.
 func (e *engine) emit() bool {
 	e.orderBuf = grow(e.orderBuf, len(e.order))
 	for pos, i := range e.order {
 		e.orderBuf[pos] = e.gidx[i]
 	}
-	s := e.ix.SeqForOrder(e.orderBuf, e.commits)
-	if e.collect != nil {
-		stop := e.collect(s)
-		if stop {
-			e.witness = s
-			return true
-		}
-		return false
-	}
-	e.witness = s
-	return true
+	e.commitBuf = append(e.commitBuf[:0], e.commits...)
+	return e.collect == nil || e.collect(e.ix.SeqForOrder(e.orderBuf, e.commitBuf))
 }
 
 // --- Fingerprints ---------------------------------------------------------

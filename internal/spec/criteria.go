@@ -232,16 +232,9 @@ func decide(h *history.History, c Criterion, mode searchMode, o options) Verdict
 	if reject != "" {
 		return Verdict{Criterion: c, Reason: reject}
 	}
-	ok, witness, reason, bailed, nodes := e.run()
+	v := e.run(c)
 	e.release()
-	return Verdict{
-		Criterion:     c,
-		OK:            ok,
-		Serialization: witness,
-		Reason:        reason,
-		Undecided:     bailed,
-		Nodes:         nodes,
-	}
+	return v
 }
 
 // AllDUSerializations enumerates du-opaque serializations of h, invoking fn

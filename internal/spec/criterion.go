@@ -207,14 +207,10 @@ type Verdict struct {
 	Criterion Criterion
 	// OK reports whether the history satisfies the criterion.
 	OK bool
-	// Serialization is a witness when OK: a legal t-complete t-sequential
-	// history satisfying the criterion's conditions. For Opacity the
-	// witness is a du-opaque serialization of the full history whenever
-	// one exists — Lemma 1 (koenig.RestrictSerialization) then restricts
-	// it to a serialization of every prefix — and otherwise (opaque but
-	// not du-opaque, e.g. Figure 4) the final-state serialization of the
-	// full history only.
-	Serialization *history.Seq
+	// gen is the witness generation the verdict was handed out at (see
+	// witness); w the witness of an accepting check, nil otherwise.
+	gen uint32
+	w   *witness
 	// Reason explains a rejection (or an undecided result).
 	Reason string
 	// Undecided is set when the search hit the node limit before deciding;
@@ -224,17 +220,62 @@ type Verdict struct {
 	Nodes int
 }
 
-// String renders a one-line summary.
+// Witness returns the serialization behind an accepting verdict (nil for
+// any other): a legal t-complete t-sequential history satisfying the
+// criterion's conditions. For Opacity it is a du-opaque serialization of
+// the full history whenever one exists — Lemma 1
+// (koenig.RestrictSerialization) then restricts it to a serialization of
+// every prefix — and otherwise (opaque but not du-opaque, e.g. Figure 4)
+// the final-state serialization of the full history only.
+//
+// The verdict keeps only the serialization order and the commit decisions
+// of the pending tryCs; each call builds a fresh Seq from them, which the
+// caller owns. A verdict of Check or a Check* function can be asked for
+// as long as the checked history stays as it was: forever, except for a
+// Stream's live view. A verdict from a Session or Monitor must be asked
+// before that session's next Append or Rewind: it carries the session's
+// own order, which moves on, and a later call panics.
+func (v Verdict) Witness() *history.Seq {
+	if v.w == nil {
+		return nil
+	}
+	v.w.check(v.gen)
+	return v.w.ix.SeqForOrder(v.w.order, v.w.commit)
+}
+
+// String renders a one-line summary, the witness's seq(S) included; like
+// Witness, for a session's verdict only before the session's next Append
+// or Rewind.
 func (v Verdict) String() string {
 	switch {
 	case v.Undecided:
 		return fmt.Sprintf("%s: undecided (%s)", v.Criterion, v.Reason)
-	case v.OK && v.Serialization != nil:
-		return fmt.Sprintf("%s: OK [%s]", v.Criterion, v.Serialization)
+	case v.OK && v.w != nil:
+		return fmt.Sprintf("%s: OK [%s]", v.Criterion, v.Witness())
 	case v.OK:
 		return fmt.Sprintf("%s: OK", v.Criterion)
 	default:
 		return fmt.Sprintf("%s: violated (%s)", v.Criterion, v.Reason)
+	}
+}
+
+// witness is the serialization S of an accepting check, unrendered: the
+// dense transaction indexes of ix in serialization order and, per
+// position, whether the completion commits the transaction (the choice
+// that matters only for a pending tryC). A batch verdict owns its
+// witness. A session's decider embeds one and keeps changing it: gen
+// counts the decider's steps, every verdict it hands out is stamped with
+// the gen it was current at, and check refuses a verdict that is stale.
+type witness struct {
+	ix     *history.Indexed
+	order  []int
+	commit []bool
+	gen    uint32
+}
+
+func (w *witness) check(gen uint32) {
+	if gen != w.gen {
+		panic("spec: witness of a session verdict read after the session's next Append or Rewind; read it before feeding the session again")
 	}
 }
 

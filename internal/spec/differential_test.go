@@ -35,7 +35,7 @@ func diffCompare(t *testing.T, h *history.History, c spec.Criterion, nodeLimit i
 			want.OK, want.Undecided, want.Nodes, want.Reason, h)
 	}
 	if got.OK && c == spec.DUOpacity {
-		if err := spec.VerifySerialization(h, got.Serialization); err != nil {
+		if err := spec.VerifySerialization(h, got.Witness()); err != nil {
 			t.Fatalf("du-opacity witness rejected by the independent validator: %v\nhistory:\n%s", err, h)
 		}
 	}

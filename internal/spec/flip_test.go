@@ -151,11 +151,11 @@ func TestFlipRestrictedCheck(t *testing.T) {
 			if !v.OK {
 				return
 			}
-			if err := spec.VerifySerialization(tc.h, v.Serialization); err != nil {
+			if err := spec.VerifySerialization(tc.h, v.Witness()); err != nil {
 				t.Fatalf("witness invalid: %v", err)
 			}
 			var order []history.TxnID
-			for _, st := range v.Serialization.Txns {
+			for _, st := range v.Witness().Txns {
 				order = append(order, st.ID)
 			}
 			if fmt.Sprint(order) != fmt.Sprint(tc.order) {

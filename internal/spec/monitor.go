@@ -53,7 +53,7 @@ func (m *Monitor) Rewind(n int) error              { return m.s.Rewind(n) }
 func (m *Monitor) History() *history.History { return m.s.st.History() }
 
 // Append is Session.Append for the one criterion: the updated verdict,
-// whose Serialization is valid only until the next Append or Rewind.
+// whose Witness must be asked for before the next Append or Rewind.
 func (m *Monitor) Append(e history.Event) (Verdict, error) {
 	err := m.s.append(e)
 	return m.s.deciders[0].verdict, err
@@ -70,7 +70,7 @@ func (m *Monitor) Append(e history.Event) (Verdict, error) {
 //   - a response that aborts a transaction the witness already aborts, or
 //     commits one it already commits, adds no constraint;
 //   - a successful write by a live transaction installs nothing until its
-//     tryC commits, so it only needs the witness re-materialized;
+//     tryC commits, so the witness stands;
 //   - a value-returning external read is checked — alone — against the
 //     committed writers placed before its transaction (both the latest
 //     committed value and the deferred-update local-serialization value);
@@ -95,13 +95,10 @@ type decider struct {
 
 	// The incrementally maintained witness: a serialization order over
 	// dense transaction indexes with per-position commit decisions. It
-	// certifies the history observed so far whenever verdict.OK and
-	// witnessOK both hold (witnessOK only drops on defensive paths that
-	// should be unreachable; the search then re-establishes it).
-	order     []int
-	commit    []bool
-	pos       []int // dense txn index -> position in order
-	witnessOK bool
+	// certifies the history observed so far whenever verdict.OK holds, and
+	// an accepting verdict hands it out as is (see accepted).
+	witness
+	pos []int // dense txn index -> position in order
 	// localReads selects the read-legality the fast path enforces:
 	// du-opacity checks each external read against both the latest
 	// committed writer placed before it and the deferred-update local
@@ -115,13 +112,21 @@ type decider struct {
 	// every full search, edges added since the last recheck are validated
 	// against the witness on the fast path. See monitor_edges.go.
 	edges *edgeTracker
+}
 
-	// seq and seqOps are the copy-on-write witness materialization owned
-	// by the decider (see materialize): seq is the Seq handed out via
-	// Verdict.Serialization, seqOps the per-position completion scratch
-	// for transactions that are not yet t-complete.
-	seq    history.Seq
-	seqOps [][]history.Op
+// accepted is the OK verdict handing out the decider's own witness over
+// ix, stamped with the current generation.
+func (d *decider) accepted(ix *history.Indexed) Verdict {
+	d.ix = ix
+	return Verdict{Criterion: d.crit, OK: true, gen: d.gen, w: &d.witness}
+}
+
+// advance starts a new witness generation — the session is about to
+// change — and restamps the standing verdict, which carries over until a
+// response replaces it.
+func (d *decider) advance() {
+	d.gen++
+	d.verdict.gen = d.gen
 }
 
 // dead reports that the decider will never consult the stream again and
@@ -138,6 +143,7 @@ func (d *decider) dead() bool {
 // step folds the just-appended event e into the decider's state; h is the
 // session's live history, already holding e.
 func (d *decider) step(h *history.History, e history.Event, ro options) {
+	d.advance()
 	if d.dead() {
 		return
 	}
@@ -181,6 +187,7 @@ func (d *decider) step(h *history.History, e history.Event, ro options) {
 // is OK (and the other way round: the restricted witness can re-validate
 // at a prefix the forward search gave up on).
 func (d *decider) rewind(h *history.History, ro options) {
+	d.advance()
 	if d.dead() && d.diedAt < h.Len() {
 		return
 	}
@@ -201,8 +208,7 @@ func (d *decider) rewind(h *history.History, ro options) {
 		d.edges.rebuild(h)
 	}
 	if (d.edges == nil || d.edges.allOK(ix, d.pos)) && d.revalidate(ix) {
-		d.witnessOK = true
-		d.verdict = Verdict{Criterion: d.crit, OK: true, Serialization: d.materialize(ix)}
+		d.verdict = d.accepted(ix)
 		return
 	}
 	d.verdict = d.search(h, ro)
@@ -220,12 +226,12 @@ func (d *decider) rewind(h *history.History, ro options) {
 // the exhaustive search, which decides exactly.
 func (d *decider) recheck(h *history.History, e history.Event, ro options) Verdict {
 	ix := h.Index()
-	if d.verdict.OK && d.witnessOK && d.fastRecheck(ix, e) {
+	if d.verdict.OK && d.fastRecheck(ix, e) {
 		d.fastHits++
 		if d.edges != nil {
 			d.edges.clearPending()
 		}
-		return Verdict{Criterion: d.crit, OK: true, Serialization: d.materialize(ix)}
+		return d.accepted(ix)
 	}
 	v := d.search(h, ro)
 	if d.edges != nil {
@@ -265,8 +271,9 @@ func (d *decider) search(h *history.History, ro options) Verdict {
 			v.Reason = fmt.Sprintf("prefix of length %d is not final-state opaque: %s", h.Len(), v.Reason)
 		}
 	}
-	if v.OK && v.Serialization != nil {
-		d.adoptWitness(h.Index(), v.Serialization)
+	if v.OK {
+		d.adoptWitness(v.w)
+		v.gen, v.w = d.gen, &d.witness
 	}
 	return v
 }
@@ -285,33 +292,16 @@ func (d *decider) syncOrder(ix *history.Indexed) {
 }
 
 // adoptWitness replaces the incremental witness with the order and commit
-// decisions of a search-produced serialization.
-func (d *decider) adoptWitness(ix *history.Indexed, s *history.Seq) {
-	n := ix.NumTxns()
-	d.order = d.order[:0]
-	d.commit = d.commit[:0]
-	d.pos = d.pos[:0]
-	if len(s.Txns) != n {
-		// The search witnesses of the monitorable criteria place every
-		// transaction; anything else cannot seed the incremental state.
-		d.witnessOK = false
-		return
+// decisions of a search's witness. No monitorable criterion orders the
+// committed transactions only, so the order places every transaction. The
+// search's witness is a fresh copy nothing else refers to, so the decider
+// takes its vectors over instead of copying them again.
+func (d *decider) adoptWitness(w *witness) {
+	d.ix, d.order, d.commit = w.ix, w.order, w.commit
+	d.pos = grow(d.pos, len(d.order))
+	for p, gi := range d.order {
+		d.pos[gi] = p
 	}
-	for i := 0; i < n; i++ {
-		d.pos = append(d.pos, 0)
-	}
-	for i := range s.Txns {
-		ti := ix.TxnIndexOf(s.Txns[i].ID)
-		if ti < 0 {
-			d.order, d.commit, d.pos = d.order[:0], d.commit[:0], d.pos[:0]
-			d.witnessOK = false
-			return
-		}
-		d.pos[ti] = i
-		d.order = append(d.order, ti)
-		d.commit = append(d.commit, s.Txns[i].Committed())
-	}
-	d.witnessOK = true
 }
 
 // fastRecheck decides whether the witness order, incrementally updated,
@@ -465,55 +455,6 @@ func (d *decider) revalidate(ix *history.Indexed) bool {
 	return true
 }
 
-// materialize builds the Seq for the current witness order copy-on-write
-// into the decider-owned buffers: a t-complete transaction's operations
-// are immutable from its last response on, so its SeqTxn aliases the
-// observed H|k directly; only transactions that still need a completion
-// (Definition 2) are copied into per-position scratch and completed
-// there. On the fast path of a clean response this allocates nothing
-// once the buffers have grown to the live-window size. The returned Seq
-// is valid until the next Append.
-func (d *decider) materialize(ix *history.Indexed) *history.Seq {
-	n := len(d.order)
-	if cap(d.seq.Txns) < n {
-		d.seq.Txns = make([]history.SeqTxn, n)
-	}
-	d.seq.Txns = d.seq.Txns[:n]
-	for len(d.seqOps) < n {
-		d.seqOps = append(d.seqOps, nil)
-	}
-	for pos, gi := range d.order {
-		it := &ix.Txns[gi]
-		t := it.Info
-		if it.TComplete {
-			d.seq.Txns[pos] = history.SeqTxn{ID: t.ID, Ops: t.Ops}
-			continue
-		}
-		buf := append(d.seqOps[pos][:0], t.Ops...)
-		switch {
-		case it.CommitPending:
-			last := &buf[len(buf)-1]
-			last.Pending = false
-			if d.commit[pos] {
-				last.Out = history.OutCommit
-			} else {
-				last.Out = history.OutAbort
-			}
-		case !it.Complete:
-			// Pending read, write or tryA: completed with A_k.
-			last := &buf[len(buf)-1]
-			last.Pending = false
-			last.Out = history.OutAbort
-		default:
-			// Complete but not t-complete: synthetic tryC·A_k.
-			buf = append(buf, history.Op{Kind: history.OpTryCommit, Out: history.OutAbort, InvIndex: -1, ResIndex: -1})
-		}
-		d.seqOps[pos] = buf
-		d.seq.Txns[pos] = history.SeqTxn{ID: t.ID, Ops: buf}
-	}
-	return &d.seq
-}
-
 // shift carries a decider with a full witness over the retirement of the
 // settled prefix [0,r); live is the rebuilt stream's index, the old dense
 // indexes offset by the checkpoint at 0. The barrier forces every witness
@@ -539,5 +480,5 @@ func (d *decider) shift(live *history.Indexed, r int) {
 	for p, gi := range d.order {
 		d.pos[gi] = p
 	}
-	d.verdict.Serialization = d.materialize(live)
+	d.ix = live // the accepting verdict hands out this witness
 }

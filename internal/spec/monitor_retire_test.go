@@ -299,7 +299,7 @@ func TestMonitorRetirementRejectsCheckpointID(t *testing.T) {
 	}
 }
 
-// TestMonitorCleanResponseAllocs gates the copy-on-write witness and the
+// TestMonitorCleanResponseAllocs gates the unrendered witness and the
 // session-owned verdict slice: clean (non-commit) responses on the fast
 // path must be allocation-free once the buffers are warm, for a
 // one-criterion monitor and for a session deciding all five monitorable

@@ -222,7 +222,7 @@ func feedCompare(t *testing.T, c spec.Criterion, h *history.History) {
 		}
 		if v.OK && c == spec.DUOpacity {
 			// A claimed witness must independently validate.
-			if err := spec.VerifySerialization(h.Prefix(i+1), v.Serialization); err != nil {
+			if err := spec.VerifySerialization(h.Prefix(i+1), v.Witness()); err != nil {
 				t.Fatalf("prefix %d: monitor witness invalid: %v", i+1, err)
 			}
 		}
@@ -298,7 +298,7 @@ func feedCompareOpts(t *testing.T, c spec.Criterion, h *history.History, window 
 			// With retirement the witness serializes the checkpointed live
 			// history, not the raw prefix; the retirement differential
 			// tests pin that path.
-			if err := spec.VerifySerialization(h.Prefix(i+1), v.Serialization); err != nil {
+			if err := spec.VerifySerialization(h.Prefix(i+1), v.Witness()); err != nil {
 				t.Fatalf("prefix %d: monitor witness invalid: %v", i+1, err)
 			}
 		}
@@ -382,7 +382,7 @@ func sessionCompare(t *testing.T, h *history.History, window, nodeLimit int) (pa
 			}
 			latched[k] = latched[k] || !v.OK
 			if v.OK && c == spec.DUOpacity {
-				if err := spec.VerifySerialization(spec.SessionHistory(s), v.Serialization); err != nil {
+				if err := spec.VerifySerialization(spec.SessionHistory(s), v.Witness()); err != nil {
 					t.Fatalf("prefix %d, window %d: session witness invalid: %v", i+1, window, err)
 				}
 			}

@@ -215,11 +215,11 @@ func TestOpacityWitnessCoversEveryPrefix(t *testing.T) {
 			if !v.OK {
 				t.Fatalf("%s seed %d: %s", engine, seed, v)
 			}
-			if err := spec.VerifySerialization(h, v.Serialization); err != nil {
+			if err := spec.VerifySerialization(h, v.Witness()); err != nil {
 				t.Fatalf("%s seed %d: opacity witness is not a du-opaque serialization: %v", engine, seed, err)
 			}
 			for _, i := range responsePrefixes(h) {
-				si, err := koenig.RestrictSerialization(h, v.Serialization, i)
+				si, err := koenig.RestrictSerialization(h, v.Witness(), i)
 				if err == nil {
 					err = spec.VerifySerialization(h.Prefix(i), si)
 				}

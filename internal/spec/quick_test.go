@@ -101,7 +101,7 @@ func TestQuickWitnessesVerify(t *testing.T) {
 		if !v.OK {
 			return true
 		}
-		return VerifySerialization(rh.H, v.Serialization) == nil
+		return VerifySerialization(rh.H, v.Witness()) == nil
 	}
 	if err := quick.Check(prop, quickCfg); err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestQuickDeterminism(t *testing.T) {
 		if a.OK != b.OK || a.Nodes != b.Nodes {
 			return false
 		}
-		if a.OK && a.Serialization.String() != b.Serialization.String() {
+		if a.OK && a.Witness().String() != b.Witness().String() {
 			return false
 		}
 		return true

@@ -71,10 +71,7 @@ type refEngine struct {
 	memo    map[string]struct{}
 	nodes   int
 
-	// Enumeration state (nil unless enumerating).
-	collect func(*history.Seq) bool
-
-	witness *history.Seq
+	witness *witness
 	reason  string
 	bailed  bool // node limit reached
 }
@@ -234,7 +231,7 @@ func (e *refEngine) staticReject() string {
 }
 
 // run performs the search and returns the verdict fields.
-func (e *refEngine) run() (ok bool, witness *history.Seq, reason string, bailed bool, nodes int) {
+func (e *refEngine) run() (ok bool, w *witness, reason string, bailed bool, nodes int) {
 	if e.search() {
 		return true, e.witness, "", false, e.nodes
 	}
@@ -256,20 +253,18 @@ func (e *refEngine) search() bool {
 	e.nodes++
 	n := len(e.ids)
 
-	// Greedy dominance phase (skipped when enumerating): see checker.go.
+	// Greedy dominance phase: see checker.go.
 	greedy := 0
-	if e.collect == nil {
-		for progress := true; progress; {
-			progress = false
-			for i := 0; i < n; i++ {
-				bit := uint64(1) << uint(i)
-				if e.placed&bit != 0 || e.pred[i]&^e.placed != 0 || len(e.writeObjs[i]) > 0 {
-					continue
-				}
-				if e.pushTxn(i, e.role[i] == roleMustCommit) {
-					greedy++
-					progress = true
-				}
+	for progress := true; progress; {
+		progress = false
+		for i := 0; i < n; i++ {
+			bit := uint64(1) << uint(i)
+			if e.placed&bit != 0 || e.pred[i]&^e.placed != 0 || len(e.writeObjs[i]) > 0 {
+				continue
+			}
+			if e.pushTxn(i, e.role[i] == roleMustCommit) {
+				greedy++
+				progress = true
 			}
 		}
 	}
@@ -307,9 +302,7 @@ func (e *refEngine) search() bool {
 			return false
 		}
 	}
-	if e.collect == nil {
-		e.memo[key] = struct{}{}
-	}
+	e.memo[key] = struct{}{}
 	return false
 }
 
@@ -380,55 +373,16 @@ func (e *refEngine) place(i int, commit bool) bool {
 	return found
 }
 
-// emit materializes the witness for the current complete order.
+// emit records the witness for the current complete order, in the dense
+// indexes of the history's indexed view (the serializability baselines
+// order only the committed and commit-pending transactions).
 func (e *refEngine) emit() bool {
-	order := make([]history.TxnID, len(e.order))
-	commit := make(map[history.TxnID]bool, len(e.order))
+	ix := e.h.Index()
+	e.witness = &witness{ix: ix, order: make([]int, len(e.order)), commit: append([]bool(nil), e.commits...)}
 	for pos, i := range e.order {
-		order[pos] = e.ids[i]
-		commit[e.ids[i]] = e.commits[pos]
+		e.witness.order[pos] = ix.TxnIndexOf(e.ids[i])
 	}
-	var s *history.Seq
-	if e.mode.committedOnly {
-		s = e.committedSeq(order, commit)
-	} else {
-		var err error
-		s, err = history.SeqFromHistory(e.h, order, commit)
-		if err != nil {
-			panic("spec: internal error materializing witness: " + err.Error())
-		}
-	}
-	if e.collect != nil {
-		stop := e.collect(s)
-		if stop {
-			e.witness = s
-			return true
-		}
-		return false
-	}
-	e.witness = s
 	return true
-}
-
-// committedSeq builds the witness for the serializability baselines, which
-// order only the committed transactions.
-func (e *refEngine) committedSeq(order []history.TxnID, commit map[history.TxnID]bool) *history.Seq {
-	s := &history.Seq{}
-	for _, k := range order {
-		t := e.h.Txn(k)
-		ops := append([]history.Op(nil), t.Ops...)
-		if t.CommitPending() {
-			last := &ops[len(ops)-1]
-			last.Pending = false
-			if commit[k] {
-				last.Out = history.OutCommit
-			} else {
-				last.Out = history.OutAbort
-			}
-		}
-		s.Txns = append(s.Txns, history.SeqTxn{ID: k, Ops: ops})
-	}
-	return s
 }
 
 // stateKey fingerprints the search state: the placed set plus, per object,
@@ -453,15 +407,8 @@ func refDecide(h *history.History, c Criterion, mode searchMode, o options) Verd
 	if reject != "" {
 		return Verdict{Criterion: c, Reason: reject}
 	}
-	ok, witness, reason, bailed, nodes := e.run()
-	return Verdict{
-		Criterion:     c,
-		OK:            ok,
-		Serialization: witness,
-		Reason:        reason,
-		Undecided:     bailed,
-		Nodes:         nodes,
-	}
+	ok, w, reason, bailed, nodes := e.run()
+	return Verdict{Criterion: c, OK: ok, w: w, Reason: reason, Undecided: bailed, Nodes: nodes}
 }
 
 // checkReference dispatches a criterion to the frozen reference engine,
@@ -500,7 +447,7 @@ func checkReference(h *history.History, c Criterion, o options) Verdict {
 				return v
 			}
 		}
-		return Verdict{Criterion: Opacity, OK: true, Serialization: &history.Seq{}}
+		return Verdict{Criterion: Opacity, OK: true, w: &witness{ix: h.Index()}}
 	case TMS2:
 		return refDecide(h, c, searchMode{realTime: true, extraEdges: tms2Edges(h, o.tms2AbortedExemption)}, o)
 	case RCO:

@@ -97,7 +97,7 @@ func TestSessionRewindDifferential(t *testing.T) {
 							}
 						}
 						if c == spec.DUOpacity && want.ok && at > 0 && evs[at-1].Kind == history.Res {
-							if err := spec.VerifySerialization(hh.h.Prefix(at), vs[k].Serialization); err != nil {
+							if err := spec.VerifySerialization(hh.h.Prefix(at), vs[k].Witness()); err != nil {
 								t.Fatalf("%s %s to %d: du-opacity witness invalid: %v", cfg.name, how, at, err)
 							}
 						}
@@ -288,8 +288,7 @@ func TestRewindIsLemma1(t *testing.T) {
 				}
 			}
 			searches, _ := m.Stats()
-			held, from := m.Verdict().Serialization, responsePrefix(at)
-			heldText := held.String() // the session reuses the Seq's storage
+			held, from := m.Verdict().Witness(), responsePrefix(at)
 			at = rng.Intn(at + 1)
 			want, err := koenig.RestrictSerialization(h.Prefix(from), held, responsePrefix(at))
 			if err != nil {
@@ -305,11 +304,11 @@ func TestRewindIsLemma1(t *testing.T) {
 			}
 			if v := m.Verdict(); !v.OK {
 				t.Fatalf("seed %d: rewind to %d: %v", seed, at, v)
-			} else if got := v.Serialization.String(); got != want.String() {
+			} else if got := v.Witness().String(); got != want.String() {
 				t.Fatalf("seed %d: rewind %d -> %d: witness [%s], Lemma 1 restricts [%s] to [%s]",
-					seed, from, at, got, heldText, want)
+					seed, from, at, got, held, want)
 			} else if at > 0 && evs[at-1].Kind == history.Res {
-				if err := spec.VerifySerialization(h.Prefix(at), v.Serialization); err != nil {
+				if err := spec.VerifySerialization(h.Prefix(at), v.Witness()); err != nil {
 					t.Fatalf("seed %d: restricted witness at %d invalid: %v", seed, at, err)
 				}
 			}

@@ -22,11 +22,13 @@ import (
 // Verdict work happens only at response events: an invocation appended
 // to an accepted history preserves acceptance (see decider.step).
 //
-// Each verdict's witness Seq is materialized copy-on-write into
-// decider-owned buffers (see decider.materialize), so a clean response on
-// the fast path allocates nothing once the buffers are warm. The flip
-// side is an ownership rule: the verdict slice Append returns, and every
-// Serialization in it, is valid only until the next Append or Rewind.
+// An accepting verdict hands out its decider's witness order as is and
+// renders nothing (Verdict.Witness builds the Seq when asked), so a clean
+// response on the fast path allocates nothing. The flip side is an
+// ownership rule: the verdict slice Append returns is overwritten at the
+// next Append, and the Witness of a verdict in it must be asked for before
+// the next Append or Rewind — the decider's order moves on, and a later
+// call panics rather than render another witness.
 //
 // Rewind(n) takes the session back to the first n events — the one
 // operation a consumer that walks many continuations of a shared prefix
@@ -71,6 +73,8 @@ type Session struct {
 	// ones that memory saved.
 	probeRefused          bool
 	probes, probesSkipped int
+	// sigma is the probes' forced-state scratch (see forcedState).
+	sigma []history.IndexedWrite
 }
 
 // Counters says what a session's per-response work touched, beside how
@@ -117,11 +121,11 @@ func (s *Session) init(criteria []Criterion, opts []Option) error {
 	s.deciders = make([]decider, len(criteria))
 	for i, c := range criteria {
 		d := &s.deciders[i]
-		d.crit, d.witnessOK, d.localReads, d.diedAt = c, true, c == DUOpacity, -1
+		d.crit, d.localReads, d.diedAt = c, c == DUOpacity, -1
 		if c == TMS2 || c == RCO {
 			d.edges = newEdgeTracker(c, o.tms2AbortedExemption, o.retireWindow > 0)
 		}
-		d.verdict = Verdict{Criterion: c, OK: true, Serialization: &d.seq}
+		d.verdict = d.accepted(s.st.Live().Index())
 	}
 	return nil
 }
@@ -161,7 +165,8 @@ func (s *Session) Verdicts() []Verdict {
 
 // Append observes one event and returns the updated verdicts, one per
 // criterion in NewSession order, in a slice the session owns and
-// overwrites at the next Append. It returns an error (leaving the session
+// overwrites at the next Append; ask for a verdict's Witness before the
+// next Append or Rewind (see there). It returns an error (leaving the session
 // unchanged) when the event would make the history ill-formed or, with
 // retirement on, carries the reserved checkpoint transaction identifier.
 func (s *Session) Append(e history.Event) ([]Verdict, error) {
@@ -274,7 +279,7 @@ func (s *Session) maybeRetire() {
 	// undecided live one only delays the retirement, which is exact
 	// whenever it happens.
 	for i := range s.deciders {
-		if d := &s.deciders[i]; !d.dead() && !(d.verdict.OK && d.witnessOK && len(d.order) == n) {
+		if d := &s.deciders[i]; !d.dead() && !(d.verdict.OK && len(d.order) == n) {
 			return
 		}
 	}
@@ -290,9 +295,10 @@ func (s *Session) maybeRetire() {
 			s.probeRefused = true
 			return
 		}
-		sigma, bound := forcedState(ix, r)
+		var bound int
+		s.sigma, bound = forcedState(ix, r, s.sigma[:0])
 		if bound < 0 {
-			s.retire(ix, r, sigma)
+			s.retire(ix, r, s.sigma)
 			return
 		}
 		// The final committed value of some object is not forced with the
@@ -348,8 +354,9 @@ func settledPrefix(ix *history.Indexed, limit int) int {
 // returns that wl as the bound the prefix must shrink below (the
 // barrier recheck in settledPrefix then also excludes the overlapping
 // writer). InitValue writes are dropped from sigma: a checkpoint write
-// of the initial value is indistinguishable from T_0's.
-func forcedState(ix *history.Indexed, r int) (sigma []history.IndexedWrite, bound int) {
+// of the initial value is indistinguishable from T_0's. The state is
+// appended to sigma, the caller's scratch.
+func forcedState(ix *history.Indexed, r int, sigma []history.IndexedWrite) ([]history.IndexedWrite, int) {
 	for oi := range ix.Writers {
 		wl := -1
 		ix.Writers[oi].Range(func(wr int) bool {
@@ -377,7 +384,7 @@ func forcedState(ix *history.Indexed, r int) (sigma []history.IndexedWrite, boun
 			return true
 		})
 		if conflict {
-			return nil, wl
+			return sigma, wl
 		}
 		for _, wv := range ix.Txns[wl].Writes {
 			if wv.Obj == oi {

@@ -21,16 +21,16 @@ func TestCheckDUOpacityAcceptsSerial(t *testing.T) {
 	if !v.OK {
 		t.Fatalf("du-opacity rejected a serial legal history: %s", v.Reason)
 	}
-	if v.Serialization == nil {
+	if v.Witness() == nil {
 		t.Fatal("no witness serialization")
 	}
-	if ord := v.Serialization.Order(); ord[0] != 1 || ord[1] != 2 {
+	if ord := v.Witness().Order(); ord[0] != 1 || ord[1] != 2 {
 		t.Errorf("witness order = %v, want [1 2]", ord)
 	}
-	if err := v.Serialization.Legal(); err != nil {
+	if err := v.Witness().Legal(); err != nil {
 		t.Errorf("witness not legal: %v", err)
 	}
-	if err := v.Serialization.MatchesCompletionOf(serialWriteRead()); err != nil {
+	if err := v.Witness().MatchesCompletionOf(serialWriteRead()); err != nil {
 		t.Errorf("witness does not match a completion: %v", err)
 	}
 }
@@ -82,7 +82,7 @@ func TestCheckDUOpacityCommitPendingChoice(t *testing.T) {
 		t.Fatalf("du-opacity rejected commit-pending source: %s", v.Reason)
 	}
 	// The witness must commit T1.
-	for _, st := range v.Serialization.Txns {
+	for _, st := range v.Witness().Txns {
 		if st.ID == 1 && !st.Committed() {
 			t.Error("witness does not commit T1")
 		}
@@ -352,10 +352,10 @@ func TestManyTxnsDecided(t *testing.T) {
 		if !v.OK || v.Undecided {
 			t.Fatalf("n=%d: sequential committed writers must be du-opaque, got %+v", n, v)
 		}
-		if v.Serialization == nil {
+		if v.Witness() == nil {
 			t.Fatalf("n=%d: no witness", n)
 		}
-		if err := VerifySerialization(h, v.Serialization); err != nil {
+		if err := VerifySerialization(h, v.Witness()); err != nil {
 			t.Fatalf("n=%d: witness invalid: %v", n, err)
 		}
 		// A read of a stale (overwritten) value must still be refuted
@@ -481,7 +481,7 @@ func TestWitnessRespectsRealTime(t *testing.T) {
 	if !v.OK {
 		t.Fatalf("rejected: %s", v.Reason)
 	}
-	s := v.Serialization
+	s := v.Witness()
 	for _, a := range h.Txns() {
 		for _, b := range h.Txns() {
 			if h.RealTimePrecedes(a, b) && s.Position(a) > s.Position(b) {
