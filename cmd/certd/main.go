@@ -30,7 +30,9 @@
 //
 // loadtest drives concurrent monitored streams against a stream
 // endpoint and reports aggregate events/sec; -self spins a private
-// in-process server first, making it a one-command benchmark.
+// in-process server first, making it a one-command benchmark. It exits 1
+// unless the run was clean: no bad lines, no dropped events and no
+// violations.
 package main
 
 import (
@@ -72,10 +74,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (int, error) {
 		return runSubmit(args[1:], stdin, stdout)
 	case "loadtest":
 		return runLoadtest(args[1:], stdout)
-	case "gate":
-		return runGate(args[1:], stdout)
 	default:
-		return 2, fmt.Errorf("unknown subcommand %q (want serve, work, submit, loadtest or gate)", args[0])
+		return 2, fmt.Errorf("unknown subcommand %q (want serve, work, submit or loadtest)", args[0])
 	}
 }
 
@@ -219,7 +219,7 @@ func runLoadtest(args []string, stdout io.Writer) (int, error) {
 	streams := fs.Int("streams", 100, "concurrent monitored streams")
 	txns := fs.Int("txns", 250, "transactions per stream (4 events each)")
 	retire := fs.Int("retire", 8, "monitor retirement window per stream")
-	asJSON := fs.Bool("json", false, "emit the report as JSON (BENCH_PR8.json shape)")
+	asJSON := fs.Bool("json", false, "emit the report as JSON")
 	timeout := fs.Duration("timeout", 2*time.Minute, "overall run budget")
 	if err := fs.Parse(args); err != nil {
 		return 2, err
@@ -254,57 +254,14 @@ func runLoadtest(args []string, stdout io.Writer) (int, error) {
 		fmt.Fprintf(stdout, "loadtest: %d streams x %d txns: %d events in %.1fms = %.0f events/sec (bad=%d dropped=%d violations=%d)\n",
 			rep.Streams, rep.TxnsPerConn, rep.Events, rep.ElapsedMS, rep.EventsPerSec, rep.Bad, rep.Dropped, rep.Violations)
 	}
-	if rep.Bad > 0 || rep.Violations > 0 {
-		return 1, nil
-	}
-	return 0, nil
+	return loadtestExit(rep), nil
 }
 
-// runGate compares a loadtest report against the recorded benchmark
-// gate (BENCH_PR8.json): throughput at or above gate_events_per_sec and
-// a clean run (no bad lines, no drops, no violations). CI uses it to
-// fail fast when stream ingestion regresses.
-func runGate(args []string, stdout io.Writer) (int, error) {
-	fs := flag.NewFlagSet("certd gate", flag.ContinueOnError)
-	benchPath := fs.String("bench", "BENCH_PR8.json", "benchmark snapshot with the gate")
-	reportPath := fs.String("report", "", `loadtest -json output to judge ("-" for stdin)`)
-	if err := fs.Parse(args); err != nil {
-		return 2, err
-	}
-	if *reportPath == "" {
-		return 2, fmt.Errorf("gate: -report is required")
-	}
-	var bench struct {
-		Gate float64 `json:"gate_events_per_sec"`
-	}
-	raw, err := os.ReadFile(*benchPath)
-	if err != nil {
-		return 2, err
-	}
-	if err := json.Unmarshal(raw, &bench); err != nil || bench.Gate <= 0 {
-		return 2, fmt.Errorf("gate: %s has no gate_events_per_sec (%v)", *benchPath, err)
-	}
-	var rep certd.LoadTestReport
-	if *reportPath == "-" {
-		err = json.NewDecoder(os.Stdin).Decode(&rep)
-	} else {
-		raw, err = os.ReadFile(*reportPath)
-		if err == nil {
-			err = json.Unmarshal(raw, &rep)
-		}
-	}
-	if err != nil {
-		return 2, fmt.Errorf("gate: bad report: %w", err)
-	}
+// loadtestExit judges a load run: 1 unless it was clean — no bad lines,
+// no dropped events, no violations on the du-opaque generated streams.
+func loadtestExit(rep *certd.LoadTestReport) int {
 	if rep.Bad > 0 || rep.Dropped > 0 || rep.Violations > 0 {
-		fmt.Fprintf(stdout, "gate: FAIL: load run was not clean: bad=%d dropped=%d violations=%d\n", rep.Bad, rep.Dropped, rep.Violations)
-		return 1, nil
+		return 1
 	}
-	if rep.EventsPerSec < bench.Gate {
-		fmt.Fprintf(stdout, "gate: FAIL: %.0f events/sec under the %.0f gate\n", rep.EventsPerSec, bench.Gate)
-		return 1, nil
-	}
-	fmt.Fprintf(stdout, "gate: %.0f events/sec >= %.0f gate, clean run (%d events over %d streams)\n",
-		rep.EventsPerSec, bench.Gate, rep.Events, rep.Streams)
-	return 0, nil
+	return 0
 }

@@ -111,7 +111,7 @@ func TestSubmitStdinSpec(t *testing.T) {
 }
 
 // TestLoadtestSelf exercises the one-command benchmark path and its JSON
-// output shape (the BENCH_PR8.json record).
+// output shape.
 func TestLoadtestSelf(t *testing.T) {
 	var out bytes.Buffer
 	code, err := runLoadtest([]string{"-self", "-streams", "4", "-txns", "10", "-json"}, &out)
@@ -127,31 +127,23 @@ func TestLoadtestSelf(t *testing.T) {
 	}
 }
 
-// TestGate judges loadtest reports against the recorded benchmark gate:
-// pass at or above it, fail below it or on an unclean run.
-func TestGate(t *testing.T) {
-	dir := t.TempDir()
-	bench := filepath.Join(dir, "bench.json")
-	if err := os.WriteFile(bench, []byte(`{"gate_events_per_sec":10000}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+// TestLoadtestExit pins loadtest's own judgement of a run: exit 0 on a
+// clean run, 1 when any event was dropped, any line was bad or any
+// stream reported a violation.
+func TestLoadtestExit(t *testing.T) {
 	for _, tc := range []struct {
-		name, report string
-		code         int
+		name string
+		rep  certd.LoadTestReport
+		code int
 	}{
-		{"pass", `{"events":100,"streams":2,"events_per_sec":20000}`, 0},
-		{"slow", `{"events":100,"streams":2,"events_per_sec":900}`, 1},
-		{"unclean", `{"events":100,"streams":2,"events_per_sec":20000,"dropped":3}`, 1},
+		{"pass", certd.LoadTestReport{Events: 100, Streams: 2, EventsPerSec: 20000}, 0},
+		{"unclean", certd.LoadTestReport{Events: 100, Streams: 2, EventsPerSec: 20000, Dropped: 3}, 1},
+		{"bad", certd.LoadTestReport{Events: 100, Streams: 2, Bad: 1}, 1},
+		{"violations", certd.LoadTestReport{Events: 100, Streams: 2, Violations: 1}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			report := filepath.Join(dir, tc.name+".json")
-			if err := os.WriteFile(report, []byte(tc.report), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			var out bytes.Buffer
-			code, err := runGate([]string{"-bench", bench, "-report", report}, &out)
-			if err != nil || code != tc.code {
-				t.Fatalf("gate: exit %d, err %v, want %d\nout: %s", code, err, tc.code, out.String())
+			if code := loadtestExit(&tc.rep); code != tc.code {
+				t.Fatalf("exit %d, want %d for %+v", code, tc.code, tc.rep)
 			}
 		})
 	}

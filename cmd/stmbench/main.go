@@ -8,7 +8,7 @@
 //
 //	stmbench [-engines tl2,norec,...] [-objects 8] [-goroutines 4]
 //	         [-txns 2000] [-ops 4] [-read-frac 0.5] [-seed 1]
-//	         [-certify] [-episodes 20] [-interleaved] [-jobs N] [-sweep]
+//	         [-certify] [-episodes 20] [-interleaved] [-jobs N]
 //	stmbench soak [-engines ...] [-rounds 6] [-seed 1] [-jobs N] [-node-limit N]
 //	stmbench explore [-engines ...] [-threads 2] [-txns 1] [-ops 2] [-plans 4]
 //	         [-seed 1] [-max-schedules N] [-jobs N] [-opacity]
@@ -16,14 +16,11 @@
 //	         [-node-limit N] [-abort-prob P] [-delay-prob P]
 //	stmbench scale [-engines tl2,tl2+karma,pdur,...] [-workloads read-heavy,...]
 //	         [-goroutines 1,2,4,8] [-txns 20000] [-repeat 3] [-seed 1] [-json]
-//	stmbench scale-gate [-bench BENCH_PR9.json] [-txns 5000] [-repeat 2]
-//	         [-seed 1] [-report fresh.json]
 //
 // The scale subcommand measures goroutines-vs-throughput curves for
 // the engine×CM matrix over three canonical workload shapes
-// (read-heavy, write-hotspot, disjoint); scale-gate holds the recorded
-// curves in BENCH_PR9.json to this PR's performance claims and
-// re-measures a small fresh grid as a CI regression gate (see scale.go).
+// (read-heavy, write-hotspot, disjoint), best of -repeat runs per cell
+// (see scale.go).
 //
 // The explore subcommand replaces sampling with proof: for each engine it
 // enumerates *every* schedule of the deterministic stepper's space for a
@@ -39,9 +36,7 @@
 // criteria divergences with greedily shrunk minimal counterexamples.
 // -certify, soak and explore run as checkfarm jobs (JobSpec.Run), and
 // -jobs shards their episodes, cells or plans across workers
-// (0 = GOMAXPROCS); the report is the same at every -jobs. -sweep
-// measures its cells one at a time (harness.Sweep), so throughput
-// numbers never contend with each other.
+// (0 = GOMAXPROCS); the report is the same at every -jobs.
 //
 // The chaos subcommand runs the fault-injection soak (harness.ChaosSoak
 // over internal/chaos): randomized engine, stream and farm fault
@@ -90,9 +85,6 @@ func run(args []string, stdout io.Writer) error {
 	if len(args) > 0 && args[0] == "scale" {
 		return runScale(args[1:], stdout)
 	}
-	if len(args) > 0 && args[0] == "scale-gate" {
-		return runScaleGate(args[1:], stdout)
-	}
 	fs := flag.NewFlagSet("stmbench", flag.ContinueOnError)
 	engineList := fs.String("engines", strings.Join(engines.Names(), ","), "comma-separated engines")
 	objects := fs.Int("objects", 8, "number of t-objects")
@@ -103,7 +95,6 @@ func run(args []string, stdout io.Writer) error {
 	seed := fs.Int64("seed", 1, "random seed")
 	certify := fs.Bool("certify", false, "also certify recorded episodes")
 	episodes := fs.Int("episodes", 20, "episodes per engine when certifying")
-	sweep := fs.Bool("sweep", false, "sweep goroutines x read-fraction instead of a single run")
 	jobs := fs.Int("jobs", 1, "shard certification episodes across this many workers (0 = GOMAXPROCS)")
 	interleaved := fs.Bool("interleaved", false,
 		"certify deterministic interleaved episodes instead of real goroutines (reproducible on any machine)")
@@ -111,32 +102,11 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	names := strings.Split(*engineList, ",")
-	for i := range names {
-		names[i] = strings.TrimSpace(names[i])
-	}
+	names := splitNames(*engineList)
 	if *interleaved && !*certify {
 		return fmt.Errorf("-interleaved only applies to certification; pass -certify")
 	}
 
-	if *sweep {
-		points, err := harness.Sweep(harness.SweepConfig{
-			Engines:       names,
-			Goroutines:    []int{1, 2, 4, 8},
-			ReadFractions: []float64{0.1, 0.5, 0.9},
-			Base: harness.Workload{
-				Objects:          *objects,
-				TxnsPerGoroutine: *txns,
-				OpsPerTxn:        *ops,
-				Seed:             *seed,
-			},
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(stdout, harness.FormatSweepTable(points))
-		return nil
-	}
 	var rows []harness.RunStats
 	for _, name := range names {
 		stats, err := harness.Run(harness.Workload{
@@ -219,7 +189,6 @@ func runExplore(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	names := strings.Split(*engineList, ",")
 	rf := harness.ExplicitReadFraction(*readFrac)
 	cfg := harness.ExploreConfig{
 		MaxSchedules: *budget,
@@ -228,8 +197,7 @@ func runExplore(args []string, stdout io.Writer) error {
 	if *opacity {
 		cfg.Criterion = spec.Opacity
 	}
-	for _, name := range names {
-		name = strings.TrimSpace(name)
+	for _, name := range splitNames(*engineList) {
 		ps := make([]checkfarm.WirePlan, *plans)
 		for i := range ps {
 			ps[i] = checkfarm.WirePlanOf(harness.PlanOf(harness.Workload{
@@ -271,7 +239,7 @@ func runExplore(args []string, stdout io.Writer) error {
 // injected worker-fault schedule. Soundness flips fail the command.
 func runChaos(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("stmbench chaos", flag.ContinueOnError)
-	engineList := fs.String("engines", "tl2,norec,dstm", "comma-separated engines (kill-safe set by default)")
+	engineList := fs.String("engines", "tl2,norec,dstm", "comma-separated engines (thread-kill faults only on the kill-safe tl2, norec, dstm and pdur)")
 	trials := fs.Int("trials", 50, "fault schedules per engine")
 	seed := fs.Int64("seed", 1, "fault schedule grid seed")
 	nodeLimit := fs.Int("node-limit", 0, "bound each check and monitor search (0 = soak default)")
@@ -280,12 +248,8 @@ func runChaos(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	names := strings.Split(*engineList, ",")
-	for i := range names {
-		names[i] = strings.TrimSpace(names[i])
-	}
 	rep, err := harness.ChaosSoak(harness.ChaosConfig{
-		Engines:   names,
+		Engines:   splitNames(*engineList),
 		Trials:    *trials,
 		Seed:      *seed,
 		NodeLimit: *nodeLimit,
@@ -334,12 +298,8 @@ func runSoak(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	names := strings.Split(*engineList, ",")
-	for i := range names {
-		names[i] = strings.TrimSpace(names[i])
-	}
 	cfg := checkfarm.SoakConfig{
-		Engines:   names,
+		Engines:   splitNames(*engineList),
 		Rounds:    *rounds,
 		Seed:      *seed,
 		NodeLimit: *nodeLimit,

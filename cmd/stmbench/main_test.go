@@ -29,17 +29,6 @@ func TestRunCertification(t *testing.T) {
 	}
 }
 
-func TestRunSweep(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{"-engines", "gl", "-txns", "10", "-sweep"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "read fraction") {
-		t.Errorf("sweep table missing:\n%s", out.String())
-	}
-}
-
 func TestRunUnknownEngine(t *testing.T) {
 	if err := run([]string{"-engines", "bogus", "-txns", "5"}, &strings.Builder{}); err == nil {
 		t.Fatal("unknown engine accepted")

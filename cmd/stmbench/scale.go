@@ -1,28 +1,13 @@
-// The scale and scale-gate subcommands: goroutines-vs-throughput
-// scaling curves over the engine×CM matrix, and the CI regression gate
-// that holds the recorded curves (BENCH_PR9.json) to the PR's
-// performance claims while re-measuring a small fresh grid on the
-// machine at hand.
+// The scale subcommand: goroutines-vs-throughput scaling curves over the
+// engine×CM matrix, the one throughput grid of stmbench.
 //
 //	stmbench scale [-engines tl2,tl2+karma,pdur,...] [-workloads read-heavy,write-hotspot,disjoint]
 //	         [-goroutines 1,2,4,8] [-txns 20000] [-repeat 3] [-seed 1] [-json]
-//	stmbench scale-gate -bench BENCH_PR9.json [-txns 5000] [-repeat 2]
-//	         [-seed 1] [-report fresh.json]
 //
-// The gate file records two kinds of claims. Recorded gates are pure
-// arithmetic over the file itself and hold on any machine: the striped
-// tl2's write-hotspot speedup over the pre-stripe seed build, and pdur
-// outscaling norec on the disjoint workload. "Outscales" is a claim
-// about curve shape, not absolute throughput — the gate compares
-// normalized scaling slopes (throughput at the top goroutine count
-// over throughput at g=1), because norec's single global seqlock costs
-// less per commit than pdur's partition bookkeeping at g=1, while only
-// pdur's disjoint-access commits gain from added goroutines. Fresh
-// gates re-measure and are deliberately loose — the same slope ratio
-// with slack, and an absolute throughput floor with orders-of-magnitude
-// headroom — so a slow CI runner cannot fail them while a real
-// regression (an accidental O(n) hot path, a lost fast path) still
-// does.
+// Its three workload shapes span the 0.9, 0.1 and 0.5 read mixes, and
+// each cell keeps the best of -repeat runs. The grid is a measurement,
+// not a gate: performance is gated by the repository benchmark
+// (go run ./benchmark).
 package main
 
 import (
@@ -30,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 
@@ -99,161 +83,5 @@ func runScale(args []string, stdout io.Writer) error {
 		return enc.Encode(points)
 	}
 	fmt.Fprint(stdout, harness.FormatScaleTable(points))
-	return nil
-}
-
-// scaleBench is the on-disk shape of BENCH_PR9.json.
-type scaleBench struct {
-	Description string `json:"description"`
-	Command     string `json:"command"`
-	Machine     string `json:"machine"`
-	// SeedBaseline holds the pre-PR throughput of the unoptimized
-	// engines, measured on the same machine as Points.
-	SeedBaseline struct {
-		Comment           string  `json:"comment"`
-		TL2WriteHotspotG8 float64 `json:"tl2_write_hotspot_g8_txn_per_sec"`
-		NorecDisjointG8   float64 `json:"norec_disjoint_g8_txn_per_sec"`
-	} `json:"seed_baseline"`
-	Gates struct {
-		// Recorded gates: checked against Points alone.
-		TL2HotspotSpeedupVsSeedMin    float64 `json:"tl2_hotspot_g8_speedup_vs_seed_min"`
-		PdurVsNorecScalingRecordedMin float64 `json:"pdur_vs_norec_disjoint_scaling_recorded_min"`
-		// Fresh gates: checked against a re-measured grid.
-		PdurVsNorecScalingFreshMin float64 `json:"pdur_vs_norec_disjoint_scaling_fresh_min"`
-		FreshFloorTxnPerSec        float64 `json:"fresh_floor_txn_per_sec"`
-	} `json:"gates"`
-	Points []harness.ScalePoint `json:"points"`
-}
-
-// maxGoroutines returns the largest goroutine count present for the
-// given workload column.
-func maxGoroutines(points []harness.ScalePoint, workload string) int {
-	max := 0
-	for _, p := range points {
-		if p.Workload == workload && p.Goroutines > max {
-			max = p.Goroutines
-		}
-	}
-	return max
-}
-
-// scalingSlope returns engine's throughput at gmax over its throughput
-// at g=1 on the workload — the normalized shape of the scaling curve.
-func scalingSlope(points []harness.ScalePoint, engine, workload string, gmax int) (float64, error) {
-	lo := harness.FindScalePoint(points, engine, workload, 1)
-	hi := harness.FindScalePoint(points, engine, workload, gmax)
-	if lo == nil || hi == nil || lo.TxnPerSec <= 0 {
-		return 0, fmt.Errorf("missing %s/%s points at g=1 and g=%d", engine, workload, gmax)
-	}
-	return hi.TxnPerSec / lo.TxnPerSec, nil
-}
-
-func runScaleGate(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("stmbench scale-gate", flag.ContinueOnError)
-	benchPath := fs.String("bench", "BENCH_PR9.json", "recorded benchmark/gate file")
-	txns := fs.Int("txns", 5_000, "transactions per goroutine for the fresh grid")
-	repeat := fs.Int("repeat", 2, "runs per fresh cell (best kept)")
-	seed := fs.Int64("seed", 1, "workload seed for the fresh grid")
-	report := fs.String("report", "", "write the fresh points to this JSON file")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	raw, err := os.ReadFile(*benchPath)
-	if err != nil {
-		return err
-	}
-	var bench scaleBench
-	if err := json.Unmarshal(raw, &bench); err != nil {
-		return fmt.Errorf("%s: %w", *benchPath, err)
-	}
-	if len(bench.Points) == 0 {
-		return fmt.Errorf("%s: no recorded points", *benchPath)
-	}
-
-	failures := 0
-	check := func(ok bool, format string, args ...any) {
-		status := "PASS"
-		if !ok {
-			status = "FAIL"
-			failures++
-		}
-		fmt.Fprintf(stdout, "%s: %s\n", status, fmt.Sprintf(format, args...))
-	}
-
-	// Recorded gates: arithmetic over the checked-in curves.
-	hotG := maxGoroutines(bench.Points, "write-hotspot")
-	disG := maxGoroutines(bench.Points, "disjoint")
-	recTL2 := harness.FindScalePoint(bench.Points, "tl2", "write-hotspot", hotG)
-	if recTL2 == nil {
-		return fmt.Errorf("%s: recorded points missing tl2/write-hotspot at g=%d", *benchPath, hotG)
-	}
-	if bench.SeedBaseline.TL2WriteHotspotG8 <= 0 {
-		return fmt.Errorf("%s: no seed baseline for tl2 write-hotspot", *benchPath)
-	}
-	speedup := recTL2.TxnPerSec / bench.SeedBaseline.TL2WriteHotspotG8
-	check(speedup >= bench.Gates.TL2HotspotSpeedupVsSeedMin,
-		"recorded tl2 write-hotspot g=%d: %.2fx over seed build (gate %.2fx)",
-		hotG, speedup, bench.Gates.TL2HotspotSpeedupVsSeedMin)
-	recPdurSlope, err := scalingSlope(bench.Points, "pdur", "disjoint", disG)
-	if err != nil {
-		return fmt.Errorf("%s: %w", *benchPath, err)
-	}
-	recNorecSlope, err := scalingSlope(bench.Points, "norec", "disjoint", disG)
-	if err != nil {
-		return fmt.Errorf("%s: %w", *benchPath, err)
-	}
-	recRatio := recPdurSlope / recNorecSlope
-	check(recRatio >= bench.Gates.PdurVsNorecScalingRecordedMin,
-		"recorded disjoint scaling g=1->%d: pdur %.2fx vs norec %.2fx, ratio %.2f (gate %.2f)",
-		disG, recPdurSlope, recNorecSlope, recRatio, bench.Gates.PdurVsNorecScalingRecordedMin)
-
-	// Fresh gates: re-measure the three claim-bearing engines on the
-	// two claim-bearing workloads at g=1 and the recorded top count.
-	fresh, err := harness.ScaleCurves(harness.ScaleConfig{
-		Engines:          []string{"tl2", "norec", "pdur"},
-		Workloads:        []string{"write-hotspot", "disjoint"},
-		Goroutines:       []int{1, hotG},
-		TxnsPerGoroutine: *txns,
-		Repeat:           *repeat,
-		Seed:             *seed,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(stdout, harness.FormatScaleTable(fresh))
-	for _, p := range fresh {
-		check(p.TxnPerSec >= bench.Gates.FreshFloorTxnPerSec,
-			"fresh %s/%s g=%d: %.0f txn/s (floor %.0f)",
-			p.Engine, p.Workload, p.Goroutines, p.TxnPerSec, bench.Gates.FreshFloorTxnPerSec)
-		if p.Failed != 0 {
-			check(false, "fresh %s/%s g=%d: %d failed transactions", p.Engine, p.Workload, p.Goroutines, p.Failed)
-		}
-	}
-	fPdurSlope, err := scalingSlope(fresh, "pdur", "disjoint", hotG)
-	if err != nil {
-		return err
-	}
-	fNorecSlope, err := scalingSlope(fresh, "norec", "disjoint", hotG)
-	if err != nil {
-		return err
-	}
-	freshRatio := fPdurSlope / fNorecSlope
-	check(freshRatio >= bench.Gates.PdurVsNorecScalingFreshMin,
-		"fresh disjoint scaling g=1->%d: pdur %.2fx vs norec %.2fx, ratio %.2f (gate %.2f)",
-		hotG, fPdurSlope, fNorecSlope, freshRatio, bench.Gates.PdurVsNorecScalingFreshMin)
-
-	if *report != "" {
-		b, err := json.MarshalIndent(fresh, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*report, append(b, '\n'), 0o644); err != nil {
-			return err
-		}
-	}
-	if failures > 0 {
-		return fmt.Errorf("scale gate: %d check(s) failed", failures)
-	}
-	fmt.Fprintln(stdout, "scale gate: all checks passed")
 	return nil
 }

@@ -2,8 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -49,154 +47,5 @@ func TestRunScaleRejectsBadInput(t *testing.T) {
 	}
 	if err := run([]string{"scale", "-goroutines", "1,zero"}, &strings.Builder{}); err == nil {
 		t.Error("bad goroutine list accepted")
-	}
-}
-
-// looseFreshGates are fresh-measurement gates no machine can fail, so
-// gate tests exercise only the recorded arithmetic.
-func looseFreshGates() map[string]float64 {
-	return map[string]float64{
-		"pdur_vs_norec_disjoint_scaling_fresh_min": 0.0,
-		"fresh_floor_txn_per_sec":                  1.0,
-	}
-}
-
-// writeScaleBench builds a small gate file whose recorded points and
-// gates are controlled by the test. The disjoint slopes are tl2Hotspot
-// etc. at g=2 against a flat 1000 txn/s at g=1.
-func writeScaleBench(t *testing.T, dir string, tl2Hotspot, norecDisjointG2, pdurDisjointG2 float64, gates map[string]float64) string {
-	t.Helper()
-	bench := map[string]any{
-		"description": "test gate file",
-		"machine":     "test",
-		"seed_baseline": map[string]any{
-			"tl2_write_hotspot_g8_txn_per_sec": 1000.0,
-			"norec_disjoint_g8_txn_per_sec":    1000.0,
-		},
-		"gates": gates,
-		"points": []harness.ScalePoint{
-			{Engine: "tl2", Workload: "write-hotspot", Goroutines: 1, TxnPerSec: 1000},
-			{Engine: "tl2", Workload: "write-hotspot", Goroutines: 2, TxnPerSec: tl2Hotspot},
-			{Engine: "norec", Workload: "disjoint", Goroutines: 1, TxnPerSec: 1000},
-			{Engine: "norec", Workload: "disjoint", Goroutines: 2, TxnPerSec: norecDisjointG2},
-			{Engine: "pdur", Workload: "disjoint", Goroutines: 1, TxnPerSec: 1000},
-			{Engine: "pdur", Workload: "disjoint", Goroutines: 2, TxnPerSec: pdurDisjointG2},
-		},
-	}
-	b, err := json.Marshal(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "bench.json")
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestRunScaleGatePasses(t *testing.T) {
-	dir := t.TempDir()
-	gates := looseFreshGates()
-	gates["tl2_hotspot_g8_speedup_vs_seed_min"] = 2.0
-	gates["pdur_vs_norec_disjoint_scaling_recorded_min"] = 1.0
-	// pdur scales 1000->1200 while norec stays flat: slope ratio 1.2.
-	path := writeScaleBench(t, dir, 2500, 1000, 1200, gates)
-	report := filepath.Join(dir, "fresh.json")
-	var out strings.Builder
-	err := run([]string{"scale-gate", "-bench", path, "-txns", "200", "-repeat", "1", "-report", report}, &out)
-	if err != nil {
-		t.Fatalf("%v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "all checks passed") {
-		t.Errorf("missing pass summary:\n%s", out.String())
-	}
-	if strings.Contains(out.String(), "FAIL") {
-		t.Errorf("unexpected FAIL line:\n%s", out.String())
-	}
-	raw, err := os.ReadFile(report)
-	if err != nil {
-		t.Fatalf("fresh report not written: %v", err)
-	}
-	var fresh []harness.ScalePoint
-	if err := json.Unmarshal(raw, &fresh); err != nil {
-		t.Fatalf("fresh report not JSON: %v", err)
-	}
-	if len(fresh) != 12 { // 3 engines x 2 workloads x 2 goroutine counts
-		t.Fatalf("fresh report has %d points, want 12", len(fresh))
-	}
-}
-
-func TestRunScaleGateFailsOnRecordedRegression(t *testing.T) {
-	dir := t.TempDir()
-	// Recorded tl2 hotspot is only 1.5x the seed baseline; the 2x gate
-	// must fail without any fresh measurement mattering.
-	gates := looseFreshGates()
-	gates["tl2_hotspot_g8_speedup_vs_seed_min"] = 2.0
-	gates["pdur_vs_norec_disjoint_scaling_recorded_min"] = 1.0
-	path := writeScaleBench(t, dir, 1500, 1000, 1200, gates)
-	var out strings.Builder
-	err := run([]string{"scale-gate", "-bench", path, "-txns", "100", "-repeat", "1"}, &out)
-	if err == nil {
-		t.Fatalf("regressed recorded speedup passed the gate:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "FAIL: recorded tl2 write-hotspot") {
-		t.Errorf("missing FAIL line for the speedup gate:\n%s", out.String())
-	}
-}
-
-func TestRunScaleGateFailsOnPdurRegression(t *testing.T) {
-	dir := t.TempDir()
-	// pdur's disjoint curve droops (1000->900) while norec's stays
-	// flat: slope ratio 0.9, below the 1.0 gate.
-	gates := looseFreshGates()
-	gates["tl2_hotspot_g8_speedup_vs_seed_min"] = 2.0
-	gates["pdur_vs_norec_disjoint_scaling_recorded_min"] = 1.0
-	path := writeScaleBench(t, dir, 2500, 1000, 900, gates)
-	var out strings.Builder
-	if err := run([]string{"scale-gate", "-bench", path, "-txns", "100", "-repeat", "1"}, &out); err == nil {
-		t.Fatalf("drooping pdur curve passed the recorded scaling gate:\n%s", out.String())
-	}
-}
-
-func TestRunScaleGateMissingFile(t *testing.T) {
-	if err := run([]string{"scale-gate", "-bench", filepath.Join(t.TempDir(), "nope.json")}, &strings.Builder{}); err == nil {
-		t.Fatal("missing gate file accepted")
-	}
-}
-
-// TestCheckedInBenchSatisfiesRecordedGates holds the repository's
-// actual BENCH_PR9.json to its own recorded claims (pure arithmetic,
-// no measurement), so a stale or hand-edited file fails in CI even
-// without the scale-smoke job.
-func TestCheckedInBenchSatisfiesRecordedGates(t *testing.T) {
-	raw, err := os.ReadFile("../../BENCH_PR9.json")
-	if err != nil {
-		t.Skipf("BENCH_PR9.json not present: %v", err)
-	}
-	var bench scaleBench
-	if err := json.Unmarshal(raw, &bench); err != nil {
-		t.Fatal(err)
-	}
-	hotG := maxGoroutines(bench.Points, "write-hotspot")
-	disG := maxGoroutines(bench.Points, "disjoint")
-	tl2 := harness.FindScalePoint(bench.Points, "tl2", "write-hotspot", hotG)
-	if tl2 == nil {
-		t.Fatal("BENCH_PR9.json is missing the tl2 write-hotspot point")
-	}
-	if speedup := tl2.TxnPerSec / bench.SeedBaseline.TL2WriteHotspotG8; speedup < bench.Gates.TL2HotspotSpeedupVsSeedMin {
-		t.Errorf("recorded tl2 write-hotspot speedup %.2fx below gate %.2fx",
-			speedup, bench.Gates.TL2HotspotSpeedupVsSeedMin)
-	}
-	pdurSlope, err := scalingSlope(bench.Points, "pdur", "disjoint", disG)
-	if err != nil {
-		t.Fatal(err)
-	}
-	norecSlope, err := scalingSlope(bench.Points, "norec", "disjoint", disG)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ratio := pdurSlope / norecSlope; ratio < bench.Gates.PdurVsNorecScalingRecordedMin {
-		t.Errorf("recorded pdur/norec disjoint scaling ratio %.2f below gate %.2f",
-			ratio, bench.Gates.PdurVsNorecScalingRecordedMin)
 	}
 }

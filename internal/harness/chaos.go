@@ -43,8 +43,8 @@ type ChaosFarmFunc func(ctx context.Context, h *history.History, c spec.Criterio
 // crashy schedules, not big histories — every trial batch-checks its
 // history as the differential, so trials must stay cheap).
 type ChaosConfig struct {
-	// Engines to soak (default tl2, norec, dstm — the kill-safe set, so
-	// thread-kill faults stay enabled; other engines run with kills
+	// Engines to soak (default tl2, norec, dstm, pdur — the kill-safe set,
+	// so thread-kill faults stay enabled; other engines run with kills
 	// downgraded to spurious aborts, see chaos.KillSafe).
 	Engines []string
 	// Trials per engine (default 50). Each trial is one randomized fault

@@ -107,9 +107,10 @@ type ExploreConfig struct {
 	// so retry tails are kept short; raise it to match a sampled workload
 	// exactly).
 	MaxAttempts int
-	// MaxSchedules bounds the number of explored schedules — complete
-	// replays plus subtrees cut mid-schedule (default 1 << 17). Exhausting
-	// it yields BudgetExhausted unless a violation was already found.
+	// MaxSchedules bounds ExploreReport.Replays, the walks down the
+	// schedule tree however each ended: completed, prefix-cut, sleep-cut
+	// or step-truncated (default 1 << 17). Exhausting it with space left
+	// yields BudgetExhausted unless a violation was already found.
 	MaxSchedules int
 	// MaxSteps bounds a single schedule's length (default: a generous
 	// multiple of the plan size; exceeding it counts as budget

@@ -144,8 +144,8 @@ func ScaleCurves(cfg ScaleConfig) ([]ScalePoint, error) {
 	return points, nil
 }
 
-// FindScalePoint returns the point for the given cell, or nil.
-func FindScalePoint(points []ScalePoint, engine, workload string, goroutines int) *ScalePoint {
+// findScalePoint returns the point for the given cell, or nil.
+func findScalePoint(points []ScalePoint, engine, workload string, goroutines int) *ScalePoint {
 	for i := range points {
 		p := &points[i]
 		if p.Engine == engine && p.Workload == workload && p.Goroutines == goroutines {
@@ -194,7 +194,7 @@ func FormatScaleTable(points []ScalePoint) string {
 		for _, e := range engs {
 			fmt.Fprint(tw, e)
 			for _, g := range gs {
-				if p := FindScalePoint(pts, e, wl, g); p != nil {
+				if p := findScalePoint(pts, e, wl, g); p != nil {
 					fmt.Fprintf(tw, "\t%.0f", p.TxnPerSec)
 				} else {
 					fmt.Fprint(tw, "\t-")
