@@ -220,11 +220,11 @@ func BenchmarkTheorem10_BothCheckers(b *testing.B) {
 	}
 }
 
-// BenchmarkTheorem11_FastPath compares the exact du-opacity search with
-// the unique-writes fast path (forced reads-from edges) on unique-writes
-// histories — and shows opacity checking collapsing to one du check under
-// Theorem 11.
-func BenchmarkTheorem11_FastPath(b *testing.B) {
+// BenchmarkTheorem11 checks unique-writes histories for du-opacity, and
+// for opacity by Theorem 11 (under unique writes opacity and du-opacity
+// coincide, so one unique-writes test plus one du-opacity search decides
+// opacity).
+func BenchmarkTheorem11(b *testing.B) {
 	hs := make([]*history.History, 8)
 	for i := range hs {
 		hs[i] = gen.DUOpaque(gen.Config{
@@ -240,19 +240,11 @@ func BenchmarkTheorem11_FastPath(b *testing.B) {
 			}
 		}
 	})
-	b.Run("fast", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if !spec.CheckDUOpacityFast(hs[i%len(hs)]).OK {
-				b.Fatal("must be du-opaque")
-			}
-		}
-	})
 	b.Run("opacity-via-theorem11", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			h := hs[i%len(hs)]
-			if !spec.UniqueWrites(h) || !spec.CheckDUOpacityFast(h).OK {
+			if !spec.UniqueWrites(h) || !spec.CheckDUOpacity(h).OK {
 				b.Fatal("theorem 11 route failed")
 			}
 		}
@@ -314,7 +306,7 @@ func BenchmarkEngines(b *testing.B) {
 				for pb.Next() {
 					i++
 					obj := i % 16
-					err := stm.AtomicallyN(eng, 1_000_000, func(tx stm.Txn) error {
+					err := stm.AtomicallyN(eng.Begin, 1_000_000, func(tx stm.Txn) error {
 						v, err := tx.Read(obj)
 						if err != nil {
 							return err
@@ -343,7 +335,7 @@ func BenchmarkEnginesReadOnly(b *testing.B) {
 			b.ReportAllocs()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					err := stm.AtomicallyN(eng, 1_000_000, func(tx stm.Txn) error {
+					err := stm.AtomicallyN(eng.Begin, 1_000_000, func(tx stm.Txn) error {
 						for o := 0; o < 8; o++ {
 							if _, err := tx.Read(o); err != nil {
 								return err
@@ -376,7 +368,7 @@ func BenchmarkEngineTxnAllocs(b *testing.B) {
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				err := stm.AtomicallyN(eng, 1_000_000, func(tx stm.Txn) error {
+				err := stm.AtomicallyN(eng.Begin, 1_000_000, func(tx stm.Txn) error {
 					for o := 0; o < 4; o++ {
 						if _, err := tx.Read(o); err != nil {
 							return err
@@ -396,7 +388,7 @@ func BenchmarkEngineTxnAllocs(b *testing.B) {
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				err := stm.AtomicallyN(eng, 1_000_000, func(tx stm.Txn) error {
+				err := stm.AtomicallyN(eng.Begin, 1_000_000, func(tx stm.Txn) error {
 					v, err := tx.Read(i % 16)
 					if err != nil {
 						return err
@@ -426,7 +418,7 @@ func TestReadOnlyTxnZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		readOnly := func() {
-			err := stm.AtomicallyN(eng, 1_000_000, func(tx stm.Txn) error {
+			err := stm.AtomicallyN(eng.Begin, 1_000_000, func(tx stm.Txn) error {
 				for o := 0; o < 4; o++ {
 					if _, err := tx.Read(o); err != nil {
 						return err
@@ -550,8 +542,8 @@ func BenchmarkCheckfarmCertify(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckfarmCheckBatch measures a batch check job (the ducheck
-// -parallel path) across worker counts; each shard parses its history
+// BenchmarkCheckfarmCheckBatch measures a batch check job (ducheck's
+// batch mode under -jobs) across worker counts; each shard parses its history
 // from histio text, as ducheck's and certd's check jobs do.
 func BenchmarkCheckfarmCheckBatch(b *testing.B) {
 	texts := make([]string, 24)
@@ -895,54 +887,6 @@ func BenchmarkMonitorOnlineCertify(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkGraphRefutation measures the two search-free refutation paths
-// on a real-time inversion buried under w independent background writers:
-// the precedence-graph cycle (CheckDUOpacityGraph) and the deferred-update
-// static filter inside the exact checker. A notable negative finding of
-// this reproduction: mandatory-cycle violations of du-opacity are always
-// also refuted by the static filter, because a reads-from edge pointing
-// "backwards in time" requires the writer's tryC invocation to precede the
-// read's response, which a real-time inversion makes impossible — so the
-// graph path's value is the explicit cycle it reports, not asymptotics.
-func BenchmarkGraphRefutation(b *testing.B) {
-	for _, w := range []int{4, 8, 16} {
-		h := inversionWithBackground(w)
-		b.Run(fmt.Sprintf("graph/w=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if spec.CheckDUOpacityGraph(h).OK {
-					b.Fatal("instance must be refuted")
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("search/w=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if spec.CheckDUOpacity(h).OK {
-					b.Fatal("instance must be refuted")
-				}
-			}
-		})
-	}
-}
-
-// inversionWithBackground builds w overlapping committed background
-// writers plus a reader that fully precedes the writer of the value it
-// read (the real-time inversion of the litmus registry).
-func inversionWithBackground(w int) *history.History {
-	b := history.NewBuilder()
-	for k := 0; k < w; k++ {
-		b.InvWrite(history.TxnID(10+k), history.Var(fmt.Sprintf("B%d", k)), history.Value(1000+k))
-	}
-	for k := 0; k < w; k++ {
-		b.ResWrite(history.TxnID(10+k), history.Var(fmt.Sprintf("B%d", k)), history.Value(1000+k))
-		b.Commit(history.TxnID(10 + k))
-	}
-	b.Read(1, "X", 1).Commit(1)
-	b.Write(2, "X", 1).Commit(2)
-	return b.History()
 }
 
 // --- Schedule exploration: per-plan proofs ---------------------------------

@@ -95,7 +95,7 @@ func TestGoldenFollow(t *testing.T) {
 }
 
 // TestGoldenBatch pins the farm-backed batch modes byte for byte: the
-// witness and -parallel checks over the paper's litmus histories
+// witness and -jobs 2 checks over the paper's litmus histories
 // (testdata/litmus holds litmus.Cases in histio text; -update rewrites
 // them from the registry) and the explorer on the pinned ple plan of
 // internal/harness/testdata/explore_ple_litmus.golden.
@@ -120,7 +120,7 @@ func TestGoldenBatch(t *testing.T) {
 		args []string
 	}{
 		{"witness", append([]string{"-witness"}, files...)},
-		{"parallel", append([]string{"-parallel", "-jobs", "2"}, files...)},
+		{"parallel", append([]string{"-jobs", "2"}, files...)},
 		{"explore_ple", []string{"-explore", "-engine", "ple", filepath.Join("testdata", "litmus.plan")}},
 	}
 	for _, c := range cases {

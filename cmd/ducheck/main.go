@@ -4,16 +4,15 @@
 //
 // Usage:
 //
-//	ducheck [-criteria du,opacity,...] [-witness] file...
-//	ducheck -parallel [-jobs N] file...
+//	ducheck [-criteria du,opacity,...] [-witness] [-jobs N] file...
 //	ducheck -follow [-criteria du,tms2,rco,opacity,finalstate] [-retire N] [-skip-bad|-strict] [-connect host:port] [-]
 //	ducheck -explore -engine tl2 [-criteria du,opacity] [-max-schedules N] plan...
 //
-// With several files (or -parallel), every file is checked against every
-// requested criterion. The batch is a checkfarm check job (one shard per
-// file): sequentially by default, and with -parallel sharded across -jobs
-// workers (default GOMAXPROCS), with results printed in input order
-// regardless of completion order.
+// With several files, every file is checked against every requested
+// criterion. The batch is a checkfarm check job (one shard per file):
+// sequentially by default, and sharded across -jobs workers (0 =
+// GOMAXPROCS) otherwise, with results printed in input order regardless
+// of completion order.
 //
 // -follow monitors a history as it is produced: events are read from
 // stdin line by line (same text format) and fed to one online session
@@ -30,9 +29,9 @@
 // stderr at the end, and the summary gains a "follow: events=N bad=M"
 // line. -strict is the opposite policy: the first bad line aborts the
 // follow with exit status 2.
-// -retire N bounds the session's memory on unbounded streams: settled
-// committed transactions are checkpointed and discarded once more than N
-// are live, without changing any verdict.
+// -retire N bounds the session's memory on unbounded streams: once 2N
+// transactions are live, the settled committed prefix is checkpointed
+// and discarded, without changing any verdict.
 // -connect host:port ships the stream to a certd server instead of
 // monitoring in-process: stdin lines are forwarded verbatim, the
 // server's per-event verdicts and final summary stream back, and the
@@ -48,8 +47,7 @@
 // ("no schedule of that space violates du-opacity") or a refutation
 // pinned at the causing schedule and event. Criteria are limited to the
 // prefix-closed monitorable ones (du, opacity). Each criterion's plans
-// run as a checkfarm explore job; -parallel/-jobs shard the plans across
-// workers.
+// run as a checkfarm explore job; -jobs shards the plans across workers.
 //
 // Exit status: 0 if every requested criterion accepts every history
 // (with -explore: proves every plan), 1 if any rejects (with -explore:
@@ -99,12 +97,11 @@ func runWith(args []string, stdin io.Reader, stdout, stderr io.Writer) (int, err
 	witness := fs.Bool("witness", false, "print witness serializations")
 	explain := fs.Bool("explain", false, "print the per-read deferred-update analysis")
 	nodeLimit := fs.Int("node-limit", 0, "bound the search (0 = unlimited)")
-	parallel := fs.Bool("parallel", false, "check the files concurrently via the certification farm")
-	jobs := fs.Int("jobs", 0, "worker count for -parallel (0 = GOMAXPROCS)")
+	jobs := fs.Int("jobs", 1, "farm workers checking files (or exploring plans) concurrently (0 = GOMAXPROCS)")
 	followFlag := fs.Bool("follow", false,
 		"monitor events from stdin as they arrive (streaming ingestion; criteria limited to "+spec.MonitorableNames()+")")
 	retire := fs.Int("retire", 0,
-		"with -follow: retire settled committed transactions once this many are live, bounding monitor memory on long streams (0 = keep everything)")
+		"with -follow: retire the settled committed prefix once twice this many transactions are live, bounding monitor memory on long streams (0 = keep everything)")
 	skipBad := fs.Bool("skip-bad", false,
 		"with -follow: quarantine malformed or rejected input instead of noting each line — count it, report a structured summary on stderr at the end, and add bad=N to the summary line")
 	strict := fs.Bool("strict", false,
@@ -181,10 +178,6 @@ func runWith(args []string, stdin io.Reader, stdout, stderr io.Writer) (int, err
 		if !flagWasSet(fs, "criteria") {
 			criteria = []spec.Criterion{spec.DUOpacity}
 		}
-		exploreJobs := 1
-		if *parallel {
-			exploreJobs = *jobs
-		}
 		// The explorer treats NodeLimit <= 0 as "use the default bound",
 		// so honor the flag's documented "0 = unlimited" explicitly.
 		exploreNodeLimit := *nodeLimit
@@ -199,7 +192,7 @@ func runWith(args []string, stdin io.Reader, stdout, stderr io.Writer) (int, err
 			// exhausting the space, and stop-at-first never fires on a
 			// violation-free plan.
 			StopAtFirstViolation: true,
-		}, exploreJobs, stdout)
+		}, *jobs, stdout)
 	}
 	hs := make([]*history.History, len(paths))
 	texts := make([]string, len(paths))
@@ -216,14 +209,10 @@ func runWith(args []string, stdin io.Reader, stdout, stderr io.Writer) (int, err
 
 	// Sequential mode is the farm at one worker: one code path to keep
 	// verdicts and ordering identical.
-	seqJobs := 1
-	if *parallel {
-		seqJobs = *jobs
-	}
 	job := checkfarm.JobSpec{Kind: checkfarm.KindCheck, Check: &checkfarm.CheckJob{
 		Histories: texts, Criteria: criteria, NodeLimit: *nodeLimit,
 	}}
-	rep, err := job.Run(context.Background(), seqJobs)
+	rep, err := job.Run(context.Background(), *jobs)
 	if err != nil {
 		return 2, err
 	}
@@ -270,10 +259,8 @@ func runExplore(engine string, criteria []spec.Criterion, paths []string, stdinS
 	// one must not surface mid-run after reports (and a possible exit-1
 	// refutation) were already printed for the earlier criteria.
 	for _, c := range criteria {
-		switch c {
-		case spec.DUOpacity, spec.Opacity:
-		default:
-			return 2, fmt.Errorf("-explore requires prefix-closed monitorable criteria (du, opacity), got %v", c)
+		if err := harness.CheckExploreCriterion(c); err != nil {
+			return 2, err
 		}
 	}
 	plans := make([]checkfarm.WirePlan, len(paths))

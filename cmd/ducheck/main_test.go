@@ -74,7 +74,7 @@ func TestRunParallelBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	code, err := run([]string{"-parallel", "-jobs", "4", "-criteria", "du", good, bad, good}, nil, &out)
+	code, err := run([]string{"-jobs", "4", "-criteria", "du", good, bad, good}, nil, &out)
 	if err != nil {
 		t.Fatal(err)
 	}

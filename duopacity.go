@@ -185,9 +185,9 @@ func CheckFinalStateOpacity(h *History, opts ...CheckOption) Verdict {
 func WithNodeLimit(n int) CheckOption { return spec.WithNodeLimit(n) }
 
 // WithRetirement lets a Monitor checkpoint and discard its settled
-// committed prefix once more than window transactions are live, bounding
-// memory on unbounded streams without changing any verdict. Ignored by
-// batch checks.
+// committed prefix once 2×window transactions are live, bounding memory
+// on unbounded streams without changing any verdict. Ignored by batch
+// checks.
 func WithRetirement(window int) CheckOption { return spec.WithRetirement(window) }
 
 // WithTMS2AbortedReaderExemption drops TMS2 conflict-order edges sourced
@@ -203,8 +203,9 @@ func VerifySerialization(h *History, s *Seq) error { return spec.VerifySerializa
 // the same value to the same object.
 func UniqueWrites(h *History) bool { return spec.UniqueWrites(h) }
 
-// NewMonitor returns an online checker for DUOpacity, FinalStateOpacity or
-// Opacity; feed it events with Append.
+// NewMonitor returns an online checker for DUOpacity, TMS2, RCO, Opacity
+// or FinalStateOpacity (the monitorable criteria); feed it events with
+// Append.
 func NewMonitor(c Criterion, opts ...CheckOption) (*Monitor, error) {
 	return spec.NewMonitor(c, opts...)
 }
@@ -222,8 +223,8 @@ func RestrictSerialization(h *History, s *Seq, i int) (*Seq, error) {
 // EngineNames lists the shipped STM engines.
 func EngineNames() []string { return engines.Names() }
 
-// NewEngine constructs a shipped engine by name ("tl2", "norec", "etl",
-// "etl+v", "gl", "ple").
+// NewEngine constructs a shipped engine by name ("tl2", "norec", "dstm",
+// "etl", "etl+v", "gl", "ple", "pdur").
 func NewEngine(name string, objects int) (Engine, error) { return engines.New(name, objects) }
 
 // Atomically runs fn inside transactions of e until one commits.

@@ -107,6 +107,25 @@ func TestDistributedExploreByteIdentical(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsUnexplorableCriterion: an explore job whose criterion
+// the explorer cannot decide is refused at submit with 400, before any
+// worker leases a shard of it.
+func TestSubmitRejectsUnexplorableCriterion(t *testing.T) {
+	s, c := startFarm(t, Config{LeaseTTL: 2 * time.Second}, 0)
+	job := checkfarm.JobSpec{Kind: checkfarm.KindExplore, Explore: &checkfarm.ExploreJob{
+		Engine: "tl2",
+		Plans:  []checkfarm.WirePlan{checkfarm.WirePlanOf(stm.MustParsePlan("w0\nr0"))},
+		Config: harness.ExploreConfig{Criterion: spec.TMS2},
+	}}
+	_, _, err := c.Submit(context.Background(), job)
+	if err == nil || !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "prefix-closed") {
+		t.Fatalf("Submit of a TMS2 explore job: err = %v, want a 400 naming the criterion rule", err)
+	}
+	if n := s.Stats().Jobs.Open; n != 0 {
+		t.Errorf("%d open jobs, want none", n)
+	}
+}
+
 // TestDistributedSoakByteIdentical compares against the local farm: the
 // soak's sequential reference (cells observed and folded without the
 // wire) is internal to checkfarm, where TestFoldMatchesLocalFarmSoak pins

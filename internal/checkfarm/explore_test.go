@@ -59,67 +59,58 @@ func TestExplorePlansError(t *testing.T) {
 	}
 }
 
-// TestCertifyExploreMode: CertConfig.Explore routes the farm's episodes
-// through exhaustive exploration — the deferred-update engine's episodes
-// are proven (accepted), the in-place engine's refuted (rejected), and
-// the sharded statistics equal the sequential ones.
-func TestCertifyExploreMode(t *testing.T) {
-	criteria := []spec.Criterion{spec.DUOpacity}
-	base := harness.CertConfig{
-		Workload: harness.Workload{
-			Objects:          2,
-			Goroutines:       2,
-			TxnsPerGoroutine: 1,
-			OpsPerTxn:        2,
-			ReadFraction:     0.5,
-			Seed:             7,
-			MaxAttempts:      3,
-		},
-		Episodes: 6,
-		Explore:  true,
+// TestExploreWorkloadPlans: an explore job over the harness.PlanOf plans
+// of a workload's episodes proves a deferred-update engine's episodes and
+// refutes the in-place engine's with a pinned schedule.
+func TestExploreWorkloadPlans(t *testing.T) {
+	plansOf := func(readFraction float64) []stm.Plan {
+		w := harness.Workload{
+			Objects: 2, Goroutines: 2, TxnsPerGoroutine: 1, OpsPerTxn: 2,
+			ReadFraction: readFraction, Seed: 7,
+		}
+		var ps []stm.Plan
+		for ep := 0; ep < 6; ep++ {
+			we := w
+			we.Seed += int64(ep) * 104729 // the certify episode seed stride
+			ps = append(ps, harness.PlanOf(we))
+		}
+		return ps
+	}
+	cfg := harness.ExploreConfig{MaxAttempts: 3, StopAtFirstViolation: true}
+
+	s := mustNormalize(t, exploreJob("tl2", plansOf(0.5), cfg))
+	for i, r := range mustRun(t, context.Background(), s, 4).Explore {
+		if r.Outcome != harness.ProvenDUOpaque {
+			t.Errorf("tl2 plan %d: outcome %s, want proven", i, r.Outcome)
+		}
 	}
 
-	cfg := base
-	cfg.Workload.Engine = "tl2"
-	seq, err := harness.Certify(cfg, criteria)
-	if err != nil {
-		t.Fatal(err)
+	s = mustNormalize(t, exploreJob("ple", plansOf(0.6), cfg))
+	refuted := 0
+	for i, r := range mustRun(t, context.Background(), s, 4).Explore {
+		if r.Outcome != harness.ViolationFound {
+			continue
+		}
+		refuted++
+		if r.Violation == nil || len(r.Violation.Schedule) == 0 {
+			t.Errorf("ple plan %d: violation without a pinned schedule", i)
+		}
 	}
-	if seq.Rejected[spec.DUOpacity] != 0 || seq.Undecided[spec.DUOpacity] != 0 {
-		t.Errorf("tl2 explore-certify: %d rejected, %d undecided; want none (reason %q)",
-			seq.Rejected[spec.DUOpacity], seq.Undecided[spec.DUOpacity], seq.FirstReason[spec.DUOpacity])
-	}
-	par := *mustRun(t, context.Background(), certifyJob(cfg, criteria), 4).Certify
-	if par.Accepted[spec.DUOpacity] != seq.Accepted[spec.DUOpacity] ||
-		par.Rejected[spec.DUOpacity] != seq.Rejected[spec.DUOpacity] ||
-		par.FirstReason[spec.DUOpacity] != seq.FirstReason[spec.DUOpacity] {
-		t.Errorf("sharded explore-certify diverged from sequential: %+v vs %+v", par, seq)
-	}
-
-	cfg = base
-	cfg.Workload.Engine = "ple"
-	cfg.Workload.ReadFraction = 0.6 // ensure reads appear alongside writes
-	stats, err := harness.Certify(cfg, criteria)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Rejected[spec.DUOpacity] == 0 {
-		t.Error("ple explore-certify found no violating plan")
-	}
-	if stats.FirstReason[spec.DUOpacity] == "" {
-		t.Error("missing pinned schedule in rejection reason")
+	if refuted == 0 {
+		t.Error("ple explore found no violating plan")
 	}
 }
 
 // TestCertifyExploreModeRejectsBadCriterion: non-monitorable criteria
-// cannot be proven by exploration and must error loudly.
+// cannot be proven by exploration, so an explore job over a workload's
+// plans that asks for one fails at submit, not on every worker.
 func TestCertifyExploreModeRejectsBadCriterion(t *testing.T) {
-	cfg := harness.CertConfig{
-		Workload: harness.Workload{Engine: "tl2", Objects: 2, Goroutines: 2, TxnsPerGoroutine: 1, OpsPerTxn: 1},
-		Episodes: 1,
-		Explore:  true,
+	w := harness.Workload{Engine: "tl2", Objects: 2, Goroutines: 2, TxnsPerGoroutine: 1, OpsPerTxn: 1}
+	s := exploreJob(w.Engine, []stm.Plan{harness.PlanOf(w)}, harness.ExploreConfig{Criterion: spec.TMS2})
+	if _, err := s.Normalize(); err == nil {
+		t.Fatal("TMS2 accepted for an explore job")
 	}
-	if _, err := harness.Certify(cfg, []spec.Criterion{spec.TMS2}); err == nil {
-		t.Fatal("TMS2 accepted in explore mode")
+	if _, err := s.RunShard(context.Background(), 0); err == nil {
+		t.Fatal("TMS2 explored by a worker")
 	}
 }

@@ -139,6 +139,9 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 		if e.Config.Criterion == 0 {
 			e.Config.Criterion = spec.DUOpacity
 		}
+		if err := harness.CheckExploreCriterion(e.Config.Criterion); err != nil {
+			return s, fmt.Errorf("checkfarm: explore job: %w", err)
+		}
 		for i, wp := range e.Plans {
 			if _, err := wp.Plan(); err != nil {
 				return s, fmt.Errorf("checkfarm: explore job plan %d: %w", i, err)

@@ -222,9 +222,13 @@ func TestLineAllocatesWhatAppendDoes(t *testing.T) {
 	}
 	// A collection's mark workers allocate too, on whichever side of the
 	// bracket the scheduler puts them: one collection up front, none while
-	// counting.
+	// counting. So does the scheduler when it starts another thread (its
+	// m and g records, about five objects), which the stop-the-world of
+	// each count may ask for while other Ps stand idle: one P while
+	// counting, as testing.AllocsPerRun does.
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var ms runtime.MemStats
 	mallocs := func() uint64 { runtime.ReadMemStats(&ms); return ms.Mallocs }
 	var inAppend uint64

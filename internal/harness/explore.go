@@ -270,6 +270,17 @@ func ExplorePlanCtx(ctx context.Context, engine string, p stm.Plan, cfg ExploreC
 	return explore(ctx, engine, eng, p, cfg)
 }
 
+// CheckExploreCriterion reports whether the explorer can decide c: only
+// the prefix-closed monitorable criteria (du-opacity, opacity) let a
+// violation latched mid-schedule refute the whole subtree.
+func CheckExploreCriterion(c spec.Criterion) error {
+	switch c {
+	case spec.DUOpacity, spec.Opacity:
+		return nil
+	}
+	return fmt.Errorf("harness: explore requires a prefix-closed monitorable criterion (du-opacity or opacity), got %v", c)
+}
+
 // explore is ExplorePlanCtx on an engine already built: the root of the
 // world every decision frame forks.
 func explore(ctx context.Context, engine string, eng stm.Engine, p stm.Plan, cfg ExploreConfig) (ExploreReport, error) {
@@ -278,10 +289,8 @@ func explore(ctx context.Context, engine string, eng stm.Engine, p stm.Plan, cfg
 		return ExploreReport{}, fmt.Errorf("harness: explore needs a forkable engine, %s is not", engine)
 	}
 	cfg = cfg.withDefaults(p)
-	switch cfg.Criterion {
-	case spec.DUOpacity, spec.Opacity:
-	default:
-		return ExploreReport{}, fmt.Errorf("harness: explore requires a prefix-closed monitorable criterion (du-opacity or opacity), got %v", cfg.Criterion)
+	if err := CheckExploreCriterion(cfg.Criterion); err != nil {
+		return ExploreReport{}, err
 	}
 	rec := recorder.New(root)
 	n := len(p.Threads)

@@ -588,6 +588,30 @@ func TestExploreBudgetExhausted(t *testing.T) {
 	}
 }
 
+// TestExploreWorkloadPlansDefaultMaxAttempts: a workload's PlanOf plans
+// explore under the explorer's own retry bound (2) when none is given —
+// the Workload's 10,000-retry default is sized for wall-clock runs and
+// does not travel with the plan, so small episodes are proven rather
+// than left budget-exhausted.
+func TestExploreWorkloadPlansDefaultMaxAttempts(t *testing.T) {
+	w := Workload{
+		Engine: "tl2", Objects: 2, Goroutines: 2,
+		TxnsPerGoroutine: 2, OpsPerTxn: 2, ReadFraction: 0.5, Seed: 5,
+	}
+	for ep := 0; ep < 2; ep++ {
+		we := w
+		we.Seed += int64(ep) * episodeSeedStride
+		r, err := ExplorePlanCtx(context.Background(), "tl2", PlanOf(we), ExploreConfig{StopAtFirstViolation: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Outcome != ProvenDUOpaque || r.Undecided != 0 {
+			t.Errorf("episode %d: outcome %s (undecided=%d, replays=%d), want proven",
+				ep, r.Outcome, r.Undecided, r.Replays)
+		}
+	}
+}
+
 // TestExploreOpacity: the monitorable prefix-closed criteria both work as
 // the exploration target; the ple litmus violates opacity too (the prefix
 // where the reader has observed the in-flight write admits no final-state

@@ -8,7 +8,7 @@
 //
 //   - Run / RunRecorded execute a Workload on real goroutines; recorded
 //     histories satisfy the unique-writes hypothesis of Theorem 11 (every
-//     written value is fresh), so checks take the fast path.
+//     written value is fresh), so opacity and du-opacity coincide on them.
 //   - RunInterleaved replaces the Go scheduler with a deterministic
 //     stepwise scheduler: a seeded sample from the schedule space of the
 //     workload's plan (stm.Plan), reproducible bit-for-bit anywhere and
@@ -21,10 +21,11 @@
 //     per-plan certification from sampled evidence into a proof
 //     (ProvenDUOpaque / ViolationFound / BudgetExhausted).
 //
-// Certify aggregates episodes (sampled or, with CertConfig.Explore,
-// proven) per criterion; RunMonitored attaches a spec.Monitor to the
-// recorder's tap so violations are latched at the causing event while the
-// engine runs. Package checkfarm shards all of it across workers. The
+// Certify aggregates sampled episodes per criterion; an explore job over
+// the PlanOf plans of the same workloads (package checkfarm) proves them
+// instead. RunMonitored attaches a spec.Monitor to the recorder's tap so
+// violations are latched at the causing event while the engine runs.
+// Package checkfarm shards all of it across workers. The
 // package backs cmd/stmbench, cmd/ducheck -explore, the certification
 // examples and the engine benchmarks; see docs/ARCHITECTURE.md for the
 // pipeline map.
@@ -182,6 +183,38 @@ func Run(w Workload) (RunStats, error) {
 	if err != nil {
 		return RunStats{}, err
 	}
+	return drive(w, eng.Begin), nil
+}
+
+// RunRecorded executes the workload on a fresh engine under the recorder
+// and returns the recorded history with the run's statistics. Written
+// values are globally unique, so the resulting history satisfies the
+// unique-writes hypothesis of Theorem 11.
+func RunRecorded(w Workload) (*history.History, RunStats, error) {
+	return runRecorded(w, nil)
+}
+
+// runRecorded is RunRecorded with an optional event tap attached to the
+// recorder before any transaction runs (the online-certification hook).
+func runRecorded(w Workload, tap func(history.Event)) (*history.History, RunStats, error) {
+	w = w.withDefaults()
+	eng, err := engines.New(w.Engine, w.Objects)
+	if err != nil {
+		return nil, RunStats{}, err
+	}
+	rec := recorder.New(eng)
+	if tap != nil {
+		rec.Tap(tap)
+	}
+	stats := drive(w, func() stm.Txn { return rec.Begin() })
+	return rec.History(), stats, nil
+}
+
+// drive runs the defaulted workload's plan on real goroutines, one per
+// plan thread, each transaction retried through stm.AtomicallyN over the
+// transactions begin starts. Written values are drawn fresh per attempt,
+// so retries stay distinguishable.
+func drive(w Workload, begin func() stm.Txn) RunStats {
 	plans := planFor(w, lazyrand.New(0))
 	var commits, aborts, failed atomic.Int64
 	var vals atomic.Int64 // unique written values
@@ -194,7 +227,7 @@ func Run(w Workload) (RunStats, error) {
 			defer wg.Done()
 			for _, ops := range plans.Threads[g] {
 				attempts := 0
-				err := stm.AtomicallyN(eng, w.MaxAttempts, func(tx stm.Txn) error {
+				err := stm.AtomicallyN(begin, w.MaxAttempts, func(tx stm.Txn) error {
 					attempts++
 					for _, op := range ops {
 						if op.Read {
@@ -223,91 +256,7 @@ func Run(w Workload) (RunStats, error) {
 		Aborts:   aborts.Load(),
 		Failed:   failed.Load(),
 		Duration: time.Since(start),
-	}, nil
-}
-
-// RunRecorded executes the workload on a fresh engine under the recorder
-// and returns the recorded history with the run's statistics. Written
-// values are globally unique, so the resulting history satisfies the
-// unique-writes hypothesis of Theorem 11 and checks fast.
-func RunRecorded(w Workload) (*history.History, RunStats, error) {
-	return runRecorded(w, nil)
-}
-
-// runRecorded is RunRecorded with an optional event tap attached to the
-// recorder before any transaction runs (the online-certification hook).
-func runRecorded(w Workload, tap func(history.Event)) (*history.History, RunStats, error) {
-	w = w.withDefaults()
-	eng, err := engines.New(w.Engine, w.Objects)
-	if err != nil {
-		return nil, RunStats{}, err
 	}
-	rec := recorder.New(eng)
-	if tap != nil {
-		rec.Tap(tap)
-	}
-	plans := planFor(w, lazyrand.New(0))
-	var commits, aborts, failed atomic.Int64
-	var vals atomic.Int64
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	for g := 0; g < w.Goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for _, ops := range plans.Threads[g] {
-				attempts := 0
-				err := atomicallyRecordedN(rec, w.MaxAttempts, func(tx *recorder.Txn) error {
-					attempts++
-					for _, op := range ops {
-						if op.Read {
-							if _, err := tx.Read(op.Obj); err != nil {
-								return err
-							}
-						} else if err := tx.Write(op.Obj, vals.Add(1)); err != nil {
-							return err
-						}
-					}
-					return nil
-				})
-				if err != nil {
-					failed.Add(1)
-				} else {
-					commits.Add(1)
-				}
-				aborts.Add(int64(attempts - 1))
-			}
-		}(g)
-	}
-	wg.Wait()
-	stats := RunStats{
-		Engine:   w.Engine,
-		Commits:  commits.Load(),
-		Aborts:   aborts.Load(),
-		Failed:   failed.Load(),
-		Duration: time.Since(start),
-	}
-	return rec.History(), stats, nil
-}
-
-func atomicallyRecordedN(r *recorder.Recorder, attempts int, fn func(*recorder.Txn) error) error {
-	for i := 0; i < attempts; i++ {
-		tx := r.Begin()
-		err := fn(tx)
-		switch {
-		case err == nil:
-			if cerr := tx.Commit(); cerr == nil {
-				return nil
-			}
-		case err == stm.ErrAborted:
-			tx.Abort()
-		default:
-			tx.Abort()
-			return err
-		}
-	}
-	return stm.ErrAborted
 }
 
 // CertConfig parameterizes certification: Episodes independent small
@@ -332,20 +281,6 @@ type CertConfig struct {
 	// including single-CPU machines where real goroutines rarely
 	// interleave mid-transaction.
 	Interleaved bool
-	// Explore certifies each episode by exhaustively exploring the
-	// episode plan's schedule space (ExplorePlanCtx) instead of sampling one
-	// recorded run: an accepted episode means *no* schedule of the
-	// deterministic stepper's space — the engine's exclusion policy plus
-	// its abort-backoff discipline, the space RunInterleaved samples —
-	// violates the criterion, not that one sampled schedule passed.
-	// Criteria are restricted to the explorer's prefix-closed
-	// monitorable ones (du-opacity, opacity); budget
-	// exhaustion surfaces as an undecided verdict. Keep the workload shape
-	// small — the schedule space is exponential in the plan size.
-	Explore bool
-	// ExploreBudget bounds each episode exploration's schedule count when
-	// Explore is set (0 = the explorer's default, 1 << 17).
-	ExploreBudget int
 }
 
 // WithDefaults fills the zero fields of the configuration with the
@@ -430,15 +365,12 @@ func DegradedEpisode(criteria []spec.Criterion, reason string) EpisodeReport {
 // on a fresh engine with a seed derived only from cfg.Seed and ep, so they
 // can be evaluated in any order (or concurrently) and folded with
 // AddEpisode. Call cfg.WithDefaults first when bypassing Certify.
-// Cancellation is threaded into the exact checks (spec.WithContext) —
-// and, with cfg.Explore, into the exploration — so a farm deadline stops
-// even a pathological search promptly with an undecided verdict.
+// Cancellation is threaded into the exact checks (spec.WithContext), so
+// a farm deadline stops even a pathological search promptly with an
+// undecided verdict.
 func CertifyEpisodeCtx(ctx context.Context, cfg CertConfig, ep int, criteria []spec.Criterion) (EpisodeReport, error) {
 	w := cfg.Workload
 	w.Seed = cfg.Workload.Seed + int64(ep)*episodeSeedStride
-	if cfg.Explore {
-		return exploreEpisode(ctx, cfg, w, criteria)
-	}
 	var (
 		h   *history.History
 		err error
@@ -461,58 +393,6 @@ func CertifyEpisodeCtx(ctx context.Context, cfg CertConfig, ep int, criteria []s
 	}
 	for _, c := range criteria {
 		r.Verdicts[c] = spec.Check(h, c, opts...)
-	}
-	return r, nil
-}
-
-// exploreEpisode is the CertConfig.Explore path of CertifyEpisodeCtx: the
-// episode's seeded plan is explored exhaustively per criterion, and the
-// per-plan verdicts (proven / violation with the pinned causing schedule /
-// budget-exhausted) are folded into the ordinary episode report so the
-// whole certification stack — AddEpisode, the checkfarm, the CLIs —
-// aggregates proofs exactly as it aggregates samples.
-func exploreEpisode(ctx context.Context, cfg CertConfig, w Workload, criteria []spec.Criterion) (EpisodeReport, error) {
-	// Capture MaxAttempts before the sampler defaulting: its 10,000-retry
-	// default is sized for wall-clock runs, not exploration, where retry
-	// chains multiply the schedule space — an unset value must fall
-	// through to the explorer's own default (2), as ducheck -explore does.
-	maxAttempts := w.MaxAttempts
-	w = w.withDefaults()
-	p := planFor(w, lazyrand.New(0))
-	r := EpisodeReport{Verdicts: make(map[spec.Criterion]spec.Verdict, len(criteria))}
-	for _, c := range criteria {
-		er, err := ExplorePlanCtx(ctx, w.Engine, p, ExploreConfig{
-			Criterion:            c,
-			MaxAttempts:          maxAttempts,
-			MaxSchedules:         cfg.ExploreBudget,
-			NodeLimit:            cfg.NodeLimit,
-			StopAtFirstViolation: true,
-		})
-		if err != nil {
-			return EpisodeReport{}, err
-		}
-		v := spec.Verdict{Criterion: c}
-		switch er.Outcome {
-		case ProvenDUOpaque:
-			v.OK = true
-		case ViolationFound:
-			v.Reason = fmt.Sprintf("schedule %v: %s", er.Violation.Schedule, er.Violation.Verdict.Reason)
-			if r.History == nil {
-				r.History = er.Violation.History
-			}
-		default: // BudgetExhausted
-			v.Undecided = true
-			if er.Undecided > 0 {
-				// The schedule space may even be exhausted: the blocker is
-				// the per-check node limit, not the exploration budget.
-				v.Reason = fmt.Sprintf("%d of %d schedules undecided at the %d-node check limit (raise NodeLimit)",
-					er.Undecided, er.Schedules, cfg.NodeLimit)
-			} else {
-				v.Reason = fmt.Sprintf("exploration budget exhausted after %d schedules (frontier depth %d)",
-					er.Replays, er.MaxFrontier)
-			}
-		}
-		r.Verdicts[c] = v
 	}
 	return r, nil
 }

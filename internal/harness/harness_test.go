@@ -304,35 +304,3 @@ func TestPlanOfReadFraction(t *testing.T) {
 		t.Error("unset ReadFraction produced a write-only plan; want the 0.5 default")
 	}
 }
-
-// TestCertifyExploreDefaultMaxAttempts: with MaxAttempts unset, the
-// explore path must fall through to the explorer's exploration-sized
-// default (2), not inherit the sampler's 10,000-retry default — which
-// balloons the schedule space and turns provable episodes into
-// budget-exhausted undecideds.
-func TestCertifyExploreDefaultMaxAttempts(t *testing.T) {
-	cfg := CertConfig{
-		Workload: Workload{
-			Engine:           "tl2",
-			Objects:          2,
-			Goroutines:       2,
-			TxnsPerGoroutine: 2,
-			OpsPerTxn:        2,
-			ReadFraction:     0.5,
-			Seed:             5,
-		},
-		Episodes: 2,
-		Explore:  true,
-	}
-	stats, err := Certify(cfg, []spec.Criterion{spec.DUOpacity})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := stats.Undecided[spec.DUOpacity]; got != 0 {
-		t.Errorf("%d undecided episodes with default MaxAttempts (reason %q); want proofs",
-			got, stats.FirstReason[spec.DUOpacity])
-	}
-	if stats.Accepted[spec.DUOpacity] == 0 {
-		t.Error("no episode proven")
-	}
-}

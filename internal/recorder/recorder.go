@@ -289,21 +289,10 @@ func (t *Txn) Abort() {
 // Atomically mirrors stm.Atomically over recorded transactions: each retry
 // is a fresh recorded transaction, as in the paper's model where an aborted
 // transaction is never resumed.
+//
+// Not inlined, for the reason stm.Atomically is not.
+//
+//go:noinline
 func (r *Recorder) Atomically(fn func(*Txn) error) error {
-	for i := 0; i < stm.MaxAttempts; i++ {
-		tx := r.Begin()
-		err := fn(tx)
-		switch {
-		case err == nil:
-			if cerr := tx.Commit(); cerr == nil {
-				return nil
-			}
-		case err == stm.ErrAborted:
-			tx.Abort()
-		default:
-			tx.Abort()
-			return err
-		}
-	}
-	return stm.ErrAborted
+	return stm.AtomicallyN(r.Begin, stm.MaxAttempts, fn)
 }

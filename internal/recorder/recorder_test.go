@@ -471,6 +471,30 @@ func TestAtomicallyRetriesAndPropagatesUserError(t *testing.T) {
 	}
 }
 
+// TestAtomicallyRetriesWrappedAbort: a body that wraps stm.ErrAborted is
+// retried like stm.Atomically retries it, each attempt a fresh recorded
+// transaction, not handed back to the caller as a user error.
+func TestAtomicallyRetriesWrappedAbort(t *testing.T) {
+	r := New(tl2.New(1))
+	calls := 0
+	err := r.Atomically(func(tx *Txn) error {
+		calls++
+		if calls == 1 {
+			return fmt.Errorf("conflict on object 0: %w", stm.ErrAborted)
+		}
+		return tx.Write(0, 3)
+	})
+	if err != nil {
+		t.Fatalf("Atomically: %v", err)
+	}
+	if calls != 2 {
+		t.Fatalf("%d calls, want 2 (the wrapped abort retried once)", calls)
+	}
+	if got := r.History().NumTxns(); got != 2 {
+		t.Fatalf("history has %d txns, want 2", got)
+	}
+}
+
 // TestTapPanicIsRecovered pins the tap's panic contract: a panicking
 // observer is detached without corrupting the capture mutex or the
 // history — the triggering event stays recorded, later operations record

@@ -9,8 +9,8 @@ import (
 	"duopacity/internal/history"
 )
 
-// searchyHistory builds a small accepting history that defeats the
-// unique-writes fast path (two transactions write the same value), so
+// searchyHistory builds a small accepting history without unique writes
+// (two transactions write the same value), so
 // every check must run the serialization search — the loop WithContext's
 // cancellation polling lives in.
 func searchyHistory() *history.History {

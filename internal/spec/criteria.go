@@ -288,59 +288,3 @@ func UniqueWrites(h *history.History) bool {
 	}
 	return true
 }
-
-// CheckDUOpacityFast decides du-opacity like CheckDUOpacity but, when the
-// history has unique writes, seeds the search with the forced reads-from
-// edges (the unique writer of X=v must precede and commit for any read of
-// X=v), which typically collapses the search to a single candidate order.
-// The result is always exact; the hints only prune orders that cannot be
-// witnesses.
-func CheckDUOpacityFast(h *history.History, opts ...Option) Verdict {
-	mode := searchMode{local: true, realTime: true}
-	if UniqueWrites(h) {
-		mode.extraEdges = readsFromEdges(h)
-	}
-	return decide(h, DUOpacity, mode, buildOptions(opts))
-}
-
-// readsFromEdges computes, under unique writes, the forced reads-from
-// precedence: for every external read of X=v (v != InitValue), the unique
-// transaction writing v to X must precede the reader in any legal
-// serialization.
-func readsFromEdges(h *history.History) [][2]history.TxnID {
-	type key struct {
-		obj history.Var
-		val history.Value
-	}
-	writer := make(map[key]history.TxnID)
-	for _, k := range h.Txns() {
-		for _, op := range h.Txn(k).Ops {
-			if op.Kind == history.OpWrite && !op.Pending && op.Out == history.OutOK {
-				writer[key{op.Obj, op.Arg}] = k
-			}
-		}
-	}
-	var edges [][2]history.TxnID
-	for _, k := range h.Txns() {
-		overlay := make(map[history.Var]bool)
-		for _, op := range h.Txn(k).Ops {
-			if op.Pending {
-				break
-			}
-			switch op.Kind {
-			case history.OpWrite:
-				if op.Out == history.OutOK {
-					overlay[op.Obj] = true
-				}
-			case history.OpRead:
-				if op.Out != history.OutOK || overlay[op.Obj] || op.Val == history.InitValue {
-					continue
-				}
-				if w, ok := writer[key{op.Obj, op.Val}]; ok && w != k {
-					edges = append(edges, [2]history.TxnID{w, k})
-				}
-			}
-		}
-	}
-	return edges
-}

@@ -124,26 +124,6 @@ func TestQuickFinalStateImpliesStrictSerializability(t *testing.T) {
 	}
 }
 
-// TestQuickFastPathAgrees: the unique-writes fast path is exact.
-func TestQuickFastPathAgrees(t *testing.T) {
-	prop := func(rh randHist) bool {
-		return CheckDUOpacityFast(rh.H).OK == CheckDUOpacity(rh.H).OK
-	}
-	if err := quick.Check(prop, quickCfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestQuickGraphCheckerAgrees: the cycle-refutation wrapper is exact.
-func TestQuickGraphCheckerAgrees(t *testing.T) {
-	prop := func(rh randHist) bool {
-		return CheckDUOpacityGraph(rh.H).OK == CheckDUOpacity(rh.H).OK
-	}
-	if err := quick.Check(prop, quickCfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestQuickPrefixClosureOnAccepted: Corollary 2 on arbitrary accepted
 // histories — every prefix of a du-opaque history is du-opaque.
 func TestQuickPrefixClosureOnAccepted(t *testing.T) {

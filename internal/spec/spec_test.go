@@ -432,32 +432,6 @@ func TestUniqueWrites(t *testing.T) {
 	}
 }
 
-func TestCheckDUOpacityFastAgrees(t *testing.T) {
-	histories := []*history.History{
-		serialWriteRead(),
-		history.NewBuilder().
-			InvWrite(1, "X", 1).ResWrite(1, "X", 1).
-			Read(2, "X", 1).Commit(2).Commit(1).
-			History(), // du violation
-		history.NewBuilder().
-			Write(1, "X", 1).Commit(1).
-			Write(2, "X", 2).Commit(2).
-			Read(3, "X", 2).Commit(3).
-			History(),
-		history.NewBuilder().
-			Write(1, "X", 1).InvTryCommit(1).
-			Read(2, "X", 1).Commit(2).
-			History(),
-	}
-	for i, h := range histories {
-		want := CheckDUOpacity(h).OK
-		got := CheckDUOpacityFast(h).OK
-		if got != want {
-			t.Errorf("history %d: fast = %v, exact = %v", i, got, want)
-		}
-	}
-}
-
 func TestEmptyAndTrivialHistories(t *testing.T) {
 	empty := history.MustFromEvents(nil)
 	for _, c := range AllCriteria() {

@@ -11,6 +11,15 @@
 // transaction that has not started committing: recorded histories are
 // du-opaque, like TL2's and NOrec's.
 //
+// Commit is three steps: the descriptor goes from active to committing,
+// the read set is validated, and the descriptor goes to committed. A
+// committer aborts itself if an object it read is owned by another
+// committing transaction. With validation and the commit point apart but
+// no such rule, two transactions that each read what the other writes
+// could both validate before either committed, and both commit (write
+// skew). Writers treat a committing owner as an active one, so the
+// engine stays obstruction-free.
+//
 // Two contention-management surfaces coexist. The legacy Manager
 // policies (Aggressive/Polite/Timid) are dstm's original hardwired
 // family and remain the default (bare "dstm" is Aggressive). WithPolicy
@@ -34,6 +43,7 @@ import (
 // status values of a transaction descriptor.
 const (
 	active int32 = iota
+	committing
 	committed
 	aborted
 )
@@ -185,7 +195,7 @@ func (x *txn) Read(obj int) (int64, error) {
 	x.rset = append(x.rset, readEntry{obj: obj, val: v})
 	// Invisible reads demand validation on every access to preserve
 	// opacity (the DSTM paper's per-open validation).
-	if !x.validate() {
+	if !x.validate(active) {
 		x.Abort()
 		return 0, stm.ErrAborted
 	}
@@ -193,8 +203,10 @@ func (x *txn) Read(obj int) (int64, error) {
 }
 
 // validate re-checks every logged read against the objects' current
-// values and confirms the transaction is still active.
-func (x *txn) validate() bool {
+// values and confirms the transaction's status is still want: active
+// while it runs, committing inside Commit. At commit, a read object
+// owned by another committing transaction fails the check too.
+func (x *txn) validate(want int32) bool {
 	for _, r := range x.rset {
 		l := x.tm.objs[r.obj].Load()
 		if owned, ok := x.wrote[r.obj]; ok && l == owned {
@@ -204,11 +216,17 @@ func (x *txn) validate() bool {
 			}
 			continue
 		}
-		if current(l) != r.val {
+		// One status load decides both the value and the committing
+		// test, so an owner that commits in between cannot slip past.
+		st, v := l.owner.status.Load(), l.oldVal
+		if st == committed {
+			v = l.newVal
+		}
+		if v != r.val || (want == committing && st == committing) {
 			return false
 		}
 	}
-	return x.alive()
+	return x.self.status.Load() == want
 }
 
 func (x *txn) Write(obj int, v int64) error {
@@ -224,7 +242,7 @@ func (x *txn) Write(obj int, v int64) error {
 			return stm.ErrAborted
 		}
 		old := x.tm.objs[obj].Load()
-		if st := old.owner.status.Load(); st == active && old.owner != x.self {
+		if st := old.owner.status.Load(); (st == active || st == committing) && old.owner != x.self {
 			if !x.manageConflict(old.owner, attempt) {
 				x.Abort()
 				return stm.ErrAborted
@@ -242,7 +260,7 @@ func (x *txn) Write(obj int, v int64) error {
 			x.wrote[obj] = nl
 			// Acquiring may have raced with a conflicting commit; the
 			// read set must still hold.
-			if !x.validate() {
+			if !x.validate(active) {
 				x.Abort()
 				return stm.ErrAborted
 			}
@@ -257,7 +275,7 @@ func (x *txn) manageConflict(owner *desc, attempt int) bool {
 	if x.tm.useCM {
 		switch x.self.mgr.Conflict(&owner.mgr) {
 		case cm.AbortEnemy:
-			owner.status.CompareAndSwap(active, aborted)
+			kill(owner)
 			return true
 		case cm.Wait:
 			x.self.mgr.Backoff()
@@ -276,22 +294,33 @@ func (x *txn) manageConflict(owner *desc, attempt int) bool {
 		}
 		fallthrough
 	default: // Aggressive
-		owner.status.CompareAndSwap(active, aborted)
+		kill(owner)
 		return true
 	}
 }
 
+// kill aborts an owner that is active or committing; one that reached
+// committed or aborted first stays as it is.
+func kill(owner *desc) {
+	for {
+		st := owner.status.Load()
+		if st != active && st != committing || owner.status.CompareAndSwap(st, aborted) {
+			return
+		}
+	}
+}
+
 func (x *txn) Commit() error {
-	if !x.alive() {
+	if !x.self.status.CompareAndSwap(active, committing) {
 		return stm.ErrAborted
 	}
-	if !x.validate() {
-		x.Abort()
+	if !x.validate(committing) {
+		x.self.status.CompareAndSwap(committing, aborted)
 		return stm.ErrAborted
 	}
 	// The commit point: all owned locators' new values become current
 	// atomically. CAS can fail if a contention manager aborted us.
-	if !x.self.status.CompareAndSwap(active, committed) {
+	if !x.self.status.CompareAndSwap(committing, committed) {
 		return stm.ErrAborted
 	}
 	return nil

@@ -2,7 +2,9 @@ package dstm
 
 import (
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"duopacity/internal/stm"
@@ -163,5 +165,48 @@ func TestConcurrentMixedPolicies(t *testing.T) {
 	_ = tx.Commit()
 	if v != workers*incs {
 		t.Fatalf("counter = %d, want %d", v, workers*incs)
+	}
+}
+
+// TestNoWriteSkewAtCommit races two commits that each read the object the
+// other writes — a write-skew pair, which no serialization lets both
+// commit: whichever commits second read a value the first overwrote.
+// Validation and the commit point must be one step for every committer;
+// with them apart, both could validate before either committed. The two
+// are released together by a spin flag, and each also reads a run of
+// untouched objects, so that the commit validations overlap.
+func TestNoWriteSkewAtCommit(t *testing.T) {
+	const rounds, pad = 2000, 64
+	for r := 0; r < rounds; r++ {
+		tm := New(2 + pad)
+		var ready, wg sync.WaitGroup
+		var start atomic.Bool
+		var committed [2]bool
+		for g := 0; g < 2; g++ {
+			ready.Add(1)
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				tx := tm.Begin()
+				ok := true
+				for o := 2; o < 2+pad && ok; o++ {
+					_, err := tx.Read(o)
+					ok = err == nil
+				}
+				_, rerr := tx.Read(1 - g)
+				werr := tx.Write(g, 1)
+				ready.Done()
+				for !start.Load() {
+					runtime.Gosched()
+				}
+				committed[g] = ok && rerr == nil && werr == nil && tx.Commit() == nil
+			}(g)
+		}
+		ready.Wait()
+		start.Store(true)
+		wg.Wait()
+		if committed[0] && committed[1] {
+			t.Fatalf("round %d: both transactions of a write-skew pair committed", r)
+		}
 	}
 }

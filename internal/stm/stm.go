@@ -116,14 +116,22 @@ const MaxAttempts = 1 << 20
 // returns a non-nil error the attempt is aborted and the error is returned
 // without retrying (user-level errors are not conflicts). A nil return
 // means fn's final attempt committed.
+//
+// Not inlined: a generic call that reaches another package through an
+// inlined body loses its escape information there, and e.Begin would then
+// be heap-allocated on every call.
+//
+//go:noinline
 func Atomically(e Engine, fn func(Txn) error) error {
-	return AtomicallyN(e, MaxAttempts, fn)
+	return AtomicallyN(e.Begin, MaxAttempts, fn)
 }
 
-// AtomicallyN is Atomically with an explicit attempt bound.
-func AtomicallyN(e Engine, attempts int, fn func(Txn) error) error {
+// AtomicallyN is Atomically with an explicit attempt bound, over the
+// transactions begin starts — an engine's Begin, or a wrapper's such as
+// the history recorder's, so every retry loop is this one.
+func AtomicallyN[T Txn](begin func() T, attempts int, fn func(T) error) error {
 	for i := 0; i < attempts; i++ {
-		tx := e.Begin()
+		tx := begin()
 		err := fn(tx)
 		switch {
 		case err == nil:

@@ -44,7 +44,7 @@ func TestAtomicallyRetriesConflicts(t *testing.T) {
 func TestAtomicallyNBoundsAttempts(t *testing.T) {
 	tm := tl2.New(1)
 	calls := 0
-	err := stm.AtomicallyN(tm, 3, func(tx stm.Txn) error {
+	err := stm.AtomicallyN(tm.Begin, 3, func(tx stm.Txn) error {
 		calls++
 		return stm.ErrAborted // simulate a persistent conflict
 	})

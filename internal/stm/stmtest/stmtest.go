@@ -266,7 +266,7 @@ func Smoke(t *testing.T, f Factory, workers, txns int) {
 				return rng % n
 			}
 			for i := 0; i < txns; i++ {
-				_ = stm.AtomicallyN(e, 100, func(tx stm.Txn) error {
+				_ = stm.AtomicallyN(e.Begin, 100, func(tx stm.Txn) error {
 					for op := 0; op < 4; op++ {
 						obj := next(8)
 						if next(2) == 0 {
