@@ -2,6 +2,7 @@ package checkfarm
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
@@ -87,6 +88,31 @@ func TestCertifyMatchesSequential(t *testing.T) {
 			if got, want := FormatJobReport(s, rep), harness.FormatCertTable(want, criteria); got != want {
 				t.Errorf("%s/jobs=%d: rendered tables differ:\n%s\nvs\n%s", engine, jobs, got, want)
 			}
+		}
+	}
+}
+
+// TestCertifyReportsIdenticalAcrossJobs: with episodes run by four
+// workers at once — each drawing recorders and generators from the shared
+// pool and deciding its criteria with spec.CheckAll — a certify job over
+// all seven criteria reports the same bytes as with one worker. It is
+// meant for -race, where it also checks that pooled scratch never crosses
+// episodes.
+func TestCertifyReportsIdenticalAcrossJobs(t *testing.T) {
+	criteria := spec.AllCriteria()
+	for _, engine := range []string{"tl2", "ple"} {
+		s := mustNormalize(t, certifyJob(interleavedCfg(engine, 40), criteria))
+		var reports [2]string
+		for k, jobs := range []int{1, 4} {
+			rep := mustRun(t, context.Background(), s, jobs)
+			raw, err := json.Marshal(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reports[k] = string(raw) + "\n" + FormatJobReport(s, rep)
+		}
+		if reports[0] != reports[1] {
+			t.Errorf("%s: jobs=1 and jobs=4 reports differ:\n%s\nvs\n%s", engine, reports[0], reports[1])
 		}
 	}
 }

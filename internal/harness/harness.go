@@ -367,7 +367,9 @@ func DegradedEpisode(criteria []spec.Criterion, reason string) EpisodeReport {
 // AddEpisode. Call cfg.WithDefaults first when bypassing Certify.
 // Cancellation is threaded into the exact checks (spec.WithContext), so
 // a farm deadline stops even a pathological search promptly with an
-// undecided verdict.
+// undecided verdict. The criteria are decided together by spec.CheckAll,
+// whose verdicts are spec.Check's: one accepted serialization settles the
+// weaker criteria it satisfies without their searches.
 func CertifyEpisodeCtx(ctx context.Context, cfg CertConfig, ep int, criteria []spec.Criterion) (EpisodeReport, error) {
 	w := cfg.Workload
 	w.Seed = cfg.Workload.Seed + int64(ep)*episodeSeedStride
@@ -391,8 +393,8 @@ func CertifyEpisodeCtx(ctx context.Context, cfg CertConfig, ep int, criteria []s
 	if ctx != nil {
 		opts = append(opts, spec.WithContext(ctx))
 	}
-	for _, c := range criteria {
-		r.Verdicts[c] = spec.Check(h, c, opts...)
+	for i, v := range spec.CheckAll(h, criteria, opts...) {
+		r.Verdicts[criteria[i]] = v
 	}
 	return r, nil
 }

@@ -1,6 +1,9 @@
 package harness
 
 import (
+	"math/rand"
+	"sync"
+
 	"duopacity/internal/history"
 	"duopacity/internal/lazyrand"
 	"duopacity/internal/recorder"
@@ -32,6 +35,20 @@ func RunInterleaved(w Workload) (*history.History, RunStats, error) {
 	return runInterleaved(w, nil)
 }
 
+// runScratch is what an interleaved run takes beyond its engine and
+// gives back when it returns: the recorder, whose event log keeps its
+// capacity from run to run, and the one lazily seeded generator the run
+// draws its plan and schedule from. History copies the log, so handing
+// the recorder on after the run's history is built is safe.
+type runScratch struct {
+	rec *recorder.Recorder
+	rng *rand.Rand
+}
+
+var runScratchPool = sync.Pool{New: func() any {
+	return &runScratch{rec: recorder.New(nil), rng: lazyrand.New(0)}
+}}
+
 // runInterleaved is RunInterleaved with an optional event tap attached to
 // the recorder before the schedule starts (the online-certification
 // hook); the tap observes the deterministic event order as it is
@@ -42,13 +59,14 @@ func runInterleaved(w Workload, tap func(history.Event)) (*history.History, RunS
 	if err != nil {
 		return nil, RunStats{}, err
 	}
-	rec := recorder.New(eng)
+	sc := runScratchPool.Get().(*runScratch)
+	rec, rng := sc.rec, sc.rng
+	rec.Restore(eng, 0, 0) // as recorder.New(eng), keeping the log's capacity
 	if tap != nil {
 		rec.Tap(tap)
 	}
 	// One generator serves the episode: planFor re-seeds it per thread,
 	// then it is re-seeded for the schedule.
-	rng := lazyrand.New(0)
 	st := &stepper{
 		rec:         rec,
 		threads:     threadsFor(planFor(w, rng)),
@@ -64,7 +82,11 @@ func runInterleaved(w Workload, tap func(history.Event)) (*history.History, RunS
 		}
 		st.step(st.threads[r[rng.Intn(len(r))]])
 	}
-	return rec.History(), RunStats{
+	h := rec.History()
+	rec.Tap(nil)
+	rec.Restore(nil, 0, 0)
+	runScratchPool.Put(sc)
+	return h, RunStats{
 		Engine:  w.Engine,
 		Commits: st.commits,
 		Aborts:  st.aborts,

@@ -66,11 +66,14 @@ type engine struct {
 	mode searchMode
 	opts options
 
-	n     int                   // participating transactions
-	words int                   // word count of the engine bitsets: bitsWords(n)
-	gidx  []int                 // engine index -> dense index in ix
-	txs   []*history.IndexedTxn // per engine txn, aliasing ix.Txns
-	role  []txnRole
+	n     int   // participating transactions
+	words int   // word count of the engine bitsets: bitsWords(n)
+	gidx  []int // engine index -> dense index in ix
+	// engIdx is the inverse of gidx (-1: not participating), filled only
+	// when the two index spaces differ.
+	engIdx []int32
+	txs    []*history.IndexedTxn // per engine txn, aliasing ix.Txns
+	role   []txnRole
 	// pred holds the required predecessors per engine txn. Rows may alias
 	// ix.RTPred (and then are ragged: row i spans bitsWords(i) words).
 	pred []history.Bits
@@ -162,6 +165,23 @@ func (e *engine) release() {
 // It returns an error verdict reason if h is statically refuted or out of
 // scope; the engine is already released in that case.
 func newEngine(h *history.History, mode searchMode, opts options) (*engine, string) {
+	e, reason := prepareEngine(h, mode, opts)
+	if reason != "" {
+		return nil, reason
+	}
+	if reason := e.staticReject(); reason != "" {
+		e.release()
+		return nil, reason
+	}
+	e.memo.reset()
+	return e, ""
+}
+
+// prepareEngine is newEngine without the static rejection: the engine's
+// roles, predecessor rows and stacks are set up, which is all placeOrder
+// needs. It returns the reason of a read inconsistent with the reader's own
+// write, releasing the engine.
+func prepareEngine(h *history.History, mode searchMode, opts options) (*engine, string) {
 	ix := h.Index()
 	e := enginePool.Get().(*engine)
 	e.h, e.ix, e.mode, e.opts = h, ix, mode, opts
@@ -230,10 +250,20 @@ func newEngine(h *history.History, mode searchMode, opts options) (*engine, stri
 		}
 	}
 
+	identity := n == N
+	if !identity {
+		e.engIdx = grow(e.engIdx, N)
+		for gi := range e.engIdx {
+			e.engIdx[gi] = -1
+		}
+		for i, gi := range e.gidx {
+			e.engIdx[gi] = int32(i)
+		}
+	}
+
 	// Ordering constraints. The common fast path — every transaction
 	// participates, real-time order, no extra edges — aliases the index's
 	// precomputed masks; every other combination fills the engine's buffer.
-	identity := n == N
 	if mode.realTime && identity && len(mode.extraEdges) == 0 {
 		e.pred = ix.RTPred
 	} else {
@@ -246,15 +276,18 @@ func newEngine(h *history.History, mode searchMode, opts options) (*engine, stri
 			e.predBuf[i] = history.Bits(e.predSlab[i*e.words : (i+1)*e.words])
 		}
 		if mode.realTime {
+			// The index's real-time rows, re-indexed to the participants
+			// when they are a subset.
 			for bi, gb := range e.gidx {
-				first := ix.Txns[gb].First
-				for ai, ga := range e.gidx {
-					if ai == bi {
-						continue
-					}
-					ta := &ix.Txns[ga]
-					if ta.TComplete && ta.Last < first {
-						e.predBuf[bi].Set(ai)
+				if identity {
+					copy(e.predBuf[bi], ix.RTPred[gb])
+					continue
+				}
+				for w, m := range ix.RTPred[gb] {
+					for ; m != 0; m &= m - 1 {
+						if ai := e.engIdx[w<<6+bits.TrailingZeros64(m)]; ai >= 0 {
+							e.predBuf[bi].Set(int(ai))
+						}
 					}
 				}
 			}
@@ -293,12 +326,6 @@ func newEngine(h *history.History, mode searchMode, opts options) (*engine, stri
 		total += c
 	}
 	e.stackSlab = grow(e.stackSlab, int(total))
-
-	if reason := e.staticReject(); reason != "" {
-		e.release()
-		return nil, reason
-	}
-	e.memo.reset()
 	return e, ""
 }
 
@@ -311,13 +338,7 @@ func (e *engine) engineIndexOf(k history.TxnID) int {
 	if e.n == e.ix.NumTxns() {
 		return gi
 	}
-	// Compacted (committedOnly) mapping; n is small, scan.
-	for i, g := range e.gidx {
-		if g == gi {
-			return i
-		}
-	}
-	return -1
+	return int(e.engIdx[gi])
 }
 
 // staticReject performs order-independent feasibility checks so that common
@@ -393,6 +414,43 @@ func (e *engine) staticReject() string {
 		}
 	}
 	return ""
+}
+
+// placeOrder places an offered serialization — dense indexes of e.ix in
+// order, and the commit decision per position — under the engine's own
+// checks: each participating transaction in turn must take a decision its
+// role allows, find its required predecessors (real time, extra edges)
+// placed, and read legally, with du-opacity's local clause when the mode
+// has it (pushTxn). Transactions outside the engine (the serializability
+// baselines order only committed and commit-pending ones) are skipped. It
+// reports whether every engine transaction placed; if so the placed order
+// is in orderBuf and commitBuf as emit leaves it. The engine is left as it
+// was found.
+func (e *engine) placeOrder(order []int, commit []bool) bool {
+	compact := e.n != e.ix.NumTxns()
+	ok := true
+	for pos, gi := range order {
+		i := gi
+		if compact {
+			if i = int(e.engIdx[gi]); i < 0 {
+				continue
+			}
+		}
+		c := commit[pos]
+		if e.placed.Test(i) || c && e.role[i] == roleMustAbort || !c && e.role[i] == roleMustCommit ||
+			!e.predOK(i) || !e.pushTxn(i, c) {
+			ok = false
+			break
+		}
+	}
+	ok = ok && e.placedCount == e.n
+	if ok {
+		e.emit()
+	}
+	for e.placedCount > 0 {
+		e.popTxn()
+	}
+	return ok
 }
 
 // run performs the search and returns the verdict; an accepting one owns

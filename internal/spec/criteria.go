@@ -3,7 +3,9 @@ package spec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"duopacity/internal/history"
 )
@@ -21,14 +23,14 @@ import (
 // retained). T_0 — the imaginary transaction writing InitValue to every
 // object — is always contained.
 func CheckDUOpacity(h *history.History, opts ...Option) Verdict {
-	return decide(h, DUOpacity, searchMode{local: true, realTime: true}, buildOptions(opts))
+	return decide(h, DUOpacity, duMode, buildOptions(opts))
 }
 
 // CheckFinalStateOpacity decides Definition 4 (Guerraoui and Kapalka):
 // whether some completion of H is equivalent to a legal t-complete
 // t-sequential history respecting H's real-time order.
 func CheckFinalStateOpacity(h *history.History, opts ...Option) Verdict {
-	return decide(h, FinalStateOpacity, searchMode{realTime: true}, buildOptions(opts))
+	return decide(h, FinalStateOpacity, fsoMode, buildOptions(opts))
 }
 
 // CheckOpacity decides Definition 5: every finite prefix of H (including H
@@ -53,8 +55,12 @@ func CheckFinalStateOpacity(h *history.History, opts ...Option) Verdict {
 // decides nothing about i*, and the walk then starts at the first prefix.
 func CheckOpacity(h *history.History, opts ...Option) Verdict {
 	o := buildOptions(opts)
-	du := searchMode{local: true, realTime: true}
-	v := decide(h, Opacity, du, o)
+	return opacityFrom(h, decide(h, Opacity, duMode, o), o)
+}
+
+// opacityFrom is CheckOpacity after step 1: v is the du-opacity search on
+// H, labelled Opacity.
+func opacityFrom(h *history.History, v Verdict, o options) Verdict {
 	if v.OK {
 		return v
 	}
@@ -71,7 +77,7 @@ func CheckOpacity(h *history.History, opts ...Option) Verdict {
 			if bailed {
 				return true
 			}
-			p := decide(h.Prefix(ends[k]), DUOpacity, du, o)
+			p := decide(h.Prefix(ends[k]), DUOpacity, duMode, o)
 			total += p.Nodes
 			bailed = p.Undecided
 			return !p.OK
@@ -81,7 +87,7 @@ func CheckOpacity(h *history.History, opts ...Option) Verdict {
 		from = 0
 	}
 	for _, i := range ends[from:] {
-		v = decide(h.Prefix(i), Opacity, searchMode{realTime: true}, o)
+		v = decide(h.Prefix(i), Opacity, fsoMode, o)
 		total += v.Nodes
 		if v.Undecided {
 			v.Reason = fmt.Sprintf("prefix of length %d: %s", i, v.Reason)
@@ -110,19 +116,23 @@ func CheckOpacity(h *history.History, opts ...Option) Verdict {
 // documentation for the interpretation question it resolves).
 func CheckTMS2(h *history.History, opts ...Option) Verdict {
 	o := buildOptions(opts)
-	return decide(h, TMS2, searchMode{realTime: true, extraEdges: tms2Edges(h, o.tms2AbortedExemption)}, o)
+	return decide(h, TMS2, criterionMode(h, TMS2, o), o)
 }
 
+// tms2Edges lists CheckTMS2's conflict-order edges: T1 -> T2 for a
+// committed writer T1 of an object in T2's read set whose tryC response
+// precedes T2's tryC invocation.
 func tms2Edges(h *history.History, exemptAbortedReaders bool) [][2]history.TxnID {
 	ix := h.Index()
+	fr := getFirstReads(ix)
+	defer fr.release()
 	var edges [][2]history.TxnID
-	var objs []history.Var
 	for ai := range ix.Txns {
 		t1 := &ix.Txns[ai]
 		if !t1.Committed || len(t1.Writes) == 0 || t1.TryCRes < 0 {
 			continue
 		}
-		objs = writeVars(ix, t1, objs[:0])
+		fr.markReaders(t1.Writes, noRead)
 		for bi := range ix.Txns {
 			if bi == ai {
 				continue
@@ -134,7 +144,7 @@ func tms2Edges(h *history.History, exemptAbortedReaders bool) [][2]history.TxnID
 			if exemptAbortedReaders && t2.TComplete && !t2.Committed {
 				continue
 			}
-			if readsAny(t2, objs, math.MaxInt) {
+			if fr.marked(bi) {
 				edges = append(edges, [2]history.TxnID{t1.Info.ID, t2.Info.ID})
 			}
 		}
@@ -157,8 +167,8 @@ func writesObj(t *history.IndexedTxn, obj int) bool {
 }
 
 // writeVars appends to buf the names of the objects t installs: the
-// conflict-order edge builders resolve a writer's few names once instead
-// of hashing every read's name to an index.
+// monitor's incremental edge tracker resolves a writer's few names once
+// instead of hashing every read's name to an index.
 func writeVars(ix *history.Indexed, t *history.IndexedTxn, buf []history.Var) []history.Var {
 	for _, w := range t.Writes {
 		buf = append(buf, ix.Objs[w.Obj])
@@ -191,21 +201,26 @@ func readsAny(reader *history.IndexedTxn, objs []history.Var, before int) bool {
 // write to X in H, then T_k <_S T_m. This reproduces the paper's Figure 5
 // separation: du-opaque (hence opaque) but not RCO-opaque.
 func CheckRCO(h *history.History, opts ...Option) Verdict {
-	return decide(h, RCO, searchMode{realTime: true, extraEdges: rcoEdges(h)}, buildOptions(opts))
+	o := buildOptions(opts)
+	return decide(h, RCO, criterionMode(h, RCO, o), o)
 }
 
+// rcoEdges lists CheckRCO's conflict-order edges: T_k -> T_m for a reader
+// T_k of an object T_m commits whose read responds before T_m's tryC
+// invocation.
 func rcoEdges(h *history.History) [][2]history.TxnID {
 	ix := h.Index()
+	fr := getFirstReads(ix)
+	defer fr.release()
 	var edges [][2]history.TxnID
-	var objs []history.Var
 	for mi := range ix.Txns {
 		tm := &ix.Txns[mi]
 		if !tm.Committed || tm.TryCInv < 0 || len(tm.Writes) == 0 {
 			continue
 		}
-		objs = writeVars(ix, tm, objs[:0])
+		fr.markReaders(tm.Writes, int32(tm.TryCInv))
 		for ki := range ix.Txns {
-			if ki != mi && readsAny(&ix.Txns[ki], objs, tm.TryCInv) {
+			if ki != mi && fr.marked(ki) {
 				edges = append(edges, [2]history.TxnID{ix.TxnIDs[ki], tm.Info.ID})
 			}
 		}
@@ -213,25 +228,170 @@ func rcoEdges(h *history.History) [][2]history.TxnID {
 	return edges
 }
 
+// noRead is the before bound of a read at any point in H.
+const noRead = math.MaxInt32
+
+// firstRead is a transaction's first completed successful read of an
+// object: the reader's dense index and the read's response index in H.
+type firstRead struct{ txn, res int32 }
+
+// firstReads is the read-set table the conflict-order edge builders test
+// membership in: per object o, at[off[o]:off[o+1]] lists each transaction
+// that read o (Rset membership, own-write reads included) with its first
+// read's response, in dense transaction order. The table takes space per
+// read, not per (transaction, object) pair. A writer marks the readers of
+// its objects once (markReaders); each (writer, reader) pair is then one
+// stamp comparison instead of a name comparison per read.
+type firstReads struct {
+	at    []firstRead
+	off   []int32
+	cur   []int32  // per object: 1 + the last reader while collecting, then the fill cursor
+	reads []int32  // collected (obj, txn, res) triples, flat
+	mark  []uint32 // per transaction: the stamp of the last markReaders that found it
+	stamp uint32
+}
+
+var firstReadsPool = sync.Pool{New: func() any { return new(firstReads) }}
+
+func getFirstReads(ix *history.Indexed) *firstReads {
+	fr := firstReadsPool.Get().(*firstReads)
+	objs := ix.NumObjs()
+	fr.cur = grow(fr.cur, objs)
+	fr.off = grow(fr.off, objs+1)
+	for o := range fr.cur {
+		fr.cur[o] = 0
+	}
+	for o := range fr.off {
+		fr.off[o] = 0
+	}
+	fr.reads = fr.reads[:0]
+	for ti := range ix.Txns {
+		it := &ix.Txns[ti]
+		// External reads carry their object index; the rest are own-write
+		// reads, rare enough to resolve by name.
+		ext := it.Reads
+		for i := range it.Info.Ops {
+			op := &it.Info.Ops[i]
+			if op.Kind != history.OpRead || op.Pending || op.Out != history.OutOK {
+				continue
+			}
+			var o int
+			if len(ext) > 0 && ext[0].ResIdx == op.ResIndex {
+				o, ext = ext[0].Obj, ext[1:]
+			} else {
+				o = ix.ObjIndexOf(op.Obj)
+			}
+			if fr.cur[o] != int32(ti+1) {
+				fr.cur[o] = int32(ti + 1)
+				fr.off[o+1]++
+				fr.reads = append(fr.reads, int32(o), int32(ti), int32(op.ResIndex))
+			}
+		}
+	}
+	for o := 0; o < objs; o++ {
+		fr.off[o+1] += fr.off[o]
+		fr.cur[o] = fr.off[o]
+	}
+	fr.at = grow(fr.at, len(fr.reads)/3)
+	for r := 0; r < len(fr.reads); r += 3 {
+		o := fr.reads[r]
+		fr.at[fr.cur[o]] = firstRead{fr.reads[r+1], fr.reads[r+2]}
+		fr.cur[o]++
+	}
+	fr.mark = grow(fr.mark, ix.NumTxns())
+	for t := range fr.mark {
+		fr.mark[t] = 0
+	}
+	fr.stamp = 0
+	return fr
+}
+
+func (fr *firstReads) release() { firstReadsPool.Put(fr) }
+
+// markReaders marks the transactions that read one of the objects writes
+// installs with a response before the event at index before (noRead: at
+// any point); marked tells them until the next call.
+func (fr *firstReads) markReaders(writes []history.IndexedWrite, before int32) {
+	fr.stamp++
+	for _, w := range writes {
+		for _, r := range fr.at[fr.off[w.Obj]:fr.off[w.Obj+1]] {
+			if r.res < before {
+				fr.mark[r.txn] = fr.stamp
+			}
+		}
+	}
+}
+
+// marked reports whether the last markReaders marked transaction ti.
+func (fr *firstReads) marked(ti int) bool { return fr.mark[ti] == fr.stamp }
+
 // CheckStrictSerializability checks that the committed transactions
 // (counting commit-pending ones as free to commit or abort) admit a legal
 // total order respecting H's real-time order. Aborted and incomplete
 // transactions — and their reads — are ignored.
 func CheckStrictSerializability(h *history.History, opts ...Option) Verdict {
-	return decide(h, StrictSerializability, searchMode{realTime: true, committedOnly: true}, buildOptions(opts))
+	return decide(h, StrictSerializability, strictSerMode, buildOptions(opts))
 }
 
 // CheckSerializability is CheckStrictSerializability without the real-time
 // requirement.
 func CheckSerializability(h *history.History, opts ...Option) Verdict {
-	return decide(h, Serializability, searchMode{committedOnly: true}, buildOptions(opts))
+	return decide(h, Serializability, serMode, buildOptions(opts))
 }
 
-func decide(h *history.History, c Criterion, mode searchMode, o options) Verdict {
-	e, reject := newEngine(h, mode, o)
+// The search modes of the criteria without conflict-order edges.
+var (
+	duMode        = searchMode{local: true, realTime: true}
+	fsoMode       = searchMode{realTime: true}
+	strictSerMode = searchMode{realTime: true, committedOnly: true}
+	serMode       = searchMode{committedOnly: true}
+)
+
+// criterionMode is the one search that decides c on h — every criterion
+// but Opacity, which is a walk over prefixes (CheckOpacity).
+func criterionMode(h *history.History, c Criterion, o options) searchMode {
+	switch c {
+	case DUOpacity:
+		return duMode
+	case FinalStateOpacity:
+		return fsoMode
+	case TMS2:
+		return searchMode{realTime: true, extraEdges: tms2Edges(h, o.tms2AbortedExemption)}
+	case RCO:
+		return searchMode{realTime: true, extraEdges: rcoEdges(h)}
+	case StrictSerializability:
+		return strictSerMode
+	case Serializability:
+		return serMode
+	}
+	panic(fmt.Sprintf("spec: %v is not decided by one search", c))
+}
+
+// decide runs the search that decides c in mode on h. An offered
+// serialization that places (see CheckAll) settles an accept first, with
+// the criterion's own search kept for its witness.
+func decide(h *history.History, c Criterion, mode searchMode, o options, offers ...*witness) Verdict {
+	e, reject := prepareEngine(h, mode, o)
 	if reject != "" {
 		return Verdict{Criterion: c, Reason: reject}
 	}
+	for _, w := range offers {
+		if e.placeOrder(w.order, w.commit) {
+			v := Verdict{Criterion: c, OK: true, w: &witness{
+				ix:     e.ix,
+				order:  slices.Clone(e.orderBuf),
+				commit: slices.Clone(e.commitBuf),
+				search: &witnessSearch{h: h, c: c, mode: mode, o: o},
+			}}
+			e.release()
+			return v
+		}
+	}
+	if reject := e.staticReject(); reject != "" {
+		e.release()
+		return Verdict{Criterion: c, Reason: reject}
+	}
+	e.memo.reset()
 	v := e.run(c)
 	e.release()
 	return v
@@ -244,7 +404,7 @@ func decide(h *history.History, c Criterion, mode searchMode, o options) Verdict
 // only on small histories (e.g. to verify that a property holds in every
 // serialization, as in the paper's Proposition 1 argument).
 func AllDUSerializations(h *history.History, max int, fn func(*history.Seq) bool) int {
-	e, reject := newEngine(h, searchMode{local: true, realTime: true}, options{})
+	e, reject := newEngine(h, duMode, options{})
 	if reject != "" {
 		return 0
 	}

@@ -230,9 +230,11 @@ type Verdict struct {
 //
 // The verdict keeps only the serialization order and the commit decisions
 // of the pending tryCs; each call builds a fresh Seq from them, which the
-// caller owns. A verdict of Check or a Check* function can be asked for
-// as long as the checked history stays as it was: forever, except for a
-// Stream's live view. A verdict from a Session or Monitor must be asked
+// caller owns. A verdict of Check, CheckAll or a Check* function can be
+// asked for as long as the checked history stays as it was: forever,
+// except for a Stream's live view. (A CheckAll verdict settled by an
+// offered serialization runs its criterion's search on the first call;
+// see CheckAll.) A verdict from a Session or Monitor must be asked
 // before that session's next Append or Rewind: it carries the session's
 // own order, which moves on, and a later call panics.
 func (v Verdict) Witness() *history.Seq {
@@ -240,7 +242,8 @@ func (v Verdict) Witness() *history.Seq {
 		return nil
 	}
 	v.w.check(v.gen)
-	return v.w.ix.SeqForOrder(v.w.order, v.w.commit)
+	order, commit := v.w.settle()
+	return v.w.ix.SeqForOrder(order, commit)
 }
 
 // String renders a one-line summary, the witness's seq(S) included; like
@@ -266,11 +269,14 @@ func (v Verdict) String() string {
 // witness. A session's decider embeds one and keeps changing it: gen
 // counts the decider's steps, every verdict it hands out is stamped with
 // the gen it was current at, and check refuses a verdict that is stale.
+// A verdict CheckAll settled with an offered order carries that order and
+// the search that renders it (settle).
 type witness struct {
 	ix     *history.Indexed
 	order  []int
 	commit []bool
 	gen    uint32
+	search *witnessSearch
 }
 
 func (w *witness) check(gen uint32) {

@@ -43,6 +43,22 @@ func BatchConflictEdges(h *history.History, c Criterion, exemptAborted bool) [][
 	return nil
 }
 
+// RefConflictEdges is BatchConflictEdges by the reference engine's frozen
+// string-keyed builders.
+func RefConflictEdges(h *history.History, c Criterion, exemptAborted bool) [][2]history.TxnID {
+	switch c {
+	case TMS2:
+		return refTMS2Edges(h, exemptAborted)
+	case RCO:
+		return refRCOEdges(h)
+	}
+	return nil
+}
+
+// SettledByOffer reports whether CheckAll accepted v by placing an
+// offered serialization rather than by its own search.
+func SettledByOffer(v Verdict) bool { return v.w != nil && v.w.search != nil }
+
 // FlipOracle tallies what WatchFlips saw: the commit-decision flips, and
 // the reads in the witness order at each of them — what the whole-order
 // revalidate checks where flip's restricted check counts ReadsRechecked.

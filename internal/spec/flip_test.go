@@ -272,7 +272,9 @@ func FuzzMonitorFlips(f *testing.F) {
 			f.Add(data, byte(1))
 		}
 	}
-	addPdurSeeds(f)
+	for _, c := range pdurSeeds() {
+		f.Add(c.data, c.sel)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, sel byte) {
 		h := historyFromBytes(data)
 		if h.Len() == 0 {

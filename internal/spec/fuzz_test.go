@@ -226,16 +226,18 @@ func pdurSeedWorkload(seed int64) harness.Workload {
 	}
 }
 
-// addPdurSeeds plants the recorded pdur episodes that fit the fuzz
-// alphabet into the corpus, each with a sel byte drawn from its seed.
-func addPdurSeeds(f *testing.F) {
+// pdurSeeds are the recorded pdur episodes that fit the fuzz alphabet,
+// each with a sel byte drawn from its seed.
+func pdurSeeds() []fuzzSeed {
+	var seeds []fuzzSeed
 	for seed := int64(1); seed <= 12; seed++ {
 		if h, _, err := harness.RunInterleaved(pdurSeedWorkload(seed)); err == nil {
 			if data, ok := encodeHistory(h); ok {
-				f.Add(data, byte(seed%5))
+				seeds = append(seeds, fuzzSeed{data, byte(seed % 5)})
 			}
 		}
 	}
+	return seeds
 }
 
 // TestPdurSeedEncoderRoundTrips pins the corpus encoder: a recorded
@@ -272,21 +274,22 @@ func TestPdurSeedEncoderRoundTrips(t *testing.T) {
 	}
 }
 
-// FuzzCheckerDifferential asserts verdict equality — OK, rejection reason,
-// undecided flag and explored node count — between the optimized engine
-// and the frozen reference engine, for every criterion (Opacity under
-// diffCompare's one-directional rule), on histories decoded from the fuzz
-// payload. It also — drawing a monitorable criterion, a retirement window
-// and the TMS2 exemption from the sel byte — runs the online monitor over the
-// same history, pinned per response prefix against the batch checker,
-// and then a five-criteria Session with the same window (the fuzzed
-// counterpart of TestMonitorDifferentialAllCriteria).
-func FuzzCheckerDifferential(f *testing.F) {
-	f.Add([]byte{}, byte(0))
-	f.Add([]byte{0, 44, 0, 8, 1, 0, 1, 4, 0, 88, 1, 9}, byte(0))
-	f.Add([]byte{0, 4, 0, 1, 1, 0, 1, 6, 0, 8, 0, 1, 1, 8, 1, 1}, byte(1))
-	f.Add([]byte{2, 0, 2, 4, 0, 4, 0, 1, 1, 0, 1, 4, 2, 8, 2, 1, 0, 8, 0, 2, 1, 8, 1, 2}, byte(2))
-	f.Add([]byte{0, 4, 0, 1, 0, 8, 1, 0, 1, 4, 0, 1, 2, 0, 2, 4, 1, 8, 2, 8, 0, 1, 1, 1, 2, 1}, byte(0x21))
+// fuzzSeed is one seed of FuzzCheckerDifferential: a fuzz payload and
+// its sel byte.
+type fuzzSeed struct {
+	data []byte
+	sel  byte
+}
+
+// fuzzCorpus is FuzzCheckerDifferential's seed corpus.
+func fuzzCorpus() []fuzzSeed {
+	c := []fuzzSeed{
+		{[]byte{}, 0},
+		{[]byte{0, 44, 0, 8, 1, 0, 1, 4, 0, 88, 1, 9}, 0},
+		{[]byte{0, 4, 0, 1, 1, 0, 1, 6, 0, 8, 0, 1, 1, 8, 1, 1}, 1},
+		{[]byte{2, 0, 2, 4, 0, 4, 0, 1, 1, 0, 1, 4, 2, 8, 2, 1, 0, 8, 0, 2, 1, 8, 1, 2}, 2},
+		{[]byte{0, 4, 0, 1, 0, 8, 1, 0, 1, 4, 0, 1, 2, 0, 2, 4, 1, 8, 2, 8, 0, 1, 1, 1, 2, 1}, 0x21},
+	}
 	// Conflict-order litmus corpus: Figure 6 (du-opaque but not TMS2) and
 	// its mirror Figure 5 (du-opaque but not RCO), planted with sel bytes
 	// that draw the criterion each figure separates — and, for Figure 6's
@@ -294,12 +297,10 @@ func FuzzCheckerDifferential(f *testing.F) {
 	// harness/testdata/tms2_aborted_reader.hist golden renumbered into the
 	// fuzz alphabet) under both exemption settings.
 	if data, ok := encodeHistory(litmus.Figure6()); ok {
-		f.Add(data, byte(1)) // TMS2
-		f.Add(data, byte(2)) // RCO accepts the same history
+		c = append(c, fuzzSeed{data, 1}, fuzzSeed{data, 2}) // TMS2; RCO accepts the same history
 	}
 	if data, ok := encodeHistory(litmus.Figure5()); ok {
-		f.Add(data, byte(2)) // RCO
-		f.Add(data, byte(1)) // TMS2 accepts the same history
+		c = append(c, fuzzSeed{data, 2}, fuzzSeed{data, 1}) // RCO; TMS2 accepts the same history
 	}
 	abortedReader := history.NewBuilder().
 		Write(1, "X", 1).Commit(1).
@@ -308,15 +309,33 @@ func FuzzCheckerDifferential(f *testing.F) {
 		CommitAbort(2).
 		History()
 	if data, ok := encodeHistory(abortedReader); ok {
-		f.Add(data, byte(1))    // strict TMS2 rejects
-		f.Add(data, byte(0x81)) // the exemption flips it to accept
+		// Strict TMS2 rejects; the exemption flips it to accept.
+		c = append(c, fuzzSeed{data, 1}, fuzzSeed{data, 0x81})
 	}
 	// Real pdur executions, recorded under the deterministic interleaved
 	// scheduler and re-encoded into the fuzz alphabet: the corpus starts
 	// from interleavings a partitioned certifier actually produces
 	// (cross-partition reads, disjoint commits, partition-ordered locks)
 	// rather than only synthetic shapes.
-	addPdurSeeds(f)
+	return append(c, pdurSeeds()...)
+}
+
+// FuzzCheckerDifferential asserts verdict equality — OK, rejection reason,
+// undecided flag and explored node count — between the optimized engine
+// and the frozen reference engine, for every criterion (Opacity under
+// diffCompare's one-directional rule), on histories decoded from the fuzz
+// payload, and the same edge lists from the dense and the frozen
+// conflict-order edge builders. CheckAll must give every criterion
+// Check's verdict (checkAllCompare). It also — drawing a monitorable
+// criterion, a retirement window and the TMS2 exemption from the sel
+// byte — runs the online monitor over the same history, pinned per
+// response prefix against the batch checker, and then a five-criteria
+// Session with the same window (the fuzzed counterpart of
+// TestMonitorDifferentialAllCriteria).
+func FuzzCheckerDifferential(f *testing.F) {
+	for _, c := range fuzzCorpus() {
+		f.Add(c.data, c.sel)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, sel byte) {
 		h := historyFromBytes(data)
 		if h.Len() == 0 {
@@ -326,6 +345,8 @@ func FuzzCheckerDifferential(f *testing.F) {
 		for _, c := range spec.AllCriteria() {
 			diffCompare(t, h, c, limit)
 		}
+		edgesMatchReference(t, h)
+		checkAllCompare(t, h, spec.WithNodeLimit(limit))
 		// Online monitor differential: sel draws a monitorable criterion,
 		// a retirement window and (for TMS2) the aborted-reader exemption;
 		// feedCompareOpts pins monitor == batch at every response prefix

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -16,7 +17,10 @@ import (
 // iteration — but it must decide exactly like this one. The differential
 // fuzz target (FuzzCheckerDifferential) and the differential tests assert
 // verdict equality (OK / reason / undecided) between the two on every
-// criterion; keep this file semantically frozen.
+// criterion; keep this file semantically frozen. The reference keeps its
+// own copy of the TMS2 and RCO edge builders, in their string-keyed form,
+// so that the optimized builders are checked against it too
+// (TestConflictEdgesMatchReference).
 
 // refMaxTxns bounds the frozen reference engine: its placed sets and
 // predecessor rows are single uint64 masks. The optimized engine has no
@@ -449,9 +453,9 @@ func checkReference(h *history.History, c Criterion, o options) Verdict {
 		}
 		return Verdict{Criterion: Opacity, OK: true, w: &witness{ix: h.Index()}}
 	case TMS2:
-		return refDecide(h, c, searchMode{realTime: true, extraEdges: tms2Edges(h, o.tms2AbortedExemption)}, o)
+		return refDecide(h, c, searchMode{realTime: true, extraEdges: refTMS2Edges(h, o.tms2AbortedExemption)}, o)
 	case RCO:
-		return refDecide(h, c, searchMode{realTime: true, extraEdges: rcoEdges(h)}, o)
+		return refDecide(h, c, searchMode{realTime: true, extraEdges: refRCOEdges(h)}, o)
 	case StrictSerializability:
 		return refDecide(h, c, searchMode{realTime: true, committedOnly: true}, o)
 	case Serializability:
@@ -459,4 +463,57 @@ func checkReference(h *history.History, c Criterion, o options) Verdict {
 	default:
 		return Verdict{Criterion: c, Reason: "unknown criterion"}
 	}
+}
+
+// refTMS2Edges is the frozen string-keyed TMS2 edge builder: per (writer,
+// reader) pair it compares the writer's object names with every read of
+// the reader. tms2Edges must produce the same list in the same order.
+func refTMS2Edges(h *history.History, exemptAbortedReaders bool) [][2]history.TxnID {
+	ix := h.Index()
+	var edges [][2]history.TxnID
+	var objs []history.Var
+	for ai := range ix.Txns {
+		t1 := &ix.Txns[ai]
+		if !t1.Committed || len(t1.Writes) == 0 || t1.TryCRes < 0 {
+			continue
+		}
+		objs = writeVars(ix, t1, objs[:0])
+		for bi := range ix.Txns {
+			if bi == ai {
+				continue
+			}
+			t2 := &ix.Txns[bi]
+			if t2.TryCInv < 0 || t1.TryCRes >= t2.TryCInv {
+				continue
+			}
+			if exemptAbortedReaders && t2.TComplete && !t2.Committed {
+				continue
+			}
+			if readsAny(t2, objs, math.MaxInt) {
+				edges = append(edges, [2]history.TxnID{t1.Info.ID, t2.Info.ID})
+			}
+		}
+	}
+	return edges
+}
+
+// refRCOEdges is the frozen string-keyed RCO edge builder; rcoEdges must
+// produce the same list in the same order.
+func refRCOEdges(h *history.History) [][2]history.TxnID {
+	ix := h.Index()
+	var edges [][2]history.TxnID
+	var objs []history.Var
+	for mi := range ix.Txns {
+		tm := &ix.Txns[mi]
+		if !tm.Committed || tm.TryCInv < 0 || len(tm.Writes) == 0 {
+			continue
+		}
+		objs = writeVars(ix, tm, objs[:0])
+		for ki := range ix.Txns {
+			if ki != mi && readsAny(&ix.Txns[ki], objs, tm.TryCInv) {
+				edges = append(edges, [2]history.TxnID{ix.TxnIDs[ki], tm.Info.ID})
+			}
+		}
+	}
+	return edges
 }
