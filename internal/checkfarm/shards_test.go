@@ -10,6 +10,7 @@ import (
 
 	"duopacity/internal/harness"
 	"duopacity/internal/histio"
+	"duopacity/internal/history"
 	"duopacity/internal/spec"
 	"duopacity/internal/stm"
 	"duopacity/internal/stm/engines"
@@ -105,7 +106,11 @@ func TestFoldMatchesLocalFarmCertify(t *testing.T) {
 
 // TestCertifyResultsCarryVerdictBits: a certify shard's verdicts are the
 // episode's verdicts minus the witness text, which no certify fold reads;
-// a check shard of the same history keeps its witnesses.
+// a check shard of the same history (spec.Check per criterion) keeps its
+// witnesses and agrees with the episode's spec.CheckAll on every verdict
+// bit, and on the rendering wherever CheckAll searched. An accept with no
+// nodes is a placement: its witness is an earlier accepted witness
+// restricted to the criterion's transactions.
 func TestCertifyResultsCarryVerdictBits(t *testing.T) {
 	criteria := spec.AllCriteria()
 	s := mustNormalize(t, certifyJob(harness.CertConfig{
@@ -141,8 +146,14 @@ func TestCertifyResultsCarryVerdictBits(t *testing.T) {
 			t.Fatal(err)
 		}
 		for j, c := range criteria {
-			if v := ep.Verdicts[c]; v.OK && cres.Check[j].String() != v.String() {
-				t.Fatalf("episode %d %s: check shard renders %q, want %q", i, c, cres.Check[j], v)
+			v, w := ep.Verdicts[c], cres.Check[j]
+			placed := v.OK && v.Nodes == 0
+			if v.OK != w.OK || v.Undecided != w.Undecided || v.Reason != w.Reason ||
+				!placed && (v.Nodes != w.Nodes || v.String() != w.String()) {
+				t.Fatalf("episode %d %s: check shard says %q (%d nodes), CheckAll %q (%d nodes)", i, c, w, w.Nodes, v, v.Nodes)
+			}
+			if placed && !placedFromEarlier(ep.History, ep.Verdicts, c) {
+				t.Fatalf("episode %d %s: placed witness [%s] is no earlier accepted witness restricted to its transactions", i, c, v.Witness())
 			}
 		}
 	}
@@ -444,4 +455,32 @@ func TestJobSpecAcceptsEngineCMMatrix(t *testing.T) {
 	if _, err := s.Normalize(); err != nil {
 		t.Errorf("soak over SoakEngineMatrix: %v", err)
 	}
+}
+
+// placedFromEarlier reports whether the witness of vs[c] is the witness of
+// a criterion accepted before c, in spec.AllCriteria order, restricted to
+// the transactions c serializes: the committed and commit-pending ones for
+// the serializability baselines, all of them otherwise.
+func placedFromEarlier(h *history.History, vs map[spec.Criterion]spec.Verdict, c spec.Criterion) bool {
+	got := vs[c].Witness().String()
+	for _, e := range spec.AllCriteria() {
+		if e == c {
+			return false
+		}
+		v, ok := vs[e]
+		if !ok || !v.OK {
+			continue
+		}
+		r := &history.Seq{}
+		for _, tx := range v.Witness().Txns {
+			info := h.Txn(tx.ID)
+			if c != spec.StrictSerializability && c != spec.Serializability || info.Committed() || info.CommitPending() {
+				r.Txns = append(r.Txns, tx)
+			}
+		}
+		if r.String() == got {
+			return true
+		}
+	}
+	return false
 }

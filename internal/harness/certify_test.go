@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"duopacity/internal/history"
 	"duopacity/internal/spec"
 )
 
@@ -65,16 +66,18 @@ func TestEpisodeRunAllocs(t *testing.T) {
 // TestCertifyCheckAllMatchesCheck runs 300 certify-shape episodes of each
 // deferred-update engine and of gl, ple and etl (which supply the
 // refutations) and asserts that every verdict of the episode's
-// spec.CheckAll is spec.Check's — OK, Undecided, Reason and rendering,
-// witness included — with Check's node count unless an offered
-// serialization settled it (an accept with no nodes).
+// spec.CheckAll is spec.Check's — OK, Undecided and Reason — and, for
+// every verdict that searched, also its node count and rendering. An
+// accept with no nodes was settled by a placement (a search counts its
+// first node); its witness must be an earlier accepted one restricted to
+// the criterion's transactions (placedFromEarlier).
 func TestCertifyCheckAllMatchesCheck(t *testing.T) {
 	criteria := spec.AllCriteria()
 	episodes := 300
 	if testing.Short() {
 		episodes = 30
 	}
-	settled, rejected := 0, 0
+	placed, rejected := 0, 0
 	for _, eng := range []string{"tl2", "norec", "pdur", "dstm", "gl", "ple", "etl"} {
 		cfg := CertConfig{Workload: certifyShape, Episodes: episodes, Interleaved: true}.WithDefaults()
 		cfg.Engine = eng
@@ -88,13 +91,16 @@ func TestCertifyCheckAllMatchesCheck(t *testing.T) {
 			}
 			for _, c := range criteria {
 				got, want := r.Verdicts[c], spec.Check(r.History, c, spec.WithNodeLimit(cfg.NodeLimit))
-				offered := got.OK && got.Nodes == 0
+				isPlaced := got.OK && got.Nodes == 0
 				if got.OK != want.OK || got.Undecided != want.Undecided || got.Reason != want.Reason ||
-					!offered && got.Nodes != want.Nodes || got.String() != want.String() {
+					!isPlaced && (got.Nodes != want.Nodes || got.String() != want.String()) {
 					t.Fatalf("%s episode %d %v:\n  CheckAll: %s (%d nodes)\n  Check:    %s (%d nodes)", eng, ep, c, got, got.Nodes, want, want.Nodes)
 				}
-				if offered {
-					settled++
+				if isPlaced {
+					if !placedFromEarlier(r.History, r.Verdicts, c) {
+						t.Fatalf("%s episode %d %v: placed witness [%s] is no earlier accepted witness restricted to its transactions", eng, ep, c, got.Witness())
+					}
+					placed++
 				}
 				if !got.OK {
 					rejected++
@@ -102,17 +108,45 @@ func TestCertifyCheckAllMatchesCheck(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d verdicts settled by an offered serialization, %d rejections", settled, rejected)
-	if settled == 0 || rejected == 0 {
-		t.Fatalf("the corpus misses a path: %d settled, %d rejected", settled, rejected)
+	t.Logf("%d verdicts settled by a placement, %d rejections", placed, rejected)
+	if placed == 0 || rejected == 0 {
+		t.Fatalf("the corpus misses a path: %d placed, %d rejected", placed, rejected)
 	}
 }
 
-// TestCheckAllWitnessAfterCancel: a verdict CheckAll settled with an
-// offered serialization searches for its own witness when first asked;
-// with the check's context cancelled by then the search cannot run, and
-// the offered order — the du-opacity witness, which the criterion's own
-// engine accepted — is what renders.
+// placedFromEarlier reports whether the witness of vs[c] is the witness of
+// a criterion accepted before c, in spec.AllCriteria order, restricted to
+// the transactions c serializes: the committed and commit-pending ones for
+// the serializability baselines, all of them otherwise.
+func placedFromEarlier(h *history.History, vs map[spec.Criterion]spec.Verdict, c spec.Criterion) bool {
+	got := vs[c].Witness().String()
+	for _, e := range spec.AllCriteria() {
+		if e == c {
+			return false
+		}
+		v, ok := vs[e]
+		if !ok || !v.OK {
+			continue
+		}
+		r := &history.Seq{}
+		for _, tx := range v.Witness().Txns {
+			info := h.Txn(tx.ID)
+			if c != spec.StrictSerializability && c != spec.Serializability || info.Committed() || info.CommitPending() {
+				r.Txns = append(r.Txns, tx)
+			}
+		}
+		if r.String() == got {
+			return true
+		}
+	}
+	return false
+}
+
+// TestCheckAllWitnessAfterCancel: the witness of a verdict CheckAll
+// settled by a placement is the order its criterion's engine placed, kept
+// with the verdict, so cancelling the check's context afterwards changes
+// no rendering. On a tl2 episode final-state opacity and the
+// serializability baselines are placements.
 func TestCheckAllWitnessAfterCancel(t *testing.T) {
 	cfg := CertConfig{Workload: certifyShape, Episodes: 1, Interleaved: true}.WithDefaults()
 	cfg.Engine = "tl2"
@@ -121,25 +155,22 @@ func TestCheckAllWitnessAfterCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cancel()
-	du := r.Verdicts[spec.DUOpacity]
-	if !du.OK {
+	if du := r.Verdicts[spec.DUOpacity]; !du.OK {
 		t.Fatalf("tl2 episode must be du-opaque: %s", du)
 	}
-	if v := r.Verdicts[spec.FinalStateOpacity]; !v.OK || v.Nodes != 0 {
-		t.Fatalf("final-state opacity: want an accept settled by the du-opacity witness, got %s (%d nodes)", v, v.Nodes)
+	before := make(map[spec.Criterion]string)
+	for c, v := range r.Verdicts {
+		before[c] = v.String()
 	}
-	for _, c := range []spec.Criterion{spec.TMS2, spec.RCO, spec.FinalStateOpacity} {
-		// Every transaction takes part, so the offered order is the du one.
-		if v := r.Verdicts[c]; v.OK && v.Nodes == 0 {
-			if got, want := v.Witness().String(), du.Witness().String(); got != want {
-				t.Fatalf("%v after cancel: witness %s, want the offered du-opacity order %s", c, got, want)
-			}
+	cancel()
+	for _, c := range []spec.Criterion{spec.FinalStateOpacity, spec.StrictSerializability, spec.Serializability} {
+		if v := r.Verdicts[c]; !v.OK || v.Nodes != 0 || !placedFromEarlier(r.History, r.Verdicts, c) {
+			t.Fatalf("%v: want an accept placed from an earlier witness, got %s (%d nodes)", c, v, v.Nodes)
 		}
 	}
-	for _, c := range []spec.Criterion{spec.StrictSerializability, spec.Serializability} {
-		if v := r.Verdicts[c]; !v.OK || v.Nodes != 0 || v.Witness() == nil {
-			t.Fatalf("%v after cancel: %s (%d nodes), want an accept settled by an offer, with a witness", c, v, v.Nodes)
+	for c, v := range r.Verdicts {
+		if got := v.String(); got != before[c] {
+			t.Fatalf("%v after cancel renders %s, before %s", c, got, before[c])
 		}
 	}
 }

@@ -147,7 +147,10 @@ var certifyDigestShapes = []Workload{
 // witnesses included. Every seeded draw an episode makes (the plan per
 // thread, the schedule) is thereby pinned; a change to how a generator is
 // seeded or a history is assembled must leave the file untouched (-update
-// rewrites it, only for an intended change of results).
+// rewrites it, only for an intended change of results). Every verdict but
+// an accept settled by a placement (no nodes) must also render as
+// spec.Check's, so a change to which order a placement keeps can move the
+// file only inside those verdicts' witness brackets.
 func TestCertifyEpisodeDigestGolden(t *testing.T) {
 	var b strings.Builder
 	criteria := spec.AllCriteria()
@@ -177,6 +180,9 @@ func TestCertifyEpisodeDigestGolden(t *testing.T) {
 				for _, c := range criteria {
 					if v, ok := r.Verdicts[c]; ok {
 						fmt.Fprintf(&b, " | %s", v)
+						if w := spec.Check(h, c, spec.WithNodeLimit(cfg.NodeLimit)); !(v.OK && v.Nodes == 0) && v.String() != w.String() {
+							t.Fatalf("%s episode %d: CheckAll renders %s (%d nodes), Check %s", eng, ep, v, v.Nodes, w)
+						}
 					}
 				}
 				b.WriteByte('\n')

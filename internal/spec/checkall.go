@@ -2,17 +2,16 @@ package spec
 
 import (
 	"slices"
-	"sync"
 
 	"duopacity/internal/history"
 )
 
 // CheckAll decides every criterion of criteria on h and returns one
-// verdict per entry, in the order asked. Each verdict's OK, Undecided,
-// Reason and rendering (String, Witness) are those of Check(h, c, opts...)
-// — with a node limit, CheckAll can also accept where Check gives up,
-// never the reverse — but CheckAll searches less, walking the paper's
-// lattice instead of deciding each criterion from nothing.
+// verdict per entry, in the order asked. Each verdict's OK, Undecided and
+// Reason are those of Check(h, c, opts...) — with a node limit, CheckAll
+// can also accept where Check gives up, never the reverse — but CheckAll
+// searches less, walking the paper's lattice instead of deciding each
+// criterion from nothing.
 //
 // The criteria are decided strongest first, in AllCriteria order, and a
 // criterion is offered every serialization accepted before it. Its own
@@ -26,11 +25,10 @@ import (
 // node count included, and otherwise it takes CheckOpacity's bisect and
 // walk from the du-opacity search already run.
 //
-// A verdict settled by an offer owes its criterion's own witness: the
-// first Witness (or String) call runs the search Check would have run and
-// returns its serialization. If that search cannot decide — the node
-// limit, or a context cancelled by then — the offered order, which the
-// criterion's engine has already accepted, is the witness.
+// A verdict settled by an offer keeps the order its criterion's engine
+// placed as its witness: that order is valid, but it need not be the one
+// Check's search finds, so only such a verdict's String can differ from
+// Check's, inside the witness brackets.
 func CheckAll(h *history.History, criteria []Criterion, opts ...Option) []Verdict {
 	o := buildOptions(opts)
 	out := make([]Verdict, len(criteria))
@@ -73,36 +71,4 @@ func CheckAll(h *history.History, criteria []Criterion, opts ...Option) []Verdic
 		}
 	}
 	return out
-}
-
-// witnessSearch is the search a verdict settled by an offered order still
-// owes its witness (see CheckAll). It runs at most once, on the first
-// settle; order and commit then hold the serialization the verdict
-// renders.
-type witnessSearch struct {
-	once   sync.Once
-	h      *history.History
-	c      Criterion
-	mode   searchMode
-	o      options
-	order  []int
-	commit []bool
-}
-
-// settle returns the witness's serialization: its own order, or for a
-// verdict settled by an offer, the search's (the offered order when the
-// search cannot decide).
-func (w *witness) settle() ([]int, []bool) {
-	s := w.search
-	if s == nil {
-		return w.order, w.commit
-	}
-	s.once.Do(func() {
-		s.order, s.commit = w.order, w.commit
-		if v := decide(s.h, s.c, s.mode, s.o); v.OK {
-			s.order, s.commit = v.w.order, v.w.commit
-		}
-		s.h = nil
-	})
-	return s.order, s.commit
 }

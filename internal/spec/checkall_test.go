@@ -12,37 +12,76 @@ import (
 )
 
 // checkAllCompare runs CheckAll over every criterion and asserts, per
-// criterion, Check's verdict: the same OK, Undecided and Reason and the
-// same String() — witness included. A verdict settled by an offered
-// serialization accepts with Nodes == 0; every other verdict explored
-// Check's node count. Under a node limit CheckAll may accept where Check
-// bails, but only by an offer; the rendering is then not compared (Check
-// has no witness to render). It returns CheckAll's verdicts.
+// criterion, Check's verdict: the same OK, Undecided and Reason, and for
+// every verdict that searched the same node count and String(). An accept
+// with no nodes is a placement (a search counts its first node): its
+// witness is checked by placedWitnessHolds instead, since the placed order
+// need not be the one Check's search finds. Under a node limit CheckAll
+// may accept where Check bails, but only by a placement. It returns
+// CheckAll's verdicts.
 func checkAllCompare(t testing.TB, h *history.History, opts ...spec.Option) []spec.Verdict {
 	t.Helper()
 	criteria := spec.AllCriteria()
 	got := spec.CheckAll(h, criteria, opts...)
 	for i, c := range criteria {
 		g, w := got[i], spec.Check(h, c, opts...)
-		settled := spec.SettledByOffer(g)
 		if g.Criterion != c {
 			t.Fatalf("verdict %d is for %v, want %v", i, g.Criterion, c)
 		}
-		if settled != (g.OK && g.Nodes == 0) {
-			t.Fatalf("%v: settled by an offer %v, but OK=%v with %d nodes\nhistory:\n%s", c, settled, g.OK, g.Nodes, h)
+		placed := g.OK && g.Nodes == 0
+		if placed {
+			placedWitnessHolds(t, h, g, got[:i])
+			if w.Undecided {
+				continue
+			}
 		}
-		if !settled && g.Nodes != w.Nodes {
-			t.Fatalf("%v: CheckAll searched %d nodes, Check %d\nhistory:\n%s", c, g.Nodes, w.Nodes, h)
-		}
-		if w.Undecided && settled {
-			continue
-		}
-		if g.OK != w.OK || g.Undecided != w.Undecided || g.Reason != w.Reason || g.String() != w.String() {
-			t.Fatalf("CheckAll and Check disagree\n  CheckAll: %s\n  Check:    %s\nhistory:\n%s", g, w, h)
+		if g.OK != w.OK || g.Undecided != w.Undecided || g.Reason != w.Reason ||
+			!placed && (g.Nodes != w.Nodes || g.String() != w.String()) {
+			t.Fatalf("CheckAll and Check disagree\n  CheckAll: %s (%d nodes)\n  Check:    %s (%d nodes)\nhistory:\n%s", g, g.Nodes, w, w.Nodes, h)
 		}
 	}
 	latticeHolds(t, h, got)
 	return got
+}
+
+// placedWitnessHolds asserts what the witness of v, an accept CheckAll
+// settled by a placement, is: the witness of an earlier accepted verdict
+// (earlier holds CheckAll's verdicts before v's, in AllCriteria order)
+// restricted to the transactions v's criterion serializes, and for TMS2 and
+// RCO an order of every edge of the frozen reference builders (the options
+// checkAllCompare is given carry no aborted-reader exemption).
+func placedWitnessHolds(t testing.TB, h *history.History, v spec.Verdict, earlier []spec.Verdict) {
+	t.Helper()
+	w := v.Witness()
+	found := false
+	for _, e := range earlier {
+		if e.OK && restrictedTo(e.Witness(), h, v.Criterion) == w.String() {
+			found = true
+			break
+		}
+	}
+	if !found {
+		t.Fatalf("%v: placed witness [%s] is no earlier accepted witness restricted to its transactions\nhistory:\n%s", v.Criterion, w, h)
+	}
+	for _, edge := range spec.RefConflictEdges(h, v.Criterion, false) {
+		if from, to := w.Position(edge[0]), w.Position(edge[1]); from < 0 || to < 0 || from >= to {
+			t.Fatalf("%v: placed witness [%s] breaks the edge T%d -> T%d\nhistory:\n%s", v.Criterion, w, edge[0], edge[1], h)
+		}
+	}
+}
+
+// restrictedTo renders s restricted to the transactions c serializes: the
+// committed and commit-pending ones for the serializability baselines,
+// all of them otherwise.
+func restrictedTo(s *history.Seq, h *history.History, c spec.Criterion) string {
+	r := &history.Seq{}
+	for _, tx := range s.Txns {
+		info := h.Txn(tx.ID)
+		if c != spec.StrictSerializability && c != spec.Serializability || info.Committed() || info.CommitPending() {
+			r.Txns = append(r.Txns, tx)
+		}
+	}
+	return r.String()
 }
 
 // lattice lists the implications between the criteria, the stronger
@@ -93,23 +132,23 @@ func edgesMatchReference(t testing.TB, h *history.History) {
 // history of opacityScope (89 680 histories, 627 760 verdicts) each
 // criterion's verdict is Check's and the lattice holds.
 func TestCheckAllExhaustive(t *testing.T) {
-	settled, searched := 0, 0
+	placed, searched := 0, 0
 	n := enum.Walk(opacityScope(), func(node enum.Node) interface{} {
 		if node.H.Len() == 0 {
 			return nil
 		}
 		for _, v := range checkAllCompare(t, node.H) {
-			if spec.SettledByOffer(v) {
-				settled++
+			if v.OK && v.Nodes == 0 {
+				placed++
 			} else if v.OK {
 				searched++
 			}
 		}
 		return nil
 	})
-	t.Logf("%d histories: %d accepts settled by an offered serialization, %d by a search", n, settled, searched)
-	if settled == 0 || searched == 0 {
-		t.Fatalf("scope misses a path: %d settled, %d searched", settled, searched)
+	t.Logf("%d histories: %d accepts settled by a placement, %d by a search", n, placed, searched)
+	if placed == 0 || searched == 0 {
+		t.Fatalf("scope misses a path: %d placed, %d searched", placed, searched)
 	}
 }
 
@@ -117,7 +156,9 @@ func TestCheckAllExhaustive(t *testing.T) {
 // builders to the reference engine's frozen copies on the differential
 // fuzz corpus, the per-prefix differential corpus (the litmus histories,
 // generated histories and their planted violations), the paper's Figures 5
-// and 6, and certify episodes of every engine.
+// and 6, and certify episodes of every engine. The certify episodes also
+// go through checkAllCompare, which holds every TMS2 / RCO witness a
+// placement settled against the reference edges.
 func TestConflictEdgesMatchReference(t *testing.T) {
 	edges := 0
 	check := func(h *history.History) {
@@ -134,7 +175,9 @@ func TestConflictEdgesMatchReference(t *testing.T) {
 	check(litmus.Figure6())
 	for _, engine := range engines.Names() {
 		for seed := int64(1); seed <= 20; seed++ {
-			check(farmEpisode(t, engine, seed))
+			h := farmEpisode(t, engine, seed)
+			check(h)
+			checkAllCompare(t, h)
 		}
 	}
 	if edges == 0 {

@@ -161,26 +161,11 @@ func (e *engine) release() {
 	enginePool.Put(e)
 }
 
-// newEngine analyzes h for the given mode using the cached indexed view.
-// It returns an error verdict reason if h is statically refuted or out of
-// scope; the engine is already released in that case.
-func newEngine(h *history.History, mode searchMode, opts options) (*engine, string) {
-	e, reason := prepareEngine(h, mode, opts)
-	if reason != "" {
-		return nil, reason
-	}
-	if reason := e.staticReject(); reason != "" {
-		e.release()
-		return nil, reason
-	}
-	e.memo.reset()
-	return e, ""
-}
-
-// prepareEngine is newEngine without the static rejection: the engine's
-// roles, predecessor rows and stacks are set up, which is all placeOrder
-// needs. It returns the reason of a read inconsistent with the reader's own
-// write, releasing the engine.
+// prepareEngine analyzes h for the given mode using the cached indexed
+// view: the engine's roles, predecessor rows and stacks are set up, which
+// is all placeOrder needs; a search also wants staticReject and a reset
+// memo (decide). It returns the reason of a read inconsistent with the
+// reader's own write, releasing the engine.
 func prepareEngine(h *history.History, mode searchMode, opts options) (*engine, string) {
 	ix := h.Index()
 	e := enginePool.Get().(*engine)

@@ -87,18 +87,26 @@ func opacityFrom(h *history.History, v Verdict, o options) Verdict {
 		from = 0
 	}
 	for _, i := range ends[from:] {
-		v = decide(h.Prefix(i), Opacity, fsoMode, o)
+		v = prefixVerdict(decide(h.Prefix(i), Opacity, fsoMode, o), i)
 		total += v.Nodes
-		if v.Undecided {
-			v.Reason = fmt.Sprintf("prefix of length %d: %s", i, v.Reason)
-			break
-		}
 		if !v.OK {
-			v.Reason = fmt.Sprintf("prefix of length %d is not final-state opaque: %s", i, v.Reason)
 			break
 		}
 	}
 	v.Nodes = total
+	return v
+}
+
+// prefixVerdict is the opacity verdict v, the final-state search on the
+// response prefix of length i, says about H: a rejection or an undecided
+// search names the prefix.
+func prefixVerdict(v Verdict, i int) Verdict {
+	switch {
+	case v.Undecided:
+		v.Reason = fmt.Sprintf("prefix of length %d: %s", i, v.Reason)
+	case !v.OK:
+		v.Reason = fmt.Sprintf("prefix of length %d is not final-state opaque: %s", i, v.Reason)
+	}
 	return v
 }
 
@@ -368,8 +376,8 @@ func criterionMode(h *history.History, c Criterion, o options) searchMode {
 }
 
 // decide runs the search that decides c in mode on h. An offered
-// serialization that places (see CheckAll) settles an accept first, with
-// the criterion's own search kept for its witness.
+// serialization that places (see CheckAll) settles an accept first, and
+// the placed order is the witness.
 func decide(h *history.History, c Criterion, mode searchMode, o options, offers ...*witness) Verdict {
 	e, reject := prepareEngine(h, mode, o)
 	if reject != "" {
@@ -378,10 +386,7 @@ func decide(h *history.History, c Criterion, mode searchMode, o options, offers 
 	for _, w := range offers {
 		if e.placeOrder(w.order, w.commit) {
 			v := Verdict{Criterion: c, OK: true, w: &witness{
-				ix:     e.ix,
-				order:  slices.Clone(e.orderBuf),
-				commit: slices.Clone(e.commitBuf),
-				search: &witnessSearch{h: h, c: c, mode: mode, o: o},
+				ix: e.ix, order: slices.Clone(e.orderBuf), commit: slices.Clone(e.commitBuf),
 			}}
 			e.release()
 			return v
@@ -404,10 +409,15 @@ func decide(h *history.History, c Criterion, mode searchMode, o options, offers 
 // only on small histories (e.g. to verify that a property holds in every
 // serialization, as in the paper's Proposition 1 argument).
 func AllDUSerializations(h *history.History, max int, fn func(*history.Seq) bool) int {
-	e, reject := newEngine(h, duMode, options{})
+	e, reject := prepareEngine(h, duMode, options{})
 	if reject != "" {
 		return 0
 	}
+	if e.staticReject() != "" {
+		e.release()
+		return 0
+	}
+	e.memo.reset()
 	count := 0
 	e.collect = func(s *history.Seq) bool {
 		count++

@@ -233,17 +233,16 @@ type Verdict struct {
 // caller owns. A verdict of Check, CheckAll or a Check* function can be
 // asked for as long as the checked history stays as it was: forever,
 // except for a Stream's live view. (A CheckAll verdict settled by an
-// offered serialization runs its criterion's search on the first call;
-// see CheckAll.) A verdict from a Session or Monitor must be asked
-// before that session's next Append or Rewind: it carries the session's
-// own order, which moves on, and a later call panics.
+// offered serialization renders the order its criterion's engine placed;
+// see CheckAll.) A verdict from a Session or Monitor must be asked before
+// that session's next Append or Rewind: it carries the session's own
+// order, which moves on, and a later call panics.
 func (v Verdict) Witness() *history.Seq {
 	if v.w == nil {
 		return nil
 	}
 	v.w.check(v.gen)
-	order, commit := v.w.settle()
-	return v.w.ix.SeqForOrder(order, commit)
+	return v.w.ix.SeqForOrder(v.w.order, v.w.commit)
 }
 
 // String renders a one-line summary, the witness's seq(S) included; like
@@ -269,14 +268,11 @@ func (v Verdict) String() string {
 // witness. A session's decider embeds one and keeps changing it: gen
 // counts the decider's steps, every verdict it hands out is stamped with
 // the gen it was current at, and check refuses a verdict that is stale.
-// A verdict CheckAll settled with an offered order carries that order and
-// the search that renders it (settle).
 type witness struct {
 	ix     *history.Indexed
 	order  []int
 	commit []bool
 	gen    uint32
-	search *witnessSearch
 }
 
 func (w *witness) check(gen uint32) {

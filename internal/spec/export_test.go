@@ -55,13 +55,9 @@ func RefConflictEdges(h *history.History, c Criterion, exemptAborted bool) [][2]
 	return nil
 }
 
-// SettledByOffer reports whether CheckAll accepted v by placing an
-// offered serialization rather than by its own search.
-func SettledByOffer(v Verdict) bool { return v.w != nil && v.w.search != nil }
-
 // FlipOracle tallies what WatchFlips saw: the commit-decision flips, and
 // the reads in the witness order at each of them — what the whole-order
-// revalidate checks where flip's restricted check counts ReadsRechecked.
+// placement checks where flip's restricted check counts ReadsRechecked.
 type FlipOracle struct {
 	Flips     int
 	Aborts    int // of Flips, those taking back a commit the witness had guessed
@@ -69,10 +65,11 @@ type FlipOracle struct {
 }
 
 // WatchFlips installs the flip-equivalence oracle until tb ends: at each
-// flip of any decider, in both directions, the whole-order revalidate runs
-// beside the restricted check, and tb fails when they disagree. It
-// replaces the oracle of an earlier call; the tests that use it do not
-// run in parallel.
+// flip of any decider, in both directions, the decider's engine places the
+// whole witness order (roles, real-time order, every standing
+// conflict-order edge, every read) beside the restricted check, and tb
+// fails when they disagree. It replaces the oracle of an earlier call; the
+// tests that use it do not run in parallel.
 func WatchFlips(tb testing.TB) *FlipOracle {
 	o := &FlipOracle{}
 	flipOracle = func(d *decider, ix *history.Indexed, p int, ok bool) {
@@ -83,8 +80,8 @@ func WatchFlips(tb testing.TB) *FlipOracle {
 		for _, gi := range d.order {
 			o.FullReads += len(ix.Txns[gi].Reads)
 		}
-		if full := d.revalidate(ix); full != ok {
-			tb.Errorf("%v flip at event %d: restricted check says %v, whole-order revalidate %v\nhistory:\n%s",
+		if full := d.places(ix.H, options{}); full != ok {
+			tb.Errorf("%v flip at event %d: restricted check says %v, whole-order placement %v\nhistory:\n%s",
 				d.crit, ix.H.Len(), ok, full, ix.H)
 		}
 	}

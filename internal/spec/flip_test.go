@@ -211,7 +211,7 @@ func TestFlipEquivalenceEngineStreams(t *testing.T) {
 // TestFlipCountGate is the machine-independent reading of "a flip costs
 // what it touches", in counts rather than nanoseconds. On a serial (gl)
 // stream the reads re-checked per flip do not depend on the retirement
-// window, while what a whole-order revalidate would have checked grows
+// window, while what a whole-order placement would have checked grows
 // with it; on the follow-concurrent corpus (tl2, 4 x 50 transactions, 128
 // objects, retire=32) the flips re-check at most a tenth of that — and,
 // there, more retirement probes are skipped as unchanged than run.
@@ -246,7 +246,7 @@ func TestFlipCountGate(t *testing.T) {
 			narrow.ReadsRechecked, narrow.Flips, wide.ReadsRechecked, wide.Flips)
 	}
 	if fullWide < 2*fullNarrow {
-		t.Errorf("whole-order revalidation did not grow with the window (%d -> %d reads): the gate compares nothing", fullNarrow, fullWide)
+		t.Errorf("whole-order placement did not grow with the window (%d -> %d reads): the gate compares nothing", fullNarrow, fullWide)
 	}
 	c, full := run(tl2, 8, 32)
 	t.Logf("tl2 4x50 corpus, du, retire=32: %+v, whole-order %d reads", c, full)

@@ -1,10 +1,6 @@
 package spec
 
-import (
-	"fmt"
-
-	"duopacity/internal/history"
-)
+import "duopacity/internal/history"
 
 // Monitor checks one criterion online while a history is being produced —
 // the use the paper's Section 5 envisions for a constructive correctness
@@ -174,18 +170,16 @@ func (d *decider) step(h *history.History, e history.Event, ro options) {
 // The witness is restricted as in the proof of Lemma 1: the positions of
 // transactions that vanished are dropped, a commit decision that no tryC
 // backs any more (the transaction is neither committed nor commit-pending
-// in h) becomes an abort, everything else stays. The restricted order
-// respects h's real-time order (a sub-relation of the longer history's on
-// the surviving transactions), so what is left to check is what
-// revalidate checks, plus — TMS2 / RCO — the conflict-order edges, which
-// are rebuilt from the batch builder. For du-opacity Lemma 1 says the
-// check succeeds; where it may not (final-state opacity is not
+// in h) becomes an abort, everything else stays. The restricted order is
+// then placed like any offered order (places), against the conflict-order
+// edges rebuilt from the batch builder for TMS2 / RCO. For du-opacity
+// Lemma 1 says it places; where it may not (final-state opacity is not
 // prefix-closed, and conflict-order edges are not part of Lemma 1) the
 // exact search decides, so a rewind can cost a search, never an answer —
 // short of the node limit or the context cutting that search off, which
 // leaves this decider Undecided where one that got here on the fast path
-// is OK (and the other way round: the restricted witness can re-validate
-// at a prefix the forward search gave up on).
+// is OK (and the other way round: the restricted witness can place at a
+// prefix the forward search gave up on).
 func (d *decider) rewind(h *history.History, ro options) {
 	d.advance()
 	if d.dead() && d.diedAt < h.Len() {
@@ -207,7 +201,7 @@ func (d *decider) rewind(h *history.History, ro options) {
 	if d.edges != nil {
 		d.edges.rebuild(h)
 	}
-	if (d.edges == nil || d.edges.allOK(ix, d.pos)) && d.revalidate(ix) {
+	if d.places(h, ro) {
 		d.verdict = d.accepted(ix)
 		return
 	}
@@ -243,39 +237,51 @@ func (d *decider) recheck(h *history.History, e history.Event, ro options) Verdi
 }
 
 // search decides h exhaustively and adopts the witness of an accepting
-// answer.
+// answer. Opacity searches final-state opacity of the current history:
+// every response prefix seen so far was accepted (or the decider would be
+// dead), so that decides opacity incrementally. (Batch CheckOpacity has
+// seen no earlier prefix; it vouches for them through du-opacity instead,
+// Theorem 10.)
 func (d *decider) search(h *history.History, ro options) Verdict {
 	d.searches++
-	var v Verdict
-	switch d.crit {
-	case DUOpacity:
-		v = decide(h, DUOpacity, searchMode{local: true, realTime: true}, ro)
-	case FinalStateOpacity:
-		v = decide(h, FinalStateOpacity, searchMode{realTime: true}, ro)
-	case TMS2, RCO:
-		// Like final-state opacity, a property of the current history
-		// alone — with the incrementally maintained conflict-order edges
-		// as extra constraints, exactly the batch checkers' edge sets.
-		v = decide(h, d.crit, searchMode{realTime: true, extraEdges: d.edges.edges}, ro)
-	default:
-		// Opacity: every response prefix seen so far was accepted (or the
-		// decider would be dead), so final-state opacity of the current
-		// history decides opacity incrementally. (Batch CheckOpacity has
-		// seen no earlier prefix; it vouches for them through du-opacity
-		// instead, Theorem 10.)
-		v = decide(h, FinalStateOpacity, searchMode{realTime: true}, ro)
-		v.Criterion = Opacity
-		if v.Undecided {
-			v.Reason = fmt.Sprintf("prefix of length %d: %s", h.Len(), v.Reason)
-		} else if !v.OK {
-			v.Reason = fmt.Sprintf("prefix of length %d is not final-state opaque: %s", h.Len(), v.Reason)
-		}
+	v := decide(h, d.crit, d.mode(), ro)
+	if d.crit == Opacity {
+		v = prefixVerdict(v, h.Len())
 	}
 	if v.OK {
 		d.adoptWitness(v.w)
 		v.gen, v.w = d.gen, &d.witness
 	}
 	return v
+}
+
+// mode is the search mode of the batch checker for the decider's
+// criterion, with the incrementally maintained conflict-order edges (TMS2 /
+// RCO) standing in for the batch builders' — the same edge sets. Opacity
+// searches as final-state opacity (see search).
+func (d *decider) mode() searchMode {
+	m := fsoMode
+	if d.crit == DUOpacity {
+		m = duMode
+	}
+	if d.edges != nil {
+		m.extraEdges = d.edges.edges
+	}
+	return m
+}
+
+// places reports whether the decider's witness order certifies h under
+// its criterion: the engine its search would use places the order
+// (placeOrder checks roles, real-time order, the standing conflict-order
+// edges and every read, du-opacity's local clause included).
+func (d *decider) places(h *history.History, ro options) bool {
+	e, reject := prepareEngine(h, d.mode(), ro)
+	if reject != "" {
+		return false
+	}
+	ok := e.placeOrder(d.order, d.commit)
+	e.release()
+	return ok
 }
 
 // syncOrder appends transactions that entered the history since the last
@@ -348,19 +354,18 @@ func (d *decider) fastRecheck(ix *history.Indexed, e history.Event) bool {
 		return true
 	case e.Op == history.OpWrite:
 		// A successful write by a (necessarily live) transaction installs
-		// nothing until its tryC commits; if the witness somehow commits
-		// it already, fall back to a full re-validation.
-		if !d.commit[p] {
-			return true
-		}
-		return d.revalidate(ix)
+		// nothing until its tryC commits. A witness that commits it
+		// already is believed unreachable (a committed position has
+		// invoked its tryC); the search would decide.
+		return !d.commit[p]
 	default:
 		return false
 	}
 }
 
 // flipOracle is nil outside tests, which set it to run the whole-order
-// revalidate beside every flip's restricted check (export_test.go).
+// placement (places) beside every flip's restricted check
+// (export_test.go).
 var flipOracle func(d *decider, ix *history.Indexed, p int, ok bool)
 
 // flip inverts the commit decision at position p, where a tryC just
@@ -430,29 +435,6 @@ func (d *decider) checkRead(ix *history.Indexed, readerPos int, r history.Indexe
 		return false
 	}
 	return top == r.Val
-}
-
-// revalidate re-checks the whole witness order: commit decisions against
-// transaction roles, and every external read via checkRead. It is how a
-// rewind confirms the restricted witness, the defensive path (a write by a
-// transaction the witness already commits) and the oracle the tests hold
-// flip's restricted check against.
-func (d *decider) revalidate(ix *history.Indexed) bool {
-	for p, gi := range d.order {
-		it := &ix.Txns[gi]
-		if it.Committed && !d.commit[p] {
-			return false
-		}
-		if d.commit[p] && !(it.Committed || it.CommitPending) {
-			return false
-		}
-		for _, r := range it.Reads {
-			if !d.checkRead(ix, p, r) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // shift carries a decider with a full witness over the retirement of the

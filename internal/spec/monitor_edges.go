@@ -162,8 +162,8 @@ func dropEdgesTo(edges [][2]history.TxnID, to history.TxnID) [][2]history.TxnID 
 // rebuild replaces the edge set by the batch builder's over h — a response
 // prefix the session was rewound to, where the two are equal (pinned at
 // every prefix by the differential tests). Nothing is left pending: the
-// rewind holds its restricted witness against the whole set (allOK), or
-// searches with it.
+// rewind places its restricted witness against the whole set, or searches
+// with it.
 func (et *edgeTracker) rebuild(h *history.History) {
 	var edges [][2]history.TxnID
 	if et.crit == TMS2 {
@@ -181,18 +181,9 @@ func (et *edgeTracker) rebuild(h *history.History) {
 func (et *edgeTracker) clearPending() { et.pending = et.pending[:0] }
 
 // pendingOK reports whether the witness order satisfies every edge added
-// since the last recheck, allOK every standing edge: the source must be
-// placed before the target.
+// since the last recheck: the source must be placed before the target.
 func (et *edgeTracker) pendingOK(ix *history.Indexed, pos []int) bool {
-	return edgesOrdered(et.pending, ix, pos)
-}
-
-func (et *edgeTracker) allOK(ix *history.Indexed, pos []int) bool {
-	return edgesOrdered(et.edges, ix, pos)
-}
-
-func edgesOrdered(edges [][2]history.TxnID, ix *history.Indexed, pos []int) bool {
-	for _, e := range edges {
+	for _, e := range et.pending {
 		fi, ti := ix.TxnIndexOf(e[0]), ix.TxnIndexOf(e[1])
 		if fi < 0 || ti < 0 || fi >= len(pos) || ti >= len(pos) {
 			return false

@@ -63,6 +63,7 @@ func TestSessionRewindDifferential(t *testing.T) {
 		{"exempt", true, []spec.Option{spec.WithTMS2AbortedReaderExemption()}},
 		{"window-64", false, []spec.Option{spec.WithRetirement(64)}},
 	}
+	searches, fastHits := 0, 0
 	for ci, hh := range differentialCorpus() {
 		ci, hh := ci, hh
 		t.Run(hh.name, func(t *testing.T) {
@@ -144,9 +145,13 @@ func TestSessionRewindDifferential(t *testing.T) {
 				if err := s.Rewind(len(evs) + 1); err == nil {
 					t.Fatalf("%s: rewind past the end accepted", cfg.name)
 				}
+				n, f := s.Stats()
+				searches += n
+				fastHits += f
 			}
 		})
 	}
+	t.Logf("rewound sessions: %d searches, %d fast hits", searches, fastHits)
 }
 
 // TestSessionRewindUnderNodeLimit pins the caveat of Session.Rewind: when a
@@ -262,7 +267,7 @@ func TestRewindRefusedAfterRetirement(t *testing.T) {
 // rewound session, sitting at the response before it, has no tryC for.
 func TestRewindIsLemma1(t *testing.T) {
 	const want = 2000
-	rewinds := 0
+	rewinds, searches, fastHits := 0, 0, 0
 	for seed := int64(0); rewinds < want; seed++ {
 		h := gen.DUOpaque(gen.Config{
 			Txns: 10, Objects: 3, OpsPerTxn: 3, ReadFraction: 0.5,
@@ -313,5 +318,9 @@ func TestRewindIsLemma1(t *testing.T) {
 				}
 			}
 		}
+		n, f := m.Stats()
+		searches += n
+		fastHits += f
 	}
+	t.Logf("%d rewinds: %d searches, %d fast hits", rewinds, searches, fastHits)
 }
