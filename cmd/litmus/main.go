@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"text/tabwriter"
 
 	"duopacity/internal/litmus"
@@ -42,6 +43,7 @@ func run(args []string) error {
 		cases = []litmus.Case{*c}
 	}
 	criteria := spec.AllCriteria()
+	du := slices.Index(criteria, spec.DUOpacity)
 
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprint(tw, "case")
@@ -53,8 +55,9 @@ func run(args []string) error {
 	mismatches := 0
 	for _, lc := range cases {
 		fmt.Fprint(tw, lc.Name)
-		for _, crit := range criteria {
-			v := spec.Check(lc.H, crit)
+		row := spec.CheckAll(lc.H, criteria)
+		for i, crit := range criteria {
+			v := row[i]
 			cell := "✗"
 			if v.OK {
 				cell = "✓"
@@ -69,7 +72,7 @@ func run(args []string) error {
 		if *verbose {
 			_ = tw.Flush()
 			fmt.Printf("\n%s — %s\n%s", lc.Name, lc.Desc, lc.H)
-			if v := spec.CheckDUOpacity(lc.H); v.OK {
+			if v := row[du]; v.OK {
 				fmt.Printf("du-opaque serialization: %s\n\n", v.Witness())
 			} else {
 				fmt.Printf("du-opacity refutation: %s\n\n", v.Reason)

@@ -6,7 +6,7 @@
 // are folded strictly in shard order, so the folded report is the same
 // whether JobSpec.Run computed the shards in process or internal/certd
 // shipped them as JSON to remote workers, and it matches the sequential
-// reference paths (harness.Certify, harness.ExplorePlanCtx, spec.Check;
+// reference paths (harness.Certify, harness.ExplorePlanCtx, spec.CheckAll;
 // TestFoldMatchesLocalFarm*). Histories, plans and witnesses travel in
 // the histio / stm text formats, which are lossless for everything the
 // folds consume.
@@ -34,11 +34,12 @@ const (
 	// KindExplore shards a batch of plans: shard i is the exhaustive
 	// exploration of plan i (harness.ExplorePlanCtx).
 	KindExplore ShardKind = "explore"
-	// KindCheck shards a batch of histories: shard i checks history i
-	// against every requested criterion.
+	// KindCheck shards a batch of histories: shard i decides every
+	// requested criterion on history i with one spec.CheckAll.
 	KindCheck ShardKind = "check"
-	// KindSoak shards the cells of the differential soak: shard i is cell
-	// i of the canonical (round, engine, mode) grid order.
+	// KindSoak shards the cells of the differential soak: shard i is the
+	// certify episode of cell i in the canonical (round, engine, mode)
+	// grid order.
 	KindSoak ShardKind = "soak"
 )
 
@@ -192,10 +193,10 @@ func (s JobSpec) NumShards() int {
 }
 
 // WireVerdict is spec.Verdict in serializable form. Where a consumer
-// prints verdicts (check jobs, soak cells, explore violations) the witness
-// travels as the text of its seq(S), enough to reproduce the CLI output
-// byte for byte; the structural witness stays local. Certify episodes
-// carry the verdict bits only (see WireEpisode).
+// prints verdicts (check jobs, explore violations) the witness travels as
+// the text of its seq(S), enough to reproduce the CLI output byte for
+// byte; the structural witness stays local. Episodes — certify episodes
+// and soak cells — carry the verdict bits only (see WireEpisode).
 type WireVerdict struct {
 	Criterion spec.Criterion `json:"criterion"`
 	OK        bool           `json:"ok,omitempty"`
@@ -229,7 +230,7 @@ func (w WireVerdict) Verdict() spec.Verdict {
 }
 
 // String renders exactly as spec.Verdict.String does for a verdict of
-// spec.Check, witness included. Every acceptance spec.Check returns
+// spec.CheckAll, witness included. Every acceptance CheckAll returns
 // carries its serialization, so an OK renders its brackets even when the
 // witness is the empty serialization (a history whose serialization has
 // no transactions: "OK []").
@@ -244,20 +245,22 @@ func (w WireVerdict) String() string {
 	}
 }
 
-// WireEpisode is harness.EpisodeReport without the recorded history and
-// without witness text: its verdicts carry the criterion, OK, Undecided,
-// Reason and Nodes only. Certify aggregation (CertStats.AddEpisode) reads
-// nothing else, and rendering seven witnesses per episode was most of a
-// certify shard's result bytes; keeping episodes light is what makes
-// remote certification cheap.
+// WireEpisode is harness.EpisodeReport without witness text: its verdicts
+// carry the criterion, OK, Undecided, Reason and Nodes only. Certify
+// aggregation (CertStats.AddEpisode) reads nothing else, and rendering
+// seven witnesses per episode was most of a certify shard's result bytes;
+// keeping episodes light is what makes remote certification cheap. For
+// the same reason only a soak cell carries its recorded history (histio
+// text), which the soak's fold shrinks; certify shards leave it empty.
 type WireEpisode struct {
 	Skipped  bool          `json:"skipped,omitempty"`
 	Degraded string        `json:"degraded,omitempty"`
 	Verdicts []WireVerdict `json:"verdicts,omitempty"`
+	History  string        `json:"history,omitempty"`
 }
 
 // Report decodes back into the report shape CertStats.AddEpisode folds.
-func (w WireEpisode) Report() harness.EpisodeReport {
+func (w WireEpisode) Report() (harness.EpisodeReport, error) {
 	r := harness.EpisodeReport{Skipped: w.Skipped, Degraded: w.Degraded}
 	if len(w.Verdicts) > 0 {
 		r.Verdicts = make(map[spec.Criterion]spec.Verdict, len(w.Verdicts))
@@ -265,7 +268,14 @@ func (w WireEpisode) Report() harness.EpisodeReport {
 			r.Verdicts[v.Criterion] = v.Verdict()
 		}
 	}
-	return r
+	if w.History != "" {
+		h, err := histio.ParseString(w.History)
+		if err != nil {
+			return r, err
+		}
+		r.History = h
+	}
+	return r, nil
 }
 
 func wireEpisodeOf(r harness.EpisodeReport, criteria []spec.Criterion) WireEpisode {
@@ -364,60 +374,12 @@ func (w WireExplore) Report() (harness.ExploreReport, error) {
 	return r, nil
 }
 
-// WireSoakCell is SoakCell with the recorded history in histio text (the
-// fold needs it: divergence shrinking replays the checker over it).
-type WireSoakCell struct {
-	Engine   string        `json:"engine"`
-	Round    int           `json:"round"`
-	Probe    bool          `json:"probe,omitempty"`
-	Skipped  bool          `json:"skipped,omitempty"`
-	Degraded string        `json:"degraded,omitempty"`
-	Verdicts []WireVerdict `json:"verdicts,omitempty"`
-	History  string        `json:"history,omitempty"`
-}
-
-// WireSoakCellOf encodes a cell.
-func WireSoakCellOf(c SoakCell) WireSoakCell {
-	w := WireSoakCell{Engine: c.Engine, Round: c.Round, Probe: c.Probe, Skipped: c.Skipped, Degraded: c.Degraded}
-	if c.History != nil {
-		w.History = histio.FormatString(c.History)
-	}
-	for _, v := range c.Verdicts {
-		w.Verdicts = append(w.Verdicts, WireVerdictOf(v))
-	}
-	return w
-}
-
-// Cell decodes back. Verdict map iteration order does not matter to the
-// fold (it indexes by criterion).
-func (w WireSoakCell) Cell(cfg SoakConfig) (SoakCell, error) {
-	c := SoakCell{Engine: w.Engine, Round: w.Round, Probe: w.Probe, Skipped: w.Skipped, Degraded: w.Degraded}
-	wl := cfg.roundWorkload(w.Round)
-	wl.Engine = w.Engine
-	c.Workload = wl
-	if w.History != "" {
-		h, err := histio.ParseString(w.History)
-		if err != nil {
-			return c, err
-		}
-		c.History = h
-	}
-	if len(w.Verdicts) > 0 {
-		c.Verdicts = make(map[spec.Criterion]spec.Verdict, len(w.Verdicts))
-		for _, v := range w.Verdicts {
-			c.Verdicts[v.Criterion] = v.Verdict()
-		}
-	}
-	return c, nil
-}
-
 // ShardResult is the serializable outcome of one shard; the field
-// matching the job's kind is set.
+// matching the job's kind is set (Episode for certify and soak jobs).
 type ShardResult struct {
 	Episode *WireEpisode  `json:"episode,omitempty"`
 	Explore *WireExplore  `json:"explore,omitempty"`
 	Check   []WireVerdict `json:"check,omitempty"`
-	Soak    *WireSoakCell `json:"soak,omitempty"`
 	// Degraded is set (with the reason) when the result is a coordinator-
 	// substituted degradation artifact rather than a computed one — the
 	// distributed analog of a shard panicking past its retries.
@@ -462,17 +424,20 @@ func (s JobSpec) RunShard(ctx context.Context, i int) (ShardResult, error) {
 			opts = append(opts, spec.WithContext(ctx))
 		}
 		vs := make([]WireVerdict, len(s.Check.Criteria))
-		for j, c := range s.Check.Criteria {
-			vs[j] = WireVerdictOf(spec.Check(h, c, opts...))
+		for j, v := range spec.CheckAll(h, s.Check.Criteria, opts...) {
+			vs[j] = WireVerdictOf(v)
 		}
 		return ShardResult{Check: vs}, nil
 	case KindSoak:
-		cell, err := runSoakCell(s.Soak.Config, soakTasks(s.Soak.Config)[i])
+		cfg := s.Soak.Config
+		t := soakTasks(cfg)[i]
+		r, err := harness.CertifyEpisodeCtx(ctx, cfg.episode(t), 0, cfg.Criteria)
 		if err != nil {
-			return ShardResult{}, err
+			return ShardResult{}, fmt.Errorf("checkfarm: soak %s round %d: %w", t.engine, t.round, err)
 		}
-		w := WireSoakCellOf(cell)
-		return ShardResult{Soak: &w}, nil
+		ep := wireEpisodeOf(r, cfg.Criteria)
+		ep.History = histio.FormatString(r.History)
+		return ShardResult{Episode: &ep}, nil
 	}
 	return ShardResult{}, fmt.Errorf("checkfarm: unknown job kind %q", s.Kind)
 }
@@ -481,11 +446,11 @@ func (s JobSpec) RunShard(ctx context.Context, i int) (ShardResult, error) {
 // that could not be computed — a shard that panicked past its retries
 // (JobSpec.Run), a worker dead past its lease retries, or a drain with
 // the shard still outstanding (internal/certd). Per kind, certify
-// episodes become harness.DegradedEpisode, explorations a
+// episodes and soak cells become harness.DegradedEpisode, explorations a
 // BudgetExhausted report with DegradedReason, check rows degraded
-// undecided verdicts, soak cells a Degraded cell. Folding a degraded
-// shard always surfaces in the report (CertStats.Degraded,
-// SoakResult.Degraded, per-report DegradedReason) — never a silent drop.
+// undecided verdicts. Folding a degraded shard always surfaces in the
+// report (CertStats.Degraded, SoakResult.Degraded, per-report
+// DegradedReason) — never a silent drop.
 func (s JobSpec) DegradedShard(i int, reason string) ShardResult {
 	res := ShardResult{Degraded: reason}
 	switch s.Kind {
@@ -508,9 +473,8 @@ func (s JobSpec) DegradedShard(i int, reason string) ShardResult {
 		}
 		res.Check = vs
 	case KindSoak:
-		t := soakTasks(s.Soak.Config)[i]
-		w := WireSoakCell{Engine: t.engine, Round: t.round, Probe: t.probe, Degraded: reason}
-		res.Soak = &w
+		ep := wireEpisodeOf(harness.DegradedEpisode(s.Soak.Config.Criteria, reason), s.Soak.Config.Criteria)
+		res.Episode = &ep
 	}
 	return res
 }
@@ -550,12 +514,13 @@ func FoldJob(ctx context.Context, s JobSpec, results []*ShardResult, jobs int) (
 	}
 	switch s.Kind {
 	case KindCertify:
+		episodes, err := episodeReports(results)
+		if err != nil {
+			return nil, err
+		}
 		stats := harness.NewCertStats(s.Certify.Config.Workload.Engine)
-		for i, r := range results {
-			if r.Episode == nil {
-				return nil, fmt.Errorf("checkfarm: fold: shard %d carries no episode", i)
-			}
-			stats.AddEpisode(s.Certify.Criteria, r.Episode.Report())
+		for _, r := range episodes {
+			stats.AddEpisode(s.Certify.Criteria, r)
 		}
 		rep.Certify = &stats
 	case KindExplore:
@@ -581,18 +546,11 @@ func FoldJob(ctx context.Context, s JobSpec, results []*ShardResult, jobs int) (
 		}
 		rep.Check = rows
 	case KindSoak:
-		cells := make([]SoakCell, len(results))
-		for i, r := range results {
-			if r.Soak == nil {
-				return nil, fmt.Errorf("checkfarm: fold: shard %d carries no cell", i)
-			}
-			cell, err := r.Soak.Cell(s.Soak.Config)
-			if err != nil {
-				return nil, fmt.Errorf("checkfarm: fold: shard %d: %w", i, err)
-			}
-			cells[i] = cell
+		episodes, err := episodeReports(results)
+		if err != nil {
+			return nil, err
 		}
-		res, err := foldSoak(ctx, s.Soak.Config, cells, jobs)
+		res, err := foldSoak(ctx, s.Soak.Config, episodes, jobs)
 		if err != nil {
 			return nil, err
 		}
@@ -601,6 +559,23 @@ func FoldJob(ctx context.Context, s JobSpec, results []*ShardResult, jobs int) (
 		return nil, fmt.Errorf("checkfarm: unknown job kind %q", s.Kind)
 	}
 	return rep, nil
+}
+
+// episodeReports decodes the episode every result of a certify or soak
+// job carries.
+func episodeReports(results []*ShardResult) ([]harness.EpisodeReport, error) {
+	episodes := make([]harness.EpisodeReport, len(results))
+	for i, r := range results {
+		if r.Episode == nil {
+			return nil, fmt.Errorf("checkfarm: fold: shard %d carries no episode", i)
+		}
+		ep, err := r.Episode.Report()
+		if err != nil {
+			return nil, fmt.Errorf("checkfarm: fold: shard %d: %w", i, err)
+		}
+		episodes[i] = ep
+	}
+	return episodes, nil
 }
 
 // FormatJobReport renders the folded report with the same formatters the

@@ -10,7 +10,6 @@ import (
 
 	"duopacity/internal/harness"
 	"duopacity/internal/histio"
-	"duopacity/internal/history"
 	"duopacity/internal/spec"
 	"duopacity/internal/stm"
 	"duopacity/internal/stm/engines"
@@ -106,11 +105,9 @@ func TestFoldMatchesLocalFarmCertify(t *testing.T) {
 
 // TestCertifyResultsCarryVerdictBits: a certify shard's verdicts are the
 // episode's verdicts minus the witness text, which no certify fold reads;
-// a check shard of the same history (spec.Check per criterion) keeps its
-// witnesses and agrees with the episode's spec.CheckAll on every verdict
-// bit, and on the rendering wherever CheckAll searched. An accept with no
-// nodes is a placement: its witness is an earlier accepted witness
-// restricted to the criterion's transactions.
+// a check shard of the same history keeps its witnesses, and since both
+// decide through one spec.CheckAll, it agrees with the episode on every
+// verdict bit, the node count and the rendering, witness included.
 func TestCertifyResultsCarryVerdictBits(t *testing.T) {
 	criteria := spec.AllCriteria()
 	s := mustNormalize(t, certifyJob(harness.CertConfig{
@@ -147,13 +144,8 @@ func TestCertifyResultsCarryVerdictBits(t *testing.T) {
 		}
 		for j, c := range criteria {
 			v, w := ep.Verdicts[c], cres.Check[j]
-			placed := v.OK && v.Nodes == 0
-			if v.OK != w.OK || v.Undecided != w.Undecided || v.Reason != w.Reason ||
-				!placed && (v.Nodes != w.Nodes || v.String() != w.String()) {
-				t.Fatalf("episode %d %s: check shard says %q (%d nodes), CheckAll %q (%d nodes)", i, c, w, w.Nodes, v, v.Nodes)
-			}
-			if placed && !placedFromEarlier(ep.History, ep.Verdicts, c) {
-				t.Fatalf("episode %d %s: placed witness [%s] is no earlier accepted witness restricted to its transactions", i, c, v.Witness())
+			if w != WireVerdictOf(v) || w.String() != v.String() {
+				t.Fatalf("episode %d %s: check shard says %q (%d nodes), certify episode %q (%d nodes)", i, c, w, w.Nodes, v, v.Nodes)
 			}
 		}
 	}
@@ -224,8 +216,8 @@ func TestFoldMatchesLocalFarmCheck(t *testing.T) {
 }
 
 // TestFoldMatchesLocalFarmSoak: the soak reference observes every cell
-// with runSoakCell and folds the cells as they were observed — never
-// encoded, never decoded — with foldSoak.
+// as its certify episode and folds the episodes as they were observed —
+// never encoded, never decoded — with foldSoak.
 func TestFoldMatchesLocalFarmSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak differential is not -short")
@@ -238,19 +230,47 @@ func TestFoldMatchesLocalFarmSoak(t *testing.T) {
 	}))
 	cfg := s.Soak.Config
 	tasks := soakTasks(cfg)
-	cells := make([]SoakCell, len(tasks))
+	episodes := make([]harness.EpisodeReport, len(tasks))
 	for i, task := range tasks {
-		cell, err := runSoakCell(cfg, task)
+		ep, err := harness.CertifyEpisodeCtx(context.Background(), cfg.episode(task), 0, cfg.Criteria)
 		if err != nil {
 			t.Fatalf("cell %d: %v", i, err)
 		}
-		cells[i] = cell
+		episodes[i] = ep
 	}
-	res, err := foldSoak(context.Background(), cfg, cells, 1)
+	res, err := foldSoak(context.Background(), cfg, episodes, 1)
 	if err != nil {
 		t.Fatalf("foldSoak: %v", err)
 	}
 	assertReports(t, s, FormatSoakReport(cfg, res))
+}
+
+// TestRunShardSoakCancelled: cancellation reaches a soak cell's checks.
+// Under an already-cancelled context every verdict of every cell is
+// undecided ("context cancelled") or a static rejection, which needs no
+// search.
+func TestRunShardSoakCancelled(t *testing.T) {
+	s := mustNormalize(t, soakJob(SoakConfig{Engines: []string{"gl", "ple"}, Rounds: 1, Seed: 11}))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cancelled := 0
+	for i := 0; i < s.NumShards(); i++ {
+		res, err := s.RunShard(ctx, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range res.Episode.Verdicts {
+			switch {
+			case v.Undecided && strings.HasSuffix(v.Reason, "context cancelled"):
+				cancelled++
+			case v.OK || v.Undecided:
+				t.Fatalf("shard %d: %s decided under a cancelled context", i, v)
+			}
+		}
+	}
+	if cancelled == 0 {
+		t.Fatal("no verdict was cut short by the cancelled context")
+	}
 }
 
 // TestDegradedShardFold pins the dead-worker contract per kind: a shard
@@ -455,32 +475,4 @@ func TestJobSpecAcceptsEngineCMMatrix(t *testing.T) {
 	if _, err := s.Normalize(); err != nil {
 		t.Errorf("soak over SoakEngineMatrix: %v", err)
 	}
-}
-
-// placedFromEarlier reports whether the witness of vs[c] is the witness of
-// a criterion accepted before c, in spec.AllCriteria order, restricted to
-// the transactions c serializes: the committed and commit-pending ones for
-// the serializability baselines, all of them otherwise.
-func placedFromEarlier(h *history.History, vs map[spec.Criterion]spec.Verdict, c spec.Criterion) bool {
-	got := vs[c].Witness().String()
-	for _, e := range spec.AllCriteria() {
-		if e == c {
-			return false
-		}
-		v, ok := vs[e]
-		if !ok || !v.OK {
-			continue
-		}
-		r := &history.Seq{}
-		for _, tx := range v.Witness().Txns {
-			info := h.Txn(tx.ID)
-			if c != spec.StrictSerializability && c != spec.Serializability || info.Committed() || info.CommitPending() {
-				r.Txns = append(r.Txns, tx)
-			}
-		}
-		if r.String() == got {
-			return true
-		}
-	}
-	return false
 }

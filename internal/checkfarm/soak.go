@@ -3,6 +3,7 @@ package checkfarm
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"text/tabwriter"
@@ -90,7 +91,8 @@ func (c SoakConfig) roundWorkload(r int) harness.Workload {
 	}
 }
 
-// SoakCell is one (engine, round, mode) observation of the soak grid.
+// SoakCell is one (engine, round, mode) observation of the soak grid: the
+// certify episode of the round's workload on the engine.
 type SoakCell struct {
 	Engine string
 	Round  int
@@ -98,16 +100,13 @@ type SoakCell struct {
 	// plan; otherwise the cell ran under real goroutines.
 	Probe    bool
 	Workload harness.Workload
-	// Skipped is set when the recorded history exceeded MaxTxns.
-	Skipped  bool
-	Verdicts map[spec.Criterion]spec.Verdict
-	History  *history.History
-	// Degraded is set when the cell could not be observed at all: its
-	// shard panicked past its retries, or (under internal/certd) its worker
-	// died past its lease retries. A degraded cell is excluded from the per-criterion
-	// counts like a skipped one, but the degradation is always reported,
-	// never a silent drop (the PR 7 contract).
-	Degraded string
+	// EpisodeReport is the cell's history and verdicts. Skipped is set
+	// when the history exceeded MaxTxns. Degraded is set when the cell
+	// could not be observed at all: its shard panicked past its retries,
+	// or (under internal/certd) its worker died past its lease retries.
+	// Skipped and degraded cells are excluded from the per-criterion
+	// counts, but a degradation is always reported, never a silent drop.
+	harness.EpisodeReport
 }
 
 // Divergence records a history on which the criteria disagree — or, when
@@ -130,9 +129,10 @@ type Divergence struct {
 type SoakResult struct {
 	Cells       []SoakCell
 	Divergences []Divergence
-	// Accepted/Rejected/Undecided count decided cells per engine and
-	// criterion (skipped cells excluded).
-	Accepted, Rejected, Undecided map[string]map[spec.Criterion]int
+	// Stats counts each engine's cells per criterion, as
+	// CertStats.AddEpisode folds certify episodes: skipped cells count
+	// only as Skipped, degraded cells not at all.
+	Stats map[string]*harness.CertStats
 	// Degraded counts cells lost to worker failures (see
 	// SoakCell.Degraded).
 	Degraded int
@@ -176,87 +176,46 @@ func soakTasks(cfg SoakConfig) []soakTask {
 	return tasks
 }
 
-// runSoakCell observes one cell: run the task's workload (recorded or
-// interleaved probe) and check the recorded history against every
-// criterion. It is the pure compute unit of the soak — a function of
-// (defaulted config, task) with no shared state — which is what lets a
-// certd worker run it on another machine.
-func runSoakCell(cfg SoakConfig, t soakTask) (SoakCell, error) {
-	w := cfg.roundWorkload(t.round)
+// episode is the certify episode a task observes: the round's workload
+// on the task's engine, interleaved for a probe, under the soak's node
+// limit and transaction cap. Its episode 0 runs the round's seed.
+func (c SoakConfig) episode(t soakTask) harness.CertConfig {
+	w := c.roundWorkload(t.round)
 	w.Engine = t.engine
-	cell := SoakCell{Engine: t.engine, Round: t.round, Probe: t.probe, Workload: w}
-	var (
-		h    *history.History
-		rerr error
-	)
-	if t.probe {
-		h, _, rerr = harness.RunInterleaved(w)
-	} else {
-		h, _, rerr = harness.RunRecorded(w)
-	}
-	if rerr != nil {
-		return cell, fmt.Errorf("checkfarm: soak %s round %d: %w", t.engine, t.round, rerr)
-	}
-	cell.History = h
-	if h.NumTxns() > cfg.MaxTxns {
-		cell.Skipped = true
-		return cell, nil
-	}
-	cell.Verdicts = make(map[spec.Criterion]spec.Verdict, len(cfg.Criteria))
-	for _, c := range cfg.Criteria {
-		cell.Verdicts[c] = spec.Check(h, c, spec.WithNodeLimit(cfg.NodeLimit))
-	}
-	return cell, nil
+	return harness.CertConfig{Workload: w, NodeLimit: c.NodeLimit, MaxTxns: c.MaxTxns, Interleaved: t.probe}
 }
 
-// foldSoak aggregates observed cells into the soak result: per-criterion
-// counts, divergence extraction, and greedy shrinking of each divergent
-// history. FoldJob calls it with the cells in canonical task order
+// foldSoak aggregates the episodes of the soak's cells, given in
+// canonical task order, into the soak result: per-criterion counts,
+// divergence extraction, and greedy shrinking of each divergent history
 // (jobs bounds the shrinking pool). cfg must be the same (defaulted)
-// config the cells were computed under, since shrinking re-checks with
+// config the episodes were observed under, since shrinking re-checks with
 // the soak's node limit.
-func foldSoak(ctx context.Context, cfg SoakConfig, cells []SoakCell, jobs int) (*SoakResult, error) {
+func foldSoak(ctx context.Context, cfg SoakConfig, episodes []harness.EpisodeReport, jobs int) (*SoakResult, error) {
 	checkOpt := spec.WithNodeLimit(cfg.NodeLimit)
-	res := &SoakResult{
-		Cells:     cells,
-		Accepted:  make(map[string]map[spec.Criterion]int),
-		Rejected:  make(map[string]map[spec.Criterion]int),
-		Undecided: make(map[string]map[spec.Criterion]int),
-	}
+	res := &SoakResult{Stats: make(map[string]*harness.CertStats, len(cfg.Engines))}
 	for _, e := range cfg.Engines {
-		res.Accepted[e] = make(map[spec.Criterion]int)
-		res.Rejected[e] = make(map[spec.Criterion]int)
-		res.Undecided[e] = make(map[spec.Criterion]int)
+		st := harness.NewCertStats(e)
+		res.Stats[e] = &st
 	}
 	// Divergence extraction and shrinking, also sharded: shrinking re-runs
 	// the checker O(events) times per counterexample.
-	divIdx := make([]int, 0, len(cells))
-	for i, cell := range cells {
+	divIdx := make([]int, 0, len(episodes))
+	for i, t := range soakTasks(cfg) {
+		cell := SoakCell{Engine: t.engine, Round: t.round, Probe: t.probe, Workload: cfg.episode(t).Workload, EpisodeReport: episodes[i]}
+		res.Cells = append(res.Cells, cell)
 		if cell.Degraded != "" {
 			res.Degraded++
 			continue
 		}
-		if cell.Skipped {
-			continue
-		}
-		for _, c := range cfg.Criteria {
-			v := cell.Verdicts[c]
-			switch {
-			case v.Undecided:
-				res.Undecided[cell.Engine][c]++
-			case v.OK:
-				res.Accepted[cell.Engine][c]++
-			default:
-				res.Rejected[cell.Engine][c]++
-			}
-		}
+		res.Stats[cell.Engine].AddEpisode(cfg.Criteria, cell.EpisodeReport)
 		if firstRejected(cfg.Criteria, cell.Verdicts) != 0 {
 			divIdx = append(divIdx, i)
 		}
 	}
 	divs := make([]Divergence, len(divIdx))
 	err := shard(ctx, len(divIdx), jobs, func(j int) error {
-		cell := cells[divIdx[j]]
+		cell := res.Cells[divIdx[j]]
 		target := firstRejected(cfg.Criteria, cell.Verdicts)
 		d := Divergence{
 			Engine:    cell.Engine,
@@ -280,20 +239,16 @@ func foldSoak(ctx context.Context, cfg SoakConfig, cells []SoakCell, jobs int) (
 		// minimal history demonstrates the same separation (not merely
 		// some violation of the target — a plain sourceless read would
 		// satisfy that and lose the divergence).
+		decided := append(slices.Clip(d.Accepted), d.Rejected...)
 		d.Minimal = gen.Shrink(cell.History, func(g *history.History) bool {
-			for _, c := range d.Accepted {
-				if v := spec.Check(g, c, checkOpt); !v.OK {
-					return false
-				}
-			}
-			for _, c := range d.Rejected {
-				if v := spec.Check(g, c, checkOpt); v.OK || v.Undecided {
+			for i, v := range spec.CheckAll(g, decided, checkOpt) {
+				if i < len(d.Accepted) && !v.OK || i >= len(d.Accepted) && (v.OK || v.Undecided) {
 					return false
 				}
 			}
 			return true
 		})
-		d.Reason = spec.Check(d.Minimal, target, checkOpt).Reason
+		d.Reason = spec.CheckAll(d.Minimal, []spec.Criterion{target}, checkOpt)[0].Reason
 		divs[j] = d
 		return nil
 	})
@@ -336,8 +291,9 @@ func FormatSoakReport(cfg SoakConfig, res *SoakResult) string {
 	for _, e := range cfg.Engines {
 		fmt.Fprint(tw, e)
 		for _, c := range cfg.Criteria {
-			cellTxt := fmt.Sprintf("%d/%d", res.Accepted[e][c], res.Rejected[e][c])
-			if u := res.Undecided[e][c]; u > 0 {
+			st := res.Stats[e]
+			cellTxt := fmt.Sprintf("%d/%d", st.Accepted[c], st.Rejected[c])
+			if u := st.Undecided[c]; u > 0 {
 				cellTxt += fmt.Sprintf("(%d?)", u)
 			}
 			fmt.Fprintf(tw, "\t%s", cellTxt)

@@ -20,7 +20,10 @@ func shortSoakConfig() SoakConfig {
 // TestSoakDifferential is the differential soak smoke: all seven engine
 // families against every implemented criterion in one run, with the
 // paper's separation surfacing as a shrunk minimal counterexample for the
-// pessimistic in-place engine under du-opacity.
+// pessimistic in-place engine under du-opacity. Each criterion is also
+// decided on its own by spec.Check, the per-criterion reference: a cell's
+// verdict has its OK, Undecided and Reason, except that under the node
+// limit the cell's spec.CheckAll may accept where Check gives up.
 func TestSoakDifferential(t *testing.T) {
 	cfg := shortSoakConfig()
 	res := mustRun(t, context.Background(), soakJob(cfg), 0).Soak
@@ -37,10 +40,23 @@ func TestSoakDifferential(t *testing.T) {
 	for _, e := range full.Engines {
 		decided := 0
 		for _, c := range full.Criteria {
-			decided += res.Accepted[e][c] + res.Rejected[e][c]
+			decided += res.Stats[e].Accepted[c] + res.Stats[e].Rejected[c]
 		}
 		if decided == 0 {
 			t.Errorf("engine %s: no decided cells", e)
+		}
+	}
+
+	for _, cell := range res.Cells {
+		if cell.Skipped {
+			continue
+		}
+		for _, c := range full.Criteria {
+			v, ref := cell.Verdicts[c], spec.Check(cell.History, c, spec.WithNodeLimit(full.NodeLimit))
+			if ref.Undecided && v.OK || v.OK == ref.OK && v.Undecided == ref.Undecided && v.Reason == ref.Reason {
+				continue
+			}
+			t.Errorf("%s round %d probe=%v %s: cell says %s, spec.Check %s", cell.Engine, cell.Round, cell.Probe, c, v, ref)
 		}
 	}
 
