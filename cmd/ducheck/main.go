@@ -41,7 +41,7 @@
 // line, '|' between a thread's transactions, "r<obj>"/"w<obj>"
 // operations): instead of checking one recorded history, ducheck
 // enumerates every schedule of the deterministic stepper's space for
-// the plan — the -engine's exclusion policy plus the stepper's
+// the plan — the -engine's Blocking trait plus the stepper's
 // abort-backoff discipline, the space the interleaved sampler draws
 // from — and certifies each online, so the answer is a per-plan proof
 // ("no schedule of that space violates du-opacity") or a refutation

@@ -12,7 +12,7 @@
 //	stmbench soak [-engines ...] [-rounds 6] [-seed 1] [-jobs N] [-node-limit N]
 //	stmbench explore [-engines ...] [-threads 2] [-txns 1] [-ops 2] [-plans 4]
 //	         [-seed 1] [-max-schedules N] [-jobs N] [-opacity]
-//	stmbench chaos [-engines tl2,norec,dstm] [-trials 50] [-seed 1]
+//	stmbench chaos [-engines tl2,norec,dstm,pdur] [-trials 50] [-seed 1]
 //	         [-node-limit N] [-abort-prob P] [-delay-prob P]
 //	stmbench scale [-engines tl2,tl2+karma,pdur,...] [-workloads read-heavy,...]
 //	         [-goroutines 1,2,4,8] [-txns 20000] [-repeat 3] [-seed 1] [-json]
@@ -239,7 +239,7 @@ func runExplore(args []string, stdout io.Writer) error {
 // injected worker-fault schedule. Soundness flips fail the command.
 func runChaos(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("stmbench chaos", flag.ContinueOnError)
-	engineList := fs.String("engines", "tl2,norec,dstm", "comma-separated engines (thread-kill faults only on the kill-safe tl2, norec, dstm and pdur)")
+	engineList := fs.String("engines", "", "comma-separated engines (default: the kill-safe tl2, norec, dstm and pdur, the only engines that get thread-kill faults)")
 	trials := fs.Int("trials", 50, "fault schedules per engine")
 	seed := fs.Int64("seed", 1, "fault schedule grid seed")
 	nodeLimit := fs.Int("node-limit", 0, "bound each check and monitor search (0 = soak default)")
@@ -248,8 +248,12 @@ func runChaos(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	var names []string // empty: the soak's default engines
+	if *engineList != "" {
+		names = splitNames(*engineList)
+	}
 	rep, err := harness.ChaosSoak(harness.ChaosConfig{
-		Engines:   splitNames(*engineList),
+		Engines:   names,
 		Trials:    *trials,
 		Seed:      *seed,
 		NodeLimit: *nodeLimit,

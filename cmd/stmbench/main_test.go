@@ -83,3 +83,16 @@ func TestRunExploreUnknownEngine(t *testing.T) {
 		t.Fatal("unknown engine accepted by explore")
 	}
 }
+
+// TestRunChaosDefaultEngines: without -engines the chaos soak runs the
+// library default, every kill-safe engine — pdur included — and not an
+// engine named "".
+func TestRunChaosDefaultEngines(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"chaos", "-trials", "1"}, &out); err != nil {
+		t.Fatalf("chaos: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "trials=4 ") {
+		t.Errorf("want one trial on each of tl2, norec, dstm and pdur, got:\n%s", out.String())
+	}
+}

@@ -249,7 +249,7 @@ func RunMonitored(w Workload, c Criterion, nodeLimit int, interleaved bool) (Onl
 }
 
 // ExplorePlan enumerates every schedule of the deterministic stepper's
-// space for the plan — the engine's exclusion policy plus the stepper's
+// space for the plan — the engine's Blocking trait plus the stepper's
 // abort-backoff discipline, the space the interleaved sampler draws from
 // — and certifies each online: the per-plan answer is a proof (no
 // schedule of that space violates the criterion), a refutation pinned at

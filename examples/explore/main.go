@@ -2,7 +2,7 @@
 // headline experiment separates deferred-update engines (du-opaque by
 // construction) from the pessimistic in-place engine; sampling shows the
 // separation on lucky schedules, but the explorer *decides* it per plan:
-// it enumerates every interleaving the engine's exclusion policy allows
+// it enumerates every interleaving the engine's Blocking trait allows
 // for a litmus plan — with DPOR-style sleep sets, symmetry reduction and
 // the prefix-closure cut of Corollary 2 pruning redundant or doomed
 // subtrees — and certifies each schedule online. The deferred-update

@@ -23,9 +23,6 @@ type Config struct {
 	// coordinator gives up and folds a degraded artifact in its place
 	// (default 3, matching the in-process farm's panic retries).
 	MaxShardAttempts int
-	// FoldJobs bounds the fold's own compute pool (soak divergence
-	// shrinking; default GOMAXPROCS).
-	FoldJobs int
 	// MaxStreams caps concurrently open monitor streams; helloes past the
 	// cap are refused with "ERR busy" (default 256).
 	MaxStreams int
@@ -442,7 +439,7 @@ func (s *Server) resolveLocked(j *job, shard int, res *checkfarm.ShardResult) {
 }
 
 func (s *Server) fold(j *job) {
-	rep, err := checkfarm.FoldJob(context.Background(), j.spec, j.results, s.cfg.FoldJobs)
+	rep, err := checkfarm.FoldJob(context.Background(), j.spec, j.results, 0) // 0: a GOMAXPROCS shrinking pool
 	s.mu.Lock()
 	j.folded = true
 	if err != nil {

@@ -15,8 +15,9 @@
 //     sense, just crashier ones: the checker must still decide them
 //     soundly. Thread kills (a transaction abandoned mid-flight, leaving
 //     a live transaction in the history) are driver-level and gated by
-//     KillSafe: only engines whose transactions hold no locks outside
-//     Commit can be abandoned without deadlocking the other threads.
+//     the engine's KillSafe trait (engines.TraitsOf): only engines whose
+//     transactions hold no locks outside Commit can be abandoned without
+//     deadlocking the other threads.
 //
 //   - Stream faults (JunkSource): ill-formed events — duplicated
 //     responses, orphaned responses, reserved transaction ids, operations
@@ -41,7 +42,6 @@ package chaos
 import (
 	"math/rand"
 	"runtime"
-	"strings"
 	"sync/atomic"
 
 	"duopacity/internal/lazyrand"
@@ -75,8 +75,7 @@ type Stats struct {
 }
 
 // Engine wraps an inner stm.Engine with the engine-fault injector. It
-// preserves Name (schedule-exploration policies and kill-safety gating
-// key on it).
+// preserves Name, so the wrapped engine has the inner one's traits.
 type Engine struct {
 	inner          stm.Engine
 	prof           Profile
@@ -176,34 +175,6 @@ func (t *txn) Abort() {
 	}
 	t.dead = true
 	t.inner.Abort()
-}
-
-// KillSafe reports whether transactions of the named engine can be
-// abandoned mid-flight (no Commit/Abort, the goroutine just stops)
-// without blocking other threads: true for the deferred engines whose
-// transactions hold no locks outside Commit (tl2, norec, pdur) and the
-// obstruction-free dstm (a competitor's contention manager can always
-// displace an abandoned owner). The lock-holding engines — gl holds the
-// global mutex from Begin, etl and ple lock objects at encounter — would
-// deadlock the run; drivers downgrade kill faults to spurious aborts
-// there.
-//
-// A contention-management suffix ("tl2+karma") never changes the
-// answer: CM policies only bound how long a live transaction waits at a
-// conflict, not what an abandoned one holds. The suffix is stripped
-// here (the first '+' segment is the base except for etl+v, whose base
-// etl classifies identically), mirroring engines.Parse without the
-// import.
-func KillSafe(engine string) bool {
-	base := engine
-	if i := strings.IndexByte(engine, '+'); i >= 0 {
-		base = engine[:i]
-	}
-	switch base {
-	case "tl2", "norec", "dstm", "pdur":
-		return true
-	}
-	return false
 }
 
 // splitmix64 is the SplitMix64 mixer, used to decorrelate per-transaction

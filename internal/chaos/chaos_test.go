@@ -122,18 +122,6 @@ func TestWrapSpuriousAbortMatchesRealAbort(t *testing.T) {
 	}
 }
 
-func TestKillSafe(t *testing.T) {
-	want := map[string]bool{
-		"tl2": true, "norec": true, "dstm": true,
-		"gl": false, "etl": false, "etl+v": false, "ple": false,
-	}
-	for eng, safe := range want {
-		if KillSafe(eng) != safe {
-			t.Errorf("KillSafe(%q) = %v, want %v", eng, KillSafe(eng), safe)
-		}
-	}
-}
-
 // TestJunkSourceAlwaysRejected is the junk contract: against any stream
 // state JunkSource has shadowed, every junk event must be rejected by
 // history.Stream (and therefore by spec.Monitor, which validates through

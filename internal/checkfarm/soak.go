@@ -53,9 +53,10 @@ type SoakConfig struct {
 	// NodeLimit bounds each exact check and each shrinking re-check
 	// (default 300_000).
 	NodeLimit int
-	// MaxTxns skips histories too large for exact checking (default 40).
-	MaxTxns int
 }
+
+// soakMaxTxns skips soak histories too large for exact checking.
+const soakMaxTxns = 40
 
 func (c SoakConfig) withDefaults() SoakConfig {
 	if len(c.Engines) == 0 {
@@ -69,9 +70,6 @@ func (c SoakConfig) withDefaults() SoakConfig {
 	}
 	if c.NodeLimit <= 0 {
 		c.NodeLimit = 300_000
-	}
-	if c.MaxTxns <= 0 {
-		c.MaxTxns = 40
 	}
 	return c
 }
@@ -101,7 +99,7 @@ type SoakCell struct {
 	Probe    bool
 	Workload harness.Workload
 	// EpisodeReport is the cell's history and verdicts. Skipped is set
-	// when the history exceeded MaxTxns. Degraded is set when the cell
+	// when the history exceeded soakMaxTxns. Degraded is set when the cell
 	// could not be observed at all: its shard panicked past its retries,
 	// or (under internal/certd) its worker died past its lease retries.
 	// Skipped and degraded cells are excluded from the per-criterion
@@ -182,7 +180,7 @@ func soakTasks(cfg SoakConfig) []soakTask {
 func (c SoakConfig) episode(t soakTask) harness.CertConfig {
 	w := c.roundWorkload(t.round)
 	w.Engine = t.engine
-	return harness.CertConfig{Workload: w, NodeLimit: c.NodeLimit, MaxTxns: c.MaxTxns, Interleaved: t.probe}
+	return harness.CertConfig{Workload: w, NodeLimit: c.NodeLimit, MaxTxns: soakMaxTxns, Interleaved: t.probe}
 }
 
 // foldSoak aggregates the episodes of the soak's cells, given in

@@ -119,7 +119,7 @@ func TestSoakDeferredUpdateEnginesStayClean(t *testing.T) {
 		if cell.Skipped || !cell.Probe {
 			continue
 		}
-		if !engines.DeferredUpdate(cell.Engine) {
+		if !engines.TraitsOf(cell.Engine).DeferredUpdate {
 			continue
 		}
 		v := cell.Verdicts[spec.DUOpacity]

@@ -38,14 +38,26 @@ import (
 // chaos subcommand wire it to a one-history check job.
 type ChaosFarmFunc func(ctx context.Context, h *history.History, c spec.Criterion, nodeLimit int) (spec.Verdict, string, error)
 
-// ChaosConfig parameterizes a soak. The zero value is runnable: kill-safe
-// engines, a modest fault profile, tiny workloads (soundness flips need
-// crashy schedules, not big histories — every trial batch-checks its
-// history as the differential, so trials must stay cheap).
+// Every trial certifies du-opacity on a tiny workload: chaosGoroutines
+// goroutines run chaosTxns transactions of chaosOps operations each over
+// chaosObjects t-objects. Soundness flips need crashy schedules, not big
+// histories, and every trial batch-checks its history as the
+// differential, so trials must stay cheap.
+const (
+	chaosCriterion  = spec.DUOpacity
+	chaosObjects    = 4
+	chaosGoroutines = 3
+	chaosTxns       = 2
+	chaosOps        = 3
+)
+
+// ChaosConfig parameterizes a soak. The zero value is runnable: the
+// kill-safe engines and a modest fault profile.
 type ChaosConfig struct {
-	// Engines to soak (default tl2, norec, dstm, pdur — the kill-safe set,
-	// so thread-kill faults stay enabled; other engines run with kills
-	// downgraded to spurious aborts, see chaos.KillSafe).
+	// Engines to soak (default: the engines whose KillSafe trait is set,
+	// in engines.Names order — tl2, norec, dstm, pdur — so thread-kill
+	// faults stay enabled; other engines run with kills downgraded to
+	// spurious aborts).
 	Engines []string
 	// Trials per engine (default 50). Each trial is one randomized fault
 	// schedule through all three stages.
@@ -53,8 +65,6 @@ type ChaosConfig struct {
 	// Seed anchors the whole grid; trial t of engine i derives its seed
 	// deterministically, so a soak replays exactly.
 	Seed int64
-	// Criterion to certify against (default spec.DUOpacity).
-	Criterion spec.Criterion
 	// NodeLimit bounds each check and monitor search (default 200_000).
 	NodeLimit int
 	// Profile is the engine-fault profile; its Seed field is overwritten
@@ -62,22 +72,20 @@ type ChaosConfig struct {
 	// CommitDelay: 0.25} — pass any negative probability to really disable
 	// engine faults.
 	Profile chaos.Profile
-	// Objects, Goroutines, Txns (per goroutine) and Ops (per transaction)
-	// shape each trial's workload (defaults 4, 3, 2, 3).
-	Objects, Goroutines, Txns, Ops int
 	// Farm, when set, runs the farm stage each trial.
 	Farm ChaosFarmFunc
 }
 
 func (cfg ChaosConfig) withDefaults() ChaosConfig {
 	if len(cfg.Engines) == 0 {
-		cfg.Engines = []string{"tl2", "norec", "dstm", "pdur"}
+		for _, e := range engines.Names() {
+			if engines.TraitsOf(e).KillSafe {
+				cfg.Engines = append(cfg.Engines, e)
+			}
+		}
 	}
 	if cfg.Trials <= 0 {
 		cfg.Trials = 50
-	}
-	if cfg.Criterion == 0 {
-		cfg.Criterion = spec.DUOpacity
 	}
 	if cfg.NodeLimit <= 0 {
 		cfg.NodeLimit = 200_000
@@ -91,18 +99,6 @@ func (cfg ChaosConfig) withDefaults() ChaosConfig {
 	}
 	if cfg.Profile.CommitDelay < 0 {
 		cfg.Profile.CommitDelay = 0
-	}
-	if cfg.Objects <= 0 {
-		cfg.Objects = 4
-	}
-	if cfg.Goroutines <= 0 {
-		cfg.Goroutines = 3
-	}
-	if cfg.Txns <= 0 {
-		cfg.Txns = 2
-	}
-	if cfg.Ops <= 0 {
-		cfg.Ops = 3
 	}
 	return cfg
 }
@@ -208,7 +204,7 @@ func soakTrial(cfg ChaosConfig, engine string, seed int64, rep *ChaosReport) err
 	// Stage 1: engine faults. Real goroutines drive a chaos-wrapped engine
 	// under the recorder; per-goroutine RNGs keep fault decisions
 	// deterministic per trial even though the interleaving is not.
-	base, err := engines.New(engine, cfg.Objects)
+	base, err := engines.New(engine, chaosObjects)
 	if err != nil {
 		return err
 	}
@@ -216,39 +212,39 @@ func soakTrial(cfg ChaosConfig, engine string, seed int64, rep *ChaosReport) err
 	prof.Seed = seed
 	ceng := chaos.Wrap(base, prof)
 	rec := recorder.New(ceng)
-	killSafe := chaos.KillSafe(engine)
+	tr := engines.TraitsOf(engine)
 
 	var vals atomic.Int64
 	var kills atomic.Int64
 	var wg sync.WaitGroup
-	for g := 0; g < cfg.Goroutines; g++ {
+	for g := 0; g < chaosGoroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			rng := lazyrand.New(seed + int64(g)*104_729)
-			for txn := 0; txn < cfg.Txns; txn++ {
+			for txn := 0; txn < chaosTxns; txn++ {
 				// A kill abandons the transaction mid-flight — no commit, no
 				// abort, the recorded transaction stays live in the history.
 				// Only legal on kill-safe engines; elsewhere the draw is
 				// ignored (the fault downgrades to the profile's spurious
 				// aborts).
-				kill := killSafe && rng.Float64() < 0.15
-				killAt := rng.Intn(cfg.Ops)
+				kill := tr.KillSafe && rng.Float64() < 0.15
+				killAt := rng.Intn(chaosOps)
 				for attempt := 0; attempt < 6; attempt++ {
 					tx := rec.Begin()
 					aborted, abandoned := false, false
-					for op := 0; op < cfg.Ops; op++ {
+					for op := 0; op < chaosOps; op++ {
 						if kill && attempt == 0 && op == killAt {
 							kills.Add(1)
 							abandoned = true
 							break
 						}
 						if rng.Float64() < 0.5 {
-							if _, rerr := tx.Read(rng.Intn(cfg.Objects)); rerr != nil {
+							if _, rerr := tx.Read(rng.Intn(chaosObjects)); rerr != nil {
 								aborted = true
 								break
 							}
-						} else if werr := tx.Write(rng.Intn(cfg.Objects), vals.Add(1)); werr != nil {
+						} else if werr := tx.Write(rng.Intn(chaosObjects), vals.Add(1)); werr != nil {
 							aborted = true
 							break
 						}
@@ -274,12 +270,12 @@ func soakTrial(cfg ChaosConfig, engine string, seed int64, rep *ChaosReport) err
 	rep.Kills += int(kills.Load())
 
 	hf := rec.History()
-	crit := cfg.Criterion
+	const crit = chaosCriterion
 	vref := spec.Check(hf, crit, spec.WithNodeLimit(cfg.NodeLimit))
 	if vref.Undecided {
 		rep.Undecided++
 	}
-	if engines.DeferredUpdate(engine) && !vref.Undecided && !vref.OK {
+	if tr.DeferredUpdate && !vref.Undecided && !vref.OK {
 		rep.flip("engine=%s seed=%d: deferred-update history became violating under engine faults: %s",
 			engine, seed, vref.Reason)
 	}

@@ -49,7 +49,7 @@ func TestChaosSoakNonKillSafeEngine(t *testing.T) {
 	for _, f := range rep.Flips {
 		// ple is not deferred-update: its histories may honestly violate
 		// du-opacity, which the soak must NOT report as a flip (the
-		// deferred-update invariant is gated on engines.DeferredUpdate).
+		// deferred-update invariant is gated on the DeferredUpdate trait).
 		t.Errorf("soundness flip: %s", f)
 	}
 }

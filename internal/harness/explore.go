@@ -30,11 +30,13 @@ import (
 //   - sleep sets (a DPOR-style partial-order reduction): after a subtree
 //     explores the schedules starting with step a, sibling subtrees need
 //     not re-explore interleavings that merely reorder a with steps
-//     independent of it. Independence is engine-aware and deliberately
+//     independent of it. Independence is the engine's Commute trait
+//     (engines.TraitsOf, resolved once per exploration) and deliberately
 //     conservative — only steps that cannot begin or complete a
 //     transaction (which would change real-time order) and cannot abort
 //     are ever claimed independent, so swapping them provably preserves
-//     the recorded history's verdict (see independentSteps);
+//     the recorded history's verdict (engines.Commute says why each
+//     engine's pairs commute);
 //   - symmetry reduction (the idea of internal/enum: transaction k enters
 //     only after k-1): two threads that have not started and run identical
 //     programs are interchangeable, so only the lower-indexed one may take
@@ -52,8 +54,8 @@ import (
 // construction, so nothing is re-executed or compared. The engine is
 // built once per exploration, for the root.
 //
-// The quantifier is the stepper's schedule space — the engine's exclusion
-// policy plus the stepper's abort-backoff discipline (an aborted thread
+// The quantifier is the stepper's schedule space — the engine's Blocking
+// trait plus the stepper's abort-backoff discipline (an aborted thread
 // retries only after some other thread t-completes; see
 // stepper.resolveAbort), exactly the space RunInterleaved samples. Real
 // goroutine runs can additionally interleave an immediate retry's events
@@ -66,7 +68,7 @@ type ExploreOutcome uint8
 
 const (
 	// ProvenDUOpaque: every schedule of the stepper's space — the
-	// engine's exclusion policy plus the abort-backoff discipline, the
+	// engine's Blocking trait plus the abort-backoff discipline, the
 	// same space RunInterleaved samples — was enumerated (directly or via
 	// a sound pruning) and every recorded history satisfies the
 	// configured criterion: for the default criterion, the plan is proven
@@ -245,7 +247,7 @@ type ExploreReport struct {
 }
 
 // ExplorePlanCtx enumerates every schedule of the deterministic stepper's
-// space for the plan — the engine's exclusion policy plus the stepper's
+// space for the plan — the engine's Blocking trait plus the stepper's
 // abort-backoff discipline, exactly the space RunInterleaved samples —
 // certifies each recorded history online against cfg.Criterion, and
 // aggregates a per-plan verdict: ProvenDUOpaque when the space was
@@ -294,15 +296,16 @@ func explore(ctx context.Context, engine string, eng stm.Engine, p stm.Plan, cfg
 	}
 	rec := recorder.New(root)
 	n := len(p.Threads)
+	tr := engines.TraitsOf(engine)
 	e := &explorer{
-		engine:   engine,
+		commute:  tr.Commute,
 		cfg:      cfg,
 		ctx:      ctx,
 		symClass: symClasses(p.Threads),
 		rep:      ExploreReport{Engine: engine, Criterion: cfg.Criterion, Plan: p},
 		eng:      root,
 		rec:      rec,
-		st:       stepper{rec: rec, threads: threadsFor(p), policy: policyFor(engine), maxAttempts: cfg.MaxAttempts},
+		st:       stepper{rec: rec, threads: threadsFor(p), blocking: tr.Blocking, maxAttempts: cfg.MaxAttempts},
 		in:       make([]stm.Txn, n),
 		out:      make([]stm.Txn, n),
 		targets:  make([]*recorder.Txn, n),
@@ -355,7 +358,7 @@ const (
 )
 
 type explorer struct {
-	engine   string
+	commute  engines.Commute // the engine's, resolved once per run
 	cfg      ExploreConfig
 	ctx      context.Context
 	symClass []int // per-thread program class, see symClasses
@@ -869,7 +872,7 @@ func (e *explorer) childSleep(st *stepper, stateSleep uint64, taken int) uint64 
 	for m := stateSleep; m != 0; m &= m - 1 {
 		zi := bits.TrailingZeros64(m)
 		zd, ok := nextStepDesc(st.threads[zi], zi)
-		if ok && independentSteps(e.engine, zd, td) {
+		if ok && independentSteps(e.commute, zd, td) {
 			child |= 1 << uint(zi)
 		}
 	}
@@ -907,54 +910,24 @@ func nextStepDesc(t *vthread, idx int) (stepDesc, bool) {
 	return d, true
 }
 
-// independentSteps is the engine-aware independence relation of the sleep
-// sets. It must under-approximate true commutativity: claiming two steps
-// independent asserts that executing them in either order yields the same
-// engine state, the same event outcomes, and — because neither begins nor
-// completes a transaction — a recorded history of equal verdict (the only
-// order-sensitive inputs to the implemented criteria are real-time order,
-// set by t-completions vs first events, and the position of read responses
-// relative to tryC invocations; none participate in a swap of two plain
-// operation steps). Steps that could abort are therefore never claimed
-// independent: an abort is a t-completion.
-func independentSteps(engine string, a, b stepDesc) bool {
-	if a.thread == b.thread {
+// independentSteps is the sleep sets' independence relation: the
+// engine's Commute trait (engines.Commute says why each engine's pairs
+// commute) over two mid-transaction steps of different threads. Steps
+// that begin or complete a transaction are never independent: swapping
+// them would change real-time order. Every other order-sensitive input to
+// the implemented criteria — the position of read responses relative to
+// tryC invocations — stays put in a swap of two plain operation steps, so
+// the recorded history keeps its verdict.
+func independentSteps(c engines.Commute, a, b stepDesc) bool {
+	if a.thread == b.thread || a.begin || b.begin || a.commit || b.commit {
 		return false
 	}
-	if a.begin || b.begin || a.commit || b.commit {
-		return false
-	}
-	// The relation is keyed on the base engine: CM suffixes change only
-	// how long conflicting steps wait, never which steps can conflict.
-	switch engines.Base(engine) {
-	case "tl2", "norec", "pdur":
-		// Deferred-update with buffered, invisible writes: a mid-
-		// transaction write mutates only transaction-local state and never
-		// aborts, so two writes commute regardless of object. Reads can
-		// abort (version/value validation), which would end the
-		// transaction and shift real-time order — never independent.
+	switch c {
+	case engines.BufferedWrites:
 		return !a.read && !b.read
-	case "ple":
-		// In-place, abort-free: reads are unvalidated loads that never
-		// fail and writes mutate the object (and the writer lock) in
-		// place. Read/read always commutes; read/write commutes on
-		// distinct objects (the read's value and the write's effect cannot
-		// observe each other, and reads never touch the writer lock).
-		// Write/write pairs are never co-enabled under the writer lock,
-		// but are conservatively declared dependent anyway.
-		if a.read && b.read {
-			return true
-		}
-		if a.read != b.read {
-			return a.obj != b.obj
-		}
-		return false
+	case engines.UnvalidatedReads:
+		return a.read && b.read || a.read != b.read && a.obj != b.obj
 	default:
-		// gl serializes whole transactions (no co-enabled mid-transaction
-		// steps exist); dstm acquires ownership at writes and validates
-		// whole read sets at reads; etl/etl+v write in place with
-		// encounter-time locks and may abort at any operation. No
-		// independence is claimed.
 		return false
 	}
 }

@@ -172,7 +172,7 @@ func TestExploreGolden(t *testing.T) {
 // differential: every history RunInterleaved can produce for a workload
 // must appear among the histories the naive exploration of the same plan
 // enumerates — the sampler draws from exactly the space the explorer
-// exhausts (shared stepper and schedulePolicy, policy.go).
+// exhausts (shared stepper and admissibility rule, policy.go).
 func TestExploreContainsSampledSchedules(t *testing.T) {
 	for _, eng := range []string{"tl2", "norec", "ple", "gl", "etl"} {
 		for seed := int64(1); seed <= 5; seed++ {
@@ -250,7 +250,7 @@ func checkRewound(tb testing.TB, e *explorer, v spec.Verdict) {
 	h := e.rec.History()
 	if e.m.Len() != h.Len() || e.events != h.Len() {
 		tb.Fatalf("%s schedule %v: the monitor holds %d events and counts %d, the recorder %d",
-			e.engine, e.sched, e.m.Len(), e.events, h.Len())
+			e.rep.Engine, e.sched, e.m.Len(), e.events, h.Len())
 	}
 	latchAt := -1
 	for i, ev := range h.Events() {
@@ -268,7 +268,7 @@ func checkRewound(tb testing.TB, e *explorer, v spec.Verdict) {
 	}
 	if fv := fresh.Verdict(); fv.OK != v.OK || fv.Undecided != v.Undecided || fv.Reason != v.Reason || latchAt != got {
 		tb.Errorf("%s/%v schedule %v: rewound monitor says %v (latched at %d), a fresh one %v (latched at %d)\n%s",
-			e.engine, e.cfg.Criterion, e.sched, v, got, fv, latchAt, histio.FormatString(h))
+			e.rep.Engine, e.cfg.Criterion, e.sched, v, got, fv, latchAt, histio.FormatString(h))
 	}
 }
 
@@ -282,12 +282,12 @@ func watchForkedWorld(tb testing.TB) *int {
 	checked := new(int)
 	replayOracle = func(e *explorer) {
 		*checked++
-		eng, err := engines.New(e.engine, e.rep.Plan.Objects)
+		eng, err := engines.New(e.rep.Engine, e.rep.Plan.Objects)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		rec := recorder.New(eng)
-		st := stepper{rec: rec, threads: threadsFor(e.rep.Plan), policy: policyFor(e.engine), maxAttempts: e.cfg.MaxAttempts}
+		st := stepper{rec: rec, threads: threadsFor(e.rep.Plan), blocking: engines.TraitsOf(e.rep.Engine).Blocking, maxAttempts: e.cfg.MaxAttempts}
 		var buf []int
 		for _, th := range e.sched {
 			buf = st.runnable(buf)
@@ -296,11 +296,11 @@ func watchForkedWorld(tb testing.TB) *int {
 		got, want := histio.FormatString(e.rec.History()), histio.FormatString(rec.History())
 		if got != want || e.rec.LastID() != rec.LastID() {
 			tb.Fatalf("%s/%v schedule %v: the forked world recorded\n%s(last id %d), a replay from scratch\n%s(last id %d)",
-				e.engine, e.cfg.Criterion, e.sched, got, e.rec.LastID(), want, rec.LastID())
+				e.rep.Engine, e.cfg.Criterion, e.sched, got, e.rec.LastID(), want, rec.LastID())
 		}
 		fs := &e.st
 		if fs.vals != st.vals || fs.commits != st.commits || fs.aborts != st.aborts || fs.failed != st.failed {
-			tb.Fatalf("%s schedule %v: stepper counters %d/%d/%d/%d forked, %d/%d/%d/%d replayed", e.engine, e.sched,
+			tb.Fatalf("%s schedule %v: stepper counters %d/%d/%d/%d forked, %d/%d/%d/%d replayed", e.rep.Engine, e.sched,
 				fs.vals, fs.commits, fs.aborts, fs.failed, st.vals, st.commits, st.aborts, st.failed)
 		}
 		for i, ft := range fs.threads {
@@ -308,7 +308,7 @@ func watchForkedWorld(tb testing.TB) *int {
 			if ft.txnIdx != rt.txnIdx || ft.opIdx != rt.opIdx || ft.attempts != rt.attempts ||
 				ft.wrote != rt.wrote || ft.done != rt.done || (ft.tx == nil) != (rt.tx == nil) ||
 				(ft.tx != nil && ft.tx.ID() != rt.tx.ID()) {
-				tb.Fatalf("%s schedule %v: thread %d forked %+v, replayed %+v", e.engine, e.sched, i, *ft, *rt)
+				tb.Fatalf("%s schedule %v: thread %d forked %+v, replayed %+v", e.rep.Engine, e.sched, i, *ft, *rt)
 			}
 		}
 	}

@@ -15,9 +15,9 @@
 //     able to steer through preemption windows real goroutines almost
 //     never hit.
 //   - ExplorePlanCtx exhausts that same schedule space: every interleaving
-//     the engine's exclusion policy (policy.go) allows is enumerated and
-//     certified online, with the prefix-closure cut of Corollary 2, sleep
-//     sets, and symmetry reduction pruning redundant subtrees — turning
+//     the engine's Blocking trait allows is enumerated and certified
+//     online, with the prefix-closure cut of Corollary 2, sleep sets, and
+//     symmetry reduction pruning redundant subtrees — turning
 //     per-plan certification from sampled evidence into a proof
 //     (ProvenDUOpaque / ViolationFound / BudgetExhausted).
 //

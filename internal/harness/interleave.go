@@ -21,15 +21,15 @@ import (
 // ("ple", "etl") is steered through the read-an-uncommitted-write window
 // whenever the plan contains it.
 //
-// Engines that block inside an operation are stepped under an exclusion
-// policy derived from the engine's locking discipline (the shared
-// schedulePolicy of policy.go, also used by ExplorePlanCtx), so the
-// single-threaded scheduler never deadlocks; for "gl", whose global lock
-// spans the whole transaction, this degenerates to the serial execution
-// the real engine produces anyway.
+// Engines that block inside an operation are stepped under their
+// Blocking trait (engines.TraitsOf; the admissibility rule of policy.go,
+// shared with ExplorePlanCtx), so the single-threaded scheduler never
+// deadlocks; for "gl", whose global lock spans the whole transaction,
+// this degenerates to the serial execution the real engine produces
+// anyway.
 //
 // RunInterleaved samples exactly one schedule of the workload's plan; the
-// exhaustive counterpart enumerating every schedule the policy allows is
+// exhaustive counterpart enumerating every schedule the trait allows is
 // ExplorePlanCtx.
 func RunInterleaved(w Workload) (*history.History, RunStats, error) {
 	return runInterleaved(w, nil)
@@ -70,7 +70,7 @@ func runInterleaved(w Workload, tap func(history.Event)) (*history.History, RunS
 	st := &stepper{
 		rec:         rec,
 		threads:     threadsFor(planFor(w, rng)),
-		policy:      policyFor(w.Engine),
+		blocking:    engines.TraitsOf(w.Engine).Blocking,
 		maxAttempts: w.MaxAttempts,
 	}
 	rng.Seed(w.Seed*6364136223846793005 + 1442695040888963407)

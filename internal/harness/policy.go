@@ -8,68 +8,31 @@ import (
 
 // This file is the single home of the deterministic stepwise execution
 // model shared by the seeded sampler (RunInterleaved) and the exhaustive
-// schedule explorer (ExplorePlanCtx): virtual threads, the engine-aware
-// exclusion policy deciding which threads may take a step without
-// blocking the one real goroutine, and the stepper that advances a thread
-// by one t-operation. Keeping sampler and explorer on the same stepper is
+// schedule explorer (ExplorePlanCtx): virtual threads, the admissibility
+// rule deciding — from the engine's Blocking trait — which threads may
+// take a step without blocking the one real goroutine, and the stepper
+// that advances a thread by one t-operation. Keeping sampler and explorer on the same stepper is
 // what makes the explorer's claim meaningful — the set of schedules it
 // enumerates is, by construction, exactly the set the sampler draws from
 // (pinned by TestExploreContainsSampledSchedules).
 
-// exclusion names the blocking discipline of an engine, so the stepwise
-// scheduler avoids steps that would block the single real goroutine.
-type exclusion uint8
-
-const (
-	// exclNone: every operation either completes or aborts; any
-	// interleaving is schedulable (tl2, norec, dstm, etl, etl+v).
-	exclNone exclusion = iota
-	// exclWriters: the first write blocks while another transaction that
-	// has written is still live (ple's global writer lock).
-	exclWriters
-	// exclWholeTxn: beginning a transaction blocks while any transaction
-	// is live (gl's global lock held from Begin to completion).
-	exclWholeTxn
-)
-
-// schedulePolicy is the engine-aware exclusion policy: the one piece of
-// knowledge about engine blocking that the stepwise scheduler needs.
-type schedulePolicy struct {
-	excl exclusion
-}
-
-// policyFor derives the exclusion policy from the engine's locking
-// discipline. The contention-management suffix is irrelevant: every cm
-// policy's waits are bounded with an escalation to abort, so a CM'd
-// engine still satisfies its base engine's admissibility rule.
-func policyFor(engine string) schedulePolicy {
-	switch engines.Base(engine) {
-	case "gl":
-		return schedulePolicy{excl: exclWholeTxn}
-	case "ple":
-		return schedulePolicy{excl: exclWriters}
-	default:
-		return schedulePolicy{excl: exclNone}
-	}
-}
-
-// admissible reports whether stepping t cannot block, under the engine's
-// exclusion policy, given the states of all threads.
-func (p schedulePolicy) admissible(threads []*vthread, t *vthread) bool {
-	switch p.excl {
-	case exclWholeTxn:
+// admissible reports whether stepping t cannot block under the engine's
+// blocking discipline, given the states of all threads.
+func (s *stepper) admissible(t *vthread) bool {
+	switch s.blocking {
+	case engines.GlobalLock:
 		// Only beginning a transaction blocks; once inside, the thread
 		// holds the global lock and every step completes.
 		if t.tx != nil {
 			return true
 		}
-		for _, o := range threads {
+		for _, o := range s.threads {
 			if o != t && o.tx != nil {
 				return false
 			}
 		}
 		return true
-	case exclWriters:
+	case engines.WriterLock:
 		// Only the first write of an attempt blocks, and only while
 		// another live transaction holds the writer lock. The begin step
 		// also executes the attempt's first operation, so a thread between
@@ -85,7 +48,7 @@ func (p schedulePolicy) admissible(threads []*vthread, t *vthread) bool {
 		if next >= len(ops) || ops[next].Read {
 			return true // commit and reads never block in ple
 		}
-		for _, o := range threads {
+		for _, o := range s.threads {
 			if o != t && o.tx != nil && o.wrote {
 				return false
 			}
@@ -125,7 +88,7 @@ func threadsFor(p stm.Plan) []*vthread {
 type stepper struct {
 	rec         *recorder.Recorder
 	threads     []*vthread
-	policy      schedulePolicy
+	blocking    engines.Blocking // resolved once per run
 	maxAttempts int
 
 	vals    int64 // written-value source (unique writes)
@@ -143,7 +106,7 @@ func (s *stepper) runnable(buf []int) []int {
 	for {
 		buf = buf[:0]
 		for i, t := range s.threads {
-			if !t.done && !t.backoff && s.policy.admissible(s.threads, t) {
+			if !t.done && !t.backoff && s.admissible(t) {
 				buf = append(buf, i)
 			}
 		}

@@ -8,7 +8,8 @@ import (
 	"duopacity/internal/stm/engines"
 )
 
-// newStepper builds a stepper over a fresh engine for direct policy tests.
+// newStepper builds a stepper over a fresh engine for direct admissibility
+// tests.
 func newStepper(t *testing.T, engine string, p stm.Plan, maxAttempts int) *stepper {
 	t.Helper()
 	eng, err := engines.New(engine, p.Objects)
@@ -18,30 +19,8 @@ func newStepper(t *testing.T, engine string, p stm.Plan, maxAttempts int) *stepp
 	return &stepper{
 		rec:         recorder.New(eng),
 		threads:     threadsFor(p),
-		policy:      policyFor(engine),
+		blocking:    engines.TraitsOf(engine).Blocking,
 		maxAttempts: maxAttempts,
-	}
-}
-
-// TestPolicyFor pins the engine → exclusion mapping: the explorer's
-// enumeration claim is "all schedules the policy allows", so the mapping
-// is load-bearing shared knowledge.
-func TestPolicyFor(t *testing.T) {
-	for _, tc := range []struct {
-		engine string
-		want   exclusion
-	}{
-		{"gl", exclWholeTxn},
-		{"ple", exclWriters},
-		{"tl2", exclNone},
-		{"norec", exclNone},
-		{"dstm", exclNone},
-		{"etl", exclNone},
-		{"etl+v", exclNone},
-	} {
-		if got := policyFor(tc.engine).excl; got != tc.want {
-			t.Errorf("policyFor(%s).excl = %d, want %d", tc.engine, got, tc.want)
-		}
 	}
 }
 
@@ -53,21 +32,21 @@ func TestPolicyWholeTxnExclusion(t *testing.T) {
 	st := newStepper(t, "gl", p, 4)
 	a, b := st.threads[0], st.threads[1]
 
-	if !st.policy.admissible(st.threads, a) || !st.policy.admissible(st.threads, b) {
+	if !st.admissible(a) || !st.admissible(b) {
 		t.Fatal("both threads must be admissible before any begins")
 	}
 	st.step(a) // a begins and performs its read; still live (commit pending)
 	if a.tx == nil {
 		t.Fatal("thread a should be inside its transaction")
 	}
-	if st.policy.admissible(st.threads, b) {
+	if st.admissible(b) {
 		t.Error("gl: thread b admissible while a holds the global lock")
 	}
-	if !st.policy.admissible(st.threads, a) {
+	if !st.admissible(a) {
 		t.Error("gl: the lock holder itself must stay admissible")
 	}
 	st.step(a) // a commits
-	if !st.policy.admissible(st.threads, b) {
+	if !st.admissible(b) {
 		t.Error("gl: thread b must be admissible after a completes")
 	}
 }
@@ -84,18 +63,18 @@ func TestPolicyWriterExclusion(t *testing.T) {
 	if !w1.wrote {
 		t.Fatal("w1 should have written")
 	}
-	if st.policy.admissible(st.threads, w2) {
+	if st.admissible(w2) {
 		t.Error("ple: second writer admissible while the writer lock is held")
 	}
-	if !st.policy.admissible(st.threads, rd) {
+	if !st.admissible(rd) {
 		t.Error("ple: reader blocked by the writer lock")
 	}
-	if !st.policy.admissible(st.threads, w1) {
+	if !st.admissible(w1) {
 		t.Error("ple: the lock holder must stay admissible")
 	}
 	st.step(w1) // read
 	st.step(w1) // commit, releasing the writer lock
-	if !st.policy.admissible(st.threads, w2) {
+	if !st.admissible(w2) {
 		t.Error("ple: second writer must be admissible after release")
 	}
 }

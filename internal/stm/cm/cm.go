@@ -24,8 +24,8 @@
 //  1. Every policy is *bounded*: a transaction that keeps conflicting
 //     receives at most a fixed number of Wait resolutions before the
 //     manager escalates to AbortSelf (or AbortEnemy where possible).
-//     The deterministic stepper (internal/harness) runs every engine
-//     under the exclNone admissibility rule — each operation either
+//     The deterministic stepper (internal/harness) runs every CM'd
+//     engine as engines.NoBlocking — each operation either
 //     completes or aborts without blocking on another suspended
 //     vthread — and an unbounded wait loop would deadlock it. Under
 //     the stepper a Wait burns its budget without the opponent

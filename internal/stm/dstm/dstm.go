@@ -20,11 +20,10 @@
 // skew). Writers treat a committing owner as an active one, so the
 // engine stays obstruction-free.
 //
-// Two contention-management surfaces coexist. The legacy Manager
-// policies (Aggressive/Polite/Timid) are dstm's original hardwired
-// family and remain the default (bare "dstm" is Aggressive). WithPolicy
-// switches the engine to the shared cm layer (internal/stm/cm), where
-// the same policies every other engine uses — backoff, karma, greedy —
+// Without a contention-management policy, a writer that finds an object
+// owned by another live transaction kills the owner. WithPolicy switches
+// conflict arbitration to the shared cm layer (internal/stm/cm), where
+// the policies every other engine uses — backoff, karma, greedy —
 // arbitrate with full knowledge of both sides' priorities: each
 // transaction descriptor carries its cm.Manager, so karma can compare
 // work done and greedy can compare ages before deciding to wait, kill
@@ -33,7 +32,6 @@
 package dstm
 
 import (
-	"runtime"
 	"sync/atomic"
 
 	"duopacity/internal/stm"
@@ -47,33 +45,6 @@ const (
 	committed
 	aborted
 )
-
-// Manager is a contention-management policy: what a transaction does when
-// it finds an object owned by another active transaction.
-type Manager uint8
-
-const (
-	// Aggressive aborts the conflicting owner immediately.
-	Aggressive Manager = iota + 1
-	// Polite yields a few times, then aborts the owner.
-	Polite
-	// Timid aborts itself.
-	Timid
-)
-
-// String returns the policy name.
-func (m Manager) String() string {
-	switch m {
-	case Aggressive:
-		return "aggressive"
-	case Polite:
-		return "polite"
-	case Timid:
-		return "timid"
-	default:
-		return "unknown"
-	}
-}
 
 // desc is a transaction descriptor; locators point at it. mgr is the
 // transaction's contention manager (cm mode only): opponents that find
@@ -96,7 +67,6 @@ type locator struct {
 
 // TM is a DSTM-style software transactional memory.
 type TM struct {
-	policy   Manager
 	cmPolicy cm.Policy
 	useCM    bool
 	src      *cm.Source
@@ -108,14 +78,9 @@ var _ stm.Forkable = (*TM)(nil)
 // Option configures the engine.
 type Option func(*TM)
 
-// WithManager selects the legacy contention-management policy (default
-// Aggressive).
-func WithManager(m Manager) Option {
-	return func(t *TM) { t.policy = m }
-}
-
 // WithPolicy switches conflict arbitration to the shared cm layer with
-// the given policy. cm.Passive behaves like Timid (abort self).
+// the given policy. Under cm.Passive a writer aborts itself at a
+// conflict.
 func WithPolicy(p cm.Policy) Option {
 	return func(t *TM) {
 		t.useCM = true
@@ -125,7 +90,7 @@ func WithPolicy(p cm.Policy) Option {
 
 // New returns a DSTM TM over objects t-objects initialized to zero.
 func New(objects int, opts ...Option) *TM {
-	t := &TM{policy: Aggressive, objs: make([]atomic.Pointer[locator], objects)}
+	t := &TM{objs: make([]atomic.Pointer[locator], objects)}
 	for _, o := range opts {
 		o(t)
 	}
@@ -237,13 +202,13 @@ func (x *txn) Write(obj int, v int64) error {
 		l.newVal = v // we own the locator: update the speculative slot
 		return nil
 	}
-	for attempt := 0; ; attempt++ {
+	for {
 		if !x.alive() {
 			return stm.ErrAborted
 		}
 		old := x.tm.objs[obj].Load()
 		if st := old.owner.status.Load(); (st == active || st == committing) && old.owner != x.self {
-			if !x.manageConflict(old.owner, attempt) {
+			if !x.manageConflict(old.owner) {
 				x.Abort()
 				return stm.ErrAborted
 			}
@@ -269,33 +234,23 @@ func (x *txn) Write(obj int, v int64) error {
 	}
 }
 
-// manageConflict applies the contention policy against an active owner.
-// It returns false if the caller must abort itself.
-func (x *txn) manageConflict(owner *desc, attempt int) bool {
-	if x.tm.useCM {
-		switch x.self.mgr.Conflict(&owner.mgr) {
-		case cm.AbortEnemy:
-			kill(owner)
-			return true
-		case cm.Wait:
-			x.self.mgr.Backoff()
-			return true
-		default:
-			return false
-		}
-	}
-	switch x.tm.policy {
-	case Timid:
-		return false
-	case Polite:
-		if attempt < 4 {
-			runtime.Gosched()
-			return true
-		}
-		fallthrough
-	default: // Aggressive
+// manageConflict applies the contention policy against an active owner:
+// without a cm policy the owner is killed. It returns false if the caller
+// must abort itself.
+func (x *txn) manageConflict(owner *desc) bool {
+	if !x.tm.useCM {
 		kill(owner)
 		return true
+	}
+	switch x.self.mgr.Conflict(&owner.mgr) {
+	case cm.AbortEnemy:
+		kill(owner)
+		return true
+	case cm.Wait:
+		x.self.mgr.Backoff()
+		return true
+	default:
+		return false
 	}
 }
 
@@ -339,7 +294,7 @@ func (x *txn) Abort() {
 func (t *TM) Fork(dst stm.Engine, txns, out []stm.Txn) stm.Engine {
 	d, _ := dst.(*TM)
 	if d == nil {
-		opts := []Option{WithManager(t.policy)}
+		var opts []Option
 		if t.useCM {
 			opts = append(opts, WithPolicy(t.cmPolicy))
 		}

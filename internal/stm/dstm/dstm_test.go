@@ -19,18 +19,13 @@ func TestUserError(t *testing.T)     { stmtest.UserError(t, factory) }
 func TestCounter(t *testing.T)       { stmtest.Counter(t, factory, 8, 200) }
 func TestSmoke(t *testing.T)         { stmtest.Smoke(t, factory, 8, 200) }
 
+// TestPolicies runs the suites on bare dstm's conflict policy, which
+// kills the conflicting owner.
 func TestPolicies(t *testing.T) {
-	for _, m := range []Manager{Aggressive, Polite, Timid} {
-		m := m
-		t.Run(m.String(), func(t *testing.T) {
-			f := func(objects int) stm.Engine { return New(objects, WithManager(m)) }
-			stmtest.Basic(t, f)
-			stmtest.Smoke(t, f, 4, 100)
-		})
-	}
-	if Manager(0).String() != "unknown" {
-		t.Error("zero manager should render unknown")
-	}
+	t.Run("aggressive", func(t *testing.T) {
+		stmtest.Basic(t, factory)
+		stmtest.Smoke(t, factory, 4, 100)
+	})
 }
 
 func TestReadersSeeOldValueOfActiveOwner(t *testing.T) {
@@ -64,7 +59,7 @@ func TestReadersSeeOldValueOfActiveOwner(t *testing.T) {
 }
 
 func TestAggressiveAbortsConflictingOwner(t *testing.T) {
-	tm := New(1) // Aggressive by default
+	tm := New(1) // bare dstm kills the conflicting owner
 	a := tm.Begin()
 	if err := a.Write(0, 1); err != nil {
 		t.Fatalf("a.Write: %v", err)
@@ -85,21 +80,6 @@ func TestAggressiveAbortsConflictingOwner(t *testing.T) {
 		t.Fatalf("value = %d, want 2", v)
 	}
 	_ = r.Commit()
-}
-
-func TestTimidAbortsSelf(t *testing.T) {
-	tm := New(1, WithManager(Timid))
-	a := tm.Begin()
-	if err := a.Write(0, 1); err != nil {
-		t.Fatalf("a.Write: %v", err)
-	}
-	b := tm.Begin()
-	if err := b.Write(0, 2); !errors.Is(err, stm.ErrAborted) {
-		t.Fatalf("timid b.Write = %v, want ErrAborted", err)
-	}
-	if err := a.Commit(); err != nil {
-		t.Fatalf("a.Commit: %v", err)
-	}
 }
 
 func TestValidationCatchesStaleRead(t *testing.T) {
@@ -133,8 +113,8 @@ func TestSpeculativeValuesInvisibleAfterAbort(t *testing.T) {
 }
 
 func TestConcurrentMixedPolicies(t *testing.T) {
-	// Several goroutines over a polite TM: no deadlock, exact counting.
-	tm := New(1, WithManager(Polite))
+	// Several goroutines over one TM: no deadlock, exact counting.
+	tm := New(1)
 	var wg sync.WaitGroup
 	const workers, incs = 6, 100
 	for w := 0; w < workers; w++ {

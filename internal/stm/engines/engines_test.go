@@ -1,28 +1,71 @@
 package engines
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"duopacity/internal/stm"
 )
 
-// TestRegistryRoundTrip: every registered name constructs an engine whose
-// self-reported name matches the registry key, over the requested number
-// of objects.
-func TestRegistryRoundTrip(t *testing.T) {
-	for _, name := range Names() {
+// TestTraits pins what each base engine is — written out here, not read
+// from the registry — and checks every engine name against it: each
+// Matrix name and each "+passive" spelling builds an engine that reports
+// its name ("+passive" normalizing away) and object count, runs a
+// trivial transaction, and has its base engine's traits. Names Parse
+// rejects build nothing and claim no traits.
+func TestTraits(t *testing.T) {
+	rows := []struct {
+		name   string
+		traits Traits
+	}{
+		{"tl2", Traits{CM: true, DeferredUpdate: true, KillSafe: true, Blocking: NoBlocking, Commute: BufferedWrites}},
+		{"norec", Traits{CM: true, DeferredUpdate: true, KillSafe: true, Blocking: NoBlocking, Commute: BufferedWrites}},
+		{"dstm", Traits{CM: true, DeferredUpdate: true, KillSafe: true, Blocking: NoBlocking, Commute: NoCommute}},
+		{"etl", Traits{CM: true, DeferredUpdate: false, KillSafe: false, Blocking: NoBlocking, Commute: NoCommute}},
+		{"etl+v", Traits{CM: true, DeferredUpdate: false, KillSafe: false, Blocking: NoBlocking, Commute: NoCommute}},
+		{"gl", Traits{CM: false, DeferredUpdate: true, KillSafe: false, Blocking: GlobalLock, Commute: NoCommute}},
+		{"ple", Traits{CM: false, DeferredUpdate: false, KillSafe: false, Blocking: WriterLock, Commute: UnvalidatedReads}},
+		{"pdur", Traits{CM: true, DeferredUpdate: true, KillSafe: true, Blocking: NoBlocking, Commute: BufferedWrites}},
+	}
+	want := map[string]Traits{}
+	var names, cmNames []string
+	for _, r := range rows {
+		want[r.name] = r.traits
+		names = append(names, r.name)
+		if r.traits.CM {
+			cmNames = append(cmNames, r.name)
+		}
+	}
+	if got := Names(); !slices.Equal(got, names) {
+		t.Fatalf("Names() = %v, want %v", got, names)
+	}
+	if got := CMEngines(); !slices.Equal(got, cmNames) {
+		t.Errorf("CMEngines() = %v, want %v", got, cmNames)
+	}
+
+	all := Matrix()
+	for _, e := range cmNames {
+		all = append(all, e+"+passive")
+	}
+	for _, name := range all {
+		base, _, err := Parse(name)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", name, err)
+		}
+		if got := TraitsOf(name); got != want[base] {
+			t.Errorf("TraitsOf(%q) = %+v, want %s's %+v", name, got, base, want[base])
+		}
 		e, err := New(name, 7)
 		if err != nil {
 			t.Fatalf("New(%q): %v", name, err)
 		}
-		if e.Name() != name {
-			t.Errorf("New(%q).Name() = %q", name, e.Name())
+		if got := strings.TrimSuffix(name, "+passive"); e.Name() != got {
+			t.Errorf("New(%q).Name() = %q, want %q", name, e.Name(), got)
 		}
 		if e.Objects() != 7 {
 			t.Errorf("%s: Objects() = %d, want 7", name, e.Objects())
 		}
-		// A fresh engine must run a trivial transaction.
 		if err := stm.Atomically(e, func(tx stm.Txn) error {
 			v, err := tx.Read(0)
 			if err != nil {
@@ -31,6 +74,15 @@ func TestRegistryRoundTrip(t *testing.T) {
 			return tx.Write(1, v+1)
 		}); err != nil {
 			t.Errorf("%s: trivial transaction: %v", name, err)
+		}
+	}
+
+	for _, name := range []string{"", "bogus", "tl2+bogus", "gl+karma", "ple+passive"} {
+		if _, err := New(name, 4); err == nil {
+			t.Errorf("New(%q) accepted", name)
+		}
+		if got := TraitsOf(name); got != (Traits{}) {
+			t.Errorf("TraitsOf(%q) = %+v, want the zero Traits", name, got)
 		}
 	}
 }
@@ -47,23 +99,5 @@ func TestUnknownEngine(t *testing.T) {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("error does not list registered engine %q: %v", name, err)
 		}
-	}
-}
-
-func TestDeferredUpdateClassification(t *testing.T) {
-	// The paper's classification: deferred-update engines buffer writes
-	// until tryC (gl trivially, holding the lock for the whole
-	// transaction); the encounter-time engines write in place before tryC.
-	want := map[string]bool{
-		"tl2": true, "norec": true, "dstm": true, "gl": true, "pdur": true,
-		"etl": false, "etl+v": false, "ple": false,
-	}
-	for _, name := range Names() {
-		if got := DeferredUpdate(name); got != want[name] {
-			t.Errorf("DeferredUpdate(%q) = %v, want %v", name, got, want[name])
-		}
-	}
-	if DeferredUpdate("bogus") {
-		t.Error("unknown engines must not be classified deferred-update")
 	}
 }

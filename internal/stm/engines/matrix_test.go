@@ -9,10 +9,11 @@ import (
 
 // TestEngineCMMatrix runs the stmtest conformance suite over every cell
 // of the engine×CM matrix, including pdur — sequential semantics for
-// all, concurrent exact-counting invariants for the engines that
-// guarantee them (base etl's zombie reads and etl+v's non-atomic
-// validation window exclude them from Counter/BankInvariant; the
-// existing per-engine tests pin etl+v's Counter separately). CI runs
+// all, concurrent exact-counting invariants for the deferred-update
+// engines, which guarantee them (ple's unvalidated reads, base etl's
+// zombie reads and etl+v's non-atomic validation window exclude the
+// others from Counter/BankInvariant; the existing per-engine tests pin
+// etl+v's Counter separately). CI runs
 // this test under the race detector as the engine×CM race job.
 func TestEngineCMMatrix(t *testing.T) {
 	goroutines, txns := 8, 150
@@ -33,8 +34,7 @@ func TestEngineCMMatrix(t *testing.T) {
 			stmtest.AbortRollback(t, f)
 			stmtest.UserError(t, f)
 			stmtest.Smoke(t, f, goroutines, txns)
-			switch Base(name) {
-			case "tl2", "norec", "dstm", "pdur", "gl":
+			if TraitsOf(name).DeferredUpdate {
 				stmtest.Counter(t, f, goroutines, txns)
 				stmtest.BankInvariant(t, f, goroutines, txns)
 			}
@@ -57,13 +57,11 @@ func TestEngineForks(t *testing.T) {
 				}
 				return e
 			}
-			b := stmtest.NoBlocking
-			switch Base(name) {
-			case "gl":
-				b = stmtest.GlobalLock
-			case "ple":
-				b = stmtest.WriterLock
-			}
+			b := map[Blocking]stmtest.Blocking{
+				NoBlocking: stmtest.NoBlocking,
+				WriterLock: stmtest.WriterLock,
+				GlobalLock: stmtest.GlobalLock,
+			}[TraitsOf(name).Blocking]
 			stmtest.Fork(t, f, b, int64(i+1))
 		})
 	}

@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"duopacity/internal/chaos"
-	"duopacity/internal/stm"
 	"duopacity/internal/stm/cm"
 )
 
@@ -65,67 +63,6 @@ func TestParseRejects(t *testing.T) {
 	for _, name := range Matrix() {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("error does not list matrix entry %q", name)
-		}
-	}
-}
-
-// TestMatrixConstructs: every name in the matrix builds an engine whose
-// self-reported name round-trips (with "+passive" normalizing away) and
-// that completes a trivial transaction.
-func TestMatrixConstructs(t *testing.T) {
-	for _, name := range Matrix() {
-		e, err := New(name, 8)
-		if err != nil {
-			t.Fatalf("New(%q): %v", name, err)
-		}
-		if e.Name() != name {
-			t.Errorf("New(%q).Name() = %q", name, e.Name())
-		}
-		if err := stm.Atomically(e, func(tx stm.Txn) error {
-			v, err := tx.Read(0)
-			if err != nil {
-				return err
-			}
-			return tx.Write(1, v+1)
-		}); err != nil {
-			t.Errorf("%s: trivial transaction: %v", name, err)
-		}
-	}
-}
-
-// TestClassificationIgnoresCM pins the contract that the CM suffix never
-// changes an engine's classification: for every cell of the matrix (and
-// the explicit "+passive" spellings), DeferredUpdate and chaos.KillSafe
-// answer exactly as they do for the base engine.
-func TestClassificationIgnoresCM(t *testing.T) {
-	names := Matrix()
-	for _, e := range CMEngines() {
-		names = append(names, e+"+passive")
-	}
-	for _, name := range names {
-		base := Base(name)
-		if got, want := DeferredUpdate(name), DeferredUpdate(base); got != want {
-			t.Errorf("DeferredUpdate(%q) = %v, but DeferredUpdate(%q) = %v", name, got, base, want)
-		}
-		if got, want := chaos.KillSafe(name), chaos.KillSafe(base); got != want {
-			t.Errorf("chaos.KillSafe(%q) = %v, but KillSafe(%q) = %v", name, got, base, want)
-		}
-	}
-	// And the base classifications themselves are the pinned tables.
-	wantDU := map[string]bool{
-		"tl2": true, "norec": true, "dstm": true, "gl": true, "pdur": true,
-		"etl": false, "etl+v": false, "ple": false,
-	}
-	wantKS := map[string]bool{
-		"tl2": true, "norec": true, "dstm": true, "pdur": true,
-		"gl": false, "ple": false, "etl": false, "etl+v": false,
-	}
-	for _, name := range Names() {
-		if got := DeferredUpdate(name); got != wantDU[name] {
-			t.Errorf("DeferredUpdate(%q) = %v, want %v", name, got, wantDU[name])
-		}
-		if got := chaos.KillSafe(name); got != wantKS[name] {
-			t.Errorf("chaos.KillSafe(%q) = %v, want %v", name, got, wantKS[name])
 		}
 	}
 }

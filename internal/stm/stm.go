@@ -14,8 +14,8 @@
 //   - norec: NOrec — single global sequence lock, value-based validation,
 //     deferred write-back (Dalessandro, Spear, Scott).
 //   - dstm:  DSTM-style obstruction-free engine — per-object locators,
-//     CAS acquisition, invisible validated reads, pluggable contention
-//     managers (Herlihy, Luchangco, Moir, Scherer).
+//     CAS acquisition, invisible validated reads; bare dstm kills a
+//     conflicting owner (Herlihy, Luchangco, Moir, Scherer).
 //   - etl:   encounter-time locking with in-place writes and an undo log
 //     (eager, TinySTM-flavoured); optional value-based read validation.
 //   - gl:    a single global lock around each transaction — serial,
@@ -31,7 +31,10 @@
 // The CM-capable engines (tl2, norec, dstm, etl, etl+v, pdur) also accept
 // a contention-management policy from internal/stm/cm, selected by the
 // "engine+policy" names that internal/stm/engines parses ("tl2+karma",
-// "pdur+backoff", ...).
+// "pdur+backoff", ...). What the tooling knows about an engine — whether
+// it takes a policy, defers its updates, survives an abandoned
+// transaction, how it blocks and which of its steps commute — is its row
+// in that registry (engines.TraitsOf), and nowhere else.
 //
 // Every engine is also Forkable: its whole state — t-objects, metadata
 // and the transactions in flight — can be copied into a second instance,
