@@ -8,6 +8,7 @@ import (
 
 	"duopacity/internal/history"
 	"duopacity/internal/recorder"
+	"duopacity/internal/stm"
 	"duopacity/internal/stm/engines"
 )
 
@@ -119,6 +120,73 @@ func TestWrapSpuriousAbortMatchesRealAbort(t *testing.T) {
 	}
 	if err := tx2.Commit(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKillSafe checks the trait the driver gates thread kills on: on
+// every KillSafe engine, wrapped as the soak wraps it, a transaction
+// abandoned mid-flight (it read and wrote both objects, then its
+// goroutine just stopped) blocks nobody — a later transaction over the
+// same objects commits — and its writes never take effect.
+func TestKillSafe(t *testing.T) {
+	var safe []string
+	for _, name := range engines.Names() {
+		if engines.TraitsOf(name).KillSafe {
+			safe = append(safe, name)
+		}
+	}
+	if len(safe) == 0 {
+		t.Fatal("no kill-safe engine: the soak would test nothing")
+	}
+	for _, name := range safe {
+		eng, err := engines.New(name, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := Wrap(eng, Profile{})
+		abandoned := e.Begin()
+		if _, err := abandoned.Read(0); err != nil {
+			t.Fatalf("%s: abandoned read: %v", name, err)
+		}
+		if err := abandoned.Write(0, 99); err != nil {
+			t.Fatalf("%s: abandoned write: %v", name, err)
+		}
+		if err := abandoned.Write(1, 99); err != nil {
+			t.Fatalf("%s: abandoned write: %v", name, err)
+		}
+
+		done := make(chan error, 1)
+		var x, y int64
+		go func() {
+			done <- stm.Atomically(e, func(tx stm.Txn) error {
+				v, err := tx.Read(0)
+				if err != nil {
+					return err
+				}
+				if err := tx.Write(0, v+1); err != nil {
+					return err
+				}
+				if err := tx.Write(1, v+1); err != nil {
+					return err
+				}
+				x, err = tx.Read(0)
+				if err != nil {
+					return err
+				}
+				y, err = tx.Read(1)
+				return err
+			})
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("%s: transaction after the abandoned one: %v", name, err)
+			} else if x != 1 || y != 1 {
+				t.Errorf("%s: the committed transaction read back (%d, %d), want (1, 1): the abandoned writes showed", name, x, y)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: blocked behind an abandoned transaction", name)
+		}
 	}
 }
 

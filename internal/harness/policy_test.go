@@ -24,6 +24,40 @@ func newStepper(t *testing.T, engine string, p stm.Plan, maxAttempts int) *stepp
 	}
 }
 
+// TestPolicyFor pins the engine → blocking-discipline mapping as the
+// stepper sees it: the explorer's enumeration claim is "all schedules
+// the discipline allows", so the mapping is load-bearing shared
+// knowledge. With one writer live, gl admits no other thread to begin,
+// ple admits readers but no second writer, and every other engine
+// admits both.
+func TestPolicyFor(t *testing.T) {
+	want := map[string]struct{ writer, reader bool }{
+		"gl":    {false, false},
+		"ple":   {false, true},
+		"tl2":   {true, true},
+		"norec": {true, true},
+		"dstm":  {true, true},
+		"etl":   {true, true},
+		"etl+v": {true, true},
+		"pdur":  {true, true},
+	}
+	for _, engine := range engines.Names() {
+		w, ok := want[engine]
+		if !ok {
+			t.Errorf("%s: no expected blocking discipline", engine)
+			continue
+		}
+		st := newStepper(t, engine, stm.MustParsePlan("w0 r0\nw1\nr1"), 4)
+		st.step(st.threads[0]) // begins and writes; stays live
+		if got := st.admissible(st.threads[1]); got != w.writer {
+			t.Errorf("%s: second writer admissible = %v, want %v", engine, got, w.writer)
+		}
+		if got := st.admissible(st.threads[2]); got != w.reader {
+			t.Errorf("%s: reader admissible = %v, want %v", engine, got, w.reader)
+		}
+	}
+}
+
 // TestPolicyWholeTxnExclusion: under gl's policy, a thread cannot begin a
 // transaction while another is inside one, and becomes admissible again
 // once the first completes.

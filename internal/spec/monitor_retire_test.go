@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"duopacity/internal/gen"
@@ -309,6 +310,11 @@ func TestMonitorRetirementRejectsCheckpointID(t *testing.T) {
 // counts measured before Monitor became a one-criterion Session. In
 // between, the same gate for a warm commit flip and for a retirement.
 func TestMonitorCleanResponseAllocs(t *testing.T) {
+	// A collection empties the sync.Pools the checker draws its search
+	// state from, and the next flip refills them; with collection off
+	// while allocations are counted, the gate measures the warm path and
+	// not the collector's timing.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	m, err := spec.NewMonitor(spec.DUOpacity)
 	if err != nil {
 		t.Fatal(err)

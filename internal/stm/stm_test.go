@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"duopacity/internal/stm"
+	"duopacity/internal/stm/engines"
 	"duopacity/internal/stm/tl2"
 )
 
@@ -52,5 +53,44 @@ func TestAtomicallyNBoundsAttempts(t *testing.T) {
 	}
 	if calls != 3 {
 		t.Fatalf("attempts = %d, want 3", calls)
+	}
+}
+
+func TestEngineRegistry(t *testing.T) {
+	for _, name := range engines.Names() {
+		e, err := engines.New(name, 4)
+		if err != nil {
+			t.Fatalf("New(%q): %v", name, err)
+		}
+		if e.Name() != name {
+			t.Errorf("engine %q reports name %q", name, e.Name())
+		}
+		if e.Objects() != 4 {
+			t.Errorf("engine %q objects = %d", name, e.Objects())
+		}
+		// Each registered engine must complete a trivial transaction.
+		if err := stm.Atomically(e, func(tx stm.Txn) error {
+			if _, err := tx.Read(0); err != nil {
+				return err
+			}
+			return tx.Write(1, 7)
+		}); err != nil {
+			t.Errorf("engine %q trivial txn: %v", name, err)
+		}
+	}
+	if _, err := engines.New("bogus", 1); err == nil {
+		t.Error("unknown engine accepted")
+	}
+}
+
+func TestDeferredUpdateFlag(t *testing.T) {
+	want := map[string]bool{
+		"tl2": true, "norec": true, "gl": true, "dstm": true, "pdur": true,
+		"etl": false, "etl+v": false, "ple": false,
+	}
+	for name, du := range want {
+		if got := engines.TraitsOf(name).DeferredUpdate; got != du {
+			t.Errorf("TraitsOf(%q).DeferredUpdate = %v, want %v", name, got, du)
+		}
 	}
 }
