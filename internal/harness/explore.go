@@ -308,8 +308,8 @@ func explore(ctx context.Context, engine string, eng stm.Engine, p stm.Plan, cfg
 		st:       stepper{rec: rec, threads: threadsFor(p), blocking: tr.Blocking, maxAttempts: cfg.MaxAttempts},
 		in:       make([]stm.Txn, n),
 		out:      make([]stm.Txn, n),
-		targets:  make([]*recorder.Txn, n),
-		free:     make([]*recorder.Txn, 0, n),
+		free:     make([]stm.Txn, 0, n),
+		resumed:  make([]recorder.Txn, n),
 	}
 	e.newMonitor()
 	e.run()
@@ -385,9 +385,10 @@ type explorer struct {
 	buf   []int // runnable scratch
 	cbuf  []int // symmetry-filter scratch
 	// Per-thread fork scratch: the transactions handed to Fork and their
-	// copies, and the recorded transactions whose storage a restore reuses.
-	in, out       []stm.Txn
-	targets, free []*recorder.Txn
+	// copies, the engine transactions a restore copies into, and the
+	// recorded transactions a restore resumes (thread i's in resumed[i]).
+	in, out, free []stm.Txn
+	resumed       []recorder.Txn
 
 	budget bool // a budget bound was hit (schedules or steps)
 }
@@ -466,27 +467,29 @@ func (e *explorer) restore(w *world) {
 	// Copy targets: a transaction still in flight at the end of the last
 	// replay has not ended, so it cannot be in the engine's pool (the pool
 	// rule of stm.Forkable); Fork draws any further ones from the pool.
+	// Its recorded wrapper is not needed past this point: every thread's
+	// is replaced below.
 	free := e.free[:0]
 	for _, t := range st.threads {
 		if t.tx != nil {
-			free = append(free, t.tx)
+			free = append(free, t.tx.Inner())
 		}
 	}
 	for i := range st.threads {
-		e.in[i], e.out[i], e.targets[i] = nil, nil, nil
+		e.in[i], e.out[i] = nil, nil
 		if w.ids[i] == 0 {
 			continue
 		}
 		e.in[i] = w.txns[i]
 		if k := len(free) - 1; k >= 0 {
-			e.targets[i], e.out[i], free = free[k], free[k].Inner(), free[:k]
+			e.out[i], free = free[k], free[:k]
 		}
 	}
 	w.eng.Fork(e.eng, e.in, e.out)
 	for i, t := range st.threads {
 		*t = w.threads[i]
 		if w.ids[i] != 0 {
-			t.tx = e.rec.Resume(e.targets[i], w.ids[i], e.out[i])
+			t.tx = e.rec.Resume(&e.resumed[i], w.ids[i], e.out[i])
 		}
 	}
 	st.vals, st.commits, st.aborts, st.failed = w.vals, w.commits, w.aborts, w.failed

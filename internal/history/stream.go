@@ -1,6 +1,9 @@
 package history
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Stream ingests a history as it is being produced: events are appended
 // one at a time, each validated for well-formedness in O(1) amortized
@@ -47,6 +50,11 @@ type Stream struct {
 	// objFirst[o] is the index of the event that registered object o, the
 	// one whose undoing unregisters it (live-indexed streams only).
 	objFirst []int
+	// at[i] holds the dense transaction and object indexes of event i
+	// (live-indexed streams only), so that a response, a later event of the
+	// same transaction and the undoing of any event find them without
+	// another map lookup: a Var is hashed once, at its invocation.
+	at []eventIdx
 	// free holds the views of transactions Truncate removed; the next new
 	// transaction takes one over, Ops storage included.
 	free []*TxnInfo
@@ -81,10 +89,11 @@ func newStreamOver(h *History) *Stream {
 // the batch entry into the stream core used by FromEvents and Prefix.
 func (s *Stream) replay() error {
 	for i, e := range s.h.events {
-		if err := s.check(e); err != nil {
+		t, err := s.check(e)
+		if err != nil {
 			return fmt.Errorf("history: event %d (%s): %w", i, e, err)
 		}
-		s.admit(i, e)
+		s.admit(i, e, t)
 	}
 	return nil
 }
@@ -93,32 +102,39 @@ func (s *Stream) replay() error {
 // it. On error the stream is unchanged: the event is not recorded and no
 // per-transaction or index state moves.
 func (s *Stream) Append(e Event) error {
-	if err := s.check(e); err != nil {
+	t, err := s.check(e)
+	if err != nil {
 		return fmt.Errorf("history: event %d (%s): %w", len(s.h.events), e, err)
 	}
 	s.h.events = append(s.h.events, e)
-	s.admit(len(s.h.events)-1, e)
+	s.admit(len(s.h.events)-1, e, t)
 	return nil
 }
 
-// check decides whether e may extend the stream, without mutating.
-func (s *Stream) check(e Event) error {
+// check decides whether e may extend the stream, without mutating. It
+// returns e's transaction view, nil when e opens a new transaction.
+func (s *Stream) check(e Event) (*TxnInfo, error) {
 	if e.Txn == InitTxn {
-		return errReservedTxn
+		return nil, errReservedTxn
 	}
 	if t := s.h.txns[e.Txn]; t != nil {
-		return t.checkExtend(e)
+		return t, t.checkExtend(e)
 	}
 	if e.Kind == Res {
-		return errOrphanResponse
+		return nil, errOrphanResponse
 	}
-	return nil
+	return nil, nil
 }
 
-// admit incorporates the already-validated event e at history index i:
-// per-transaction view first, then the incremental index update.
-func (s *Stream) admit(i int, e Event) {
-	t := s.h.txns[e.Txn]
+// eventIdx is what the live index resolved an event to: its transaction's
+// dense index and, for a read or write, its object's (-1 otherwise).
+type eventIdx struct{ txn, obj int32 }
+
+// admit incorporates the already-validated event e at history index i into
+// t, the view check returned: per-transaction view first, then the
+// incremental index update.
+func (s *Stream) admit(i int, e Event, t *TxnInfo) {
+	gi := -1
 	if t == nil {
 		if n := len(s.free); n > 0 {
 			t, s.free = s.free[n-1], s.free[:n-1]
@@ -129,12 +145,14 @@ func (s *Stream) admit(i int, e Event) {
 		s.h.txns[e.Txn] = t
 		s.h.ids = append(s.h.ids, e.Txn)
 		if s.ix != nil {
-			s.addTxn(t)
+			gi = s.addTxn(t)
 		}
+	} else if s.ix != nil {
+		gi = int(s.at[t.Last].txn) // the transaction's previous event
 	}
 	t.applyExtend(i, e)
 	if s.ix != nil {
-		s.index(i, e, t)
+		s.index(i, e, t, gi)
 	}
 }
 
@@ -142,8 +160,8 @@ func (s *Stream) admit(i int, e Event) {
 // predecessors are the transactions t-complete right now; transactions
 // completing later can never precede it (their last event is at or after
 // this one). A slot Truncate vacated is taken over with its Reads, Writes
-// and RTPred storage.
-func (s *Stream) addTxn(t *TxnInfo) {
+// and RTPred storage. It returns the transaction's dense index.
+func (s *Stream) addTxn(t *TxnInfo) int {
 	ix := s.ix
 	gi := len(ix.TxnIDs)
 	ix.TxnIDs = append(ix.TxnIDs, t.ID)
@@ -156,11 +174,13 @@ func (s *Stream) addTxn(t *TxnInfo) {
 	// produces (bitsWords(gi) words: only lower indexes can precede gi).
 	ix.RTPred = extend(ix.RTPred)
 	ix.RTPred[gi] = ix.TComplete.CloneWordsInto(ix.RTPred[gi], bitsWords(gi))
+	return gi
 }
 
 // addObj registers v, first named by the event at index i, taking over
-// the Writers row of a slot Truncate vacated.
-func (s *Stream) addObj(i int, v Var) {
+// the Writers row of a slot Truncate vacated. It returns the object's
+// dense index.
+func (s *Stream) addObj(i int, v Var) int {
 	ix := s.ix
 	oi := len(ix.Objs)
 	ix.Objs = append(ix.Objs, v)
@@ -168,6 +188,7 @@ func (s *Stream) addObj(i int, v Var) {
 	s.objFirst = append(s.objFirst, i)
 	ix.Writers = extend(ix.Writers)
 	ix.Writers[oi] = ix.Writers[oi][:0]
+	return oi
 }
 
 // extend lengthens s by one element without clearing it: a slot Truncate
@@ -181,26 +202,32 @@ func extend[T any](s []T) []T {
 	return s[:len(s)+1]
 }
 
-// index folds event e at index i (already applied to t) into the live index.
-func (s *Stream) index(i int, e Event, t *TxnInfo) {
+// index folds event e at index i (already applied to t, the transaction
+// at dense index gi) into the live index.
+func (s *Stream) index(i int, e Event, t *TxnInfo, gi int) {
 	ix := s.ix
-	gi := ix.txnIdx[t.ID]
 	it := &ix.Txns[gi]
 	it.Last = t.Last
 	if e.Kind == Inv {
+		oi := -1
 		if e.Op == OpRead || e.Op == OpWrite {
-			if _, ok := ix.objIdx[e.Obj]; !ok {
-				s.addObj(i, e.Obj)
+			var ok bool
+			if oi, ok = ix.objIdx[e.Obj]; !ok {
+				oi = s.addObj(i, e.Obj)
 			}
 		}
+		s.at = append(s.at, eventIdx{int32(gi), int32(oi)})
 		it.First = t.First
 		it.TryCInv = t.TryCInv
 		it.Complete = false
 		it.CommitPending = e.Op == OpTryCommit
 		return
 	}
-	// A response: the transaction's last operation just completed.
+	// A response: the transaction's last operation just completed, on the
+	// object its invocation resolved.
 	op := t.Ops[len(t.Ops)-1]
+	oi := int(s.at[op.InvIndex].obj)
+	s.at = append(s.at, eventIdx{int32(gi), int32(oi)})
 	it.TryCRes = t.TryCRes
 	it.Complete = true
 	it.CommitPending = false
@@ -211,17 +238,17 @@ func (s *Stream) index(i int, e Event, t *TxnInfo) {
 	}
 	switch {
 	case op.Kind == OpRead && op.Out == OutOK:
-		s.indexRead(it, op)
+		indexRead(it, oi, op)
 	case op.Kind == OpWrite && op.Out == OutOK:
-		s.indexWrite(it, gi, op)
+		s.indexWrite(it, gi, oi, op)
 	}
 }
 
-// indexRead classifies a completed value-returning read: satisfied by the
-// transaction's own latest preceding write (consistency-checked, feeding
-// BadReadOp) or external (appended to the read summary).
-func (s *Stream) indexRead(it *IndexedTxn, op Op) {
-	oi := s.ix.objIdx[op.Obj]
+// indexRead classifies a completed value-returning read of object oi:
+// satisfied by the transaction's own latest preceding write
+// (consistency-checked, feeding BadReadOp) or external (appended to the
+// read summary).
+func indexRead(it *IndexedTxn, oi int, op Op) {
 	for wi := range it.Writes {
 		w := &it.Writes[wi]
 		if w.Obj == oi {
@@ -235,10 +262,10 @@ func (s *Stream) indexRead(it *IndexedTxn, op Op) {
 	it.Reads = append(it.Reads, IndexedRead{Obj: oi, Val: op.Val, ResIdx: op.ResIndex, Op: op})
 }
 
-// indexWrite folds a completed successful write into the latest-write
-// summary (kept sorted by object index) and the per-object writer mask.
-func (s *Stream) indexWrite(it *IndexedTxn, gi int, op Op) {
-	oi := s.ix.objIdx[op.Obj] // registered at the invocation
+// indexWrite folds a completed successful write of object oi into the
+// latest-write summary (kept sorted by object index) and the per-object
+// writer mask.
+func (s *Stream) indexWrite(it *IndexedTxn, gi, oi int, op Op) {
 	s.ix.Writers[oi] = s.ix.Writers[oi].SetGrow(gi)
 	pos := len(it.Writes)
 	for wi := range it.Writes {
@@ -275,7 +302,7 @@ func (s *Stream) Truncate(n int) {
 	for i := len(s.h.events) - 1; i >= n; i-- {
 		s.retract(i, s.h.events[i])
 	}
-	s.h.events = s.h.events[:n]
+	s.h.events, s.at = s.h.events[:n], s.at[:n]
 }
 
 // detach moves the stream onto event and Ops storage of its own. A
@@ -298,9 +325,9 @@ func (s *Stream) detach() {
 // newest dense index, because both orders are first-appearance orders.
 func (s *Stream) retract(i int, e Event) {
 	ix := s.ix
-	t := s.h.txns[e.Txn]
-	gi := ix.txnIdx[e.Txn]
+	gi, oi := int(s.at[i].txn), int(s.at[i].obj)
 	it := &ix.Txns[gi]
+	t := it.Info
 	last := len(t.Ops) - 1
 	op := &t.Ops[last]
 	if e.Kind == Res {
@@ -318,7 +345,7 @@ func (s *Stream) retract(i int, e Event) {
 				it.BadReadOp, it.BadReadWant = -1, 0
 			}
 		case op.Kind == OpWrite:
-			s.retractWrite(it, gi, t.Ops[:last], op.Obj)
+			s.retractWrite(it, gi, oi, t.Ops[:last])
 		}
 		op.Pending, op.Out, op.Val, op.ResIndex = true, 0, 0, -1
 		if op.Kind == OpTryCommit {
@@ -353,17 +380,17 @@ func (s *Stream) retract(i int, e Event) {
 	it.CommitPending = false
 }
 
-// retractWrite undoes indexWrite for a write of obj by transaction gi: the
-// latest-write entry falls back to the latest successful write among the
-// remaining (all completed) operations, or goes with the Writers bit.
-func (s *Stream) retractWrite(it *IndexedTxn, gi int, ops []Op, obj Var) {
-	oi := s.ix.objIdx[obj]
+// retractWrite undoes indexWrite for a write of object oi by transaction
+// gi: the latest-write entry falls back to the latest successful write
+// among the remaining (all completed) operations, or goes with the Writers
+// bit.
+func (s *Stream) retractWrite(it *IndexedTxn, gi, oi int, ops []Op) {
 	wi := 0
 	for it.Writes[wi].Obj != oi {
 		wi++
 	}
 	for p := len(ops) - 1; p >= 0; p-- {
-		if ops[p].Kind == OpWrite && ops[p].Out == OutOK && ops[p].Obj == obj {
+		if ops[p].Kind == OpWrite && ops[p].Out == OutOK && int(s.at[ops[p].InvIndex].obj) == oi {
 			it.Writes[wi].Val = ops[p].Arg
 			return
 		}
@@ -371,6 +398,17 @@ func (s *Stream) retractWrite(it *IndexedTxn, gi int, ops []Op, obj Var) {
 	it.Writes = append(it.Writes[:wi], it.Writes[wi+1:]...)
 	s.ix.Writers[oi].Clear(gi)
 	s.ix.Writers[oi] = s.ix.Writers[oi].Trimmed()
+}
+
+// Grow makes room for n more events, so that the next n Appends store
+// them without reallocating: a consumer that knows how many it is about to
+// append (a session rebuilding its stream behind a retirement checkpoint)
+// sizes the storage once.
+func (s *Stream) Grow(n int) {
+	s.h.events = slices.Grow(s.h.events, n)
+	if s.ix != nil {
+		s.at = slices.Grow(s.at, n)
+	}
 }
 
 // Len returns the number of events appended so far.

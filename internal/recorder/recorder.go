@@ -111,14 +111,11 @@ func (r *Recorder) Restore(eng stm.Engine, n int, lastID history.TxnID) {
 // the first.
 func (r *Recorder) LastID() history.TxnID { return history.TxnID(r.nextID.Load()) }
 
-// Resume returns a recorded transaction that continues inner — an engine
-// transaction in flight, restored by a fork — under identifier id, in the
-// storage of into when into is non-nil. The transaction must not have
+// Resume makes into, storage the caller owns, a recorded transaction that
+// continues inner — an engine transaction in flight, restored by a fork —
+// under identifier id, and returns it. The transaction must not have
 // t-completed in the log.
 func (r *Recorder) Resume(into *Txn, id history.TxnID, inner stm.Txn) *Txn {
-	if into == nil {
-		into = new(Txn)
-	}
 	*into = Txn{r: r, inner: inner, id: id}
 	return into
 }

@@ -183,7 +183,7 @@ func TestRestoreRecordsIdenticalRuns(t *testing.T) {
 	if r.Len() != mid || r.Engine() != fork || r.TapError() != nil {
 		t.Fatalf("after Restore: %d events, engine replaced: %v", r.Len(), r.Engine() == fork)
 	}
-	again := rest(r, r.Resume(nil, rd.ID(), out[0]))
+	again := rest(r, r.Resume(new(Txn), rd.ID(), out[0]))
 	fresh := tl2.New(1)
 	r.Restore(fresh, 0, 0)
 	again2 := rest(r, first(r))

@@ -48,8 +48,10 @@ type stackEntry struct {
 // the per-check analysis comes from the history's cached Indexed view, the
 // memo table stores 64-bit Zobrist-style fingerprints maintained
 // incrementally by pushTxn/popTxn instead of built strings, candidate
-// selection iterates transaction bitmasks, and the whole scratch state is
-// pooled across checks.
+// selection iterates transaction bitmasks, and the scratch state is
+// reused: a batch check draws an engine from a pool (prepareEngine), and
+// each monitor decider holds one that its rewinds re-prepare in place
+// (prepare, decider.places).
 //
 // Memo hits are accepted on the 64-bit fingerprint alone: a collision
 // between two distinct (placed set, stacks) states would prune a live
@@ -161,18 +163,28 @@ func (e *engine) release() {
 	enginePool.Put(e)
 }
 
-// prepareEngine analyzes h for the given mode using the cached indexed
-// view: the engine's roles, predecessor rows and stacks are set up, which
-// is all placeOrder needs; a search also wants staticReject and a reset
-// memo (decide). It returns the reason of a read inconsistent with the
+// prepareEngine draws an engine from the pool and prepares it for h in
+// the given mode. It returns the reason of a read inconsistent with the
 // reader's own write, releasing the engine.
 func prepareEngine(h *history.History, mode searchMode, opts options) (*engine, string) {
-	ix := h.Index()
 	e := enginePool.Get().(*engine)
+	if reason := e.prepare(h, mode, opts); reason != "" {
+		e.release()
+		return nil, reason
+	}
+	return e, ""
+}
+
+// prepare analyzes h for the given mode using the cached indexed view, in
+// the engine's own storage whatever history it was prepared for before:
+// the roles, predecessor rows and stacks are set up and nothing is placed,
+// which is all placeOrder needs; a search also wants staticReject and a
+// reset memo (decide). It returns the reason of a read inconsistent with
+// the reader's own write, which no serialization can place.
+func (e *engine) prepare(h *history.History, mode searchMode, opts options) string {
+	ix := h.Index()
 	e.h, e.ix, e.mode, e.opts = h, ix, mode, opts
-	e.placedCount, e.fp, e.nodes = 0, 0, 0
-	e.order = grow(e.order, 0)
-	e.commits = grow(e.commits, 0)
+	e.nodes = 0
 	e.reason, e.bailed = "", false
 	e.collect = nil
 	e.ctxDone, e.cancelled = nil, false
@@ -200,7 +212,7 @@ func prepareEngine(h *history.History, mode searchMode, opts options) (*engine, 
 	if r := uint(n & 63); r != 0 {
 		e.all[e.words-1] = (uint64(1) << r) - 1
 	}
-	e.placed = growBits(e.placed, e.words)
+	e.placed = grow(e.placed, e.words)
 	e.dead = growBits(e.dead, e.words)
 
 	e.txs = grow(e.txs, n)
@@ -227,11 +239,9 @@ func prepareEngine(h *history.History, mode searchMode, opts options) (*engine, 
 	for _, it := range e.txs[:n] {
 		if it.BadReadOp >= 0 {
 			op := it.Info.Ops[it.BadReadOp]
-			reason := fmt.Sprintf(
+			return fmt.Sprintf(
 				"T%d: %v returned %d but the transaction's own latest write to %s is %d",
 				it.Info.ID, op, op.Val, op.Obj, it.BadReadWant)
-			e.release()
-			return nil, reason
 		}
 	}
 
@@ -294,7 +304,6 @@ func prepareEngine(h *history.History, mode searchMode, opts options) (*engine, 
 	e.stackLen = grow(e.stackLen, numObjs)
 	for o := 0; o < numObjs; o++ {
 		e.stackOff[o] = 0
-		e.stackLen[o] = 0
 	}
 	for i, it := range e.txs[:n] {
 		if e.role[i] == roleMustAbort {
@@ -311,7 +320,21 @@ func prepareEngine(h *history.History, mode searchMode, opts options) (*engine, 
 		total += c
 	}
 	e.stackSlab = grow(e.stackSlab, int(total))
-	return e, ""
+	e.clear()
+	return ""
+}
+
+// clear empties the engine's serialization: nothing placed, every stack
+// empty, the fingerprint of the empty state.
+func (e *engine) clear() {
+	for w := range e.placed {
+		e.placed[w] = 0
+	}
+	for o := range e.stackLen {
+		e.stackLen[o] = 0
+	}
+	e.order, e.commits = e.order[:0], e.commits[:0]
+	e.placedCount, e.fp = 0, 0
 }
 
 // engineIndexOf maps a transaction identifier to its engine index, or -1.
@@ -409,8 +432,8 @@ func (e *engine) staticReject() string {
 // has it (pushTxn). Transactions outside the engine (the serializability
 // baselines order only committed and commit-pending ones) are skipped. It
 // reports whether every engine transaction placed; if so the placed order
-// is in orderBuf and commitBuf as emit leaves it. The engine is left as it
-// was found.
+// is in orderBuf and commitBuf as emit leaves it. The engine is left
+// empty, as prepare leaves it.
 func (e *engine) placeOrder(order []int, commit []bool) bool {
 	compact := e.n != e.ix.NumTxns()
 	ok := true
@@ -432,20 +455,17 @@ func (e *engine) placeOrder(order []int, commit []bool) bool {
 	if ok {
 		e.emit()
 	}
-	for e.placedCount > 0 {
-		e.popTxn()
-	}
+	e.clear()
 	return ok
 }
 
-// run performs the search and returns the verdict; an accepting one owns
-// a copy of the witness emit recorded.
+// run performs the search and returns the verdict; an accepting one's
+// witness is the one emit recorded, for the caller to take.
 func (e *engine) run(c Criterion) Verdict {
 	v := Verdict{Criterion: c}
 	switch {
 	case e.search():
 		v.OK = true
-		v.w = &witness{ix: e.ix, order: append([]int(nil), e.orderBuf...), commit: append([]bool(nil), e.commitBuf...)}
 	case e.cancelled:
 		v.Reason, v.Undecided = "context cancelled", true
 	case e.bailed:
@@ -683,6 +703,18 @@ func (e *engine) emit() bool {
 	}
 	e.commitBuf = append(e.commitBuf[:0], e.commits...)
 	return e.collect == nil || e.collect(e.ix.SeqForOrder(e.orderBuf, e.commitBuf))
+}
+
+// take copies the witness emit recorded into w's storage (a new witness
+// when w is nil) and returns w.
+func (e *engine) take(w *witness) *witness {
+	if w == nil {
+		w = new(witness)
+	}
+	w.ix = e.ix
+	w.order = append(w.order[:0], e.orderBuf...)
+	w.commit = append(w.commit[:0], e.commitBuf...)
+	return w
 }
 
 // --- Fingerprints ---------------------------------------------------------

@@ -3,7 +3,6 @@ package spec
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 
@@ -379,26 +378,31 @@ func criterionMode(h *history.History, c Criterion, o options) searchMode {
 // serialization that places (see CheckAll) settles an accept first, and
 // the placed order is the witness.
 func decide(h *history.History, c Criterion, mode searchMode, o options, offers ...*witness) Verdict {
+	return decideInto(nil, h, c, mode, o, offers...)
+}
+
+// decideInto is decide keeping an accepting verdict's witness in the
+// storage of into (a new witness when into is nil), which a rejecting
+// verdict leaves alone.
+func decideInto(into *witness, h *history.History, c Criterion, mode searchMode, o options, offers ...*witness) Verdict {
 	e, reject := prepareEngine(h, mode, o)
 	if reject != "" {
 		return Verdict{Criterion: c, Reason: reject}
 	}
+	defer e.release()
 	for _, w := range offers {
 		if e.placeOrder(w.order, w.commit) {
-			v := Verdict{Criterion: c, OK: true, w: &witness{
-				ix: e.ix, order: slices.Clone(e.orderBuf), commit: slices.Clone(e.commitBuf),
-			}}
-			e.release()
-			return v
+			return Verdict{Criterion: c, OK: true, w: e.take(into)}
 		}
 	}
 	if reject := e.staticReject(); reject != "" {
-		e.release()
 		return Verdict{Criterion: c, Reason: reject}
 	}
 	e.memo.reset()
 	v := e.run(c)
-	e.release()
+	if v.OK {
+		v.w = e.take(into)
+	}
 	return v
 }
 

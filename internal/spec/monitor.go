@@ -1,6 +1,11 @@
 package spec
 
-import "duopacity/internal/history"
+import (
+	"fmt"
+	"slices"
+
+	"duopacity/internal/history"
+)
 
 // Monitor checks one criterion online while a history is being produced —
 // the use the paper's Section 5 envisions for a constructive correctness
@@ -108,6 +113,11 @@ type decider struct {
 	// every full search, edges added since the last recheck are validated
 	// against the witness on the fast path. See monitor_edges.go.
 	edges *edgeTracker
+
+	// eng is the engine that places re-prepares at every call (nil until
+	// the first): a rewind takes no engine from the pool and returns none.
+	// Between calls it still points into the history it last placed on.
+	eng *engine
 }
 
 // accepted is the OK verdict handing out the decider's own witness over
@@ -201,7 +211,11 @@ func (d *decider) rewind(h *history.History, ro options) {
 	if d.edges != nil {
 		d.edges.rebuild(h)
 	}
-	if d.places(h, ro) {
+	ok := d.places(h, ro)
+	if rewindOracle != nil {
+		rewindOracle(d, h, ro, ok)
+	}
+	if ok {
 		d.verdict = d.accepted(ix)
 		return
 	}
@@ -244,13 +258,13 @@ func (d *decider) recheck(h *history.History, e history.Event, ro options) Verdi
 // Theorem 10.)
 func (d *decider) search(h *history.History, ro options) Verdict {
 	d.searches++
-	v := decide(h, d.crit, d.mode(), ro)
+	v := decideInto(&d.witness, h, d.crit, d.mode(), ro)
 	if d.crit == Opacity {
 		v = prefixVerdict(v, h.Len())
 	}
 	if v.OK {
-		d.adoptWitness(v.w)
-		v.gen, v.w = d.gen, &d.witness
+		d.adoptWitness()
+		v.gen = d.gen
 	}
 	return v
 }
@@ -271,17 +285,46 @@ func (d *decider) mode() searchMode {
 }
 
 // places reports whether the decider's witness order certifies h under
-// its criterion: the engine its search would use places the order
-// (placeOrder checks roles, real-time order, the standing conflict-order
-// edges and every read, du-opacity's local clause included).
+// its criterion: the decider's held engine, prepared for h in the mode its
+// search would use, places the order (placeOrder checks roles, real-time
+// order, the standing conflict-order edges and every read, du-opacity's
+// local clause included).
 func (d *decider) places(h *history.History, ro options) bool {
-	e, reject := prepareEngine(h, d.mode(), ro)
-	if reject != "" {
-		return false
+	if d.eng == nil {
+		d.eng = new(engine)
 	}
-	ok := e.placeOrder(d.order, d.commit)
-	e.release()
-	return ok
+	return d.eng.prepare(h, d.mode(), ro) == "" && d.eng.placeOrder(d.order, d.commit)
+}
+
+// rewindOracle is nil outside tests, which set it (WatchRewindPlacements)
+// to place every rewind's restricted order on a pooled engine beside the
+// decider's held one.
+var rewindOracle func(d *decider, h *history.History, ro options, held bool)
+
+// WatchRewindPlacements is a test hook: until stop is called, every
+// decider rewind (Session.Rewind, Monitor.Rewind) also places its
+// restricted witness order on an engine freshly drawn from the pool, and
+// fail is called with a description whenever that placement and the one
+// on the decider's held engine disagree, on the answer or on the placed
+// order. compared counts the rewinds checked. No session may run in
+// another goroutine while the hook is installed or removed.
+func WatchRewindPlacements(fail func(msg string)) (compared *int, stop func()) {
+	compared = new(int)
+	rewindOracle = func(d *decider, h *history.History, ro options, held bool) {
+		*compared++
+		e, reject := prepareEngine(h, d.mode(), ro)
+		fresh := reject == "" && e.placeOrder(d.order, d.commit)
+		same := fresh == held
+		if reject == "" {
+			same = same && (!fresh || slices.Equal(e.orderBuf, d.eng.orderBuf) && slices.Equal(e.commitBuf, d.eng.commitBuf))
+			e.release()
+		}
+		if !same {
+			fail(fmt.Sprintf("%v rewind to %d events: the held engine places the restricted order: %v, a pooled engine: %v\nhistory:\n%s",
+				d.crit, h.Len(), held, fresh, h))
+		}
+	}
+	return compared, func() { rewindOracle = nil }
 }
 
 // syncOrder appends transactions that entered the history since the last
@@ -297,13 +340,11 @@ func (d *decider) syncOrder(ix *history.Indexed) {
 	}
 }
 
-// adoptWitness replaces the incremental witness with the order and commit
-// decisions of a search's witness. No monitorable criterion orders the
-// committed transactions only, so the order places every transaction. The
-// search's witness is a fresh copy nothing else refers to, so the decider
-// takes its vectors over instead of copying them again.
-func (d *decider) adoptWitness(w *witness) {
-	d.ix, d.order, d.commit = w.ix, w.order, w.commit
+// adoptWitness makes the order and commit decisions a search just wrote
+// into the decider's witness the incremental one, indexing its positions.
+// No monitorable criterion orders the committed transactions only, so the
+// order places every transaction.
+func (d *decider) adoptWitness() {
 	d.pos = grow(d.pos, len(d.order))
 	for p, gi := range d.order {
 		d.pos[gi] = p

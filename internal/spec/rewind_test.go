@@ -2,9 +2,11 @@ package spec_test
 
 import (
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"duopacity/internal/gen"
+	"duopacity/internal/harness"
 	"duopacity/internal/history"
 	"duopacity/internal/koenig"
 	"duopacity/internal/spec"
@@ -52,6 +54,10 @@ func neverRewound(t *testing.T, criteria []spec.Criterion, evs []history.Event, 
 // the TMS2 / RCO conflict-order edge sets equal to the batch builders'.
 // It runs plain, with the TMS2 aborted-reader exemption, and with a
 // retirement window too large to ever retire (which must not matter).
+// Every rewind also places its restricted witness on a freshly pooled
+// engine beside the decider's held one (spec.WatchRewindPlacements): the
+// held engine, sized for the length of the last rewind, must give the same
+// answer and the same order at the next, longer or shorter.
 func TestSessionRewindDifferential(t *testing.T) {
 	criteria := spec.MonitorableCriteria()
 	configs := []struct {
@@ -63,10 +69,12 @@ func TestSessionRewindDifferential(t *testing.T) {
 		{"exempt", true, []spec.Option{spec.WithTMS2AbortedReaderExemption()}},
 		{"window-64", false, []spec.Option{spec.WithRetirement(64)}},
 	}
-	searches, fastHits := 0, 0
+	searches, fastHits, placements := 0, 0, 0
 	for ci, hh := range differentialCorpus() {
 		ci, hh := ci, hh
 		t.Run(hh.name, func(t *testing.T) {
+			compared, stop := spec.WatchRewindPlacements(func(msg string) { t.Error(msg) })
+			defer func() { placements += *compared; stop() }()
 			evs := hh.h.Events()
 			for _, cfg := range configs {
 				ref := neverRewound(t, criteria, evs, cfg.opts)
@@ -151,7 +159,10 @@ func TestSessionRewindDifferential(t *testing.T) {
 			}
 		})
 	}
-	t.Logf("rewound sessions: %d searches, %d fast hits", searches, fastHits)
+	if placements == 0 {
+		t.Fatal("vacuous: no rewind compared its held engine with a pooled one")
+	}
+	t.Logf("rewound sessions: %d searches, %d fast hits; %d rewind placements compared", searches, fastHits, placements)
 }
 
 // TestSessionRewindUnderNodeLimit pins the caveat of Session.Rewind: when a
@@ -323,4 +334,52 @@ func TestRewindIsLemma1(t *testing.T) {
 		fastHits += f
 	}
 	t.Logf("%d rewinds: %d searches, %d fast hits", rewinds, searches, fastHits)
+}
+
+// TestRewindAllocs: a warm rewind allocates nothing. A du-opacity monitor
+// holds a recorded tl2 stream and is rewound to a response prefix, then fed
+// the tail again, over and over; once the stream's storage, the witness
+// order and the decider's held engine have grown to the stream's size, the
+// round trip allocates nothing — the rewind places the restricted witness
+// (Lemma 1) on the held engine and keeps its invocations in the session's
+// scratch, and the stream takes the truncated storage back.
+func TestRewindAllocs(t *testing.T) {
+	// A collection would empty the pools a search draws its engine from.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	evs := recorded(t, harness.Workload{Engine: "tl2", Goroutines: 4, TxnsPerGoroutine: 5, Objects: 8, OpsPerTxn: 4, ReadFraction: 0.5}, 1)
+	m, err := spec.NewMonitor(spec.DUOpacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := func(from int) {
+		for _, e := range evs[from:] {
+			if _, err := m.Append(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	feed(0)
+	if v := m.Verdict(); !v.OK {
+		t.Fatalf("recorded tl2 stream not du-opaque: %v", v)
+	}
+	n := len(evs) / 2
+	for evs[n-1].Kind != history.Res {
+		n--
+	}
+	searched := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		before, _ := m.Stats()
+		if err := m.Rewind(n); err != nil {
+			t.Fatal(err)
+		}
+		after, _ := m.Stats()
+		searched += after - before
+		feed(n)
+	})
+	if searched != 0 {
+		t.Errorf("the rewinds ran %d searches; each should place the restricted witness", searched)
+	}
+	if allocs != 0 && !raceEnabled { // -race drops pooled engines a re-fed search draws
+		t.Errorf("a warm rewind to %d of %d events and the tail fed again allocate %.1f times, want 0", n, len(evs), allocs)
+	}
 }

@@ -75,6 +75,8 @@ type Session struct {
 	probes, probesSkipped int
 	// sigma is the probes' forced-state scratch (see forcedState).
 	sigma []history.IndexedWrite
+	// invs is Rewind's scratch: the invocations it appends again.
+	invs []history.Event
 }
 
 // Counters says what a session's per-response work touched, beside how
@@ -210,10 +212,11 @@ func (s *Session) append(e history.Event) error {
 // latches like a violation does.
 //
 // Verdicts are defined at response prefixes, so the deciders are
-// re-anchored (decider.rewind: the restricted witness of Lemma 1,
-// re-validated, the exact search where that fails) at the last response
-// prefix within the n events, and the invocations behind it are appended
-// again. A decider that died at one of the surviving events stays latched;
+// re-anchored (decider.rewind: the restricted witness of Lemma 1, placed
+// like any offered order on the decider's held engine, the exact search
+// where that fails) at the last response prefix within the n events, and
+// the invocations behind it are appended again. Once its scratch has grown
+// to the session's sizes, a rewind that needs no search allocates nothing. A decider that died at one of the surviving events stays latched;
 // one that died later is live again.
 //
 // It returns an error, leaving the session untouched, when n is out of
@@ -235,9 +238,9 @@ func (s *Session) Rewind(n int) error {
 	for m > 0 && h.At(m-1).Kind == history.Inv {
 		m--
 	}
-	var invs []history.Event
+	s.invs = s.invs[:0]
 	for i := m; i < n; i++ {
-		invs = append(invs, h.At(i))
+		s.invs = append(s.invs, h.At(i))
 	}
 	s.st.Truncate(m)
 	s.totalEvents = m
@@ -246,7 +249,7 @@ func (s *Session) Rewind(n int) error {
 	for i := range s.deciders {
 		s.deciders[i].rewind(h, ro)
 	}
-	for _, e := range invs {
+	for _, e := range s.invs {
 		if err := s.append(e); err != nil {
 			return err // unreachable: the stream accepted e after these same m events
 		}
@@ -412,6 +415,7 @@ func (s *Session) retire(ix *history.Indexed, r int, sigma []history.IndexedWrit
 		firstLive = ix.Txns[r].First
 	}
 	ns := history.NewStream()
+	ns.Grow(2*len(sigma) + 2 + old.Len() - firstLive)
 	for _, wv := range sigma {
 		obj := ix.Objs[wv.Obj]
 		if ns.Append(history.Event{Kind: history.Inv, Op: history.OpWrite, Txn: ckptTxn, Obj: obj, Arg: wv.Val}) != nil ||
