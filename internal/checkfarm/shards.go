@@ -402,6 +402,7 @@ func (s JobSpec) RunShard(ctx context.Context, i int) (ShardResult, error) {
 			return ShardResult{}, err
 		}
 		ep := wireEpisodeOf(r, s.Certify.Criteria)
+		r.Release()
 		return ShardResult{Episode: &ep}, nil
 	case KindExplore:
 		p, err := s.Explore.Plans[i].Plan()
@@ -437,6 +438,7 @@ func (s JobSpec) RunShard(ctx context.Context, i int) (ShardResult, error) {
 		}
 		ep := wireEpisodeOf(r, cfg.Criteria)
 		ep.History = histio.FormatString(r.History)
+		r.Release()
 		return ShardResult{Episode: &ep}, nil
 	}
 	return ShardResult{}, fmt.Errorf("checkfarm: unknown job kind %q", s.Kind)

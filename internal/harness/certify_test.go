@@ -2,7 +2,10 @@ package harness
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"duopacity/internal/history"
@@ -60,6 +63,144 @@ func TestEpisodeRunAllocs(t *testing.T) {
 	t.Logf("tl2 episode run: %.0f bytes and %.1f allocations (with a recorder per run: %d and %.1f)", bytes, allocs, beforeBytes, beforeAllocs)
 	if bytes > limit {
 		t.Errorf("a tl2 episode run allocates %.0f bytes, want at most %.0f", bytes, limit)
+	}
+}
+
+// certifyEpisodeCost is the mean heap bytes and allocations of one
+// released all-criteria CertifyEpisodeCtx of engine over the 25
+// certify-shape digest episodes: what a farm shard computes.
+func certifyEpisodeCost(tb testing.TB, engine string) (bytes, allocs float64) {
+	tb.Helper()
+	cfg := CertConfig{Workload: certifyShape, Episodes: 25, Interleaved: true}.WithDefaults()
+	cfg.Engine = engine
+	criteria := spec.AllCriteria()
+	run := func() {
+		for ep := 0; ep < cfg.Episodes; ep++ {
+			r, err := CertifyEpisodeCtx(context.Background(), cfg, ep, criteria)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			r.Release()
+		}
+	}
+	run()
+	const rounds = 4
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	n := float64(rounds * cfg.Episodes)
+	return float64(after.TotalAlloc-before.TotalAlloc) / n, float64(after.Mallocs-before.Mallocs) / n
+}
+
+// TestCertifyEpisodeAllocs gates what a released certify episode — run,
+// ingest and the seven checks — allocates. When the run's log was copied
+// and replayed by FromEvents and then indexed again by the first check,
+// a tl2 episode allocated 51.5 KB in 348 allocations (Go 1.24,
+// linux/amd64); the log now goes once into a pooled, live-indexed
+// stream. The gate is 16 KB. Under -race sync.Pool drops Puts at random,
+// so there the numbers are only logged.
+func TestCertifyEpisodeAllocs(t *testing.T) {
+	const beforeBytes, beforeAllocs, limit = 51_500, 348, 16_000
+	bytes, allocs := certifyEpisodeCost(t, "tl2")
+	t.Logf("released tl2 certify episode: %.0f bytes and %.1f allocations (run, FromEvents and a rebuilt index: %d and %d)", bytes, allocs, beforeBytes, beforeAllocs)
+	if !raceEnabled && bytes > limit {
+		t.Errorf("a released tl2 certify episode allocates %.0f bytes, want at most %d", bytes, limit)
+	}
+}
+
+// TestCertifyReleasedMatchesKept: a certify episode ingests its run into
+// a stream from a pool, so an episode decided on a reused stream must
+// decide exactly as one on a stream no earlier episode touched, and a
+// report that is never released must stay valid while later episodes
+// reuse released streams. Each episode is certified twice: on even
+// episodes the first report is released before the second is made (which
+// can then take its stream) and the second is kept, on odd ones the first
+// is kept and the second released. Both must carry the same verdict bits;
+// every kept report must, after its engine's last episode, still render
+// every verdict as it did when it was made and hold RunInterleaved's
+// events; and a release must leave every copy of the report without
+// verdicts.
+func TestCertifyReleasedMatchesKept(t *testing.T) {
+	criteria := spec.AllCriteria()
+	episodes := 100
+	if testing.Short() {
+		episodes = 20
+	}
+	bits := func(r EpisodeReport) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "skipped=%v", r.Skipped)
+		for _, c := range criteria {
+			v, ok := r.Verdicts[c]
+			fmt.Fprintf(&b, "\n%v present=%v ok=%v undecided=%v nodes=%d reason=%q", c, ok, v.OK, v.Undecided, v.Nodes, v.Reason)
+		}
+		return b.String()
+	}
+	renderings := func(r EpisodeReport) string {
+		var b strings.Builder
+		for _, c := range criteria {
+			fmt.Fprintln(&b, r.Verdicts[c])
+		}
+		return b.String()
+	}
+	type kept struct {
+		r    EpisodeReport
+		ep   int
+		want string
+	}
+	for _, eng := range []string{"tl2", "norec", "pdur", "dstm", "gl", "ple", "etl"} {
+		cfg := CertConfig{Workload: certifyShape, Episodes: episodes, Interleaved: true}.WithDefaults()
+		cfg.Engine = eng
+		certify := func(ep int) EpisodeReport {
+			r, err := CertifyEpisodeCtx(context.Background(), cfg, ep, criteria)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+		release := func(r EpisodeReport, ep int) {
+			cp := r
+			r.Release()
+			if r.History != nil || len(r.Verdicts) != 0 || len(cp.Verdicts) != 0 {
+				t.Fatalf("%s episode %d: after Release the report holds a history or %d verdicts, a copy %d", eng, ep, len(r.Verdicts), len(cp.Verdicts))
+			}
+		}
+		var keep []kept
+		for ep := 0; ep < cfg.Episodes; ep++ {
+			first := certify(ep)
+			want := bits(first)
+			if ep%2 == 0 {
+				release(first, ep)
+			} else {
+				keep = append(keep, kept{first, ep, renderings(first)})
+			}
+			second := certify(ep)
+			if got := bits(second); got != want {
+				t.Fatalf("%s episode %d: the second report decides\n%s\nthe first\n%s", eng, ep, got, want)
+			}
+			if ep%2 == 0 {
+				keep = append(keep, kept{second, ep, renderings(second)})
+			} else {
+				release(second, ep)
+			}
+		}
+		for _, k := range keep {
+			if got := renderings(k.r); got != k.want {
+				t.Fatalf("%s episode %d: a kept report renders\n%swhen made\n%s", eng, k.ep, got, k.want)
+			}
+			w := cfg.Workload
+			w.Seed += int64(k.ep) * episodeSeedStride
+			h, _, err := RunInterleaved(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(k.r.History.Events(), h.Events()) {
+				t.Fatalf("%s episode %d: a kept report's history is not RunInterleaved's", eng, k.ep)
+			}
+		}
 	}
 }
 
@@ -176,9 +317,10 @@ func TestCheckAllWitnessAfterCancel(t *testing.T) {
 }
 
 // BenchmarkCertifyEpisode prices a certify-farm episode per engine of the
-// workload: "run" is the interleaved run alone (engine, recorder, stepper,
-// seeding, FromEvents), "certify" the run plus the exact checks of all
-// seven criteria, as a farm shard computes it. Episodes cycle through the
+// workload: "run" is RunInterleaved (engine, recorder, stepper, seeding,
+// and a FromEvents history), "certify" a released CertifyEpisodeCtx of
+// all seven criteria — the run, one ingest into a pooled stream and the
+// exact checks — as a farm shard computes it. Episodes cycle through the
 // 25 digest seeds.
 func BenchmarkCertifyEpisode(b *testing.B) {
 	criteria := spec.AllCriteria()
@@ -202,9 +344,11 @@ func BenchmarkCertifyEpisode(b *testing.B) {
 		b.Run(eng+"/certify", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := CertifyEpisodeCtx(context.Background(), cfg, i%25, criteria); err != nil {
+				r, err := CertifyEpisodeCtx(context.Background(), cfg, i%25, criteria)
+				if err != nil {
 					b.Fatal(err)
 				}
+				r.Release()
 			}
 		})
 	}

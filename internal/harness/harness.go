@@ -44,7 +44,6 @@ import (
 	"duopacity/internal/gen"
 	"duopacity/internal/history"
 	"duopacity/internal/lazyrand"
-	"duopacity/internal/recorder"
 	"duopacity/internal/spec"
 	"duopacity/internal/stm"
 	"duopacity/internal/stm/engines"
@@ -183,7 +182,7 @@ func Run(w Workload) (RunStats, error) {
 	if err != nil {
 		return RunStats{}, err
 	}
-	return drive(w, eng.Begin), nil
+	return drive(w, lazyrand.New(0), eng.Begin), nil
 }
 
 // RunRecorded executes the workload on a fresh engine under the recorder
@@ -191,31 +190,34 @@ func Run(w Workload) (RunStats, error) {
 // values are globally unique, so the resulting history satisfies the
 // unique-writes hypothesis of Theorem 11.
 func RunRecorded(w Workload) (*history.History, RunStats, error) {
-	return runRecorded(w, nil)
+	sc, stats, err := runRecorded(w, nil)
+	if err != nil {
+		return nil, RunStats{}, err
+	}
+	defer sc.release()
+	return sc.rec.History(), stats, nil
 }
 
 // runRecorded is RunRecorded with an optional event tap attached to the
 // recorder before any transaction runs (the online-certification hook).
-func runRecorded(w Workload, tap func(history.Event)) (*history.History, RunStats, error) {
+// It returns the scratch with the run's log in its recorder.
+func runRecorded(w Workload, tap func(history.Event)) (*runScratch, RunStats, error) {
 	w = w.withDefaults()
 	eng, err := engines.New(w.Engine, w.Objects)
 	if err != nil {
 		return nil, RunStats{}, err
 	}
-	rec := recorder.New(eng)
-	if tap != nil {
-		rec.Tap(tap)
-	}
-	stats := drive(w, func() stm.Txn { return rec.Begin() })
-	return rec.History(), stats, nil
+	sc := getRunScratch(eng, tap)
+	rec := sc.rec
+	return sc, drive(w, sc.rng, func() stm.Txn { return rec.Begin() }), nil
 }
 
-// drive runs the defaulted workload's plan on real goroutines, one per
-// plan thread, each transaction retried through stm.AtomicallyN over the
-// transactions begin starts. Written values are drawn fresh per attempt,
-// so retries stay distinguishable.
-func drive(w Workload, begin func() stm.Txn) RunStats {
-	plans := planFor(w, lazyrand.New(0))
+// drive runs the defaulted workload's plan, drawn from rng, on real
+// goroutines, one per plan thread, each transaction retried through
+// stm.AtomicallyN over the transactions begin starts. Written values are
+// drawn fresh per attempt, so retries stay distinguishable.
+func drive(w Workload, rng *rand.Rand, begin func() stm.Txn) RunStats {
+	plans := planFor(w, rng)
 	var commits, aborts, failed atomic.Int64
 	var vals atomic.Int64 // unique written values
 
@@ -338,7 +340,8 @@ type EpisodeReport struct {
 	// Verdicts holds one verdict per requested criterion (nil when
 	// Skipped).
 	Verdicts map[spec.Criterion]spec.Verdict
-	// History is the recorded episode (also set when Skipped).
+	// History is the recorded episode (also set when Skipped), valid until
+	// Release.
 	History *history.History
 	// Degraded is set when the episode could not be certified for an
 	// exceptional reason (under the checkfarm: the episode's shard
@@ -346,6 +349,40 @@ type EpisodeReport struct {
 	// per criterion carrying the same reason. Degradation is always
 	// reported, never a silent drop.
 	Degraded string
+
+	// stream is the pooled stream History lives in (nil for a report not
+	// built by CertifyEpisodeCtx), lent to this report while stream.lent
+	// equals lent.
+	stream *episodeStream
+	lent   uint64
+}
+
+// episodeStream is a live-indexed stream a certify episode ingests its
+// run into. lent counts the times it has been handed out, so that a
+// report releases only the lending it got.
+type episodeStream struct {
+	s    *history.Stream
+	lent uint64
+}
+
+var episodeStreamPool = sync.Pool{New: func() any {
+	return &episodeStream{s: history.NewStream()}
+}}
+
+// Release hands the report's history back to the pool its storage came
+// from, for a later episode to reuse. It empties Verdicts, which every
+// copy of the report shares, so that a verdict read from any copy
+// afterwards is absent rather than wrong, and nils History, which other
+// copies still hold but must not read. A report that is never released
+// stays valid; releasing twice, or from a second copy, does nothing.
+func (r *EpisodeReport) Release() {
+	clear(r.Verdicts)
+	r.History = nil
+	if es := r.stream; es != nil && es.lent == r.lent {
+		es.lent++
+		episodeStreamPool.Put(es)
+	}
+	r.stream = nil
 }
 
 // DegradedEpisode builds the report for an episode that could not be
@@ -370,25 +407,33 @@ func DegradedEpisode(criteria []spec.Criterion, reason string) EpisodeReport {
 // undecided verdict. The criteria are decided together by spec.CheckAll,
 // whose verdicts are spec.Check's: one accepted serialization settles the
 // weaker criteria it satisfies without their searches.
+//
+// The run's log is ingested once, into a live-indexed stream taken from
+// a pool, and the checks read that stream's index: the report's History
+// is the stream's live view. A caller done with the report calls Release
+// to hand the stream back; one that keeps it simply never does.
 func CertifyEpisodeCtx(ctx context.Context, cfg CertConfig, ep int, criteria []spec.Criterion) (EpisodeReport, error) {
 	w := cfg.Workload
 	w.Seed = cfg.Workload.Seed + int64(ep)*episodeSeedStride
-	var (
-		h   *history.History
-		err error
-	)
-	if cfg.Interleaved {
-		h, _, err = RunInterleaved(w)
-	} else {
-		h, _, err = RunRecorded(w)
-	}
+	sc, _, err := recordRun(w, cfg.Interleaved, nil)
 	if err != nil {
 		return EpisodeReport{}, err
 	}
-	if h.NumTxns() > cfg.MaxTxns {
-		return EpisodeReport{Skipped: true, History: h}, nil
+	es := episodeStreamPool.Get().(*episodeStream)
+	es.s.Truncate(0)
+	err = sc.rec.AppendTo(es.s)
+	sc.release()
+	if err != nil {
+		// The recorder only appends matched, well-ordered events.
+		panic("harness: recorded history malformed: " + err.Error())
 	}
-	r := EpisodeReport{Verdicts: make(map[spec.Criterion]spec.Verdict, len(criteria)), History: h}
+	h := es.s.Live()
+	r := EpisodeReport{History: h, stream: es, lent: es.lent}
+	if h.NumTxns() > cfg.MaxTxns {
+		r.Skipped = true
+		return r, nil
+	}
+	r.Verdicts = make(map[spec.Criterion]spec.Verdict, len(criteria))
 	opts := []spec.Option{spec.WithNodeLimit(cfg.NodeLimit)}
 	if ctx != nil {
 		opts = append(opts, spec.WithContext(ctx))
@@ -438,6 +483,7 @@ func Certify(cfg CertConfig, criteria []spec.Criterion) (CertStats, error) {
 			return stats, err
 		}
 		stats.AddEpisode(criteria, r)
+		r.Release()
 	}
 	return stats, nil
 }

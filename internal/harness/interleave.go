@@ -7,6 +7,7 @@ import (
 	"duopacity/internal/history"
 	"duopacity/internal/lazyrand"
 	"duopacity/internal/recorder"
+	"duopacity/internal/stm"
 	"duopacity/internal/stm/engines"
 )
 
@@ -32,14 +33,19 @@ import (
 // exhaustive counterpart enumerating every schedule the trait allows is
 // ExplorePlanCtx.
 func RunInterleaved(w Workload) (*history.History, RunStats, error) {
-	return runInterleaved(w, nil)
+	sc, stats, err := runInterleaved(w, nil)
+	if err != nil {
+		return nil, RunStats{}, err
+	}
+	defer sc.release()
+	return sc.rec.History(), stats, nil
 }
 
-// runScratch is what an interleaved run takes beyond its engine and
-// gives back when it returns: the recorder, whose event log keeps its
-// capacity from run to run, and the one lazily seeded generator the run
-// draws its plan and schedule from. History copies the log, so handing
-// the recorder on after the run's history is built is safe.
+// runScratch is what a recorded run takes beyond its engine: the
+// recorder, whose event log keeps its capacity from run to run, and the
+// one lazily seeded generator the run draws its plan (and, interleaved,
+// its schedule) from. A run hands it back with the run's log in the
+// recorder; the caller ingests the log and then releases the scratch.
 type runScratch struct {
 	rec *recorder.Recorder
 	rng *rand.Rand
@@ -49,22 +55,47 @@ var runScratchPool = sync.Pool{New: func() any {
 	return &runScratch{rec: recorder.New(nil), rng: lazyrand.New(0)}
 }}
 
+// getRunScratch takes a scratch from the pool with its recorder around
+// eng, as recorder.New(eng) would return it but for the log's capacity,
+// and tap (nil: none) attached before any transaction runs.
+func getRunScratch(eng stm.Engine, tap func(history.Event)) *runScratch {
+	sc := runScratchPool.Get().(*runScratch)
+	sc.rec.Restore(eng, 0, 0)
+	if tap != nil {
+		sc.rec.Tap(tap)
+	}
+	return sc
+}
+
+// release detaches the tap, drops the engine and the log, and returns
+// the scratch to the pool.
+func (sc *runScratch) release() {
+	sc.rec.Tap(nil)
+	sc.rec.Restore(nil, 0, 0)
+	runScratchPool.Put(sc)
+}
+
+// recordRun runs w deterministically stepped (interleaved) or on real
+// goroutines, and returns the scratch with the run's log in its recorder.
+func recordRun(w Workload, interleaved bool, tap func(history.Event)) (*runScratch, RunStats, error) {
+	if interleaved {
+		return runInterleaved(w, tap)
+	}
+	return runRecorded(w, tap)
+}
+
 // runInterleaved is RunInterleaved with an optional event tap attached to
 // the recorder before the schedule starts (the online-certification
 // hook); the tap observes the deterministic event order as it is
-// produced.
-func runInterleaved(w Workload, tap func(history.Event)) (*history.History, RunStats, error) {
+// produced. It returns the scratch with the run's log in its recorder.
+func runInterleaved(w Workload, tap func(history.Event)) (*runScratch, RunStats, error) {
 	w = w.withDefaults()
 	eng, err := engines.New(w.Engine, w.Objects)
 	if err != nil {
 		return nil, RunStats{}, err
 	}
-	sc := runScratchPool.Get().(*runScratch)
+	sc := getRunScratch(eng, tap)
 	rec, rng := sc.rec, sc.rng
-	rec.Restore(eng, 0, 0) // as recorder.New(eng), keeping the log's capacity
-	if tap != nil {
-		rec.Tap(tap)
-	}
 	// One generator serves the episode: planFor re-seeds it per thread,
 	// then it is re-seeded for the schedule.
 	st := &stepper{
@@ -82,11 +113,7 @@ func runInterleaved(w Workload, tap func(history.Event)) (*history.History, RunS
 		}
 		st.step(st.threads[r[rng.Intn(len(r))]])
 	}
-	h := rec.History()
-	rec.Tap(nil)
-	rec.Restore(nil, 0, 0)
-	runScratchPool.Put(sc)
-	return h, RunStats{
+	return sc, RunStats{
 		Engine:  w.Engine,
 		Commits: st.commits,
 		Aborts:  st.aborts,

@@ -79,15 +79,11 @@ func RunMonitored(w Workload, c spec.Criterion, nodeLimit int, interleaved bool,
 		}
 		events++
 	}
-	var stats RunStats
-	if interleaved {
-		_, stats, err = runInterleaved(w, tap)
-	} else {
-		_, stats, err = runRecorded(w, tap)
-	}
+	sc, stats, err := recordRun(w, interleaved, tap)
 	if err != nil {
 		return OnlineReport{}, err
 	}
+	sc.release()
 	v := m.Verdict()
 	if degraded != "" && (v.OK || v.Undecided) {
 		// The tail of the run went unmonitored: an OK cannot be claimed.

@@ -289,11 +289,16 @@ func (s *Stream) indexWrite(it *IndexedTxn, gi, oi int, op Op) {
 // and panics when n is out of range. Like Append it invalidates what Live
 // handed out; snapshots taken with History are unaffected. The storage of
 // what it removes (views, index rows) is kept for the Appends that follow.
+// Truncate(0) costs O(transactions + objects), whatever the length.
 func (s *Stream) Truncate(n int) {
 	if n < 0 || n > len(s.h.events) {
 		panic(fmt.Sprintf("history: truncate to length %d out of range [0,%d]", n, len(s.h.events)))
 	}
 	if n == len(s.h.events) {
+		return
+	}
+	if n == 0 {
+		s.reset()
 		return
 	}
 	if s.shared {
@@ -303,6 +308,31 @@ func (s *Stream) Truncate(n int) {
 		s.retract(i, s.h.events[i])
 	}
 	s.h.events, s.at = s.h.events[:n], s.at[:n]
+}
+
+// reset empties the stream wholesale instead of retracting event by
+// event: every view goes onto the free list (the first transaction's
+// last, so that the next stream's first transaction takes it over),
+// the maps are cleared, and every row and list is re-sliced to nothing
+// with its storage kept. Storage a snapshot aliases is left to it.
+func (s *Stream) reset() {
+	if s.shared {
+		s.h.events = make([]Event, 0, cap(s.h.events))
+		for _, t := range s.h.txns {
+			t.Ops = nil
+		}
+		s.shared = false
+	}
+	for i := len(s.h.ids) - 1; i >= 0; i-- {
+		s.free = append(s.free, s.h.txns[s.h.ids[i]])
+	}
+	clear(s.h.txns)
+	s.h.events, s.h.ids, s.at, s.objFirst = s.h.events[:0], s.h.ids[:0], s.at[:0], s.objFirst[:0]
+	ix := s.ix
+	clear(ix.objIdx)
+	clear(ix.txnIdx)
+	ix.Objs, ix.TxnIDs, ix.Txns = ix.Objs[:0], ix.TxnIDs[:0], ix.Txns[:0]
+	ix.RTPred, ix.Writers, ix.TComplete = ix.RTPred[:0], ix.Writers[:0], ix.TComplete[:0]
 }
 
 // detach moves the stream onto event and Ops storage of its own. A

@@ -221,8 +221,11 @@ func FuzzStreamDifferential(f *testing.F) {
 // event, which the stream must accept or reject exactly as FromEvents
 // does over the surviving events. After every truncation and at the end
 // the live history and its incremental index (recycled rows included) must
-// equal the batch constructions, and every snapshot must still hold
-// exactly the events it was taken over.
+// equal the batch constructions and a fresh stream fed the surviving
+// events, with no transaction or object of any event offered so far
+// still known unless it survives — truncating to 0 is the wholesale
+// reset, after which the stream is fed a different history — and every
+// snapshot must still hold exactly the events it was taken over.
 func FuzzStreamTruncate(f *testing.F) {
 	f.Add([]byte{})
 	// T1 writes X and commits, T2 reads it; back to 3 events, T1 aborts
@@ -236,10 +239,17 @@ func FuzzStreamTruncate(f *testing.F) {
 	})
 	// An own-write read that misses its write (BadReadOp), undone and redone.
 	f.Add([]byte{1, 1, 4, 5, 1, 4, 0, 1, 0, 4, 1, 8, 0xE0, 0, 3, 4, 1, 4, 0xE0, 0, 1})
+	// T1 and T2 write X and Y, a snapshot, the reset, then T3 reads Z and
+	// commits: a different history on a reused stream.
+	f.Add([]byte{
+		1, 1, 0, 5, 1, 0, 1, 2, 1, 5, 2, 1,
+		0xD0, 0, 0, 0xE0, 0, 0,
+		0, 3, 2, 4, 3, 2, 2, 3, 0, 14, 3, 0,
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const maxSteps = 400
 		s := history.NewStream()
-		var accepted []history.Event
+		var accepted, offered []history.Event
 		type held struct {
 			h   *history.History
 			evs []history.Event
@@ -256,6 +266,9 @@ func FuzzStreamTruncate(f *testing.F) {
 			if err := history.EqualIndexesForTest(s.Live().Index(), history.BuildIndexForTest(batch)); err != nil {
 				t.Fatalf("%s: incremental index diverges from batch: %v", when, err)
 			}
+			if err := history.EqualToFreshForTest(s, offered); err != nil {
+				t.Fatalf("%s: stream diverges from a fresh one: %v", when, err)
+			}
 		}
 		for i := 0; i+3 <= len(data) && i/3 < maxSteps; i += 3 {
 			switch b0 := data[i]; {
@@ -270,6 +283,7 @@ func FuzzStreamTruncate(f *testing.F) {
 				}
 			default:
 				e := decodeEvent(data[i], data[i+1], data[i+2])
+				offered = append(offered, e)
 				_, batchErr := history.FromEvents(append(append([]history.Event(nil), accepted...), e))
 				streamErr := s.Append(e)
 				if (batchErr == nil) != (streamErr == nil) {

@@ -3,6 +3,7 @@ package history
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -138,6 +139,57 @@ func checkStreamAgainstBatch(s *Stream) error {
 	}
 	if err := equalIndexes(snap.Index(), buildIndex(batch)); err != nil {
 		return fmt.Errorf("snapshot index: %w", err)
+	}
+	return nil
+}
+
+// equalToFresh compares s with a fresh NewStream fed s's events: the
+// events, every transaction view (no stale ones), and the whole live
+// index, down to the dense index of every transaction and object that
+// probe names, which a stream must have forgotten when it no longer
+// holds them. A reset stream that has been fed another history must
+// leave nothing of the first behind.
+func equalToFresh(s *Stream, probe []Event) error {
+	fresh := NewStream()
+	for _, e := range s.Events() {
+		if err := fresh.Append(e); err != nil {
+			return fmt.Errorf("fresh stream rejects %v: %w", e, err)
+		}
+	}
+	a, b := s.Live(), fresh.Live()
+	if err := equalHistories(a, b); err != nil {
+		return err
+	}
+	if len(a.txns) != len(b.txns) {
+		return fmt.Errorf("%d transaction views, fresh %d", len(a.txns), len(b.txns))
+	}
+	for id, tb := range b.txns {
+		ta := a.txns[id]
+		if ta == nil || ta.ID != tb.ID || ta.First != tb.First || ta.Last != tb.Last ||
+			ta.TryCInv != tb.TryCInv || ta.TryCRes != tb.TryCRes || !slices.Equal(ta.Ops, tb.Ops) {
+			return fmt.Errorf("T%v: view %+v, fresh %+v", id, ta, tb)
+		}
+	}
+	ia, ib := a.Index(), b.Index()
+	if err := equalIndexes(ia, ib); err != nil {
+		return err
+	}
+	for i := range ib.Txns {
+		if ia.Txns[i].Info != a.txns[ia.TxnIDs[i]] {
+			return fmt.Errorf("index row %d does not point at T%v's view", i, ia.TxnIDs[i])
+		}
+	}
+	if len(ia.txnIdx) != len(ib.txnIdx) || len(ia.objIdx) != len(ib.objIdx) {
+		return fmt.Errorf("index maps hold %d txns and %d objects, fresh %d and %d",
+			len(ia.txnIdx), len(ia.objIdx), len(ib.txnIdx), len(ib.objIdx))
+	}
+	for _, e := range probe {
+		if ga, gb := ia.TxnIndexOf(e.Txn), ib.TxnIndexOf(e.Txn); ga != gb {
+			return fmt.Errorf("TxnIndexOf(T%v) = %d, fresh %d", e.Txn, ga, gb)
+		}
+		if ga, gb := ia.ObjIndexOf(e.Obj), ib.ObjIndexOf(e.Obj); ga != gb {
+			return fmt.Errorf("ObjIndexOf(%v) = %d, fresh %d", e.Obj, ga, gb)
+		}
 	}
 	return nil
 }
@@ -301,9 +353,12 @@ func TestStreamSnapshotImmutable(t *testing.T) {
 // history and the incrementally maintained index (recycled rows and all)
 // equal the batch constructions over the surviving events. Every other
 // round also takes a snapshot, so both the shared-storage path (detach)
-// and the in-place one are walked.
+// and the in-place one are walked. At the end the stream is reset and fed
+// a different history, after which it must equal a fresh stream fed that
+// history (equalToFresh), with or without a snapshot held across the
+// reset.
 func TestStreamTruncateMatchesBatch(t *testing.T) {
-	prop := func(rh randHistory, seed int64) bool {
+	prop := func(rh, other randHistory, seed int64) bool {
 		evs := rh.H.Events()
 		r := rand.New(rand.NewSource(seed))
 		s := NewStream()
@@ -337,7 +392,39 @@ func TestStreamTruncateMatchesBatch(t *testing.T) {
 			}
 		}
 		s.Truncate(0)
-		return check("reset", true)
+		if !check("reset", true) {
+			return false
+		}
+		for _, e := range evs[:r.Intn(len(evs)+1)] {
+			if err := s.Append(e); err != nil {
+				t.Logf("re-append before the second reset: %v", err)
+				return false
+			}
+		}
+		var snap *History
+		var snapEvs []Event
+		if r.Intn(2) == 0 {
+			snap, snapEvs = s.History(), s.Events()
+		}
+		s.Truncate(0)
+		next := other.H.Events()
+		for _, e := range next {
+			if err := s.Append(e); err != nil {
+				t.Logf("a different history after the reset: %v", err)
+				return false
+			}
+		}
+		if err := equalToFresh(s, append(evs, next...)); err != nil {
+			t.Logf("reset, then a different history: %v", err)
+			return false
+		}
+		if snap != nil {
+			if err := equalHistories(snap, MustFromEvents(snapEvs)); err != nil {
+				t.Logf("snapshot held across the reset: %v", err)
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

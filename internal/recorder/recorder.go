@@ -11,12 +11,15 @@
 // the aborting operation, and commits as tryC_k -> C_k. The recorded
 // histories are well-formed by construction (each transaction's events
 // form the sequential pattern of Section 2: at most one pending operation,
-// nothing after t-completion), which FromEvents re-validates defensively.
+// nothing after t-completion), which every consumer re-validates
+// defensively as it ingests the log.
 //
-// Two consumers sit on the capture path: History snapshots the events as
-// a batch history for the exact checkers, and Tap exposes each event the
-// moment it is linearized — the hook through which spec.Monitor certifies
-// an execution while it runs (harness.RunMonitored) and the schedule
+// Three consumers sit on the capture path: History snapshots the events
+// as a batch history, AppendTo feeds them to a history.Stream (the
+// certify path, which validates and indexes an episode in one pass over
+// a reused stream), and Tap exposes each event the moment it is
+// linearized — the hook through which spec.Monitor certifies an
+// execution while it runs (harness.RunMonitored) and the schedule
 // explorer latches violations mid-schedule (harness.ExplorePlanCtx, using
 // the prefix closure of Corollary 2). A transaction's position in the
 // real-time order of H (its t-completion preceding another's first event)
@@ -164,7 +167,8 @@ func (r *Recorder) TapError() error {
 // History snapshots the recorded events as a history. Transactions still
 // in flight appear with pending operations, which is well-formed. The
 // history is built under the capture mutex from FromEvents' own copy of
-// the log, so the events are copied once.
+// the log, so the events are copied once; a consumer that checks what it
+// gets and can reuse storage takes AppendTo instead.
 func (r *Recorder) History() *history.History {
 	r.mu.Lock()
 	h, err := history.FromEvents(r.evs)
@@ -174,6 +178,23 @@ func (r *Recorder) History() *history.History {
 		panic("recorder: recorded history malformed: " + err.Error())
 	}
 	return h
+}
+
+// AppendTo appends the recorded events to s, under the capture mutex.
+// With s fresh or just reset (Truncate(0)), s then holds the history
+// History would return, indexed as it was appended when s was built by
+// NewStream. The error is s's rejection of an event, which the
+// recorder's own log never earns.
+func (r *Recorder) AppendTo(s *history.Stream) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s.Grow(len(r.evs))
+	for _, e := range r.evs {
+		if err := s.Append(e); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (r *Recorder) append(e history.Event) {

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"slices"
+	"sync"
 
 	"duopacity/internal/history"
 )
@@ -33,6 +34,8 @@ func CheckAll(h *history.History, criteria []Criterion, opts ...Option) []Verdic
 	o := buildOptions(opts)
 	out := make([]Verdict, len(criteria))
 	var offers []*witness
+	edgeBuf := edgeBufPool.Get().(*[][2]history.TxnID) // TMS2's edges, then RCO's
+	defer edgeBufPool.Put(edgeBuf)
 	var du Verdict
 	if slices.Contains(criteria, DUOpacity) || slices.Contains(criteria, Opacity) {
 		du = decide(h, DUOpacity, duMode, o)
@@ -55,7 +58,11 @@ func CheckAll(h *history.History, criteria []Criterion, opts ...Option) []Verdic
 				offers = append(offers, v.w)
 			}
 		default:
-			if v = decide(h, c, criterionMode(h, c, o), o, offers...); v.OK {
+			mode := criterionMode(h, c, o, *edgeBuf)
+			if mode.extraEdges != nil {
+				*edgeBuf = mode.extraEdges[:0]
+			}
+			if v = decide(h, c, mode, o, offers...); v.OK {
 				offers = append(offers, v.w)
 			}
 		}
@@ -72,3 +79,7 @@ func CheckAll(h *history.History, criteria []Criterion, opts ...Option) []Verdic
 	}
 	return out
 }
+
+// edgeBufPool holds the storage CheckAll builds conflict-order edges in:
+// the engine reads them only while it prepares, so no verdict keeps them.
+var edgeBufPool = sync.Pool{New: func() any { return new([][2]history.TxnID) }}

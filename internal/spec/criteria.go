@@ -123,17 +123,16 @@ func prefixVerdict(v Verdict, i int) Verdict {
 // documentation for the interpretation question it resolves).
 func CheckTMS2(h *history.History, opts ...Option) Verdict {
 	o := buildOptions(opts)
-	return decide(h, TMS2, criterionMode(h, TMS2, o), o)
+	return decide(h, TMS2, criterionMode(h, TMS2, o, nil), o)
 }
 
-// tms2Edges lists CheckTMS2's conflict-order edges: T1 -> T2 for a
-// committed writer T1 of an object in T2's read set whose tryC response
-// precedes T2's tryC invocation.
-func tms2Edges(h *history.History, exemptAbortedReaders bool) [][2]history.TxnID {
+// tms2Edges appends to edges CheckTMS2's conflict-order edges: T1 -> T2
+// for a committed writer T1 of an object in T2's read set whose tryC
+// response precedes T2's tryC invocation.
+func tms2Edges(edges [][2]history.TxnID, h *history.History, exemptAbortedReaders bool) [][2]history.TxnID {
 	ix := h.Index()
 	fr := getFirstReads(ix)
 	defer fr.release()
-	var edges [][2]history.TxnID
 	for ai := range ix.Txns {
 		t1 := &ix.Txns[ai]
 		if !t1.Committed || len(t1.Writes) == 0 || t1.TryCRes < 0 {
@@ -209,17 +208,16 @@ func readsAny(reader *history.IndexedTxn, objs []history.Var, before int) bool {
 // separation: du-opaque (hence opaque) but not RCO-opaque.
 func CheckRCO(h *history.History, opts ...Option) Verdict {
 	o := buildOptions(opts)
-	return decide(h, RCO, criterionMode(h, RCO, o), o)
+	return decide(h, RCO, criterionMode(h, RCO, o, nil), o)
 }
 
-// rcoEdges lists CheckRCO's conflict-order edges: T_k -> T_m for a reader
-// T_k of an object T_m commits whose read responds before T_m's tryC
-// invocation.
-func rcoEdges(h *history.History) [][2]history.TxnID {
+// rcoEdges appends to edges CheckRCO's conflict-order edges: T_k -> T_m
+// for a reader T_k of an object T_m commits whose read responds before
+// T_m's tryC invocation.
+func rcoEdges(edges [][2]history.TxnID, h *history.History) [][2]history.TxnID {
 	ix := h.Index()
 	fr := getFirstReads(ix)
 	defer fr.release()
-	var edges [][2]history.TxnID
 	for mi := range ix.Txns {
 		tm := &ix.Txns[mi]
 		if !tm.Committed || tm.TryCInv < 0 || len(tm.Writes) == 0 {
@@ -355,17 +353,19 @@ var (
 )
 
 // criterionMode is the one search that decides c on h — every criterion
-// but Opacity, which is a walk over prefixes (CheckOpacity).
-func criterionMode(h *history.History, c Criterion, o options) searchMode {
+// but Opacity, which is a walk over prefixes (CheckOpacity). TMS2's and
+// RCO's edges are built in the storage of edges (nil: new storage), which
+// the engine reads only while it prepares.
+func criterionMode(h *history.History, c Criterion, o options, edges [][2]history.TxnID) searchMode {
 	switch c {
 	case DUOpacity:
 		return duMode
 	case FinalStateOpacity:
 		return fsoMode
 	case TMS2:
-		return searchMode{realTime: true, extraEdges: tms2Edges(h, o.tms2AbortedExemption)}
+		return searchMode{realTime: true, extraEdges: tms2Edges(edges[:0], h, o.tms2AbortedExemption)}
 	case RCO:
-		return searchMode{realTime: true, extraEdges: rcoEdges(h)}
+		return searchMode{realTime: true, extraEdges: rcoEdges(edges[:0], h)}
 	case StrictSerializability:
 		return strictSerMode
 	case Serializability:

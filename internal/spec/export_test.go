@@ -36,9 +36,9 @@ func SessionHistory(s *Session) *history.History { return s.st.History() }
 func BatchConflictEdges(h *history.History, c Criterion, exemptAborted bool) [][2]history.TxnID {
 	switch c {
 	case TMS2:
-		return tms2Edges(h, exemptAborted)
+		return tms2Edges(nil, h, exemptAborted)
 	case RCO:
-		return rcoEdges(h)
+		return rcoEdges(nil, h)
 	}
 	return nil
 }

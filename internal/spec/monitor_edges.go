@@ -165,13 +165,11 @@ func dropEdgesTo(edges [][2]history.TxnID, to history.TxnID) [][2]history.TxnID 
 // rewind places its restricted witness against the whole set, or searches
 // with it.
 func (et *edgeTracker) rebuild(h *history.History) {
-	var edges [][2]history.TxnID
 	if et.crit == TMS2 {
-		edges = tms2Edges(h, et.exempt)
+		et.edges = tms2Edges(et.edges[:0], h, et.exempt)
 	} else {
-		edges = rcoEdges(h)
+		et.edges = rcoEdges(et.edges[:0], h)
 	}
-	et.edges = append(et.edges[:0], edges...)
 	et.pending = et.pending[:0]
 }
 
