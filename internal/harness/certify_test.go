@@ -16,18 +16,12 @@ import (
 // transactions × 4 operations over 4 objects, interleaved.
 var certifyShape = certifyDigestShapes[0]
 
-// episodeRunCost is the mean heap bytes and allocations of one
-// RunInterleaved of engine over the 25 certify-shape digest episodes.
-func episodeRunCost(tb testing.TB, engine string) (bytes, allocs float64) {
-	tb.Helper()
+// allocsPerEpisode is the mean heap bytes and allocations of one call of
+// episode over the 25 certify-shape digest episodes, after a warm-up pass.
+func allocsPerEpisode(episode func(ep int)) (bytes, allocs float64) {
 	run := func() {
 		for ep := 0; ep < 25; ep++ {
-			w := certifyShape
-			w.Engine = engine
-			w.Seed += int64(ep) * episodeSeedStride
-			if _, _, err := RunInterleaved(w); err != nil {
-				tb.Fatal(err)
-			}
+			episode(ep)
 		}
 	}
 	run()
@@ -59,41 +53,18 @@ func TestEpisodeRunAllocs(t *testing.T) {
 	if raceEnabled {
 		limit = 0.8 * 102_984
 	}
-	bytes, allocs := episodeRunCost(t, "tl2")
+	bytes, allocs := allocsPerEpisode(func(ep int) {
+		w := certifyShape
+		w.Engine = "tl2"
+		w.Seed += int64(ep) * episodeSeedStride
+		if _, _, err := RunInterleaved(w); err != nil {
+			t.Fatal(err)
+		}
+	})
 	t.Logf("tl2 episode run: %.0f bytes and %.1f allocations (with a recorder per run: %d and %.1f)", bytes, allocs, beforeBytes, beforeAllocs)
 	if bytes > limit {
 		t.Errorf("a tl2 episode run allocates %.0f bytes, want at most %.0f", bytes, limit)
 	}
-}
-
-// certifyEpisodeCost is the mean heap bytes and allocations of one
-// released all-criteria CertifyEpisodeCtx of engine over the 25
-// certify-shape digest episodes: what a farm shard computes.
-func certifyEpisodeCost(tb testing.TB, engine string) (bytes, allocs float64) {
-	tb.Helper()
-	cfg := CertConfig{Workload: certifyShape, Episodes: 25, Interleaved: true}.WithDefaults()
-	cfg.Engine = engine
-	criteria := spec.AllCriteria()
-	run := func() {
-		for ep := 0; ep < cfg.Episodes; ep++ {
-			r, err := CertifyEpisodeCtx(context.Background(), cfg, ep, criteria)
-			if err != nil {
-				tb.Fatal(err)
-			}
-			r.Release()
-		}
-	}
-	run()
-	const rounds = 4
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for i := 0; i < rounds; i++ {
-		run()
-	}
-	runtime.ReadMemStats(&after)
-	n := float64(rounds * cfg.Episodes)
-	return float64(after.TotalAlloc-before.TotalAlloc) / n, float64(after.Mallocs-before.Mallocs) / n
 }
 
 // TestCertifyEpisodeAllocs gates what a released certify episode — run,
@@ -105,7 +76,16 @@ func certifyEpisodeCost(tb testing.TB, engine string) (bytes, allocs float64) {
 // so there the numbers are only logged.
 func TestCertifyEpisodeAllocs(t *testing.T) {
 	const beforeBytes, beforeAllocs, limit = 51_500, 348, 16_000
-	bytes, allocs := certifyEpisodeCost(t, "tl2")
+	cfg := CertConfig{Workload: certifyShape, Interleaved: true}.WithDefaults()
+	cfg.Engine = "tl2"
+	criteria := spec.AllCriteria()
+	bytes, allocs := allocsPerEpisode(func(ep int) {
+		r, err := CertifyEpisodeCtx(context.Background(), cfg, ep, criteria)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Release()
+	})
 	t.Logf("released tl2 certify episode: %.0f bytes and %.1f allocations (run, FromEvents and a rebuilt index: %d and %d)", bytes, allocs, beforeBytes, beforeAllocs)
 	if !raceEnabled && bytes > limit {
 		t.Errorf("a released tl2 certify episode allocates %.0f bytes, want at most %d", bytes, limit)
