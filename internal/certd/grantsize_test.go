@@ -18,7 +18,7 @@ func TestGrantSizePolicy(t *testing.T) {
 	// It returns the grant sizes in order.
 	run := func(t *testing.T, n int, workers []string, perShard time.Duration) []int {
 		clk := newFakeClock()
-		s := NewServer(Config{LeaseTTL: ttl, Clock: clk.Now})
+		s := clockedServer(Config{LeaseTTL: ttl}, clk)
 		id, _, err := s.Submit(checkJobSpec(smallHistories(n)...))
 		if err != nil {
 			t.Fatal(err)
@@ -68,7 +68,7 @@ func TestGrantSizePolicy(t *testing.T) {
 
 	t.Run("a job nobody has delivered for is probed with single shards", func(t *testing.T) {
 		clk := newFakeClock()
-		s := NewServer(Config{LeaseTTL: ttl, Clock: clk.Now})
+		s := clockedServer(Config{LeaseTTL: ttl}, clk)
 		older := primedJob(t, s, 50, "w0") // a job past its probe does not vouch for the next one
 		if _, _, err := s.Submit(checkJobSpec(smallHistories(50)...)); err != nil {
 			t.Fatal(err)
@@ -105,7 +105,7 @@ func TestGrantSizePolicy(t *testing.T) {
 
 	t.Run("a worker silent for more than a TTL stops counting", func(t *testing.T) {
 		clk := newFakeClock()
-		s := NewServer(Config{LeaseTTL: ttl, Clock: clk.Now})
+		s := clockedServer(Config{LeaseTTL: ttl}, clk)
 		primedJob(t, s, 101, "w0")
 		deliver(t, s, poll(s, "w1"), "w1") // w1 is seen: W = 2, ceil(100/4)
 		if got := s.Metrics.ShardsGranted.Load(); got != 1+25 {

@@ -37,6 +37,13 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
+// clockedServer is a coordinator whose lease bookkeeping reads clk.
+func clockedServer(cfg Config, clk *fakeClock) *Server {
+	s := NewServer(cfg)
+	s.now = clk.Now
+	return s
+}
+
 func checkJobSpec(histories ...string) checkfarm.JobSpec {
 	return checkfarm.JobSpec{Kind: checkfarm.KindCheck, Check: &checkfarm.CheckJob{
 		Histories: histories,
@@ -146,7 +153,7 @@ func primedJob(t *testing.T, s *Server, n int, worker string) string {
 // completes the job with no degradation.
 func TestLeaseExpiryRequeues(t *testing.T) {
 	clk := newFakeClock()
-	s := NewServer(Config{LeaseTTL: time.Second, Clock: clk.Now})
+	s := clockedServer(Config{LeaseTTL: time.Second}, clk)
 	id, n, err := s.Submit(checkJobSpec("write 1 X 1\ncommit 1\n"))
 	if err != nil || n != 1 {
 		t.Fatalf("Submit: %v (n=%d)", err, n)
@@ -188,11 +195,26 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	}
 }
 
+// TestExpireFindingNothingAllocatesNothing: the expiry scan that every
+// poll and heartbeat runs allocates nothing while no lease has expired.
+func TestExpireFindingNothingAllocatesNothing(t *testing.T) {
+	s := clockedServer(Config{LeaseTTL: time.Second}, newFakeClock())
+	primedJob(t, s, 9, "w1")
+	for poll(s, "w1") != nil {
+	}
+	if s.Stats().Jobs.LeasesOutstanding == 0 {
+		t.Fatal("no lease outstanding")
+	}
+	if allocs := testing.AllocsPerRun(100, s.Expire); allocs != 0 {
+		t.Fatalf("an expiry scan that finds nothing allocated %v times", allocs)
+	}
+}
+
 // TestLeaseExhaustionDegrades: a shard whose every grant dies becomes an
 // explicit degraded artifact and the job still completes — never hangs.
 func TestLeaseExhaustionDegrades(t *testing.T) {
 	clk := newFakeClock()
-	s := NewServer(Config{LeaseTTL: time.Second, Clock: clk.Now, MaxShardAttempts: 3})
+	s := clockedServer(Config{LeaseTTL: time.Second, MaxShardAttempts: 3}, clk)
 	id, _, err := s.Submit(checkJobSpec("write 1 X 1\ncommit 1\n"))
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +250,7 @@ func TestLeaseExhaustionDegrades(t *testing.T) {
 // acknowledged no-ops; the fold sees each shard exactly once.
 func TestDuplicateResultDelivery(t *testing.T) {
 	clk := newFakeClock()
-	s := NewServer(Config{LeaseTTL: time.Second, Clock: clk.Now})
+	s := clockedServer(Config{LeaseTTL: time.Second}, clk)
 	id, _, err := s.Submit(checkJobSpec("write 1 X 1\ncommit 1\n"))
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +277,7 @@ func TestDuplicateResultDelivery(t *testing.T) {
 // duplicate no-op.
 func TestStaleResultAfterRequeue(t *testing.T) {
 	clk := newFakeClock()
-	s := NewServer(Config{LeaseTTL: time.Second, Clock: clk.Now})
+	s := clockedServer(Config{LeaseTTL: time.Second}, clk)
 	id, _, err := s.Submit(checkJobSpec("write 1 X 1\ncommit 1\n"))
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +309,7 @@ func TestStaleResultAfterRequeue(t *testing.T) {
 // would double-resolve it and fail the fold on a multi-shard job).
 func TestStaleResultWhileRequeued(t *testing.T) {
 	clk := newFakeClock()
-	s := NewServer(Config{LeaseTTL: time.Second, Clock: clk.Now})
+	s := clockedServer(Config{LeaseTTL: time.Second}, clk)
 	id, n, err := s.Submit(checkJobSpec(
 		"write 1 X 1\ncommit 1\n",
 		"write 1 Y 2\ncommit 1\n",
@@ -331,7 +353,7 @@ func TestStaleResultWhileRequeued(t *testing.T) {
 // to two workers at once.
 func TestStaleErrorAfterRequeue(t *testing.T) {
 	clk := newFakeClock()
-	s := NewServer(Config{LeaseTTL: time.Second, Clock: clk.Now})
+	s := clockedServer(Config{LeaseTTL: time.Second}, clk)
 	id, _, err := s.Submit(checkJobSpec("write 1 X 1\ncommit 1\n"))
 	if err != nil {
 		t.Fatal(err)
@@ -365,7 +387,7 @@ func TestStaleErrorAfterRequeue(t *testing.T) {
 // the shard back to the queue with the attempt burned.
 func TestErrorResultRequeues(t *testing.T) {
 	clk := newFakeClock()
-	s := NewServer(Config{LeaseTTL: time.Second, Clock: clk.Now, MaxShardAttempts: 2})
+	s := clockedServer(Config{LeaseTTL: time.Second, MaxShardAttempts: 2}, clk)
 	id, _, err := s.Submit(checkJobSpec("write 1 X 1\ncommit 1\n"))
 	if err != nil {
 		t.Fatal(err)
@@ -389,7 +411,7 @@ func TestErrorResultRequeues(t *testing.T) {
 // coordinator never leaves a submitter hanging.
 func TestDrainDegradesOutstanding(t *testing.T) {
 	clk := newFakeClock()
-	s := NewServer(Config{LeaseTTL: time.Minute, Clock: clk.Now})
+	s := clockedServer(Config{LeaseTTL: time.Minute}, clk)
 	id, n, err := s.Submit(checkJobSpec(
 		"write 1 X 1\ncommit 1\n",
 		"write 1 Y 2\ncommit 1\n",
@@ -434,7 +456,7 @@ func TestDrainDegradesOutstanding(t *testing.T) {
 // nothing twice.
 func TestGrantPartialDelivery(t *testing.T) {
 	clk := newFakeClock()
-	s := NewServer(Config{LeaseTTL: time.Second, Clock: clk.Now})
+	s := clockedServer(Config{LeaseTTL: time.Second}, clk)
 	id := primedJob(t, s, 9, "w1")
 	g := poll(s, "w1") // 8 pending, one worker: ceil(8/2)
 	if !holds(g, 1, 2, 3, 4) {
@@ -476,7 +498,7 @@ func TestGrantPartialDelivery(t *testing.T) {
 // otherwise good batch goes back to the queue alone.
 func TestGrantErrOutcomeRequeuesOnlyThatShard(t *testing.T) {
 	clk := newFakeClock()
-	s := NewServer(Config{LeaseTTL: time.Second, Clock: clk.Now})
+	s := clockedServer(Config{LeaseTTL: time.Second}, clk)
 	id := primedJob(t, s, 9, "w1")
 	g := poll(s, "w1")
 	if !holds(g, 1, 2, 3, 4) {
@@ -511,7 +533,7 @@ func TestGrantErrOutcomeRequeuesOnlyThatShard(t *testing.T) {
 // a no-op; a shard the job does not have refuses the whole request.
 func TestResultNamingUnownedShard(t *testing.T) {
 	clk := newFakeClock()
-	s := NewServer(Config{LeaseTTL: time.Second, Clock: clk.Now})
+	s := clockedServer(Config{LeaseTTL: time.Second}, clk)
 	id := primedJob(t, s, 9, "a")
 	ga := poll(s, "a") // ceil(8/2)
 	gb := poll(s, "b") // two workers now: ceil(4/4)
@@ -564,7 +586,7 @@ func parkLease(t *testing.T, s *Server, lease func() *LeaseGrant) <-chan *LeaseG
 // hold runs out.
 func TestSubmitAndRequeueWakeParkedLease(t *testing.T) {
 	clk := newFakeClock()
-	s := NewServer(Config{LeaseTTL: time.Minute, Clock: clk.Now})
+	s := clockedServer(Config{LeaseTTL: time.Minute}, clk)
 	hold := func() *LeaseGrant { return s.Lease(context.Background(), "w1", time.Minute) }
 
 	got := parkLease(t, s, hold)
@@ -685,7 +707,7 @@ func TestWaitJobReturnsAtFold(t *testing.T) {
 // degraded artifact — the job still completes.
 func TestGrantExhaustionDegrades(t *testing.T) {
 	clk := newFakeClock()
-	s := NewServer(Config{LeaseTTL: time.Second, Clock: clk.Now, MaxShardAttempts: 2})
+	s := clockedServer(Config{LeaseTTL: time.Second, MaxShardAttempts: 2}, clk)
 	id := primedJob(t, s, 9, "w1")
 	for attempt := 0; attempt < 2; attempt++ {
 		taken := 0
@@ -714,7 +736,7 @@ func TestGrantExhaustionDegrades(t *testing.T) {
 // queued degrades every shard of both and leaves no lease behind.
 func TestDrainDegradesOutstandingGrant(t *testing.T) {
 	clk := newFakeClock()
-	s := NewServer(Config{LeaseTTL: time.Minute, Clock: clk.Now})
+	s := clockedServer(Config{LeaseTTL: time.Minute}, clk)
 	id := primedJob(t, s, 9, "w1")
 	g := poll(s, "w1") // and w1 vanishes
 	if !holds(g, 1, 2, 3, 4) {

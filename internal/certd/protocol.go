@@ -28,14 +28,20 @@
 //	GET  /healthz       -> "ok" | "draining"
 //	GET  /statsz        -> StatsSnapshot
 //
+// The POST routes answer 405 to any other method and 400 to a body that
+// is not their request. A job of more than 2^20 shards is refused with
+// 400 before the coordinator allocates anything for it.
+//
 // A grant is a batch: Shards of one job under one lease, so the spec
 // travels, the lease is bookkept and the worker heartbeats once per grant,
 // and one ResultRequest brings back one outcome per shard. The lease
 // machine's rules hold per shard inside the grant: the lease owns a shard
 // until that shard's outcome arrives; expiry requeues exactly the shards
-// still owed; an Err outcome requeues only its own shard, and only while
-// the presenting lease still owns it; a result for a done shard is an
-// acknowledged no-op; every grant of a shard burns one of its attempts.
+// still owed, lease by lease in grant order, so the same calls at the
+// same clock readings always give the same grants; an Err outcome
+// requeues only its own shard, and only while the presenting lease still
+// owns it; a result for a done shard is an acknowledged no-op; every
+// grant of a shard burns one of its attempts.
 //
 // The coordinator sizes each grant itself (grantSizeLocked): a job that
 // has not had a result delivered yet is probed with single shards; after

@@ -1,10 +1,13 @@
 package certd
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -31,12 +34,6 @@ type Config struct {
 	// the whole queue at a time. A full queue stalls the reader (default)
 	// or drops (lossy streams) — never grows.
 	StreamQueue int
-	// SlowAppend artificially delays every monitor append — a test knob
-	// for making backpressure observable deterministically.
-	SlowAppend time.Duration
-	// Clock overrides time.Now for lease bookkeeping — a test knob for
-	// deterministic expiry.
-	Clock func() time.Time
 }
 
 func (c Config) withDefaults() Config {
@@ -52,24 +49,25 @@ func (c Config) withDefaults() Config {
 	if c.StreamQueue <= 0 {
 		c.StreamQueue = 256
 	}
-	if c.Clock == nil {
-		c.Clock = time.Now
-	}
 	return c
 }
 
-const (
-	shardPending = iota
-	shardLeased
-	shardDone
-)
+// maxJobShards caps one job. Submit refuses a bigger spec before it
+// allocates four words of bookkeeping per shard, so no request makes the
+// coordinator allocate gigabytes. Real jobs have hundreds of shards (the
+// benchmark's largest: 200 episodes); a million costs at most 32 MiB.
+const maxJobShards = 1 << 20
 
+// errDraining refuses a job submitted to a draining coordinator.
+var errDraining = errors.New("certd: coordinator is draining")
+
+// job is one submitted spec and its shards. A shard's state is stored
+// once: it is done iff results[shard] != nil, leased iff owner[shard] !=
+// nil, and pending (queued exactly once in pending) otherwise.
 type job struct {
 	id       string
 	spec     checkfarm.JobSpec // normalized
-	n        int
-	state    []int
-	owner    []*lease // the live lease holding each shardLeased shard
+	owner    []*lease          // the live lease holding each leased shard
 	attempts []int
 	results  []*checkfarm.ShardResult
 	pending  []int // FIFO of pending shard indices
@@ -94,6 +92,7 @@ type job struct {
 // owns a shard (open > 0).
 type lease struct {
 	id      string
+	seq     int64 // grant order: expiry requeues in it
 	job     *job
 	shards  []int // as granted; the lease owns those with job.owner[shard] == this lease
 	open    int
@@ -107,6 +106,8 @@ type lease struct {
 type Server struct {
 	cfg     Config
 	Metrics Metrics
+	now     func() time.Time // lease bookkeeping's clock; tests substitute a fake one
+	slow    time.Duration    // delay before every stream append; tests make backpressure observable with it
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -129,6 +130,7 @@ type Server struct {
 func NewServer(cfg Config) *Server {
 	return &Server{
 		cfg:    cfg.withDefaults(),
+		now:    time.Now,
 		jobs:   make(map[string]*job),
 		leases: make(map[string]*lease),
 		polled: make(map[string]time.Time),
@@ -151,17 +153,18 @@ func (s *Server) Submit(spec checkfarm.JobSpec) (string, int, error) {
 		return "", 0, err
 	}
 	n := spec.NumShards()
+	if n > maxJobShards {
+		return "", 0, fmt.Errorf("certd: job has %d shards, more than the %d one job may have", n, maxJobShards)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		return "", 0, fmt.Errorf("certd: coordinator is draining")
+		return "", 0, errDraining
 	}
 	s.seq++
 	j := &job{
 		id:       fmt.Sprintf("j%d", s.seq),
 		spec:     spec,
-		n:        n,
-		state:    make([]int, n),
 		owner:    make([]*lease, n),
 		attempts: make([]int, n),
 		results:  make([]*checkfarm.ShardResult, n),
@@ -213,7 +216,7 @@ func (s *Server) Lease(ctx context.Context, worker string, hold time.Duration) *
 
 func (s *Server) grantLocked(worker string) *LeaseGrant {
 	s.expireLocked()
-	now := s.cfg.Clock()
+	now := s.now()
 	s.polled[worker] = now
 	if s.draining {
 		return nil
@@ -229,6 +232,7 @@ func (s *Server) grantLocked(worker string) *LeaseGrant {
 		s.seq++
 		l := &lease{
 			id:      fmt.Sprintf("L%d", s.seq),
+			seq:     s.seq,
 			job:     j,
 			shards:  shards,
 			open:    n,
@@ -237,7 +241,6 @@ func (s *Server) grantLocked(worker string) *LeaseGrant {
 			expires: now.Add(s.cfg.LeaseTTL),
 		}
 		for _, shard := range shards {
-			j.state[shard] = shardLeased
 			j.owner[shard] = l
 			j.attempts[shard]++
 		}
@@ -295,7 +298,7 @@ func (s *Server) Heartbeat(leaseID string) bool {
 	if !ok {
 		return false
 	}
-	l.expires = s.cfg.Clock().Add(s.cfg.LeaseTTL)
+	l.expires = s.now().Add(s.cfg.LeaseTTL)
 	return true
 }
 
@@ -312,7 +315,7 @@ func (s *Server) Result(req ResultRequest) error {
 		return fmt.Errorf("certd: unknown job %q", req.JobID)
 	}
 	for _, o := range req.Outcomes {
-		if o.Shard < 0 || o.Shard >= j.n {
+		if o.Shard < 0 || o.Shard >= len(j.results) {
 			return fmt.Errorf("certd: job %s has no shard %d", req.JobID, o.Shard)
 		}
 		if o.Err == "" && o.Result == nil {
@@ -327,7 +330,7 @@ func (s *Server) Result(req ResultRequest) error {
 		// whichever lease holds it and settle the leased count.
 		owned := l != nil && j.owner[o.Shard] == l
 		switch {
-		case j.state[o.Shard] == shardDone: // duplicate delivery
+		case j.results[o.Shard] != nil: // duplicate delivery
 		case o.Err != "":
 			// Only the lease that still owns the shard may requeue it. A
 			// stale Err — the lease expired and the shard is already back in
@@ -344,7 +347,7 @@ func (s *Server) Result(req ResultRequest) error {
 		}
 	}
 	if computed > 0 {
-		now := s.cfg.Clock()
+		now := s.now()
 		j.turnSum += now.Sub(l.granted)
 		j.turnShards += computed
 		l.granted = now
@@ -362,12 +365,19 @@ func (s *Server) Expire() {
 	s.expireLocked()
 }
 
+// expireLocked requeues what expired leases still owe, in grant order, so
+// the same calls at the same instants always queue the same shards. A
+// scan that finds nothing expired allocates nothing.
 func (s *Server) expireLocked() {
-	now := s.cfg.Clock()
+	now := s.now()
+	var expired []*lease
 	for _, l := range s.leases {
-		if now.Before(l.expires) {
-			continue
+		if !now.Before(l.expires) {
+			expired = append(expired, l)
 		}
+	}
+	slices.SortFunc(expired, func(a, b *lease) int { return cmp.Compare(a.seq, b.seq) })
+	for _, l := range expired {
 		s.Metrics.LeasesExpired.Add(1)
 		for _, shard := range l.shards {
 			if l.job.owner[shard] == l {
@@ -377,63 +387,61 @@ func (s *Server) expireLocked() {
 	}
 }
 
-// releaseLocked takes a shard off the lease that holds it, if any, and
-// settles the leased count; a lease that owes nothing more is dropped.
-func (s *Server) releaseLocked(j *job, shard int) {
+// releaseLocked takes a shard off the lease that holds it and settles the
+// leased count; a lease that owes nothing more is dropped. It reports
+// whether the shard was leased.
+func (s *Server) releaseLocked(j *job, shard int) bool {
 	l := j.owner[shard]
 	if l == nil {
-		return
+		return false
 	}
 	j.owner[shard] = nil
 	j.leased--
 	if l.open--; l.open == 0 {
 		delete(s.leases, l.id)
 	}
+	return true
 }
 
 // requeueLocked returns a leased shard to the queue, or degrades it once
 // its grants are spent.
 func (s *Server) requeueLocked(j *job, shard int, reason string) {
-	s.releaseLocked(j, shard)
-	j.state[shard] = shardPending
 	if j.attempts[shard] >= s.cfg.MaxShardAttempts {
-		res := j.spec.DegradedShard(shard, fmt.Sprintf("%s (attempt %d/%d)", reason, j.attempts[shard], s.cfg.MaxShardAttempts))
-		s.Metrics.ShardsDegraded.Add(1)
-		j.degraded++
-		s.resolveLocked(j, shard, &res)
+		s.degradeLocked(j, shard, fmt.Sprintf("%s (attempt %d/%d)", reason, j.attempts[shard], s.cfg.MaxShardAttempts))
 		return
 	}
+	s.releaseLocked(j, shard)
 	j.pending = append(j.pending, shard)
 	s.Metrics.ShardsRequeued.Add(1)
 	s.wakeLocked()
 }
 
-// resolveLocked marks a shard done and kicks the fold when it was the
-// last one. The fold runs outside the lock (soak folds shrink
+// degradeLocked resolves a shard with its explicit degradation artifact.
+func (s *Server) degradeLocked(j *job, shard int, reason string) {
+	res := j.spec.DegradedShard(shard, reason)
+	s.Metrics.ShardsDegraded.Add(1)
+	j.degraded++
+	s.resolveLocked(j, shard, &res)
+}
+
+// resolveLocked marks an unresolved shard done and kicks the fold when it
+// was the last one. The fold runs outside the lock (soak folds shrink
 // counterexamples — real compute). A lease still holding the shard — a
 // second worker racing a stale delivery — loses it; its eventual result
 // lands as a duplicate no-op.
 func (s *Server) resolveLocked(j *job, shard int, res *checkfarm.ShardResult) {
-	if j.state[shard] == shardDone {
-		return // racing duplicate — the first resolution stands
-	}
-	s.releaseLocked(j, shard)
 	// A stale result can land while the shard sits requeued in the
 	// pending FIFO (lease expired, delivery raced the re-lease): pull it
 	// out so a later Lease can't grant an already-done shard.
-	if j.state[shard] == shardPending {
-		for i, p := range j.pending {
-			if p == shard {
-				j.pending = append(j.pending[:i], j.pending[i+1:]...)
-				break
-			}
+	if !s.releaseLocked(j, shard) {
+		if i := slices.Index(j.pending, shard); i >= 0 {
+			j.pending = slices.Delete(j.pending, i, i+1)
 		}
 	}
-	j.state[shard] = shardDone
 	j.results[shard] = res
 	j.done++
 	s.Metrics.ShardsDone.Add(1)
-	if j.done == j.n {
+	if j.done == len(j.results) {
 		go s.fold(j)
 	}
 }
@@ -464,7 +472,7 @@ func (s *Server) Status(id string) (*JobStatus, error) {
 		return nil, fmt.Errorf("certd: unknown job %q", id)
 	}
 	st := &JobStatus{
-		ID: j.id, Kind: j.spec.Kind, Shards: j.n,
+		ID: j.id, Kind: j.spec.Kind, Shards: len(j.results),
 		Done: j.done, Leased: j.leased, Degraded: j.degraded,
 	}
 	switch {
@@ -474,7 +482,7 @@ func (s *Server) Status(id string) (*JobStatus, error) {
 	case j.folded:
 		st.State = JobDone
 		st.Formatted = j.formatted
-	case j.done == j.n:
+	case j.done == len(j.results):
 		st.State = JobFolding
 	default:
 		st.State = JobRunning
@@ -517,27 +525,13 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.draining = true
 	s.streamMu.Unlock()
 	var open []*job
-	for _, l := range s.leases {
-		for _, shard := range l.shards {
-			if j := l.job; j.owner[shard] == l {
-				s.releaseLocked(j, shard)
-				j.state[shard] = shardPending
-				j.pending = append(j.pending, shard)
-			}
-		}
-	}
 	for _, id := range s.order {
 		j := s.jobs[id]
-		pending := j.pending
-		j.pending = nil // detach before resolving: resolveLocked edits j.pending
-		for _, shard := range pending {
-			if j.state[shard] == shardDone {
-				continue
+		j.pending = nil // every unresolved shard degrades below, leased or pending
+		for shard, res := range j.results {
+			if res == nil {
+				s.degradeLocked(j, shard, "coordinator draining")
 			}
-			res := j.spec.DegradedShard(shard, "coordinator draining")
-			s.Metrics.ShardsDegraded.Add(1)
-			j.degraded++
-			s.resolveLocked(j, shard, &res)
 		}
 		if !j.folded {
 			open = append(open, j)
@@ -624,27 +618,18 @@ func (s *Server) Handler() http.Handler {
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(s.Stats())
 	})
-	mux.HandleFunc("/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		var req SubmitRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
+	mux.HandleFunc("/v1/jobs", postJSON(func(w http.ResponseWriter, r *http.Request, req SubmitRequest) {
 		id, n, err := s.Submit(req.Spec)
 		if err != nil {
 			code := http.StatusBadRequest
-			if strings.Contains(err.Error(), "draining") {
+			if errors.Is(err, errDraining) {
 				code = http.StatusServiceUnavailable
 			}
 			http.Error(w, err.Error(), code)
 			return
 		}
 		writeJSON(w, SubmitResponse{ID: id, Shards: n})
-	})
+	}))
 	mux.HandleFunc("/v1/jobs/", func(w http.ResponseWriter, r *http.Request) {
 		id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
 		if ms, _ := strconv.ParseInt(r.URL.Query().Get("wait_millis"), 10, 64); ms > 0 {
@@ -659,44 +644,46 @@ func (s *Server) Handler() http.Handler {
 		}
 		writeJSON(w, st)
 	})
-	mux.HandleFunc("/v1/lease", func(w http.ResponseWriter, r *http.Request) {
-		var req LeaseRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
+	mux.HandleFunc("/v1/lease", postJSON(func(w http.ResponseWriter, r *http.Request, req LeaseRequest) {
 		g := s.Lease(r.Context(), req.Worker, time.Duration(req.WaitMillis)*time.Millisecond)
 		if g == nil {
 			w.WriteHeader(http.StatusNoContent)
 			return
 		}
 		writeJSON(w, g)
-	})
-	mux.HandleFunc("/v1/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		var req HeartbeatRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
+	}))
+	mux.HandleFunc("/v1/heartbeat", postJSON(func(w http.ResponseWriter, r *http.Request, req HeartbeatRequest) {
 		if !s.Heartbeat(req.LeaseID) {
 			http.Error(w, "lease gone", http.StatusGone)
 			return
 		}
 		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/v1/result", func(w http.ResponseWriter, r *http.Request) {
-		var req ResultRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
+	}))
+	mux.HandleFunc("/v1/result", postJSON(func(w http.ResponseWriter, r *http.Request, req ResultRequest) {
 		if err := s.Result(req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		fmt.Fprintln(w, "ok")
-	})
+	}))
 	return mux
+}
+
+// postJSON is the one decode path of the JSON routes: anything but POST
+// is refused with 405, a body that does not decode into a Req with 400.
+func postJSON[Req any](serve func(http.ResponseWriter, *http.Request, Req)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			http.Error(w, "POST only", http.StatusMethodNotAllowed)
+			return
+		}
+		var req Req
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		serve(w, r, req)
+	}
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

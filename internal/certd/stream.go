@@ -132,8 +132,8 @@ func (s *Server) handleStream(conn net.Conn) {
 	}()
 	appendEvent := f.Append
 	f.Append = func(e history.Event) ([]spec.Verdict, error) {
-		if s.cfg.SlowAppend > 0 {
-			time.Sleep(s.cfg.SlowAppend)
+		if s.slow > 0 {
+			time.Sleep(s.slow)
 		}
 		start := time.Now()
 		vs, err := appendEvent(e)

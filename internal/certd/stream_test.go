@@ -207,11 +207,19 @@ func TestStreamAdmissionControl(t *testing.T) {
 	}
 }
 
+// slowServer is a coordinator whose streams sleep d before every append,
+// which makes backpressure observable deterministically.
+func slowServer(cfg Config, d time.Duration) *Server {
+	s := NewServer(cfg)
+	s.slow = d
+	return s
+}
+
 // TestStreamLossyBackpressure: a slow consumer with a tiny queue and a
 // lossy stream drops overflow, counts it, and reports it — bounded
 // memory, no silent loss.
 func TestStreamLossyBackpressure(t *testing.T) {
-	s := NewServer(Config{StreamQueue: 2, SlowAppend: 2 * time.Millisecond})
+	s := slowServer(Config{StreamQueue: 2}, 2*time.Millisecond)
 	addr := startStreams(t, s)
 	sc := dialStream(t, addr, "STREAM du quiet lossy")
 	lines := make([]string, 0, 401)
@@ -241,7 +249,7 @@ func TestStreamLossyBackpressure(t *testing.T) {
 // TestStreamBlockingBackpressure: without lossy, a full queue pauses the
 // reader — counted as stalls — and every event is still monitored.
 func TestStreamBlockingBackpressure(t *testing.T) {
-	s := NewServer(Config{StreamQueue: 2, SlowAppend: time.Millisecond})
+	s := slowServer(Config{StreamQueue: 2}, time.Millisecond)
 	addr := startStreams(t, s)
 	sc := dialStream(t, addr, "STREAM du quiet")
 	lines := make([]string, 0, 101)
@@ -304,7 +312,7 @@ func TestStreamReadErrorFailsStream(t *testing.T) {
 // sends a burst and vanishes without reading must not leak the stream's
 // reader goroutine — the consumer's exit unblocks a stalled queue send.
 func TestStreamDeadClientReleasesReader(t *testing.T) {
-	s := NewServer(Config{StreamQueue: 1, SlowAppend: 200 * time.Microsecond})
+	s := slowServer(Config{StreamQueue: 1}, 200*time.Microsecond)
 	addr := startStreams(t, s)
 	before := runtime.NumGoroutine()
 

@@ -15,6 +15,7 @@ package checkfarm
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 
 	"duopacity/internal/harness"
@@ -187,7 +188,13 @@ func (s JobSpec) NumShards() int {
 	case KindCheck:
 		return len(s.Check.Histories)
 	case KindSoak:
-		return len(soakTasks(s.Soak.Config))
+		// Counted, not built: a spec off the wire may ask for any number of
+		// rounds, and a count past math.MaxInt saturates instead of wrapping.
+		cells := 2 * len(s.Soak.Config.Engines) // a concurrent cell and its probe per engine and round
+		if s.Soak.Config.Rounds > math.MaxInt/cells {
+			return math.MaxInt
+		}
+		return s.Soak.Config.Rounds * cells
 	}
 	return 0
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -474,5 +475,21 @@ func TestJobSpecAcceptsEngineCMMatrix(t *testing.T) {
 	}}}
 	if _, err := s.Normalize(); err != nil {
 		t.Errorf("soak over SoakEngineMatrix: %v", err)
+	}
+}
+
+// TestSoakNumShardsCounted: a soak spec's shard count is counted, not
+// built — it equals the task list's length, and a round count whose cells
+// overflow an int saturates at math.MaxInt instead of wrapping.
+func TestSoakNumShardsCounted(t *testing.T) {
+	for _, cfg := range []SoakConfig{{}, {Engines: []string{"gl"}, Rounds: 1}, {Engines: []string{"gl", "ple", "tl2"}, Rounds: 5}} {
+		s := mustNormalize(t, soakJob(cfg))
+		if got, want := s.NumShards(), len(soakTasks(s.Soak.Config)); got != want {
+			t.Errorf("%+v: NumShards %d, %d tasks", cfg, got, want)
+		}
+	}
+	huge := mustNormalize(t, soakJob(SoakConfig{Engines: []string{"gl", "ple"}, Rounds: math.MaxInt / 3}))
+	if got := huge.NumShards(); got != math.MaxInt {
+		t.Errorf("NumShards with %d rounds = %d, want math.MaxInt", huge.Soak.Config.Rounds, got)
 	}
 }
