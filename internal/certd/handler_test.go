@@ -134,6 +134,25 @@ func TestSubmitRefusesOversizedJobs(t *testing.T) {
 	}
 }
 
+// TestJSONRoutesRefuseOversizedBodies: every JSON route stops reading a
+// body at maxBodyBytes and answers 413, before the request reaches the
+// lease machine, whether the body would have decoded or not.
+func TestJSONRoutesRefuseOversizedBodies(t *testing.T) {
+	s := NewServer(Config{})
+	h := s.Handler()
+	// A check job whose one history is a string just past the limit.
+	body := append([]byte(`{"spec":{"kind":"check","check":{"histories":["`), bytes.Repeat([]byte{'x'}, maxBodyBytes)...)
+	body = append(body, `"],"criteria":["du"]}}}`...)
+	for _, route := range []string{"/v1/jobs", "/v1/lease", "/v1/heartbeat", "/v1/result"} {
+		if rec := serve(h, http.MethodPost, route, body); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body: %d %.80q, want 413", route, len(body), rec.Code, rec.Body)
+		}
+	}
+	if n := s.Metrics.JobsSubmitted.Load(); n != 0 {
+		t.Fatalf("an oversized body submitted %d jobs", n)
+	}
+}
+
 // FuzzCoordinatorHTTP sends arbitrary routes, methods and bodies through
 // the Handler of a coordinator with a live job and an outstanding grant:
 // no request may get a 5xx answer or break the lease machine's invariants.

@@ -28,8 +28,8 @@
 //	GET  /healthz       -> "ok" | "draining"
 //	GET  /statsz        -> StatsSnapshot
 //
-// The POST routes answer 405 to any other method and 400 to a body that
-// is not their request. A job of more than 2^20 shards is refused with
+// The POST routes answer 405 to any other method, 413 to a body over
+// 16 MiB and 400 to a body that is not their request. A job of more than 2^20 shards is refused with
 // 400 before the coordinator allocates anything for it.
 //
 // A grant is a batch: Shards of one job under one lease, so the spec

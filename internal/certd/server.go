@@ -669,8 +669,17 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxBodyBytes bounds a JSON request body. The largest bodies the repo's
+// own clients send are result deliveries: all 84 outcomes of a default
+// soak job in one body come to 168 KB, all 200 of the benchmark's
+// seven-criteria certify job to 84 KB, and a grant carries a fraction of
+// a job. A check job's spec carries its histories as text, so the bound
+// leaves two orders of magnitude above that.
+const maxBodyBytes = 16 << 20
+
 // postJSON is the one decode path of the JSON routes: anything but POST
-// is refused with 405, a body that does not decode into a Req with 400.
+// is refused with 405, a body over maxBodyBytes with 413, a body that
+// does not decode into a Req with 400.
 func postJSON[Req any](serve func(http.ResponseWriter, *http.Request, Req)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -678,8 +687,12 @@ func postJSON[Req any](serve func(http.ResponseWriter, *http.Request, Req)) http
 			return
 		}
 		var req Req
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+			code := http.StatusBadRequest
+			if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, err.Error(), code)
 			return
 		}
 		serve(w, r, req)

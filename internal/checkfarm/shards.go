@@ -322,6 +322,7 @@ type WireExplore struct {
 	Forks          int            `json:"forks"`
 	MonitorEvents  int64          `json:"monitor_events"`
 	SharedEvents   int64          `json:"shared_events"`
+	ClassHits      int64          `json:"class_hits"`
 	MaxFrontier    int            `json:"max_frontier"`
 	Undecided      int            `json:"undecided"`
 	DegradedReason string         `json:"degraded_reason,omitempty"`
@@ -335,7 +336,7 @@ func WireExploreOf(r harness.ExploreReport) WireExplore {
 		Violations: r.Violations, SleepPruned: r.SleepPruned, SymmetryPruned: r.SymmetryPruned,
 		Steps: r.Steps, Replays: r.Replays, MaxFrontier: r.MaxFrontier,
 		StepsExecuted: r.StepsExecuted, Forks: r.Forks,
-		MonitorEvents: r.MonitorEvents, SharedEvents: r.SharedEvents,
+		MonitorEvents: r.MonitorEvents, SharedEvents: r.SharedEvents, ClassHits: r.ClassHits,
 		Undecided: r.Undecided, DegradedReason: r.DegradedReason,
 	}
 	if r.Violation != nil {
@@ -363,7 +364,7 @@ func (w WireExplore) Report() (harness.ExploreReport, error) {
 		SleepPruned: w.SleepPruned, SymmetryPruned: w.SymmetryPruned,
 		Steps: w.Steps, Replays: w.Replays, MaxFrontier: w.MaxFrontier,
 		StepsExecuted: w.StepsExecuted, Forks: w.Forks,
-		MonitorEvents: w.MonitorEvents, SharedEvents: w.SharedEvents,
+		MonitorEvents: w.MonitorEvents, SharedEvents: w.SharedEvents, ClassHits: w.ClassHits,
 		Undecided: w.Undecided, DegradedReason: w.DegradedReason,
 	}
 	if w.Violation != nil {

@@ -157,32 +157,39 @@ func TestFoldMatchesLocalFarmExplore(t *testing.T) {
 		stm.MustParsePlan("w0 | r0 r1\nw1"),
 		stm.MustParsePlan("r0 w1\nr1 w0"),
 	}
-	s := mustNormalize(t, exploreJob("gl", plans, harness.ExploreConfig{}))
+	var hits int64
+	for _, eng := range []string{"gl", "tl2"} {
+		s := mustNormalize(t, exploreJob(eng, plans, harness.ExploreConfig{}))
 
-	want := make([]harness.ExploreReport, len(plans))
-	for i, p := range plans {
-		r, err := harness.ExplorePlanCtx(context.Background(), "gl", p, harness.ExploreConfig{})
-		if err != nil {
-			t.Fatalf("sequential exploration %d: %v", i, err)
+		want := make([]harness.ExploreReport, len(plans))
+		for i, p := range plans {
+			r, err := harness.ExplorePlanCtx(context.Background(), eng, p, harness.ExploreConfig{})
+			if err != nil {
+				t.Fatalf("sequential exploration %d: %v", i, err)
+			}
+			want[i] = r
 		}
-		want[i] = r
-	}
-	rep := runRemote(t, s)
-	if len(rep.Explore) != len(want) {
-		t.Fatalf("remote fold has %d reports, sequential %d", len(rep.Explore), len(want))
-	}
-	for i := range want {
-		l, r := want[i], rep.Explore[i]
-		if l.Outcome != r.Outcome || l.Schedules != r.Schedules || l.Steps != r.Steps ||
-			l.Violations != r.Violations || l.SleepPruned != r.SleepPruned ||
-			l.MonitorEvents != r.MonitorEvents || l.SharedEvents != r.SharedEvents ||
-			l.MonitorEvents+l.SharedEvents == 0 ||
-			l.StepsExecuted != r.StepsExecuted || l.Forks != r.Forks ||
-			l.Plan.String() != r.Plan.String() || l.Plan.Objects != r.Plan.Objects {
-			t.Fatalf("plan %d diverged:\nsequential: %+v\nremote:     %+v", i, l, r)
+		rep := runRemote(t, s)
+		if len(rep.Explore) != len(want) {
+			t.Fatalf("remote fold has %d reports, sequential %d", len(rep.Explore), len(want))
 		}
+		for i := range want {
+			l, r := want[i], rep.Explore[i]
+			if l.Outcome != r.Outcome || l.Schedules != r.Schedules || l.Steps != r.Steps ||
+				l.Violations != r.Violations || l.SleepPruned != r.SleepPruned ||
+				l.MonitorEvents != r.MonitorEvents || l.SharedEvents != r.SharedEvents ||
+				l.MonitorEvents+l.SharedEvents == 0 || l.ClassHits != r.ClassHits ||
+				l.StepsExecuted != r.StepsExecuted || l.Forks != r.Forks ||
+				l.Plan.String() != r.Plan.String() || l.Plan.Objects != r.Plan.Objects {
+				t.Fatalf("%s plan %d diverged:\nsequential: %+v\nremote:     %+v", eng, i, l, r)
+			}
+			hits += l.ClassHits
+		}
+		assertReports(t, s, harness.FormatExploreTable(want))
 	}
-	assertReports(t, s, harness.FormatExploreTable(want))
+	if hits == 0 {
+		t.Fatal("no event answered from the class set: the ClassHits round trip is vacuous")
+	}
 }
 
 func TestFoldMatchesLocalFarmCheck(t *testing.T) {
@@ -244,6 +251,30 @@ func TestFoldMatchesLocalFarmSoak(t *testing.T) {
 		t.Fatalf("foldSoak: %v", err)
 	}
 	assertReports(t, s, FormatSoakReport(cfg, res))
+}
+
+// TestFoldSoakSkipsSkippedCells: a cell whose history exceeded the soak's
+// transaction cap was not checked, so it is no divergence. (Real
+// goroutines under etl rarely record more than the cap; its cell then
+// surfaced as a du-opacity "violation" with an empty reason that
+// shrinking could not reproduce.)
+func TestFoldSoakSkipsSkippedCells(t *testing.T) {
+	cfg := SoakConfig{Engines: []string{"gl"}, Rounds: 1}.withDefaults()
+	h, err := histio.ParseString("write 1 X 1\ncommit 1\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	episodes := make([]harness.EpisodeReport, len(soakTasks(cfg)))
+	for i := range episodes {
+		episodes[i] = harness.EpisodeReport{Skipped: true, History: h}
+	}
+	res, err := foldSoak(context.Background(), cfg, episodes, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Divergences) != 0 || res.Stats["gl"].Skipped != len(episodes) {
+		t.Fatalf("%d skipped cells gave %d divergences and %d skipped in the stats", len(episodes), len(res.Divergences), res.Stats["gl"].Skipped)
+	}
 }
 
 // TestRunShardSoakCancelled: cancellation reaches a soak cell's checks.

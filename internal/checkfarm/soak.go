@@ -207,7 +207,9 @@ func foldSoak(ctx context.Context, cfg SoakConfig, episodes []harness.EpisodeRep
 			continue
 		}
 		res.Stats[cell.Engine].AddEpisode(cfg.Criteria, cell.EpisodeReport)
-		if firstRejected(cfg.Criteria, cell.Verdicts) != 0 {
+		// A skipped cell has no verdicts, which firstRejected would read
+		// as rejections.
+		if !cell.Skipped && firstRejected(cfg.Criteria, cell.Verdicts) != 0 {
 			divIdx = append(divIdx, i)
 		}
 	}

@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"runtime"
 	"strings"
 	"text/tabwriter"
 
+	"duopacity/internal/fpset"
 	"duopacity/internal/history"
 	"duopacity/internal/recorder"
 	"duopacity/internal/spec"
@@ -23,10 +25,10 @@ import (
 // The walk is a depth-first search over scheduling choices with three
 // sound prunings:
 //
-//   - prefix-closure cuts (the paper's Corollary 2): each schedule feeds a
-//     spec.Monitor through the recorder's tap, and the moment the monitor
-//     latches a violation every extension of the prefix is known violating
-//     — the whole subtree is cut after O(1) work at the causing event;
+//   - prefix-closure cuts (the paper's Corollary 2): each step's new events
+//     are judged as the step returns, and the moment the monitor latches a
+//     violation every extension of the prefix is known violating — the
+//     whole subtree is cut after O(1) work at the causing event;
 //   - sleep sets (a DPOR-style partial-order reduction): after a subtree
 //     explores the schedules starting with step a, sibling subtrees need
 //     not re-explore interleavings that merely reorder a with steps
@@ -44,15 +46,27 @@ import (
 //
 // Under the stepper the whole world is single-threaded plain data — the
 // engine with its transactions in flight (stm.Forkable), the virtual
-// threads, the recorder's log and the monitor — so the DFS is stateful:
-// each decision frame forks the world once, when it opens, into storage
-// the frame slot keeps across pushes. A backtrack restores the top frame's
-// fork in place — the engine and its transactions overwritten from the
-// copy, the recorder truncated, the monitor rewound (spec.Session.Rewind,
-// the paper's Lemma 1) to the fork's length — and steps only the new
-// suffix. The restored prefix is the one the frame recorded, by
-// construction, so nothing is re-executed or compared. The engine is
-// built once per exploration, for the root.
+// threads, the recorder's log, the prefix's class and the monitor — so the
+// DFS is stateful: each decision frame forks the world once, when it
+// opens, into storage the frame slot keeps across pushes. A backtrack
+// restores the top frame's fork in place — the engine and its
+// transactions overwritten from the copy, the recorder truncated, the
+// monitor rewound (spec.Session.Rewind, the paper's Lemma 1) to the fork's
+// length when it is ahead of it — and steps only the new suffix. The
+// restored prefix is the one the frame recorded, by construction, so
+// nothing is re-executed or compared. The engine is built once per
+// exploration, for the root.
+//
+// Du-opacity reads a history only through each transaction's own events,
+// the real-time order and, per read response, the set of transactions
+// whose tryC was already invoked (DESIGN.md, "Prefix classes"), and the
+// explored schedules fall into far fewer such classes than there are
+// schedules. So each new event is first looked up by its prefix's class
+// in the set of classes the monitor has already judged du-opaque: a hit is
+// answered OK without touching the monitor, and only a miss makes the
+// monitor catch up over the events it skipped and decide. Only OK
+// verdicts are memoised, so every violation, latch index, reason and
+// undecided check still comes from the monitor.
 //
 // The quantifier is the stepper's schedule space — the engine's Blocking
 // trait plus the stepper's abort-backoff discipline (an aborted thread
@@ -226,12 +240,18 @@ type ExploreReport struct {
 	// one per decision frame opened.
 	StepsExecuted int64
 	Forks         int
-	// MonitorEvents counts the recorded events appended to the monitor,
-	// SharedEvents those of the restored prefixes, which it already held:
-	// their sum is every event of the walked schedules, and SharedEvents is
-	// what rewinding instead of rebuilding saved.
+	// SharedEvents counts the events of the restored prefixes, which a
+	// replay neither records nor judges again: it is what forking and
+	// rewinding instead of rebuilding saved. The other events of the walked
+	// schedules are the replays' own; ClassHits counts those answered OK
+	// from the set of prefix classes the monitor already judged du-opaque,
+	// without touching the monitor (always 0 for opacity, which is not
+	// memoised). MonitorEvents counts the events appended to the monitor:
+	// the replays' own events that missed the set, plus the earlier hits it
+	// catches up over before deciding a miss.
 	MonitorEvents int64
 	SharedEvents  int64
+	ClassHits     int64
 	// MaxFrontier is the deepest decision stack reached — with
 	// BudgetExhausted, how deep the explored frontier got.
 	MaxFrontier int
@@ -309,11 +329,41 @@ func explore(ctx context.Context, engine string, eng stm.Engine, p stm.Plan, cfg
 		in:       make([]stm.Txn, n),
 		out:      make([]stm.Txn, n),
 		free:     make([]stm.Txn, 0, n),
-		resumed:  make([]recorder.Txn, n),
+	}
+	if cfg.Criterion == spec.DUOpacity {
+		e.judged = takeJudged()
+		defer putJudged(e.judged)
 	}
 	e.newMonitor()
 	e.run()
 	return e.rep, nil
+}
+
+// judgedSets keeps the class sets of finished explorations, at most one
+// per P, for the next explorations to reset and reuse. Unlike a sync.Pool
+// it is not emptied by garbage collection: a set grows with its
+// exploration's class count (24 KB for the 800-odd classes of a
+// 2 048-schedule plan, 36 KB allocated on the way), so a farm worker
+// exploring plan after plan should build it once, not again after every
+// collection.
+var judgedSets = make(chan *fpset.Set, runtime.GOMAXPROCS(0))
+
+func takeJudged() *fpset.Set {
+	var s *fpset.Set
+	select {
+	case s = <-judgedSets:
+	default:
+		s = new(fpset.Set)
+	}
+	s.Reset()
+	return s
+}
+
+func putJudged(s *fpset.Set) {
+	select {
+	case judgedSets <- s:
+	default:
+	}
 }
 
 // exFrame is one decision point of the DFS: the scheduling choices that
@@ -343,8 +393,70 @@ type world struct {
 	aborts  int64
 	failed  int64
 	lastID  history.TxnID // the recorder's last identifier
-	events  int           // events recorded (and held by the monitor)
+	events  int           // events recorded
 	depth   int           // schedule length
+	class   prefixClass
+}
+
+// prefixClass is the hash of a prefix's class: everything of the prefix
+// that du-opacity reads (DESIGN.md, "Prefix classes"). Each transaction
+// keeps a running hash of its own events, seeded at its first event with
+// the set of transactions already t-complete (its real-time predecessors)
+// and folded, at each of its read responses, with the set of transactions
+// whose tryC was already invoked; the class is the XOR of the running
+// hashes, blind to how the transactions' events interleave beyond that.
+// The two sets are kept as XORs of per-transaction keys, so each event
+// updates the class in O(1) from the class, the sets and its own
+// transaction's running hash alone.
+type prefixClass struct {
+	hash  uint64
+	tried uint64   // transactions whose tryC was invoked
+	done  uint64   // t-complete transactions
+	txns  []uint64 // running hash per transaction identifier, 0 before its first event
+}
+
+// add extends the prefix by ev.
+func (c *prefixClass) add(ev history.Event) {
+	id := int(ev.Txn)
+	for len(c.txns) <= id {
+		c.txns = append(c.txns, 0)
+	}
+	old := c.txns[id]
+	r := old
+	if r == 0 {
+		r = fpset.Mix(txnKey(id) ^ c.done)
+	}
+	r = fpset.Mix(r ^ eventKey(ev))
+	if ev.Kind == history.Res && ev.Op == history.OpRead && ev.Out == history.OutOK {
+		r = fpset.Mix(r ^ c.tried)
+	}
+	c.txns[id] = r
+	c.hash ^= old ^ r
+	switch {
+	case ev.Kind == history.Inv && ev.Op == history.OpTryCommit:
+		c.tried ^= txnKey(id)
+	case ev.Kind == history.Res && ev.Out != history.OutOK:
+		c.done ^= txnKey(id)
+	}
+}
+
+// copyFrom makes c a copy of o, reusing c's storage.
+func (c *prefixClass) copyFrom(o *prefixClass) {
+	txns := append(c.txns[:0], o.txns...)
+	*c = *o
+	c.txns = txns
+}
+
+// txnKey is transaction id's key in the sets.
+func txnKey(id int) uint64 { return fpset.Mix(0x5A5A5A5A00000000 | uint64(id)) }
+
+// eventKey hashes everything of ev but its transaction.
+func eventKey(ev history.Event) uint64 {
+	x := uint64(ev.Kind) | uint64(ev.Op)<<8 | uint64(ev.Out)<<16 | uint64(len(ev.Obj))<<24
+	for i := 0; i < len(ev.Obj); i++ {
+		x = fpset.Mix(x ^ uint64(ev.Obj[i])<<32)
+	}
+	return fpset.Mix(fpset.Mix(x^uint64(ev.Arg)) ^ uint64(ev.Val))
 }
 
 // pathEnd describes how one replay ended.
@@ -366,38 +478,38 @@ type explorer struct {
 
 	// One engine, one recorder, one stepper and one monitor serve every
 	// replay: restore overwrites the first three from a frame's fork and
-	// rewinds the monitor.
+	// rewinds the monitor when it is ahead of the fork.
 	eng stm.Forkable
 	rec *recorder.Recorder
 	st  stepper
 	m   *spec.Monitor
-	// events counts the events of the current schedule, all of which the
-	// monitor holds. latchAt is the index of the event at which the monitor
-	// latched its violation, -1 while it has none — a restore keeps it when
-	// the restored prefix contains that event. tapFault is the current
-	// replay's first monitor failure.
-	events   int
-	latchAt  int
-	tapFault string
+	// log is the current schedule's events, read from the recorder as each
+	// step returns; the monitor holds a prefix of it. latchAt is the index
+	// of the event at which the monitor latched its violation, -1 while it
+	// has none — a restore keeps it when the restored prefix contains that
+	// event. fault is the current replay's first monitor failure.
+	log     []history.Event
+	latchAt int
+	fault   string
+	// class is the current prefix's class; judged holds the classes the
+	// monitor judged du-opaque in this exploration, nil for opacity.
+	class  prefixClass
+	judged *fpset.Set
 
 	stack []exFrame
 	sched []int // thread stepped at each point of the current replay
 	buf   []int // runnable scratch
 	cbuf  []int // symmetry-filter scratch
 	// Per-thread fork scratch: the transactions handed to Fork and their
-	// copies, the engine transactions a restore copies into, and the
-	// recorded transactions a restore resumes (thread i's in resumed[i]).
+	// copies, and the engine transactions a restore copies into.
 	in, out, free []stm.Txn
-	resumed       []recorder.Txn
 
 	budget bool // a budget bound was hit (schedules or steps)
 }
 
-// newMonitor gives the exploration its monitor and taps it onto the
-// recorder: once per exploration, and again only after a monitor panicked
-// (the recorder detaches a panicking tap, and the monitor it interrupted
-// is not to be trusted). The next restore feeds the new monitor the
-// prefix it restores.
+// newMonitor gives the exploration its monitor: once per exploration, and
+// again only after a monitor panicked (the monitor it interrupted is not to
+// be trusted). The next miss feeds the new monitor the prefix it lacks.
 func (e *explorer) newMonitor() {
 	mopts := []spec.Option{spec.WithNodeLimit(e.cfg.NodeLimit)}
 	if e.ctx != nil {
@@ -408,31 +520,70 @@ func (e *explorer) newMonitor() {
 		panic("harness: explore monitor: " + err.Error()) // criterion validated by ExplorePlanCtx
 	}
 	e.m, e.latchAt = m, -1
-	e.rec.Tap(e.observe)
 }
 
 // latched reports whether the current schedule's events include the one
 // that latched the monitor.
 func (e *explorer) latched() bool { return e.latchAt >= 0 }
 
-// observe is the recorder's tap: every recorded event goes to the monitor.
-func (e *explorer) observe(ev history.Event) {
-	if e.tapFault != "" {
-		return
+// observe reads the events the last step recorded and judges each one's
+// prefix: OK from the class set when its class is there, otherwise by the
+// monitor, whose OK verdicts on du-opacity enter the set. Once the monitor
+// has latched, every later prefix violates (Corollary 2) and goes to it
+// directly.
+func (e *explorer) observe() {
+	from := len(e.log)
+	e.log = e.rec.AppendEvents(e.log, from)
+	for i := from; i < len(e.log); i++ {
+		e.class.add(e.log[i])
+		key := e.class.hash
+		if classKeyHook != nil {
+			key = classKeyHook(key)
+		}
+		if e.judged == nil || e.latched() {
+			e.catchUp(i + 1)
+		} else if e.judged.Has(key) {
+			e.rep.ClassHits++
+			if classOracle != nil {
+				classOracle(e, i)
+			}
+		} else if v := e.catchUp(i + 1); v.OK {
+			e.judged.Insert(key)
+		}
+		if e.fault != "" {
+			return
+		}
 	}
-	v, err := e.m.Append(ev)
-	if err != nil {
-		// The recorder only emits matched, well-ordered events, so a
-		// rejection means the monitor and recorder disagree — degrade
-		// this exploration honestly instead of crashing the farm.
-		e.tapFault = "monitor rejected recorded event: " + err.Error()
-		return
+}
+
+// catchUp appends to the monitor the logged events it lacks before n and
+// returns its verdict on the first n. A monitor that rejects a recorded
+// event or panics becomes the replay's fault; a panicking one is replaced.
+func (e *explorer) catchUp(n int) spec.Verdict {
+	defer func() {
+		if r := recover(); r != nil {
+			e.fault = fmt.Sprintf("explore: monitor panicked on event %d: %v", e.m.Len(), r)
+			e.newMonitor()
+		}
+	}()
+	for i := e.m.Len(); i < n; i++ {
+		if feedHook != nil {
+			feedHook(e.log[i])
+		}
+		v, err := e.m.Append(e.log[i])
+		if err != nil {
+			// The recorder only emits matched, well-ordered events, so a
+			// rejection means the monitor and recorder disagree — degrade
+			// this exploration honestly instead of crashing the farm.
+			e.fault = "monitor rejected recorded event: " + err.Error()
+			return v
+		}
+		if e.latchAt < 0 && !v.OK && !v.Undecided {
+			e.latchAt = i
+		}
+		e.rep.MonitorEvents++
 	}
-	if e.latchAt < 0 && !v.OK && !v.Undecided {
-		e.latchAt = e.events
-	}
-	e.events++
-	e.rep.MonitorEvents++
+	return e.m.Verdict()
 }
 
 // fork takes the world at a decision point into w, reusing w's storage.
@@ -454,14 +605,15 @@ func (e *explorer) fork(w *world) {
 	// and each stays a safe copy target for the next fork into this slot.
 	w.eng = e.eng.Fork(w.eng, e.in, w.txns).(stm.Forkable)
 	w.vals, w.commits, w.aborts, w.failed = st.vals, st.commits, st.aborts, st.failed
-	w.lastID, w.events, w.depth = e.rec.LastID(), e.events, len(e.sched)
+	w.lastID, w.events, w.depth = e.rec.LastID(), len(e.log), len(e.sched)
+	w.class.copyFrom(&e.class)
 	e.rep.Forks++
 }
 
 // restore returns the world to the fork w: the engine and the threads'
-// transactions are overwritten in place, the recorder truncated, the
-// monitor rewound to the fork's events. The restored prefix counts as
-// steps walked and as shared events.
+// transactions are overwritten in place, the recorder and the log
+// truncated, the monitor rewound to the fork's events if it holds more of
+// them. The restored prefix counts as steps walked and as shared events.
 func (e *explorer) restore(w *world) {
 	st := &e.st
 	// Copy targets: a transaction still in flight at the end of the last
@@ -489,7 +641,7 @@ func (e *explorer) restore(w *world) {
 	for i, t := range st.threads {
 		*t = w.threads[i]
 		if w.ids[i] != 0 {
-			t.tx = e.rec.Resume(&e.resumed[i], w.ids[i], e.out[i])
+			t.tx = e.rec.Resume(&t.own, w.ids[i], e.out[i])
 		}
 	}
 	st.vals, st.commits, st.aborts, st.failed = w.vals, w.commits, w.aborts, w.failed
@@ -497,41 +649,19 @@ func (e *explorer) restore(w *world) {
 	e.sched = e.sched[:w.depth]
 	e.rep.Steps += int64(w.depth)
 
-	e.tapFault = ""
+	e.log = e.log[:w.events]
+	e.class.copyFrom(&w.class)
+	e.rep.SharedEvents += int64(w.events)
+
+	e.fault = ""
 	if e.latchAt >= w.events {
 		e.latchAt = -1
 	}
 	if e.m.Len() > w.events {
 		if err := e.m.Rewind(w.events); err != nil {
-			e.tapFault = "monitor rewind: " + err.Error() // unreachable: the monitor never retires
-			return
+			e.fault = "monitor rewind: " + err.Error() // unreachable: the monitor never retires
 		}
 	}
-	fed := e.feedMonitor(w.events)
-	e.events = w.events
-	e.rep.SharedEvents += int64(w.events - fed)
-}
-
-// feedMonitor appends to the monitor the recorded events it lacks up to
-// n — after newMonitor, the restored prefix the new monitor never saw —
-// and returns how many it appended. A panic is handled as the recorder
-// handles a panicking tap.
-func (e *explorer) feedMonitor(n int) (fed int) {
-	if e.m.Len() == n {
-		return 0
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			e.tapFault = fmt.Sprintf("explore: monitor panicked on a restored prefix: %v", r)
-			e.newMonitor()
-		}
-	}()
-	e.events = e.m.Len()
-	for _, ev := range e.rec.History().Events()[e.events:n] {
-		e.observe(ev)
-		fed++
-	}
-	return fed
 }
 
 // noteDegraded records the first exceptional-degradation reason and marks
@@ -625,8 +755,8 @@ func (e *explorer) replay() pathEnd {
 	if n := len(e.stack); n > 0 {
 		frameIdx = n - 1
 		e.restore(&e.stack[frameIdx].world)
-		if e.tapFault != "" {
-			e.noteDegraded(e.tapFault)
+		if e.fault != "" {
+			e.noteDegraded(e.fault)
 			return endSteps
 		}
 	}
@@ -636,6 +766,13 @@ func (e *explorer) replay() pathEnd {
 		r := st.runnable(e.buf)
 		e.buf = r[:0]
 		if len(r) == 0 {
+			if e.cfg.OnSchedule != nil {
+				// The callback gets the monitor's own verdict and witness.
+				if e.catchUp(len(e.log)); e.fault != "" {
+					e.noteDegraded(e.fault)
+					return endSteps
+				}
+			}
 			e.finishSchedule()
 			return endComplete
 		}
@@ -696,17 +833,8 @@ func (e *explorer) replay() pathEnd {
 		st.step(st.threads[taken])
 		e.rep.Steps++
 		e.rep.StepsExecuted++
-		if e.tapFault == "" {
-			if terr := e.rec.TapError(); terr != nil {
-				// The recorder recovered a panicking monitor; the capture is
-				// intact but unobserved from here on, and the replays to come
-				// get a monitor that was not interrupted mid-append.
-				e.tapFault = terr.Error()
-				e.newMonitor()
-			}
-		}
-		if e.tapFault != "" {
-			e.noteDegraded(e.tapFault)
+		if e.observe(); e.fault != "" {
+			e.noteDegraded(e.fault)
 			return endSteps
 		}
 		if e.latched() && !e.cfg.DisablePrefixCut {
@@ -733,18 +861,29 @@ func (e *explorer) pushFrame(choices []int, sleep uint64) *exFrame {
 	return f
 }
 
-// exploreOracle and replayOracle are nil outside tests, which set them to
-// hold the rewound monitor against a fresh one wherever a verdict is read,
-// and the forked world against a replay from scratch wherever a walk ends
-// (explore_test.go).
+// The test hooks are nil outside tests (explore_test.go), which set
+// exploreOracle to hold the rewound monitor against a fresh one wherever a
+// verdict is read, replayOracle to hold the forked world against a replay
+// from scratch wherever a walk ends, classOracle to hold each event
+// answered from the class set (its index in the log) against the monitor,
+// classKeyHook to degrade the class key, and feedHook to fail the monitor
+// feed.
 var (
 	exploreOracle func(e *explorer, v spec.Verdict)
 	replayOracle  func(e *explorer)
+	classOracle   func(e *explorer, at int)
+	classKeyHook  func(hash uint64) uint64
+	feedHook      func(ev history.Event)
 )
 
-// verdict returns the monitor's verdict for the current schedule's events.
+// verdict returns the verdict on the current schedule's events: the
+// monitor's when it holds them all, otherwise OK — the last of them was
+// answered from the class set.
 func (e *explorer) verdict() spec.Verdict {
-	v := e.m.Verdict()
+	v := spec.Verdict{Criterion: e.cfg.Criterion, OK: true}
+	if e.m.Len() == len(e.log) {
+		v = e.m.Verdict()
+	}
 	if exploreOracle != nil {
 		exploreOracle(e, v)
 	}

@@ -240,17 +240,18 @@ func watchRewoundMonitor(tb testing.TB) *int {
 	return checked
 }
 
-// checkRewound holds the exploration's monitor, which holds the recorder's
-// events, and its verdict v against a fresh monitor fed those events.
+// checkRewound holds the exploration's verdict v on the recorder's events
+// — its monitor's, which holds a prefix of them, or OK from the class set
+// when that prefix is shorter — against a fresh monitor fed those events.
 func checkRewound(tb testing.TB, e *explorer, v spec.Verdict) {
 	fresh, err := spec.NewMonitor(e.cfg.Criterion, spec.WithNodeLimit(e.cfg.NodeLimit))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	h := e.rec.History()
-	if e.m.Len() != h.Len() || e.events != h.Len() {
-		tb.Fatalf("%s schedule %v: the monitor holds %d events and counts %d, the recorder %d",
-			e.rep.Engine, e.sched, e.m.Len(), e.events, h.Len())
+	if e.m.Len() > h.Len() || len(e.log) != h.Len() {
+		tb.Fatalf("%s schedule %v: the monitor holds %d events and the log %d, the recorder %d",
+			e.rep.Engine, e.sched, e.m.Len(), len(e.log), h.Len())
 	}
 	latchAt := -1
 	for i, ev := range h.Events() {
@@ -349,14 +350,14 @@ func TestExploreForkMatchesReplay(t *testing.T) {
 }
 
 // TestExploreMonitorPanicDegrades makes the monitor panic in the middle of
-// an exploration (a tap that panics, recovered by the recorder) and checks
-// that the rest of the walk is still certified: every later verdict of
-// the new monitor — fed the restored prefix it never saw — equals a fresh
-// monitor's, every later world equals a replay from scratch, and the
+// an exploration (a fault injected at the explorer's monitor feed) and
+// checks that the rest of the walk is still certified: every later verdict
+// of the new monitor — fed the restored prefix it never saw — equals a
+// fresh monitor's, every later world equals a replay from scratch, and the
 // report says it is degraded.
 func TestExploreMonitorPanicDegrades(t *testing.T) {
 	watchForkedWorld(t)
-	t.Cleanup(func() { exploreOracle = nil })
+	t.Cleanup(func() { exploreOracle, feedHook = nil, nil })
 	for _, eng := range []string{"tl2", "ple", "dstm"} {
 		for _, src := range []string{abortedReaderPlan, "w0 r1 | r0\nr0 w1"} {
 			verdicts, after := 0, 0
@@ -364,14 +365,17 @@ func TestExploreMonitorPanicDegrades(t *testing.T) {
 				verdicts++
 				switch {
 				case verdicts == 3:
-					e.rec.Tap(func(history.Event) { panic("injected monitor fault") })
+					feedHook = func(history.Event) {
+						feedHook = nil
+						panic("injected monitor fault")
+					}
 				case verdicts > 3:
 					after++
 					checkRewound(t, e, v)
 				}
 			}
 			r, err := ExplorePlanCtx(context.Background(), eng, stm.MustParsePlan(src), ExploreConfig{DisablePrefixCut: true})
-			exploreOracle = nil
+			exploreOracle, feedHook = nil, nil
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -419,6 +423,66 @@ func TestExploreRewoundMonitorMatchesFresh(t *testing.T) {
 		*checked, appended, shared, *placements)
 }
 
+// watchClassMemo installs the class-memo oracle until tb ends: every event
+// the explorer answers from the class set also catches the monitor up to
+// it, and the monitor must judge that prefix OK too. It returns the number
+// of answers checked and of disagreements. The tests that use it do not
+// run in parallel.
+func watchClassMemo(tb testing.TB) (checked, disagreed *int) {
+	checked, disagreed = new(int), new(int)
+	classOracle = func(e *explorer, at int) {
+		*checked++
+		if v := e.catchUp(at + 1); e.fault != "" || !v.OK {
+			if *disagreed == 0 {
+				tb.Logf("%s schedule %v: event %d answered OK from the class set, the monitor says %v (fault %q)",
+					e.rep.Engine, e.sched, at, v, e.fault)
+			}
+			*disagreed++
+		}
+	}
+	tb.Cleanup(func() { classOracle = nil })
+	return checked, disagreed
+}
+
+// TestExploreClassMemoMatchesMonitor is the class memo's oracle: over the
+// pruning-soundness plans and every engine the explorer is run on, with
+// the prefix cut on and off, each du-opacity verdict served from the set
+// of judged prefix classes equals the monitor's verdict on the same
+// prefix. With the class key forced to a constant the oracle must see a
+// disagreement, or it could not see one at all.
+func TestExploreClassMemoMatchesMonitor(t *testing.T) {
+	checked, disagreed := watchClassMemo(t)
+	explore := func() (hits int64) {
+		for _, src := range pruningPlans {
+			p := stm.MustParsePlan(src)
+			for _, eng := range []string{"tl2", "norec", "pdur", "ple", "gl", "etl", "dstm"} {
+				for _, noCut := range []bool{false, true} {
+					r, err := ExplorePlanCtx(context.Background(), eng, p, ExploreConfig{DisablePrefixCut: noCut})
+					if err != nil {
+						t.Fatalf("%s on %q: %v", eng, src, err)
+					}
+					hits += r.ClassHits
+				}
+			}
+		}
+		return hits
+	}
+	hits := explore()
+	if *checked == 0 || int64(*checked) != hits || *disagreed != 0 {
+		t.Fatalf("%d answers from the class set checked of %d reported, %d disagreed with the monitor", *checked, hits, *disagreed)
+	}
+	t.Logf("%d answers from the class set checked against the monitor", *checked)
+
+	classKeyHook = func(uint64) uint64 { return 1 }
+	t.Cleanup(func() { classKeyHook = nil })
+	*checked, *disagreed = 0, 0
+	explore()
+	if *disagreed == 0 {
+		t.Fatalf("constant class key: %d answers checked, none disagreed — the oracle is vacuous", *checked)
+	}
+	t.Logf("constant class key: %d of %d answers disagreed with the monitor", *disagreed, *checked)
+}
+
 // TestExploreReplayAllocs is the allocation gate of the forked replay, on
 // the benchmark's explore-farm plan shape (3 threads, one transaction of 3
 // operations each, 2 objects, 2048 schedules) under each engine the
@@ -432,7 +496,11 @@ func TestExploreRewoundMonitorMatchesFresh(t *testing.T) {
 // 188 / 180–186 / 209 B per replay on tl2 / norec / pdur, and 6.4–6.5 and
 // 307–341 B on ple; with the held engine, wrappers the explorer owns and
 // searches that write into the decider's witness, 1.5 / 1.3 / 1.9 and
-// 92 / 84 / 107–114 B, and 5.7 and 275 B.
+// 92 / 84 / 107–114 B, and 5.7 and 275 B; with events answered from the
+// class set and recorded transactions begun into storage their thread
+// owns, 1.3 / 1.2 / 1.7 and 107 / 81–88 / 104–111 B, and 5.4–5.5 and
+// 273–307 B, the first exploration of the process (tl2) paying for its
+// class set, 36 KB.
 func TestExploreReplayAllocs(t *testing.T) {
 	p := PlanOf(Workload{Goroutines: 3, TxnsPerGoroutine: 1, OpsPerTxn: 3, Objects: 2, Seed: 1})
 	cfg := ExploreConfig{MaxSchedules: 2048}
@@ -474,7 +542,7 @@ func BenchmarkExploreReplay(b *testing.B) {
 	for _, eng := range []string{"tl2", "norec", "pdur", "ple"} {
 		b.Run(eng, func(b *testing.B) {
 			var replays int
-			var appended, shared, steps, executed int64
+			var appended, shared, hits, steps, executed int64
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			b.ResetTimer()
@@ -485,7 +553,7 @@ func BenchmarkExploreReplay(b *testing.B) {
 						b.Fatal(err)
 					}
 					replays += r.Replays
-					appended, shared = appended+r.MonitorEvents, shared+r.SharedEvents
+					appended, shared, hits = appended+r.MonitorEvents, shared+r.SharedEvents, hits+r.ClassHits
 					steps, executed = steps+r.Steps, executed+r.StepsExecuted
 				}
 			}
@@ -496,6 +564,7 @@ func BenchmarkExploreReplay(b *testing.B) {
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/replay")
 			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/replay")
 			b.ReportMetric(float64(appended)/n, "events/replay")
+			b.ReportMetric(float64(hits)/n, "class-hits/replay")
 			b.ReportMetric(float64(shared)/float64(shared+appended), "shared-share")
 			b.ReportMetric(float64(executed)/float64(steps), "executed-share")
 		})

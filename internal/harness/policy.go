@@ -66,7 +66,8 @@ type vthread struct {
 	txnIdx   int           // index of the current transaction in plan
 	opIdx    int           // next operation of the current attempt
 	attempts int           // attempts used for the current transaction
-	tx       *recorder.Txn // nil between transactions
+	tx       *recorder.Txn // nil between transactions; points to own while set
+	own      recorder.Txn  // storage of the thread's recorded transactions
 	wrote    bool          // current attempt has performed a write
 	backoff  bool          // aborted; waits for another thread to t-complete
 	done     bool
@@ -136,7 +137,7 @@ func (s *stepper) clearBackoffs() bool {
 // needed) and resolves commits, aborts and retries.
 func (s *stepper) step(t *vthread) {
 	if t.tx == nil {
-		t.tx = s.rec.Begin()
+		t.tx = s.rec.BeginInto(&t.own)
 		t.attempts++
 		t.opIdx = 0
 		t.wrote = false

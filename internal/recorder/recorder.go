@@ -14,16 +14,19 @@
 // nothing after t-completion), which every consumer re-validates
 // defensively as it ingests the log.
 //
-// Three consumers sit on the capture path: History snapshots the events
+// Four consumers sit on the capture path: History snapshots the events
 // as a batch history, AppendTo feeds them to a history.Stream (the
 // certify path, which validates and indexes an episode in one pass over
-// a reused stream), and Tap exposes each event the moment it is
+// a reused stream), AppendEvents copies a range of the log into storage
+// the caller reuses (the schedule explorer, harness.ExplorePlanCtx, reads
+// each step's new events after the step returns and feeds its monitor
+// from that copy, latching violations mid-schedule by the prefix closure
+// of Corollary 2), and Tap exposes each event the moment it is
 // linearized — the hook through which spec.Monitor certifies an
-// execution while it runs (harness.RunMonitored) and the schedule
-// explorer latches violations mid-schedule (harness.ExplorePlanCtx, using
-// the prefix closure of Corollary 2). A transaction's position in the
-// real-time order of H (its t-completion preceding another's first event)
-// is therefore decided exactly where the engine decided it.
+// execution while it runs (harness.RunMonitored). A transaction's
+// position in the real-time order of H (its t-completion preceding
+// another's first event) is therefore decided exactly where the engine
+// decided it.
 package recorder
 
 import (
@@ -73,12 +76,13 @@ func New(eng stm.Engine) *Recorder {
 func (r *Recorder) Engine() stm.Engine { return r.eng }
 
 // Begin starts a recorded transaction with a fresh transaction identifier.
-func (r *Recorder) Begin() *Txn {
-	return &Txn{
-		r:     r,
-		inner: r.eng.Begin(),
-		id:    history.TxnID(r.nextID.Add(1)),
-	}
+func (r *Recorder) Begin() *Txn { return r.BeginInto(new(Txn)) }
+
+// BeginInto is Begin into storage the caller owns, which must not hold a
+// transaction still in use.
+func (r *Recorder) BeginInto(into *Txn) *Txn {
+	*into = Txn{r: r, inner: r.eng.Begin(), id: history.TxnID(r.nextID.Add(1))}
+	return into
 }
 
 // Reset discards the events recorded so far (the engine's state is left
@@ -195,6 +199,14 @@ func (r *Recorder) AppendTo(s *history.Stream) error {
 		}
 	}
 	return nil
+}
+
+// AppendEvents appends the events recorded from index from on to dst and
+// returns it, under the capture mutex.
+func (r *Recorder) AppendEvents(dst []history.Event, from int) []history.Event {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append(dst, r.evs[from:]...)
 }
 
 func (r *Recorder) append(e history.Event) {

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"sync"
 
+	"duopacity/internal/fpset"
 	"duopacity/internal/history"
 )
 
@@ -105,7 +106,7 @@ type engine struct {
 	fp          uint64 // incremental fingerprint of (placed, stacks)
 	order       []int32
 	commits     []bool
-	memo        fpTable
+	memo        fpset.Set
 	nodes       int
 
 	// Cancellation state (nil unless WithContext was given): the context's
@@ -526,7 +527,7 @@ func (e *engine) search() bool {
 	if e.placedCount == e.n {
 		return e.emit()
 	}
-	if e.collect == nil && e.memo.seen(e.fp) {
+	if e.collect == nil && e.memo.Has(e.fp) {
 		return false
 	}
 	// Try available transactions in first-event order (the analysis order),
@@ -558,7 +559,7 @@ func (e *engine) search() bool {
 		}
 	}
 	if e.collect == nil {
-		e.memo.insert(e.fp)
+		e.memo.Insert(e.fp)
 	}
 	return false
 }
@@ -719,21 +720,9 @@ func (e *engine) take(w *witness) *witness {
 
 // --- Fingerprints ---------------------------------------------------------
 
-// mix64 is the splitmix64 finalizer: a cheap bijective mixer whose outputs
-// serve as the Zobrist keys, computed on demand instead of from tables.
-func mix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
-}
-
 // zPlaced keys membership of transaction i in the placed set.
 func zPlaced(i int) uint64 {
-	return mix64(0xA5A5A5A500000000 | uint64(i))
+	return fpset.Mix(0xA5A5A5A500000000 | uint64(i))
 }
 
 // zStack keys the presence of transaction txn at depth d of object o's
@@ -743,83 +732,5 @@ func zPlaced(i int) uint64 {
 // transactions and stack depths and 2²⁴ objects — far past anything the
 // multi-word engine meets (the pre-bitset packing overflowed at 256).
 func zStack(obj, depth, txn int) uint64 {
-	return mix64(uint64(obj)<<40 | uint64(depth)<<20 | uint64(txn))
-}
-
-// fpTable is an open-addressing set of 64-bit fingerprints with epoch-based
-// O(1) clearing: a slot is occupied only when its epoch matches the current
-// one, so reset is a counter bump rather than a table wipe.
-type fpTable struct {
-	keys   []uint64
-	epochs []uint32
-	epoch  uint32
-	used   int
-}
-
-const fpTableMinSize = 1024
-
-func (t *fpTable) reset() {
-	if len(t.keys) == 0 {
-		t.keys = make([]uint64, fpTableMinSize)
-		t.epochs = make([]uint32, fpTableMinSize)
-	}
-	t.epoch++
-	if t.epoch == 0 { // epoch counter wrapped: actually clear once
-		for i := range t.epochs {
-			t.epochs[i] = 0
-		}
-		t.epoch = 1
-	}
-	t.used = 0
-}
-
-func (t *fpTable) seen(fp uint64) bool {
-	mask := uint64(len(t.keys) - 1)
-	for s := fp & mask; ; s = (s + 1) & mask {
-		if t.epochs[s] != t.epoch {
-			return false
-		}
-		if t.keys[s] == fp {
-			return true
-		}
-	}
-}
-
-func (t *fpTable) insert(fp uint64) {
-	if 2*t.used >= len(t.keys) {
-		t.growTable()
-	}
-	mask := uint64(len(t.keys) - 1)
-	for s := fp & mask; ; s = (s + 1) & mask {
-		if t.epochs[s] != t.epoch {
-			t.epochs[s] = t.epoch
-			t.keys[s] = fp
-			t.used++
-			return
-		}
-		if t.keys[s] == fp {
-			return
-		}
-	}
-}
-
-func (t *fpTable) growTable() {
-	oldKeys, oldEpochs, oldEpoch := t.keys, t.epochs, t.epoch
-	t.keys = make([]uint64, 2*len(oldKeys))
-	t.epochs = make([]uint32, 2*len(oldKeys))
-	t.epoch = 1
-	mask := uint64(len(t.keys) - 1)
-	for i, ep := range oldEpochs {
-		if ep != oldEpoch {
-			continue
-		}
-		fp := oldKeys[i]
-		for s := fp & mask; ; s = (s + 1) & mask {
-			if t.epochs[s] != t.epoch {
-				t.epochs[s] = t.epoch
-				t.keys[s] = fp
-				break
-			}
-		}
-	}
+	return fpset.Mix(uint64(obj)<<40 | uint64(depth)<<20 | uint64(txn))
 }

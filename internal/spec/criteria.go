@@ -398,7 +398,7 @@ func decideInto(into *witness, h *history.History, c Criterion, mode searchMode,
 	if reject := e.staticReject(); reject != "" {
 		return Verdict{Criterion: c, Reason: reject}
 	}
-	e.memo.reset()
+	e.memo.Reset()
 	v := e.run(c)
 	if v.OK {
 		v.w = e.take(into)
@@ -421,7 +421,7 @@ func AllDUSerializations(h *history.History, max int, fn func(*history.Seq) bool
 		e.release()
 		return 0
 	}
-	e.memo.reset()
+	e.memo.Reset()
 	count := 0
 	e.collect = func(s *history.Seq) bool {
 		count++
