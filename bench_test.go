@@ -849,13 +849,12 @@ func TestMonitorLongStreamSmoke(t *testing.T) {
 	}
 }
 
-// BenchmarkMonitorOnlineCertify measures certify-while-recording: the
-// full interleaved episode with the monitor attached to the recorder's
-// tap, against recording the episode and batch-checking it afterwards.
+// BenchmarkMonitorOnlineCertify measures online certification: the full
+// interleaved episode with the monitor fed the recorded log event by
+// event, against recording the episode and batch-checking it afterwards.
 // Online certification checks at every response event where the batch
 // pipeline checks once, so it costs more per clean episode; what it buys
-// is detection latency — a violation is identified at the event that
-// caused it, while the execution is still running — and the gap (~1.7x,
+// is the exact event that caused a violation — and the gap (~1.7x,
 // EXPERIMENTS.md) is the price of that capability, down from the
 // O(events) multiple the pre-stream monitor would have paid.
 func BenchmarkMonitorOnlineCertify(b *testing.B) {

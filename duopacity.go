@@ -28,13 +28,18 @@
 // at a time with O(1)-amortized validation and an incrementally
 // maintained index, a Monitor certifies a stream online (witness reuse
 // makes a monitored stream cost amortized O(1) checks per event instead
-// of a batch re-check), and a Recorder's Tap feeds a live execution
-// straight into a Monitor so violations are caught while the STM is
-// still running:
+// of a batch re-check), and a Monitor pulls a live execution from its
+// Recorder's log, so a violation is caught at the event that caused it
+// while the STM is still running:
 //
 //	m, _ := duopacity.NewMonitor(duopacity.DUOpacity)
-//	rec.Tap(func(e duopacity.Event) { m.Append(e) })
-//	// ... run transactions; m.Verdict() is always current ...
+//	var evs []duopacity.Event
+//	// ... after each operation:
+//	evs = rec.AppendEvents(evs[:0], m.Len())
+//	for _, e := range evs {
+//		m.Append(e)
+//	}
+//	// m.Verdict() judges everything recorded so far
 package duopacity
 
 import (
@@ -242,8 +247,9 @@ func Certify(cfg CertConfig, criteria []Criterion) (CertStats, error) {
 	return harness.Certify(cfg, criteria)
 }
 
-// RunMonitored executes a workload with an online monitor certifying
-// every event as it is recorded (certify-while-recording).
+// RunMonitored executes a workload and feeds its recorded log, event by
+// event, to an online monitor: the report pins the event that latched a
+// violation, and a monitor fault degrades it.
 func RunMonitored(w Workload, c Criterion, nodeLimit int, interleaved bool) (OnlineReport, error) {
 	return harness.RunMonitored(w, c, nodeLimit, interleaved)
 }

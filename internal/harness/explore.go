@@ -508,8 +508,8 @@ type explorer struct {
 }
 
 // newMonitor gives the exploration its monitor: once per exploration, and
-// again only after a monitor panicked (the monitor it interrupted is not to
-// be trusted). The next miss feeds the new monitor the prefix it lacks.
+// again only after a monitor faulted (the feed it interrupted is not to be
+// trusted). The next miss feeds the new monitor the prefix it lacks.
 func (e *explorer) newMonitor() {
 	mopts := []spec.Option{spec.WithNodeLimit(e.cfg.NodeLimit)}
 	if e.ctx != nil {
@@ -556,32 +556,17 @@ func (e *explorer) observe() {
 	}
 }
 
-// catchUp appends to the monitor the logged events it lacks before n and
+// catchUp feeds the monitor the logged events it lacks before n and
 // returns its verdict on the first n. A monitor that rejects a recorded
-// event or panics becomes the replay's fault; a panicking one is replaced.
+// event or panics becomes the replay's fault and is replaced; the
+// verdict returned is then undecided.
 func (e *explorer) catchUp(n int) spec.Verdict {
-	defer func() {
-		if r := recover(); r != nil {
-			e.fault = fmt.Sprintf("explore: monitor panicked on event %d: %v", e.m.Len(), r)
-			e.newMonitor()
-		}
-	}()
-	for i := e.m.Len(); i < n; i++ {
-		if feedHook != nil {
-			feedHook(e.log[i])
-		}
-		v, err := e.m.Append(e.log[i])
-		if err != nil {
-			// The recorder only emits matched, well-ordered events, so a
-			// rejection means the monitor and recorder disagree — degrade
-			// this exploration honestly instead of crashing the farm.
-			e.fault = "monitor rejected recorded event: " + err.Error()
-			return v
-		}
-		if e.latchAt < 0 && !v.OK && !v.Undecided {
-			e.latchAt = i
-		}
-		e.rep.MonitorEvents++
+	fed, fault := feedMonitor(e.m, e.log, n, &e.latchAt)
+	e.rep.MonitorEvents += int64(fed)
+	if fault != "" {
+		e.fault = fault
+		e.newMonitor()
+		return spec.Verdict{Criterion: e.cfg.Criterion, Undecided: true, Reason: "degraded: " + fault}
 	}
 	return e.m.Verdict()
 }
@@ -867,7 +852,7 @@ func (e *explorer) pushFrame(choices []int, sleep uint64) *exFrame {
 // from scratch wherever a walk ends, classOracle to hold each event
 // answered from the class set (its index in the log) against the monitor,
 // classKeyHook to degrade the class key, and feedHook to fail the monitor
-// feed.
+// feed (feedMonitor, which RunMonitored shares).
 var (
 	exploreOracle func(e *explorer, v spec.Verdict)
 	replayOracle  func(e *explorer)

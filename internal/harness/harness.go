@@ -23,8 +23,8 @@
 //
 // Certify aggregates sampled episodes per criterion; an explore job over
 // the PlanOf plans of the same workloads (package checkfarm) proves them
-// instead. RunMonitored attaches a spec.Monitor to the recorder's tap so
-// violations are latched at the causing event while the engine runs.
+// instead. RunMonitored feeds a spec.Monitor from the recorded log, so a
+// violation is latched at the event that caused it.
 // Package checkfarm shards all of it across workers. The
 // package backs cmd/stmbench, cmd/ducheck -explore, the certification
 // examples and the engine benchmarks; see docs/ARCHITECTURE.md for the
@@ -190,7 +190,7 @@ func Run(w Workload) (RunStats, error) {
 // values are globally unique, so the resulting history satisfies the
 // unique-writes hypothesis of Theorem 11.
 func RunRecorded(w Workload) (*history.History, RunStats, error) {
-	sc, stats, err := runRecorded(w, nil)
+	sc, stats, err := runRecorded(w)
 	if err != nil {
 		return nil, RunStats{}, err
 	}
@@ -198,16 +198,15 @@ func RunRecorded(w Workload) (*history.History, RunStats, error) {
 	return sc.rec.History(), stats, nil
 }
 
-// runRecorded is RunRecorded with an optional event tap attached to the
-// recorder before any transaction runs (the online-certification hook).
-// It returns the scratch with the run's log in its recorder.
-func runRecorded(w Workload, tap func(history.Event)) (*runScratch, RunStats, error) {
+// runRecorded is RunRecorded returning the scratch with the run's log in
+// its recorder.
+func runRecorded(w Workload) (*runScratch, RunStats, error) {
 	w = w.withDefaults()
 	eng, err := engines.New(w.Engine, w.Objects)
 	if err != nil {
 		return nil, RunStats{}, err
 	}
-	sc := getRunScratch(eng, tap)
+	sc := getRunScratch(eng)
 	rec := sc.rec
 	return sc, drive(w, sc.rng, func() stm.Txn { return rec.Begin() }), nil
 }
@@ -415,7 +414,7 @@ func DegradedEpisode(criteria []spec.Criterion, reason string) EpisodeReport {
 func CertifyEpisodeCtx(ctx context.Context, cfg CertConfig, ep int, criteria []spec.Criterion) (EpisodeReport, error) {
 	w := cfg.Workload
 	w.Seed = cfg.Workload.Seed + int64(ep)*episodeSeedStride
-	sc, _, err := recordRun(w, cfg.Interleaved, nil)
+	sc, _, err := recordRun(w, cfg.Interleaved)
 	if err != nil {
 		return EpisodeReport{}, err
 	}

@@ -33,7 +33,7 @@ import (
 // exhaustive counterpart enumerating every schedule the trait allows is
 // ExplorePlanCtx.
 func RunInterleaved(w Workload) (*history.History, RunStats, error) {
-	sc, stats, err := runInterleaved(w, nil)
+	sc, stats, err := runInterleaved(w)
 	if err != nil {
 		return nil, RunStats{}, err
 	}
@@ -56,45 +56,38 @@ var runScratchPool = sync.Pool{New: func() any {
 }}
 
 // getRunScratch takes a scratch from the pool with its recorder around
-// eng, as recorder.New(eng) would return it but for the log's capacity,
-// and tap (nil: none) attached before any transaction runs.
-func getRunScratch(eng stm.Engine, tap func(history.Event)) *runScratch {
+// eng, as recorder.New(eng) would return it but for the log's capacity.
+func getRunScratch(eng stm.Engine) *runScratch {
 	sc := runScratchPool.Get().(*runScratch)
 	sc.rec.Restore(eng, 0, 0)
-	if tap != nil {
-		sc.rec.Tap(tap)
-	}
 	return sc
 }
 
-// release detaches the tap, drops the engine and the log, and returns
-// the scratch to the pool.
+// release drops the engine and the log, and returns the scratch to the
+// pool.
 func (sc *runScratch) release() {
-	sc.rec.Tap(nil)
 	sc.rec.Restore(nil, 0, 0)
 	runScratchPool.Put(sc)
 }
 
 // recordRun runs w deterministically stepped (interleaved) or on real
 // goroutines, and returns the scratch with the run's log in its recorder.
-func recordRun(w Workload, interleaved bool, tap func(history.Event)) (*runScratch, RunStats, error) {
+func recordRun(w Workload, interleaved bool) (*runScratch, RunStats, error) {
 	if interleaved {
-		return runInterleaved(w, tap)
+		return runInterleaved(w)
 	}
-	return runRecorded(w, tap)
+	return runRecorded(w)
 }
 
-// runInterleaved is RunInterleaved with an optional event tap attached to
-// the recorder before the schedule starts (the online-certification
-// hook); the tap observes the deterministic event order as it is
-// produced. It returns the scratch with the run's log in its recorder.
-func runInterleaved(w Workload, tap func(history.Event)) (*runScratch, RunStats, error) {
+// runInterleaved is RunInterleaved returning the scratch with the run's
+// log in its recorder.
+func runInterleaved(w Workload) (*runScratch, RunStats, error) {
 	w = w.withDefaults()
 	eng, err := engines.New(w.Engine, w.Objects)
 	if err != nil {
 		return nil, RunStats{}, err
 	}
-	sc := getRunScratch(eng, tap)
+	sc := getRunScratch(eng)
 	rec, rng := sc.rec, sc.rng
 	// One generator serves the episode: planFor re-seeds it per thread,
 	// then it is re-seeded for the schedule.

@@ -1,9 +1,12 @@
 package harness
 
 import (
+	"strings"
 	"testing"
 
+	"duopacity/internal/history"
 	"duopacity/internal/spec"
+	"duopacity/internal/stm/engines"
 )
 
 // TestRunMonitoredMatchesBatch pins online certification against the
@@ -131,5 +134,112 @@ func TestRunMonitoredWithRetirement(t *testing.T) {
 	}
 	if ret.Retired == 0 {
 		t.Fatal("sequential workload retired nothing")
+	}
+}
+
+// TestRunMonitoredMatchesFedMonitor pins RunMonitored's report against a
+// monitor fed the same interleaved run by hand, one event at a time: on
+// every engine, for three seeds and both criteria, every field agrees.
+func TestRunMonitoredMatchesFedMonitor(t *testing.T) {
+	for _, engine := range engines.Names() {
+		for seed := int64(1); seed <= 3; seed++ {
+			for _, c := range []spec.Criterion{spec.DUOpacity, spec.Opacity} {
+				w := Workload{
+					Engine:           engine,
+					Objects:          3,
+					Goroutines:       3,
+					TxnsPerGoroutine: 2,
+					OpsPerTxn:        3,
+					ReadFraction:     0.5,
+					Seed:             seed,
+				}
+				r, err := RunMonitored(w, c, 2_000_000, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h, _, err := RunInterleaved(w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := spec.NewMonitor(c, spec.WithNodeLimit(2_000_000))
+				if err != nil {
+					t.Fatal(err)
+				}
+				at := -1
+				for i, e := range h.Events() {
+					v, err := m.Append(e)
+					if err != nil {
+						t.Fatalf("%s seed %d %v: event %d rejected: %v", engine, seed, c, i, err)
+					}
+					if at < 0 && !v.OK && !v.Undecided {
+						at = i
+					}
+				}
+				v := m.Verdict()
+				searches, fastHits := m.Stats()
+				got := []any{r.Verdict.OK, r.Verdict.Undecided, r.Verdict.Reason, r.ViolationAt, r.Events, r.Searches, r.FastHits, r.Retired, r.DegradedReason}
+				want := []any{v.OK, v.Undecided, v.Reason, at, h.Len(), searches, fastHits, m.Retired(), ""}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Errorf("%s seed %d %v: RunMonitored %v, fed monitor %v", engine, seed, c, got, want)
+						break
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRunMonitoredMonitorPanicDegrades injects a monitor panic into the
+// feed of a monitored run: an OK run becomes undecided and says it is
+// degraded, and a violation latched before the panic stands.
+func TestRunMonitoredMonitorPanicDegrades(t *testing.T) {
+	t.Cleanup(func() { feedHook = nil })
+	tl2 := Workload{
+		Engine:           "tl2",
+		Objects:          4,
+		Goroutines:       4,
+		TxnsPerGoroutine: 3,
+		OpsPerTxn:        3,
+		Seed:             5,
+	}
+	for _, w := range []Workload{tl2, pleGoldenWorkload()} {
+		clean, err := RunMonitored(w, spec.DUOpacity, 2_000_000, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// tl2 panics half way through an OK run, ple on the event after
+		// its latch.
+		fault := clean.Events / 2
+		if clean.ViolationAt >= 0 {
+			fault = clean.ViolationAt + 1
+		}
+		if fault >= clean.Events {
+			t.Fatalf("%s: no event to fail after %d of %d", w.Engine, fault, clean.Events)
+		}
+		calls := 0
+		feedHook = func(history.Event) {
+			if calls++; calls > fault {
+				feedHook = nil
+				panic("injected monitor fault")
+			}
+		}
+		r, err := RunMonitored(w, spec.DUOpacity, 2_000_000, true)
+		feedHook = nil
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(r.DegradedReason, "injected monitor fault") || r.Events != fault {
+			t.Errorf("%s: degraded %q after %d events; want the fault after %d", w.Engine, r.DegradedReason, r.Events, fault)
+		}
+		switch {
+		case clean.Verdict.OK:
+			if !r.Verdict.Undecided || r.Verdict.Reason != "degraded: "+r.DegradedReason {
+				t.Errorf("%s: verdict %v after the fault, want undecided and degraded", w.Engine, r.Verdict)
+			}
+		case r.Verdict.OK || r.Verdict.Undecided || r.ViolationAt != clean.ViolationAt:
+			t.Errorf("%s: verdict %v latched at %d after the fault, want the violation at %d to stand",
+				w.Engine, r.Verdict, r.ViolationAt, clean.ViolationAt)
+		}
 	}
 }

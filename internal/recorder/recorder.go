@@ -14,23 +14,20 @@
 // nothing after t-completion), which every consumer re-validates
 // defensively as it ingests the log.
 //
-// Four consumers sit on the capture path: History snapshots the events
-// as a batch history, AppendTo feeds them to a history.Stream (the
-// certify path, which validates and indexes an episode in one pass over
-// a reused stream), AppendEvents copies a range of the log into storage
-// the caller reuses (the schedule explorer, harness.ExplorePlanCtx, reads
-// each step's new events after the step returns and feeds its monitor
-// from that copy, latching violations mid-schedule by the prefix closure
-// of Corollary 2), and Tap exposes each event the moment it is
-// linearized — the hook through which spec.Monitor certifies an
-// execution while it runs (harness.RunMonitored). A transaction's
+// Three consumers read the log, each by pulling from it: History
+// snapshots the events as a batch history, AppendTo feeds them to a
+// history.Stream (the certify path, which validates and indexes an
+// episode in one pass over a reused stream), and AppendEvents copies a
+// range of the log into storage the caller reuses (a monitor fed from
+// that copy — the schedule explorer after each step, harness.RunMonitored
+// after the run — latches a violation at the event that caused it, by
+// the prefix closure of Corollary 2). The capture path runs no caller
+// code: it appends under the mutex and returns, so a transaction's
 // position in the real-time order of H (its t-completion preceding
-// another's first event) is therefore decided exactly where the engine
-// decided it.
+// another's first event) is decided exactly where the engine decided it.
 package recorder
 
 import (
-	"fmt"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -61,10 +58,8 @@ type Recorder struct {
 	eng    stm.Engine
 	nextID atomic.Int64
 
-	mu     sync.Mutex
-	evs    []history.Event
-	tap    func(history.Event)
-	tapErr error
+	mu  sync.Mutex
+	evs []history.Event
 }
 
 // New returns a Recorder around eng.
@@ -86,14 +81,12 @@ func (r *Recorder) BeginInto(into *Txn) *Txn {
 }
 
 // Reset discards the events recorded so far (the engine's state is left
-// untouched) and clears any recorded tap error. It must not be called
-// while transactions are in flight. A registered tap is kept but is not
-// informed of the discard. The event buffer is reused: History copies.
+// untouched). It must not be called while transactions are in flight.
+// The event buffer is reused: History copies.
 func (r *Recorder) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.evs = r.evs[:0]
-	r.tapErr = nil
 }
 
 // Restore returns the recorder to an earlier point of a run: the log
@@ -101,15 +94,13 @@ func (r *Recorder) Reset() {
 // numbered lastID+1. With the engine and the transactions in flight
 // restored to that point too (stm.Forkable, Resume), the calls that
 // follow record exactly the events they recorded from there the first
-// time — identifiers included. A tap error is cleared, a registered tap
-// is kept and is not informed, and no transaction may be in flight in
+// time — identifiers included. No transaction may be in flight in
 // another goroutine. Restore(eng, 0, 0) leaves the recorder as New(eng)
-// would return it, except for its event buffer and its tap.
+// would return it, except for its event buffer.
 func (r *Recorder) Restore(eng stm.Engine, n int, lastID history.TxnID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.evs = r.evs[:n]
-	r.tapErr = nil
 	r.eng = eng
 	r.nextID.Store(int64(lastID))
 }
@@ -132,40 +123,6 @@ func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.evs)
-}
-
-// Tap registers fn to observe every event at the moment it is recorded,
-// called synchronously under the recorder's capture mutex — so fn sees
-// the events in exactly the linearized order the recorded history will
-// contain, with no two calls concurrent. This is the live-monitor hook:
-// attach a spec.Monitor's Append (whose single-goroutine requirement the
-// mutex discharges) and the execution is certified while it runs instead
-// of replaying a materialized history afterwards. Events recorded before
-// Tap are not replayed; pass nil to detach. Keep fn cheap: it runs inside
-// every transaction's operation window. fn must not call back into the
-// Recorder (History, Reset, Tap, or any transaction operation) — it runs
-// while the capture mutex is held and would self-deadlock.
-//
-// A panic in fn does not corrupt the recorder: the capture mutex is
-// released, the event that triggered the panic stays recorded, the tap is
-// detached (no further calls), and the panic is surfaced through
-// TapError. Recording continues and the captured history stays
-// well-formed.
-func (r *Recorder) Tap(fn func(history.Event)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.tap = fn
-}
-
-// TapError returns the first panic recovered from a tap callback, or nil.
-// The panicking tap was detached at the point of failure; events recorded
-// after it are captured but unobserved, so consumers of a tap-driven
-// verdict (e.g. an online monitor) must treat a non-nil TapError as
-// degradation of that verdict, not of the recorded history.
-func (r *Recorder) TapError() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tapErr
 }
 
 // History snapshots the recorded events as a history. Transactions still
@@ -211,27 +168,8 @@ func (r *Recorder) AppendEvents(dst []history.Event, from int) []history.Event {
 
 func (r *Recorder) append(e history.Event) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.evs = append(r.evs, e)
-	if r.tap != nil {
-		r.callTap(e)
-	}
-}
-
-// callTap invokes the tap under the capture mutex, recovering a panic so
-// a faulty observer cannot leave the mutex locked or the history torn:
-// the event stays recorded, the tap is detached, and the panic value is
-// kept for TapError.
-func (r *Recorder) callTap(e history.Event) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			if r.tapErr == nil {
-				r.tapErr = fmt.Errorf("recorder: tap panicked on event %v: %v", e, rec)
-			}
-			r.tap = nil
-		}
-	}()
-	r.tap(e)
+	r.mu.Unlock()
 }
 
 // Txn is a recorded transaction. It mirrors stm.Txn; each operation emits

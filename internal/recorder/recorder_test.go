@@ -3,7 +3,6 @@ package recorder
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -137,10 +136,10 @@ func TestVarNameMatchesSprintf(t *testing.T) {
 }
 
 // TestRestoreRecordsIdenticalRuns: Restore(eng, 0, 0) leaves the recorder
-// as New would return it but for its buffer and tap, and a Restore to the
-// middle of a run — with the engine forked there and a transaction in
-// flight resumed — records the rest of the run again byte for byte,
-// identifiers included; the tap sees every event.
+// as New would return it but for its buffer, and a Restore to the middle
+// of a run — with the engine forked there and a transaction in flight
+// resumed — records the rest of the run again byte for byte, identifiers
+// included.
 func TestRestoreRecordsIdenticalRuns(t *testing.T) {
 	first := func(r *Recorder) *Txn {
 		tx := r.Begin()
@@ -167,20 +166,18 @@ func TestRestoreRecordsIdenticalRuns(t *testing.T) {
 	}
 	eng := tl2.New(1)
 	r := New(eng)
-	tapped := 0
-	r.Tap(func(history.Event) { tapped++ })
 	rd := first(r)
 	mid, lastID := r.Len(), r.LastID()
 	out := make([]stm.Txn, 1)
 	fork := eng.Fork(nil, []stm.Txn{rd.Inner()}, out)
 	whole := rest(r, rd)
-	if r.Len() != len(whole) || tapped != len(whole) || lastID != rd.ID() {
-		t.Fatalf("Len %d, tapped %d, recorded %d; last id %d at the fork, reader %d",
-			r.Len(), tapped, len(whole), lastID, rd.ID())
+	if r.Len() != len(whole) || lastID != rd.ID() {
+		t.Fatalf("Len %d, recorded %d; last id %d at the fork, reader %d",
+			r.Len(), len(whole), lastID, rd.ID())
 	}
 
 	r.Restore(fork, mid, lastID)
-	if r.Len() != mid || r.Engine() != fork || r.TapError() != nil {
+	if r.Len() != mid || r.Engine() != fork {
 		t.Fatalf("after Restore: %d events, engine replaced: %v", r.Len(), r.Engine() == fork)
 	}
 	again := rest(r, r.Resume(new(Txn), rd.ID(), out[0]))
@@ -196,9 +193,6 @@ func TestRestoreRecordsIdenticalRuns(t *testing.T) {
 				t.Fatalf("event %d: %v after Restore, %v on the first run", i, got[i], whole[i])
 			}
 		}
-	}
-	if want := 2*len(whole) + len(whole) - mid; tapped != want {
-		t.Fatalf("tap saw %d events, want %d", tapped, want)
 	}
 }
 
@@ -289,60 +283,6 @@ func TestConcurrentRecordingIsWellFormedAndDUOpaque(t *testing.T) {
 				t.Fatalf("%s produced a non-du-opaque history: %s\n%s", name, v.Reason, h)
 			}
 		})
-	}
-}
-
-func TestTapObservesEveryEventInOrder(t *testing.T) {
-	r := New(tl2.New(4))
-	var tapped []history.Event
-	r.Tap(func(e history.Event) { tapped = append(tapped, e) })
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 3; i++ {
-				_ = r.Atomically(func(tx *Txn) error {
-					v, err := tx.Read(w % 4)
-					if err != nil {
-						return err
-					}
-					return tx.Write((w+1)%4, v+int64(10*w+i+1))
-				})
-			}
-		}(w)
-	}
-	wg.Wait()
-	// The tap saw exactly the recorded event sequence, in capture order
-	// (the mutex linearizes both).
-	evs := r.History().Events()
-	if len(tapped) != len(evs) {
-		t.Fatalf("tap saw %d events, history has %d", len(tapped), len(evs))
-	}
-	for i := range evs {
-		if tapped[i] != evs[i] {
-			t.Fatalf("event %d: tap saw %v, history has %v", i, tapped[i], evs[i])
-		}
-	}
-	// The tapped stream is well-formed as it stands: feeding it through a
-	// stream must reproduce the history.
-	s := history.NewStream()
-	for _, e := range tapped {
-		if err := s.Append(e); err != nil {
-			t.Fatalf("tapped stream ill-formed: %v", err)
-		}
-	}
-	if !s.History().Equivalent(r.History()) {
-		t.Fatal("tapped stream diverges from the recorded history")
-	}
-	// Detaching stops observation.
-	r.Tap(nil)
-	before := len(tapped)
-	if err := r.Atomically(func(tx *Txn) error { return tx.Write(0, 99) }); err != nil {
-		t.Fatal(err)
-	}
-	if len(tapped) != before {
-		t.Fatal("detached tap kept observing")
 	}
 }
 
@@ -492,68 +432,5 @@ func TestAtomicallyRetriesWrappedAbort(t *testing.T) {
 	}
 	if got := r.History().NumTxns(); got != 2 {
 		t.Fatalf("history has %d txns, want 2", got)
-	}
-}
-
-// TestTapPanicIsRecovered pins the tap's panic contract: a panicking
-// observer is detached without corrupting the capture mutex or the
-// history — the triggering event stays recorded, later operations record
-// normally, and the failure surfaces through TapError.
-func TestTapPanicIsRecovered(t *testing.T) {
-	r := New(tl2.New(2))
-	calls := 0
-	r.Tap(func(e history.Event) {
-		calls++
-		if calls == 3 {
-			panic("observer exploded")
-		}
-	})
-
-	tx := r.Begin()
-	if err := tx.Write(0, 1); err != nil { // events 1-2: inv + res
-		t.Fatal(err)
-	}
-	if _, err := tx.Read(0); err != nil { // event 3 (inv) panics the tap
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil { // must not deadlock on the capture mutex
-		t.Fatal(err)
-	}
-
-	if calls != 3 {
-		t.Fatalf("tap called %d times after panicking on call 3; want detachment", calls)
-	}
-	err := r.TapError()
-	if err == nil {
-		t.Fatal("TapError() = nil after a tap panic")
-	}
-	if !strings.Contains(err.Error(), "observer exploded") {
-		t.Fatalf("TapError() = %v, want the panic value", err)
-	}
-
-	// The full transaction was captured despite the mid-flight panic: the
-	// history is well-formed (History re-validates) and complete.
-	h := r.History()
-	if h.Len() != 6 {
-		t.Fatalf("recorded %d events, want 6", h.Len())
-	}
-	if v := spec.Check(h, spec.DUOpacity); !v.OK {
-		t.Fatalf("recorded history not du-opaque after tap panic: %v", v)
-	}
-
-	// A second transaction records normally, and Reset clears the error.
-	tx2 := r.Begin()
-	if err := tx2.Write(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx2.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if r.History().Len() != 10 {
-		t.Fatalf("recording did not continue after tap panic: %d events", r.History().Len())
-	}
-	r.Reset()
-	if r.TapError() != nil {
-		t.Fatal("Reset did not clear the tap error")
 	}
 }

@@ -47,8 +47,8 @@ import (
 // completely unchanged (the stream's rejection is side-effect-free and no
 // decider is consulted), so a session can skip one bad event and keep
 // consuming the stream. A Session must be fed from one goroutine at a
-// time; use an external lock (e.g. the recorder's capture mutex, see
-// recorder.Recorder.Tap) to monitor concurrent executions.
+// time; to monitor a concurrent execution, feed it from the recorder's
+// log (recorder.Recorder.AppendEvents), which linearizes the events.
 type Session struct {
 	retireWindow int
 	// nodeLimit and ctx are what a recheck hands to the batch decision
