@@ -88,3 +88,15 @@ func WatchFlips(tb testing.TB) *FlipOracle {
 	tb.Cleanup(func() { flipOracle = nil })
 	return o
 }
+
+// WitnessOrder exposes an accepting verdict's witness unrendered: the
+// dense transaction indexes in serialization order and the commit
+// decision at each position (nil, nil for a verdict without a witness).
+// Like Witness it must be asked before the session's next Append.
+func WitnessOrder(v Verdict) (order []int, commit []bool) {
+	if v.w == nil {
+		return nil, nil
+	}
+	v.w.check(v.gen)
+	return v.w.order, v.w.commit
+}

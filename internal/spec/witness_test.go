@@ -2,6 +2,7 @@ package spec_test
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
@@ -20,35 +21,42 @@ var updateDigest = flag.Bool("update", false, "rewrite the digest goldens under 
 // TestSessionWitnessDigestGolden pins every witness a five-criteria session
 // hands out to testdata/session_witness_digest.golden: the differential
 // corpus and eight streams of each follow workload, at retire 0 and 32,
-// one line each — stream, window, a sha256 over every response's
-// Verdict.String() (witness included) and the session's Stats and
-// Counters. A change to when or how a witness is rendered must leave the
-// file untouched (-update rewrites it, only for an intended change of
-// results). Under -race the gl-five streams at retire 0 are left out.
+// one line each — stream, window, a sha256 over every response's verdicts
+// and the session's Stats and Counters. A verdict enters the hash as its
+// criterion, status and reason and, when it accepts, its witness
+// unrendered: the dense transaction indexes in serialization order with
+// their commit decisions, which with the stream fix the rendering. On the
+// differential corpus (short streams) the hash also takes every
+// Verdict.String(), so the rendering itself stays pinned byte for byte. A
+// change to when or how a witness is rendered must leave the file
+// untouched (-update rewrites it, only for an intended change of results).
+// Under -race the gl-five streams at retire 0 are left out.
 func TestSessionWitnessDigestGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("16 follow-workload streams")
 	}
 	type stream struct {
-		name string
-		evs  []history.Event
+		name   string
+		evs    []history.Event
+		render bool
 	}
 	var streams []stream
 	for _, hh := range differentialCorpus() {
-		streams = append(streams, stream{hh.name, hh.h.Events()})
+		streams = append(streams, stream{hh.name, hh.h.Events(), true})
 	}
 	for _, in := range followInputs {
 		for i := 0; i < 8; i++ {
-			streams = append(streams, stream{fmt.Sprintf("%s-%d", in.name, i), recorded(t, in.w, corpusSeed(i))})
+			streams = append(streams, stream{fmt.Sprintf("%s-%d", in.name, i), recorded(t, in.w, corpusSeed(i)), false})
 		}
 	}
 	var lines []string
+	var buf []byte
 	for _, st := range streams {
 		for _, window := range []int{0, 32} {
 			if raceEnabled && window == 0 && strings.HasPrefix(st.name, "gl-five") {
-				// Every response renders a witness of up to 2 000
-				// transactions five times: ≈ 99 % of the test, and
-				// minutes under -race. The plain run checks these lines.
+				// Five deciders over a live window of up to 2 000
+				// transactions: most of the test, and over a minute under
+				// -race. The plain run checks these lines.
 				lines = append(lines, "")
 				continue
 			}
@@ -70,7 +78,11 @@ func TestSessionWitnessDigestGolden(t *testing.T) {
 					continue
 				}
 				for _, v := range vs {
-					fmt.Fprintf(h, "%s\n", v)
+					buf = appendVerdictDigest(buf[:0], v)
+					if st.render {
+						buf = fmt.Appendf(buf, "%s\n", v)
+					}
+					h.Write(buf)
 				}
 			}
 			searches, fastHits := s.Stats()
@@ -78,6 +90,23 @@ func TestSessionWitnessDigestGolden(t *testing.T) {
 		}
 	}
 	compareDigest(t, "session_witness_digest.golden", lines)
+}
+
+// appendVerdictDigest appends what the witness digest hashes of v: its
+// criterion, status and reason, then per witness position the dense
+// transaction index shifted left by one with the commit decision in the
+// low bit, as uvarints.
+func appendVerdictDigest(buf []byte, v spec.Verdict) []byte {
+	order, commit := spec.WitnessOrder(v)
+	buf = fmt.Appendf(buf, "%v %s %q %d:", v.Criterion, v.Status(), v.Reason, len(order))
+	for p, gi := range order {
+		c := uint64(0)
+		if commit[p] {
+			c = 1
+		}
+		buf = binary.AppendUvarint(buf, uint64(gi)<<1|c)
+	}
+	return append(buf, '\n')
 }
 
 // TestWitnessAfterAppendPanics pins the ownership rule of a verdict's
