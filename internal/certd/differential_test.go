@@ -284,7 +284,7 @@ func TestHealthzStatsz(t *testing.T) {
 	// What the fast path touched, per criterion: committing T3 is a flip
 	// with no reader placed after it; aborting T1, whose commit the witness
 	// had guessed to explain T2's read, is one that re-checks that read.
-	if st := snap.Streams; st.Flips != 4 || st.ReadsRechecked != 2 || st.RetireProbes != 0 {
+	if st := snap.Streams; st.Flips != 4 || st.Moves != 0 || st.ReadsRechecked != 2 || st.RetireProbes != 0 {
 		t.Fatalf("statsz flip counters wrong: %+v", st)
 	}
 	// A retiring stream of serial writers: one flip per commit, no reader
@@ -303,5 +303,19 @@ func TestHealthzStatsz(t *testing.T) {
 	}
 	if st := snap.Streams; st.Flips != 12 || st.ReadsRechecked != 2 || st.RetireProbes < 1 || st.RetireProbes > 8 {
 		t.Fatalf("statsz counters after the retiring stream wrong: %+v", st)
+	}
+	// A committer the witness had aborted, with a reader of the old value
+	// placed after it: the commit moves T1 to the end, no flip, nothing
+	// re-checked.
+	sc = dialStream(t, startStreams(t, s), "STREAM du")
+	sc.send(t, "write 1 X 1", "inv tryc 1", "read 2 X 0", "res tryc 1 C", "END")
+	if done := lastPrefixed(sc.collect(t), "DONE "); done != "DONE events=6 bad=0 dropped=0 violations=0" {
+		t.Fatalf("moving stream did not complete: %q", done)
+	}
+	if snap, err = c.Stats(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := snap.Streams; st.Flips != 12 || st.Moves != 1 || st.ReadsRechecked != 2 {
+		t.Fatalf("statsz counters after the moving stream wrong: %+v", st)
 	}
 }

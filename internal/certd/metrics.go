@@ -22,7 +22,8 @@ type Metrics struct {
 	StreamFastHits  atomic.Int64 // responses decided by the incremental witness, likewise
 	// What those fast hits touched (spec.Counters), folded in likewise.
 	StreamFlips          atomic.Int64 // commit-decision flips
-	StreamReadsRechecked atomic.Int64 // reads re-validated at flips
+	StreamMoves          atomic.Int64 // moves of a transaction to the end of its witness
+	StreamReadsRechecked atomic.Int64 // reads re-validated at flips and moves
 	StreamRetireProbes   atomic.Int64 // retirement probes run (not skipped as unchanged)
 	// Writes to stream connections, by what caused them, folded in likewise.
 	StreamFlushesIdle atomic.Int64 // the input had gone idle
@@ -69,11 +70,14 @@ type StatsSnapshot struct {
 		// response and criterion) into full searches and witness reuses.
 		Searches int64 `json:"searches"`
 		FastHits int64 `json:"fast_hits"`
-		// Flips, ReadsRechecked and RetireProbes say what the fast hits
-		// touched: commit-decision flips, the reads they re-validated
-		// (per flip, a handful whatever the retirement window), and the
-		// retirement probes that ran because a transaction had t-completed.
+		// Flips, Moves, ReadsRechecked and RetireProbes say what the fast
+		// hits touched: commit-decision flips, moves of a committer or a
+		// reader to the end of its witness, the reads they re-validated
+		// (per flip or move, a handful whatever the retirement window),
+		// and the retirement probes that ran because a transaction had
+		// t-completed.
 		Flips          int64 `json:"flips"`
+		Moves          int64 `json:"moves"`
 		ReadsRechecked int64 `json:"reads_rechecked"`
 		RetireProbes   int64 `json:"retire_probes"`
 	} `json:"streams"`
@@ -113,6 +117,7 @@ func (m *Metrics) snapshot() StatsSnapshot {
 	s.Streams.Searches = m.StreamSearches.Load()
 	s.Streams.FastHits = m.StreamFastHits.Load()
 	s.Streams.Flips = m.StreamFlips.Load()
+	s.Streams.Moves = m.StreamMoves.Load()
 	s.Streams.ReadsRechecked = m.StreamReadsRechecked.Load()
 	s.Streams.RetireProbes = m.StreamRetireProbes.Load()
 	s.Jobs.Submitted = m.JobsSubmitted.Load()

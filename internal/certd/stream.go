@@ -127,6 +127,7 @@ func (s *Server) handleStream(conn net.Conn) {
 		s.Metrics.StreamFastHits.Add(int64(fastHits))
 		c := f.Counters()
 		s.Metrics.StreamFlips.Add(int64(c.Flips))
+		s.Metrics.StreamMoves.Add(int64(c.Moves))
 		s.Metrics.StreamReadsRechecked.Add(int64(c.ReadsRechecked))
 		s.Metrics.StreamRetireProbes.Add(int64(c.RetireProbes))
 	}()

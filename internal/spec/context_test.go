@@ -69,18 +69,18 @@ func TestMonitorAlreadyCancelledContext(t *testing.T) {
 	// The monitor's incremental witness can decide cheap streams without
 	// ever searching; cancellation only turns searches into undecided
 	// verdicts. Force one: duplicate writes on Y defeat the unique-writes
-	// theorem inside the batch check, and T3 reading T1's value while T2's
-	// later write is already committed defeats the completion-order
-	// witness, so the recheck at T3's commit must search — and come back
-	// undecided under the cancelled context.
+	// theorem inside the batch check; T1 read X's initial value and T2,
+	// placed after it, has committed X=2, so moving T1 to the end at its
+	// commit is refused; T3, placed after T1, read Z's old value, so
+	// committing T1 in place is refused too. The recheck at T1's commit
+	// must search — and come back undecided under the cancelled context.
 	h := history.NewBuilder().
 		Write(5, "Y", 7).Commit(5).
 		Write(6, "Y", 7).Commit(6).
-		Write(1, "X", 1).Commit(1).
-		InvWrite(2, "X", 2).ResWrite(2, "X", 2).
-		Read(3, "X", 1).
-		Commit(2).
-		Commit(3).
+		Write(1, "Z", 1).Read(1, "X", 0).
+		Read(3, "Z", 0).
+		Write(2, "X", 2).Commit(2).
+		Commit(1).
 		History()
 	var last Verdict
 	for _, e := range h.Events() {

@@ -55,34 +55,40 @@ func RefConflictEdges(h *history.History, c Criterion, exemptAborted bool) [][2]
 	return nil
 }
 
-// FlipOracle tallies what WatchFlips saw: the commit-decision flips, and
-// the reads in the witness order at each of them — what the whole-order
-// placement checks where flip's restricted check counts ReadsRechecked.
+// FlipOracle tallies what WatchFlips saw: the commit-decision flips, the
+// moves to the end of the witness, and the reads in the witness order at
+// each of them — what the whole-order placement checks where the
+// restricted checks count ReadsRechecked.
 type FlipOracle struct {
 	Flips     int
 	Aborts    int // of Flips, those taking back a commit the witness had guessed
+	Moves     int
 	FullReads int
 }
 
 // WatchFlips installs the flip-equivalence oracle until tb ends: at each
-// flip of any decider, in both directions, the decider's engine places the
+// flip of any decider, in both directions, and at each move of a
+// transaction to the end of the witness, the decider's engine places the
 // whole witness order (roles, real-time order, every standing
 // conflict-order edge, every read) beside the restricted check, and tb
 // fails when they disagree. It replaces the oracle of an earlier call; the
 // tests that use it do not run in parallel.
 func WatchFlips(tb testing.TB) *FlipOracle {
 	o := &FlipOracle{}
-	flipOracle = func(d *decider, ix *history.Indexed, p int, ok bool) {
-		o.Flips++
-		if !d.commit[p] {
+	flipOracle = func(d *decider, ix *history.Indexed, p int, move, ok bool) {
+		what := "flip"
+		if move {
+			o.Moves++
+			what = "move"
+		} else if o.Flips++; !d.commit[p] {
 			o.Aborts++
 		}
 		for _, gi := range d.order {
 			o.FullReads += len(ix.Txns[gi].Reads)
 		}
 		if full := d.places(ix.H, options{}); full != ok {
-			tb.Errorf("%v flip at event %d: restricted check says %v, whole-order placement %v\nhistory:\n%s",
-				d.crit, ix.H.Len(), ok, full, ix.H)
+			tb.Errorf("%v %s at event %d: restricted check says %v, whole-order placement %v\nhistory:\n%s",
+				d.crit, what, ix.H.Len(), ok, full, ix.H)
 		}
 	}
 	tb.Cleanup(func() { flipOracle = nil })

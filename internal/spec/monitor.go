@@ -75,10 +75,18 @@ func (m *Monitor) Append(e history.Event) (Verdict, error) {
 //   - a value-returning external read is checked — alone — against the
 //     committed writers placed before its transaction (both the latest
 //     committed value and the deferred-update local-serialization value);
-//   - a commit-decision flip (a pending tryC resolving against the
-//     witness's guess) re-checks only what it can change — the later
-//     reads of the flipped transaction's write set, see flip — and only
-//     its failure falls back to the exhaustive search.
+//     where it fails in place, the reader is moved to the end of the
+//     order (moveLast), which re-checks only its own reads;
+//   - a tryC that commits against the witness's guess first moves the
+//     committer to the end, committed (moveLast): under deferred update a
+//     transaction serializes at its commit, and at its latest event
+//     nothing real-time follows it. Where the move is refused, the commit
+//     decision flips in place, re-checking only what that can change —
+//     the later reads of the flipped transaction's write set, see flip;
+//   - only when move and flip both fail does the exhaustive search run.
+//
+// Moves apply to criteria without conflict-order edges (TMS2 and RCO
+// flip in place or search).
 type decider struct {
 	crit    Criterion
 	verdict Verdict
@@ -87,11 +95,13 @@ type decider struct {
 	// other leaves it latched.
 	diedAt int
 	// searches and fastHits count full searches vs. incremental witness
-	// reuses, flips and readsRechecked the commit-decision flips and the
-	// reads they re-validated, for introspection and benchmarks.
+	// reuses, flips and moves the commit-decision flips and moves to the
+	// end tried, readsRechecked the reads they re-validated, for
+	// introspection and benchmarks.
 	searches       int
 	fastHits       int
 	flips          int
+	moves          int
 	readsRechecked int
 
 	// The incrementally maintained witness: a serialization order over
@@ -372,9 +382,10 @@ func (d *decider) fastRecheck(ix *history.Indexed, e history.Event) bool {
 	p := d.pos[gi]
 	switch {
 	case e.Op == history.OpTryCommit && e.Out == history.OutCommit:
-		// The witness had already committed the pending tryC, or flips to
-		// committed: the transaction's writes enter the stacks at p.
-		return d.commit[p] || d.flip(ix, p)
+		// The witness had already committed the pending tryC; or the
+		// committer moves to the end, committed; or it flips to committed
+		// in place: the transaction's writes enter the stacks at p.
+		return d.commit[p] || d.moveLast(ix, p, true) || d.flip(ix, p)
 	case e.Out != history.OutOK:
 		// A_k on any operation. The witness aborts live transactions, so
 		// an abort adds no constraint — unless it had committed a
@@ -390,7 +401,7 @@ func (d *decider) fastRecheck(ix *history.Indexed, e history.Event) bool {
 			return false
 		}
 		if n := len(it.Reads); n > 0 && it.Reads[n-1].ResIdx == ix.H.Len()-1 {
-			return d.checkRead(ix, p, it.Reads[n-1])
+			return d.checkRead(ix, p, it.Reads[n-1]) || d.moveLast(ix, p, false)
 		}
 		return true
 	case e.Op == history.OpWrite:
@@ -405,9 +416,78 @@ func (d *decider) fastRecheck(ix *history.Indexed, e history.Event) bool {
 }
 
 // flipOracle is nil outside tests, which set it to run the whole-order
-// placement (places) beside every flip's restricted check
-// (export_test.go).
-var flipOracle func(d *decider, ix *history.Indexed, p int, ok bool)
+// placement (places) beside every flip's and every move's restricted check
+// (export_test.go); p is the position whose decision changed, the last one
+// after a move.
+var flipOracle func(d *decider, ix *history.Indexed, p int, move, ok bool)
+
+// moveLast moves the transaction at position p, which the witness aborts,
+// to the end of the order with the given commit decision, and reports
+// whether the witness still certifies; if not, the order is restored for
+// the fallback. The current response is T_p's latest event, so no
+// transaction real-time follows T_p; the witness aborted it, so taking it
+// out of p changes no stack another position reads; and at the end its
+// writes reach no read. T_p's role fits the decision either caller
+// passes (committed at C_p, live at a read). So the only checks that can
+// come out differently are T_p's own reads: the read just returned, and
+// each earlier one whose object a committed position after p writes —
+// every other sees the same committed writers before it as at p
+// (DESIGN.md, "What a flip can change", Lemma (a move to the end is
+// local)). Criteria with conflict-order edges keep their positions: a
+// move is not tried.
+func (d *decider) moveLast(ix *history.Indexed, p int, commit bool) bool {
+	last := len(d.order) - 1
+	if d.edges != nil || d.commit[p] || p == last {
+		return false
+	}
+	d.moves++
+	d.rotate(p, last)
+	d.commit[last] = commit
+	reads := ix.Txns[d.order[last]].Reads
+	ok := true
+	for i := 0; ok && i < len(reads); i++ {
+		if r := reads[i]; r.ResIdx == ix.H.Len()-1 || d.committedWriter(ix, p, last, r.Obj) {
+			d.readsRechecked++
+			ok = d.checkRead(ix, last, r)
+		}
+	}
+	if flipOracle != nil {
+		flipOracle(d, ix, last, true, ok)
+	}
+	if !ok {
+		d.commit[last] = false // the decision T_p had at p
+		d.rotate(last, p)
+	}
+	return ok
+}
+
+// rotate moves the position from, transaction and commit decision, to
+// position to, shifting the positions in between by one towards from.
+func (d *decider) rotate(from, to int) {
+	gi, c := d.order[from], d.commit[from]
+	if from < to {
+		copy(d.order[from:to], d.order[from+1:to+1])
+		copy(d.commit[from:to], d.commit[from+1:to+1])
+	} else {
+		copy(d.order[to+1:from+1], d.order[to:from])
+		copy(d.commit[to+1:from+1], d.commit[to:from])
+	}
+	d.order[to], d.commit[to] = gi, c
+	for q := min(from, to); q <= max(from, to); q++ {
+		d.pos[d.order[q]] = q
+	}
+}
+
+// committedWriter reports whether a position in [from,to) the witness
+// commits writes object obj.
+func (d *decider) committedWriter(ix *history.Indexed, from, to, obj int) bool {
+	for q := from; q < to; q++ {
+		if d.commit[q] && writesObj(&ix.Txns[d.order[q]], obj) {
+			return true
+		}
+	}
+	return false
+}
 
 // flip inverts the commit decision at position p, where a tryC just
 // resolved against the witness's guess, and reports whether the witness
@@ -436,7 +516,7 @@ func (d *decider) flip(ix *history.Indexed, p int) bool {
 		}
 	}
 	if flipOracle != nil {
-		flipOracle(d, ix, p, ok)
+		flipOracle(d, ix, p, false, ok)
 	}
 	if !ok {
 		d.commit[p] = !d.commit[p]

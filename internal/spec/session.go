@@ -80,11 +80,12 @@ type Session struct {
 }
 
 // Counters says what a session's per-response work touched, beside how
-// often it ran (Stats): the commit-decision flips its deciders took on the
-// fast path, the reads those flips re-validated, and the retirement probes
+// often it ran (Stats): the commit-decision flips and the moves of a
+// transaction to the end of its witness that its deciders tried on the
+// fast path, the reads those re-validated, and the retirement probes
 // (settled prefix + forced state) run and skipped as unchanged.
 type Counters struct {
-	Flips, ReadsRechecked             int
+	Flips, Moves, ReadsRechecked      int
 	RetireProbes, RetireProbesSkipped int
 }
 
@@ -141,11 +142,13 @@ func (s *Session) Stats() (searches, fastHits int) {
 	return searches, fastHits
 }
 
-// Counters reports the deciders' flips and the session's retirement probes.
+// Counters reports the deciders' flips and moves and the session's
+// retirement probes.
 func (s *Session) Counters() Counters {
 	c := Counters{RetireProbes: s.probes, RetireProbesSkipped: s.probesSkipped}
 	for i := range s.deciders {
 		c.Flips += s.deciders[i].flips
+		c.Moves += s.deciders[i].moves
 		c.ReadsRechecked += s.deciders[i].readsRechecked
 	}
 	return c
