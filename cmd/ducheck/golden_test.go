@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"duopacity/internal/harness"
 	"duopacity/internal/histio"
 	"duopacity/internal/litmus"
 )
@@ -49,33 +50,9 @@ func followArgs(hello string) (args []string, ok bool) {
 // retirement summary lines and nothing else — see DESIGN.md, "One follow
 // session".
 func TestGoldenFollow(t *testing.T) {
-	ins, err := filepath.Glob(filepath.Join(goldenDir, "*.in"))
-	if err != nil || len(ins) == 0 {
-		t.Fatalf("no golden cases under %s: %v", goldenDir, err)
-	}
-	type followCase struct{ name, hello, input string }
-	cases := []followCase{{
-		// A line past bufio.Scanner's 64 KB token limit is a read error:
-		// exit 2, no summary.
-		name: "longline", hello: "STREAM du", input: "write 1 X 1\n" + strings.Repeat("x", 2<<20) + "\n",
-	}}
-	for _, in := range ins {
-		src, err := os.ReadFile(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hello, input, _ := strings.Cut(string(src), "\n")
-		cases = append(cases, followCase{strings.TrimSuffix(filepath.Base(in), ".in"), hello, input})
-	}
-	for _, c := range cases {
-		args, ok := followArgs(c.hello)
-		if !ok {
-			continue
-		}
+	for _, c := range goldenFollowCases(t) {
 		t.Run(c.name, func(t *testing.T) {
-			var out, errOut strings.Builder
-			code, err := runWith(args, strings.NewReader(c.input), &out, &errOut)
-			got := fmt.Sprintf("exit %d\nerror %v\n--- stdout\n%s--- stderr\n%s", code, err, out.String(), errOut.String())
+			got := followTranscript(c.args, c.input)
 			golden := filepath.Join(goldenDir, c.name+".ducheck")
 			if *update {
 				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
@@ -88,10 +65,83 @@ func TestGoldenFollow(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got != string(want) {
-				t.Errorf("ducheck %s diverges from %s:\n%s", strings.Join(args, " "), golden, firstDiff(got, string(want)))
+				t.Errorf("ducheck %s diverges from %s:\n%s", strings.Join(c.args, " "), golden, firstDiff(got, string(want)))
 			}
 		})
 	}
+}
+
+// TestGoldenFollowAfterReuse: a released follow's session streams are
+// reused by the next follow in the process, and the reuse must not show.
+// Every golden is replayed in one process, each right after a different
+// long stream (tl2, 4 x 50 transactions on 128 objects, a seed per golden,
+// du and opacity at retire 8, leaving a pooled stream and a spare stream
+// full of other transactions and objects behind), and must still match
+// byte for byte — latched-retire's retirements into the spare stream
+// included.
+func TestGoldenFollowAfterReuse(t *testing.T) {
+	for i, c := range goldenFollowCases(t) {
+		h, _, err := harness.RunInterleaved(harness.Workload{Engine: "tl2", Goroutines: 4, TxnsPerGoroutine: 50, Objects: 128, OpsPerTxn: 4, ReadFraction: 0.5, Seed: int64(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before strings.Builder
+		if err := histio.WriteEvents(&before, h.Events()); err != nil {
+			t.Fatal(err)
+		}
+		if got := followTranscript([]string{"-follow", "-criteria", "du,opacity", "-retire", "8"}, before.String()); !strings.HasPrefix(got, "exit 0\n") {
+			t.Fatalf("the stream before %s did not end clean:\n%.300s", c.name, got)
+		}
+		got := followTranscript(c.args, c.input)
+		golden := filepath.Join(goldenDir, c.name+".ducheck")
+		if want, err := os.ReadFile(golden); err != nil || got != string(want) {
+			t.Errorf("ducheck %s after another stream diverges from %s (%v):\n%s", strings.Join(c.args, " "), golden, err, firstDiff(got, string(want)))
+		}
+	}
+}
+
+type followCase struct {
+	name, hello, input string
+	args               []string // the hello as ducheck flags
+}
+
+// goldenFollowCases are the follow goldens ducheck can run: a synthetic
+// read-error case and every NAME.in under goldenDir whose hello carries
+// only policies ducheck has flags for.
+func goldenFollowCases(t *testing.T) []followCase {
+	ins, err := filepath.Glob(filepath.Join(goldenDir, "*.in"))
+	if err != nil || len(ins) == 0 {
+		t.Fatalf("no golden cases under %s: %v", goldenDir, err)
+	}
+	all := []followCase{{
+		// A line past bufio.Scanner's 64 KB token limit is a read error:
+		// exit 2, no summary.
+		name: "longline", hello: "STREAM du", input: "write 1 X 1\n" + strings.Repeat("x", 2<<20) + "\n",
+	}}
+	for _, in := range ins {
+		src, err := os.ReadFile(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hello, input, _ := strings.Cut(string(src), "\n")
+		all = append(all, followCase{name: strings.TrimSuffix(filepath.Base(in), ".in"), hello: hello, input: input})
+	}
+	var cases []followCase
+	for _, c := range all {
+		var ok bool
+		if c.args, ok = followArgs(c.hello); ok {
+			cases = append(cases, c)
+		}
+	}
+	return cases
+}
+
+// followTranscript runs ducheck with args on input and renders the exit
+// code, the error, stdout and stderr as the goldens hold them.
+func followTranscript(args []string, input string) string {
+	var out, errOut strings.Builder
+	code, err := runWith(args, strings.NewReader(input), &out, &errOut)
+	return fmt.Sprintf("exit %d\nerror %v\n--- stdout\n%s--- stderr\n%s", code, err, out.String(), errOut.String())
 }
 
 // TestGoldenBatch pins the farm-backed batch modes byte for byte: the

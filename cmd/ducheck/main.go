@@ -323,6 +323,7 @@ func runFollow(o follow.Options, stdin io.Reader, stdout, stderr io.Writer) (int
 	if err != nil {
 		return 2, fmt.Errorf("-follow: %w", err)
 	}
+	defer f.Release() // Finish releases; the early returns below do not
 	sc := bufio.NewScanner(follow.OnIdle(stdin, out.Idle))
 	for lineNo := 1; sc.Scan(); lineNo++ {
 		if bad := f.Line(lineNo, sc.Bytes()); bad != nil {

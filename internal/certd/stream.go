@@ -109,6 +109,10 @@ func (s *Server) handleStream(conn net.Conn) {
 		fmt.Fprintf(out, "ERR %v\n", err)
 		return
 	}
+	// Every way out releases the session's streams — a finished stream
+	// through Finish, then this no-op; a gone client, a strict ERR or a
+	// read error here.
+	defer f.Release()
 	// The network's share of an append: the fault-injection delay, and the
 	// latency and event counters behind /statsz (accepted events only),
 	// kept here and folded into the shared atomics once per batch.

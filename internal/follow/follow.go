@@ -319,7 +319,8 @@ func (f *Follow) appendEcho(b []byte, i int, e history.Event, vs []spec.Verdict)
 // Finish prints the skip-bad quarantine report to report (the total under
 // "<title> N bad input line(s):", then the ledger) and the final block to
 // out (the skip-bad accounting line, then per criterion its verdict and,
-// with retirement on, the retirement summary), and returns the outcome.
+// with retirement on, the retirement summary), releases the session (see
+// Release) and returns the outcome.
 func (f *Follow) Finish(report io.Writer, title string) Done {
 	if f.opts.SkipBad {
 		if f.bad > 0 {
@@ -344,5 +345,12 @@ func (f *Follow) Finish(report io.Writer, title string) Done {
 			d.Violations++
 		}
 	}
+	f.Release()
 	return d
 }
+
+// Release hands the session's stream storage back for a later follow to
+// reuse (spec.Session.Release) and ends the follow: no further Line or
+// Finish. Stats and Counters stay readable. Finish releases; a front end
+// that stops early releases itself, and a second Release does nothing.
+func (f *Follow) Release() { f.sess.Release() }

@@ -261,3 +261,65 @@ func TestLineAllocatesWhatAppendDoes(t *testing.T) {
 		t.Errorf("Session.Append allocated nothing over %d events: the bracket is not measuring", len(lines)-half)
 	}
 }
+
+// TestWarmFollowAllocs gates what a follow costs once released follows
+// have handed their session streams back: the follow-concurrent shape
+// (tl2, 4 x 50 transactions, 128 objects, du-opacity at retire 32) fed as
+// certd feeds it, one new follow per stream, finished and so released. The
+// first pass warms the pool; over the second every session takes a
+// stream a released one handed back, and retirements rebuild into the
+// session's spare, so allocations must stay at most 0.25 per event
+// (about 1.3 while each session and each retirement built a new stream).
+// Counted with the collector off and one P, as in
+// TestLineAllocatesWhatAppendDoes; not under -race, where sync.Pool drops
+// Puts.
+func TestWarmFollowAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under -race")
+	}
+	var streams [][][]byte
+	events := 0
+	for i := 0; i < 8; i++ {
+		// The seeds of the benchmark's first eight streams at -seed 1.
+		h, _, err := harness.RunInterleaved(harness.Workload{Engine: "tl2", Goroutines: 4, TxnsPerGoroutine: 50, Objects: 128, OpsPerTxn: 4, ReadFraction: 0.5, Seed: int64(1_000_004 + 101*i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lines [][]byte
+		for _, e := range h.Events() {
+			lines = append(lines, histio.AppendEvent(nil, e))
+		}
+		streams = append(streams, lines)
+		events += len(lines)
+	}
+	pass := func() {
+		for _, lines := range streams {
+			f, err := New(Options{Criteria: []spec.Criterion{spec.DUOpacity}, Retire: 32}, NewOut(io.Discard))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, line := range lines {
+				if bad := f.Line(i+1, line); bad != nil {
+					t.Fatal(bad)
+				}
+			}
+			if d := f.Finish(io.Discard, "QUARANTINED"); d.Violations != 0 {
+				t.Fatalf("a tl2 stream violated du-opacity: %v", d)
+			}
+		}
+	}
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	pass()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	pass()
+	runtime.ReadMemStats(&ms)
+	perEvent := float64(ms.Mallocs-before) / float64(events)
+	t.Logf("%d streams, %d events: %.3f allocations per event", len(streams), events, perEvent)
+	if perEvent > 0.25 {
+		t.Errorf("%.3f allocations per event on the second pass; want at most 0.25", perEvent)
+	}
+}

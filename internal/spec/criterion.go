@@ -235,8 +235,8 @@ type Verdict struct {
 // except for a Stream's live view. (A CheckAll verdict settled by an
 // offered serialization renders the order its criterion's engine placed;
 // see CheckAll.) A verdict from a Session or Monitor must be asked before
-// that session's next Append or Rewind: it carries the session's own
-// order, which moves on, and a later call panics.
+// that session's next Append or Rewind, and before its Release: it carries
+// the session's own order, which moves on, and a later call panics.
 func (v Verdict) Witness() *history.Seq {
 	if v.w == nil {
 		return nil
@@ -277,7 +277,7 @@ type witness struct {
 
 func (w *witness) check(gen uint32) {
 	if gen != w.gen {
-		panic("spec: witness of a session verdict read after the session's next Append or Rewind; read it before feeding the session again")
+		panic("spec: witness of a session verdict read after the session's next Append or Rewind, or its Release; read it before feeding the session again")
 	}
 }
 

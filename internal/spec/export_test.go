@@ -31,6 +31,11 @@ func SessionEdges(s *Session, k int) [][2]history.TxnID {
 // tests.
 func SessionHistory(s *Session) *history.History { return s.st.History() }
 
+// SessionStreams exposes the session's live stream and its spare (nil
+// before the first retirement, both nil after Release), for the tests of
+// what a released session hands back.
+func SessionStreams(s *Session) (live, spare *history.Stream) { return s.st, s.spare }
+
 // BatchConflictEdges recomputes the batch checkers' edge set for c over
 // the whole history — the oracle the incremental tracker must match.
 func BatchConflictEdges(h *history.History, c Criterion, exemptAborted bool) [][2]history.TxnID {
@@ -93,6 +98,52 @@ func WatchFlips(tb testing.TB) *FlipOracle {
 	}
 	tb.Cleanup(func() { flipOracle = nil })
 	return o
+}
+
+// WatchLookups installs the writer-lookup oracle until tb ends: every
+// per-object lookup of checkRead and committedWriter (decider.lastWriters)
+// is compared with scanWriters, the whole-prefix scan it replaced, and tb
+// fails when they disagree. It returns the number of lookups compared. It
+// replaces the oracle of an earlier call; the tests that use it do not run
+// in parallel.
+func WatchLookups(tb testing.TB) *int {
+	n := new(int)
+	lookupOracle = func(d *decider, ix *history.Indexed, obj, from, to, before, top, local int) {
+		*n++
+		if wt, wl := scanWriters(d, ix, obj, from, to, before); wt != top || wl != local {
+			tb.Errorf("%v lookup of the writers of %s in positions [%d,%d), tryC before event %d, at event %d: top %d, local %d; the scan finds %d, %d\nhistory:\n%s",
+				d.crit, ix.Objs[obj], from, to, before, ix.H.Len(), top, local, wt, wl, ix.H)
+		}
+	}
+	tb.Cleanup(func() { lookupOracle = nil })
+	return n
+}
+
+// scanWriters answers what lastWriters does by scanning every witness
+// position in [from,to), each committed one's installed writes included —
+// the lookup checkRead and committedWriter made before they walked the
+// object's writers.
+func scanWriters(d *decider, ix *history.Indexed, obj, from, to, before int) (top, local int) {
+	top, local = -1, -1
+	for q := from; q < to; q++ {
+		if !d.commit[q] {
+			continue
+		}
+		wt := &ix.Txns[d.order[q]]
+		for wi := range wt.Writes {
+			w := &wt.Writes[wi]
+			if w.Obj > obj {
+				break // Writes are sorted by object index
+			}
+			if w.Obj == obj {
+				top = d.order[q]
+				if wt.TryCInv >= 0 && wt.TryCInv < before {
+					local = d.order[q]
+				}
+			}
+		}
+	}
+	return top, local
 }
 
 // WitnessOrder exposes an accepting verdict's witness unrendered: the

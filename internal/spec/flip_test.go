@@ -157,6 +157,7 @@ func TestFlipRestrictedCheck(t *testing.T) {
 				t.Fatal(err)
 			}
 			o := spec.WatchFlips(t)
+			spec.WatchLookups(t)
 			evs := tc.h.Events()
 			for _, e := range evs[:len(evs)-1] {
 				if v, err := m.Append(e); err != nil || !v.OK {
@@ -228,6 +229,7 @@ func TestFlipEquivalenceEngineStreams(t *testing.T) {
 					t.Fatal(err)
 				}
 				o := spec.WatchFlips(t)
+				spec.WatchLookups(t)
 				for _, e := range recorded(t, w, seed) {
 					if _, err := s.Append(e); err != nil {
 						t.Fatal(err)
@@ -271,6 +273,7 @@ func TestFlipCountGate(t *testing.T) {
 			t.Fatal(err)
 		}
 		o := spec.WatchFlips(t)
+		spec.WatchLookups(t)
 		for _, e := range evs {
 			if vs, err := s.Append(e); err != nil || !vs[0].OK {
 				t.Fatalf("%s: %v: verdict %+v, err %v", name, e, vs[0], err)
@@ -326,12 +329,47 @@ func TestFlipCountGate(t *testing.T) {
 	}
 }
 
+// TestCheckReadLookupOracle: a read is checked against its object's
+// committed writers, found through the index's writers of the object
+// rather than by scanning every witness position before the reader. The
+// oracle (spec.WatchLookups) runs the old whole-prefix scan beside every
+// lookup of checkRead and committedWriter, on streams of the
+// follow-concurrent shape (tl2, 4 x 50 transactions, 128 objects) at
+// retire 32, as certd runs them, and with nothing retired, where the
+// witness holds the whole stream and the writer rows span several words.
+func TestCheckReadLookupOracle(t *testing.T) {
+	tl2 := followInputs[0]
+	for _, window := range []int{0, 32} {
+		lookups := spec.WatchLookups(t)
+		for i := 0; i < 4; i++ {
+			s, err := spec.NewSession(tl2.criteria, spec.WithRetirement(window))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range recorded(t, tl2.w, corpusSeed(i)) {
+				if vs, err := s.Append(e); err != nil || !vs[0].OK {
+					t.Fatalf("retire %d, stream %d: %v: verdict %+v, err %v", window, i, e, vs[0], err)
+				}
+			}
+			if searches, _ := s.Stats(); searches != 0 {
+				t.Errorf("retire %d, stream %d: %d searches; want none, so that the lookups decide every read", window, i, searches)
+			}
+			s.Release()
+		}
+		if *lookups == 0 {
+			t.Fatalf("retire %d: no lookup compared", window)
+		}
+		t.Logf("retire %d: %d lookups compared", window, *lookups)
+	}
+}
+
 // FuzzMonitorFlips is the monitor half of FuzzCheckerDifferential on its
 // own budget, for the flip-equivalence oracle: the decoded history goes
 // through a one-criterion monitor per monitorable criterion and a
 // five-criteria session at every window the sel byte draws, all with the
-// oracle installed (feedCompareOpts and sessionCompare install it) and
-// pinned per response prefix against batch Check.
+// oracle installed (feedCompareOpts and sessionCompare install it) and the
+// writer-lookup oracle beside it, and pinned per response prefix against
+// batch Check.
 func FuzzMonitorFlips(f *testing.F) {
 	f.Add([]byte{}, byte(0))
 	for _, h := range []*history.History{litmus.Figure4(), litmus.Figure5(), litmus.Figure6()} {
@@ -349,6 +387,7 @@ func FuzzMonitorFlips(f *testing.F) {
 			t.Skip()
 		}
 		window := []int{0, 1, 4, 32}[int(sel)%4]
+		spec.WatchLookups(t)
 		for _, c := range spec.MonitorableCriteria() {
 			feedCompareOpts(t, c, h, window, c == spec.TMS2 && sel&0x80 != 0)
 		}

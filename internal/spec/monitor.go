@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"duopacity/internal/history"
@@ -481,12 +482,8 @@ func (d *decider) rotate(from, to int) {
 // committedWriter reports whether a position in [from,to) the witness
 // commits writes object obj.
 func (d *decider) committedWriter(ix *history.Indexed, from, to, obj int) bool {
-	for q := from; q < to; q++ {
-		if d.commit[q] && writesObj(&ix.Txns[d.order[q]], obj) {
-			return true
-		}
-	}
-	return false
+	top, _ := d.lastWriters(ix, obj, from, to, -1)
+	return top >= 0
 }
 
 // flip inverts the commit decision at position p, where a tryC just
@@ -530,32 +527,65 @@ func (d *decider) flip(ix *history.Indexed, p int) bool {
 // (legality) and — when the monitored criterion is du-opacity
 // (localReads) — so must the latest one whose tryC invocation precedes
 // the read's response in H (the deferred-update local serialization),
-// with T_0's InitValue as the base case for both.
+// with T_0's InitValue as the base case for both. It costs the writers of
+// r.Obj, not the positions before the reader (lastWriters).
 func (d *decider) checkRead(ix *history.Indexed, readerPos int, r history.IndexedRead) bool {
-	top := history.InitValue
-	local := history.InitValue
-	for q := 0; q < readerPos; q++ {
-		if !d.commit[q] {
-			continue
-		}
-		wt := &ix.Txns[d.order[q]]
-		for wi := range wt.Writes {
-			w := &wt.Writes[wi]
-			if w.Obj > r.Obj {
-				break // Writes are sorted by object index
-			}
-			if w.Obj == r.Obj {
-				top = w.Val
-				if wt.TryCInv >= 0 && wt.TryCInv < r.ResIdx {
-					local = w.Val
-				}
-			}
-		}
-	}
-	if d.localReads && local != r.Val {
+	top, local := d.lastWriters(ix, r.Obj, 0, readerPos, r.ResIdx)
+	if d.localReads && installed(ix, local, r.Obj) != r.Val {
 		return false
 	}
-	return top == r.Val
+	return installed(ix, top, r.Obj) == r.Val
+}
+
+// lastWriters looks up, among the transactions writing object obj that the
+// witness commits at a position in [from,to), the one placed last (top)
+// and the one placed last whose tryC invocation precedes event before
+// (local), as dense transaction indexes, -1 where there is none. It walks
+// the index's writers of obj (Writers[obj], exactly the transactions whose
+// Writes name obj) and reads each one's position, so a lookup costs the
+// object's writers whatever the length of the witness; it answers what a
+// scan of the positions [from,to) would.
+func (d *decider) lastWriters(ix *history.Indexed, obj, from, to, before int) (top, local int) {
+	top, local = -1, -1
+	topPos, localPos := -1, -1
+	for w, bw := range ix.Writers[obj] {
+		for ; bw != 0; bw &= bw - 1 {
+			gi := w<<6 + bits.TrailingZeros64(bw)
+			q := d.pos[gi]
+			if q < from || q >= to || !d.commit[q] {
+				continue
+			}
+			if q > topPos {
+				topPos, top = q, gi
+			}
+			if inv := ix.Txns[gi].TryCInv; q > localPos && inv >= 0 && inv < before {
+				localPos, local = q, gi
+			}
+		}
+	}
+	if lookupOracle != nil {
+		lookupOracle(d, ix, obj, from, to, before, top, local)
+	}
+	return top, local
+}
+
+// lookupOracle is nil outside tests, which set it (export_test.go) to
+// compare every lastWriters answer with the whole-prefix scan of the
+// positions [from,to) that the per-object lookup replaced.
+var lookupOracle func(d *decider, ix *history.Indexed, obj, from, to, before, top, local int)
+
+// installed returns the value transaction gi installs on object obj, which
+// it writes; T_0's InitValue for gi = -1.
+func installed(ix *history.Indexed, gi, obj int) history.Value {
+	if gi < 0 {
+		return history.InitValue
+	}
+	for _, w := range ix.Txns[gi].Writes {
+		if w.Obj == obj {
+			return w.Val
+		}
+	}
+	panic("spec: a writer of the object installs no value on it")
 }
 
 // shift carries a decider with a full witness over the retirement of the

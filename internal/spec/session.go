@@ -3,6 +3,7 @@ package spec
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"duopacity/internal/history"
 )
@@ -43,6 +44,10 @@ import (
 // only the history, so they are tested once per response and the stream
 // is rebuilt once, whatever the number of criteria.
 //
+// A session's stream storage comes from a pool: Release hands it back for
+// a later session to reuse, and a session that is never released simply
+// leaves it to the garbage collector.
+//
 // Appending a malformed event returns an error and leaves the session
 // completely unchanged (the stream's rejection is side-effect-free and no
 // decider is consulted), so a session can skip one bad event and keep
@@ -56,7 +61,13 @@ type Session struct {
 	nodeLimit int
 	ctx       context.Context
 
-	st       *history.Stream
+	st *history.Stream
+	// spare is the stream a retirement rebuilds into before the two swap
+	// (nil until the first retirement), so that retiring reuses storage.
+	spare *history.Stream
+	// pooled: the streams come from streamPool, which Release hands them
+	// back to (a Session's); a Monitor's are its own.
+	pooled   bool
 	deciders []decider
 	// verdicts is the slice Append hands out, refreshed in place (nil for
 	// the one-criterion Monitor, which reads its decider directly).
@@ -100,7 +111,7 @@ const ckptTxn history.TxnID = -1
 // NewSession returns a session deciding the given criteria, each one of
 // MonitorableCriteria() (see NewMonitor for what each is monitored as).
 func NewSession(criteria []Criterion, opts ...Option) (*Session, error) {
-	s := &Session{}
+	s := &Session{pooled: true}
 	if err := s.init(criteria, opts); err != nil {
 		return nil, err
 	}
@@ -120,7 +131,7 @@ func (s *Session) init(criteria []Criterion, opts []Option) error {
 	// With spec.WithContext a cancelled context turns further rechecks
 	// into prompt undecided verdicts instead of full searches.
 	s.nodeLimit, s.ctx = o.nodeLimit, o.ctx
-	s.st = history.NewStream()
+	s.st = s.newStream()
 	s.deciders = make([]decider, len(criteria))
 	for i, c := range criteria {
 		d := &s.deciders[i]
@@ -131,6 +142,42 @@ func (s *Session) init(criteria []Criterion, opts []Option) error {
 		d.verdict = d.accepted(s.st.Live().Index())
 	}
 	return nil
+}
+
+// streamPool holds the live-indexed streams released sessions handed back.
+var streamPool = sync.Pool{New: func() any { return history.NewStream() }}
+
+// newStream returns an empty live-indexed stream: for a Session one from
+// streamPool, reset, for a Monitor a new one, which it keeps.
+func (s *Session) newStream() *history.Stream {
+	if !s.pooled {
+		return history.NewStream()
+	}
+	st := streamPool.Get().(*history.Stream)
+	st.Truncate(0)
+	return st
+}
+
+// Release hands the session's streams back to the pool for a later session
+// to reuse, and ends the session: it must not be appended to or rewound
+// again. Stats, Counters, Retired and every verdict's status stay
+// readable. A verdict's Witness (and an accepting verdict's String)
+// panics from now on, whether the verdict was handed out before or is
+// asked for through Verdicts: the stream it would render from may be
+// another session's by then. History snapshots taken before stay valid.
+// A second Release does nothing.
+func (s *Session) Release() {
+	if s.st == nil {
+		return
+	}
+	for i := range s.deciders {
+		s.deciders[i].gen++ // no verdict, handed out or standing, matches it
+	}
+	streamPool.Put(s.st)
+	if s.spare != nil {
+		streamPool.Put(s.spare)
+	}
+	s.st, s.spare = nil, nil
 }
 
 // Stats reports the deciders' full searches and incremental witness reuses.
@@ -156,7 +203,8 @@ func (s *Session) Counters() Counters {
 
 // Retired returns the number of observed transactions that windowed
 // retirement has replaced by a checkpoint (zero without WithRetirement),
-// LiveTxns the number in the live history, the checkpoint included.
+// LiveTxns the number in the live history, the checkpoint included (not
+// after Release).
 func (s *Session) Retired() int  { return s.retired }
 func (s *Session) LiveTxns() int { return s.st.NumTxns() }
 
@@ -409,15 +457,21 @@ func forcedState(ix *history.Indexed, r int, sigma []history.IndexedWrite) ([]hi
 // events followed by the live transactions' events (the real-time
 // barrier guarantees the prefix's events and the live events do not
 // interleave, so the suffix of the event log from transaction r's first
-// event is exactly the live transactions' history). Every live decider
-// then carries its witness and edges over (see decider.shift).
+// event is exactly the live transactions' history). The rebuild goes into
+// the session's spare stream, and the two then swap: the old one is the
+// spare of the next retirement. Every live decider then carries its
+// witness and edges over (see decider.shift).
 func (s *Session) retire(ix *history.Indexed, r int, sigma []history.IndexedWrite) {
 	old := s.st.Live()
 	firstLive := old.Len()
 	if r < ix.NumTxns() {
 		firstLive = ix.Txns[r].First
 	}
-	ns := history.NewStream()
+	if s.spare == nil {
+		s.spare = s.newStream()
+	}
+	ns := s.spare
+	ns.Truncate(0)
 	ns.Grow(2*len(sigma) + 2 + old.Len() - firstLive)
 	for _, wv := range sigma {
 		obj := ix.Objs[wv.Obj]
@@ -443,7 +497,7 @@ func (s *Session) retire(ix *history.Indexed, r int, sigma []history.IndexedWrit
 			s.retired++
 		}
 	}
-	s.st = ns
+	s.st, s.spare = ns, s.st
 	nix := ns.Live().Index()
 	for i := range s.deciders {
 		if d := &s.deciders[i]; !d.dead() {

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"duopacity/internal/harness"
 	"duopacity/internal/history"
 	"duopacity/internal/spec"
 )
@@ -192,6 +193,89 @@ func TestWitnessAfterAppendPanics(t *testing.T) {
 	}
 	if err := spec.VerifySerialization(h, v.Witness()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSessionRelease pins what Release hands back and what stays valid.
+// A session's History snapshots — taken before its retirements rebuilt
+// into the spare stream, and before Release — stay equal while later
+// retirements and later sessions reuse those streams. A verdict's Witness
+// and String, handed out before Release or read through Verdicts after
+// it, panic through the generation check instead of rendering another
+// session's transactions; statuses and counters stay readable. A second
+// Release does nothing: two sessions started after it never share a
+// stream.
+func TestSessionRelease(t *testing.T) {
+	h, _, err := harness.RunInterleaved(harness.Workload{Engine: "gl", Goroutines: 3, TxnsPerGoroutine: 12, Objects: 3, OpsPerTxn: 3, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := history.NewBuilder().Write(7, "Y", 3).Commit(7).Read(8, "Y", 3).Read(8, "Z", 0).Commit(8).History()
+	feed := func(h *history.History, opts ...spec.Option) (*spec.Session, []*history.History, []string) {
+		s, err := spec.NewSession(spec.MonitorableCriteria(), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snaps []*history.History
+		var texts []string
+		for _, e := range h.Events() {
+			if _, err := s.Append(e); err != nil {
+				t.Fatal(err)
+			}
+			snap := spec.SessionHistory(s)
+			snaps, texts = append(snaps, snap), append(texts, snap.String())
+		}
+		return s, snaps, texts
+	}
+	s, snaps, texts := feed(h, spec.WithRetirement(2))
+	if _, spare := spec.SessionStreams(s); s.Retired() == 0 || spare == nil {
+		t.Fatalf("%d transactions retired, spare stream %p: the spare stream is not exercised", s.Retired(), spare)
+	}
+	searches, fastHits := s.Stats()
+	counters := s.Counters()
+	v := s.Verdicts()[0]
+	if !v.OK || v.Witness() == nil {
+		t.Fatalf("verdict before Release %+v, want an accepting one", v)
+	}
+	s.Release()
+	s.Release()
+	if live, spare := spec.SessionStreams(s); live != nil || spare != nil {
+		t.Fatalf("released session still holds streams %p, %p", live, spare)
+	}
+	for name, v := range map[string]spec.Verdict{"handed out before Release": v, "read after Release": s.Verdicts()[0]} {
+		for what, render := range map[string]func(){
+			"Witness": func() { v.Witness() },
+			"String":  func() { _ = v.String() },
+		} {
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.Contains(msg, "Release") {
+						t.Errorf("%s of a verdict %s: recovered %q, want a panic naming Release", what, name, msg)
+					}
+				}()
+				render()
+			}()
+		}
+		if v.Status() != "ok" {
+			t.Errorf("verdict %s: status %q, want ok", name, v.Status())
+		}
+	}
+	if s2, f2 := s.Stats(); s2 != searches || f2 != fastHits || s.Counters() != counters {
+		t.Errorf("Release moved the counters: %d/%d %+v, was %d/%d %+v", s2, f2, s.Counters(), searches, fastHits, counters)
+	}
+	x, _, _ := feed(other)
+	y, _, _ := feed(other, spec.WithRetirement(1))
+	xl, _ := spec.SessionStreams(x)
+	yl, ys := spec.SessionStreams(y)
+	if xl == yl || xl == ys {
+		t.Fatal("two sessions share a stream: a second Release handed it back again")
+	}
+	x.Release()
+	y.Release()
+	for i, snap := range snaps {
+		if got := snap.String(); got != texts[i] {
+			t.Fatalf("snapshot after event %d changed once its stream was reused:\n%s\nwas\n%s", i, got, texts[i])
+		}
 	}
 }
 
