@@ -311,10 +311,14 @@ func TestStreamReadErrorFailsStream(t *testing.T) {
 // TestStreamDeadClientReleasesReader: a blocking (non-lossy) client that
 // sends a burst and vanishes without reading must not leak the stream's
 // reader goroutine — the consumer's exit unblocks a stalled queue send.
+// It waits on the handler itself (the server's stream WaitGroup), then on
+// the reader goroutine by name: a goroutine count would also drop when an
+// unrelated goroutine exits while the handler still runs its deferred
+// calls.
 func TestStreamDeadClientReleasesReader(t *testing.T) {
 	s := slowServer(Config{StreamQueue: 1}, 200*time.Microsecond)
 	addr := startStreams(t, s)
-	before := runtime.NumGoroutine()
+	before := readers()
 
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -340,15 +344,33 @@ func TestStreamDeadClientReleasesReader(t *testing.T) {
 	_ = c.Close() // vanish without ever reading the echoes
 
 	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("stream goroutines leaked after dead client: %d before, %d now",
-				before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
+	handled := make(chan struct{})
+	go func() { s.streams.Wait(); close(handled) }()
+	select {
+	case <-handled:
+	case <-time.After(time.Until(deadline)):
+		t.Fatal("stream handler still running 10 s after dead client")
 	}
 	if open := s.Metrics.StreamsOpen.Load(); open != 0 {
 		t.Fatalf("StreamsOpen = %d after dead client", open)
+	}
+	for readers() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("stream reader leaked after dead client: %d readers before, %d now", before, readers())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// readers counts the goroutines running a stream's reader loop.
+func readers() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "(*Server).readLines(")
+		}
+		buf = make([]byte, 2*len(buf))
 	}
 }
 

@@ -128,7 +128,9 @@ func CheckTMS2(h *history.History, opts ...Option) Verdict {
 
 // tms2Edges appends to edges CheckTMS2's conflict-order edges: T1 -> T2
 // for a committed writer T1 of an object in T2's read set whose tryC
-// response precedes T2's tryC invocation.
+// response precedes T2's tryC invocation. An edge whose source real-time
+// precedes its target is left out: real-time order already imposes it
+// (see edgeTracker).
 func tms2Edges(edges [][2]history.TxnID, h *history.History, exemptAbortedReaders bool) [][2]history.TxnID {
 	ix := h.Index()
 	fr := getFirstReads(ix)
@@ -144,7 +146,7 @@ func tms2Edges(edges [][2]history.TxnID, h *history.History, exemptAbortedReader
 				continue
 			}
 			t2 := &ix.Txns[bi]
-			if t2.TryCInv < 0 || t1.TryCRes >= t2.TryCInv {
+			if t2.TryCInv < 0 || t1.TryCRes >= t2.TryCInv || ix.RTPred[bi].Test(ai) {
 				continue
 			}
 			if exemptAbortedReaders && t2.TComplete && !t2.Committed {
@@ -213,7 +215,8 @@ func CheckRCO(h *history.History, opts ...Option) Verdict {
 
 // rcoEdges appends to edges CheckRCO's conflict-order edges: T_k -> T_m
 // for a reader T_k of an object T_m commits whose read responds before
-// T_m's tryC invocation.
+// T_m's tryC invocation, unless T_k real-time precedes T_m (as in
+// tms2Edges).
 func rcoEdges(edges [][2]history.TxnID, h *history.History) [][2]history.TxnID {
 	ix := h.Index()
 	fr := getFirstReads(ix)
@@ -225,7 +228,7 @@ func rcoEdges(edges [][2]history.TxnID, h *history.History) [][2]history.TxnID {
 		}
 		fr.markReaders(tm.Writes, int32(tm.TryCInv))
 		for ki := range ix.Txns {
-			if ki != mi && fr.marked(ki) {
+			if ki != mi && fr.marked(ki) && !ix.RTPred[mi].Test(ki) {
 				edges = append(edges, [2]history.TxnID{ix.TxnIDs[ki], tm.Info.ID})
 			}
 		}

@@ -1,6 +1,8 @@
 package spec
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"duopacity/internal/history"
@@ -24,6 +26,17 @@ func SessionEdges(s *Session, k int) [][2]history.TxnID {
 		return nil
 	}
 	return append([][2]history.TxnID(nil), et.edges...)
+}
+
+// SessionEdgeScans reports what the edge scans of the session's k-th
+// criterion did: the edges they added and the candidate transactions they
+// visited (0, 0 for a criterion without conflict-order edges). Edges a
+// rewind rebuilt from the batch builder are not counted.
+func SessionEdgeScans(s *Session, k int) (added, scanned int) {
+	if et := s.deciders[k].edges; et != nil {
+		return et.added, et.scanned
+	}
+	return 0, 0
 }
 
 // SessionHistory exposes a snapshot of the session's live history — the
@@ -117,6 +130,56 @@ func WatchLookups(tb testing.TB) *int {
 	}
 	tb.Cleanup(func() { lookupOracle = nil })
 	return n
+}
+
+// WatchEdgeScans installs the edge-scan oracle until tb ends: at each TMS2
+// tryC invocation and each RCO commit response, the whole-window scan the
+// edge tracker made before it walked only the transactions concurrent with
+// the target (wholeWindowEdges) runs beside the tracker's scan, and tb
+// fails unless the tracker added the whole-window edges minus those whose
+// source real-time precedes the target, in the same order. It returns the
+// number of scans compared. It replaces the oracle of an earlier call; the
+// tests that use it do not run in parallel.
+func WatchEdgeScans(tb testing.TB) *int {
+	n := new(int)
+	edgeScanOracle = func(et *edgeTracker, ix *history.Indexed, ti, from int) {
+		*n++
+		var want [][2]history.TxnID
+		for _, e := range wholeWindowEdges(et.crit, ix, ti) {
+			if !ix.RTPred[ti].Test(ix.TxnIndexOf(e[0])) {
+				want = append(want, e)
+			}
+		}
+		if got := et.edges[from:]; !slices.Equal(got, want) {
+			tb.Errorf("%v scan into T%d at event %d added %v; the whole-window scan less real-time order finds %v\nhistory:\n%s",
+				et.crit, ix.TxnIDs[ti], ix.H.Len(), got, want, ix.H)
+		}
+	}
+	tb.Cleanup(func() { edgeScanOracle = nil })
+	return n
+}
+
+// wholeWindowEdges is the edge tracker's scan into transaction ti as it
+// was before real-time order pruned it: every live transaction is a
+// candidate source. For TMS2 (ti's tryC just invoked) the sources are the
+// committed writers of an object ti read; for RCO (ti just committed) the
+// transactions that read an object ti writes before ti's tryC invocation.
+func wholeWindowEdges(c Criterion, ix *history.Indexed, ti int) (edges [][2]history.TxnID) {
+	t := &ix.Txns[ti]
+	objs := writeVars(ix, t, nil)
+	for ai := range ix.Txns {
+		a := &ix.Txns[ai]
+		switch {
+		case ai == ti:
+		case c == TMS2 && a.Committed && len(a.Writes) > 0 && a.TryCRes >= 0:
+			if readsAny(t, writeVars(ix, a, nil), math.MaxInt) {
+				edges = append(edges, [2]history.TxnID{a.Info.ID, t.Info.ID})
+			}
+		case c == RCO && readsAny(a, objs, t.TryCInv):
+			edges = append(edges, [2]history.TxnID{a.Info.ID, t.Info.ID})
+		}
+	}
+	return edges
 }
 
 // scanWriters answers what lastWriters does by scanning every witness

@@ -2,27 +2,25 @@ package spec
 
 import (
 	"math"
+	"math/bits"
 
 	"duopacity/internal/history"
 )
 
 // edgeTracker maintains a criterion's extra conflict-order edges (TMS2 /
 // RCO) incrementally while the monitor's stream grows, so a recheck never
-// rebuilds tms2Edges/rcoEdges from the whole history. The key observation
-// is that each edge's defining condition becomes true at exactly one
-// event and — except for TMS2's aborted-reader exemption — stays true in
-// every extension:
+// rebuilds tms2Edges/rcoEdges from the whole history. Each edge's defining
+// condition becomes true at exactly one event and — except for TMS2's
+// aborted-reader exemption — stays true in every extension:
 //
 //   - A TMS2 edge T1 <_S T2 (X ∈ Wset(T1) ∩ Rset(T2), T1 committed,
 //     res(tryC_1) before inv(tryC_2)) is decided entirely by the prefix
 //     ending at inv(tryC_2): T2's read set is final there, and any writer
-//     committing later fails res(tryC_1) < inv(tryC_2) forever. So the
-//     tracker scans the live transactions once per tryC invocation —
-//     O(live window), never O(history).
+//     committing later fails res(tryC_1) < inv(tryC_2) forever.
 //   - An RCO edge T_k <_S T_m (some t-read of X by T_k responds before
 //     inv(tryC_m), T_m commits a write to X) is decided at T_m's commit
 //     response: T_m's write set is final there, and reads responding
-//     later fail the event-order test forever. One scan per commit.
+//     later fail the event-order test forever.
 //   - Under WithTMS2AbortedReaderExemption an edge targeting T2 dies at
 //     exactly one event too: the abort response of tryC_2 (the only way a
 //     transaction with an invoked tryC becomes t-complete without
@@ -30,38 +28,35 @@ import (
 //     a TMS2 monitor with the exemption reports the latched property
 //     "every response prefix seen so far" (see NewMonitor).
 //
-// Edges are held by transaction identifier, so they survive the dense
-// index reshuffle of windowed retirement; retire() calls dropRetired to
-// discard edges touching retired transactions (sound and exact: a
-// retired-to-live edge is implied by the retirement barrier's real-time
-// order, and live-to-retired edges are impossible — the live side's first
-// event follows the retired side's last, contradicting the edge's event
-// ordering; see DESIGN.md "Incremental conflict-order edges").
+// An edge whose source real-time precedes its target is never built: the
+// engine ORs each edge into the target's real-time predecessor row, so
+// such an edge changes no row, no search and no witness. The one scan per
+// tryC invocation (TMS2) or commit (RCO) therefore visits only the
+// transactions concurrent with the target, not the live window; and the
+// retirement checkpoint (ckptTxn), which real-time precedes every live
+// transaction, sources no edge. See DESIGN.md "Incremental conflict-order
+// edges".
 //
-// pending accumulates the edges added since the monitor's last recheck:
-// the fast path only has to test those against the standing witness
-// (standing edges were validated when they were pending and witness
-// positions never reorder outside adoptWitness, which re-validates
-// everything through the search).
+// Edges are held by transaction identifier, so they survive the dense
+// index reshuffle of windowed retirement. pending accumulates the edges
+// added since the monitor's last recheck: the fast path only has to test
+// those against the standing witness (standing edges were validated when
+// they were pending and witness positions never reorder outside
+// adoptWitness, which re-validates everything through the search).
 type edgeTracker struct {
 	crit   Criterion
 	exempt bool
-	// skipCkpt is set when retirement is on: the checkpoint transaction
-	// (ckptTxn) is a committed writer and would source TMS2 edges to
-	// every later reader of its objects, but those edges are implied by
-	// real-time order (the checkpoint precedes every live transaction),
-	// and keeping extraEdges empty preserves the engine's RTPred-aliasing
-	// fast path. Without retirement the identifier is ordinary and the
-	// edges are kept.
-	skipCkpt bool
 
 	edges   [][2]history.TxnID
 	pending [][2]history.TxnID
 	objs    []history.Var // writeVars scratch
+	// added and scanned count the edges the scans added and the candidate
+	// transactions they visited.
+	added, scanned int
 }
 
-func newEdgeTracker(c Criterion, exempt, retiring bool) *edgeTracker {
-	return &edgeTracker{crit: c, exempt: exempt && c == TMS2, skipCkpt: retiring}
+func newEdgeTracker(c Criterion, exempt bool) *edgeTracker {
+	return &edgeTracker{crit: c, exempt: exempt && c == TMS2}
 }
 
 // observe folds one just-appended event into the edge state. ix must be
@@ -76,17 +71,14 @@ func (et *edgeTracker) observe(ix *history.Indexed, e history.Event) {
 	if e.Op != history.OpTryCommit {
 		return
 	}
-	switch et.crit {
-	case TMS2:
-		if e.Kind == history.Inv {
-			et.tms2ReaderArrived(ix, e.Txn)
-		} else if et.exempt && e.Out != history.OutCommit {
-			et.dropTarget(e.Txn)
-		}
-	case RCO:
-		if e.Kind == history.Res && e.Out == history.OutCommit {
-			et.rcoWriterCommitted(ix, e.Txn)
-		}
+	switch ti := ix.TxnIndexOf(e.Txn); {
+	case ti < 0:
+	case et.crit == TMS2 && e.Kind == history.Inv:
+		et.tms2ReaderArrived(ix, ti)
+	case et.crit == TMS2 && et.exempt && e.Out != history.OutCommit:
+		et.dropTarget(e.Txn)
+	case et.crit == RCO && e.Kind == history.Res && e.Out == history.OutCommit:
+		et.rcoWriterCommitted(ix, ti)
 	}
 }
 
@@ -94,69 +86,102 @@ func (et *edgeTracker) observe(ix *history.Indexed, e history.Event) {
 // every already-committed writer of an object in T2's read set. Committed
 // writers necessarily satisfy res(tryC_1) < inv(tryC_2) — their commit
 // response is already in the history.
-func (et *edgeTracker) tms2ReaderArrived(ix *history.Indexed, reader history.TxnID) {
-	gi := ix.TxnIndexOf(reader)
-	if gi < 0 {
-		return
-	}
+func (et *edgeTracker) tms2ReaderArrived(ix *history.Indexed, gi int) {
 	t2 := &ix.Txns[gi]
-	for ai := range ix.Txns {
-		if ai == gi {
-			continue
-		}
+	et.concurrent(ix, gi, func(ai int) {
 		t1 := &ix.Txns[ai]
-		if !t1.Committed || len(t1.Writes) == 0 || t1.TryCRes < 0 {
-			continue
+		if t1.Committed && len(t1.Writes) > 0 && t1.TryCRes >= 0 {
+			et.objs = writeVars(ix, t1, et.objs[:0])
+			if readsAny(t2, et.objs, math.MaxInt) {
+				et.add(t1.Info.ID, t2.Info.ID)
+			}
 		}
-		if et.skipCkpt && t1.Info.ID == ckptTxn {
-			continue
-		}
-		et.objs = writeVars(ix, t1, et.objs[:0])
-		if readsAny(t2, et.objs, math.MaxInt) {
-			et.add(t1.Info.ID, reader)
-		}
-	}
+	})
 }
 
 // rcoWriterCommitted adds the RCO edges decided by T_m's commit response:
 // one from every transaction with a completed successful read of an
 // object in Wset(T_m) whose response precedes inv(tryC_m).
-func (et *edgeTracker) rcoWriterCommitted(ix *history.Indexed, writer history.TxnID) {
-	mi := ix.TxnIndexOf(writer)
-	if mi < 0 {
-		return
-	}
+func (et *edgeTracker) rcoWriterCommitted(ix *history.Indexed, mi int) {
 	tm := &ix.Txns[mi]
 	if len(tm.Writes) == 0 || tm.TryCInv < 0 {
 		return
 	}
 	et.objs = writeVars(ix, tm, et.objs[:0])
-	for ki := range ix.Txns {
-		if ki != mi && readsAny(&ix.Txns[ki], et.objs, tm.TryCInv) {
-			et.add(ix.TxnIDs[ki], writer)
+	et.concurrent(ix, mi, func(ki int) {
+		if readsAny(&ix.Txns[ki], et.objs, tm.TryCInv) {
+			et.add(ix.TxnIDs[ki], tm.Info.ID)
 		}
+	})
+}
+
+// edgeScanOracle is nil outside tests, which set it (WatchEdgeScans) to
+// hold the edges one scan into ti added, et.edges[from:], against the
+// whole-window scan it replaced.
+var edgeScanOracle func(et *edgeTracker, ix *history.Indexed, ti, from int)
+
+// concurrent calls f, in ascending dense order, for every transaction
+// other than ti that does not real-time precede it: the complement of
+// RTPred[ti] word by word, then every higher index.
+func (et *edgeTracker) concurrent(ix *history.Indexed, ti int, f func(ai int)) {
+	from, n, pred := len(et.edges), ix.NumTxns(), ix.RTPred[ti]
+	for w := 0; w<<6 < n; w++ {
+		m := ^uint64(0)
+		if w < len(pred) {
+			m = ^pred[w]
+		}
+		if rest := n - w<<6; rest < 64 {
+			m &= 1<<uint(rest) - 1
+		}
+		for ; m != 0; m &= m - 1 {
+			if ai := w<<6 + bits.TrailingZeros64(m); ai != ti {
+				et.scanned++
+				f(ai)
+			}
+		}
+	}
+	if edgeScanOracle != nil {
+		edgeScanOracle(et, ix, ti, from)
 	}
 }
 
 func (et *edgeTracker) add(from, to history.TxnID) {
+	et.added++
 	et.edges = append(et.edges, [2]history.TxnID{from, to})
 	et.pending = append(et.pending, [2]history.TxnID{from, to})
 }
 
 // dropTarget removes every edge into the aborted reader (the exemption).
 func (et *edgeTracker) dropTarget(to history.TxnID) {
-	et.edges = dropEdgesTo(et.edges, to)
-	et.pending = dropEdgesTo(et.pending, to)
+	et.filter(func(e [2]history.TxnID) bool { return e[1] != to })
 }
 
-func dropEdgesTo(edges [][2]history.TxnID, to history.TxnID) [][2]history.TxnID {
-	out := edges[:0]
-	for _, e := range edges {
-		if e[1] != to {
-			out = append(out, e)
+// dropRetired discards edges with an endpoint outside the rebuilt live
+// index — the transactions windowed retirement just folded into the
+// checkpoint. Exact: a retired-to-live edge restates real-time order and
+// is never built, and a live-to-retired one cannot exist — the live side's
+// first event follows the retired side's last, contradicting the edge's
+// event ordering. pending is empty here (retirement runs after an
+// accepting recheck), but is filtered too so a stale entry cannot outlive
+// its transaction.
+func (et *edgeTracker) dropRetired(live *history.Indexed) {
+	et.filter(func(e [2]history.TxnID) bool {
+		return live.TxnIndexOf(e[0]) >= 0 && live.TxnIndexOf(e[1]) >= 0
+	})
+}
+
+// filter keeps, in both the standing and the pending edges, those keep
+// accepts.
+func (et *edgeTracker) filter(keep func(e [2]history.TxnID) bool) {
+	for _, edges := range []*[][2]history.TxnID{&et.edges, &et.pending} {
+		out := (*edges)[:0]
+		for _, e := range *edges {
+			if keep(e) {
+				out = append(out, e)
+			}
 		}
+		*edges = out
 	}
-	return out
 }
 
 // rebuild replaces the edge set by the batch builder's over h — a response
@@ -183,36 +208,9 @@ func (et *edgeTracker) clearPending() { et.pending = et.pending[:0] }
 func (et *edgeTracker) pendingOK(ix *history.Indexed, pos []int) bool {
 	for _, e := range et.pending {
 		fi, ti := ix.TxnIndexOf(e[0]), ix.TxnIndexOf(e[1])
-		if fi < 0 || ti < 0 || fi >= len(pos) || ti >= len(pos) {
-			return false
-		}
-		if pos[fi] >= pos[ti] {
+		if fi < 0 || ti < 0 || fi >= len(pos) || ti >= len(pos) || pos[fi] >= pos[ti] {
 			return false
 		}
 	}
 	return true
-}
-
-// dropRetired discards edges with an endpoint outside the rebuilt live
-// index — the transactions windowed retirement just folded into the
-// checkpoint. Exact: live-to-retired edges cannot exist, and a
-// retired-to-live edge restates the real-time precedence the retirement
-// barrier already guarantees.
-func (et *edgeTracker) dropRetired(live *history.Indexed) {
-	keep := et.edges[:0]
-	for _, e := range et.edges {
-		if live.TxnIndexOf(e[0]) >= 0 && live.TxnIndexOf(e[1]) >= 0 {
-			keep = append(keep, e)
-		}
-	}
-	et.edges = keep
-	// pending is empty here (retirement runs after an accepting recheck),
-	// but filter defensively so a stale entry cannot outlive its txn.
-	keepP := et.pending[:0]
-	for _, e := range et.pending {
-		if live.TxnIndexOf(e[0]) >= 0 && live.TxnIndexOf(e[1]) >= 0 {
-			keepP = append(keepP, e)
-		}
-	}
-	et.pending = keepP
 }

@@ -199,6 +199,7 @@ func feedCompare(t *testing.T, c spec.Criterion, h *history.History) {
 		t.Fatal(err)
 	}
 	spec.WatchFlips(t)
+	spec.WatchEdgeScans(t)
 	evs := h.Events()
 	latched := false
 	for i, e := range evs {
@@ -264,6 +265,7 @@ func feedCompareOpts(t *testing.T, c spec.Criterion, h *history.History, window 
 		t.Fatal(err)
 	}
 	spec.WatchFlips(t)
+	spec.WatchEdgeScans(t)
 	evs := h.Events()
 	latched := false
 	for i, e := range evs {
@@ -337,6 +339,7 @@ func sessionCompare(t *testing.T, h *history.History, window, nodeLimit int) (pa
 		t.Fatal(err)
 	}
 	spec.WatchFlips(t)
+	spec.WatchEdgeScans(t)
 	var monitors []*spec.Monitor
 	for _, c := range criteria {
 		if nodeLimit > 0 {

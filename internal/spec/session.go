@@ -137,7 +137,7 @@ func (s *Session) init(criteria []Criterion, opts []Option) error {
 		d := &s.deciders[i]
 		d.crit, d.localReads, d.diedAt = c, c == DUOpacity, -1
 		if c == TMS2 || c == RCO {
-			d.edges = newEdgeTracker(c, o.tms2AbortedExemption, o.retireWindow > 0)
+			d.edges = newEdgeTracker(c, o.tms2AbortedExemption)
 		}
 		d.verdict = d.accepted(s.st.Live().Index())
 	}
