@@ -17,7 +17,8 @@ type Metrics struct {
 	StreamDropped   atomic.Int64 // events dropped by lossy streams
 	StreamStalls    atomic.Int64 // reads paused on a full queue (backpressure)
 	StreamBatches   atomic.Int64 // reader-to-drain hand-offs taken; events / batches is the mean batch
-	AppendNanos     atomic.Int64 // cumulative monitor-append latency
+	AppendNanos     atomic.Int64 // cumulative latency of the sampled session appends
+	AppendSamples   atomic.Int64 // session appends timed: each stream's first and every 64th after it
 	StreamSearches  atomic.Int64 // responses decided by a full search, folded in when a stream ends
 	StreamFastHits  atomic.Int64 // responses decided by the incremental witness, likewise
 	// What those fast hits touched (spec.Counters), folded in likewise.
@@ -63,9 +64,12 @@ type StatsSnapshot struct {
 		Batches     int64 `json:"batches"`
 		FlushesIdle int64 `json:"flushes_idle"`
 		FlushesFull int64 `json:"flushes_full"`
-		// AvgAppendNanos is the mean monitor-append latency over the
-		// server's lifetime (0 before the first event).
+		// AvgAppendNanos is the mean session-append latency over the
+		// server's lifetime, estimated from the AppendSamples appends
+		// timed: each stream's first accepted append and every 64th after
+		// it (0 before the first sample).
 		AvgAppendNanos int64 `json:"avg_append_nanos"`
+		AppendSamples  int64 `json:"append_samples"`
 		// Searches and FastHits split the ended streams' verdict work (per
 		// response and criterion) into full searches and witness reuses.
 		Searches int64 `json:"searches"`
@@ -111,8 +115,9 @@ func (m *Metrics) snapshot() StatsSnapshot {
 	s.Streams.Batches = m.StreamBatches.Load()
 	s.Streams.FlushesIdle = m.StreamFlushesIdle.Load()
 	s.Streams.FlushesFull = m.StreamFlushesFull.Load()
-	if ev := s.Streams.Events; ev > 0 {
-		s.Streams.AvgAppendNanos = m.AppendNanos.Load() / ev
+	s.Streams.AppendSamples = m.AppendSamples.Load()
+	if n := s.Streams.AppendSamples; n > 0 {
+		s.Streams.AvgAppendNanos = m.AppendNanos.Load() / n
 	}
 	s.Streams.Searches = m.StreamSearches.Load()
 	s.Streams.FastHits = m.StreamFastHits.Load()

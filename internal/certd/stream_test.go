@@ -2,12 +2,16 @@ package certd
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"duopacity/internal/harness"
 )
 
 // startStreams spins a stream listener for s on a loopback port.
@@ -500,5 +504,69 @@ func TestStreamRetirement(t *testing.T) {
 		if retired == 0 || live > 5 {
 			t.Fatalf("retirement not bounding the window: retired=%d live=%d", retired, live)
 		}
+	}
+}
+
+// TestAppendSampleCount pins the append clock's sampling rule: a stream
+// times its first accepted append and every appendSampleEvery-th after it,
+// so n accepted events take exactly ceil(n/64) samples — one for a stream
+// shorter than 64, none for a refused event — while StreamEvents still
+// counts every event.
+func TestAppendSampleCount(t *testing.T) {
+	s := NewServer(Config{})
+	addr := startStreams(t, s)
+	// Figure 4 and an event the session refuses as ill-formed: 10 events.
+	sc := dialStream(t, addr, "STREAM du,opacity")
+	sc.send(t, "write 1 X 1", "inv tryc 1", "res read 5 X 1", "read 2 X 1", "write 3 X 1", "commit 3", "res tryc 1 A", "END")
+	if done := lastPrefixed(sc.collect(t), "DONE "); done != "DONE events=10 bad=1 dropped=0 violations=1" {
+		t.Fatalf("short stream: %q", done)
+	}
+	if st := s.Stats().Streams; st.Events != 10 || st.AppendSamples != 1 {
+		t.Fatalf("short stream: events=%d append_samples=%d, want 10 and 1", st.Events, st.AppendSamples)
+	}
+
+	wire, n := recordedWire(t, harness.Workload{Engine: "gl", Goroutines: 4, TxnsPerGoroutine: 50, Objects: 16, OpsPerTxn: 4, ReadFraction: 0.5, Seed: 3})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(30 * time.Second))
+	go func() { _, _ = conn.Write(append([]byte("STREAM du,tms2 quiet\n"), wire...)) }()
+	out, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("DONE events=%d bad=0 dropped=0 violations=0", n); !strings.Contains(string(out), want) {
+		t.Fatalf("gl stream: %q, want %q", out, want)
+	}
+	want := int64(1 + (n+appendSampleEvery-1)/appendSampleEvery)
+	if st := s.Stats().Streams; st.Events != int64(10+n) || st.AppendSamples != want {
+		t.Fatalf("after a gl stream of %d events: events=%d append_samples=%d, want %d and %d", n, st.Events, st.AppendSamples, 10+n, want)
+	}
+	if n <= 2*appendSampleEvery || n%appendSampleEvery == 0 {
+		t.Fatalf("a gl stream of %d events does not exercise a partial last window", n)
+	}
+}
+
+// TestAvgAppendNanos: avg_append_nanos is the sampled nanoseconds over the
+// samples — not over the events — and 0 with no sample.
+func TestAvgAppendNanos(t *testing.T) {
+	var m Metrics
+	m.AppendNanos.Store(1000)
+	m.StreamEvents.Store(192)
+	if st := m.snapshot().Streams; st.AvgAppendNanos != 0 || st.AppendSamples != 0 {
+		t.Fatalf("no samples: avg_append_nanos=%d append_samples=%d, want 0 and 0", st.AvgAppendNanos, st.AppendSamples)
+	}
+	m.AppendSamples.Store(3)
+	if st := m.snapshot().Streams; st.AvgAppendNanos != 333 || st.AppendSamples != 3 {
+		t.Fatalf("1000 ns over 3 samples: avg_append_nanos=%d append_samples=%d, want 333 and 3", st.AvgAppendNanos, st.AppendSamples)
+	}
+	js, err := json.Marshal(m.snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(js), `"append_samples":3`) {
+		t.Fatalf("/statsz lacks append_samples: %s", js)
 	}
 }

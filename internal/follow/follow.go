@@ -222,6 +222,7 @@ type Follow struct {
 	names histio.Names
 	line  []byte   // the echo line
 	cols  [][]byte // per criterion, the echo's "  <criterion>:"
+	allOK []byte   // every column with status ok: a response's usual suffix
 
 	events, bad int
 	ledger      []BadLine
@@ -238,6 +239,7 @@ func New(o Options, out *Out) (*Follow, error) {
 	f := &Follow{Append: sess.Append, opts: o, sess: sess, out: out, names: histio.Names{}}
 	for _, c := range o.Criteria {
 		f.cols = append(f.cols, []byte("  "+c.String()+":"))
+		f.allOK = append(append(f.allOK, f.cols[len(f.cols)-1]...), spec.Verdict{OK: true}.Status()...)
 	}
 	return f, nil
 }
@@ -275,8 +277,8 @@ func (f *Follow) Line(no int, text []byte) *BadLine {
 	return &b
 }
 
-// echoWidth is the column the event's rendering is padded to, in runes.
-const echoWidth = 28
+// echoPad pads the event's rendering to its column, 28 runes wide.
+const echoPad = "                            "
 
 // echo prints one accepted event.
 func (f *Follow) echo(e history.Event, vs []spec.Verdict) {
@@ -304,16 +306,30 @@ func (f *Follow) appendEcho(b []byte, i int, e history.Event, vs []spec.Verdict)
 	b = append(b, "  "...)
 	start := len(b)
 	b = e.AppendText(b)
-	for n := utf8.RuneCount(b[start:]); n < echoWidth; n++ {
-		b = append(b, ' ')
+	if n := utf8.RuneCount(b[start:]); n < len(echoPad) {
+		b = append(b, echoPad[n:]...)
 	}
-	if e.Kind == history.Res {
-		for c, v := range vs {
-			b = append(b, f.cols[c]...)
-			b = append(b, v.Status()...)
-		}
+	if e.Kind != history.Res {
+		return append(b, '\n')
+	}
+	if allOK(vs) {
+		return append(append(b, f.allOK...), '\n')
+	}
+	for c, v := range vs {
+		b = append(b, f.cols[c]...)
+		b = append(b, v.Status()...)
 	}
 	return append(b, '\n')
+}
+
+// allOK reports whether every verdict's status is ok.
+func allOK(vs []spec.Verdict) bool {
+	for _, v := range vs {
+		if !v.OK || v.Undecided {
+			return false
+		}
+	}
+	return true
 }
 
 // Finish prints the skip-bad quarantine report to report (the total under

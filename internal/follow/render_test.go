@@ -116,19 +116,45 @@ func checkRenderers(t *testing.T, f *Follow, vs []spec.Verdict, e history.Event)
 // over hostile field values: negative and 19-digit numbers, multi-byte
 // names around the echo's 28-rune column ("%-28v" pads by rune, not byte),
 // names past it, invalid UTF-8; then whatever testing/quick comes up with.
+// The echo is checked on a five-criteria follow and a one-criterion one,
+// each under verdict vectors that include all ok (the prerendered suffix)
+// and, on five criteria, all ok but one column, for each column.
 func TestRenderersMatchFmt(t *testing.T) {
-	f, err := New(Options{Criteria: spec.MonitorableCriteria()}, NewOut(io.Discard))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var verdicts [][]spec.Verdict // ok, undecided, VIOLATED, by column in turn
-	for shift := 0; shift < 3; shift++ {
-		var vs []spec.Verdict
-		for i, c := range spec.MonitorableCriteria() {
-			vs = append(vs, spec.Verdict{Criterion: c, OK: (i+shift)%3 == 0, Undecided: (i+shift)%3 == 1})
+	for _, criteria := range [][]spec.Criterion{spec.MonitorableCriteria(), {spec.DUOpacity}} {
+		f, err := New(Options{Criteria: criteria}, NewOut(io.Discard))
+		if err != nil {
+			t.Fatal(err)
 		}
-		verdicts = append(verdicts, vs)
+		checkRenderersOver(t, f, echoVerdicts(criteria))
 	}
+}
+
+// echoVerdicts returns verdict vectors over criteria: ok, undecided and
+// VIOLATED by column in turn; all ok; and for each column c, all ok but c.
+func echoVerdicts(criteria []spec.Criterion) [][]spec.Verdict {
+	vector := func(status func(i int) (ok, undecided bool)) []spec.Verdict {
+		vs := make([]spec.Verdict, len(criteria))
+		for i, c := range criteria {
+			vs[i] = spec.Verdict{Criterion: c}
+			vs[i].OK, vs[i].Undecided = status(i)
+		}
+		return vs
+	}
+	var verdicts [][]spec.Verdict
+	for shift := 0; shift < 3; shift++ {
+		verdicts = append(verdicts, vector(func(i int) (bool, bool) { return (i+shift)%3 == 0, (i+shift)%3 == 1 }))
+	}
+	verdicts = append(verdicts, vector(func(int) (bool, bool) { return true, false }))
+	for c := range criteria {
+		verdicts = append(verdicts, vector(func(i int) (bool, bool) { return i != c, i == c && c%2 == 1 }))
+	}
+	return verdicts
+}
+
+// checkRenderersOver checks the renderers on every event shape and on
+// testing/quick's events, rotating through the verdict vectors.
+func checkRenderersOver(t *testing.T, f *Follow, verdicts [][]spec.Verdict) {
+	t.Helper()
 	values := []history.Value{0, 7, -1, math.MaxInt64, math.MinInt64, 1234567890123456789}
 	names := []history.Var{
 		"X", "", "obj-0",
@@ -156,7 +182,7 @@ func TestRenderersMatchFmt(t *testing.T) {
 			}
 		}
 	}
-	err = quick.Check(func(kind, op, out uint8, txn int64, obj string, arg, val int64) bool {
+	err := quick.Check(func(kind, op, out uint8, txn int64, obj string, arg, val int64) bool {
 		e := history.Event{
 			Kind: history.EventKind(kind % 4), Op: history.OpKind(op % 7), Out: history.Outcome(out % 6),
 			Txn: history.TxnID(txn), Obj: history.Var(obj), Arg: history.Value(arg), Val: history.Value(val),

@@ -50,8 +50,9 @@ func FuzzParseStability(f *testing.F) {
 }
 
 // FuzzParseEvents targets the line-level entry point used by streaming
-// consumers: it must never panic, must be deterministic, and a comment or
-// blank line must yield no events and no error.
+// consumers: it must never panic, and it must answer as the parser it
+// replaced (refAppendEvents) — the same events, or the same error message
+// and no events.
 func FuzzParseEvents(f *testing.F) {
 	f.Add("write 1 X 1")
 	f.Add("read 2 X A")
@@ -65,21 +66,20 @@ func FuzzParseEvents(f *testing.F) {
 	f.Add("write 1 X 1 # trailing")
 	f.Add("inv\ttryc\t1")
 	f.Add("read 1 X 9999999999999999999999")
+	f.Add("res write 1 X 1 ok extra")
+	f.Add("res\u00a0read 1\x1cX 2")
 	f.Fuzz(func(t *testing.T, line string) {
 		evs, err := ParseEvents(line)
-		evs2, err2 := ParseEvents(line)
-		if (err == nil) != (err2 == nil) || len(evs) != len(evs2) {
-			t.Fatalf("ParseEvents not deterministic on %q: (%v,%v) vs (%v,%v)", line, evs, err, evs2, err2)
+		want, wantErr := refAppendEvents(nil, line)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("ParseEvents(%q) error %v, reference %v", line, err, wantErr)
 		}
-		if err != nil {
-			if len(evs) != 0 {
-				t.Fatalf("error return carried events for %q: %v", line, evs)
-			}
-			return
+		if len(evs) != len(want) {
+			t.Fatalf("ParseEvents(%q) = %v, reference %v", line, evs, want)
 		}
 		for i, e := range evs {
-			if e != evs2[i] {
-				t.Fatalf("ParseEvents not deterministic on %q at event %d", line, i)
+			if e != want[i] {
+				t.Fatalf("ParseEvents(%q) event %d = %v, reference %v", line, i, e, want[i])
 			}
 		}
 	})

@@ -179,18 +179,25 @@ func AppendEvents(dst []history.Event, line []byte, names Names) ([]history.Even
 	if i := bytes.IndexByte(line, '#'); i >= 0 {
 		line = line[:i]
 	}
-	stored, n := fields(line)
-	if n == 0 {
+	head, rest := nextField(line)
+	switch string(head) {
+	case "":
 		return dst, nil
-	}
-	f := stored[:min(n, maxFields)]
-	switch string(f[0]) {
 	case "inv", "res":
-		e, err := parseEvent(f, n, names)
+		// The event form is read token by token; nothing counts its fields.
+		kind := history.Inv
+		if head[0] == 'r' {
+			kind = history.Res
+		}
+		e, err := parseEvent(kind, rest, names)
 		if err != nil {
 			return dst, err
 		}
 		return append(dst, e), nil
+	}
+	var f [maxFields][]byte
+	n := fields(line, &f)
+	switch string(head) {
 	case "read":
 		// read <txn> <obj> <value>|A
 		if n != 4 {
@@ -264,48 +271,69 @@ func AppendEvents(dst []history.Event, line []byte, names Names) ([]history.Even
 			history.Event{Kind: history.Inv, Op: history.OpTryAbort, Txn: k},
 			history.Event{Kind: history.Res, Op: history.OpTryAbort, Txn: k, Out: history.OutAbort}), nil
 	default:
-		return dst, fmt.Errorf("unknown directive %q", string(f[0]))
+		return dst, fmt.Errorf("unknown directive %q", string(head))
 	}
 }
 
-// maxFields is the longest line of the format ("res write <txn> <obj>
-// <value> ok"); fields counts what a longer line holds past it without
-// storing it, for the arity messages.
-const maxFields = 6
+// maxFields is the longest shorthand line ("write <txn> <obj> <value> A");
+// fields counts what a longer line holds past it without storing it, for
+// the arity messages.
+const maxFields = 5
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace calls space. Past
+// U+007F only a decoded rune can say; U+001C–U+001F are not space.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// nextField splits off the first field of b exactly as strings.Fields
+// would find it, and what follows the field; tok is empty when b holds no
+// further field. An ASCII byte costs one table lookup; a byte past ASCII
+// hands the split to runeField.
+func nextField(b []byte) (tok, rest []byte) {
+	start := 0
+	for ; start < len(b); start++ {
+		if c := b[start]; c >= utf8.RuneSelf {
+			return runeField(b)
+		} else if !asciiSpace[c] {
+			break
+		}
+	}
+	for i, c := range b[start:] {
+		if c >= utf8.RuneSelf {
+			return runeField(b)
+		} else if asciiSpace[c] {
+			return b[start : start+i], b[start+i:]
+		}
+	}
+	return b[start:], nil
+}
+
+// runeField is nextField once a byte past ASCII turns up: unicode.IsSpace
+// on every rune, where invalid UTF-8 decodes to U+FFFD, which is not space.
+func runeField(b []byte) (tok, rest []byte) {
+	start := bytes.IndexFunc(b, notSpace)
+	if start < 0 {
+		return nil, nil
+	}
+	end := bytes.IndexFunc(b[start:], unicode.IsSpace)
+	if end < 0 {
+		return b[start:], nil
+	}
+	return b[start : start+end], b[start+end:]
+}
+
+func notSpace(r rune) bool { return !unicode.IsSpace(r) }
 
 // fields splits line around runs of white space exactly as strings.Fields
-// does (unicode.IsSpace, invalid UTF-8 is not space), in place: it returns
-// the first maxFields fields and the count of all of them.
-func fields(line []byte) (f [maxFields][]byte, n int) {
-	start := -1
-	for i := 0; i < len(line); {
-		space, width := false, 1
-		if c := line[i]; c < utf8.RuneSelf {
-			space = c == ' ' || '\t' <= c && c <= '\r'
-		} else {
-			var r rune
-			r, width = utf8.DecodeRune(line[i:])
-			space = unicode.IsSpace(r)
-		}
-		switch {
-		case !space && start < 0:
-			start = i
-		case space && start >= 0:
-			if n < maxFields {
-				f[n] = line[start:i]
-			}
-			n++
-			start = -1
-		}
-		i += width
-	}
-	if start >= 0 {
+// does, in place: it stores the first maxFields fields in f and returns
+// the count of all of them.
+func fields(line []byte, f *[maxFields][]byte) (n int) {
+	for tok, rest := nextField(line); len(tok) > 0; tok, rest = nextField(rest) {
 		if n < maxFields {
-			f[n] = line[start:]
+			f[n] = tok
 		}
 		n++
 	}
-	return f, n
+	return n
 }
 
 // Parse reads a history from r.
@@ -336,117 +364,137 @@ func ParseString(s string) (*history.History, error) {
 	return Parse(strings.NewReader(s))
 }
 
-// parseEvent parses an event line: f holds its first maxFields fields, n
-// counts all of them.
-func parseEvent(f [][]byte, n int, names Names) (history.Event, error) {
-	if n < 3 {
+// eventTokens reads the fields of an event line after its kind, one at a
+// time: next returns an empty token past the last field.
+type eventTokens struct{ rest []byte }
+
+func (t *eventTokens) next() []byte {
+	tok, rest := nextField(t.rest)
+	t.rest = rest
+	return tok
+}
+
+// more reports whether a field is left.
+func (t *eventTokens) more() bool { return len(t.next()) > 0 }
+
+// parseEvent parses the rest of an event line of the given kind in one
+// pass: the operation, the transaction, then each operand as the operation
+// asks for it, and no field after the last.
+func parseEvent(kind history.EventKind, rest []byte, names Names) (history.Event, error) {
+	t := eventTokens{rest}
+	op, txn := t.next(), t.next()
+	if len(txn) == 0 {
 		return history.Event{}, fmt.Errorf("event line too short")
 	}
-	kind := history.Inv
-	if string(f[0]) == "res" {
-		kind = history.Res
-	}
-	k, err := parseTxn(f[2])
+	k, err := parseTxn(txn)
 	if err != nil {
 		return history.Event{}, err
 	}
 	e := history.Event{Kind: kind, Txn: k}
-	switch string(f[1]) {
+	switch string(op) {
 	case "read":
 		e.Op = history.OpRead
-		if n < 4 {
+		obj := t.next()
+		if len(obj) == 0 {
 			return e, fmt.Errorf("read event wants an object")
 		}
 		if kind == history.Inv {
-			if n != 4 {
+			if t.more() {
 				return e, fmt.Errorf("inv read wants 2 arguments")
 			}
-			e.Obj = names.intern(f[3])
+			e.Obj = names.intern(obj)
 			return e, nil
 		}
-		if n != 5 {
+		val := t.next()
+		if len(val) == 0 || t.more() {
 			return e, fmt.Errorf("res read wants 3 arguments")
 		}
-		if string(f[4]) == "A" {
+		if string(val) == "A" {
 			e.Out = history.OutAbort
 		} else {
-			v, err := parseValue(f[4])
+			v, err := parseValue(val)
 			if err != nil {
 				return e, err
 			}
 			e.Val, e.Out = v, history.OutOK
 		}
-		e.Obj = names.intern(f[3])
+		e.Obj = names.intern(obj)
 		return e, nil
 	case "write":
 		e.Op = history.OpWrite
-		if n < 5 {
+		obj, arg := t.next(), t.next()
+		if len(arg) == 0 {
 			return e, fmt.Errorf("write event wants object and value")
 		}
-		v, err := parseValue(f[4])
+		v, err := parseValue(arg)
 		if err != nil {
 			return e, err
 		}
 		e.Arg = v
 		if kind == history.Inv {
-			if n != 5 {
+			if t.more() {
 				return e, fmt.Errorf("inv write wants 3 arguments")
 			}
-			e.Obj = names.intern(f[3])
+			e.Obj = names.intern(obj)
 			return e, nil
 		}
-		if n != 6 {
+		out := t.next()
+		if len(out) == 0 || t.more() {
 			return e, fmt.Errorf("res write wants 4 arguments")
 		}
-		switch string(f[5]) {
+		switch string(out) {
 		case "ok":
 			e.Out = history.OutOK
 		case "A":
 			e.Out = history.OutAbort
 		default:
-			return e, fmt.Errorf("write outcome must be ok or A, got %q", string(f[5]))
+			return e, fmt.Errorf("write outcome must be ok or A, got %q", string(out))
 		}
-		e.Obj = names.intern(f[3])
+		e.Obj = names.intern(obj)
 		return e, nil
 	case "tryc":
 		e.Op = history.OpTryCommit
 		if kind == history.Inv {
-			if n != 3 {
+			if t.more() {
 				return e, fmt.Errorf("inv tryc wants 1 argument")
 			}
 			return e, nil
 		}
-		if n != 4 {
+		out := t.next()
+		if len(out) == 0 || t.more() {
 			return e, fmt.Errorf("res tryc wants 2 arguments")
 		}
-		switch string(f[3]) {
+		switch string(out) {
 		case "C":
 			e.Out = history.OutCommit
 		case "A":
 			e.Out = history.OutAbort
 		default:
-			return e, fmt.Errorf("tryc outcome must be C or A, got %q", string(f[3]))
+			return e, fmt.Errorf("tryc outcome must be C or A, got %q", string(out))
 		}
 		return e, nil
 	case "trya":
 		e.Op = history.OpTryAbort
 		if kind == history.Inv {
-			if n != 3 {
+			if t.more() {
 				return e, fmt.Errorf("inv trya wants 1 argument")
 			}
 			return e, nil
 		}
-		if n != 4 || string(f[3]) != "A" {
+		if out := t.next(); string(out) != "A" || t.more() {
 			return e, fmt.Errorf("res trya wants outcome A")
 		}
 		e.Out = history.OutAbort
 		return e, nil
 	default:
-		return e, fmt.Errorf("unknown operation %q", string(f[1]))
+		return e, fmt.Errorf("unknown operation %q", string(op))
 	}
 }
 
 func parseTxn(s []byte) (history.TxnID, error) {
+	if n, ok := decimal(s); ok && n > 0 {
+		return history.TxnID(n), nil
+	}
 	n, err := strconv.Atoi(string(s))
 	if err != nil || n <= 0 {
 		return 0, fmt.Errorf("invalid transaction id %q", string(s))
@@ -455,9 +503,35 @@ func parseTxn(s []byte) (history.TxnID, error) {
 }
 
 func parseValue(s []byte) (history.Value, error) {
+	if n, ok := decimal(s); ok {
+		return history.Value(n), nil
+	}
 	n, err := strconv.ParseInt(string(s), 10, 64)
 	if err != nil {
 		return 0, fmt.Errorf("invalid value %q", string(s))
 	}
 	return history.Value(n), nil
+}
+
+// decimal reads s as the format writes a number — an optional '-' and 1
+// to 18 decimal digits, which cannot overflow — without strconv; ok is
+// false for any other form, which strconv then decides.
+func decimal(s []byte) (n int64, ok bool) {
+	digits := s
+	if len(s) > 0 && s[0] == '-' {
+		digits = s[1:]
+	}
+	if len(digits) == 0 || len(digits) > 18 {
+		return 0, false
+	}
+	for _, c := range digits {
+		if c-'0' > 9 {
+			return 0, false
+		}
+		n = n*10 + int64(c-'0')
+	}
+	if len(digits) < len(s) {
+		n = -n
+	}
+	return n, true
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"duopacity/internal/history"
 )
@@ -97,7 +98,10 @@ func TestParseReuseAllocs(t *testing.T) {
 
 // TestFieldsMatchesStringsFields: the in-place tokenizer splits exactly
 // where strings.Fields does — Unicode white space, invalid UTF-8 and all —
-// and counts the fields it does not store.
+// and counts the fields it does not store. Each of the 128 ASCII bytes is
+// tried as a separator and inside a token, so a white-space table that
+// differs from unicode.IsSpace in one entry (U+001C–U+001F, say, which
+// are not space in Go) fails here.
 func TestFieldsMatchesStringsFields(t *testing.T) {
 	for _, line := range []string{
 		"", " ", "a", " a ", "a b", "a  b\tc\nd\ve\ff\rg h",
@@ -108,18 +112,41 @@ func TestFieldsMatchesStringsFields(t *testing.T) {
 	} {
 		checkFields(t, line)
 	}
+	for c := 0; c < utf8.RuneSelf; c++ {
+		b := string(rune(c))
+		for _, line := range []string{
+			"a" + b + "b", b, b + b, b + "lead", "trail" + b,
+			"res" + b + "write 1 X" + b + b + "1 ok", "to" + b + "ken" + b + "\u00a0x",
+		} {
+			checkFields(t, line)
+		}
+	}
 }
 
 func checkFields(t *testing.T, line string) {
 	t.Helper()
 	want := strings.Fields(line)
-	f, n := fields([]byte(line))
+	var f [maxFields][]byte
+	n := fields([]byte(line), &f)
 	if n != len(want) {
 		t.Fatalf("fields(%q) counts %d, strings.Fields %d: %q", line, n, len(want), want)
 	}
 	for i := 0; i < n && i < maxFields; i++ {
 		if string(f[i]) != want[i] {
 			t.Fatalf("fields(%q)[%d] = %q, strings.Fields %q", line, i, f[i], want[i])
+		}
+	}
+	rest := []byte(line)
+	for i := 0; ; i++ {
+		var tok []byte
+		tok, rest = nextField(rest)
+		switch {
+		case i == len(want) && len(tok) == 0:
+			return
+		case i == len(want):
+			t.Fatalf("nextField walk of %q finds %q past strings.Fields' %d fields", line, tok, len(want))
+		case string(tok) != want[i]:
+			t.Fatalf("nextField walk of %q: field %d is %q, strings.Fields %q", line, i, tok, want[i])
 		}
 	}
 }
@@ -131,7 +158,62 @@ func FuzzFields(f *testing.F) {
 	f.Add("a\u00a0b\u0085c \xff\xc2")
 	f.Add("one two three four five six seven")
 	f.Add(" \t\v\f\r\n")
+	f.Add("a\x1cb\x1dc\x1ed\x1f")
 	f.Fuzz(func(t *testing.T, line string) {
 		checkFields(t, line)
 	})
+}
+
+// TestAppendEventsMatchesReference holds the one-pass parser against the
+// parser it replaced (refAppendEvents: strings.Fields, then arity checks
+// on the count) on every line of up to five fields drawn from the format's
+// words and a few bad ones, under rotating separators, and on every event
+// line with a field dropped or one or two extra fields: the same events,
+// the same error messages byte for byte.
+func TestAppendEventsMatchesReference(t *testing.T) {
+	heads := []string{"inv", "res", "read", "write", "commit", "abort", "frob"}
+	words := []string{"read", "write", "tryc", "trya", "1", "0", "-7", "X", "A", "C", "ok"}
+	seps := []string{" ", "\t", "  ", "\u00a0", " \u3000", "\x1c"}
+	var lines []string
+	var build func(line string, depth int)
+	build = func(line string, depth int) {
+		lines = append(lines, line)
+		if depth == 4 {
+			return
+		}
+		for i, w := range words {
+			build(line+seps[(depth+i)%len(seps)]+w, depth+1)
+		}
+	}
+	for _, h := range heads {
+		build(h, 0)
+	}
+	for _, e := range append(eventShapes(12, "obj", -40), eventShapes(3, "Y", 5)...) {
+		f := strings.Fields(FormatEvent(e))
+		for i := range f {
+			lines = append(lines, strings.Join(append(append([]string{}, f[:i]...), f[i+1:]...), " "))
+		}
+		for _, extra := range []string{" A", " 1", " ok ok", " # c", "\u00a0x y"} {
+			lines = append(lines, strings.Join(f, " ")+extra, strings.Join(f, "\t")+extra)
+		}
+	}
+	names := Names{}
+	dst := make([]history.Event, 0, 4)
+	held := history.Event{Txn: 99}
+	for _, line := range lines {
+		want, wantErr := refAppendEvents([]history.Event{held}, line)
+		got, err := AppendEvents(append(dst[:0], held), []byte(line), names)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("AppendEvents(%q) error %v, reference %v", line, err, wantErr)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("AppendEvents(%q) = %v, reference %v", line, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("AppendEvents(%q) event %d = %v, reference %v", line, i, got[i], want[i])
+			}
+		}
+	}
+	t.Logf("%d lines", len(lines))
 }
