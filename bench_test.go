@@ -890,53 +890,6 @@ func BenchmarkMonitorOnlineCertify(b *testing.B) {
 
 // --- Schedule exploration: per-plan proofs ---------------------------------
 
-// BenchmarkExplorePlan measures the exhaustive schedule explorer on the
-// litmus plans, pruned (sleep sets + symmetry + prefix-closure cut, the
-// default) versus naive (raw schedule space, every schedule run to
-// completion): the per-plan cost of turning sampled certification into a
-// proof, and what the prunings buy. EXPERIMENTS.md records the
-// schedules-explored reduction alongside these timings.
-func BenchmarkExplorePlan(b *testing.B) {
-	plans := []struct {
-		name   string
-		engine string
-		src    string
-	}{
-		{"litmus/tl2", "tl2", "w0\nr0 r0"},
-		{"litmus/ple", "ple", "w0\nr0 r0"},
-		{"sym3/tl2", "tl2", "r0 w0\nr0 w0\nr0 w0"},
-		{"writes/tl2", "tl2", "w0 w1 w0\nw1 w0 w1"},
-	}
-	for _, tc := range plans {
-		p := stm.MustParsePlan(tc.src)
-		b.Run(tc.name+"/pruned", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r, err := harness.ExplorePlanCtx(context.Background(), tc.engine, p, harness.ExploreConfig{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if r.Outcome == harness.BudgetExhausted {
-					b.Fatal("plan must be decidable")
-				}
-			}
-		})
-		b.Run(tc.name+"/naive", func(b *testing.B) {
-			b.ReportAllocs()
-			cfg := harness.ExploreConfig{DisableSleepSets: true, DisableSymmetry: true, DisablePrefixCut: true}
-			for i := 0; i < b.N; i++ {
-				r, err := harness.ExplorePlanCtx(context.Background(), tc.engine, p, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if r.Outcome == harness.BudgetExhausted {
-					b.Fatal("plan must be decidable")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkCheckfarmExplore measures the sharded exploration of a batch
 // of seeded plans — the farm's proof mode (an explore job).
 func BenchmarkCheckfarmExplore(b *testing.B) {

@@ -525,7 +525,10 @@ func TestAppendSampleCount(t *testing.T) {
 		t.Fatalf("short stream: events=%d append_samples=%d, want 10 and 1", st.Events, st.AppendSamples)
 	}
 
-	wire, n := recordedWire(t, harness.Workload{Engine: "gl", Goroutines: 4, TxnsPerGoroutine: 50, Objects: 16, OpsPerTxn: 4, ReadFraction: 0.5, Seed: 3})
+	wire, n, err := recordedWire(harness.Workload{Engine: "gl", Goroutines: 4, TxnsPerGoroutine: 50, Objects: 16, OpsPerTxn: 4, ReadFraction: 0.5, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)

@@ -46,8 +46,8 @@ var digestConfigs = []struct {
 	cfg  ExploreConfig
 }{
 	{"default", ExploreConfig{MaxSchedules: 2048}},
-	{"nocut", ExploreConfig{DisablePrefixCut: true, MaxSchedules: 2048}},
-	{"naive512", ExploreConfig{DisableSleepSets: true, DisableSymmetry: true, DisablePrefixCut: true, MaxSchedules: 512}},
+	{"nocut", ExploreConfig{off: prefixCut, MaxSchedules: 2048}},
+	{"naive512", ExploreConfig{off: naive, MaxSchedules: 512}},
 }
 
 // reportDigest hashes everything an exploration reports that a change to

@@ -141,32 +141,43 @@ type ExploreConfig struct {
 	// needs one witness; proving still requires exhaustion).
 	StopAtFirstViolation bool
 
-	// DisableSleepSets, DisableSymmetry and DisablePrefixCut turn off the
-	// individual prunings — the naive enumeration they leave behind is the
-	// reference the pruning-soundness tests and EXPERIMENTS.md numbers
-	// compare against. With all three set, the explorer enumerates the raw
-	// stepper schedule space and runs every schedule to completion, so
-	// OnSchedule sees every history of that space.
-	DisableSleepSets bool
-	DisableSymmetry  bool
-	DisablePrefixCut bool
+	// off turns prunings off. Only this package's tests set it: the
+	// naive enumeration it leaves behind is the reference the
+	// pruning-soundness tests and EXPERIMENTS.md numbers compare against.
+	// Being unexported, it never travels in a checkfarm.JobSpec.
+	off pruning
 
 	// OnSchedule, when set, observes each schedule that runs to
 	// completion: the thread choice at each step, the recorded history,
-	// and its verdict. With the default prefix cut a violating schedule
-	// is cut at its latching step — even when that step happens to be its
-	// last — and is counted in PrefixCut, not delivered here; set
-	// DisablePrefixCut to observe every schedule of the space. The
-	// verdict's witness is the exploration's one monitor's: ask for
-	// v.Witness() during the callback, not after it returns. One
-	// ExplorePlanCtx call invokes the callback sequentially, but a config
-	// shared across concurrent explorations (a checkfarm explore job run
-	// with jobs > 1) invokes it from all workers — such a callback must be
-	// safe for concurrent use.
+	// and its verdict. The prefix cut ends a violating schedule at its
+	// latching step — even when that step happens to be its last — so it
+	// is counted in PrefixCut, not delivered here. The verdict's witness
+	// is the exploration's one monitor's: ask for v.Witness() during the
+	// callback, not after it returns. One ExplorePlanCtx call invokes the
+	// callback sequentially, but a config shared across concurrent
+	// explorations (a checkfarm explore job run with jobs > 1) invokes it
+	// from all workers — such a callback must be safe for concurrent use.
 	// The field is excluded from serialization (checkfarm.JobSpec ships
 	// ExploreConfig over the certd wire; a callback cannot travel).
 	OnSchedule func(schedule []int, h *history.History, v spec.Verdict) `json:"-"`
 }
+
+// pruning is a set of the explorer's sound prunings.
+type pruning uint8
+
+const (
+	sleepSets pruning = 1 << iota // sleep sets (partial-order reduction)
+	symmetry                      // unstarted threads running one program
+	prefixCut                     // the Corollary 2 subtree cut
+
+	// naive is every pruning: with all of them off the explorer
+	// enumerates the raw stepper schedule space and runs every schedule
+	// to completion, so OnSchedule sees every history of that space.
+	naive = sleepSets | symmetry | prefixCut
+)
+
+// prunes reports whether the exploration applies pruning p.
+func (cfg ExploreConfig) prunes(p pruning) bool { return cfg.off&p == 0 }
 
 func (cfg ExploreConfig) withDefaults(p stm.Plan) ExploreConfig {
 	if cfg.Criterion == 0 {
@@ -715,7 +726,7 @@ func (e *explorer) backtrack() bool {
 		f.next++
 		for f.next < len(f.choices) {
 			t := f.choices[f.next]
-			if !e.cfg.DisableSleepSets && f.base&(1<<uint(t)) != 0 {
+			if e.cfg.prunes(sleepSets) && f.base&(1<<uint(t)) != 0 {
 				// A sleeping sibling: every schedule through it reorders
 				// only steps independent of an already-explored subtree.
 				e.rep.SleepPruned++
@@ -765,7 +776,7 @@ func (e *explorer) replay() pathEnd {
 			// A latched violation survives the truncation: the criterion is
 			// prefix-closed, so the violating prefix refutes the plan no
 			// matter how the schedule would have continued (reachable only
-			// with DisablePrefixCut — the cut returns at the latching step).
+			// with the prefix cut off — the cut returns at the latching step).
 			if e.latched() {
 				e.recordViolation()
 			}
@@ -791,7 +802,7 @@ func (e *explorer) replay() pathEnd {
 			// and a forced step into the sleep set means every completion
 			// of this path was already covered from a sibling.
 			taken = choices[0]
-			if !e.cfg.DisableSleepSets && sleep&(1<<uint(taken)) != 0 {
+			if e.cfg.prunes(sleepSets) && sleep&(1<<uint(taken)) != 0 {
 				e.rep.SleepPruned++
 				return endSleepCut
 			}
@@ -800,7 +811,7 @@ func (e *explorer) replay() pathEnd {
 			// A fresh decision point: open a frame, skipping branches that
 			// start inside the inherited sleep set.
 			f := e.pushFrame(choices, sleep)
-			for f.next < len(f.choices) && !e.cfg.DisableSleepSets && f.base&(1<<uint(f.choices[f.next])) != 0 {
+			for f.next < len(f.choices) && e.cfg.prunes(sleepSets) && f.base&(1<<uint(f.choices[f.next])) != 0 {
 				e.rep.SleepPruned++
 				f.explored |= 1 << uint(f.choices[f.next])
 				f.next++
@@ -822,7 +833,7 @@ func (e *explorer) replay() pathEnd {
 			e.noteDegraded(e.fault)
 			return endSteps
 		}
-		if e.latched() && !e.cfg.DisablePrefixCut {
+		if e.latched() && e.cfg.prunes(prefixCut) {
 			// Corollary 2: the prefix is not du-opaque (resp. opaque), so
 			// no extension is — cut the whole subtree at the causing
 			// event.
@@ -884,7 +895,7 @@ func (e *explorer) finishSchedule() {
 		e.rep.Undecided++
 		e.budget = true
 	case !v.OK:
-		// Reachable only with DisablePrefixCut (the naive reference
+		// Reachable only with the prefix cut off (the naive reference
 		// mode): with the cut enabled a latch — even on the schedule's
 		// final step — returns endPrefixCut before finishSchedule runs.
 		e.recordViolation()
@@ -915,7 +926,7 @@ func (e *explorer) recordViolation() {
 // symmetry-reduction idea of internal/enum). count guards the statistics
 // against double-counting during replays.
 func (e *explorer) symmetryFilter(st *stepper, r []int, count bool) []int {
-	if e.cfg.DisableSymmetry {
+	if !e.cfg.prunes(symmetry) {
 		return r
 	}
 	out := e.cbuf[:0]
@@ -988,7 +999,7 @@ func samePlan(a, b []stm.PlanTxn) bool {
 // step is independent of the step being taken — the sleep set the child
 // state inherits.
 func (e *explorer) childSleep(st *stepper, stateSleep uint64, taken int) uint64 {
-	if e.cfg.DisableSleepSets || stateSleep == 0 {
+	if !e.cfg.prunes(sleepSets) || stateSleep == 0 {
 		return 0
 	}
 	td, ok := nextStepDesc(st.threads[taken], taken)

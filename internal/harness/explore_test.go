@@ -37,7 +37,7 @@ const abortedReaderPlan = "r0 r0\nw0 w0"
 // schedule run to completion — the reference the pruned explorer is
 // differentially tested against.
 func naiveConfig() ExploreConfig {
-	return ExploreConfig{DisableSleepSets: true, DisableSymmetry: true, DisablePrefixCut: true}
+	return ExploreConfig{off: naive}
 }
 
 // TestExploreProvesDeferredUpdateEngines is the CI gate for the
@@ -330,8 +330,8 @@ func TestExploreForkMatchesReplay(t *testing.T) {
 		p := stm.MustParsePlan(src)
 		for _, eng := range engines.Matrix() {
 			for _, c := range []spec.Criterion{spec.DUOpacity, spec.Opacity} {
-				for _, noCut := range []bool{false, true} {
-					r, err := ExplorePlanCtx(context.Background(), eng, p, ExploreConfig{Criterion: c, DisablePrefixCut: noCut})
+				for _, off := range []pruning{0, prefixCut} {
+					r, err := ExplorePlanCtx(context.Background(), eng, p, ExploreConfig{Criterion: c, off: off})
 					if err != nil {
 						t.Fatalf("%s on %q: %v", eng, src, err)
 					}
@@ -374,7 +374,7 @@ func TestExploreMonitorPanicDegrades(t *testing.T) {
 					checkRewound(t, e, v)
 				}
 			}
-			r, err := ExplorePlanCtx(context.Background(), eng, stm.MustParsePlan(src), ExploreConfig{DisablePrefixCut: true})
+			r, err := ExplorePlanCtx(context.Background(), eng, stm.MustParsePlan(src), ExploreConfig{off: prefixCut})
 			exploreOracle, feedHook = nil, nil
 			if err != nil {
 				t.Fatal(err)
@@ -405,8 +405,8 @@ func TestExploreRewoundMonitorMatchesFresh(t *testing.T) {
 		p := stm.MustParsePlan(src)
 		for _, eng := range []string{"tl2", "norec", "ple", "gl", "etl", "dstm"} {
 			for _, c := range []spec.Criterion{spec.DUOpacity, spec.Opacity} {
-				for _, noCut := range []bool{false, true} {
-					r, err := ExplorePlanCtx(context.Background(), eng, p, ExploreConfig{Criterion: c, DisablePrefixCut: noCut})
+				for _, off := range []pruning{0, prefixCut} {
+					r, err := ExplorePlanCtx(context.Background(), eng, p, ExploreConfig{Criterion: c, off: off})
 					if err != nil {
 						t.Fatalf("%s on %q: %v", eng, src, err)
 					}
@@ -456,8 +456,8 @@ func TestExploreClassMemoMatchesMonitor(t *testing.T) {
 		for _, src := range pruningPlans {
 			p := stm.MustParsePlan(src)
 			for _, eng := range []string{"tl2", "norec", "pdur", "ple", "gl", "etl", "dstm"} {
-				for _, noCut := range []bool{false, true} {
-					r, err := ExplorePlanCtx(context.Background(), eng, p, ExploreConfig{DisablePrefixCut: noCut})
+				for _, off := range []pruning{0, prefixCut} {
+					r, err := ExplorePlanCtx(context.Background(), eng, p, ExploreConfig{off: off})
 					if err != nil {
 						t.Fatalf("%s on %q: %v", eng, src, err)
 					}
@@ -526,6 +526,53 @@ func TestExploreReplayAllocs(t *testing.T) {
 		if b := bound[eng]; (allocs > b.allocs || bytes > b.bytes) && !raceEnabled {
 			t.Errorf("%s: a replay costs %.2f allocations and %.0f bytes, want at most %g and %g", eng, allocs, bytes, b.allocs, b.bytes)
 		}
+	}
+}
+
+// BenchmarkExplorePlan measures the exhaustive schedule explorer on the
+// litmus plans, pruned (sleep sets + symmetry + prefix-closure cut, the
+// default) versus naive (raw schedule space, every schedule run to
+// completion): the per-plan cost of turning sampled certification into a
+// proof, and what the prunings buy. EXPERIMENTS.md records the
+// schedules-explored reduction alongside these timings.
+func BenchmarkExplorePlan(b *testing.B) {
+	plans := []struct {
+		name   string
+		engine string
+		src    string
+	}{
+		{"litmus/tl2", "tl2", "w0\nr0 r0"},
+		{"litmus/ple", "ple", "w0\nr0 r0"},
+		{"sym3/tl2", "tl2", "r0 w0\nr0 w0\nr0 w0"},
+		{"writes/tl2", "tl2", "w0 w1 w0\nw1 w0 w1"},
+	}
+	for _, tc := range plans {
+		p := stm.MustParsePlan(tc.src)
+		b.Run(tc.name+"/pruned", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r, err := ExplorePlanCtx(context.Background(), tc.engine, p, ExploreConfig{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if r.Outcome == BudgetExhausted {
+					b.Fatal("plan must be decidable")
+				}
+			}
+		})
+		b.Run(tc.name+"/naive", func(b *testing.B) {
+			b.ReportAllocs()
+			cfg := naiveConfig()
+			for i := 0; i < b.N; i++ {
+				r, err := ExplorePlanCtx(context.Background(), tc.engine, p, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if r.Outcome == BudgetExhausted {
+					b.Fatal("plan must be decidable")
+				}
+			}
+		})
 	}
 }
 
@@ -636,11 +683,11 @@ func TestExploreRefutesPLEGoldenWorkload(t *testing.T) {
 // TestExploreTruncatedScheduleKeepsLatchedViolation: a violation the
 // monitor latched before the step budget truncates the schedule is
 // definitive (prefix closure) and must yield ViolationFound, not
-// BudgetExhausted — reachable only with DisablePrefixCut, where no cut
+// BudgetExhausted — reachable only with the prefix cut off, where no cut
 // returns at the latching step.
 func TestExploreTruncatedScheduleKeepsLatchedViolation(t *testing.T) {
 	p := stm.MustParsePlan(pleLitmusPlan)
-	r, err := ExplorePlanCtx(context.Background(), "ple", p, ExploreConfig{DisablePrefixCut: true, MaxSteps: 2})
+	r, err := ExplorePlanCtx(context.Background(), "ple", p, ExploreConfig{off: prefixCut, MaxSteps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

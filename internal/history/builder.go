@@ -19,8 +19,8 @@ type Builder struct {
 }
 
 // NewBuilder returns an empty Builder. Like the other batch wrappers it
-// skips live index maintenance: the histories it finalizes build their
-// index lazily on first use.
+// skips live index maintenance: the histories it finalizes are indexed
+// on first use.
 func NewBuilder() *Builder {
 	return &Builder{s: newStreamOver(&History{})}
 }

@@ -22,8 +22,8 @@ type History struct {
 
 	// idx caches the dense Indexed view. Histories built by NewStream
 	// carry the incrementally maintained live index; batch-built
-	// histories (FromEvents, Prefix, Builder, snapshots) build it lazily
-	// on first use (Index).
+	// histories (FromEvents, Prefix, Builder, snapshots) are indexed on
+	// first use (Index), by the same indexer run over their events.
 	idxOnce sync.Once
 	idx     *Indexed
 }
@@ -37,8 +37,8 @@ type History struct {
 // not followed by further invocations of the same transaction.
 //
 // FromEvents is the batch entry to the stream core (Stream): validation
-// is the same incremental pass Append performs per event; the index stays
-// lazy (built on first use) since many batch-built histories are never
+// is the same incremental pass Append performs per event; indexing stays
+// lazy (done on first use) since many batch-built histories are never
 // checked.
 func FromEvents(evs []Event) (*History, error) {
 	h := &History{events: append([]Event(nil), evs...)}

@@ -1,16 +1,16 @@
 package history
 
-import "sort"
-
 // Indexed is the dense, precomputed view of a history that the decision
 // procedures (package spec), the proof constructions (package koenig) and
 // the online monitor share. It replaces the per-check rebuilding of
 // map[Var]int / map[TxnID]int with indexes computed once per History:
 // histories are immutable, so the view is cached on the History and safe
-// to share across goroutines. Stream-built histories maintain the view
-// incrementally as events are appended; buildIndex below is the one-shot
-// batch construction used for snapshots, and the two are pinned equal by
-// the stream differential tests.
+// to share across goroutines.
+//
+// There is one construction, the stream's event-by-event indexer
+// (Stream.index). A stream built with NewStream runs it as each event is
+// appended; a built history (FromEvents, Prefix, Builder, a Stream.History
+// snapshot) runs it over its events in order on first use (Index).
 //
 // Transaction indexes follow first-appearance order (the order of
 // History.Txns), and so do object indexes — both admit append-only
@@ -92,12 +92,12 @@ type IndexedWrite struct {
 	Val Value
 }
 
-// Index returns the history's indexed view. Histories built by NewStream
-// carry the incrementally maintained index; batch-built histories build
-// it here on first use. The view is cached: repeated checks of the same
-// History share one index.
+// Index returns the history's indexed view. A history of a NewStream
+// carries the stream's live index; a built history indexes itself here on
+// first use, by feeding its events to the stream's indexer (indexHistory).
+// The view is cached: repeated checks of the same History share one index.
 func (h *History) Index() *Indexed {
-	h.idxOnce.Do(func() { h.idx = buildIndex(h) })
+	h.idxOnce.Do(func() { h.idx = indexHistory(h) })
 	return h.idx
 }
 
@@ -121,129 +121,6 @@ func (ix *Indexed) ObjIndexOf(v Var) int {
 		return i
 	}
 	return -1
-}
-
-func buildIndex(h *History) *Indexed {
-	ix := &Indexed{H: h}
-
-	// Objects, in first-appearance order (matching the stream's
-	// incremental registration).
-	seen := make(map[Var]bool)
-	for _, e := range h.events {
-		if e.Op == OpRead || e.Op == OpWrite {
-			if !seen[e.Obj] {
-				seen[e.Obj] = true
-				ix.Objs = append(ix.Objs, e.Obj)
-			}
-		}
-	}
-	ix.objIdx = make(map[Var]int, len(ix.Objs))
-	for i, v := range ix.Objs {
-		ix.objIdx[v] = i
-	}
-
-	n := len(h.ids)
-	ix.TxnIDs = append([]TxnID(nil), h.ids...)
-	ix.txnIdx = make(map[TxnID]int, n)
-	ix.Txns = make([]IndexedTxn, n)
-	for i, k := range ix.TxnIDs {
-		ix.txnIdx[k] = i
-		t := h.txns[k]
-		it := &ix.Txns[i]
-		it.Info = t
-		it.BadReadOp = -1
-		it.First, it.Last = t.First, t.Last
-		it.TryCInv, it.TryCRes = t.TryCInv, t.TryCRes
-		it.Committed = t.Committed()
-		it.CommitPending = t.CommitPending()
-		it.TComplete = t.TComplete()
-		it.Complete = t.Complete()
-
-		// Classify reads and find the latest successful write per object by
-		// scanning H|k; own-write lookback is a backward scan (transactions
-		// are short, and this keeps index building allocation-light).
-		for j, op := range t.Ops {
-			if op.Pending {
-				break
-			}
-			if op.Kind != OpRead || op.Out != OutOK {
-				continue
-			}
-			own := false
-			for p := j - 1; p >= 0; p-- {
-				prev := t.Ops[p]
-				if prev.Kind == OpWrite && prev.Out == OutOK && prev.Obj == op.Obj {
-					own = true
-					if prev.Arg != op.Val && it.BadReadOp < 0 {
-						it.BadReadOp = j
-						it.BadReadWant = prev.Arg
-					}
-					break
-				}
-			}
-			if own {
-				continue
-			}
-			it.Reads = append(it.Reads, IndexedRead{
-				Obj: ix.objIdx[op.Obj], Val: op.Val, ResIdx: op.ResIndex, Op: op,
-			})
-		}
-		for j, op := range t.Ops {
-			if op.Pending || op.Kind != OpWrite || op.Out != OutOK {
-				continue
-			}
-			// Keep only the latest write per object.
-			last := true
-			for p := j + 1; p < len(t.Ops); p++ {
-				next := t.Ops[p]
-				if next.Pending {
-					break
-				}
-				if next.Kind == OpWrite && next.Out == OutOK && next.Obj == op.Obj {
-					last = false
-					break
-				}
-			}
-			if last {
-				it.Writes = append(it.Writes, IndexedWrite{Obj: ix.objIdx[op.Obj], Val: op.Arg})
-			}
-		}
-		sort.Slice(it.Writes, func(a, b int) bool { return it.Writes[a].Obj < it.Writes[b].Obj })
-	}
-
-	// Bitset views. RTPred rows come out of one slab (row i spans
-	// bitsWords(i) words — only lower-indexed transactions can precede i),
-	// matching the shapes the stream's incremental maintenance produces.
-	totalWords := 0
-	for i := 0; i < n; i++ {
-		totalWords += bitsWords(i)
-	}
-	slab := make([]uint64, totalWords)
-	ix.RTPred = make([]Bits, n)
-	off := 0
-	for i := 0; i < n; i++ {
-		w := bitsWords(i)
-		ix.RTPred[i] = Bits(slab[off : off+w : off+w])
-		off += w
-	}
-	ix.Writers = make([]Bits, len(ix.Objs))
-	for i := range ix.Txns {
-		it := &ix.Txns[i]
-		for _, w := range it.Writes {
-			ix.Writers[w.Obj] = ix.Writers[w.Obj].SetGrow(i)
-		}
-		if it.TComplete {
-			ix.TComplete = ix.TComplete.SetGrow(i)
-			// Only later-indexed transactions can real-time follow i: dense
-			// order is first-appearance order.
-			for m := i + 1; m < n; m++ {
-				if it.Last < ix.Txns[m].First {
-					ix.RTPred[m].Set(i)
-				}
-			}
-		}
-	}
-	return ix
 }
 
 // SeqForOrder materializes the t-complete t-sequential history with

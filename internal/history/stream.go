@@ -32,16 +32,16 @@ import (
 // explorer's monitor) return to the prefix instead of re-ingesting it.
 //
 // FromEvents, Prefix and Builder are thin wrappers over this core, so the
-// batch and streaming paths validate histories identically. The
-// incremental index is maintained only for streams built with NewStream
-// (the online consumers that query it at every event); the batch wrappers
-// leave the index to the lazy one-shot builder, so histories that are
-// never checked never pay for it. The two index constructions are pinned
-// equal by the stream differential tests.
+// batch and streaming paths validate histories identically. The index is
+// maintained as events arrive only for streams built with NewStream (the
+// online consumers that query it at every event); a history the batch
+// wrappers build is indexed on first use by the same indexer, run over its
+// events (indexHistory), so histories that are never checked never pay
+// for it.
 type Stream struct {
 	h *History
 	// ix is the incrementally maintained live index, nil for the batch
-	// wrappers (whose histories build the index lazily on first use).
+	// wrappers (whose histories are indexed lazily on first use).
 	// ix.TComplete doubles as the registration source for new
 	// transactions: a transaction's real-time predecessors are exactly
 	// the transactions already t-complete at its first event.
@@ -126,7 +126,7 @@ func (s *Stream) check(e Event) (*TxnInfo, error) {
 	return nil, nil
 }
 
-// eventIdx is what the live index resolved an event to: its transaction's
+// eventIdx is what the index resolved an event to: its transaction's
 // dense index and, for a read or write, its object's (-1 otherwise).
 type eventIdx struct{ txn, obj int32 }
 
@@ -152,11 +152,46 @@ func (s *Stream) admit(i int, e Event, t *TxnInfo) {
 	}
 	t.applyExtend(i, e)
 	if s.ix != nil {
-		s.index(i, e, t, gi)
+		s.index(i, e, gi, len(t.Ops)-1)
 	}
 }
 
-// addTxn registers a new transaction with the live index. Its real-time
+// indexHistory indexes a built history: it runs the stream's indexer over
+// h's events in order, on h's own transaction views, which already hold
+// every later event. That is why index reads of a view only what the event
+// at hand fixes, and why the operation is named by a per-transaction
+// cursor (next) rather than taken as the view's last. The events were
+// validated when h was built and are not checked again.
+func indexHistory(h *History) *Indexed {
+	n := len(h.ids)
+	s := &Stream{h: h, at: make([]eventIdx, 0, len(h.events))}
+	s.ix = &Indexed{
+		H:      h,
+		objIdx: make(map[Var]int),
+		TxnIDs: make([]TxnID, 0, n),
+		txnIdx: make(map[TxnID]int, n),
+		Txns:   make([]IndexedTxn, 0, n),
+		RTPred: make([]Bits, 0, n),
+	}
+	next := make([]int, 0, n) // per transaction, the index of its next operation
+	for i, e := range h.events {
+		gi, ok := s.ix.txnIdx[e.Txn]
+		if !ok {
+			gi = s.addTxn(h.txns[e.Txn])
+			next = append(next, 0)
+		}
+		k := next[gi]
+		if e.Kind == Inv {
+			next[gi]++
+		} else {
+			k-- // the response completes the operation its invocation opened
+		}
+		s.index(i, e, gi, k)
+	}
+	return s.ix
+}
+
+// addTxn registers a new transaction with the index. Its real-time
 // predecessors are the transactions t-complete right now; transactions
 // completing later can never precede it (their last event is at or after
 // this one). A slot Truncate vacated is taken over with its Reads, Writes
@@ -168,10 +203,10 @@ func (s *Stream) addTxn(t *TxnInfo) int {
 	ix.txnIdx[t.ID] = gi
 	ix.Txns = extend(ix.Txns)
 	it := &ix.Txns[gi]
-	*it = IndexedTxn{Info: t, Reads: it.Reads[:0], Writes: it.Writes[:0], BadReadOp: -1, TryCInv: -1, TryCRes: -1}
+	*it = IndexedTxn{Info: t, Reads: it.Reads[:0], Writes: it.Writes[:0], BadReadOp: -1, First: t.First, TryCInv: -1, TryCRes: -1}
 	// The new transaction's real-time predecessors are the transactions
-	// t-complete right now, cloned to the row shape the batch builder
-	// produces (bitsWords(gi) words: only lower indexes can precede gi).
+	// t-complete right now, cloned to bitsWords(gi) words: only lower
+	// indexes can precede gi.
 	ix.RTPred = extend(ix.RTPred)
 	ix.RTPred[gi] = ix.TComplete.CloneWordsInto(ix.RTPred[gi], bitsWords(gi))
 	return gi
@@ -202,12 +237,14 @@ func extend[T any](s []T) []T {
 	return s[:len(s)+1]
 }
 
-// index folds event e at index i (already applied to t, the transaction
-// at dense index gi) into the live index.
-func (s *Stream) index(i int, e Event, t *TxnInfo, gi int) {
+// index folds event e at index i, of the transaction at dense index gi and
+// its operation k, into the index. Of the transaction's view it reads only
+// operation k, which e fixes, so a view that already holds later events (a
+// built history's, see indexHistory) is indexed as one that does not.
+func (s *Stream) index(i int, e Event, gi, k int) {
 	ix := s.ix
 	it := &ix.Txns[gi]
-	it.Last = t.Last
+	it.Last = i
 	if e.Kind == Inv {
 		oi := -1
 		if e.Op == OpRead || e.Op == OpWrite {
@@ -217,18 +254,21 @@ func (s *Stream) index(i int, e Event, t *TxnInfo, gi int) {
 			}
 		}
 		s.at = append(s.at, eventIdx{int32(gi), int32(oi)})
-		it.First = t.First
-		it.TryCInv = t.TryCInv
+		if e.Op == OpTryCommit {
+			it.TryCInv = i
+		}
 		it.Complete = false
 		it.CommitPending = e.Op == OpTryCommit
 		return
 	}
-	// A response: the transaction's last operation just completed, on the
-	// object its invocation resolved.
-	op := t.Ops[len(t.Ops)-1]
+	// A response: operation k just completed, on the object its invocation
+	// resolved.
+	op := it.Info.Ops[k]
 	oi := int(s.at[op.InvIndex].obj)
 	s.at = append(s.at, eventIdx{int32(gi), int32(oi)})
-	it.TryCRes = t.TryCRes
+	if op.Kind == OpTryCommit {
+		it.TryCRes = i
+	}
 	it.Complete = true
 	it.CommitPending = false
 	if e.Out != OutOK {
@@ -238,22 +278,22 @@ func (s *Stream) index(i int, e Event, t *TxnInfo, gi int) {
 	}
 	switch {
 	case op.Kind == OpRead && op.Out == OutOK:
-		indexRead(it, oi, op)
+		indexRead(it, oi, k, op)
 	case op.Kind == OpWrite && op.Out == OutOK:
 		s.indexWrite(it, gi, oi, op)
 	}
 }
 
-// indexRead classifies a completed value-returning read of object oi:
-// satisfied by the transaction's own latest preceding write
-// (consistency-checked, feeding BadReadOp) or external (appended to the
-// read summary).
-func indexRead(it *IndexedTxn, oi int, op Op) {
+// indexRead classifies a completed value-returning read of object oi, the
+// transaction's operation k: satisfied by the transaction's own latest
+// preceding write (consistency-checked, feeding BadReadOp) or external
+// (appended to the read summary).
+func indexRead(it *IndexedTxn, oi, k int, op Op) {
 	for wi := range it.Writes {
 		w := &it.Writes[wi]
 		if w.Obj == oi {
 			if w.Val != op.Val && it.BadReadOp < 0 {
-				it.BadReadOp = len(it.Info.Ops) - 1
+				it.BadReadOp = k
 				it.BadReadWant = w.Val
 			}
 			return
@@ -460,8 +500,8 @@ func (s *Stream) Live() *History { return s.h }
 // History returns an immutable snapshot of the history observed so far.
 // The snapshot shares the already-written event storage with the stream
 // (appending more events never mutates it, and Truncate moves the stream
-// off it first) and costs O(transactions), not O(events); its index is
-// built on first use, like any batch-built history's.
+// off it first) and costs O(transactions), not O(events); it is indexed on
+// first use, like any batch-built history.
 func (s *Stream) History() *History {
 	s.shared = true
 	evs := s.h.events

@@ -8,8 +8,8 @@ import (
 	"testing/quick"
 )
 
-// equalIndexes structurally compares two indexed views (the incremental
-// stream index against the one-shot batch construction).
+// equalIndexes structurally compares two indexed views (an index the
+// stream's indexer built against the frozen reference construction).
 func equalIndexes(a, b *Indexed) error {
 	if len(a.Objs) != len(b.Objs) {
 		return fmt.Errorf("objs: %v vs %v", a.Objs, b.Objs)
@@ -133,7 +133,8 @@ func checkStreamAgainstBatch(s *Stream) error {
 	if err := equalHistories(snap, batch); err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
-	// The incremental index against the one-shot batch builder.
+	// The live index, and the snapshot's, against the reference
+	// construction.
 	if err := equalIndexes(s.Live().Index(), buildIndex(batch)); err != nil {
 		return fmt.Errorf("live index: %w", err)
 	}
