@@ -34,8 +34,8 @@ func CheckAll(h *history.History, criteria []Criterion, opts ...Option) []Verdic
 	o := buildOptions(opts)
 	out := make([]Verdict, len(criteria))
 	var offers []*witness
-	edgeBuf := edgeBufPool.Get().(*[][2]history.TxnID) // TMS2's edges, then RCO's
-	defer edgeBufPool.Put(edgeBuf)
+	et := edgeTrackerPool.Get().(*edgeTracker) // TMS2's edges, then RCO's
+	defer edgeTrackerPool.Put(et)
 	var du Verdict
 	if slices.Contains(criteria, DUOpacity) || slices.Contains(criteria, Opacity) {
 		du = decide(h, DUOpacity, duMode, o)
@@ -58,11 +58,7 @@ func CheckAll(h *history.History, criteria []Criterion, opts ...Option) []Verdic
 				offers = append(offers, v.w)
 			}
 		default:
-			mode := criterionMode(h, c, o, *edgeBuf)
-			if mode.extraEdges != nil {
-				*edgeBuf = mode.extraEdges[:0]
-			}
-			if v = decide(h, c, mode, o, offers...); v.OK {
+			if v = decide(h, c, criterionMode(h, c, o, et), o, offers...); v.OK {
 				offers = append(offers, v.w)
 			}
 		}
@@ -80,6 +76,7 @@ func CheckAll(h *history.History, criteria []Criterion, opts ...Option) []Verdic
 	return out
 }
 
-// edgeBufPool holds the storage CheckAll builds conflict-order edges in:
-// the engine reads them only while it prepares, so no verdict keeps them.
-var edgeBufPool = sync.Pool{New: func() any { return new([][2]history.TxnID) }}
+// edgeTrackerPool holds the trackers CheckAll builds conflict-order edges
+// with: the engine reads the edges only while it prepares, so no verdict
+// keeps them.
+var edgeTrackerPool = sync.Pool{New: func() any { return new(edgeTracker) }}

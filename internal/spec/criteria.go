@@ -2,9 +2,7 @@ package spec
 
 import (
 	"fmt"
-	"math"
 	"sort"
-	"sync"
 
 	"duopacity/internal/history"
 )
@@ -126,40 +124,6 @@ func CheckTMS2(h *history.History, opts ...Option) Verdict {
 	return decide(h, TMS2, criterionMode(h, TMS2, o, nil), o)
 }
 
-// tms2Edges appends to edges CheckTMS2's conflict-order edges: T1 -> T2
-// for a committed writer T1 of an object in T2's read set whose tryC
-// response precedes T2's tryC invocation. An edge whose source real-time
-// precedes its target is left out: real-time order already imposes it
-// (see edgeTracker).
-func tms2Edges(edges [][2]history.TxnID, h *history.History, exemptAbortedReaders bool) [][2]history.TxnID {
-	ix := h.Index()
-	fr := getFirstReads(ix)
-	defer fr.release()
-	for ai := range ix.Txns {
-		t1 := &ix.Txns[ai]
-		if !t1.Committed || len(t1.Writes) == 0 || t1.TryCRes < 0 {
-			continue
-		}
-		fr.markReaders(t1.Writes, noRead)
-		for bi := range ix.Txns {
-			if bi == ai {
-				continue
-			}
-			t2 := &ix.Txns[bi]
-			if t2.TryCInv < 0 || t1.TryCRes >= t2.TryCInv || ix.RTPred[bi].Test(ai) {
-				continue
-			}
-			if exemptAbortedReaders && t2.TComplete && !t2.Committed {
-				continue
-			}
-			if fr.marked(bi) {
-				edges = append(edges, [2]history.TxnID{t1.Info.ID, t2.Info.ID})
-			}
-		}
-	}
-	return edges
-}
-
 // writesObj reports whether the transaction installs a write to the dense
 // object index obj.
 func writesObj(t *history.IndexedTxn, obj int) bool {
@@ -213,126 +177,6 @@ func CheckRCO(h *history.History, opts ...Option) Verdict {
 	return decide(h, RCO, criterionMode(h, RCO, o, nil), o)
 }
 
-// rcoEdges appends to edges CheckRCO's conflict-order edges: T_k -> T_m
-// for a reader T_k of an object T_m commits whose read responds before
-// T_m's tryC invocation, unless T_k real-time precedes T_m (as in
-// tms2Edges).
-func rcoEdges(edges [][2]history.TxnID, h *history.History) [][2]history.TxnID {
-	ix := h.Index()
-	fr := getFirstReads(ix)
-	defer fr.release()
-	for mi := range ix.Txns {
-		tm := &ix.Txns[mi]
-		if !tm.Committed || tm.TryCInv < 0 || len(tm.Writes) == 0 {
-			continue
-		}
-		fr.markReaders(tm.Writes, int32(tm.TryCInv))
-		for ki := range ix.Txns {
-			if ki != mi && fr.marked(ki) && !ix.RTPred[mi].Test(ki) {
-				edges = append(edges, [2]history.TxnID{ix.TxnIDs[ki], tm.Info.ID})
-			}
-		}
-	}
-	return edges
-}
-
-// noRead is the before bound of a read at any point in H.
-const noRead = math.MaxInt32
-
-// firstRead is a transaction's first completed successful read of an
-// object: the reader's dense index and the read's response index in H.
-type firstRead struct{ txn, res int32 }
-
-// firstReads is the read-set table the conflict-order edge builders test
-// membership in: per object o, at[off[o]:off[o+1]] lists each transaction
-// that read o (Rset membership, own-write reads included) with its first
-// read's response, in dense transaction order. The table takes space per
-// read, not per (transaction, object) pair. A writer marks the readers of
-// its objects once (markReaders); each (writer, reader) pair is then one
-// stamp comparison instead of a name comparison per read.
-type firstReads struct {
-	at    []firstRead
-	off   []int32
-	cur   []int32  // per object: 1 + the last reader while collecting, then the fill cursor
-	reads []int32  // collected (obj, txn, res) triples, flat
-	mark  []uint32 // per transaction: the stamp of the last markReaders that found it
-	stamp uint32
-}
-
-var firstReadsPool = sync.Pool{New: func() any { return new(firstReads) }}
-
-func getFirstReads(ix *history.Indexed) *firstReads {
-	fr := firstReadsPool.Get().(*firstReads)
-	objs := ix.NumObjs()
-	fr.cur = grow(fr.cur, objs)
-	fr.off = grow(fr.off, objs+1)
-	for o := range fr.cur {
-		fr.cur[o] = 0
-	}
-	for o := range fr.off {
-		fr.off[o] = 0
-	}
-	fr.reads = fr.reads[:0]
-	for ti := range ix.Txns {
-		it := &ix.Txns[ti]
-		// External reads carry their object index; the rest are own-write
-		// reads, rare enough to resolve by name.
-		ext := it.Reads
-		for i := range it.Info.Ops {
-			op := &it.Info.Ops[i]
-			if op.Kind != history.OpRead || op.Pending || op.Out != history.OutOK {
-				continue
-			}
-			var o int
-			if len(ext) > 0 && ext[0].ResIdx == op.ResIndex {
-				o, ext = ext[0].Obj, ext[1:]
-			} else {
-				o = ix.ObjIndexOf(op.Obj)
-			}
-			if fr.cur[o] != int32(ti+1) {
-				fr.cur[o] = int32(ti + 1)
-				fr.off[o+1]++
-				fr.reads = append(fr.reads, int32(o), int32(ti), int32(op.ResIndex))
-			}
-		}
-	}
-	for o := 0; o < objs; o++ {
-		fr.off[o+1] += fr.off[o]
-		fr.cur[o] = fr.off[o]
-	}
-	fr.at = grow(fr.at, len(fr.reads)/3)
-	for r := 0; r < len(fr.reads); r += 3 {
-		o := fr.reads[r]
-		fr.at[fr.cur[o]] = firstRead{fr.reads[r+1], fr.reads[r+2]}
-		fr.cur[o]++
-	}
-	fr.mark = grow(fr.mark, ix.NumTxns())
-	for t := range fr.mark {
-		fr.mark[t] = 0
-	}
-	fr.stamp = 0
-	return fr
-}
-
-func (fr *firstReads) release() { firstReadsPool.Put(fr) }
-
-// markReaders marks the transactions that read one of the objects writes
-// installs with a response before the event at index before (noRead: at
-// any point); marked tells them until the next call.
-func (fr *firstReads) markReaders(writes []history.IndexedWrite, before int32) {
-	fr.stamp++
-	for _, w := range writes {
-		for _, r := range fr.at[fr.off[w.Obj]:fr.off[w.Obj+1]] {
-			if r.res < before {
-				fr.mark[r.txn] = fr.stamp
-			}
-		}
-	}
-}
-
-// marked reports whether the last markReaders marked transaction ti.
-func (fr *firstReads) marked(ti int) bool { return fr.mark[ti] == fr.stamp }
-
 // CheckStrictSerializability checks that the committed transactions
 // (counting commit-pending ones as free to commit or abort) admit a legal
 // total order respecting H's real-time order. Aborted and incomplete
@@ -357,18 +201,21 @@ var (
 
 // criterionMode is the one search that decides c on h — every criterion
 // but Opacity, which is a walk over prefixes (CheckOpacity). TMS2's and
-// RCO's edges are built in the storage of edges (nil: new storage), which
-// the engine reads only while it prepares.
-func criterionMode(h *history.History, c Criterion, o options, edges [][2]history.TxnID) searchMode {
+// RCO's edges are built by et (nil: a new tracker), whose storage the
+// engine reads only while it prepares.
+func criterionMode(h *history.History, c Criterion, o options, et *edgeTracker) searchMode {
 	switch c {
 	case DUOpacity:
 		return duMode
 	case FinalStateOpacity:
 		return fsoMode
-	case TMS2:
-		return searchMode{realTime: true, extraEdges: tms2Edges(edges[:0], h, o.tms2AbortedExemption)}
-	case RCO:
-		return searchMode{realTime: true, extraEdges: rcoEdges(edges[:0], h)}
+	case TMS2, RCO:
+		if et == nil {
+			et = new(edgeTracker)
+		}
+		et.crit, et.exempt = c, o.tms2AbortedExemption && c == TMS2
+		et.build(h)
+		return searchMode{realTime: true, extraEdges: et.edges}
 	case StrictSerializability:
 		return strictSerMode
 	case Serializability:

@@ -92,3 +92,57 @@ func TestEdgeScanCountGate(t *testing.T) {
 		}
 	}
 }
+
+// serialChain is a serial history of n committed transactions over n
+// objects: T_k reads T_{k-1}'s object and writes its own.
+func serialChain(n int) *history.History {
+	b := history.NewBuilder()
+	for k := 1; k <= n; k++ {
+		id := history.TxnID(k)
+		if k > 1 {
+			b.Read(id, history.Var(fmt.Sprintf("x%d", k-1)), history.Value(k-1))
+		}
+		b.Write(id, history.Var(fmt.Sprintf("x%d", k)), history.Value(k)).Commit(id)
+	}
+	return b.History()
+}
+
+// BenchmarkConflictEdges prices the batch checkers' conflict-order edges
+// (TMS2 then RCO, spec.BatchConflictEdges) and a CheckAll of all seven
+// criteria on two inputs, each history indexed before the timer starts:
+// the 100 certify-shape episodes (RunInterleaved, 4 goroutines x 3
+// transactions x 4 operations over 4 objects, seeds 1-25 of tl2, norec,
+// pdur and dstm; one episode per iteration) and a 3 000-transaction serial
+// chain over 3 000 objects.
+func BenchmarkConflictEdges(b *testing.B) {
+	var episodes []*history.History
+	for _, engine := range []string{"tl2", "norec", "pdur", "dstm"} {
+		for seed := int64(1); seed <= 25; seed++ {
+			h := farmEpisode(b, engine, seed)
+			h.Index()
+			episodes = append(episodes, h)
+		}
+	}
+	chain := serialChain(3000)
+	chain.Index()
+	criteria := spec.AllCriteria()
+	for _, in := range []struct {
+		name string
+		hs   []*history.History
+	}{{"episodes", episodes}, {"chain3000", []*history.History{chain}}} {
+		b.Run(in.name+"/edges", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				h := in.hs[i%len(in.hs)]
+				spec.BatchConflictEdges(h, spec.TMS2, false)
+				spec.BatchConflictEdges(h, spec.RCO, false)
+			}
+		})
+		b.Run(in.name+"/checkall", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				spec.CheckAll(in.hs[i%len(in.hs)], criteria)
+			}
+		})
+	}
+}

@@ -30,8 +30,8 @@ func SessionEdges(s *Session, k int) [][2]history.TxnID {
 
 // SessionEdgeScans reports what the edge scans of the session's k-th
 // criterion did: the edges they added and the candidate transactions they
-// visited (0, 0 for a criterion without conflict-order edges). Edges a
-// rewind rebuilt from the batch builder are not counted.
+// visited (0, 0 for a criterion without conflict-order edges). The scans
+// a rewind's build runs are not counted.
 func SessionEdgeScans(s *Session, k int) (added, scanned int) {
 	if et := s.deciders[k].edges; et != nil {
 		return et.added, et.scanned
@@ -49,16 +49,14 @@ func SessionHistory(s *Session) *history.History { return s.st.History() }
 // what a released session hands back.
 func SessionStreams(s *Session) (live, spare *history.Stream) { return s.st, s.spare }
 
-// BatchConflictEdges recomputes the batch checkers' edge set for c over
-// the whole history — the oracle the incremental tracker must match.
+// BatchConflictEdges is the edge set the batch checkers search c with over
+// the whole history (criterionMode: the tracker's build) — what the live
+// tracker must hold at every prefix.
 func BatchConflictEdges(h *history.History, c Criterion, exemptAborted bool) [][2]history.TxnID {
-	switch c {
-	case TMS2:
-		return tms2Edges(nil, h, exemptAborted)
-	case RCO:
-		return rcoEdges(nil, h)
+	if c != TMS2 && c != RCO {
+		return nil
 	}
-	return nil
+	return criterionMode(h, c, options{tms2AbortedExemption: exemptAborted}, nil).extraEdges
 }
 
 // RefConflictEdges is BatchConflictEdges by the reference engine's frozen
@@ -133,9 +131,10 @@ func WatchLookups(tb testing.TB) *int {
 }
 
 // WatchEdgeScans installs the edge-scan oracle until tb ends: at each TMS2
-// tryC invocation and each RCO commit response, the whole-window scan the
-// edge tracker made before it walked only the transactions concurrent with
-// the target (wholeWindowEdges) runs beside the tracker's scan, and tb
+// tryC invocation and each RCO commit response — live, or replayed by
+// build over a whole history — the whole-window scan the edge tracker
+// made before it walked only the transactions concurrent with the target
+// (wholeWindowEdges) runs beside the tracker's scan, and tb
 // fails unless the tracker added the whole-window edges minus those whose
 // source real-time precedes the target, in the same order. It returns the
 // number of scans compared. It replaces the oracle of an earlier call; the
@@ -161,9 +160,12 @@ func WatchEdgeScans(tb testing.TB) *int {
 
 // wholeWindowEdges is the edge tracker's scan into transaction ti as it
 // was before real-time order pruned it: every live transaction is a
-// candidate source. For TMS2 (ti's tryC just invoked) the sources are the
-// committed writers of an object ti read; for RCO (ti just committed) the
-// transactions that read an object ti writes before ti's tryC invocation.
+// candidate source. For TMS2 (ti's tryC invoked) the sources are the
+// writers of an object ti read that committed before that invocation; for
+// RCO (ti committed) the transactions that read an object ti writes before
+// ti's tryC invocation. On a live prefix ending at the scan's event the
+// TMS2 bound holds for every committed writer; over a whole history
+// (build) it does not.
 func wholeWindowEdges(c Criterion, ix *history.Indexed, ti int) (edges [][2]history.TxnID) {
 	t := &ix.Txns[ti]
 	objs := writeVars(ix, t, nil)
@@ -171,7 +173,7 @@ func wholeWindowEdges(c Criterion, ix *history.Indexed, ti int) (edges [][2]hist
 		a := &ix.Txns[ai]
 		switch {
 		case ai == ti:
-		case c == TMS2 && a.Committed && len(a.Writes) > 0 && a.TryCRes >= 0:
+		case c == TMS2 && a.Committed && len(a.Writes) > 0 && a.TryCRes >= 0 && a.TryCRes < t.TryCInv:
 			if readsAny(t, writeVars(ix, a, nil), math.MaxInt) {
 				edges = append(edges, [2]history.TxnID{a.Info.ID, t.Info.ID})
 			}

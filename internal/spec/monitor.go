@@ -193,7 +193,7 @@ func (d *decider) step(h *history.History, e history.Event, ro options) {
 // backs any more (the transaction is neither committed nor commit-pending
 // in h) becomes an abort, everything else stays. The restricted order is
 // then placed like any offered order (places), against the conflict-order
-// edges rebuilt from the batch builder for TMS2 / RCO. For du-opacity
+// edges the tracker builds over h for TMS2 / RCO. For du-opacity
 // Lemma 1 says it places; where it may not (final-state opacity is not
 // prefix-closed, and conflict-order edges are not part of Lemma 1) the
 // exact search decides, so a rewind can cost a search, never an answer —
@@ -220,7 +220,7 @@ func (d *decider) rewind(h *history.History, ro options) {
 	d.order, d.commit, d.pos = d.order[:k], d.commit[:k], d.pos[:k]
 	d.syncOrder(ix) // a stale order (undecided stretch) may lack some; the end is always a valid place
 	if d.edges != nil {
-		d.edges.rebuild(h)
+		d.edges.build(h)
 	}
 	ok := d.places(h, ro)
 	if rewindOracle != nil {
@@ -248,15 +248,15 @@ func (d *decider) recheck(h *history.History, e history.Event, ro options) Verdi
 	if d.verdict.OK && d.fastRecheck(ix, e) {
 		d.fastHits++
 		if d.edges != nil {
-			d.edges.clearPending()
+			d.edges.clearFresh()
 		}
 		return d.accepted(ix)
 	}
 	v := d.search(h, ro)
 	if d.edges != nil {
 		// The search enforces the whole standing edge set; nothing stays
-		// pending past it, whatever the outcome.
-		d.edges.clearPending()
+		// fresh past it, whatever the outcome.
+		d.edges.clearFresh()
 	}
 	return v
 }
@@ -282,7 +282,7 @@ func (d *decider) search(h *history.History, ro options) Verdict {
 
 // mode is the search mode of the batch checker for the decider's
 // criterion, with the incrementally maintained conflict-order edges (TMS2 /
-// RCO) standing in for the batch builders' — the same edge sets. Opacity
+// RCO) — the set the batch checker builds over the same history. Opacity
 // searches as final-state opacity (see search).
 func (d *decider) mode() searchMode {
 	m := fsoMode
@@ -367,11 +367,11 @@ func (d *decider) adoptWitness() {
 // false when only the exhaustive search can decide.
 func (d *decider) fastRecheck(ix *history.Indexed, e history.Event) bool {
 	d.syncOrder(ix)
-	if d.edges != nil && !d.edges.pendingOK(ix, d.pos) {
+	if d.edges != nil && !d.edges.freshOK(ix, d.pos) {
 		// A conflict-order edge added since the last recheck is violated
 		// by the standing witness order; only the search (which enforces
 		// the whole edge set) can decide. Standing edges need no per-event
-		// check: they were validated when pending, and witness positions
+		// check: they were validated when fresh, and witness positions
 		// only change through adoptWitness, which re-validates everything.
 		return false
 	}

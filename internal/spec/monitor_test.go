@@ -246,8 +246,9 @@ func sortedEdges(edges [][2]history.TxnID) [][2]history.TxnID {
 // (0 disables) and — for TMS2 — the aborted-reader exemption, pinning the
 // monitor verdict against the batch checker at every response prefix
 // while unlatched. With window 0 it additionally pins the monitor's
-// incrementally maintained conflict-order edge set against the batch
-// tms2Edges/rcoEdges builders at every prefix, invocation prefixes
+// incrementally maintained conflict-order edge set, as a set, against the
+// one the same tracker builds over each prefix for the batch checker
+// (build: the scans replayed over the whole prefix), invocation prefixes
 // included (with retirement the live history diverges from the raw
 // prefix, so the edge oracle no longer applies event-for-event).
 func feedCompareOpts(t *testing.T, c spec.Criterion, h *history.History, window int, exempt bool) {

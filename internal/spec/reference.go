@@ -467,7 +467,8 @@ func checkReference(h *history.History, c Criterion, o options) Verdict {
 
 // refTMS2Edges is the frozen string-keyed TMS2 edge builder: per (writer,
 // reader) pair it compares the writer's object names with every read of
-// the reader. tms2Edges must produce the same list in the same order.
+// the reader. The edge tracker's build must produce the same edges, as a
+// set, less those whose source real-time precedes the target.
 func refTMS2Edges(h *history.History, exemptAbortedReaders bool) [][2]history.TxnID {
 	ix := h.Index()
 	var edges [][2]history.TxnID
@@ -497,8 +498,8 @@ func refTMS2Edges(h *history.History, exemptAbortedReaders bool) [][2]history.Tx
 	return edges
 }
 
-// refRCOEdges is the frozen string-keyed RCO edge builder; rcoEdges must
-// produce the same list in the same order.
+// refRCOEdges is the frozen string-keyed RCO edge builder, held against
+// the edge tracker's build as refTMS2Edges is.
 func refRCOEdges(h *history.History) [][2]history.TxnID {
 	ix := h.Index()
 	var edges [][2]history.TxnID
