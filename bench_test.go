@@ -8,6 +8,7 @@ package duopacity_test
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
@@ -794,19 +795,24 @@ func BenchmarkMonitorLongStream(b *testing.B) {
 	}
 }
 
+// longStreamClock turns on TestMonitorLongStreamSmoke's wall-clock gate.
+// CI runs that test alone with it set (go test -run
+// TestMonitorLongStreamSmoke . -args -longstream.clock): next to other
+// packages on the same cores a 3 ms quarter is at a scheduler's mercy.
+var longStreamClock = flag.Bool("longstream.clock", false, "TestMonitorLongStreamSmoke: also hold quarter 4's wall clock to 3x quarter 2's")
+
 // TestMonitorLongStreamSmoke is the CI gate behind BenchmarkMonitorLongStream:
-// a 10k-transaction stream is decided OK at every response, the live index
-// stays bounded by the retirement window, and the per-event cost is flat —
-// the last quarter of the stream may not cost more than 3x the second
-// quarter (the first quarter is excluded as warm-up; a monitor whose cost
-// grows with history length fails by a wide margin, the pre-retirement
-// monitor's last quarter being >100x its second). The same gate runs for
-// the TMS2 and RCO monitors: incremental edge maintenance must not bend
-// the curve — a whole-history edge rebuild per event would fail it by
-// orders of magnitude.
+// a 10k-transaction stream is decided OK at every response and the live
+// index stays bounded by the retirement window, for the du, TMS2 and RCO
+// monitors. That the per-event work is flat is counted, exactly, by
+// internal/spec's TestMonitorLongStreamWorkFlat, which runs the same
+// stream. With -longstream.clock the per-event time is gated too: the
+// last quarter of the stream may not take more than 3x the second (the
+// first quarter is excluded as warm-up; the pre-retirement monitor's last
+// quarter took >100x its second).
 func TestMonitorLongStreamSmoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("timing comparison skipped in -short mode")
+		t.Skip("long stream skipped in -short mode")
 	}
 	const (
 		n      = 10_000
@@ -842,7 +848,7 @@ func TestMonitorLongStreamSmoke(t *testing.T) {
 			if m.Retired() < n-2*window-1 {
 				t.Fatalf("Retired = %d, want nearly all of %d", m.Retired(), n)
 			}
-			if qdur[3] > 3*qdur[1] {
+			if *longStreamClock && qdur[3] > 3*qdur[1] {
 				t.Fatalf("per-event cost is not flat: quarter 4 took %v, quarter 2 took %v", qdur[3], qdur[1])
 			}
 		})

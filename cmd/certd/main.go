@@ -16,10 +16,12 @@
 //
 // work runs a pull worker against a coordinator: it leases grants — the
 // coordinator sizes them, many short shards or one long one — heartbeats
-// while computing, posts the outcomes in one request, and survives shard
-// panics (the coordinator requeues). An idle worker's poll is held by the
-// coordinator for up to -poll and answered the moment work arrives. Kill
-// it freely; the lease protocol absorbs the loss.
+// while computing, sends the outcomes with its next lease request, and
+// survives shard panics (the coordinator requeues). An idle worker's poll
+// is held by the coordinator for up to -poll and answered the moment work
+// arrives. On SIGINT/SIGTERM it delivers what it finished and hands the
+// rest of its grant back; kill it freely otherwise, the lease protocol
+// absorbs the loss.
 //
 // submit reads a checkfarm.JobSpec as JSON (from -spec, or stdin with
 // "-"), submits it, and with -wait asks for the status with requests the

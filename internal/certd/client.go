@@ -29,7 +29,13 @@ func (c *Client) httpClient() *http.Client {
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	var body io.Reader
 	if in != nil {
-		b, err := json.Marshal(in)
+		var b []byte
+		var err error
+		if a, ok := in.(interface{ appendJSON([]byte) ([]byte, error) }); ok {
+			b, err = a.appendJSON(nil) // json.Marshal's bytes, without its reflection
+		} else {
+			b, err = json.Marshal(in)
+		}
 		if err != nil {
 			return err
 		}
@@ -64,7 +70,11 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		return errGone
 	default:
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("certd: %s %s: %s: %s", method, path, resp.Status, bytes.TrimSpace(msg))
+		err := fmt.Errorf("certd: %s %s: %s: %s", method, path, resp.Status, bytes.TrimSpace(msg))
+		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
+			err = &refusedError{err}
+		}
+		return err
 	}
 }
 
@@ -72,6 +82,12 @@ var (
 	errNoContent = fmt.Errorf("certd: no content")
 	errGone      = fmt.Errorf("certd: lease gone")
 )
+
+// refusedError is a 4xx answer: the coordinator read the request and
+// refused it, so sending it again would be refused again.
+type refusedError struct{ error }
+
+func (e *refusedError) Unwrap() error { return e.error }
 
 // Submit sends a job and returns its id and shard count.
 func (c *Client) Submit(ctx context.Context, spec checkfarm.JobSpec) (string, int, error) {
@@ -82,11 +98,12 @@ func (c *Client) Submit(ctx context.Context, spec checkfarm.JobSpec) (string, in
 	return resp.ID, resp.Shards, nil
 }
 
-// Lease pulls one grant; the coordinator may hold the request for up to
-// hold while it has nothing to hand out. ok is false when it had no work.
-func (c *Client) Lease(ctx context.Context, worker string, hold time.Duration) (*LeaseGrant, bool, error) {
+// Lease pulls one grant, delivering req.Deliver first; the coordinator
+// may hold the request for up to req.WaitMillis while it has nothing to
+// hand out. ok is false when it had no work, or req was DeliverOnly.
+func (c *Client) Lease(ctx context.Context, req LeaseRequest) (*LeaseGrant, bool, error) {
 	var g LeaseGrant
-	err := c.do(ctx, http.MethodPost, "/v1/lease", LeaseRequest{Worker: worker, WaitMillis: hold.Milliseconds()}, &g)
+	err := c.do(ctx, http.MethodPost, "/v1/lease", &req, &g)
 	if err == errNoContent {
 		return nil, false, nil
 	}
@@ -107,11 +124,6 @@ func (c *Client) Heartbeat(ctx context.Context, leaseID string) (bool, error) {
 		return false, err
 	}
 	return true, nil
-}
-
-// Result delivers the outcomes of a grant (idempotent on the coordinator).
-func (c *Client) Result(ctx context.Context, req ResultRequest) error {
-	return c.do(ctx, http.MethodPost, "/v1/result", req, nil)
 }
 
 // Job fetches a job's status.

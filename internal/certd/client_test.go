@@ -10,9 +10,9 @@ import (
 )
 
 // TestClientKeepAlive: every status path of Client.do reads the response
-// out, so a whole worker conversation — leases, heartbeats, results, a
-// 204, a 410, an error — rides one connection. A body closed unread costs
-// a fresh TCP dial per request.
+// out, so a whole worker conversation — leases carrying results,
+// heartbeats, a 204, a 410, an error — rides one connection. A body
+// closed unread costs a fresh TCP dial per request.
 func TestClientKeepAlive(t *testing.T) {
 	s := NewServer(Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -35,22 +35,24 @@ func TestClientKeepAlive(t *testing.T) {
 		t.Fatal(err)
 	}
 	var last *LeaseGrant
+	var deliver *ResultRequest
 	for done := 0; done < cycles; {
-		g, ok, err := c.Lease(ctx, "w", 0)
+		g, ok, err := c.Lease(ctx, LeaseRequest{Worker: "w", Deliver: deliver})
 		if err != nil || !ok {
 			t.Fatalf("lease after %d shards: ok=%v err=%v", done, ok, err)
 		}
 		if alive, err := c.Heartbeat(ctx, g.LeaseID); err != nil || !alive {
 			t.Fatalf("heartbeat: alive=%v err=%v", alive, err)
 		}
-		if err := c.Result(ctx, ResultRequest{JobID: id, LeaseID: g.LeaseID, Worker: "w", Outcomes: outcomes(t, g, g.Shards...)}); err != nil {
-			t.Fatal(err)
-		}
+		deliver = &ResultRequest{JobID: id, LeaseID: g.LeaseID, Worker: "w", Outcomes: outcomes(t, g, g.Shards...)}
 		done += len(g.Shards)
 		last = g
 	}
-	if _, ok, err := c.Lease(ctx, "w", 0); err != nil || ok { // 204
+	if _, ok, err := c.Lease(ctx, LeaseRequest{Worker: "w", Deliver: deliver}); err != nil || ok { // 204
 		t.Fatalf("lease on an empty queue: ok=%v err=%v", ok, err)
+	}
+	if _, _, err := c.Lease(ctx, LeaseRequest{Worker: "w", Deliver: &ResultRequest{JobID: "nope"}}); err == nil { // 400
+		t.Fatal("a delivery for an unknown job was accepted")
 	}
 	if alive, err := c.Heartbeat(ctx, last.LeaseID); err != nil || alive { // 410
 		t.Fatalf("heartbeat on a finished lease: alive=%v err=%v", alive, err)

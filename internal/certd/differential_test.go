@@ -170,7 +170,7 @@ func TestWorkerDiesMidRunRequeues(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The doomed worker grabs the shard and dies (no heartbeat).
-	g, ok, err := c.Lease(ctx, "doomed", 0)
+	g, ok, err := c.Lease(ctx, LeaseRequest{Worker: "doomed"})
 	if err != nil || !ok {
 		t.Fatalf("doomed lease: %v ok=%v", err, ok)
 	}
@@ -211,7 +211,7 @@ func TestAllWorkersDeadDegrades(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			_, ok, err := c.Lease(ctx, fmt.Sprintf("doomed%d", i), 0)
+			_, ok, err := c.Lease(ctx, LeaseRequest{Worker: fmt.Sprintf("doomed%d", i)})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -48,9 +48,11 @@ func mustJSON(t testing.TB, v any) []byte {
 	return b
 }
 
-// TestJSONRoutes: the four JSON routes share one decode path — 405 to
+// TestJSONRoutes: the three JSON routes share one decode path — 405 to
 // anything but POST, 400 to a body that is not their request — and a
-// draining coordinator refuses a job with 503.
+// draining coordinator refuses a job with 503. A lease request's delivery
+// is applied once however often it arrives, and one that does not verify
+// is refused whole, with nothing applied and nothing granted.
 func TestJSONRoutes(t *testing.T) {
 	s := clockedServer(Config{LeaseTTL: time.Second}, newFakeClock())
 	h := s.Handler()
@@ -58,12 +60,20 @@ func TestJSONRoutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := poll(s, "w1")
+	delivery := &ResultRequest{JobID: g.JobID, LeaseID: g.LeaseID, Outcomes: outcomes(t, g, g.Shards...)}
 	valid := map[string][]byte{
 		"/v1/jobs":      mustJSON(t, SubmitRequest{Spec: checkJobSpec(smallHistories(1)...)}),
 		"/v1/lease":     mustJSON(t, LeaseRequest{Worker: "w2"}),
 		"/v1/heartbeat": mustJSON(t, HeartbeatRequest{LeaseID: g.LeaseID}),
-		"/v1/result":    mustJSON(t, ResultRequest{JobID: g.JobID, LeaseID: g.LeaseID, Outcomes: outcomes(t, g, g.Shards...)}),
+		"deliver":       mustJSON(t, LeaseRequest{Worker: "w1", Deliver: delivery}),
+		"deliver-only":  mustJSON(t, LeaseRequest{Worker: "w1", Deliver: delivery, DeliverOnly: true}),
 	}
+	// Both outcomes are well formed but for shard 9 of a two-shard job: the
+	// first must not be applied either.
+	badShard := mustJSON(t, LeaseRequest{Worker: "w1", Deliver: &ResultRequest{JobID: g.JobID, LeaseID: g.LeaseID,
+		Outcomes: append(outcomes(t, g, g.Shards...), ShardOutcome{Shard: 9, Err: "boom"})}})
+	both := mustJSON(t, LeaseRequest{Worker: "w1", Deliver: &ResultRequest{JobID: g.JobID, LeaseID: g.LeaseID,
+		Outcomes: []ShardOutcome{{Shard: 0, Result: delivery.Outcomes[0].Result, Err: "boom"}}}})
 	for _, tc := range []struct {
 		method, route string
 		body          []byte
@@ -72,21 +82,26 @@ func TestJSONRoutes(t *testing.T) {
 		{http.MethodGet, "/v1/jobs", valid["/v1/jobs"], http.StatusMethodNotAllowed},
 		{http.MethodPut, "/v1/lease", valid["/v1/lease"], http.StatusMethodNotAllowed},
 		{http.MethodGet, "/v1/heartbeat", valid["/v1/heartbeat"], http.StatusMethodNotAllowed},
-		{http.MethodDelete, "/v1/result", valid["/v1/result"], http.StatusMethodNotAllowed},
+		{http.MethodDelete, "/v1/lease", valid["deliver"], http.StatusMethodNotAllowed},
 		{http.MethodPost, "/v1/jobs", []byte(`{"spec":`), http.StatusBadRequest},
 		{http.MethodPost, "/v1/lease", []byte(`[]`), http.StatusBadRequest},
 		{http.MethodPost, "/v1/heartbeat", []byte(`{"lease_id":7}`), http.StatusBadRequest},
-		{http.MethodPost, "/v1/result", nil, http.StatusBadRequest},
+		{http.MethodPost, "/v1/lease", nil, http.StatusBadRequest},
+		{http.MethodPost, "/v1/lease", []byte(`{"worker":"w1","deliver":{"job_id":"j1","outcomes":[{"shard":0,"result":{"episode":"x"}}]}}`), http.StatusBadRequest},
+		{http.MethodPost, "/v1/lease", badShard, http.StatusBadRequest},
+		{http.MethodPost, "/v1/lease", both, http.StatusBadRequest},
 		{http.MethodPost, "/v1/jobs", valid["/v1/jobs"], http.StatusOK},
 		{http.MethodPost, "/v1/lease", valid["/v1/lease"], http.StatusOK},
 		{http.MethodPost, "/v1/heartbeat", valid["/v1/heartbeat"], http.StatusOK},
-		{http.MethodPost, "/v1/result", valid["/v1/result"], http.StatusOK},
+		{http.MethodPost, "/v1/lease", valid["deliver"], http.StatusOK},             // delivered, then granted the second job
+		{http.MethodPost, "/v1/lease", valid["deliver"], http.StatusNoContent},      // a duplicate, and nothing left to grant
+		{http.MethodPost, "/v1/lease", valid["deliver-only"], http.StatusNoContent}, // a duplicate, and no grant asked for
 	} {
 		if rec := serve(h, tc.method, tc.route, tc.body); rec.Code != tc.code {
 			t.Errorf("%s %s %.40q: %d %q, want %d", tc.method, tc.route, tc.body, rec.Code, rec.Body, tc.code)
 		}
 	}
-	if s.Metrics.JobsSubmitted.Load() != 2 || s.Metrics.LeasesGranted.Load() != 2 {
+	if m := &s.Metrics; m.JobsSubmitted.Load() != 2 || m.LeasesGranted.Load() != 3 || m.ShardsDone.Load() != 1 || m.ShardsRequeued.Load() != 0 {
 		t.Errorf("refused requests reached the lease machine: %+v", s.Stats().Jobs)
 	}
 
@@ -143,7 +158,7 @@ func TestJSONRoutesRefuseOversizedBodies(t *testing.T) {
 	// A check job whose one history is a string just past the limit.
 	body := append([]byte(`{"spec":{"kind":"check","check":{"histories":["`), bytes.Repeat([]byte{'x'}, maxBodyBytes)...)
 	body = append(body, `"],"criteria":["du"]}}}`...)
-	for _, route := range []string{"/v1/jobs", "/v1/lease", "/v1/heartbeat", "/v1/result"} {
+	for _, route := range []string{"/v1/jobs", "/v1/lease", "/v1/heartbeat"} {
 		if rec := serve(h, http.MethodPost, route, body); rec.Code != http.StatusRequestEntityTooLarge {
 			t.Errorf("%s with a %d-byte body: %d %.80q, want 413", route, len(body), rec.Code, rec.Body)
 		}
@@ -156,6 +171,8 @@ func TestJSONRoutesRefuseOversizedBodies(t *testing.T) {
 // FuzzCoordinatorHTTP sends arbitrary routes, methods and bodies through
 // the Handler of a coordinator with a live job and an outstanding grant:
 // no request may get a 5xx answer or break the lease machine's invariants.
+// Lease bodies carrying a delivery — of check verdicts, an error, and a
+// certify episode in the compact grammar — are among the seeds.
 func FuzzCoordinatorHTTP(f *testing.F) {
 	results := walkResults(f, exhaustiveShards)
 	// setup is the same coordinator for every input: job j1, its probe
@@ -173,12 +190,13 @@ func FuzzCoordinatorHTTP(f *testing.F) {
 	}{
 		{http.MethodPost, "/v1/lease", mustJSON(f, LeaseRequest{Worker: "w1", WaitMillis: 50})},
 		{http.MethodPost, "/v1/heartbeat", mustJSON(f, HeartbeatRequest{LeaseID: g.LeaseID})},
-		{http.MethodPost, "/v1/result", mustJSON(f, ResultRequest{JobID: g.JobID, LeaseID: g.LeaseID, Worker: "w0", Outcomes: []ShardOutcome{{Shard: 0, Result: w.results[0]}}})},
-		{http.MethodPost, "/v1/result", mustJSON(f, ResultRequest{JobID: g.JobID, LeaseID: g.LeaseID, Worker: "w0", Outcomes: []ShardOutcome{{Shard: 0, Err: "boom"}}})},
+		{http.MethodPost, "/v1/lease", mustJSON(f, LeaseRequest{Worker: "w0", Deliver: &ResultRequest{JobID: g.JobID, LeaseID: g.LeaseID, Worker: "w0", Outcomes: []ShardOutcome{{Shard: 0, Result: w.results[0]}}}})},
+		{http.MethodPost, "/v1/lease", mustJSON(f, LeaseRequest{Worker: "w0", Deliver: &ResultRequest{JobID: g.JobID, LeaseID: g.LeaseID, Worker: "w0", Outcomes: []ShardOutcome{{Shard: 0, Err: "boom"}}}, DeliverOnly: true})},
 		{http.MethodPost, "/v1/jobs", mustJSON(f, SubmitRequest{Spec: g.Spec})},
 		{http.MethodGet, "/v1/jobs/" + g.JobID + "?wait_millis=50", nil},
 		{http.MethodGet, "/statsz", nil},
 		{http.MethodGet, "/healthz", nil},
+		{http.MethodPost, "/v1/lease", certifyDelivery(f, g.JobID, g.LeaseID)},
 	} {
 		f.Add(seed.method, seed.route, seed.body)
 	}

@@ -633,7 +633,7 @@ func TestDrainWakesParkedLease(t *testing.T) {
 	defer c.HTTP.CloseIdleConnections()
 
 	got := parkLease(t, s, func() *LeaseGrant {
-		g, _, err := c.Lease(context.Background(), "w1", time.Minute)
+		g, _, err := c.Lease(context.Background(), LeaseRequest{Worker: "w1", WaitMillis: time.Minute.Milliseconds()})
 		if err != nil {
 			t.Errorf("parked lease: %v", err)
 		}
@@ -658,6 +658,64 @@ func TestDrainWakesParkedLease(t *testing.T) {
 	}
 	if took := time.Since(start); took > 5*time.Second {
 		t.Fatalf("drain + shutdown took %v with a one-minute hold parked", took)
+	}
+}
+
+// TestFoldedJobsLeaveTheWorkingSet: after 1 000 jobs have folded, a grant
+// walks only the open jobs — the grant order holds nothing else — and a
+// folded job keeps its report but none of its per-shard state. Status and
+// Report still answer for it, and a late duplicate delivery is an
+// acknowledged no-op.
+func TestFoldedJobsLeaveTheWorkingSet(t *testing.T) {
+	s := NewServer(Config{})
+	const folded = 1000
+	results := walkResults(t, 1)
+	var first *LeaseGrant
+	var ids []string
+	for i := 0; i < folded; i++ {
+		id, _, err := s.Submit(checkJobSpec(smallHistories(1)...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := poll(s, "w")
+		if err := s.Result(ResultRequest{JobID: g.JobID, LeaseID: g.LeaseID, Outcomes: []ShardOutcome{{Shard: 0, Result: results[0]}}}); err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = g
+		}
+		ids = append(ids, id)
+	}
+	for _, id := range ids {
+		waitReport(t, s, id)
+	}
+	open, _, err := s.Submit(checkJobSpec(smallHistories(2)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	order := len(s.order)
+	var kept []string
+	for _, j := range s.jobs {
+		if j.folded && (j.results != nil || j.owner != nil || j.attempts != nil || j.pending != nil || j.formatted == "") {
+			kept = append(kept, j.id)
+		}
+	}
+	s.mu.Unlock()
+	if order != 1 || len(kept) > 0 {
+		t.Fatalf("with one open job, a grant walks %d jobs; folded jobs holding per-shard state or missing their report: %v", order, kept)
+	}
+	if g := poll(s, "w"); g == nil || g.JobID != open {
+		t.Fatalf("grant after %d folded jobs: %+v, want job %s", folded, g, open)
+	}
+	if err := s.Result(ResultRequest{JobID: first.JobID, LeaseID: first.LeaseID, Outcomes: []ShardOutcome{{Shard: 0, Result: results[0]}}}); err != nil {
+		t.Fatalf("late duplicate delivery for a folded job: %v", err)
+	}
+	if st, err := s.Status(first.JobID); err != nil || st.State != JobDone || st.Shards != 1 || st.Done != 1 || st.Formatted == "" {
+		t.Fatalf("Status of a folded job: %+v, %v", st, err)
+	}
+	if snap := s.Stats(); snap.Jobs.Open != 1 || snap.Jobs.Done != folded || snap.Jobs.ShardsDone != folded {
+		t.Fatalf("statsz after %d folded jobs: %+v", folded, snap.Jobs)
 	}
 }
 

@@ -21,20 +21,27 @@
 // # Job protocol (HTTP/JSON)
 //
 //	POST /v1/jobs       SubmitRequest  -> SubmitResponse
-//	POST /v1/lease      LeaseRequest   -> LeaseGrant, or 204 (no work)
+//	POST /v1/lease      LeaseRequest   -> LeaseGrant, or 204 (no work, or deliver_only)
+//	                                      (its Deliver, the last grant's outcomes, is applied first; idempotent)
 //	POST /v1/heartbeat  HeartbeatRequest -> 200, or 410 (lease gone)
-//	POST /v1/result     ResultRequest  -> 200 (idempotent)
 //	GET  /v1/jobs/{id}[?wait_millis=N] -> JobStatus
 //	GET  /healthz       -> "ok" | "draining"
 //	GET  /statsz        -> StatsSnapshot
 //
 // The POST routes answer 405 to any other method, 413 to a body over
-// 16 MiB and 400 to a body that is not their request. A job of more than 2^20 shards is refused with
-// 400 before the coordinator allocates anything for it.
+// 16 MiB and 400 to a body that is not their request; a lease request
+// whose delivery does not verify (ResultRequest.Verify) is refused with
+// 400 whole — no outcome of it applied, no grant made on it. A job of
+// more than 2^20 shards is refused with 400 before the coordinator
+// allocates anything for it.
 //
-// A grant is a batch: Shards of one job under one lease, so the spec
-// travels, the lease is bookkept and the worker heartbeats once per grant,
-// and one ResultRequest brings back one outcome per shard. The lease
+// A grant costs one exchange. A grant is a batch: Shards of one job under
+// one lease, so the spec travels, the lease is bookkept and the worker
+// heartbeats once per grant, and the worker's next lease request carries
+// one outcome per shard back (LeaseRequest.Deliver) — the coordinator
+// applies them before it grants or parks the request, so a fold never
+// waits on a poll's hold. A stopping worker sends what it has on a
+// delivery-only request (DeliverOnly), which takes no grant. The lease
 // machine's rules hold per shard inside the grant: the lease owns a shard
 // until that shard's outcome arrives; expiry requeues exactly the shards
 // still owed, lease by lease in grant order, so the same calls at the
@@ -106,16 +113,21 @@ type SubmitResponse struct {
 
 // LeaseRequest is a worker pulling for work. WaitMillis is how long the
 // coordinator may hold the request while it has nothing to grant (0: answer
-// at once).
+// at once). Deliver carries the outcomes of the worker's previous grant;
+// it is applied before anything is granted. A request that failed in
+// transport is sent again with the same Deliver: delivery is idempotent.
+// DeliverOnly asks for no grant — a stopping worker's last request.
 type LeaseRequest struct {
-	Worker     string `json:"worker"`
-	WaitMillis int64  `json:"wait_millis,omitempty"`
+	Worker      string         `json:"worker"`
+	WaitMillis  int64          `json:"wait_millis,omitempty"`
+	Deliver     *ResultRequest `json:"deliver,omitempty"`
+	DeliverOnly bool           `json:"deliver_only,omitempty"`
 }
 
 // LeaseGrant hands shards of one job to a worker under one lease. The
 // spec arrives normalized: the worker computes Spec.RunShard(ctx, shard)
-// for each of Shards, in order, and posts the outcomes back under the
-// lease in one ResultRequest.
+// for each of Shards, in order, and sends the outcomes back under the
+// lease in one ResultRequest, on its next lease request.
 type LeaseGrant struct {
 	JobID     string            `json:"job_id"`
 	Shards    []int             `json:"shards"`
@@ -140,10 +152,13 @@ type ShardOutcome struct {
 	Err    string                 `json:"err,omitempty"`
 }
 
-// ResultRequest delivers the outcomes of a grant. Delivery is idempotent
-// per shard: an outcome for an already-folded shard is an acknowledged
-// no-op, so retried or duplicated deliveries are harmless. Shards of the
-// grant that the request does not name stay under the lease.
+// ResultRequest delivers the outcomes of a grant (LeaseRequest.Deliver).
+// Delivery is idempotent per shard: an outcome for an already-folded
+// shard is an acknowledged no-op, so retried or duplicated deliveries are
+// harmless. Shards of the grant that the request does not name stay under
+// the lease. Certify and soak outcomes carry their episode as one string
+// of checkfarm's compact episode grammar; a delivery of episodes decodes
+// without reflecting over each outcome (wire.go).
 type ResultRequest struct {
 	JobID    string         `json:"job_id"`
 	LeaseID  string         `json:"lease_id"`

@@ -1,6 +1,7 @@
 package certd
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -63,11 +64,14 @@ var errDraining = errors.New("certd: coordinator is draining")
 
 // job is one submitted spec and its shards. A shard's state is stored
 // once: it is done iff results[shard] != nil, leased iff owner[shard] !=
-// nil, and pending (queued exactly once in pending) otherwise.
+// nil, and pending (queued exactly once in pending) otherwise. Once every
+// shard is done the job leaves the grant order; once it has folded its
+// per-shard state is dropped, and what stays is the report and its text.
 type job struct {
 	id       string
 	spec     checkfarm.JobSpec // normalized
-	owner    []*lease          // the live lease holding each leased shard
+	shards   int
+	owner    []*lease // the live lease holding each leased shard
 	attempts []int
 	results  []*checkfarm.ShardResult
 	pending  []int // FIFO of pending shard indices
@@ -111,7 +115,8 @@ type Server struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*job
-	order    []string // submission order; leases are granted oldest-job-first
+	order    []*job // the jobs with a shard not done, in submission order; leases are granted oldest-job-first
+	unfolded int    // jobs submitted and not yet folded
 	leases   map[string]*lease
 	polled   map[string]time.Time // worker -> its last lease poll
 	wake     chan struct{}        // closed, and replaced, when parked lease polls should look again
@@ -165,6 +170,7 @@ func (s *Server) Submit(spec checkfarm.JobSpec) (string, int, error) {
 	j := &job{
 		id:       fmt.Sprintf("j%d", s.seq),
 		spec:     spec,
+		shards:   n,
 		owner:    make([]*lease, n),
 		attempts: make([]int, n),
 		results:  make([]*checkfarm.ShardResult, n),
@@ -175,7 +181,8 @@ func (s *Server) Submit(spec checkfarm.JobSpec) (string, int, error) {
 		j.pending = append(j.pending, i)
 	}
 	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
+	s.order = append(s.order, j)
+	s.unfolded++
 	s.Metrics.JobsSubmitted.Add(1)
 	s.wakeLocked()
 	return j.id, n, nil
@@ -221,8 +228,7 @@ func (s *Server) grantLocked(worker string) *LeaseGrant {
 	if s.draining {
 		return nil
 	}
-	for _, id := range s.order {
-		j := s.jobs[id]
+	for _, j := range s.order {
 		if len(j.pending) == 0 {
 			continue
 		}
@@ -288,6 +294,22 @@ func (s *Server) grantSizeLocked(j *job, now time.Time) int {
 	return max(n, 1)
 }
 
+// Poll answers one lease request: it applies the delivery the request
+// carries (Result), then — unless the request only delivers — grants or
+// parks as Lease does. A delivery that does not verify is refused whole,
+// with nothing of it applied and nothing granted.
+func (s *Server) Poll(ctx context.Context, req LeaseRequest) (*LeaseGrant, error) {
+	if req.Deliver != nil {
+		if err := s.Result(*req.Deliver); err != nil {
+			return nil, err
+		}
+	}
+	if req.DeliverOnly {
+		return nil, nil
+	}
+	return s.Lease(ctx, req.Worker, time.Duration(req.WaitMillis)*time.Millisecond), nil
+}
+
 // Heartbeat extends a lease by a full TTL; false means the lease is gone
 // (expired and reclaimed, or every shard of it already resolved).
 func (s *Server) Heartbeat(leaseID string) bool {
@@ -305,26 +327,28 @@ func (s *Server) Heartbeat(leaseID string) bool {
 // Result folds the outcomes of a grant, shard by shard. Idempotent: a
 // result for an already-done shard — a retried delivery, or a slow worker
 // racing the requeue — is an acknowledged no-op. An Err outcome requeues
-// its shard (or degrades it past its attempts). A malformed request is
-// refused whole, before any outcome is applied.
+// its shard (or degrades it past its attempts). A request that does not
+// verify (ResultRequest.Verify) is refused whole, before any outcome is
+// applied; verification reads only the job's immutable spec, so it runs
+// outside the lock.
 func (s *Server) Result(req ResultRequest) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	j, ok := s.jobs[req.JobID]
+	s.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("certd: unknown job %q", req.JobID)
 	}
-	for _, o := range req.Outcomes {
-		if o.Shard < 0 || o.Shard >= len(j.results) {
-			return fmt.Errorf("certd: job %s has no shard %d", req.JobID, o.Shard)
-		}
-		if o.Err == "" && o.Result == nil {
-			return fmt.Errorf("certd: result for job %s shard %d carries neither a result nor an error", req.JobID, o.Shard)
-		}
+	if err := req.Verify(j.spec); err != nil {
+		return err
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	l := s.leases[req.LeaseID]
 	computed := 0
 	for _, o := range req.Outcomes {
+		if j.done == j.shards {
+			break // every shard is done (a folded job has no per-shard state left): the rest are duplicates
+		}
 		// Whether the presenting lease still owns the shard decides the
 		// error path; resolveLocked/requeueLocked take the shard off
 		// whichever lease holds it and settle the leased count.
@@ -441,15 +465,24 @@ func (s *Server) resolveLocked(j *job, shard int, res *checkfarm.ShardResult) {
 	j.results[shard] = res
 	j.done++
 	s.Metrics.ShardsDone.Add(1)
-	if j.done == len(j.results) {
+	if j.done == j.shards {
+		// Nothing is left to grant: the job leaves the grant order now, so
+		// no grant walks past it while it folds.
+		i := slices.Index(s.order, j)
+		s.order = slices.Delete(s.order, i, i+1)
 		go s.fold(j)
 	}
 }
 
+// fold aggregates a job whose every shard is done, then drops its
+// per-shard state: a delivery for it is a duplicate from then on, and no
+// lease owes it anything.
 func (s *Server) fold(j *job) {
 	rep, err := checkfarm.FoldJob(context.Background(), j.spec, j.results, 0) // 0: a GOMAXPROCS shrinking pool
 	s.mu.Lock()
 	j.folded = true
+	j.results, j.owner, j.attempts, j.pending = nil, nil, nil, nil
+	s.unfolded--
 	if err != nil {
 		j.foldErr = err
 		s.Metrics.JobsFailed.Add(1)
@@ -472,7 +505,7 @@ func (s *Server) Status(id string) (*JobStatus, error) {
 		return nil, fmt.Errorf("certd: unknown job %q", id)
 	}
 	st := &JobStatus{
-		ID: j.id, Kind: j.spec.Kind, Shards: len(j.results),
+		ID: j.id, Kind: j.spec.Kind, Shards: j.shards,
 		Done: j.done, Leased: j.leased, Degraded: j.degraded,
 	}
 	switch {
@@ -482,7 +515,7 @@ func (s *Server) Status(id string) (*JobStatus, error) {
 	case j.folded:
 		st.State = JobDone
 		st.Formatted = j.formatted
-	case j.done == len(j.results):
+	case j.done == j.shards:
 		st.State = JobFolding
 	default:
 		st.State = JobRunning
@@ -524,15 +557,16 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.streamMu.Lock() // ServeStreams reads draining under streamMu alone
 	s.draining = true
 	s.streamMu.Unlock()
-	var open []*job
-	for _, id := range s.order {
-		j := s.jobs[id]
+	for _, j := range slices.Clone(s.order) { // the last degrade closes a job, which leaves s.order
 		j.pending = nil // every unresolved shard degrades below, leased or pending
 		for shard, res := range j.results {
 			if res == nil {
 				s.degradeLocked(j, shard, "coordinator draining")
 			}
 		}
+	}
+	var open []*job
+	for _, j := range s.jobs {
 		if !j.folded {
 			open = append(open, j)
 		}
@@ -590,11 +624,7 @@ func (s *Server) Stats() StatsSnapshot {
 	s.mu.Lock()
 	snap.Draining = s.draining
 	snap.Jobs.LeasesOutstanding = int64(len(s.leases))
-	for _, j := range s.jobs {
-		if !j.folded {
-			snap.Jobs.Open++
-		}
-	}
+	snap.Jobs.Open = int64(s.unfolded)
 	s.mu.Unlock()
 	return snap
 }
@@ -645,7 +675,11 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, st)
 	})
 	mux.HandleFunc("/v1/lease", postJSON(func(w http.ResponseWriter, r *http.Request, req LeaseRequest) {
-		g := s.Lease(r.Context(), req.Worker, time.Duration(req.WaitMillis)*time.Millisecond)
+		g, err := s.Poll(r.Context(), req)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
 		if g == nil {
 			w.WriteHeader(http.StatusNoContent)
 			return
@@ -659,27 +693,20 @@ func (s *Server) Handler() http.Handler {
 		}
 		fmt.Fprintln(w, "ok")
 	}))
-	mux.HandleFunc("/v1/result", postJSON(func(w http.ResponseWriter, r *http.Request, req ResultRequest) {
-		if err := s.Result(req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		fmt.Fprintln(w, "ok")
-	}))
 	return mux
 }
 
 // maxBodyBytes bounds a JSON request body. The largest bodies the repo's
-// own clients send are result deliveries: all 84 outcomes of a default
-// soak job in one body come to 168 KB, all 200 of the benchmark's
-// seven-criteria certify job to 84 KB, and a grant carries a fraction of
-// a job. A check job's spec carries its histories as text, so the bound
-// leaves two orders of magnitude above that.
+// own clients send are lease requests carrying a delivery: all 84
+// outcomes of a default soak job in one body come to 162 KB, all 200 of
+// the benchmark's seven-criteria certify job to 33 KB, and a grant
+// carries a fraction of a job. A check job's spec carries its histories
+// as text, so the bound leaves two orders of magnitude above that.
 const maxBodyBytes = 16 << 20
 
 // postJSON is the one decode path of the JSON routes: anything but POST
 // is refused with 405, a body over maxBodyBytes with 413, a body that
-// does not decode into a Req with 400.
+// does not decode into a Req (decodeBody) with 400.
 func postJSON[Req any](serve func(http.ResponseWriter, *http.Request, Req)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -687,7 +714,15 @@ func postJSON[Req any](serve func(http.ResponseWriter, *http.Request, Req)) http
 			return
 		}
 		var req Req
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+		var body bytes.Buffer
+		if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+			body.Grow(int(n))
+		}
+		_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		if err == nil {
+			err = decodeBody(body.Bytes(), &req)
+		}
+		if err != nil {
 			code := http.StatusBadRequest
 			if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
 				code = http.StatusRequestEntityTooLarge

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -189,9 +190,12 @@ func (w *walk) state() string {
 	}
 	var b strings.Builder
 	jobRank := map[string]int{}
-	for i, id := range s.order {
-		j := s.jobs[id]
-		jobRank[id] = i
+	for i, j := range submitted(s) {
+		jobRank[j.id] = i
+		if j.done == j.shards {
+			fmt.Fprintf(&b, "job %d: closed\n", i) // no future step reads more of it
+			continue
+		}
 		fmt.Fprintf(&b, "job %d: turn %d/%d, degraded %d, queue %v, attempts %v, done/owner", i, j.turnSum, j.turnShards, j.degraded, j.pending, j.attempts)
 		for shard, res := range j.results {
 			fmt.Fprintf(&b, " %v/%d", res != nil, rank[j.owner[shard]])
@@ -215,6 +219,20 @@ func (w *walk) state() string {
 		fmt.Fprintf(&b, ", latest grant: job %d %v, lease %d", jobRank[g.JobID], g.Shards, rank[s.leases[g.LeaseID]])
 	}
 	return b.String()
+}
+
+// submitted lists the coordinator's jobs in submission order.
+func submitted(s *Server) []*job {
+	jobs := make([]*job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		jobs = append(jobs, j)
+	}
+	seq := func(j *job) int {
+		n, _ := strconv.Atoi(strings.TrimPrefix(j.id, "j"))
+		return n
+	}
+	slices.SortFunc(jobs, func(a, b *job) int { return cmp.Compare(seq(a), seq(b)) })
+	return jobs
 }
 
 // walkResults computes the shards of smallHistories(n) once; a walk
@@ -275,6 +293,7 @@ type walk struct {
 	grants   []*LeaseGrant   // every grant ever received, live or not
 	sent     []ResultRequest // every delivery ever made
 	first    map[shardKey]*checkfarm.ShardResult
+	granted  map[string]int // per job, its shard grants as last seen while it was open
 	trace    []string
 	drained  bool
 }
@@ -295,6 +314,7 @@ func newWalk(t testing.TB, results []*checkfarm.ShardResult, attempts int) *walk
 		s:        clockedServer(Config{LeaseTTL: walkTTL, MaxShardAttempts: attempts}, clk),
 		clk:      clk,
 		first:    map[shardKey]*checkfarm.ShardResult{},
+		granted:  map[string]int{},
 	}
 }
 
@@ -325,9 +345,9 @@ func (w *walk) poll(worker string) {
 	}
 }
 
-// send delivers outcomes for the named shards of a grant; errShard (or -1)
-// is reported failed.
-func (w *walk) send(g *LeaseGrant, shards []int, errShard int) {
+// delivery is the outcomes of the named shards of a grant; errShard (or
+// -1) is reported failed.
+func (w *walk) delivery(g *LeaseGrant, shards []int, errShard int) ResultRequest {
 	req := ResultRequest{JobID: g.JobID, LeaseID: g.LeaseID, Worker: "w"}
 	for _, shard := range shards {
 		o := ShardOutcome{Shard: shard, Result: w.results[shard]}
@@ -336,14 +356,36 @@ func (w *walk) send(g *LeaseGrant, shards []int, errShard int) {
 		}
 		req.Outcomes = append(req.Outcomes, o)
 	}
-	w.resend(req)
+	return req
+}
+
+// send delivers outcomes on a delivery-only lease request.
+func (w *walk) send(g *LeaseGrant, shards []int, errShard int) {
+	w.resend(w.delivery(g, shards, errShard))
 }
 
 func (w *walk) resend(req ResultRequest) {
-	if err := w.s.Result(req); err != nil {
-		w.failf("Result(%+v): %v", req, err)
+	if g, err := w.s.Poll(context.Background(), LeaseRequest{Worker: "w", Deliver: &req, DeliverOnly: true}); err != nil || g != nil {
+		w.failf("delivery-only Poll(%+v): %+v, %v", req, g, err)
 	}
 	w.sent = append(w.sent, req)
+}
+
+// sendAndPoll delivers all of a grant on the worker's next lease request,
+// as a Worker does: the delivery is applied before the grant is made.
+func (w *walk) sendAndPoll(g *LeaseGrant, worker string) {
+	req := w.delivery(g, g.Shards, -1)
+	next, err := w.s.Poll(context.Background(), LeaseRequest{Worker: worker, Deliver: &req})
+	if err != nil {
+		w.failf("Poll(%+v): %v", req, err)
+	}
+	w.sent = append(w.sent, req)
+	if next != nil {
+		w.grants = append(w.grants, next)
+		w.logf("%s delivers all of %s, leases %s %v as %s", worker, g.LeaseID, next.JobID, next.Shards, next.LeaseID)
+	} else {
+		w.logf("%s delivers all of %s, nothing grantable", worker, g.LeaseID)
+	}
 }
 
 func (w *walk) expire() {
@@ -384,9 +426,11 @@ func randomWalk(t *testing.T, results []*checkfarm.ShardResult, seed int) *walk 
 		switch op := w.rng.Intn(20); {
 		case op < 7:
 			w.poll(fmt.Sprintf("w%d", w.rng.Intn(workers)))
-		case op < 10 && g != nil:
+		case op < 9 && g != nil:
 			w.logf("deliver all of %s", g.LeaseID)
 			w.send(g, g.Shards, -1)
+		case op < 10 && g != nil:
+			w.sendAndPoll(g, fmt.Sprintf("w%d", w.rng.Intn(workers)))
 		case op < 12 && g != nil:
 			k := 1 + w.rng.Intn(len(g.Shards))
 			w.logf("deliver %v of %s", g.Shards[:k], g.LeaseID)
@@ -438,6 +482,7 @@ func (w *walk) finish() {
 		}
 		if g := poll(w.s, "closer"); g != nil {
 			w.logf("closer leases %s %v as %s", g.JobID, g.Shards, g.LeaseID)
+			w.check()
 			w.send(g, g.Shards, -1)
 		} else {
 			w.expire()
@@ -491,7 +536,25 @@ func (w *walk) check() {
 	var doneAll, grantedAll int64
 	leased := map[string]int{}
 	var problems []string
-	for _, j := range s.jobs {
+	open := 0 // the open jobs are the grant order, in submission order
+	for _, j := range submitted(s) {
+		id := j.id
+		if j.done == j.shards {
+			// Out of the grant order, and once folded, without its
+			// per-shard state.
+			if len(j.pending) != 0 || j.leased != 0 || underLease[j] != 0 || slices.Contains(s.order, j) ||
+				j.folded && (j.owner != nil || j.attempts != nil || j.results != nil) {
+				problems = append(problems, fmt.Sprintf("%s: closed but still holds per-shard state or a place in the grant order", id))
+			}
+			grantedAll += int64(w.granted[id])
+			doneAll += int64(j.done)
+			continue
+		}
+		if open >= len(s.order) || s.order[open] != j {
+			problems = append(problems, fmt.Sprintf("%s: open but not next in the grant order", id))
+		}
+		open++
+		granted := 0
 		queuedAt := make([]int, len(j.results))
 		for _, shard := range j.pending {
 			queuedAt[shard]++
@@ -520,14 +583,19 @@ func (w *walk) check() {
 			if !ok || j.attempts[shard] > s.cfg.MaxShardAttempts {
 				problems = append(problems, fmt.Sprintf("%s/%d: result %v, queued %d times, owner %v, attempts %d", j.id, shard, res != nil, queued, l, j.attempts[shard]))
 			}
-			grantedAll += int64(j.attempts[shard])
+			granted += j.attempts[shard]
 		}
+		w.granted[id] = granted
+		grantedAll += int64(granted)
 		if nPending != len(j.pending) || nLeased != j.leased || nLeased != underLease[j] || nDone != j.done {
 			problems = append(problems, fmt.Sprintf("%s: pending %d/%d, leased %d/%d/%d, done %d/%d",
 				j.id, nPending, len(j.pending), nLeased, j.leased, underLease[j], nDone, j.done))
 		}
 		leased[j.id] = nLeased
 		doneAll += int64(nDone)
+	}
+	if open != len(s.order) {
+		problems = append(problems, fmt.Sprintf("%d jobs in the grant order, %d open", len(s.order), open))
 	}
 	liveLeases := int64(len(s.leases))
 	s.mu.Unlock()

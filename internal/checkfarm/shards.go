@@ -259,11 +259,13 @@ func (w WireVerdict) String() string {
 // keeping episodes light is what makes remote certification cheap. For
 // the same reason only a soak cell carries its recorded history (histio
 // text), which the soak's fold shrinks; certify shards leave it empty.
+// In JSON an episode is one string in a compact grammar (episode_wire.go),
+// not an object per verdict.
 type WireEpisode struct {
-	Skipped  bool          `json:"skipped,omitempty"`
-	Degraded string        `json:"degraded,omitempty"`
-	Verdicts []WireVerdict `json:"verdicts,omitempty"`
-	History  string        `json:"history,omitempty"`
+	Skipped  bool
+	Degraded string
+	Verdicts []WireVerdict
+	History  string
 }
 
 // Report decodes back into the report shape CertStats.AddEpisode folds.

@@ -93,6 +93,81 @@ func TestEdgeScanCountGate(t *testing.T) {
 	}
 }
 
+// TestMonitorLongStreamWorkFlat is the count gate behind the root
+// TestMonitorLongStreamSmoke: a 10 000-transaction serial stream through a
+// one-criterion session with retirement window 32, for du, TMS2 and RCO.
+// Per quarter of the stream it counts the session's work — searches,
+// flips, moves, reads re-checked, retirement probes run, edge candidates
+// scanned and edges added — and quarter 4's may be at most 3x quarter
+// 2's (the first quarter is warm-up). Every count is a function of the
+// stream, so the gate holds on a loaded machine where a wall clock does
+// not. A session that is never rewound never rebuilds its edges over the
+// whole history: a per-event rebuild costs the window at every event, a
+// flat cost no ratio sees, so the rebuild count is held at 0.
+func TestMonitorLongStreamWorkFlat(t *testing.T) {
+	const n, window = 10_000, 32
+	evs := longSerialStream(n, 4)
+	for _, c := range []spec.Criterion{spec.DUOpacity, spec.TMS2, spec.RCO} {
+		s, err := spec.NewSession([]spec.Criterion{c}, spec.WithRetirement(window))
+		if err != nil {
+			t.Fatal(err)
+		}
+		work := func() int {
+			searches, _ := s.Stats()
+			k := s.Counters()
+			added, scanned := spec.SessionEdgeScans(s, 0)
+			return searches + k.Flips + k.Moves + k.ReadsRechecked + k.RetireProbes + added + scanned
+		}
+		quarter := len(evs) / 4
+		var q [4]int
+		for i := range q {
+			before := work()
+			for _, e := range evs[i*quarter : (i+1)*quarter] {
+				vs, err := s.Append(e)
+				if err != nil {
+					t.Fatalf("%v: %v: %v", c, e, err)
+				}
+				if len(vs) > 0 && (!vs[0].OK || vs[0].Undecided) {
+					t.Fatalf("%v: %v: verdict %+v, want decided OK", c, e, vs[0])
+				}
+			}
+			q[i] = work() - before
+		}
+		builds := spec.SessionEdgeBuilds(s, 0)
+		t.Logf("%v: work per quarter %v, %d edge rebuilds, %d retired", c, q, builds, s.Retired())
+		if q[1] == 0 || q[3] > 3*q[1] {
+			t.Errorf("%v: work is not flat: quarter 4 did %d, quarter 2 did %d", c, q[3], q[1])
+		}
+		if builds != 0 {
+			t.Errorf("%v: a session never rewound rebuilt its edges %d times", c, builds)
+		}
+		s.Release()
+	}
+}
+
+// longSerialStream is n serial transactions over objs objects: T_k reads
+// its object's last value, writes k and commits (the root package's
+// longSeqStream).
+func longSerialStream(n, objs int) []history.Event {
+	evs := make([]history.Event, 0, 6*n)
+	last := make([]history.Value, objs)
+	for k := 1; k <= n; k++ {
+		oi := k % objs
+		obj := history.Var(fmt.Sprintf("X%d", oi))
+		id := history.TxnID(k)
+		evs = append(evs,
+			history.Event{Kind: history.Inv, Op: history.OpRead, Txn: id, Obj: obj},
+			history.Event{Kind: history.Res, Op: history.OpRead, Txn: id, Obj: obj, Val: last[oi], Out: history.OutOK},
+			history.Event{Kind: history.Inv, Op: history.OpWrite, Txn: id, Obj: obj, Arg: history.Value(k)},
+			history.Event{Kind: history.Res, Op: history.OpWrite, Txn: id, Obj: obj, Arg: history.Value(k), Out: history.OutOK},
+			history.Event{Kind: history.Inv, Op: history.OpTryCommit, Txn: id},
+			history.Event{Kind: history.Res, Op: history.OpTryCommit, Txn: id, Out: history.OutCommit},
+		)
+		last[oi] = history.Value(k)
+	}
+	return evs
+}
+
 // serialChain is a serial history of n committed transactions over n
 // objects: T_k reads T_{k-1}'s object and writes its own.
 func serialChain(n int) *history.History {

@@ -39,6 +39,16 @@ func SessionEdgeScans(s *Session, k int) (added, scanned int) {
 	return 0, 0
 }
 
+// SessionEdgeBuilds reports how often the session's k-th criterion rebuilt
+// its conflict-order edges over a whole history (edgeTracker.build; 0 for
+// a criterion without them).
+func SessionEdgeBuilds(s *Session, k int) int {
+	if et := s.deciders[k].edges; et != nil {
+		return et.builds
+	}
+	return 0
+}
+
 // SessionHistory exposes a snapshot of the session's live history — the
 // (checkpointed) history its witnesses serialize — to the differential
 // tests.

@@ -57,8 +57,10 @@ type edgeTracker struct {
 	fresh int
 	objs  []history.Var // writeVars scratch
 	// added and scanned count the edges the scans added and the candidate
-	// transactions they visited.
-	added, scanned int
+	// transactions they visited; builds counts the whole-history rebuilds
+	// (build), whose scans added and scanned leave out — a session that is
+	// never rewound runs none.
+	added, scanned, builds int
 }
 
 func newEdgeTracker(c Criterion, exempt bool) *edgeTracker {
@@ -110,6 +112,7 @@ func (et *edgeTracker) build(h *history.History) {
 	}
 	et.fresh = len(et.edges)
 	et.added, et.scanned = added, scanned
+	et.builds++
 }
 
 // tms2ReaderArrived adds the TMS2 edges decided by inv(tryC_2): one from
