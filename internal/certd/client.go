@@ -29,13 +29,7 @@ func (c *Client) httpClient() *http.Client {
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	var body io.Reader
 	if in != nil {
-		var b []byte
-		var err error
-		if a, ok := in.(interface{ appendJSON([]byte) ([]byte, error) }); ok {
-			b, err = a.appendJSON(nil) // json.Marshal's bytes, without its reflection
-		} else {
-			b, err = json.Marshal(in)
-		}
+		b, err := json.Marshal(in)
 		if err != nil {
 			return err
 		}

@@ -1,7 +1,6 @@
 package certd
 
 import (
-	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -116,7 +115,6 @@ type Server struct {
 	mu       sync.Mutex
 	jobs     map[string]*job
 	order    []*job // the jobs with a shard not done, in submission order; leases are granted oldest-job-first
-	unfolded int    // jobs submitted and not yet folded
 	leases   map[string]*lease
 	polled   map[string]time.Time // worker -> its last lease poll
 	wake     chan struct{}        // closed, and replaced, when parked lease polls should look again
@@ -182,7 +180,6 @@ func (s *Server) Submit(spec checkfarm.JobSpec) (string, int, error) {
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j)
-	s.unfolded++
 	s.Metrics.JobsSubmitted.Add(1)
 	s.wakeLocked()
 	return j.id, n, nil
@@ -482,7 +479,6 @@ func (s *Server) fold(j *job) {
 	s.mu.Lock()
 	j.folded = true
 	j.results, j.owner, j.attempts, j.pending = nil, nil, nil, nil
-	s.unfolded--
 	if err != nil {
 		j.foldErr = err
 		s.Metrics.JobsFailed.Add(1)
@@ -624,7 +620,11 @@ func (s *Server) Stats() StatsSnapshot {
 	s.mu.Lock()
 	snap.Draining = s.draining
 	snap.Jobs.LeasesOutstanding = int64(len(s.leases))
-	snap.Jobs.Open = int64(s.unfolded)
+	for _, j := range s.jobs {
+		if !j.folded {
+			snap.Jobs.Open++
+		}
+	}
 	s.mu.Unlock()
 	return snap
 }
@@ -706,7 +706,7 @@ const maxBodyBytes = 16 << 20
 
 // postJSON is the one decode path of the JSON routes: anything but POST
 // is refused with 405, a body over maxBodyBytes with 413, a body that
-// does not decode into a Req (decodeBody) with 400.
+// does not decode into a Req with 400.
 func postJSON[Req any](serve func(http.ResponseWriter, *http.Request, Req)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -714,15 +714,7 @@ func postJSON[Req any](serve func(http.ResponseWriter, *http.Request, Req)) http
 			return
 		}
 		var req Req
-		var body bytes.Buffer
-		if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
-			body.Grow(int(n))
-		}
-		_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-		if err == nil {
-			err = decodeBody(body.Bytes(), &req)
-		}
-		if err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
 			code := http.StatusBadRequest
 			if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
 				code = http.StatusRequestEntityTooLarge

@@ -1,11 +1,8 @@
 package certd
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"strconv"
 
 	"duopacity/internal/checkfarm"
 	"duopacity/internal/spec"
@@ -90,218 +87,4 @@ func sameCriteria(vs []checkfarm.WireVerdict, criteria []spec.Criterion) error {
 		}
 	}
 	return nil
-}
-
-// A lease request is most of the coordinator's traffic, and most of its
-// bytes are the delivery it carries. The form json.Marshal gives a lease
-// request whose delivery holds episodes and errors — keys in field order,
-// no white space, strings without escapes — is read in one pass, without
-// encoding/json's scan of the body or its reflection over each outcome;
-// any other form, explore and check results included, goes through
-// encoding/json. Both read the same request from the same bytes
-// (FuzzDeliveryDecode).
-//
-//	lease    = {"worker":S[,"wait_millis":N][,"deliver":delivery][,"deliver_only":true]}
-//	delivery = {"job_id":S,"lease_id":S[,"worker":S],"outcomes":[O{,O}]}
-//	O        = {"shard":N,"result":{"episode":S}} | {"shard":N,"err":S}
-//
-// Every S is a string of printable ASCII without '"' or '\', which
-// encoding/json decodes to the same bytes, and N an integer as JSON
-// writes it. An episode string is parsed by checkfarm's compact grammar.
-
-// decodeBody decodes a request body: in one pass when the request type
-// has a one-pass reader and the body is in its form, through
-// encoding/json otherwise.
-func decodeBody(body []byte, req any) error {
-	if p, ok := req.(interface{ decodeOnePass([]byte) bool }); ok && p.decodeOnePass(body) {
-		return nil
-	}
-	return json.Unmarshal(body, req)
-}
-
-func (r *LeaseRequest) decodeOnePass(data []byte) bool {
-	d := deliveryReader{b: data, ok: true}
-	req := LeaseRequest{Worker: d.str(`{"worker":`)}
-	if d.has(`,"wait_millis":`) {
-		req.WaitMillis = int64(d.int(""))
-	}
-	if d.has(`,"deliver":`) {
-		dl := d.delivery()
-		req.Deliver = &dl
-	}
-	req.DeliverOnly = d.has(`,"deliver_only":true`)
-	if d.lit("}"); !d.ok || len(d.b) != 0 {
-		return false
-	}
-	*r = req
-	return true
-}
-
-// delivery reads a delivery in the one-pass form.
-func (d *deliveryReader) delivery() ResultRequest {
-	var r ResultRequest
-	r.JobID = d.str(`{"job_id":`)
-	r.LeaseID = d.str(`,"lease_id":`)
-	if d.has(`,"worker":`) {
-		r.Worker = d.str("")
-	}
-	d.lit(`,"outcomes":[`)
-	if !d.ok {
-		return r
-	}
-	r.Outcomes = []ShardOutcome{} // "[]" decodes to an empty slice, not nil; appends size it by what they read
-	for d.ok && !d.has("]}") {
-		if len(r.Outcomes) > 0 {
-			d.lit(",")
-		}
-		o := ShardOutcome{Shard: d.int(`{"shard":`)}
-		if d.has(`,"err":`) {
-			o.Err = d.str("")
-		} else {
-			ep, err := checkfarm.ParseWireEpisode(d.str(`,"result":{"episode":`))
-			if err != nil {
-				d.ok = false
-				return r
-			}
-			o.Result = &checkfarm.ShardResult{Episode: &ep}
-			d.lit("}")
-		}
-		d.lit("}")
-		r.Outcomes = append(r.Outcomes, o)
-	}
-	return r
-}
-
-// deliveryReader consumes a lease request in the one-pass form. The first
-// mismatch clears ok, and every later read then fails too.
-type deliveryReader struct {
-	b  []byte
-	ok bool
-}
-
-// has consumes s if the input starts with it.
-func (d *deliveryReader) has(s string) bool {
-	if !d.ok || !bytes.HasPrefix(d.b, []byte(s)) {
-		return false
-	}
-	d.b = d.b[len(s):]
-	return true
-}
-
-// lit consumes s, which must come next.
-func (d *deliveryReader) lit(s string) {
-	if !d.has(s) {
-		d.ok = false
-	}
-}
-
-// str consumes key, then a string of printable ASCII without escapes.
-func (d *deliveryReader) str(key string) string {
-	if d.lit(key + `"`); !d.ok {
-		return ""
-	}
-	for i, c := range d.b {
-		if c == '"' {
-			s := string(d.b[:i])
-			d.b = d.b[i+1:]
-			return s
-		}
-		if c == '\\' || c < 0x20 || c >= 0x7f {
-			break
-		}
-	}
-	d.ok = false
-	return ""
-}
-
-// int consumes key, then an integer as JSON writes it: no leading zero,
-// no fraction or exponent, at most 18 digits.
-func (d *deliveryReader) int(key string) int {
-	if d.lit(key); !d.ok {
-		return 0
-	}
-	neg := d.has("-")
-	n, digits := 0, 0
-	for ; digits < len(d.b) && '0' <= d.b[digits] && d.b[digits] <= '9'; digits++ {
-		n = 10*n + int(d.b[digits]-'0')
-	}
-	if digits == 0 || digits > 18 || d.b[0] == '0' && digits > 1 {
-		d.ok = false
-		return 0
-	}
-	d.b = d.b[digits:]
-	if neg {
-		return -n
-	}
-	return n
-}
-
-// appendJSON appends the lease request exactly as json.Marshal writes it,
-// without reflection for an episode or an error outcome — the worker's
-// side of the one-pass form.
-func (r *LeaseRequest) appendJSON(b []byte) ([]byte, error) {
-	b = append(b, `{"worker":`...)
-	b = appendString(b, r.Worker)
-	if r.WaitMillis != 0 {
-		b = strconv.AppendInt(append(b, `,"wait_millis":`...), r.WaitMillis, 10)
-	}
-	if d := r.Deliver; d != nil {
-		b = append(b, `,"deliver":{"job_id":`...)
-		b = appendString(b, d.JobID)
-		b = appendString(append(b, `,"lease_id":`...), d.LeaseID)
-		if d.Worker != "" {
-			b = appendString(append(b, `,"worker":`...), d.Worker)
-		}
-		b = append(b, `,"outcomes":`...)
-		if d.Outcomes == nil {
-			b = append(b, "null"...)
-		} else {
-			b = append(b, '[')
-			for i, o := range d.Outcomes {
-				if i > 0 {
-					b = append(b, ',')
-				}
-				b = strconv.AppendInt(append(b, `{"shard":`...), int64(o.Shard), 10)
-				var err error
-				if b, err = appendResult(b, o.Result); err != nil {
-					return nil, err
-				}
-				if o.Err != "" {
-					b = appendString(append(b, `,"err":`...), o.Err)
-				}
-				b = append(b, '}')
-			}
-			b = append(b, ']')
-		}
-		b = append(b, '}')
-	}
-	if r.DeliverOnly {
-		b = append(b, `,"deliver_only":true`...)
-	}
-	return append(b, '}'), nil
-}
-
-// appendResult appends an outcome's result field, if it has one.
-func appendResult(b []byte, res *checkfarm.ShardResult) ([]byte, error) {
-	if res == nil {
-		return b, nil
-	}
-	b = append(b, `,"result":`...)
-	if ep := res.Episode; ep != nil && res.Explore == nil && res.Check == nil && res.Degraded == "" {
-		b, err := ep.AppendCompact(append(b, `{"episode":"`...))
-		return append(b, `"}`...), err
-	}
-	raw, err := json.Marshal(res)
-	return append(b, raw...), err
-}
-
-// appendString appends s as a JSON string, as json.Marshal writes it.
-func appendString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			raw, _ := json.Marshal(s) // a string always encodes
-			return append(b, raw...)
-		}
-	}
-	return append(append(append(b, '"'), s...), '"')
 }

@@ -9,7 +9,6 @@ import (
 	"maps"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -18,7 +17,6 @@ import (
 	"duopacity/internal/checkfarm"
 	"duopacity/internal/harness"
 	"duopacity/internal/spec"
-	"duopacity/internal/stm"
 )
 
 // certifyJobSpec is the benchmark's certify shape at n episodes.
@@ -56,112 +54,6 @@ func certifyOutcomes(t testing.TB, s checkfarm.JobSpec) []ShardOutcome {
 func certifyDelivery(t testing.TB, jobID, leaseID string) []byte {
 	outs := append(certifyOutcomes(t, certifyJobSpec(t, 4)), ShardOutcome{Shard: 4, Err: "shard panicked: boom"})
 	return mustJSON(t, LeaseRequest{Worker: "w0", Deliver: &ResultRequest{JobID: jobID, LeaseID: leaseID, Worker: "w0", Outcomes: outs}})
-}
-
-// TestDeliveryDecodeMatchesReflection: a lease request carrying episodes
-// and errors as json.Marshal writes it is read in one pass, to the
-// request encoding/json reads; the forms left to encoding/json (check
-// results, escaped strings, absent outcomes) still decode.
-func TestDeliveryDecodeMatchesReflection(t *testing.T) {
-	certify := certifyOutcomes(t, certifyJobSpec(t, 6))
-	soak, err := checkfarm.JobSpec{Kind: checkfarm.KindSoak, Soak: &checkfarm.SoakJob{Config: checkfarm.SoakConfig{Engines: []string{"ple"}, Rounds: 1, Seed: 3}}}.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	soakOuts := certifyOutcomes(t, soak)
-	checkOuts := outcomes(t, &LeaseGrant{Spec: checkJobSpec(smallHistories(2)...)}, 0, 1)
-	for _, tc := range []struct {
-		name string
-		req  ResultRequest
-		fast bool
-	}{
-		{"certify", ResultRequest{JobID: "j1", LeaseID: "L2", Worker: "w0", Outcomes: certify}, true},
-		{"certify and errors, no worker", ResultRequest{JobID: "j1", LeaseID: "L2", Outcomes: append(certify[:2:2], ShardOutcome{Shard: 7, Err: "shard panicked: x"}, ShardOutcome{Shard: -3, Err: "worker stopping"})}, true},
-		{"soak cells with histories", ResultRequest{JobID: "j1", LeaseID: "L2", Worker: "w0", Outcomes: soakOuts}, true},
-		{"no outcomes", ResultRequest{JobID: "j1", LeaseID: "L2", Outcomes: []ShardOutcome{}}, true},
-		{"check verdicts", ResultRequest{JobID: "j1", LeaseID: "L2", Outcomes: checkOuts}, false},
-		{"escaped worker", ResultRequest{JobID: "j1", LeaseID: "L2", Worker: "<w>", Outcomes: certify[:1]}, false},
-		{"nil outcomes", ResultRequest{JobID: "j1", LeaseID: "L2"}, false},
-	} {
-		sent := LeaseRequest{Worker: "w0", WaitMillis: 20, Deliver: &tc.req}
-		body := mustJSON(t, sent)
-		var fast, got, want LeaseRequest
-		if ok := fast.decodeOnePass(body); ok != tc.fast {
-			t.Errorf("%s: read in one pass %v, want %v: %s", tc.name, ok, tc.fast, body)
-		}
-		if err := decodeBody(body, &got); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if err := json.Unmarshal(body, &want); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got, sent) {
-			t.Fatalf("%s: decoded\n %+v\nencoding/json\n %+v\nsent\n %+v", tc.name, got.Deliver, want.Deliver, tc.req)
-		}
-	}
-}
-
-// TestLeaseRequestEncodingMatchesMarshal: what a Worker sends is, byte
-// for byte, what json.Marshal writes for the same lease request — every
-// result kind, escaped text, and the empty and absent shapes included.
-func TestLeaseRequestEncodingMatchesMarshal(t *testing.T) {
-	explore, err := checkfarm.JobSpec{Kind: checkfarm.KindExplore, Explore: &checkfarm.ExploreJob{
-		Engine: "ple", Plans: []checkfarm.WirePlan{checkfarm.WirePlanOf(stm.MustParsePlan("w0\nr0 r0"))},
-	}}.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	soak, err := checkfarm.JobSpec{Kind: checkfarm.KindSoak, Soak: &checkfarm.SoakJob{Config: checkfarm.SoakConfig{Engines: []string{"ple"}, Rounds: 1, Seed: 3}}}.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	degraded := certifyJobSpec(t, 1).DegradedShard(0, "coordinator draining")
-	outs := append(certifyOutcomes(t, certifyJobSpec(t, 3)), certifyOutcomes(t, soak)...)
-	outs = append(outs, certifyOutcomes(t, explore)...)
-	outs = append(outs, outcomes(t, &LeaseGrant{Spec: checkJobSpec(smallHistories(2)...)}, 0, 1)...)
-	outs = append(outs,
-		ShardOutcome{Shard: 9, Err: "shard panicked: <boom> & \"more\"\n\tgoroutine 1 \u2028 \xff"},
-		ShardOutcome{Shard: -1},
-		ShardOutcome{Shard: 3, Result: &degraded},
-		ShardOutcome{Shard: 4, Result: &checkfarm.ShardResult{}, Err: "both"})
-	for _, lr := range []LeaseRequest{
-		{Worker: "w0", WaitMillis: 20, Deliver: &ResultRequest{JobID: "j1", LeaseID: "L2", Worker: "w0", Outcomes: outs}},
-		{Worker: "wörker<1>", WaitMillis: -5, Deliver: &ResultRequest{JobID: "j\"1", LeaseID: "L&2", Outcomes: []ShardOutcome{}}, DeliverOnly: true},
-		{Deliver: &ResultRequest{}},
-		{Worker: "w", DeliverOnly: true},
-		{},
-	} {
-		got, err := lr.appendJSON(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := mustJSON(t, lr); string(got) != string(want) {
-			t.Fatalf("appendJSON wrote\n%s\njson.Marshal writes\n%s", got, want)
-		}
-	}
-}
-
-// FuzzDeliveryDecode: on any bytes, a lease request decodes exactly as
-// encoding/json decodes it field by field — the same request, or an error
-// both ways — and never panics.
-func FuzzDeliveryDecode(f *testing.F) {
-	body := certifyDelivery(f, "j1", "L2")
-	var lr LeaseRequest
-	if err := json.Unmarshal(body, &lr); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(body)
-	f.Add(mustJSON(f, LeaseRequest{Worker: "w", Deliver: lr.Deliver, DeliverOnly: true}))
-	f.Add([]byte(`{"worker":"w","wait_millis":20,"deliver":{"job_id":"j1","lease_id":"L2","outcomes":[]},"deliver_only":true}`))
-	f.Add([]byte(`{"worker":"w","deliver":{"job_id":"j1","lease_id":"L2","outcomes":[{"shard":01,"err":"x"}]}}`))
-	f.Add([]byte(`{"worker":"w","deliver":{"job_id":"j1","lease_id":"L2","outcomes":[{"shard":-0,"result":{"episode":"|||du|o12|%41"}}]}}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var got, want LeaseRequest
-		gotErr, wantErr := decodeBody(data, &got), json.Unmarshal(data, &want)
-		if (gotErr != nil) != (wantErr != nil) || gotErr == nil && !reflect.DeepEqual(got, want) {
-			t.Fatalf("%q: decoded %+v (%v), encoding/json %+v (%v)", data, got, gotErr, want, wantErr)
-		}
-	})
 }
 
 // countingHandler counts requests per path as they arrive, and the lease
@@ -295,41 +187,4 @@ func TestStoppingWorkerDelivers(t *testing.T) {
 	if m.LeasesExpired.Load() != 0 || s.Stats().Jobs.LeasesOutstanding != 0 {
 		t.Fatalf("a stopping worker's lease is left to expire: %+v", s.Stats().Jobs)
 	}
-}
-
-// BenchmarkDelivery prices a lease request carrying a 50-outcome certify
-// delivery of the benchmark's seven-criteria shape: encoding it as a
-// Worker does, and decoding it on the coordinator — in one pass
-// (decodeBody), and through encoding/json.
-func BenchmarkDelivery(b *testing.B) {
-	req := &ResultRequest{JobID: "j12", LeaseID: "L345", Worker: "w0", Outcomes: certifyOutcomes(b, certifyJobSpec(b, 50))}
-	body := mustJSON(b, LeaseRequest{Worker: "w0", WaitMillis: 20, Deliver: req})
-	b.Run("encode", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			lr := LeaseRequest{Worker: "w0", WaitMillis: 20, Deliver: req}
-			if _, err := lr.appendJSON(nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(body))/50, "bytes/outcome")
-	})
-	b.Run("decode", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var lr LeaseRequest
-			if err := decodeBody(body, &lr); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("decode-reflect", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var lr LeaseRequest
-			if err := json.Unmarshal(body, &lr); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -1,7 +1,6 @@
 package checkfarm
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -42,15 +41,7 @@ var criterionAliases = func() []string {
 // grammar. It fails rather than drop a field the grammar does not carry:
 // an episode verdict with witness text, or one both OK and undecided.
 func (w WireEpisode) MarshalJSON() ([]byte, error) {
-	b, err := w.AppendCompact([]byte{'"'})
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '"'), nil
-}
-
-// AppendCompact appends the episode in the compact grammar to b.
-func (w WireEpisode) AppendCompact(b []byte) ([]byte, error) {
+	b := []byte{'"'}
 	if w.Skipped {
 		b = append(b, 's')
 	}
@@ -81,19 +72,17 @@ func (w WireEpisode) AppendCompact(b []byte) ([]byte, error) {
 		b = append(b, '|')
 		b = appendEscaped(b, v.Reason)
 	}
-	return b, nil
+	return append(b, '"'), nil
 }
 
 // UnmarshalJSON decodes MarshalJSON's string. A string that is not the
 // grammar is an error; nothing of it is kept.
 func (w *WireEpisode) UnmarshalJSON(data []byte) error {
 	var text string
-	if n := len(data); n >= 2 && data[0] == '"' && data[n-1] == '"' && bytes.IndexByte(data, '\\') < 0 {
-		text = string(data[1 : n-1]) // the grammar needs no JSON escape, so this is the common case
-	} else if err := json.Unmarshal(data, &text); err != nil {
+	if err := json.Unmarshal(data, &text); err != nil {
 		return fmt.Errorf("checkfarm: episode: %w", err)
 	}
-	ep, err := ParseWireEpisode(text)
+	ep, err := parseWireEpisode(text)
 	if err != nil {
 		return err
 	}
@@ -103,8 +92,8 @@ func (w *WireEpisode) UnmarshalJSON(data []byte) error {
 
 var errEpisodeGrammar = errors.New("checkfarm: malformed episode")
 
-// ParseWireEpisode decodes an episode from the compact grammar.
-func ParseWireEpisode(text string) (WireEpisode, error) {
+// parseWireEpisode decodes an episode from the compact grammar.
+func parseWireEpisode(text string) (WireEpisode, error) {
 	var w WireEpisode
 	field := func() (string, bool) {
 		i := strings.IndexByte(text, '|')

@@ -110,7 +110,7 @@ func TestWireEpisodeAllocatesByWhatItReads(t *testing.T) {
 	text := strings.Repeat("|", 1<<20)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := ParseWireEpisode(text); err == nil {
+	if _, err := parseWireEpisode(text); err == nil {
 		t.Fatal("a text of separators parsed")
 	}
 	runtime.ReadMemStats(&after)
@@ -135,7 +135,7 @@ func FuzzWireEpisode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, text []byte) {
 		var viaJSON WireEpisode
 		_ = json.Unmarshal(text, &viaJSON)
-		ep, err := ParseWireEpisode(string(text))
+		ep, err := parseWireEpisode(string(text))
 		if err != nil {
 			return
 		}
