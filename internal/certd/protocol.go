@@ -157,8 +157,7 @@ type ShardOutcome struct {
 // shard is an acknowledged no-op, so retried or duplicated deliveries are
 // harmless. Shards of the grant that the request does not name stay under
 // the lease. Certify and soak outcomes carry their episode as one string
-// of checkfarm's compact episode grammar; a delivery of episodes decodes
-// without reflecting over each outcome (wire.go).
+// of checkfarm's compact episode grammar, not an object per verdict.
 type ResultRequest struct {
 	JobID    string         `json:"job_id"`
 	LeaseID  string         `json:"lease_id"`
