@@ -11,8 +11,9 @@ import (
 // deferred-update engines accept every episode they certify (tl2, norec,
 // gl and pdur certify all 25), ple fails du-opacity, final-state opacity
 // and strict serializability on every episode, du-opacity never accepts
-// an episode final-state opacity rejects (Theorem 10), etl and etl+v skip
-// most episodes, and etl fails most of the episodes it certifies.
+// an episode final-state opacity rejects (Theorem 10), etl certifies 10
+// episodes and fails 9 of them, and etl+v certifies 1 (the rest of both
+// are skipped).
 func TestCertifyExampleClaims(t *testing.T) {
 	criteria := []duopacity.Criterion{
 		duopacity.DUOpacity,
@@ -58,11 +59,13 @@ func TestCertifyExampleClaims(t *testing.T) {
 				}
 			}
 		case "etl", "etl+v":
-			if 2*stats.Skipped <= episodes {
-				t.Errorf("%s: %d of %d episodes skipped, want most", name, stats.Skipped, episodes)
+			certified, rejected := 10, 9
+			if name == "etl+v" {
+				certified, rejected = 1, 0
 			}
-			if rejected := stats.Episodes - du; name == "etl" && 2*rejected <= stats.Episodes {
-				t.Errorf("etl: du-opacity rejects %d of %d certified episodes, want most", rejected, stats.Episodes)
+			if stats.Episodes != certified || stats.Skipped != episodes-certified || stats.Episodes-du != rejected {
+				t.Errorf("%s: %d episodes certified, %d skipped, %d rejected by du-opacity; want %d, %d, %d",
+					name, stats.Episodes, stats.Skipped, stats.Episodes-du, certified, episodes-certified, rejected)
 			}
 		default:
 			t.Errorf("engine %s has no claim in examples/certify", name)

@@ -285,7 +285,7 @@ func farmViaCheckJob(ctx context.Context, h *history.History, c spec.Criterion, 
 	if err != nil {
 		return spec.Verdict{}, "", err
 	}
-	v := rep.Check[0][0].Verdict()
+	v := rep.Check[0][0].Verdict
 	if reason, ok := strings.CutPrefix(v.Reason, "degraded: "); ok {
 		return v, reason, nil
 	}

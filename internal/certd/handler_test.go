@@ -197,6 +197,7 @@ func FuzzCoordinatorHTTP(f *testing.F) {
 		{http.MethodGet, "/statsz", nil},
 		{http.MethodGet, "/healthz", nil},
 		{http.MethodPost, "/v1/lease", certifyDelivery(f, g.JobID, g.LeaseID)},
+		{http.MethodPost, "/v1/lease", exploreDelivery(f, g.JobID, g.LeaseID)},
 	} {
 		f.Add(seed.method, seed.route, seed.body)
 	}

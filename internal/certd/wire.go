@@ -14,15 +14,15 @@ import (
 // artifact (only the coordinator makes those) and holds what the job's
 // kind computes — an episode with one verdict per criterion of the job,
 // in the job's order (none when skipped), an exploration, or one check
-// verdict per criterion. The compact episode grammar was checked when the
-// request decoded.
+// verdict per criterion. The compact episode grammar, and the histories a
+// soak cell or an exploration's violation carries, were parsed when the
+// request decoded: a delivery with one that does not parse is refused
+// whole.
 //
 // Verify cannot check that a result is what RunShard computes for its
 // shard — the coordinator trusts its workers' compute, not their framing
-// — nor the text a soak cell's history or an exploration carries, which
-// the fold parses (a fold that cannot marks its job failed); nor whether
-// the presenting lease still owns a shard, which is the lease machine's
-// to decide.
+// — nor whether the presenting lease still owns a shard, which is the
+// lease machine's to decide.
 func (r *ResultRequest) Verify(s checkfarm.JobSpec) error {
 	shards := s.NumShards()
 	for _, o := range r.Outcomes {
@@ -62,7 +62,7 @@ func verifyResult(s checkfarm.JobSpec, res *checkfarm.ShardResult) error {
 				return errors.New("a skipped episode carries verdicts")
 			}
 		} else {
-			return sameCriteria(ep.Verdicts, criteria)
+			return sameCriteria(ep.Verdicts, criteria, func(v spec.Verdict) spec.Criterion { return v.Criterion })
 		}
 	case checkfarm.KindExplore:
 		if !explore || episode || check {
@@ -72,18 +72,20 @@ func verifyResult(s checkfarm.JobSpec, res *checkfarm.ShardResult) error {
 		if !check || episode || explore {
 			return errors.New("carries no check verdicts, or more than one")
 		}
-		return sameCriteria(res.Check, s.Check.Criteria)
+		return sameCriteria(res.Check, s.Check.Criteria, func(v checkfarm.WireVerdict) spec.Criterion { return v.Criterion })
 	}
 	return nil
 }
 
-func sameCriteria(vs []checkfarm.WireVerdict, criteria []spec.Criterion) error {
+// sameCriteria reports whether vs holds one verdict per criterion, in
+// criteria's order.
+func sameCriteria[V any](vs []V, criteria []spec.Criterion, criterion func(V) spec.Criterion) error {
 	if len(vs) != len(criteria) {
 		return fmt.Errorf("%d verdicts for %d criteria", len(vs), len(criteria))
 	}
 	for i, v := range vs {
-		if v.Criterion != criteria[i] {
-			return fmt.Errorf("verdict %d is for %s, want %s", i, v.Criterion, criteria[i])
+		if c := criterion(v); c != criteria[i] {
+			return fmt.Errorf("verdict %d is for %s, want %s", i, c, criteria[i])
 		}
 	}
 	return nil

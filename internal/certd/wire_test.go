@@ -17,6 +17,7 @@ import (
 	"duopacity/internal/checkfarm"
 	"duopacity/internal/harness"
 	"duopacity/internal/spec"
+	"duopacity/internal/stm"
 )
 
 // certifyJobSpec is the benchmark's certify shape at n episodes.
@@ -53,6 +54,20 @@ func certifyOutcomes(t testing.TB, s checkfarm.JobSpec) []ShardOutcome {
 // error, as a Worker encodes it.
 func certifyDelivery(t testing.TB, jobID, leaseID string) []byte {
 	outs := append(certifyOutcomes(t, certifyJobSpec(t, 4)), ShardOutcome{Shard: 4, Err: "shard panicked: boom"})
+	return mustJSON(t, LeaseRequest{Worker: "w0", Deliver: &ResultRequest{JobID: jobID, LeaseID: leaseID, Worker: "w0", Outcomes: outs}})
+}
+
+// exploreDelivery is a lease request carrying a ple exploration that
+// latched a violation, for shard 0.
+func exploreDelivery(t testing.TB, jobID, leaseID string) []byte {
+	r, err := harness.ExplorePlanCtx(context.Background(), "ple", stm.MustParsePlan("w0\nr0 r0"), harness.ExploreConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Violation == nil {
+		t.Fatalf("ple exploration latched no violation: %+v", r)
+	}
+	outs := []ShardOutcome{{Shard: 0, Result: &checkfarm.ShardResult{Explore: &r}}}
 	return mustJSON(t, LeaseRequest{Worker: "w0", Deliver: &ResultRequest{JobID: jobID, LeaseID: leaseID, Worker: "w0", Outcomes: outs}})
 }
 

@@ -259,7 +259,7 @@ func farmStage(ctx context.Context, h *history.History, c spec.Criterion, nodeLi
 	if err != nil {
 		return spec.Verdict{}, "", err
 	}
-	v := rep.Check[0][0].Verdict()
+	v := rep.Check[0][0].Verdict
 	if reason, ok := strings.CutPrefix(v.Reason, "degraded: "); ok {
 		return v, reason, nil
 	}

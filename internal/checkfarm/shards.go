@@ -20,6 +20,7 @@ import (
 
 	"duopacity/internal/harness"
 	"duopacity/internal/histio"
+	"duopacity/internal/history"
 	"duopacity/internal/spec"
 	"duopacity/internal/stm"
 	"duopacity/internal/stm/engines"
@@ -199,41 +200,30 @@ func (s JobSpec) NumShards() int {
 	return 0
 }
 
-// WireVerdict is spec.Verdict in serializable form. Where a consumer
-// prints verdicts (check jobs, explore violations) the witness travels as
-// the text of its seq(S), enough to reproduce the CLI output byte for
-// byte; the structural witness stays local. Episodes — certify episodes
-// and soak cells — carry the verdict bits only (see WireEpisode).
+// WireVerdict is a check row's verdict in serializable form: the
+// verdict's own JSON plus the text of its seq(S) witness, enough to
+// reproduce the CLI output byte for byte; the structural witness stays
+// local. Episodes — certify episodes and soak cells — and explore
+// violations carry their verdicts without witnesses, in the same JSON.
 type WireVerdict struct {
-	Criterion spec.Criterion `json:"criterion"`
-	OK        bool           `json:"ok,omitempty"`
-	Undecided bool           `json:"undecided,omitempty"`
-	Reason    string         `json:"reason,omitempty"`
-	Nodes     int            `json:"nodes,omitempty"`
-	Witness   string         `json:"witness,omitempty"`
+	spec.Verdict
+	Witness string `json:"witness,omitempty"`
 }
 
 // WireVerdictOf encodes a verdict, the text of v.Witness() included (so,
 // for a session's verdict, before the session's next Append or Rewind).
 func WireVerdictOf(v spec.Verdict) WireVerdict {
-	w := wireVerdictBits(v)
+	w := WireVerdict{Verdict: verdictBits(v)}
 	if s := v.Witness(); s != nil {
 		w.Witness = s.String()
 	}
 	return w
 }
 
-// wireVerdictBits encodes a verdict without its witness.
-func wireVerdictBits(v spec.Verdict) WireVerdict {
-	return WireVerdict{Criterion: v.Criterion, OK: v.OK, Undecided: v.Undecided, Reason: v.Reason, Nodes: v.Nodes}
-}
-
-// Verdict decodes back to a spec.Verdict whose Witness is nil: witness
-// text cannot be rebuilt into a serialization of a history the decoder
-// does not have, and a certify episode's verdicts carry none. No fold
-// consumes it — aggregation only reads OK/Undecided/Reason.
-func (w WireVerdict) Verdict() spec.Verdict {
-	return spec.Verdict{Criterion: w.Criterion, OK: w.OK, Undecided: w.Undecided, Reason: w.Reason, Nodes: w.Nodes}
+// verdictBits is v without its witness, which renders from the history v
+// was checked on.
+func verdictBits(v spec.Verdict) spec.Verdict {
+	return spec.Verdict{Criterion: v.Criterion, OK: v.OK, Undecided: v.Undecided, Reason: v.Reason, Nodes: v.Nodes}
 }
 
 // String renders exactly as spec.Verdict.String does for a verdict of
@@ -252,144 +242,16 @@ func (w WireVerdict) String() string {
 	}
 }
 
-// WireEpisode is harness.EpisodeReport without witness text: its verdicts
-// carry the criterion, OK, Undecided, Reason and Nodes only. Certify
-// aggregation (CertStats.AddEpisode) reads nothing else, and rendering
-// seven witnesses per episode was most of a certify shard's result bytes;
-// keeping episodes light is what makes remote certification cheap. For
-// the same reason only a soak cell carries its recorded history (histio
-// text), which the soak's fold shrinks; certify shards leave it empty.
-// In JSON an episode is one string in a compact grammar (episode_wire.go),
-// not an object per verdict.
-type WireEpisode struct {
-	Skipped  bool
-	Degraded string
-	Verdicts []WireVerdict
-	History  string
-}
-
-// Report decodes back into the report shape CertStats.AddEpisode folds.
-func (w WireEpisode) Report() (harness.EpisodeReport, error) {
-	r := harness.EpisodeReport{Skipped: w.Skipped, Degraded: w.Degraded}
-	if len(w.Verdicts) > 0 {
-		r.Verdicts = make(map[spec.Criterion]spec.Verdict, len(w.Verdicts))
-		for _, v := range w.Verdicts {
-			r.Verdicts[v.Criterion] = v.Verdict()
-		}
-	}
-	if w.History != "" {
-		h, err := histio.ParseString(w.History)
-		if err != nil {
-			return r, err
-		}
-		r.History = h
-	}
-	return r, nil
-}
-
-func wireEpisodeOf(r harness.EpisodeReport, criteria []spec.Criterion) WireEpisode {
-	w := WireEpisode{Skipped: r.Skipped, Degraded: r.Degraded}
-	if r.Verdicts != nil {
-		for _, c := range criteria {
-			w.Verdicts = append(w.Verdicts, wireVerdictBits(r.Verdicts[c]))
-		}
-	}
-	return w
-}
-
-// WireViolation is ExploreViolation with the violating prefix in histio
-// text.
-type WireViolation struct {
-	Schedule []int       `json:"schedule"`
-	History  string      `json:"history"`
-	Verdict  WireVerdict `json:"verdict"`
-	At       int         `json:"at"`
-}
-
-// WireExplore is harness.ExploreReport in serializable form.
-type WireExplore struct {
-	Engine         string         `json:"engine"`
-	Criterion      spec.Criterion `json:"criterion"`
-	Plan           WirePlan       `json:"plan"`
-	Outcome        uint8          `json:"outcome"`
-	Schedules      int            `json:"schedules"`
-	PrefixCut      int            `json:"prefix_cut"`
-	Violations     int            `json:"violations"`
-	Violation      *WireViolation `json:"violation,omitempty"`
-	SleepPruned    int            `json:"sleep_pruned"`
-	SymmetryPruned int            `json:"symmetry_pruned"`
-	Steps          int64          `json:"steps"`
-	Replays        int            `json:"replays"`
-	StepsExecuted  int64          `json:"steps_executed"`
-	Forks          int            `json:"forks"`
-	MonitorEvents  int64          `json:"monitor_events"`
-	SharedEvents   int64          `json:"shared_events"`
-	ClassHits      int64          `json:"class_hits"`
-	MaxFrontier    int            `json:"max_frontier"`
-	Undecided      int            `json:"undecided"`
-	DegradedReason string         `json:"degraded_reason,omitempty"`
-}
-
-// WireExploreOf encodes an exploration report.
-func WireExploreOf(r harness.ExploreReport) WireExplore {
-	w := WireExplore{
-		Engine: r.Engine, Criterion: r.Criterion, Plan: WirePlanOf(r.Plan),
-		Outcome: uint8(r.Outcome), Schedules: r.Schedules, PrefixCut: r.PrefixCut,
-		Violations: r.Violations, SleepPruned: r.SleepPruned, SymmetryPruned: r.SymmetryPruned,
-		Steps: r.Steps, Replays: r.Replays, MaxFrontier: r.MaxFrontier,
-		StepsExecuted: r.StepsExecuted, Forks: r.Forks,
-		MonitorEvents: r.MonitorEvents, SharedEvents: r.SharedEvents, ClassHits: r.ClassHits,
-		Undecided: r.Undecided, DegradedReason: r.DegradedReason,
-	}
-	if r.Violation != nil {
-		w.Violation = &WireViolation{
-			Schedule: r.Violation.Schedule,
-			History:  histio.FormatString(r.Violation.History),
-			Verdict:  WireVerdictOf(r.Violation.Verdict),
-			At:       r.Violation.At,
-		}
-	}
-	return w
-}
-
-// Report decodes back; plan and violating history are re-parsed from
-// their lossless text forms.
-func (w WireExplore) Report() (harness.ExploreReport, error) {
-	p, err := w.Plan.Plan()
-	if err != nil {
-		return harness.ExploreReport{}, err
-	}
-	r := harness.ExploreReport{
-		Engine: w.Engine, Criterion: w.Criterion, Plan: p,
-		Outcome: harness.ExploreOutcome(w.Outcome), Schedules: w.Schedules,
-		PrefixCut: w.PrefixCut, Violations: w.Violations,
-		SleepPruned: w.SleepPruned, SymmetryPruned: w.SymmetryPruned,
-		Steps: w.Steps, Replays: w.Replays, MaxFrontier: w.MaxFrontier,
-		StepsExecuted: w.StepsExecuted, Forks: w.Forks,
-		MonitorEvents: w.MonitorEvents, SharedEvents: w.SharedEvents, ClassHits: w.ClassHits,
-		Undecided: w.Undecided, DegradedReason: w.DegradedReason,
-	}
-	if w.Violation != nil {
-		h, herr := histio.ParseString(w.Violation.History)
-		if herr != nil {
-			return harness.ExploreReport{}, herr
-		}
-		r.Violation = &harness.ExploreViolation{
-			Schedule: w.Violation.Schedule,
-			History:  h,
-			Verdict:  w.Violation.Verdict.Verdict(),
-			At:       w.Violation.At,
-		}
-	}
-	return r, nil
-}
-
 // ShardResult is the serializable outcome of one shard; the field
-// matching the job's kind is set (Episode for certify and soak jobs).
+// matching the job's kind is set (Episode for certify and soak jobs). An
+// episode carries its verdicts without witnesses, which no fold reads,
+// and only a soak cell its history, which the soak's fold shrinks; that
+// keeps remote certification cheap. An exploration carries its outcome
+// and counters, not the engine, criterion and plan the job names.
 type ShardResult struct {
-	Episode *WireEpisode  `json:"episode,omitempty"`
-	Explore *WireExplore  `json:"explore,omitempty"`
-	Check   []WireVerdict `json:"check,omitempty"`
+	Episode *harness.EpisodeReport `json:"episode,omitempty"`
+	Explore *harness.ExploreReport `json:"explore,omitempty"`
+	Check   []WireVerdict          `json:"check,omitempty"`
 	// Degraded is set (with the reason) when the result is a coordinator-
 	// substituted degradation artifact rather than a computed one — the
 	// distributed analog of a shard panicking past its retries.
@@ -411,9 +273,7 @@ func (s JobSpec) RunShard(ctx context.Context, i int) (ShardResult, error) {
 		if err != nil {
 			return ShardResult{}, err
 		}
-		ep := wireEpisodeOf(r, s.Certify.Criteria)
-		r.Release()
-		return ShardResult{Episode: &ep}, nil
+		return ShardResult{Episode: shipped(&r, nil)}, nil
 	case KindExplore:
 		p, err := s.Explore.Plans[i].Plan()
 		if err != nil {
@@ -423,8 +283,7 @@ func (s JobSpec) RunShard(ctx context.Context, i int) (ShardResult, error) {
 		if err != nil {
 			return ShardResult{}, err
 		}
-		w := WireExploreOf(r)
-		return ShardResult{Explore: &w}, nil
+		return ShardResult{Explore: &r}, nil
 	case KindCheck:
 		h, err := histio.ParseString(s.Check.Histories[i])
 		if err != nil {
@@ -446,12 +305,28 @@ func (s JobSpec) RunShard(ctx context.Context, i int) (ShardResult, error) {
 		if err != nil {
 			return ShardResult{}, fmt.Errorf("checkfarm: soak %s round %d: %w", t.engine, t.round, err)
 		}
-		ep := wireEpisodeOf(r, cfg.Criteria)
-		ep.History = histio.FormatString(r.History)
-		r.Release()
-		return ShardResult{Episode: &ep}, nil
+		h, err := history.FromEvents(r.History.Events())
+		if err != nil {
+			return ShardResult{}, err
+		}
+		return ShardResult{Episode: shipped(&r, h)}, nil
 	}
 	return ShardResult{}, fmt.Errorf("checkfarm: unknown job kind %q", s.Kind)
+}
+
+// shipped is what a shard result carries of a computed episode: its
+// verdicts without their witnesses, in a slice of its own, and h for its
+// history. It releases r, whose stream a later episode reuses.
+func shipped(r *harness.EpisodeReport, h *history.History) *harness.EpisodeReport {
+	ep := &harness.EpisodeReport{Skipped: r.Skipped, Degraded: r.Degraded, History: h}
+	if r.Verdicts != nil {
+		ep.Verdicts = make([]spec.Verdict, len(r.Verdicts))
+		for i, v := range r.Verdicts {
+			ep.Verdicts[i] = verdictBits(v)
+		}
+	}
+	r.Release()
+	return ep
 }
 
 // DegradedShard builds the explicit degradation artifact for a shard
@@ -467,25 +342,16 @@ func (s JobSpec) DegradedShard(i int, reason string) ShardResult {
 	res := ShardResult{Degraded: reason}
 	switch s.Kind {
 	case KindCertify:
-		ep := wireEpisodeOf(harness.DegradedEpisode(s.Certify.Criteria, reason), s.Certify.Criteria)
+		ep := harness.DegradedEpisode(s.Certify.Criteria, reason)
 		res.Episode = &ep
 	case KindExplore:
-		w := WireExplore{
-			Engine:         s.Explore.Engine,
-			Criterion:      s.Explore.Config.Criterion,
-			Plan:           s.Explore.Plans[i],
-			Outcome:        uint8(harness.BudgetExhausted),
-			DegradedReason: reason,
-		}
-		res.Explore = &w
+		res.Explore = &harness.ExploreReport{Outcome: harness.BudgetExhausted, DegradedReason: reason}
 	case KindCheck:
-		vs := make([]WireVerdict, len(s.Check.Criteria))
-		for j, c := range s.Check.Criteria {
-			vs[j] = WireVerdict{Criterion: c, Undecided: true, Reason: "degraded: " + reason}
+		for _, v := range harness.DegradedEpisode(s.Check.Criteria, reason).Verdicts {
+			res.Check = append(res.Check, WireVerdict{Verdict: v})
 		}
-		res.Check = vs
 	case KindSoak:
-		ep := wireEpisodeOf(harness.DegradedEpisode(s.Soak.Config.Criteria, reason), s.Soak.Config.Criteria)
+		ep := harness.DegradedEpisode(s.Soak.Config.Criteria, reason)
 		res.Episode = &ep
 	}
 	return res
@@ -506,8 +372,9 @@ type JobReport struct {
 
 // FoldJob aggregates shard results, given in shard order, exactly as the
 // sequential paths do: certify results fold through CertStats.AddEpisode
-// in episode order (harness.Certify's fold), explorations and check rows
-// assemble in input order, soak cells run divergence extraction and
+// in episode order (harness.Certify's fold), explorations (given the
+// engine, criterion and plan their job names) and check rows assemble in
+// input order, soak cells run divergence extraction and
 // shrinking (jobs bounds the shrinking pool; shrinking is the only
 // compute FoldJob performs). results[i] == nil is rejected — a missing
 // shard must be degraded explicitly, not skipped.
@@ -523,16 +390,15 @@ func FoldJob(ctx context.Context, s JobSpec, results []*ShardResult, jobs int) (
 		if r.Degraded != "" {
 			rep.Degraded++
 		}
+		if (s.Kind == KindCertify || s.Kind == KindSoak) && r.Episode == nil {
+			return nil, fmt.Errorf("checkfarm: fold: shard %d carries no episode", i)
+		}
 	}
 	switch s.Kind {
 	case KindCertify:
-		episodes, err := episodeReports(results)
-		if err != nil {
-			return nil, err
-		}
 		stats := harness.NewCertStats(s.Certify.Config.Workload.Engine)
-		for _, r := range episodes {
-			stats.AddEpisode(s.Certify.Criteria, r)
+		for _, r := range results {
+			stats.AddEpisode(s.Certify.Criteria, *r.Episode)
 		}
 		rep.Certify = &stats
 	case KindExplore:
@@ -541,11 +407,12 @@ func FoldJob(ctx context.Context, s JobSpec, results []*ShardResult, jobs int) (
 			if r.Explore == nil {
 				return nil, fmt.Errorf("checkfarm: fold: shard %d carries no exploration", i)
 			}
-			er, err := r.Explore.Report()
+			p, err := s.Explore.Plans[i].Plan()
 			if err != nil {
 				return nil, fmt.Errorf("checkfarm: fold: shard %d: %w", i, err)
 			}
-			reports[i] = er
+			reports[i] = *r.Explore
+			reports[i].Engine, reports[i].Criterion, reports[i].Plan = s.Explore.Engine, s.Explore.Config.Criterion, p
 		}
 		rep.Explore = reports
 	case KindCheck:
@@ -558,9 +425,9 @@ func FoldJob(ctx context.Context, s JobSpec, results []*ShardResult, jobs int) (
 		}
 		rep.Check = rows
 	case KindSoak:
-		episodes, err := episodeReports(results)
-		if err != nil {
-			return nil, err
+		episodes := make([]harness.EpisodeReport, len(results))
+		for i, r := range results {
+			episodes[i] = *r.Episode
 		}
 		res, err := foldSoak(ctx, s.Soak.Config, episodes, jobs)
 		if err != nil {
@@ -571,23 +438,6 @@ func FoldJob(ctx context.Context, s JobSpec, results []*ShardResult, jobs int) (
 		return nil, fmt.Errorf("checkfarm: unknown job kind %q", s.Kind)
 	}
 	return rep, nil
-}
-
-// episodeReports decodes the episode every result of a certify or soak
-// job carries.
-func episodeReports(results []*ShardResult) ([]harness.EpisodeReport, error) {
-	episodes := make([]harness.EpisodeReport, len(results))
-	for i, r := range results {
-		if r.Episode == nil {
-			return nil, fmt.Errorf("checkfarm: fold: shard %d carries no episode", i)
-		}
-		ep, err := r.Episode.Report()
-		if err != nil {
-			return nil, fmt.Errorf("checkfarm: fold: shard %d: %w", i, err)
-		}
-		episodes[i] = ep
-	}
-	return episodes, nil
 }
 
 // FormatJobReport renders the folded report with the same formatters the

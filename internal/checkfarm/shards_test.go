@@ -105,10 +105,10 @@ func TestFoldMatchesLocalFarmCertify(t *testing.T) {
 }
 
 // TestCertifyResultsCarryVerdictBits: a certify shard's verdicts are the
-// episode's verdicts minus the witness text, which no certify fold reads;
-// a check shard of the same history keeps its witnesses, and since both
-// decide through one spec.CheckAll, it agrees with the episode on every
-// verdict bit, the node count and the rendering, witness included.
+// episode's verdicts minus the witness, which no certify fold reads; a
+// check shard of the same history keeps its witnesses as text, and since
+// both decide through one spec.CheckAll, it agrees with the episode on
+// every verdict bit, the node count and the rendering, witness included.
 func TestCertifyResultsCarryVerdictBits(t *testing.T) {
 	criteria := spec.AllCriteria()
 	s := mustNormalize(t, certifyJob(harness.CertConfig{
@@ -128,12 +128,12 @@ func TestCertifyResultsCarryVerdictBits(t *testing.T) {
 			t.Fatalf("episode %d: %d verdicts for %d criteria", i, len(res.Episode.Verdicts), len(criteria))
 		}
 		for j, c := range criteria {
-			got, want := res.Episode.Verdicts[j], WireVerdictOf(ep.Verdicts[c])
-			if got.Witness != "" {
-				t.Fatalf("episode %d %s: certify result carries witness text %q", i, c, got.Witness)
+			got, want := res.Episode.Verdicts[j], ep.Verdicts[j]
+			if got.Witness() != nil {
+				t.Fatalf("episode %d %s: certify result carries a witness", i, c)
 			}
-			if want.Witness = ""; got != want {
-				t.Fatalf("episode %d %s: %+v, want %+v", i, c, got, want)
+			if got != verdictBits(want) || got.Criterion != c {
+				t.Fatalf("episode %d %s: %+v, want the bits of %+v", i, c, got, want)
 			}
 		}
 		check := mustNormalize(t, JobSpec{Kind: KindCheck, Check: &CheckJob{
@@ -144,7 +144,7 @@ func TestCertifyResultsCarryVerdictBits(t *testing.T) {
 			t.Fatal(err)
 		}
 		for j, c := range criteria {
-			v, w := ep.Verdicts[c], cres.Check[j]
+			v, w := ep.Verdicts[j], cres.Check[j]
 			if w != WireVerdictOf(v) || w.String() != v.String() {
 				t.Fatalf("episode %d %s: check shard says %q (%d nodes), certify episode %q (%d nodes)", i, c, w, w.Nodes, v, v.Nodes)
 			}
@@ -189,6 +189,106 @@ func TestFoldMatchesLocalFarmExplore(t *testing.T) {
 	}
 	if hits == 0 {
 		t.Fatal("no event answered from the class set: the ClassHits round trip is vacuous")
+	}
+}
+
+// TestExploreResultRoundTrip: an exploration result crosses JSON with
+// every counter, its outcome and its violation, and the fold restores the
+// engine, criterion and plan it does not carry from the job. Every
+// exported field is filled with a distinct non-zero value by reflection,
+// so a field added to ExploreReport without a way across fails here.
+func TestExploreResultRoundTrip(t *testing.T) {
+	plan := stm.MustParsePlan("w0 | r0 r1\nw1")
+	s := mustNormalize(t, exploreJob("tl2", []stm.Plan{plan}, harness.ExploreConfig{Criterion: spec.Opacity}))
+	h, err := histio.ParseString("inv write 1 X 5\nres write 1 X 5 ok\nread 2 X 5\ncommit 2\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := harness.ExploreReport{Engine: "nope", Criterion: spec.RCO, Plan: stm.MustParsePlan("r0"), Violation: &harness.ExploreViolation{
+		Schedule: []int{0, 1, 1, 0}, History: h, At: 2,
+		Verdict: spec.Verdict{Criterion: spec.Opacity, Reason: "T2 reads X=5 from T1, which is not committed", Nodes: 3},
+	}}
+	fields := reflect.ValueOf(&sent).Elem()
+	for i := 0; i < fields.NumField(); i++ {
+		f, name := fields.Field(i), fields.Type().Field(i).Name
+		switch {
+		case name == "Engine" || name == "Criterion" || name == "Plan" || name == "Violation":
+		case f.CanInt():
+			f.SetInt(int64(100 + i))
+		case f.CanUint():
+			f.SetUint(uint64(100 + i))
+		case f.Kind() == reflect.String:
+			f.SetString(fmt.Sprintf("field %d", i))
+		default:
+			t.Fatalf("ExploreReport.%s is of a kind this test does not fill", name)
+		}
+	}
+	raw, err := json.Marshal(ShardResult{Explore: &sent})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(raw), "nope") {
+		t.Fatalf("the engine crossed the wire: %s", raw)
+	}
+	var back ShardResult
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatalf("%v\n%s", err, raw)
+	}
+	rep, err := FoldJob(context.Background(), s, []*ShardResult{&back}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := rep.Explore[0], sent
+	want.Engine, want.Criterion, want.Plan = "tl2", spec.Opacity, plan
+	if got.Plan.String() != want.Plan.String() || got.Plan.Objects != want.Plan.Objects {
+		t.Fatalf("the fold restored plan %q, want %q", got.Plan, want.Plan)
+	}
+	if histio.FormatString(got.Violation.History) != histio.FormatString(h) {
+		t.Fatalf("the violation's history came back as\n%s", histio.FormatString(got.Violation.History))
+	}
+	gv, wv := *got.Violation, *want.Violation
+	got.Plan, want.Plan, got.Violation, want.Violation = stm.Plan{}, stm.Plan{}, nil, nil
+	gv.History, wv.History = nil, nil
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gv, wv) {
+		t.Fatalf("exploration changed on the wire:\n sent %+v %+v\n got  %+v %+v", want, wv, got, gv)
+	}
+}
+
+// TestShardResultRefusesUnparsableHistory: an episode or an exploration
+// violation whose history text does not parse is refused when the result
+// decodes, not when it folds.
+func TestShardResultRefusesUnparsableHistory(t *testing.T) {
+	h, err := histio.ParseString("write 1 X 1\ncommit 1\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := json.Marshal(ShardResult{Explore: &harness.ExploreReport{Violation: &harness.ExploreViolation{
+		History: h, Verdict: spec.Verdict{Criterion: spec.DUOpacity},
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ok ShardResult
+	if err := json.Unmarshal(good, &ok); err != nil {
+		t.Fatalf("a well-formed violation is refused: %v\n%s", err, good)
+	}
+	text, err := json.Marshal(histio.FormatString(h))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := strings.Replace(string(good), `"history":`+string(text), `"history":"frobnicate 1"`, 1)
+	for _, raw := range []string{
+		bad,
+		`{"episode":"||frobnicate 1|du|o|"}`,
+		`{"episode":"||commit 1%0Acommit 1|du|o|"}`,
+	} {
+		if raw == string(good) {
+			t.Fatalf("the violation's history was not replaced: %s", good)
+		}
+		var r ShardResult
+		if err := json.Unmarshal([]byte(raw), &r); err == nil {
+			t.Errorf("%s decoded", raw)
+		}
 	}
 }
 

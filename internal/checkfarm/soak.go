@@ -224,8 +224,8 @@ func foldSoak(ctx context.Context, cfg SoakConfig, episodes []harness.EpisodeRep
 			Criterion: target,
 			History:   cell.History,
 		}
-		for _, c := range cfg.Criteria {
-			v := cell.Verdicts[c]
+		for i, c := range cfg.Criteria {
+			v := cell.Verdicts[i]
 			switch {
 			case v.Undecided:
 			case v.OK:
@@ -260,10 +260,11 @@ func foldSoak(ctx context.Context, cfg SoakConfig, episodes []harness.EpisodeRep
 }
 
 // firstRejected returns the first criterion (in order) with a decided
-// rejection, or 0 when every criterion accepts or is undecided.
-func firstRejected(criteria []spec.Criterion, verdicts map[spec.Criterion]spec.Verdict) spec.Criterion {
-	for _, c := range criteria {
-		if v := verdicts[c]; !v.OK && !v.Undecided {
+// rejection, or 0 when every criterion accepts or is undecided; verdicts
+// are in criteria's order.
+func firstRejected(criteria []spec.Criterion, verdicts []spec.Verdict) spec.Criterion {
+	for i, c := range criteria {
+		if v := verdicts[i]; !v.OK && !v.Undecided {
 			return c
 		}
 	}

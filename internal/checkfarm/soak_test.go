@@ -51,8 +51,8 @@ func TestSoakDifferential(t *testing.T) {
 		if cell.Skipped {
 			continue
 		}
-		for _, c := range full.Criteria {
-			v, ref := cell.Verdicts[c], spec.Check(cell.History, c, spec.WithNodeLimit(full.NodeLimit))
+		for i, c := range full.Criteria {
+			v, ref := cell.Verdicts[i], spec.Check(cell.History, c, spec.WithNodeLimit(full.NodeLimit))
 			if ref.Undecided && v.OK || v.OK == ref.OK && v.Undecided == ref.Undecided && v.Reason == ref.Reason {
 				continue
 			}
@@ -122,7 +122,7 @@ func TestSoakDeferredUpdateEnginesStayClean(t *testing.T) {
 		if !engines.TraitsOf(cell.Engine).DeferredUpdate {
 			continue
 		}
-		v := cell.Verdicts[spec.DUOpacity]
+		v := cell.Verdicts[0]
 		if !v.OK && !v.Undecided {
 			t.Errorf("%s round %d probe: deferred-update engine rejected: %s",
 				cell.Engine, cell.Round, v.Reason)

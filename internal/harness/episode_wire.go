@@ -1,4 +1,4 @@
-package checkfarm
+package harness
 
 import (
 	"encoding/json"
@@ -7,23 +7,27 @@ import (
 	"strconv"
 	"strings"
 
+	"duopacity/internal/histio"
 	"duopacity/internal/spec"
 )
 
-// An episode — a certify episode or a soak cell — is most of what a
-// certify or soak delivery carries, so it travels as one JSON string in a
-// compact grammar instead of an object per verdict:
+// An episode report — a certify episode or a soak cell — is most of what a
+// farm delivery carries (package checkfarm), so in JSON it is one string
+// in a compact grammar instead of an object per verdict:
 //
 //	episode = flags "|" degraded "|" history *( "|" criterion "|" status "|" reason )
 //	flags   = [ "s" ]                        ; s: Skipped
 //	status  = ( "o" / "v" / "u" ) [ nodes ]  ; OK, violated, undecided; nodes in decimal, left out when 0
 //
 // A criterion is its short CLI alias (du, tms2, ...; empty for the zero
-// criterion). The text fields — degraded, history, reason — escape with
-// %HH every byte that is a control byte, not ASCII, or one of %|"\<>&, so
-// any bytes round-trip (soak histories carry newlines, reasons are free
-// text) and the JSON string around the grammar needs no escape of its
-// own. An episode of seven all-OK verdicts is about 70 bytes.
+// criterion). The history is the report's History in histio text, empty
+// for none: a certify shard ships none, a soak cell its own. The text
+// fields — degraded, history, reason — escape with %HH every byte that is
+// a control byte, not ASCII, or one of %|"\<>&, so any bytes round-trip
+// (histories carry newlines, reasons are free text) and the JSON string
+// around the grammar needs no escape of its own. A verdict's witness
+// never crosses: it renders from the checked history. An episode of seven
+// all-OK verdicts is about 70 bytes.
 
 // criterionAliases maps a criterion to its alias in the grammar.
 var criterionAliases = func() []string {
@@ -37,24 +41,26 @@ var criterionAliases = func() []string {
 	}
 }()
 
-// MarshalJSON encodes the episode as one JSON string in the compact
-// grammar. It fails rather than drop a field the grammar does not carry:
-// an episode verdict with witness text, or one both OK and undecided.
-func (w WireEpisode) MarshalJSON() ([]byte, error) {
+// MarshalJSON encodes the report as one JSON string in the compact
+// grammar. It fails rather than drop what the grammar does not carry: a
+// verdict of an unknown criterion, or one both OK and undecided.
+func (r EpisodeReport) MarshalJSON() ([]byte, error) {
 	b := []byte{'"'}
-	if w.Skipped {
+	if r.Skipped {
 		b = append(b, 's')
 	}
 	b = append(b, '|')
-	b = appendEscaped(b, w.Degraded)
+	b = appendEscaped(b, r.Degraded)
 	b = append(b, '|')
-	b = appendEscaped(b, w.History)
-	for _, v := range w.Verdicts {
+	if r.History != nil {
+		b = appendEscaped(b, histio.FormatString(r.History))
+	}
+	for _, v := range r.Verdicts {
 		if int(v.Criterion) >= len(criterionAliases) {
-			return nil, fmt.Errorf("checkfarm: episode verdict of unknown criterion %d", v.Criterion)
+			return nil, fmt.Errorf("harness: episode verdict of unknown criterion %d", v.Criterion)
 		}
-		if v.Witness != "" || (v.OK && v.Undecided) {
-			return nil, fmt.Errorf("checkfarm: episode verdict %+v does not fit the episode grammar", v)
+		if v.OK && v.Undecided {
+			return nil, fmt.Errorf("harness: episode verdict %+v does not fit the episode grammar", v)
 		}
 		b = append(b, '|')
 		b = append(b, criterionAliases[v.Criterion]...)
@@ -75,26 +81,27 @@ func (w WireEpisode) MarshalJSON() ([]byte, error) {
 	return append(b, '"'), nil
 }
 
-// UnmarshalJSON decodes MarshalJSON's string. A string that is not the
-// grammar is an error; nothing of it is kept.
-func (w *WireEpisode) UnmarshalJSON(data []byte) error {
+// UnmarshalJSON decodes MarshalJSON's string, parsing the history. A
+// string that is not the grammar, or whose history does not parse, is an
+// error; nothing of it is kept.
+func (r *EpisodeReport) UnmarshalJSON(data []byte) error {
 	var text string
 	if err := json.Unmarshal(data, &text); err != nil {
-		return fmt.Errorf("checkfarm: episode: %w", err)
+		return fmt.Errorf("harness: episode: %w", err)
 	}
-	ep, err := parseWireEpisode(text)
+	ep, err := parseEpisode(text)
 	if err != nil {
 		return err
 	}
-	*w = ep
+	*r = ep
 	return nil
 }
 
-var errEpisodeGrammar = errors.New("checkfarm: malformed episode")
+var errEpisodeGrammar = errors.New("harness: malformed episode")
 
-// parseWireEpisode decodes an episode from the compact grammar.
-func parseWireEpisode(text string) (WireEpisode, error) {
-	var w WireEpisode
+// parseEpisode decodes an episode from the compact grammar.
+func parseEpisode(text string) (EpisodeReport, error) {
+	var r EpisodeReport
 	field := func() (string, bool) {
 		i := strings.IndexByte(text, '|')
 		if i < 0 {
@@ -109,41 +116,51 @@ func parseWireEpisode(text string) (WireEpisode, error) {
 	flags, more := field()
 	switch {
 	case !more:
-		return w, errEpisodeGrammar
+		return r, errEpisodeGrammar
 	case flags == "s":
-		w.Skipped = true
+		r.Skipped = true
 	case flags != "":
-		return w, fmt.Errorf("%w: flags %q", errEpisodeGrammar, flags)
+		return r, fmt.Errorf("%w: flags %q", errEpisodeGrammar, flags)
 	}
 	var err error
 	raw, more := field()
 	if !more {
-		return w, errEpisodeGrammar
+		return r, errEpisodeGrammar
 	}
-	if w.Degraded, err = unescape(raw); err != nil {
-		return w, err
+	if r.Degraded, err = unescape(raw); err != nil {
+		return r, err
 	}
 	raw, more = field()
-	if w.History, err = unescape(raw); err != nil {
-		return w, err
+	if raw != "" {
+		src, err := unescape(raw)
+		if err != nil {
+			return r, err
+		}
+		h, err := histio.ParseString(src)
+		if err != nil {
+			return r, fmt.Errorf("%w: history: %v", errEpisodeGrammar, err)
+		}
+		if h.Len() > 0 { // a history of no events is none, as it encodes
+			r.History = h
+		}
 	}
 	if more {
 		// Sized for one verdict per criterion, not by the input: a text of
 		// bars must not make the decoder allocate for verdicts it never reads.
-		w.Verdicts = make([]WireVerdict, 0, len(criterionAliases))
+		r.Verdicts = make([]spec.Verdict, 0, len(criterionAliases))
 	}
 	for more {
-		var v WireVerdict
+		var v spec.Verdict
 		alias, ok := field()
 		if !ok {
-			return w, errEpisodeGrammar
+			return r, errEpisodeGrammar
 		}
 		if v.Criterion, ok = criterionOfAlias(alias); !ok {
-			return w, fmt.Errorf("%w: criterion %q", errEpisodeGrammar, alias)
+			return r, fmt.Errorf("%w: criterion %q", errEpisodeGrammar, alias)
 		}
 		status, ok := field()
 		if !ok || status == "" {
-			return w, errEpisodeGrammar
+			return r, errEpisodeGrammar
 		}
 		switch status[0] {
 		case 'o':
@@ -152,22 +169,22 @@ func parseWireEpisode(text string) (WireEpisode, error) {
 			v.Undecided = true
 		case 'v':
 		default:
-			return w, fmt.Errorf("%w: status %q", errEpisodeGrammar, status)
+			return r, fmt.Errorf("%w: status %q", errEpisodeGrammar, status)
 		}
 		if nodes := status[1:]; nodes != "" {
 			n, err := strconv.Atoi(nodes)
 			if err != nil || nodes[0] == '+' || nodes[0] == '0' || n == 0 {
-				return w, fmt.Errorf("%w: node count %q", errEpisodeGrammar, nodes)
+				return r, fmt.Errorf("%w: node count %q", errEpisodeGrammar, nodes)
 			}
 			v.Nodes = n
 		}
 		raw, more = field()
 		if v.Reason, err = unescape(raw); err != nil {
-			return w, err
+			return r, err
 		}
-		w.Verdicts = append(w.Verdicts, v)
+		r.Verdicts = append(r.Verdicts, v)
 	}
-	return w, nil
+	return r, nil
 }
 
 func criterionOfAlias(alias string) (spec.Criterion, bool) {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -9,6 +10,7 @@ import (
 	"text/tabwriter"
 
 	"duopacity/internal/fpset"
+	"duopacity/internal/histio"
 	"duopacity/internal/history"
 	"duopacity/internal/recorder"
 	"duopacity/internal/spec"
@@ -201,7 +203,8 @@ func (cfg ExploreConfig) withDefaults(p stm.Plan) ExploreConfig {
 	return cfg
 }
 
-// ExploreViolation pins one violating schedule.
+// ExploreViolation pins one violating schedule. In JSON its history is
+// histio text.
 type ExploreViolation struct {
 	// Schedule is the thread stepped at each point, replayable through the
 	// deterministic stepper.
@@ -217,40 +220,71 @@ type ExploreViolation struct {
 	At int
 }
 
-// ExploreReport is the result of exploring one plan on one engine.
+// violationJSON is ExploreViolation's JSON form.
+type violationJSON struct {
+	Schedule []int        `json:"schedule"`
+	History  string       `json:"history"`
+	Verdict  spec.Verdict `json:"verdict"`
+	At       int          `json:"at"`
+}
+
+// MarshalJSON encodes the violation with its history in histio text.
+func (v ExploreViolation) MarshalJSON() ([]byte, error) {
+	return json.Marshal(violationJSON{v.Schedule, histio.FormatString(v.History), v.Verdict, v.At})
+}
+
+// UnmarshalJSON decodes MarshalJSON's form; a history that does not parse
+// is an error.
+func (v *ExploreViolation) UnmarshalJSON(data []byte) error {
+	var w violationJSON
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	h, err := histio.ParseString(w.History)
+	if err != nil {
+		return fmt.Errorf("harness: violation history: %w", err)
+	}
+	*v = ExploreViolation{Schedule: w.Schedule, History: h, Verdict: w.Verdict, At: w.At}
+	return nil
+}
+
+// ExploreReport is the result of exploring one plan on one engine. In
+// JSON it carries its outcome and counters, not the engine, criterion and
+// plan, which the caller named (a checkfarm fold restores them from the
+// job).
 type ExploreReport struct {
-	Engine    string
-	Criterion spec.Criterion
-	Plan      stm.Plan
-	Outcome   ExploreOutcome
+	Engine    string         `json:"-"`
+	Criterion spec.Criterion `json:"-"`
+	Plan      stm.Plan       `json:"-"`
+	Outcome   ExploreOutcome `json:"outcome"`
 
 	// Schedules counts schedules run to completion; PrefixCut counts
 	// subtrees cut mid-schedule by the latched monitor (each cut stands
 	// for every schedule extending the violating prefix).
-	Schedules int
-	PrefixCut int
+	Schedules int `json:"schedules"`
+	PrefixCut int `json:"prefix_cut"`
 	// Violations counts violating schedules/subtrees found; Violation
 	// pins the first.
-	Violations int
-	Violation  *ExploreViolation
+	Violations int               `json:"violations"`
+	Violation  *ExploreViolation `json:"violation,omitempty"`
 	// SleepPruned and SymmetryPruned count scheduling choices skipped by
 	// the respective prunings (each skip cuts a whole subtree).
-	SleepPruned    int
-	SymmetryPruned int
+	SleepPruned    int `json:"sleep_pruned"`
+	SymmetryPruned int `json:"symmetry_pruned"`
 	// Steps is the total length of the walked schedules, in t-operation
 	// steps. Replays counts every walk down the tree regardless of how it
 	// ended: completed schedules, prefix-cut and sleep-cut paths, and
 	// step-budget truncations (it is not derivable from the other
 	// counters — SleepPruned also counts sibling skips that replay
 	// nothing).
-	Steps   int64
-	Replays int
+	Steps   int64 `json:"steps"`
+	Replays int   `json:"replays"`
 	// StepsExecuted counts the steps actually run: a replay restores the
 	// fork of its decision frame and runs only the new suffix, so Steps −
 	// StepsExecuted is what forking saved. Forks counts the forks taken,
 	// one per decision frame opened.
-	StepsExecuted int64
-	Forks         int
+	StepsExecuted int64 `json:"steps_executed"`
+	Forks         int   `json:"forks"`
 	// SharedEvents counts the events of the restored prefixes, which a
 	// replay neither records nor judges again: it is what forking and
 	// rewinding instead of rebuilding saved. The other events of the walked
@@ -260,21 +294,21 @@ type ExploreReport struct {
 	// memoised). MonitorEvents counts the events appended to the monitor:
 	// the replays' own events that missed the set, plus the earlier hits it
 	// catches up over before deciding a miss.
-	MonitorEvents int64
-	SharedEvents  int64
-	ClassHits     int64
+	MonitorEvents int64 `json:"monitor_events"`
+	SharedEvents  int64 `json:"shared_events"`
+	ClassHits     int64 `json:"class_hits"`
 	// MaxFrontier is the deepest decision stack reached — with
 	// BudgetExhausted, how deep the explored frontier got.
-	MaxFrontier int
+	MaxFrontier int `json:"max_frontier"`
 	// Undecided counts completed schedules whose check hit the node
 	// limit.
-	Undecided int
+	Undecided int `json:"undecided"`
 	// DegradedReason is set when the exploration did not run to its
 	// configured budget for an exceptional reason — the context was
 	// cancelled, a monitor rejected a recorded event, or (under the
 	// checkfarm) the exploration shard panicked past its retries. The Outcome is BudgetExhausted in that case: degraded
 	// explorations are honest undecided results, never silent drops.
-	DegradedReason string
+	DegradedReason string `json:"degraded_reason,omitempty"`
 }
 
 // ExplorePlanCtx enumerates every schedule of the deterministic stepper's

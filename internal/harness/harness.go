@@ -336,9 +336,9 @@ type EpisodeReport struct {
 	// Skipped is set when the recorded history exceeded cfg.MaxTxns and
 	// was not checked.
 	Skipped bool
-	// Verdicts holds one verdict per requested criterion (nil when
-	// Skipped).
-	Verdicts map[spec.Criterion]spec.Verdict
+	// Verdicts holds one verdict per requested criterion, in the order
+	// asked (nil when Skipped).
+	Verdicts []spec.Verdict
 	// History is the recorded episode (also set when Skipped), valid until
 	// Release.
 	History *history.History
@@ -369,9 +369,10 @@ var episodeStreamPool = sync.Pool{New: func() any {
 }}
 
 // Release hands the report's history back to the pool its storage came
-// from, for a later episode to reuse. It empties Verdicts, which every
-// copy of the report shares, so that a verdict read from any copy
-// afterwards is absent rather than wrong, and nils History, which other
+// from, for a later episode to reuse. It zeroes every element of
+// Verdicts, which every copy of the report shares, so that a verdict read
+// from any copy afterwards is the zero Verdict rather than one whose
+// witness renders from a reused stream, and nils History, which other
 // copies still hold but must not read. A report that is never released
 // stays valid; releasing twice, or from a second copy, does nothing.
 func (r *EpisodeReport) Release() {
@@ -389,9 +390,9 @@ func (r *EpisodeReport) Release() {
 // the reason, so aggregation (AddEpisode, the farm, the CLIs) treats the
 // episode as honestly undecided rather than dropping it.
 func DegradedEpisode(criteria []spec.Criterion, reason string) EpisodeReport {
-	r := EpisodeReport{Degraded: reason, Verdicts: make(map[spec.Criterion]spec.Verdict, len(criteria))}
-	for _, c := range criteria {
-		r.Verdicts[c] = spec.Verdict{Criterion: c, Undecided: true, Reason: "degraded: " + reason}
+	r := EpisodeReport{Degraded: reason, Verdicts: make([]spec.Verdict, len(criteria))}
+	for i, c := range criteria {
+		r.Verdicts[i] = spec.Verdict{Criterion: c, Undecided: true, Reason: "degraded: " + reason}
 	}
 	return r
 }
@@ -432,20 +433,17 @@ func CertifyEpisodeCtx(ctx context.Context, cfg CertConfig, ep int, criteria []s
 		r.Skipped = true
 		return r, nil
 	}
-	r.Verdicts = make(map[spec.Criterion]spec.Verdict, len(criteria))
 	opts := []spec.Option{spec.WithNodeLimit(cfg.NodeLimit)}
 	if ctx != nil {
 		opts = append(opts, spec.WithContext(ctx))
 	}
-	for i, v := range spec.CheckAll(h, criteria, opts...) {
-		r.Verdicts[criteria[i]] = v
-	}
+	r.Verdicts = spec.CheckAll(h, criteria, opts...)
 	return r, nil
 }
 
-// AddEpisode folds one episode's outcome into the statistics. Folding
-// reports in episode order reproduces the sequential Certify aggregation
-// exactly (including FirstReason).
+// AddEpisode folds one episode's outcome, whose verdicts are in criteria's
+// order, into the statistics. Folding reports in episode order reproduces
+// the sequential Certify aggregation exactly (including FirstReason).
 func (s *CertStats) AddEpisode(criteria []spec.Criterion, r EpisodeReport) {
 	if r.Skipped {
 		s.Skipped++
@@ -455,8 +453,8 @@ func (s *CertStats) AddEpisode(criteria []spec.Criterion, r EpisodeReport) {
 	if r.Degraded != "" {
 		s.Degraded++
 	}
-	for _, c := range criteria {
-		v := r.Verdicts[c]
+	for i, c := range criteria {
+		v := r.Verdicts[i]
 		switch {
 		case v.Undecided:
 			s.Undecided[c]++

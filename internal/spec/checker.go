@@ -45,9 +45,10 @@ type stackEntry struct {
 
 // engine is the exhaustive serialization search shared by all criteria.
 //
-// It is the allocation-free rewrite of the reference engine (reference.go):
-// the per-check analysis comes from the history's cached Indexed view, the
-// memo table stores 64-bit Zobrist-style fingerprints maintained
+// It is the allocation-free rewrite of the reference engine, which
+// reference_test.go freezes for the differential tests: the per-check
+// analysis comes from the history's cached Indexed view, the memo table
+// stores 64-bit Zobrist-style fingerprints maintained
 // incrementally by pushTxn/popTxn instead of built strings, candidate
 // selection iterates transaction bitmasks, and the scratch state is
 // reused: a batch check draws an engine from a pool (prepareEngine), and

@@ -202,22 +202,24 @@ func MonitorableNames() string {
 	return s
 }
 
-// Verdict is the result of checking a history against a criterion.
+// Verdict is the result of checking a history against a criterion. In
+// JSON it carries everything but the witness, which renders from the
+// checked history and so cannot travel without it.
 type Verdict struct {
-	Criterion Criterion
+	Criterion Criterion `json:"criterion"`
 	// OK reports whether the history satisfies the criterion.
-	OK bool
+	OK bool `json:"ok,omitempty"`
 	// gen is the witness generation the verdict was handed out at (see
 	// witness); w the witness of an accepting check, nil otherwise.
 	gen uint32
 	w   *witness
 	// Reason explains a rejection (or an undecided result).
-	Reason string
+	Reason string `json:"reason,omitempty"`
 	// Undecided is set when the search hit the node limit before deciding;
 	// OK is false in that case but the history was not refuted.
-	Undecided bool
+	Undecided bool `json:"undecided,omitempty"`
 	// Nodes counts search nodes explored across the check.
-	Nodes int
+	Nodes int `json:"nodes,omitempty"`
 }
 
 // Witness returns the serialization behind an accepting verdict (nil for

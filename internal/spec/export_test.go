@@ -8,7 +8,7 @@ import (
 	"duopacity/internal/history"
 )
 
-// CheckReference exposes the frozen PR 1 engine (reference.go) to the
+// CheckReference exposes the frozen PR 1 engine (reference_test.go) to the
 // differential tests and the fuzz target in package spec_test.
 func CheckReference(h *history.History, c Criterion, opts ...Option) Verdict {
 	return checkReference(h, c, buildOptions(opts))
