@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	certd serve [-addr :9240] [-stream-addr :9241] [-lease-ttl 3s] [-max-streams N] [-queue N]
+//	certd serve [-addr :9240] [-stream-addr :9241] [-lease-ttl 3s] [-max-streams N]
 //	certd work -connect http://host:9240 [-name NAME] [-poll 100ms]
 //	certd submit -connect http://host:9240 (-spec file.json|-) [-wait]
 //	certd loadtest (-connect host:9241 | -self) [-streams N] [-txns N] [-retire N] [-json]
@@ -33,8 +33,7 @@
 // loadtest drives concurrent monitored streams against a stream
 // endpoint and reports aggregate events/sec; -self spins a private
 // in-process server first, making it a one-command benchmark. It exits 1
-// unless the run was clean: no bad lines, no dropped events and no
-// violations.
+// unless the run was clean: no bad lines and no violations.
 package main
 
 import (
@@ -90,12 +89,11 @@ func runServe(args []string, stdout io.Writer, ready chan<- [2]string) (int, err
 	streamAddr := fs.String("stream-addr", ":9241", "monitor-stream listener address")
 	leaseTTL := fs.Duration("lease-ttl", 3*time.Second, "lease TTL of a grant (heartbeats extend)")
 	maxStreams := fs.Int("max-streams", 256, "concurrent monitor-stream cap (past it: ERR busy)")
-	queue := fs.Int("queue", 256, "per-stream input queue depth")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-drain budget on SIGTERM")
 	if err := fs.Parse(args); err != nil {
 		return 2, err
 	}
-	s := certd.NewServer(certd.Config{LeaseTTL: *leaseTTL, MaxStreams: *maxStreams, StreamQueue: *queue})
+	s := certd.NewServer(certd.Config{LeaseTTL: *leaseTTL, MaxStreams: *maxStreams})
 
 	httpLn, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -253,16 +251,16 @@ func runLoadtest(args []string, stdout io.Writer) (int, error) {
 			return 2, err
 		}
 	} else {
-		fmt.Fprintf(stdout, "loadtest: %d streams x %d txns: %d events in %.1fms = %.0f events/sec (bad=%d dropped=%d violations=%d)\n",
-			rep.Streams, rep.TxnsPerConn, rep.Events, rep.ElapsedMS, rep.EventsPerSec, rep.Bad, rep.Dropped, rep.Violations)
+		fmt.Fprintf(stdout, "loadtest: %d streams x %d txns: %d events in %.1fms = %.0f events/sec (bad=%d violations=%d)\n",
+			rep.Streams, rep.TxnsPerConn, rep.Events, rep.ElapsedMS, rep.EventsPerSec, rep.Bad, rep.Violations)
 	}
 	return loadtestExit(rep), nil
 }
 
 // loadtestExit judges a load run: 1 unless it was clean — no bad lines,
-// no dropped events, no violations on the du-opaque generated streams.
+// no violations on the du-opaque generated streams.
 func loadtestExit(rep *certd.LoadTestReport) int {
-	if rep.Bad > 0 || rep.Dropped > 0 || rep.Violations > 0 {
+	if rep.Bad > 0 || rep.Violations > 0 {
 		return 1
 	}
 	return 0

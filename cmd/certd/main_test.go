@@ -128,8 +128,8 @@ func TestLoadtestSelf(t *testing.T) {
 }
 
 // TestLoadtestExit pins loadtest's own judgement of a run: exit 0 on a
-// clean run, 1 when any event was dropped, any line was bad or any
-// stream reported a violation.
+// clean run, 1 when any line was bad or any stream reported a violation,
+// alone or together.
 func TestLoadtestExit(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -137,7 +137,7 @@ func TestLoadtestExit(t *testing.T) {
 		code int
 	}{
 		{"pass", certd.LoadTestReport{Events: 100, Streams: 2, EventsPerSec: 20000}, 0},
-		{"unclean", certd.LoadTestReport{Events: 100, Streams: 2, EventsPerSec: 20000, Dropped: 3}, 1},
+		{"unclean", certd.LoadTestReport{Events: 100, Streams: 2, EventsPerSec: 20000, Bad: 2, Violations: 1}, 1},
 		{"bad", certd.LoadTestReport{Events: 100, Streams: 2, Bad: 1}, 1},
 		{"violations", certd.LoadTestReport{Events: 100, Streams: 2, Violations: 1}, 1},
 	} {

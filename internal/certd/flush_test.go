@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -64,17 +63,17 @@ func TestStreamVerdictLeavesWhenIdle(t *testing.T) {
 	}
 	<-handlerDone
 
-	// Every exchange was one hand-off and one idle flush; /statsz says so.
+	// Every exchange was one idle flush; /statsz says so.
 	st := s.Stats().Streams
 	// (The last echo may leave with the summary: END came with its line.)
-	if st.Batches < 5 || st.FlushesIdle < 4 || st.FlushesFull != 0 {
-		t.Errorf("batches=%d flushes_idle=%d flushes_full=%d, want at least 5, at least 4, 0", st.Batches, st.FlushesIdle, st.FlushesFull)
+	if st.FlushesIdle < 4 || st.FlushesFull != 0 {
+		t.Errorf("flushes_idle=%d flushes_full=%d, want at least 4, 0", st.FlushesIdle, st.FlushesFull)
 	}
 	js, err := json.Marshal(s.Stats())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{`"batches":`, `"flushes_idle":`, `"flushes_full":0`} {
+	for _, key := range []string{`"flushes_idle":`, `"flushes_full":0`} {
 		if !bytes.Contains(js, []byte(key)) {
 			t.Errorf("/statsz lacks %s: %s", key, js)
 		}
@@ -128,15 +127,13 @@ func (c *feedConn) Write(p []byte) (int, error) {
 func (c *feedConn) Close() error { return nil }
 
 // TestStreamWritesBoundedByReads: flushing on idle input must not turn
-// into a write per event, however the reader and the drain are scheduled.
-// The reader hands off once per read (and when it finds the queue full),
-// the drain flushes on idle at most once per hand-off, and otherwise only
-// with 32 KB in hand — so writes are bounded by reads + stalls + full
-// flushes, each of which pays for many events. Checked with the producer
-// saturating the server, and with one slower than the server, whose input
-// dribbles in a few bytes at a time and waits for the answer to every
-// whole line: the drain is idle after every read, and still writes at
-// most once per read.
+// into a write per event. The handler flushes on idle at most once per
+// read of the connection, and otherwise only with 32 KB in hand — so
+// writes are bounded by reads + full flushes, each of which pays for many
+// events. Checked with the producer saturating the server, and with one
+// slower than the server, whose input dribbles in a few bytes at a time
+// and waits for the answer to every whole line: the input is idle after
+// every read, and the handler still writes at most once per read.
 func TestStreamWritesBoundedByReads(t *testing.T) {
 	feed := func(txns int) []byte {
 		var b bytes.Buffer
@@ -167,17 +164,14 @@ func TestStreamWritesBoundedByReads(t *testing.T) {
 				t.Fatalf("monitored %d events, fed %d", st.Events, events)
 			}
 			reads, writes := conn.reads.Load(), conn.writes.Load()
-			t.Logf("%d events: %d reads, %d writes (%d bytes); batches=%d stalls=%d flushes idle=%d full=%d",
-				events, reads, writes, conn.written.Load(), st.Batches, st.Stalls, st.FlushesIdle, st.FlushesFull)
+			t.Logf("%d events: %d reads, %d writes (%d bytes); flushes idle=%d full=%d",
+				events, reads, writes, conn.written.Load(), st.FlushesIdle, st.FlushesFull)
 			// Two writes are not flushes of echo: the hello's OK and the summary.
 			if writes != st.FlushesIdle+st.FlushesFull+2 {
 				t.Errorf("%d writes, but %d idle + %d full flushes + 2", writes, st.FlushesIdle, st.FlushesFull)
 			}
-			if st.Batches > reads+st.Stalls {
-				t.Errorf("%d hand-offs for %d reads and %d stalls: more than one per read", st.Batches, reads, st.Stalls)
-			}
-			if st.FlushesIdle > st.Batches {
-				t.Errorf("%d idle flushes for %d hand-offs: more than one per hand-off", st.FlushesIdle, st.Batches)
+			if st.FlushesIdle > reads {
+				t.Errorf("%d idle flushes for %d reads: more than one per read", st.FlushesIdle, reads)
 			}
 			if full := conn.written.Load() / (32 * 1024); st.FlushesFull > full {
 				t.Errorf("%d full flushes for %d bytes written: some left with less than 32 KB", st.FlushesFull, conn.written.Load())
@@ -185,105 +179,10 @@ func TestStreamWritesBoundedByReads(t *testing.T) {
 			if !c.dribbling && writes*20 > events {
 				t.Errorf("saturated input: %d writes for %d events, not amortised", writes, events)
 			}
-			if c.dribbling && (writes > reads || st.FlushesFull != 0 || st.Stalls != 0) {
-				t.Errorf("dribbling input: %d writes (%d full flushes, %d stalls) for %d reads, want at most one write per read and nothing else",
-					writes, st.FlushesFull, st.Stalls, reads)
+			if c.dribbling && (writes > reads || st.FlushesFull != 0) {
+				t.Errorf("dribbling input: %d writes (%d full flushes) for %d reads, want at most one write per read and no full flush",
+					writes, st.FlushesFull, reads)
 			}
 		})
-	}
-}
-
-// TestLineQueue drives the reader/drain hand-off on its own: lines come
-// out in order and whole, never more than max in one take, a lossy push on
-// a full queue drops and counts, a blocking one waits and is released by
-// the drain leaving.
-func TestLineQueue(t *testing.T) {
-	const max, n = 4, 5000
-	text := func(i int) []byte { return []byte(strings.Repeat("x", i%7) + fmt.Sprint(i)) }
-
-	q := newLineQueue(max)
-	stalls := 0
-	go func() {
-		for i := 1; i <= n; i++ {
-			switch q.push(i, text(i), false) {
-			case pushStalled:
-				stalls++
-			case pushDropped, pushAbandoned:
-				t.Errorf("blocking push %d did not queue", i)
-			}
-			if i%3 == 0 {
-				_ = q.handOff()
-			}
-		}
-		q.close(io.ErrUnexpectedEOF)
-	}()
-	var batch lineBatch
-	next, idles := 1, 0
-	for {
-		more, err := q.take(&batch, func() error { idles++; return nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !more {
-			break
-		}
-		if len(batch.lines) > max {
-			t.Fatalf("took %d lines from a queue of %d", len(batch.lines), max)
-		}
-		for i := range batch.lines {
-			no, got := batch.line(i)
-			if no != next || !bytes.Equal(got, text(next)) {
-				t.Fatalf("line %d came out as %d %q", next, no, got)
-			}
-			next++
-		}
-	}
-	if dropped, err := q.ended(); next != n+1 || err != io.ErrUnexpectedEOF || dropped != 0 {
-		t.Fatalf("took %d of %d lines, err %v, dropped %d", next-1, n, err, dropped)
-	}
-	t.Logf("%d stalls, %d idle calls", stalls, idles)
-
-	// Lossy: the queue keeps max lines and counts the rest.
-	q = newLineQueue(max)
-	for i := 1; i <= 10; i++ {
-		if res := q.push(i, text(i), true); (res == pushDropped) != (i > max) {
-			t.Fatalf("lossy push %d: result %d", i, res)
-		}
-	}
-	q.close(nil)
-	more, _ := q.take(&batch, func() error { t.Error("idle called with lines handed off"); return nil })
-	if dropped, _ := q.ended(); !more || len(batch.lines) != max || dropped != 10-max {
-		t.Fatalf("lossy queue: more=%v lines=%d dropped=%d", more, len(batch.lines), dropped)
-	}
-	if more, _ := q.take(&batch, nil); more {
-		t.Fatal("closed, emptied queue reports more")
-	}
-
-	// A buffer that grew for a burst of very long lines is not kept.
-	q = newLineQueue(max)
-	q.push(1, make([]byte, maxKeptText+1), false)
-	_ = q.handOff()
-	if more, _ := q.take(&batch, nil); !more || cap(batch.text) <= maxKeptText {
-		t.Fatalf("long line not taken: more=%v cap=%d", more, cap(batch.text))
-	}
-	q.push(2, text(2), false)
-	_ = q.handOff()
-	if _, _ = q.take(&batch, nil); cap(q.fill.text) > maxKeptText {
-		t.Fatalf("queue kept a %d-byte buffer for reuse", cap(q.fill.text))
-	}
-
-	// A reader waiting for room is released when the drain leaves.
-	q = newLineQueue(1)
-	q.push(1, text(1), false)
-	released := make(chan pushResult)
-	go func() { released <- q.push(2, text(2), false) }()
-	q.abandon()
-	select {
-	case res := <-released:
-		if res != pushAbandoned {
-			t.Fatalf("push after abandon: result %d", res)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("stalled push not released by abandon")
 	}
 }

@@ -51,7 +51,6 @@ type LoadTestReport struct {
 	Events       int64   `json:"events"`
 	Violations   int64   `json:"violations"`
 	Bad          int64   `json:"bad"`
-	Dropped      int64   `json:"dropped"`
 	ElapsedMS    float64 `json:"elapsed_ms"`
 	EventsPerSec float64 `json:"events_per_sec"`
 }
@@ -59,8 +58,7 @@ type LoadTestReport struct {
 // LoadTest drives cfg.Streams concurrent monitored streams against a
 // running stream listener and reports aggregate throughput. Every stream
 // uses quiet mode (no per-event echo — the monitored-append path is what
-// is being measured) and the default blocking backpressure, so every
-// sent event is monitored.
+// is being measured).
 func LoadTest(ctx context.Context, cfg LoadTestConfig) (*LoadTestReport, error) {
 	cfg = cfg.withDefaults()
 	rep := &LoadTestReport{Streams: cfg.Streams, TxnsPerConn: cfg.Txns}
@@ -80,7 +78,6 @@ func LoadTest(ctx context.Context, cfg LoadTestConfig) (*LoadTestReport, error) 
 			rep.Events += int64(done.Events)
 			rep.Violations += int64(done.Violations)
 			rep.Bad += int64(done.Bad)
-			rep.Dropped += int64(done.Dropped)
 			if err != nil && firstErr == nil {
 				firstErr = fmt.Errorf("stream %d: %w", conn, err)
 			}

@@ -20,7 +20,7 @@ func TestLoadTestSmoke(t *testing.T) {
 	if want := int64(8 * 50 * 4); rep.Events != want {
 		t.Fatalf("monitored %d events, want %d (report %+v)", rep.Events, want, rep)
 	}
-	if rep.Violations != 0 || rep.Bad != 0 || rep.Dropped != 0 {
+	if rep.Violations != 0 || rep.Bad != 0 {
 		t.Fatalf("clean load run was not clean: %+v", rep)
 	}
 	if rep.EventsPerSec <= 0 {
@@ -30,7 +30,7 @@ func TestLoadTestSmoke(t *testing.T) {
 
 // TestLoadTestHundredStreams is the acceptance-scale run: 100 concurrent
 // monitored streams, every event monitored under bounded per-stream
-// memory (retirement window + fixed queue), with the stream gauge back
+// memory (retirement window + scanner buffer), with the stream gauge back
 // to zero afterwards.
 func TestLoadTestHundredStreams(t *testing.T) {
 	if testing.Short() {
@@ -47,7 +47,7 @@ func TestLoadTestHundredStreams(t *testing.T) {
 	if want := int64(100 * 50 * 4); rep.Events != want {
 		t.Fatalf("monitored %d events, want %d", rep.Events, want)
 	}
-	if rep.Violations != 0 || rep.Bad != 0 || rep.Dropped != 0 {
+	if rep.Violations != 0 || rep.Bad != 0 {
 		t.Fatalf("clean load run was not clean: %+v", rep)
 	}
 	snap := s.Stats()

@@ -14,9 +14,6 @@ type Metrics struct {
 	StreamsRejected atomic.Int64 // refused at admission ("ERR busy")
 	StreamEvents    atomic.Int64 // events appended to monitors
 	StreamBad       atomic.Int64 // malformed or rejected input lines
-	StreamDropped   atomic.Int64 // events dropped by lossy streams
-	StreamStalls    atomic.Int64 // reads paused on a full queue (backpressure)
-	StreamBatches   atomic.Int64 // reader-to-drain hand-offs taken; events / batches is the mean batch
 	AppendNanos     atomic.Int64 // cumulative latency of the sampled session appends
 	AppendSamples   atomic.Int64 // session appends timed: each stream's first and every 64th after it
 	StreamSearches  atomic.Int64 // responses decided by a full search, folded in when a stream ends
@@ -54,14 +51,13 @@ type StatsSnapshot struct {
 		Rejected int64 `json:"rejected"`
 		Events   int64 `json:"events"`
 		Bad      int64 `json:"bad"`
-		Dropped  int64 `json:"dropped"`
-		Stalls   int64 `json:"stalls"`
-		// Batches counts hand-offs from a stream's reader to its drain
-		// (events / batches is the mean batch); FlushesIdle and FlushesFull
-		// the writes of ended streams, by cause: the input went idle, or
-		// 32 KB of output were waiting. Verdict lag moves with the first
-		// two, syscalls per event with all three.
-		Batches     int64 `json:"batches"`
+		// Stalls is always 0: a stream reads its connection itself, so a
+		// producer that outruns it waits on TCP flow control, which the
+		// server does not see. The field stays for readers of the payload.
+		Stalls int64 `json:"stalls"`
+		// FlushesIdle and FlushesFull count the writes of ended streams, by
+		// cause: the input went idle, or 32 KB of output were waiting.
+		// Verdict lag moves with the first, syscalls per event with both.
 		FlushesIdle int64 `json:"flushes_idle"`
 		FlushesFull int64 `json:"flushes_full"`
 		// AvgAppendNanos is the mean session-append latency over the
@@ -110,9 +106,6 @@ func (m *Metrics) snapshot() StatsSnapshot {
 	s.Streams.Rejected = m.StreamsRejected.Load()
 	s.Streams.Events = m.StreamEvents.Load()
 	s.Streams.Bad = m.StreamBad.Load()
-	s.Streams.Dropped = m.StreamDropped.Load()
-	s.Streams.Stalls = m.StreamStalls.Load()
-	s.Streams.Batches = m.StreamBatches.Load()
 	s.Streams.FlushesIdle = m.StreamFlushesIdle.Load()
 	s.Streams.FlushesFull = m.StreamFlushesFull.Load()
 	s.Streams.AppendSamples = m.AppendSamples.Load()

@@ -7,9 +7,8 @@
 // is byte-identical to the in-process farm's. A second, line-oriented
 // listener puts `ducheck -follow` on the network: each connection runs
 // the same follow core (package follow — one spec.Session, so one shared
-// stream however many criteria the hello names) and gets per-event
-// verdicts back, with bounded per-stream queues and explicit
-// backpressure.
+// stream however many criteria the hello names) in the same loop, and
+// gets per-event verdicts back in bounded per-stream memory.
 //
 // The coordinator never trusts a worker to stay alive: every grant
 // carries a lease with a TTL, heartbeats extend it, and an expired lease
@@ -70,7 +69,7 @@
 //
 // The client opens with a hello line (package follow has its codec, and DONE's):
 //
-//	STREAM <criteria-csv> [retire=N] [nodelimit=N] [skipbad|strict] [lossy] [quiet]
+//	STREAM <criteria-csv> [retire=N] [nodelimit=N] [skipbad|strict] [quiet]
 //
 // and the server answers "OK <stream-id>" or "ERR <reason>" (admission
 // control: past MaxStreams every hello is refused with "ERR busy" — the
@@ -83,17 +82,17 @@
 // retirement summary when retire is set, the skipbad ledger when skipbad
 // is set, and a terminal
 //
-//	DONE events=<n> bad=<n> dropped=<n> violations=<n>
+//	DONE events=<n> bad=<n> dropped=0 violations=<n>
 //
-// line. What the server has to say leaves when the client's input goes
-// idle — nothing further read and queued — so a producer that pauses
-// after an event has that event's verdict, and one that never pauses is
-// answered 32 KB at a time; there is no flush interval. Per-stream memory
-// is bounded by the session's retirement window plus a fixed-depth input
-// queue; when the queue fills, the server either stops reading (default —
-// TCP flow control pushes back on the producer, counted as a stall) or
-// drops the overflow (lossy, counted and reported in DONE and /statsz).
-// It never buffers without bound.
+// line (dropped is always 0: every line read is monitored). What the
+// server has to say leaves when the client's input goes idle — the server
+// is about to read the connection again — so a producer that pauses after
+// an event has that event's verdict, and one that never pauses is answered
+// 32 KB at a time; there is no flush interval. The server reads a stream
+// only as fast as it monitors it, so a faster producer waits on TCP flow
+// control. Per-stream memory is bounded by the input line buffer (1 MB at
+// most; a longer line fails the stream with "ERR read:") plus the
+// session's retirement window. It never buffers without bound.
 package certd
 
 import (

@@ -29,11 +29,6 @@ type Config struct {
 	// MaxStreams caps concurrently open monitor streams; helloes past the
 	// cap are refused with "ERR busy" (default 256).
 	MaxStreams int
-	// StreamQueue is the per-stream input queue depth (default 256
-	// lines): what the reader may have waiting for the drain, which takes
-	// the whole queue at a time. A full queue stalls the reader (default)
-	// or drops (lossy streams) — never grows.
-	StreamQueue int
 }
 
 func (c Config) withDefaults() Config {
@@ -45,9 +40,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxStreams <= 0 {
 		c.MaxStreams = 256
-	}
-	if c.StreamQueue <= 0 {
-		c.StreamQueue = 256
 	}
 	return c
 }
@@ -110,7 +102,7 @@ type Server struct {
 	cfg     Config
 	Metrics Metrics
 	now     func() time.Time // lease bookkeeping's clock; tests substitute a fake one
-	slow    time.Duration    // delay before every stream append; tests make backpressure observable with it
+	slow    time.Duration    // delay before every stream append; tests hold a stream busy with it
 
 	mu       sync.Mutex
 	jobs     map[string]*job

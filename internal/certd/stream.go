@@ -69,11 +69,15 @@ func (s *Server) trackConn(c net.Conn) func() {
 // third of what a fast-path append costs.
 const appendSampleEvery = 64
 
-// handleStream runs one monitored stream: the follow core ducheck -follow
+// handleStream runs one monitored stream: the follow loop ducheck -follow
 // runs (package follow: one session, the bad-input policies, the echo,
 // the summary, DONE, and the rule for when output leaves) behind what only
-// a network producer needs — admission control, a bounded queue with
-// backpressure, metrics.
+// a network producer needs — admission control and metrics. It reads the
+// connection itself, as ducheck reads stdin: what one Read returns is fed
+// line by line, and the output leaves when the scanner is about to read
+// again. A producer that outruns it waits on TCP flow control; memory per
+// stream is the scanner's buffer (1 MB at most) and the session's
+// retirement window.
 func (s *Server) handleStream(conn net.Conn) {
 	defer conn.Close()
 	defer s.trackConn(conn)()
@@ -92,11 +96,26 @@ func (s *Server) handleStream(conn net.Conn) {
 	defer s.Metrics.StreamsOpen.Add(-1)
 	streamID := fmt.Sprintf("s%d", s.Metrics.StreamsTotal.Add(1))
 
-	// The reader hands the queue over each time it is about to wait for the
-	// connection: one hand-off per read, whatever number of lines it held.
-	q := newLineQueue(s.cfg.StreamQueue)
-	defer q.abandon() // any early return unblocks a stalled reader
-	in := bufio.NewScanner(follow.OnIdle(conn, q.handOff))
+	// The network's share of an append: the fault-injection delay, and the
+	// counters behind /statsz (accepted events only), kept here and folded
+	// into the shared atomics each time the input goes idle. The clock is
+	// read around the stream's first accepted append and every
+	// appendSampleEvery-th after it, so a stream of n events takes
+	// ceil(n/appendSampleEvery) samples.
+	var accepted, folded, appendNanos, samples int64
+	fold := func() {
+		if accepted == folded {
+			return
+		}
+		s.Metrics.AppendNanos.Add(appendNanos)
+		s.Metrics.AppendSamples.Add(samples)
+		s.Metrics.StreamEvents.Add(accepted - folded)
+		appendNanos, samples, folded = 0, 0, accepted
+	}
+	in := bufio.NewScanner(follow.OnIdle(conn, func() error {
+		fold()
+		return out.Idle()
+	}))
 	in.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	if !in.Scan() {
 		if err := in.Err(); err != nil {
@@ -118,18 +137,6 @@ func (s *Server) handleStream(conn net.Conn) {
 	// through Finish, then this no-op; a gone client, a strict ERR or a
 	// read error here.
 	defer f.Release()
-	// The network's share of an append: the fault-injection delay, and the
-	// counters behind /statsz (accepted events only), kept here and folded
-	// into the shared atomics once per batch. The clock is read around the
-	// stream's first accepted append and every appendSampleEvery-th after
-	// it, so a stream of n events takes ceil(n/appendSampleEvery) samples.
-	var accepted, folded, appendNanos, samples int64
-	fold := func() {
-		s.Metrics.AppendNanos.Add(appendNanos)
-		s.Metrics.AppendSamples.Add(samples)
-		s.Metrics.StreamEvents.Add(accepted - folded)
-		appendNanos, samples, folded = 0, 0, accepted
-	}
 	defer func() {
 		fold()
 		s.Metrics.StreamFlushesIdle.Add(int64(out.IdleFlushes))
@@ -166,74 +173,34 @@ func (s *Server) handleStream(conn net.Conn) {
 	fmt.Fprintf(out, "OK %s\n", streamID)
 	out.Flush()
 
-	go s.readLines(in, q, o.Lossy)
-
-	// The drain: take everything the reader has handed over, feed it through
-	// the follow, and let the echo leave when nothing more is waiting.
-	var batch lineBatch
-	for {
-		more, err := q.take(&batch, out.Idle)
-		if err != nil {
-			return // client gone
-		}
-		if !more {
+	for lineNo := 1; in.Scan(); lineNo++ {
+		text := in.Bytes()
+		if string(text) == "END" {
 			break
 		}
-		s.Metrics.StreamBatches.Add(1)
-		for i := range batch.lines {
-			no, text := batch.line(i)
-			if bad := f.Line(no, text); bad != nil {
-				s.Metrics.StreamBad.Add(1)
-				if o.Strict {
-					// Fail the stream the way -strict fails the CLI: no final
-					// verdicts. The deferred abandon unblocks the reader.
-					fmt.Fprintf(out, "ERR %v\n", bad)
-					return
-				}
-				if !o.SkipBad {
-					fmt.Fprintf(out, "BAD %d %v\n", bad.No, bad.Err)
-				}
+		if bad := f.Line(lineNo, text); bad != nil {
+			s.Metrics.StreamBad.Add(1)
+			if o.Strict {
+				// Fail the stream the way -strict fails the CLI: no final
+				// verdicts.
+				fmt.Fprintf(out, "ERR %v\n", bad)
+				return
 			}
-			if out.Full() != nil {
-				return // client gone
+			if !o.SkipBad {
+				fmt.Fprintf(out, "BAD %d %v\n", bad.No, bad.Err)
 			}
 		}
-		fold()
+		if out.Full() != nil {
+			return // client gone
+		}
 	}
-	dropped, err := q.ended()
-	if err != nil {
-		// The input died mid-stream (read error, or a line past the
-		// scanner's 1MB limit): fail explicitly rather than emitting a
-		// DONE that pretends the stream completed.
+	if err := in.Err(); err != nil {
+		// The input died mid-stream (read error, a line past the scanner's
+		// 1MB limit, or a failed idle flush to a gone client): fail
+		// explicitly rather than emitting a DONE that pretends the stream
+		// completed.
 		fmt.Fprintf(out, "ERR read: %v\n", err)
 		return
 	}
-	done := f.Finish(out, "QUARANTINED")
-	done.Dropped = dropped
-	fmt.Fprintln(out, done)
-}
-
-// readLines is a stream's reader goroutine: every input line up to END
-// goes into the queue. A full queue either pauses it — TCP flow control
-// then pushes back on the producer, counted as a stall — or, on lossy
-// streams, drops the line, counted and reported.
-func (s *Server) readLines(in *bufio.Scanner, q *lineQueue, lossy bool) {
-	lineNo := 0
-	for in.Scan() {
-		lineNo++
-		text := in.Bytes()
-		if string(text) == "END" {
-			q.close(nil)
-			return
-		}
-		switch q.push(lineNo, text, lossy) {
-		case pushDropped:
-			s.Metrics.StreamDropped.Add(1)
-		case pushStalled:
-			s.Metrics.StreamStalls.Add(1)
-		case pushAbandoned:
-			return
-		}
-	}
-	q.close(in.Err())
+	fmt.Fprintln(out, f.Finish(out, "QUARANTINED"))
 }

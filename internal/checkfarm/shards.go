@@ -62,8 +62,6 @@ type CertifyJob struct {
 }
 
 // ExploreJob distributes plan exploration: each shard explores one plan.
-// Config is shared by every shard, so a Config.OnSchedule callback must
-// be safe for concurrent use when the job runs with jobs > 1.
 type ExploreJob struct {
 	Engine string                `json:"engine"`
 	Plans  []WirePlan            `json:"plans"`

@@ -5,7 +5,7 @@
 // bad-input policies, the echo, the final summary, the DONE line and its
 // exit status — and the rule for when output leaves (Out, OnIdle): when
 // the input goes idle. The front ends keep the routing of bad-input notes
-// and what a network adds (admission, backpressure, metrics).
+// and what a network adds (admission, metrics).
 package follow
 
 import (
@@ -29,7 +29,6 @@ type Options struct {
 	// SkipBad and Strict select the bad-input policy; with neither, a bad
 	// line is noted and skipped. They are mutually exclusive.
 	SkipBad, Strict bool
-	Lossy           bool // a network front end may drop lines instead of stalling the producer
 	Quiet           bool // no per-event echo
 }
 
@@ -39,7 +38,7 @@ func (o *Options) helloFields() []helloField {
 	return []helloField{
 		{key: "retire=", n: &o.Retire}, {key: "nodelimit=", n: &o.NodeLimit},
 		{key: "skipbad", on: &o.SkipBad}, {key: "strict", on: &o.Strict},
-		{key: "lossy", on: &o.Lossy}, {key: "quiet", on: &o.Quiet},
+		{key: "quiet", on: &o.Quiet},
 	}
 }
 
@@ -75,7 +74,7 @@ func ParseHello(line string) (Options, error) {
 	var o Options
 	words := strings.Fields(line)
 	if len(words) < 2 || words[0] != "STREAM" {
-		return o, fmt.Errorf("want: STREAM <criteria> [retire=N] [nodelimit=N] [skipbad|strict] [lossy] [quiet]")
+		return o, fmt.Errorf("want: STREAM <criteria> [retire=N] [nodelimit=N] [skipbad|strict] [quiet]")
 	}
 	for _, name := range strings.Split(words[1], ",") {
 		c, ok := spec.ParseCriterion(name)
@@ -113,18 +112,22 @@ next:
 type Done struct {
 	Events     int // events the session accepted
 	Bad        int // input lines refused: unparsable, or making the history ill-formed
-	Dropped    int // lines a lossy network front end discarded unseen; zero in process
 	Violations int // criteria whose final verdict is a violation (undecided is not one)
 }
 
+// doneFormat is the DONE line. Its dropped field is always 0, since every
+// line a front end reads is fed to the follow; it stays so that the line
+// reads the same to every client.
+const doneFormat = "DONE events=%d bad=%d dropped=0 violations=%d"
+
 // String renders the DONE line (without newline).
 func (d Done) String() string {
-	return fmt.Sprintf("DONE events=%d bad=%d dropped=%d violations=%d", d.Events, d.Bad, d.Dropped, d.Violations)
+	return fmt.Sprintf(doneFormat, d.Events, d.Bad, d.Violations)
 }
 
 // ParseDone is the inverse of String; ok is false for any other line.
 func ParseDone(line string) (d Done, ok bool) {
-	_, err := fmt.Sscanf(line, "DONE events=%d bad=%d dropped=%d violations=%d", &d.Events, &d.Bad, &d.Dropped, &d.Violations)
+	_, err := fmt.Sscanf(line, doneFormat, &d.Events, &d.Bad, &d.Violations)
 	return d, err == nil && line == d.String()
 }
 
@@ -152,9 +155,8 @@ const flushAt = 32 * 1024
 // (Idle), so a verdict is never held back for company, or when flushAt
 // bytes are waiting (Full), so a producer that never pauses is still
 // answered. Idleness is a fact about the input, not a time: there is no
-// interval to tune. A front end that reads its input itself learns of it
-// from OnIdle; one that is handed its input by another goroutine calls
-// Idle when nothing has been handed over.
+// interval to tune. A front end learns of it from OnIdle, over the input
+// it reads.
 type Out struct {
 	*bufio.Writer
 	IdleFlushes, FullFlushes int // flushes that had something to write, by cause

@@ -20,9 +20,9 @@ func TestHelloRoundTrip(t *testing.T) {
 		{Criteria: spec.MonitorableCriteria(), Retire: 32},
 		{Criteria: []spec.Criterion{spec.Opacity, spec.DUOpacity}, Retire: 8, NodeLimit: 5000, SkipBad: true},
 		{Criteria: []spec.Criterion{spec.TMS2, spec.RCO}, Strict: true, Quiet: true},
-		{Criteria: []spec.Criterion{spec.FinalStateOpacity}, NodeLimit: 1, Lossy: true, Quiet: true},
+		{Criteria: []spec.Criterion{spec.FinalStateOpacity}, NodeLimit: 1, Quiet: true},
 		// Batch-only criteria have wire names too; refusing them is New's job.
-		{Criteria: []spec.Criterion{spec.StrictSerializability, spec.Serializability}, Lossy: true},
+		{Criteria: []spec.Criterion{spec.StrictSerializability, spec.Serializability}},
 	} {
 		got, err := ParseHello(o.Hello())
 		if err != nil {
@@ -53,6 +53,7 @@ func TestParseHelloErrors(t *testing.T) {
 		"STREAM du nodelimit=",
 		"STREAM du bogus",
 		"STREAM du skipbad strict",
+		"STREAM du quiet lossy", // every line read is monitored: none may be dropped
 	} {
 		if o, err := ParseHello(hello); err == nil {
 			t.Errorf("ParseHello(%q) = %+v, want an error", hello, o)
@@ -71,7 +72,7 @@ func TestDoneRoundTrip(t *testing.T) {
 		{},
 		{Events: 8},
 		{Events: 176, Bad: 1, Violations: 1},
-		{Events: 1 << 40, Bad: 12, Dropped: 7, Violations: 5},
+		{Events: 1 << 40, Bad: 12, Violations: 5},
 	} {
 		if got, ok := ParseDone(d.String()); !ok || got != d {
 			t.Errorf("ParseDone(%q) = %+v, %v; want %+v", d.String(), got, ok, d)
@@ -87,6 +88,7 @@ func TestDoneRoundTrip(t *testing.T) {
 	for _, line := range []string{
 		"", "DONE", "du-opacity: OK", "ERR busy",
 		"DONE events=1 bad=0 dropped=0",
+		"DONE events=1 bad=0 dropped=3 violations=0",
 		"DONE events=1 bad=0 dropped=0 violations=0 extra",
 		"DONE events=x bad=0 dropped=0 violations=0",
 		" DONE events=1 bad=0 dropped=0 violations=0",
@@ -97,7 +99,7 @@ func TestDoneRoundTrip(t *testing.T) {
 	}
 }
 
-var helloOption = regexp.MustCompile(`^(skipbad|strict|lossy|quiet|(retire|nodelimit)=[0-9]+)$`)
+var helloOption = regexp.MustCompile(`^(skipbad|strict|quiet|(retire|nodelimit)=[0-9]+)$`)
 
 // FuzzParseHello: the decoder never panics, and accepts only what Hello
 // can produce modulo field order, repetition and number spelling: every
@@ -110,7 +112,7 @@ func FuzzParseHello(f *testing.F) {
 		"STREAM du",
 		"STREAM du,tms2,rco,opacity,finalstate retire=32",
 		"STREAM du retire=8 quiet",
-		"STREAM opacity,du nodelimit=500 skipbad lossy",
+		"STREAM opacity,du nodelimit=500 skipbad quiet",
 		"STREAM du strict",
 		"STREAM du skipbad strict",
 		"STREAM du retire=x",

@@ -149,19 +149,14 @@ type ExploreConfig struct {
 	// Being unexported, it never travels in a checkfarm.JobSpec.
 	off pruning
 
-	// OnSchedule, when set, observes each schedule that runs to
+	// onSchedule, when set, observes each schedule that runs to
 	// completion: the thread choice at each step, the recorded history,
 	// and its verdict. The prefix cut ends a violating schedule at its
 	// latching step — even when that step happens to be its last — so it
 	// is counted in PrefixCut, not delivered here. The verdict's witness
 	// is the exploration's one monitor's: ask for v.Witness() during the
-	// callback, not after it returns. One ExplorePlanCtx call invokes the
-	// callback sequentially, but a config shared across concurrent
-	// explorations (a checkfarm explore job run with jobs > 1) invokes it
-	// from all workers — such a callback must be safe for concurrent use.
-	// The field is excluded from serialization (checkfarm.JobSpec ships
-	// ExploreConfig over the certd wire; a callback cannot travel).
-	OnSchedule func(schedule []int, h *history.History, v spec.Verdict) `json:"-"`
+	// callback, not after it returns. Only this package's tests set it.
+	onSchedule func(schedule []int, h *history.History, v spec.Verdict)
 }
 
 // pruning is a set of the explorer's sound prunings.
@@ -174,7 +169,7 @@ const (
 
 	// naive is every pruning: with all of them off the explorer
 	// enumerates the raw stepper schedule space and runs every schedule
-	// to completion, so OnSchedule sees every history of that space.
+	// to completion, so onSchedule sees every history of that space.
 	naive = sleepSets | symmetry | prefixCut
 )
 
@@ -796,7 +791,7 @@ func (e *explorer) replay() pathEnd {
 		r := st.runnable(e.buf)
 		e.buf = r[:0]
 		if len(r) == 0 {
-			if e.cfg.OnSchedule != nil {
+			if e.cfg.onSchedule != nil {
 				// The callback gets the monitor's own verdict and witness.
 				if e.catchUp(len(e.log)); e.fault != "" {
 					e.noteDegraded(e.fault)
@@ -934,8 +929,8 @@ func (e *explorer) finishSchedule() {
 		// final step — returns endPrefixCut before finishSchedule runs.
 		e.recordViolation()
 	}
-	if e.cfg.OnSchedule != nil {
-		e.cfg.OnSchedule(append([]int(nil), e.sched...), e.rec.History(), v)
+	if e.cfg.onSchedule != nil {
+		e.cfg.onSchedule(append([]int(nil), e.sched...), e.rec.History(), v)
 	}
 }
 

@@ -195,7 +195,7 @@ func TestExploreContainsSampledSchedules(t *testing.T) {
 			seen := make(map[string]bool)
 			cfg := naiveConfig()
 			cfg.MaxAttempts = w.MaxAttempts
-			cfg.OnSchedule = func(_ []int, eh *history.History, _ spec.Verdict) {
+			cfg.onSchedule = func(_ []int, eh *history.History, _ spec.Verdict) {
 				seen[histio.FormatString(eh)] = true
 			}
 			r, err := ExplorePlanCtx(context.Background(), eng, PlanOf(w), cfg)
@@ -628,7 +628,7 @@ func TestExplorePruningSound(t *testing.T) {
 		for _, eng := range []string{"tl2", "norec", "ple", "gl", "etl", "dstm"} {
 			naiveSeen := make(map[string]bool)
 			ncfg := naiveConfig()
-			ncfg.OnSchedule = func(_ []int, h *history.History, _ spec.Verdict) {
+			ncfg.onSchedule = func(_ []int, h *history.History, _ spec.Verdict) {
 				naiveSeen[histio.FormatString(h)] = true
 			}
 			naive, err := ExplorePlanCtx(context.Background(), eng, p, ncfg)
@@ -638,7 +638,7 @@ func TestExplorePruningSound(t *testing.T) {
 
 			var pruned ExploreReport
 			pcfg := ExploreConfig{}
-			pcfg.OnSchedule = func(_ []int, h *history.History, _ spec.Verdict) {
+			pcfg.onSchedule = func(_ []int, h *history.History, _ spec.Verdict) {
 				if !naiveSeen[histio.FormatString(h)] {
 					t.Errorf("%s on %q: pruned walk recorded a history the naive space lacks:\n%s",
 						eng, src, histio.FormatString(h))

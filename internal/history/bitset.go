@@ -49,16 +49,6 @@ func (b Bits) SetGrow(i int) Bits {
 	return b
 }
 
-// Empty reports whether no bit is set.
-func (b Bits) Empty() bool {
-	for _, w := range b {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // OnesCount returns the number of set bits.
 func (b Bits) OnesCount() int {
 	n := 0
@@ -66,20 +56,6 @@ func (b Bits) OnesCount() int {
 		n += bits.OnesCount64(w)
 	}
 	return n
-}
-
-// SubsetOf reports whether every set bit of b is also set in o (o may be
-// shorter or longer; missing words are zero).
-func (b Bits) SubsetOf(o Bits) bool {
-	for w, bw := range b {
-		if bw == 0 {
-			continue
-		}
-		if w >= len(o) || bw&^o[w] != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // FirstNotIn returns the lowest bit set in b but not in o, or -1.
