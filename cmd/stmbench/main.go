@@ -9,11 +9,9 @@
 //	stmbench [-engines tl2,norec,...] [-objects 8] [-goroutines 4]
 //	         [-txns 2000] [-ops 4] [-read-frac 0.5] [-seed 1]
 //	         [-certify] [-episodes 20] [-interleaved] [-jobs N]
-//	stmbench soak [-engines ...] [-rounds 6] [-seed 1] [-jobs N] [-node-limit N]
+//	stmbench soak [-engines ...] [-rounds 6] [-seed 1] [-jobs N] [-node-limit N] [-faults]
 //	stmbench explore [-engines ...] [-threads 2] [-txns 1] [-ops 2] [-plans 4]
 //	         [-seed 1] [-max-schedules N] [-jobs N] [-opacity]
-//	stmbench chaos [-engines tl2,norec,dstm,pdur] [-trials 50] [-seed 1]
-//	         [-node-limit N] [-abort-prob P] [-delay-prob P]
 //	stmbench scale [-engines tl2,tl2+karma,pdur,...] [-workloads read-heavy,...]
 //	         [-goroutines 1,2,4,8] [-txns 20000] [-repeat 3] [-seed 1] [-json]
 //
@@ -38,14 +36,12 @@
 // -jobs shards their episodes, cells or plans across workers
 // (0 = GOMAXPROCS); the report is the same at every -jobs.
 //
-// The chaos subcommand runs the fault-injection soak (harness.ChaosSoak
-// over internal/chaos): randomized engine, stream and farm fault
-// schedules through the whole pipeline, asserting that faults only ever
-// produce honest undecided verdicts or reported-and-rejected input —
-// never an OK↔violation flip against the fault-free differential. The
-// farm stage runs each trial's history as a one-history checkfarm check
-// job, so injected worker panics exercise the farm's recovery and
-// degradation for real. A non-empty flip list makes the command fail.
+// soak -faults is the fault-injection soak (internal/chaos): engine faults
+// in the concurrent cells, junk and truncation in a replay of each
+// certified one, and worker faults that degrade some shards. A soundness
+// flip — a deferred-update engine's history that du-opacity rejects, or a
+// replay that breaks the stream's contract — prints a FLIP: line and
+// fails the command, with or without -faults.
 package main
 
 import (
@@ -59,8 +55,6 @@ import (
 	"duopacity/internal/chaos"
 	"duopacity/internal/checkfarm"
 	"duopacity/internal/harness"
-	"duopacity/internal/histio"
-	"duopacity/internal/history"
 	"duopacity/internal/spec"
 	"duopacity/internal/stm/engines"
 )
@@ -78,9 +72,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if len(args) > 0 && args[0] == "explore" {
 		return runExplore(args[1:], stdout)
-	}
-	if len(args) > 0 && args[0] == "chaos" {
-		return runChaos(args[1:], stdout)
 	}
 	if len(args) > 0 && args[0] == "scale" {
 		return runScale(args[1:], stdout)
@@ -233,65 +224,6 @@ func runExplore(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// runChaos is the fault-injection soak as a CLI surface: randomized
-// fault schedules through engine, stream and farm, with the farm stage
-// certifying each trial's history as a checkfarm check job under an
-// injected worker-fault schedule. Soundness flips fail the command.
-func runChaos(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("stmbench chaos", flag.ContinueOnError)
-	engineList := fs.String("engines", "", "comma-separated engines (default: the kill-safe tl2, norec, dstm and pdur, the only engines that get thread-kill faults)")
-	trials := fs.Int("trials", 50, "fault schedules per engine")
-	seed := fs.Int64("seed", 1, "fault schedule grid seed")
-	nodeLimit := fs.Int("node-limit", 0, "bound each check and monitor search (0 = soak default)")
-	abortP := fs.Float64("abort-prob", 0, "per-operation spurious-abort probability (0 = soak default, negative = off)")
-	delayP := fs.Float64("delay-prob", 0, "per-commit delayed-commit probability (0 = soak default, negative = off)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	var names []string // empty: the soak's default engines
-	if *engineList != "" {
-		names = splitNames(*engineList)
-	}
-	rep, err := harness.ChaosSoak(harness.ChaosConfig{
-		Engines:   names,
-		Trials:    *trials,
-		Seed:      *seed,
-		NodeLimit: *nodeLimit,
-		Profile:   chaos.Profile{SpuriousAbort: *abortP, CommitDelay: *delayP},
-		Farm:      farmViaCheckJob,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(stdout, rep.String())
-	for _, f := range rep.Flips {
-		fmt.Fprintln(stdout, "FLIP:", f)
-	}
-	if len(rep.Flips) > 0 {
-		return fmt.Errorf("chaos soak found %d soundness flip(s)", len(rep.Flips))
-	}
-	return nil
-}
-
-// farmViaCheckJob is the soak's farm stage: one history, one criterion,
-// certified as a one-shard check job so the fault schedule on ctx strikes
-// inside a real shard. A degraded shard surfaces through the verdict's
-// "degraded: " reason, which is split back out for the soak's accounting.
-func farmViaCheckJob(ctx context.Context, h *history.History, c spec.Criterion, nodeLimit int) (spec.Verdict, string, error) {
-	job := checkfarm.JobSpec{Kind: checkfarm.KindCheck, Check: &checkfarm.CheckJob{
-		Histories: []string{histio.FormatString(h)}, Criteria: []spec.Criterion{c}, NodeLimit: nodeLimit,
-	}}
-	rep, err := job.Run(ctx, 1)
-	if err != nil {
-		return spec.Verdict{}, "", err
-	}
-	v := rep.Check[0][0].Verdict
-	if reason, ok := strings.CutPrefix(v.Reason, "degraded: "); ok {
-		return v, reason, nil
-	}
-	return v, "", nil
-}
-
 func runSoak(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("stmbench soak", flag.ContinueOnError)
 	engineList := fs.String("engines", strings.Join(checkfarm.SoakEngines(), ","), "comma-separated engines")
@@ -299,6 +231,7 @@ func runSoak(args []string, stdout io.Writer) error {
 	seed := fs.Int64("seed", 1, "workload grid seed")
 	jobs := fs.Int("jobs", 0, "worker count (0 = GOMAXPROCS)")
 	nodeLimit := fs.Int("node-limit", 0, "bound each exact check (0 = soak default)")
+	faults := fs.Bool("faults", false, "inject engine, stream and worker faults, and fail on a soundness flip")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -307,11 +240,19 @@ func runSoak(args []string, stdout io.Writer) error {
 		Rounds:    *rounds,
 		Seed:      *seed,
 		NodeLimit: *nodeLimit,
+		Faults:    *faults,
 	}
-	rep, err := checkfarm.JobSpec{Kind: checkfarm.KindSoak, Soak: &checkfarm.SoakJob{Config: cfg}}.Run(context.Background(), *jobs)
+	ctx := context.Background()
+	if *faults {
+		ctx = chaos.WithFarmFaults(ctx, checkfarm.SoakFarmFaults())
+	}
+	rep, err := checkfarm.JobSpec{Kind: checkfarm.KindSoak, Soak: &checkfarm.SoakJob{Config: cfg}}.Run(ctx, *jobs)
 	if err != nil {
 		return err
 	}
 	fmt.Fprint(stdout, checkfarm.FormatSoakReport(cfg, rep.Soak))
+	if n := len(rep.Soak.Flips); n > 0 {
+		return fmt.Errorf("soak found %d soundness flip(s)", n)
+	}
 	return nil
 }

@@ -84,15 +84,14 @@ func TestRunExploreUnknownEngine(t *testing.T) {
 	}
 }
 
-// TestRunChaosDefaultEngines: without -engines the chaos soak runs the
-// library default, every kill-safe engine — pdur included — and not an
-// engine named "".
-func TestRunChaosDefaultEngines(t *testing.T) {
+// TestRunSoakFaults: soak -faults runs the kill-safe engines faulted,
+// reports the fault stages and, with no flip, exits zero.
+func TestRunSoakFaults(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"chaos", "-trials", "1"}, &out); err != nil {
-		t.Fatalf("chaos: %v\n%s", err, out.String())
+	if err := run([]string{"soak", "-faults", "-engines", "tl2,norec,dstm,pdur", "-rounds", "2", "-seed", "7"}, &out); err != nil {
+		t.Fatalf("soak -faults: %v\n%s", err, out.String())
 	}
-	if !strings.Contains(out.String(), "trials=4 ") {
-		t.Errorf("want one trial on each of tl2, norec, dstm and pdur, got:\n%s", out.String())
+	if !strings.Contains(out.String(), "faults: 7 concurrent cell(s) faulted") || !strings.Contains(out.String(), "flips=0") {
+		t.Errorf("want 7 faulted cells (one of 8 degraded) and no flip, got:\n%s", out.String())
 	}
 }

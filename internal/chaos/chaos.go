@@ -1,9 +1,9 @@
 // Package chaos is the repository's deterministic fault-injection layer:
 // seedable fault schedules for the three stages of the certification
-// pipeline, used by harness.ChaosSoak and the stmbench chaos subcommand
-// to pin the soundness-under-chaos invariant (faults may turn verdicts
-// into honest undecided or reported-and-rejected input, but never flip
-// OK↔violation against a fault-free differential run).
+// pipeline, used by the fault mode of the checkfarm soak (stmbench soak
+// -faults) to pin the soundness-under-chaos invariant (faults may turn
+// verdicts into honest undecided or reported-and-rejected input, but
+// never flip OK↔violation against a fault-free differential run).
 //
 // Three injection points, one per pipeline stage:
 //
@@ -14,10 +14,11 @@
 //     — so the recorded histories stay histories in the paper's Section 2
 //     sense, just crashier ones: the checker must still decide them
 //     soundly. Thread kills (a transaction abandoned mid-flight, leaving
-//     a live transaction in the history) are driver-level and gated by
-//     the engine's KillSafe trait (engines.TraitsOf): only engines whose
-//     transactions hold no locks outside Commit can be abandoned without
-//     deadlocking the other threads.
+//     a live transaction in the history) belong to the workload runner
+//     (harness.Faults) and are gated by the engine's KillSafe trait
+//     (engines.TraitsOf): only engines whose transactions hold no locks
+//     outside Commit can be abandoned without deadlocking the other
+//     threads.
 //
 //   - Stream faults (JunkSource): ill-formed events — duplicated
 //     responses, orphaned responses, reserved transaction ids, operations

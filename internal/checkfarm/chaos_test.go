@@ -10,6 +10,7 @@ import (
 
 	"duopacity/internal/chaos"
 	"duopacity/internal/harness"
+	"duopacity/internal/histio"
 	"duopacity/internal/history"
 	"duopacity/internal/litmus"
 	"duopacity/internal/spec"
@@ -250,57 +251,226 @@ func TestRunDegradesEveryKind(t *testing.T) {
 	}
 }
 
-// farmStage wires the soak's farm hook through a one-history check job,
-// as cmd/stmbench does.
-func farmStage(ctx context.Context, h *history.History, c spec.Criterion, nodeLimit int) (spec.Verdict, string, error) {
-	s := checkJob([]*history.History{h}, []spec.Criterion{c})
-	s.Check.NodeLimit = nodeLimit
-	rep, err := s.Run(ctx, 1)
-	if err != nil {
-		return spec.Verdict{}, "", err
+// faultedSoak is the end-to-end faulted soak: tl2, norec and dstm under
+// du-opacity, every concurrent cell faulted, under the worker-fault
+// schedule stmbench soak -faults runs.
+func faultedSoak(rounds int) SoakConfig {
+	return SoakConfig{
+		Engines:  []string{"tl2", "norec", "dstm"},
+		Criteria: []spec.Criterion{spec.DUOpacity},
+		Rounds:   rounds,
+		Seed:     20260808,
+		Faults:   true,
 	}
-	v := rep.Check[0][0].Verdict
-	if reason, ok := strings.CutPrefix(v.Reason, "degraded: "); ok {
-		return v, reason, nil
-	}
-	return v, "", nil
 }
 
-// TestChaosSoakEndToEnd is the PR's acceptance gate: ≥500 randomized
-// fault schedules across the three kill-safe engines, each trial running
-// engine, stream and farm faults through the full pipeline, with zero
-// soundness flips and exact junk accounting. CI runs this under -race.
+// TestChaosSoakEndToEnd is the fault mode's acceptance gate: at least 510
+// faulted cells certified across the three kill-safe deferred-update
+// engines, every fault stage exercised — kills, junk, truncation, shards
+// degraded past their retries — with exact junk accounting and zero
+// soundness flips. CI runs it under -race.
 func TestChaosSoakEndToEnd(t *testing.T) {
-	trials := 170 // 3 engines × 170 = 510 schedules
+	rounds, certified := 250, 510
 	if testing.Short() {
-		trials = 12
+		rounds, certified = 12, 20
 	}
-	rep, err := harness.ChaosSoak(harness.ChaosConfig{
-		Engines: []string{"tl2", "norec", "dstm"},
-		Trials:  trials,
-		Seed:    20260808,
-		Farm:    farmStage,
+	ctx := chaos.WithFarmFaults(context.Background(), SoakFarmFaults())
+	res := mustRun(t, ctx, soakJob(faultedSoak(rounds)), 0).Soak
+	f := res.Faults
+	t.Logf("%d rounds: %+v, %d degraded", rounds, f, res.Degraded)
+	for _, fl := range res.Flips {
+		t.Errorf("soundness flip: %s round %d: %s", fl.Engine, fl.Round, fl.Reason)
+	}
+	if got := f.Cells - f.Skipped; got < certified {
+		t.Errorf("%d faulted cells certified, want at least %d", got, certified)
+	}
+	if f.Kills == 0 {
+		t.Error("no transaction was killed")
+	}
+	if f.JunkInjected == 0 || f.JunkInjected != f.JunkRejected {
+		t.Errorf("junk contract broken: injected=%d rejected=%d", f.JunkInjected, f.JunkRejected)
+	}
+	if f.Truncated == 0 {
+		t.Error("no replay was truncated")
+	}
+	if res.Degraded == 0 {
+		t.Error("no shard degraded")
+	}
+}
+
+// TestChaosSoakNonKillSafeEngine: gl holds its lock from Begin and ple
+// locks at encounter, so a kill there would block the run. Their faulted
+// cells keep spurious aborts and delayed commits but kill nothing, and
+// ple's du-opacity violations are no flips: ple is not deferred-update.
+func TestChaosSoakNonKillSafeEngine(t *testing.T) {
+	cfg := SoakConfig{Engines: []string{"gl", "ple"}, Criteria: []spec.Criterion{spec.DUOpacity}, Rounds: 10, Seed: 3, Faults: true}
+	res := mustRun(t, context.Background(), soakJob(cfg), 0).Soak
+	if res.Faults.Kills != 0 {
+		t.Errorf("%d kills on engines that are not kill-safe", res.Faults.Kills)
+	}
+	if res.Faults.Cells != 20 {
+		t.Errorf("%d faulted cells, want 20", res.Faults.Cells)
+	}
+	for _, fl := range res.Flips {
+		t.Errorf("soundness flip: %s round %d: %s", fl.Engine, fl.Round, fl.Reason)
+	}
+}
+
+// TestChaosSoakFlipDetection: both ledger rules see a flip and shrink it.
+// A tl2 cell whose history violates du-opacity is a deferred-update
+// engine breaking Theorem 11; a batch check that disagrees with the
+// monitor breaks the stream stage.
+func TestChaosSoakFlipDetection(t *testing.T) {
+	t.Run("deferred-update", func(t *testing.T) {
+		cfg := SoakConfig{Engines: []string{"tl2"}, Rounds: 1, Faults: true}.withDefaults()
+		// Two committed writers after the violation, which shrinking drops.
+		h, err := histio.ParseString(litmusViolation(t) + "write 90 X9 90\ncommit 90\nwrite 91 X9 91\ncommit 91\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		episodes := make([]harness.EpisodeReport, len(soakTasks(cfg)))
+		for i := range episodes {
+			episodes[i] = harness.EpisodeReport{History: h, Verdicts: spec.CheckAll(h, cfg.Criteria)}
+		}
+		res, err := foldSoak(context.Background(), cfg, episodes, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Flips) != 2 {
+			t.Fatalf("%d flips, want one per cell: %+v", len(res.Flips), res.Flips)
+		}
+		for _, fl := range res.Flips {
+			if !strings.Contains(fl.Reason, "deferred-update") || fl.Minimal == nil {
+				t.Fatalf("flip %q carries no shrunk history", fl.Reason)
+			}
+			if fl.Minimal.Len() >= h.Len() {
+				t.Errorf("flip not shrunk: %d -> %d events", h.Len(), fl.Minimal.Len())
+			}
+			if v := spec.Check(fl.Minimal, spec.DUOpacity); v.OK || v.Undecided {
+				t.Errorf("shrunk flip no longer violates du-opacity: %s", v)
+			}
+		}
+		if report := FormatSoakReport(cfg, res); !strings.Contains(report, "FLIP: tl2 round 0, concurrent:") {
+			t.Errorf("report prints no FLIP line:\n%s", report)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
+	t.Run("stream", func(t *testing.T) {
+		h, err := histio.ParseString("write 1 X 1\ncommit 1\nread 2 X 1\ncommit 2\nwrite 3 Y 3\ncommit 3\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		inverted := func(g *history.History, c spec.Criterion, opts ...spec.Option) spec.Verdict {
+			v := spec.Check(g, c, opts...)
+			v.OK = !v.OK
+			return v
+		}
+		flips, err := replayStream(h, 1, 0, true, inverted, &FaultTally{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var shrunk *history.History
+		for _, fl := range flips {
+			if strings.Contains(fl.Reason, "batch check") {
+				shrunk = fl.Minimal
+			}
+		}
+		if shrunk == nil || shrunk.Len() >= h.Len() {
+			t.Fatalf("comparator mutation not caught and shrunk: %+v", flips)
+		}
+		if flips, err := replayStream(h, 1, 0, true, spec.Check, &FaultTally{}); err != nil || len(flips) != 0 {
+			t.Fatalf("sound comparator flagged: %+v, %v", flips, err)
+		}
+	})
+	t.Run("prefix-closure", func(t *testing.T) {
+		// A cell that claims du-opacity accepted a violating history: its
+		// whole replay latches a violation, which prefix closure forbids.
+		bad, err := histio.ParseString(litmusViolation(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := int64(1); ; seed++ {
+			var tally FaultTally
+			flips, err := replayStream(bad, seed, 0, true, spec.Check, &tally)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tally.Truncated > 0 {
+				continue
+			}
+			if len(flips) != 1 || !strings.Contains(flips[0].Reason, "prefix of an accepted history") {
+				t.Fatalf("seed %d: want one prefix-closure flip, got %+v", seed, flips)
+			}
+			return
+		}
+	})
+}
+
+// litmusViolation returns the text of a litmus history du-opacity rejects.
+func litmusViolation(t *testing.T) string {
+	t.Helper()
+	for _, c := range litmus.Cases() {
+		if ok, known := c.Expect[spec.DUOpacity]; known && !ok {
+			return histio.FormatString(c.H)
+		}
 	}
-	t.Log(rep.String())
-	for _, f := range rep.Flips {
-		t.Errorf("soundness flip: %s", f)
+	t.Fatal("no du-violating litmus case")
+	return ""
+}
+
+// TestChaosSoakFarmDegradationContract: worker faults cost cells, never
+// change them. On the deterministic probe cells, panics below the retry
+// bound leave the report as the fault-free run's, and panics past it
+// degrade the struck cells into undecided verdicts.
+func TestChaosSoakFarmDegradationContract(t *testing.T) {
+	cfg := SoakConfig{Engines: []string{"tl2", "ple"}, Criteria: []spec.Criterion{spec.DUOpacity, spec.Opacity}, Rounds: 3, Seed: 5, Faults: true}
+	clean := mustRun(t, context.Background(), soakJob(cfg), 2).Soak
+	probes := func(res *SoakResult, struck func(i int) bool) {
+		t.Helper()
+		for i, cell := range res.Cells {
+			if !cell.Probe {
+				continue
+			}
+			if struck(i) {
+				if cell.Degraded == "" {
+					t.Errorf("cell %d: struck past its retries but not degraded", i)
+				}
+				for _, v := range cell.Verdicts {
+					if !v.Undecided {
+						t.Errorf("cell %d: degraded but decided: %s", i, v)
+					}
+				}
+				continue
+			}
+			want := clean.Cells[i]
+			if cell.Degraded != "" || !reflect.DeepEqual(cell.Verdicts, want.Verdicts) || cell.History.String() != want.History.String() {
+				t.Errorf("cell %d: changed by the worker faults", i)
+			}
+		}
 	}
-	if rep.Trials != 3*trials {
-		t.Fatalf("ran %d trials, want %d", rep.Trials, 3*trials)
+	recovered := &chaos.FarmFaults{PanicEvery: 3, PanicAttempts: shardAttempts - 1}
+	res := mustRun(t, chaos.WithFarmFaults(context.Background(), recovered), soakJob(cfg), 2).Soak
+	probes(res, func(int) bool { return false })
+	if res.Degraded != 0 || recovered.Panics() == 0 {
+		t.Errorf("recovered panics: %d injected, %d cells degraded", recovered.Panics(), res.Degraded)
 	}
-	if rep.SpuriousAborts == 0 || rep.CommitDelays == 0 || rep.Kills == 0 {
-		t.Errorf("engine faults not exercised: %s", rep.String())
+	past := &chaos.FarmFaults{PanicEvery: 3, PanicAttempts: shardAttempts}
+	res = mustRun(t, chaos.WithFarmFaults(context.Background(), past), soakJob(cfg), 2).Soak
+	probes(res, func(i int) bool { return i%3 == 0 })
+	if want := (len(res.Cells) + 2) / 3; res.Degraded != want {
+		t.Errorf("%d cells degraded, want %d", res.Degraded, want)
 	}
-	if rep.JunkInjected == 0 || rep.JunkInjected != rep.JunkRejected {
-		t.Errorf("junk contract broken: injected=%d rejected=%d", rep.JunkInjected, rep.JunkRejected)
-	}
-	if rep.Truncated == 0 {
-		t.Errorf("truncation faults not exercised")
-	}
-	if rep.FarmDegraded == 0 {
-		t.Errorf("farm degradation not exercised")
+}
+
+// TestChaosSoakUnknownEngine: a faulted soak refuses an engine it does not
+// know, and a criteria list without du-opacity, the criterion its ledger
+// holds the engines to.
+func TestChaosSoakUnknownEngine(t *testing.T) {
+	for _, cfg := range []SoakConfig{
+		{Engines: []string{"bogus"}, Rounds: 1, Faults: true},
+		{Engines: []string{"tl2"}, Criteria: []spec.Criterion{spec.Opacity}, Rounds: 1, Faults: true},
+	} {
+		if _, err := soakJob(cfg).Run(context.Background(), 1); err == nil {
+			t.Errorf("%+v: faulted soak ran", cfg)
+		}
 	}
 }

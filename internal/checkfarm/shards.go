@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"duopacity/internal/harness"
@@ -164,6 +165,9 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 		}
 		sk := *s.Soak
 		sk.Config = sk.Config.withDefaults()
+		if sk.Config.Faults && !slices.Contains(sk.Config.Criteria, spec.DUOpacity) {
+			return s, fmt.Errorf("checkfarm: soak job: faults need du-opacity among the criteria")
+		}
 		for _, e := range sk.Config.Engines {
 			if _, _, err := engines.Parse(e); err != nil {
 				return s, fmt.Errorf("checkfarm: soak job: %w", err)

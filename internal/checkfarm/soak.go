@@ -7,13 +7,16 @@ import (
 	"sort"
 	"strings"
 	"text/tabwriter"
+	"time"
 
+	"duopacity/internal/chaos"
 	"duopacity/internal/gen"
 	"duopacity/internal/harness"
 	"duopacity/internal/histio"
 	"duopacity/internal/history"
 	"duopacity/internal/lazyrand"
 	"duopacity/internal/spec"
+	"duopacity/internal/stm/engines"
 )
 
 // SoakEngines is the default engine set of the differential soak: every
@@ -22,17 +25,6 @@ import (
 // parallel-certification pdur engine.
 func SoakEngines() []string {
 	return []string{"gl", "ple", "norec", "tl2", "etl", "dstm", "pdur"}
-}
-
-// SoakEngineMatrix is the extended soak grid: the engine families plus a
-// bounded sample of contention-managed cells — one cell per CM policy,
-// spread across the CM-capable engines so every policy and every
-// CM-capable engine family appears without multiplying the grid (CI
-// time stays near-flat; the full matrix remains reachable by listing
-// names explicitly).
-func SoakEngineMatrix() []string {
-	return append(SoakEngines(),
-		"tl2+karma", "norec+backoff", "dstm+greedy", "pdur+backoff", "etl+karma")
 }
 
 // SoakConfig parameterizes a differential soak run.
@@ -53,7 +45,22 @@ type SoakConfig struct {
 	// NodeLimit bounds each exact check and each shrinking re-check
 	// (default 300_000).
 	NodeLimit int
+	// Faults runs every concurrent cell under soakFaults and replays each
+	// certified one through the stream stage (replayStream); probe cells
+	// stay fault-free. It needs du-opacity among the criteria.
+	Faults bool `json:"faults,omitempty"`
 }
+
+// SoakFarmFaults is the worker-fault schedule a faulted soak runs under
+// (chaos.WithFarmFaults): every 25th shard, from shard 0, panics past its
+// retries and degrades, and every 7th is slowed by a millisecond.
+func SoakFarmFaults() *chaos.FarmFaults {
+	return &chaos.FarmFaults{PanicEvery: 25, PanicAttempts: shardAttempts, SlowEvery: 7, Delay: time.Millisecond}
+}
+
+// soakFaults is the fault profile of a faulted soak's concurrent cells,
+// seeded per cell.
+var soakFaults = harness.Faults{Profile: chaos.Profile{SpuriousAbort: 0.15, CommitDelay: 0.25}, Kill: 0.15}
 
 // soakMaxTxns skips soak histories too large for exact checking.
 const soakMaxTxns = 40
@@ -134,21 +141,31 @@ type SoakResult struct {
 	// Degraded counts cells lost to worker failures (see
 	// SoakCell.Degraded).
 	Degraded int
+	// Faults tallies the fault stages of a faulted soak.
+	Faults FaultTally
+	// Flips is the soundness ledger, capped at 32 entries, and must come
+	// back empty: a deferred-update engine's cell that du-opacity
+	// rejects (Theorem 11, faulted or not), or a faulted cell whose
+	// stream stage broke the stream's contract.
+	Flips []Flip
 }
 
-// MinimalCounterexample returns the smallest shrunk counterexample the
-// soak found for the engine under the criterion, or nil.
-func (r *SoakResult) MinimalCounterexample(engine string, c spec.Criterion) *history.History {
-	var best *history.History
-	for _, d := range r.Divergences {
-		if d.Engine != engine || d.Criterion != c || d.Minimal == nil {
-			continue
-		}
-		if best == nil || d.Minimal.Len() < best.Len() {
-			best = d.Minimal
-		}
-	}
-	return best
+// FaultTally counts a faulted soak's observed concurrent cells, those
+// skipped past soakMaxTxns, the transactions their histories leave live,
+// and the stream stage's junk events and truncated replays.
+type FaultTally struct {
+	Cells, Skipped, Kills                 int
+	JunkInjected, JunkRejected, Truncated int
+}
+
+// Flip is one soundness-ledger entry: what broke, in which cell, and when
+// it was shrunk, the minimal history that still shows it.
+type Flip struct {
+	Engine  string
+	Round   int
+	Probe   bool
+	Reason  string
+	Minimal *history.History
 }
 
 // soakTask names one cell of the soak grid. The task order — rounds
@@ -180,15 +197,21 @@ func soakTasks(cfg SoakConfig) []soakTask {
 func (c SoakConfig) episode(t soakTask) harness.CertConfig {
 	w := c.roundWorkload(t.round)
 	w.Engine = t.engine
+	if c.Faults && !t.probe {
+		f := soakFaults
+		f.Seed = w.Seed
+		w.Faults = &f
+	}
 	return harness.CertConfig{Workload: w, NodeLimit: c.NodeLimit, MaxTxns: soakMaxTxns, Interleaved: t.probe}
 }
 
 // foldSoak aggregates the episodes of the soak's cells, given in
 // canonical task order, into the soak result: per-criterion counts,
-// divergence extraction, and greedy shrinking of each divergent history
-// (jobs bounds the shrinking pool). cfg must be the same (defaulted)
-// config the episodes were observed under, since shrinking re-checks with
-// the soak's node limit.
+// a faulted cell's stream stage, divergence extraction, greedy shrinking
+// of each divergent history (jobs bounds the shrinking pool), and the
+// soundness ledger. cfg must be the same (defaulted) config the episodes
+// were observed under, since shrinking re-checks with the soak's node
+// limit.
 func foldSoak(ctx context.Context, cfg SoakConfig, episodes []harness.EpisodeReport, jobs int) (*SoakResult, error) {
 	checkOpt := spec.WithNodeLimit(cfg.NodeLimit)
 	res := &SoakResult{Stats: make(map[string]*harness.CertStats, len(cfg.Engines))}
@@ -196,6 +219,7 @@ func foldSoak(ctx context.Context, cfg SoakConfig, episodes []harness.EpisodeRep
 		st := harness.NewCertStats(e)
 		res.Stats[e] = &st
 	}
+	du := slices.Index(cfg.Criteria, spec.DUOpacity)
 	// Divergence extraction and shrinking, also sharded: shrinking re-runs
 	// the checker O(events) times per counterexample.
 	divIdx := make([]int, 0, len(episodes))
@@ -207,6 +231,22 @@ func foldSoak(ctx context.Context, cfg SoakConfig, episodes []harness.EpisodeRep
 			continue
 		}
 		res.Stats[cell.Engine].AddEpisode(cfg.Criteria, cell.EpisodeReport)
+		if cfg.Faults && !t.probe {
+			res.Faults.Cells++
+			res.Faults.Kills += liveTxns(cell.History)
+			if cell.Skipped {
+				res.Faults.Skipped++
+			} else {
+				v := cell.Verdicts[du]
+				flips, err := replayStream(cell.History, cell.Workload.Faults.Seed, cfg.NodeLimit, v.OK && !v.Undecided, spec.Check, &res.Faults)
+				if err != nil {
+					return nil, err
+				}
+				for _, f := range flips {
+					res.flip(cell, f)
+				}
+			}
+		}
 		// A skipped cell has no verdicts, which firstRejected would read
 		// as rejections.
 		if !cell.Skipped && firstRejected(cfg.Criteria, cell.Verdicts) != 0 {
@@ -256,7 +296,104 @@ func foldSoak(ctx context.Context, cfg SoakConfig, episodes []harness.EpisodeRep
 		return nil, err
 	}
 	res.Divergences = divs
+	for j, d := range divs {
+		if engines.TraitsOf(d.Engine).DeferredUpdate && slices.Contains(d.Rejected, spec.DUOpacity) {
+			res.flip(res.Cells[divIdx[j]], Flip{Reason: fmt.Sprintf(
+				"a deferred-update engine's history violates du-opacity (shrunk under %s: %s)", d.Criterion, d.Reason),
+				Minimal: d.Minimal})
+		}
+	}
 	return res, nil
+}
+
+// flip enters f, found in cell, in the ledger, up to its cap.
+func (r *SoakResult) flip(cell SoakCell, f Flip) {
+	if len(r.Flips) < 32 {
+		f.Engine, f.Round, f.Probe = cell.Engine, cell.Round, cell.Probe
+		r.Flips = append(r.Flips, f)
+	}
+}
+
+// liveTxns counts h's transactions that are not t-complete.
+func liveTxns(h *history.History) int {
+	n := 0
+	for _, k := range h.Txns() {
+		if !h.Txn(k).TComplete() {
+			n++
+		}
+	}
+	return n
+}
+
+// replayStream is a faulted cell's stream stage: h's events, cut short
+// at a seeded point, go to a du-opacity monitor with chaos.JunkSource junk
+// interleaved. Every junk event must be rejected without side effects,
+// every recorded event accepted, and the monitor must agree with check
+// (spec.Check, but in tests) on the prefix whenever both decide, a
+// disagreement shrunk while a junk-free monitor still disagrees. If
+// accepted, du-opacity accepts h, so no prefix may latch a violation
+// (Corollary 2). The junk and truncation are added to tally.
+func replayStream(h *history.History, seed int64, nodeLimit int, accepted bool,
+	check func(*history.History, spec.Criterion, ...spec.Option) spec.Verdict, tally *FaultTally) (flips []Flip, err error) {
+	opt := spec.WithNodeLimit(nodeLimit)
+	flip := func(min *history.History, format string, args ...any) {
+		flips = append(flips, Flip{Reason: fmt.Sprintf(format, args...), Minimal: min})
+	}
+	evs := h.Events()
+	cut := len(evs)
+	rng := lazyrand.New(seed ^ 0x5dee_ce66d)
+	if len(evs) > 0 && rng.Float64() < 0.3 {
+		cut = rng.Intn(len(evs) + 1)
+		if cut < len(evs) {
+			tally.Truncated++
+		}
+	}
+	m, err := spec.NewMonitor(spec.DUOpacity, opt)
+	if err != nil {
+		return nil, err
+	}
+	js := chaos.NewJunkSource(seed)
+	defer func() { tally.JunkInjected += js.Injected() }()
+	for _, e := range evs[:cut] {
+		if rng.Float64() < 0.2 {
+			junk, class := js.Junk()
+			before := m.Len()
+			if _, err := m.Append(junk); err == nil {
+				flip(nil, "stream accepted a junk event (%s): %v", class, junk)
+			} else {
+				tally.JunkRejected++
+				if m.Len() != before {
+					flip(nil, "stream rejected a junk event (%s) with side effects", class)
+				}
+			}
+		}
+		if _, err := m.Append(e); err != nil {
+			flip(nil, "stream rejected recorded event %v: %v", e, err)
+			return flips, nil
+		}
+		js.Observe(e)
+	}
+
+	disagree := func(mv, cv spec.Verdict) bool { return !mv.Undecided && !cv.Undecided && mv.OK != cv.OK }
+	mv, cv := m.Verdict(), check(h.Prefix(cut), spec.DUOpacity, opt)
+	if disagree(mv, cv) {
+		flip(gen.Shrink(h.Prefix(cut), func(g *history.History) bool {
+			gm, err := spec.NewMonitor(spec.DUOpacity, opt)
+			if err != nil {
+				return false
+			}
+			for _, e := range g.Events() {
+				if _, err := gm.Append(e); err != nil {
+					return false
+				}
+			}
+			return disagree(gm.Verdict(), check(g, spec.DUOpacity, opt))
+		}), "cut %d/%d: the monitor says %s, a batch check of the same prefix %s", cut, len(evs), mv, cv)
+	}
+	if accepted && !mv.OK && !mv.Undecided {
+		flip(nil, "cut %d/%d: a prefix of an accepted history latched a violation: %s", cut, len(evs), mv.Reason)
+	}
+	return flips, nil
 }
 
 // firstRejected returns the first criterion (in order) with a decided
@@ -303,6 +440,21 @@ func FormatSoakReport(cfg SoakConfig, res *SoakResult) string {
 	}
 	_ = tw.Flush()
 	b.WriteString("cells are accepted/rejected counts (undecided in parentheses)\n")
+	if cfg.Faults || len(res.Flips) > 0 {
+		f := res.Faults
+		fmt.Fprintf(&b, "faults: %d concurrent cell(s) faulted, %d skipped; kills=%d junk=%d/%d truncated=%d flips=%d\n",
+			f.Cells, f.Skipped, f.Kills, f.JunkRejected, f.JunkInjected, f.Truncated, len(res.Flips))
+	}
+	for _, f := range res.Flips {
+		mode := "concurrent"
+		if f.Probe {
+			mode = "interleaved probe"
+		}
+		fmt.Fprintf(&b, "FLIP: %s round %d, %s: %s\n", f.Engine, f.Round, mode, f.Reason)
+		if f.Minimal != nil {
+			writeHistory(&b, f.Minimal)
+		}
+	}
 
 	// One minimal counterexample per (engine, criterion), smallest first.
 	type classKey struct {
@@ -350,9 +502,14 @@ func FormatSoakReport(cfg SoakConfig, res *SoakResult) string {
 			}
 			fmt.Fprintf(&b, "  still accepted by: %s\n", strings.Join(names, ", "))
 		}
-		for _, line := range strings.Split(strings.TrimRight(histio.FormatString(d.Minimal), "\n"), "\n") {
-			fmt.Fprintf(&b, "  | %s\n", line)
-		}
+		writeHistory(&b, d.Minimal)
 	}
 	return b.String()
+}
+
+// writeHistory renders h in histio text, one indented line per event.
+func writeHistory(b *strings.Builder, h *history.History) {
+	for _, line := range strings.Split(strings.TrimRight(histio.FormatString(h), "\n"), "\n") {
+		fmt.Fprintf(b, "  | %s\n", line)
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"duopacity/internal/history"
 	"duopacity/internal/spec"
 	"duopacity/internal/stm/engines"
 )
@@ -63,7 +64,7 @@ func TestSoakDifferential(t *testing.T) {
 	// The paper's Section 5 claim, as a soak finding: ple violates
 	// du-opacity, and the violation shrinks to a minimal counterexample
 	// that still violates and never grew.
-	min := res.MinimalCounterexample("ple", spec.DUOpacity)
+	min := res.minimalCounterexample("ple", spec.DUOpacity)
 	if min == nil {
 		t.Fatal("soak found no shrunk ple du-opacity counterexample")
 	}
@@ -128,4 +129,19 @@ func TestSoakDeferredUpdateEnginesStayClean(t *testing.T) {
 				cell.Engine, cell.Round, v.Reason)
 		}
 	}
+}
+
+// minimalCounterexample returns the smallest shrunk counterexample the
+// soak found for the engine under the criterion, or nil.
+func (r *SoakResult) minimalCounterexample(engine string, c spec.Criterion) *history.History {
+	var best *history.History
+	for _, d := range r.Divergences {
+		if d.Engine != engine || d.Criterion != c || d.Minimal == nil {
+			continue
+		}
+		if best == nil || d.Minimal.Len() < best.Len() {
+			best = d.Minimal
+		}
+	}
+	return best
 }

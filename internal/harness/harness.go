@@ -41,6 +41,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"duopacity/internal/chaos"
 	"duopacity/internal/gen"
 	"duopacity/internal/history"
 	"duopacity/internal/lazyrand"
@@ -71,6 +72,20 @@ type Workload struct {
 	// built for. Requires Objects >= Goroutines (each block must hold
 	// at least one object; withDefaults grows Objects if needed).
 	Disjoint bool `json:",omitempty"`
+	// Faults, when set, injects faults into a run on real goroutines; the
+	// stepper ignores it. Only the checkfarm soak's fault mode sets it.
+	Faults *Faults `json:"-"`
+}
+
+// Faults is a run's fault profile: the engine runs wrapped in
+// chaos.Wrap(engine, Profile), and on a KillSafe engine each planned
+// transaction is killed with probability Kill — its first attempt stops
+// after a drawn number of operations, with no Commit and no Abort, so
+// the recorded transaction stays live. The transactions live at the end
+// of a run are exactly its kills. Profile.Seed also seeds the kills.
+type Faults struct {
+	chaos.Profile
+	Kill float64
 }
 
 func (w Workload) withDefaults() Workload {
@@ -178,11 +193,20 @@ func PlanOf(w Workload) stm.Plan {
 // Run executes the workload unrecorded and returns performance statistics.
 func Run(w Workload) (RunStats, error) {
 	w = w.withDefaults()
-	eng, err := engines.New(w.Engine, w.Objects)
+	eng, err := newEngine(w)
 	if err != nil {
 		return RunStats{}, err
 	}
 	return drive(w, lazyrand.New(0), eng.Begin), nil
+}
+
+// newEngine builds w's engine, wrapped in w's fault profile if it has one.
+func newEngine(w Workload) (stm.Engine, error) {
+	eng, err := engines.New(w.Engine, w.Objects)
+	if err != nil || w.Faults == nil {
+		return eng, err
+	}
+	return chaos.Wrap(eng, w.Faults.Profile), nil
 }
 
 // RunRecorded executes the workload on a fresh engine under the recorder
@@ -202,7 +226,7 @@ func RunRecorded(w Workload) (*history.History, RunStats, error) {
 // its recorder.
 func runRecorded(w Workload) (*runScratch, RunStats, error) {
 	w = w.withDefaults()
-	eng, err := engines.New(w.Engine, w.Objects)
+	eng, err := newEngine(w)
 	if err != nil {
 		return nil, RunStats{}, err
 	}
@@ -214,7 +238,9 @@ func runRecorded(w Workload) (*runScratch, RunStats, error) {
 // drive runs the defaulted workload's plan, drawn from rng, on real
 // goroutines, one per plan thread, each transaction retried through
 // stm.AtomicallyN over the transactions begin starts. Written values are
-// drawn fresh per attempt, so retries stay distinguishable.
+// drawn fresh per attempt, so retries stay distinguishable. A transaction
+// w.Faults kills is abandoned live, and not retried, unless its first
+// attempt aborts before the kill.
 func drive(w Workload, rng *rand.Rand, begin func() stm.Txn) RunStats {
 	plans := planFor(w, rng)
 	var commits, aborts, failed atomic.Int64
@@ -226,20 +252,22 @@ func drive(w Workload, rng *rand.Rand, begin func() stm.Txn) RunStats {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			var kill *rand.Rand // this goroutine's kill draws, if it kills
+			if f := w.Faults; f != nil && f.Kill > 0 && engines.TraitsOf(w.Engine).KillSafe {
+				kill = lazyrand.New(f.Seed + int64(g)*episodeSeedStride)
+			}
 			for _, ops := range plans.Threads[g] {
+				if kill != nil && kill.Float64() < w.Faults.Kill {
+					tx := begin()
+					if runOps(tx, ops[:1+kill.Intn(len(ops))], &vals) == nil {
+						continue
+					}
+					tx.Abort()
+				}
 				attempts := 0
 				err := stm.AtomicallyN(begin, w.MaxAttempts, func(tx stm.Txn) error {
 					attempts++
-					for _, op := range ops {
-						if op.Read {
-							if _, err := tx.Read(op.Obj); err != nil {
-								return err
-							}
-						} else if err := tx.Write(op.Obj, vals.Add(1)); err != nil {
-							return err
-						}
-					}
-					return nil
+					return runOps(tx, ops, &vals)
 				})
 				if err != nil {
 					failed.Add(1)
@@ -258,6 +286,21 @@ func drive(w Workload, rng *rand.Rand, begin func() stm.Txn) RunStats {
 		Failed:   failed.Load(),
 		Duration: time.Since(start),
 	}
+}
+
+// runOps performs ops in tx, writing fresh values from vals, and stops at
+// the first operation that fails.
+func runOps(tx stm.Txn, ops stm.PlanTxn, vals *atomic.Int64) error {
+	for _, op := range ops {
+		if op.Read {
+			if _, err := tx.Read(op.Obj); err != nil {
+				return err
+			}
+		} else if err := tx.Write(op.Obj, vals.Add(1)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // CertConfig parameterizes certification: Episodes independent small

@@ -7,7 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"duopacity/internal/chaos"
 	"duopacity/internal/histio"
+	"duopacity/internal/history"
 	"duopacity/internal/spec"
 	"duopacity/internal/stm/engines"
 )
@@ -302,5 +304,42 @@ func TestPlanOfReadFraction(t *testing.T) {
 	}
 	if reads == 0 {
 		t.Error("unset ReadFraction produced a write-only plan; want the 0.5 default")
+	}
+}
+
+// TestRunFaults: a run's faults are liberties a TM has. Spurious aborts
+// show on gl, which never aborts by itself, and the same profile kills
+// nothing there: gl is not kill-safe. A kill leaves its transaction live,
+// so when an uncontended tl2 run kills every transaction, every planned
+// transaction is live at the end and none commits.
+func TestRunFaults(t *testing.T) {
+	live := func(h *history.History) int {
+		n := 0
+		for _, k := range h.Txns() {
+			if !h.Txn(k).TComplete() {
+				n++
+			}
+		}
+		return n
+	}
+	w := smallWorkload("gl", 1)
+	w.Faults = &Faults{Profile: chaos.Profile{SpuriousAbort: 0.5, Seed: 1}, Kill: 1}
+	h, stats, err := RunRecorded(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Aborts == 0 || stats.Commits != 9 || live(h) != 0 {
+		t.Errorf("gl: %d aborts, %d commits, %d live transactions; want some, 9, 0", stats.Aborts, stats.Commits, live(h))
+	}
+
+	w = smallWorkload("tl2", 1)
+	w.Goroutines = 1
+	w.Faults = &Faults{Kill: 1}
+	h, stats, err = RunRecorded(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Commits != 0 || live(h) != w.TxnsPerGoroutine {
+		t.Errorf("tl2: %d commits, %d live transactions; want 0, %d", stats.Commits, live(h), w.TxnsPerGoroutine)
 	}
 }
