@@ -298,6 +298,28 @@ func TestChaosSoakEndToEnd(t *testing.T) {
 	}
 }
 
+// TestChaosSoakWithoutFarmFaults runs only the engine and stream stages:
+// with no farm faults on the context every faulted cell is certified, the
+// engine and stream faults are still exercised with exact junk accounting,
+// and no shard degrades.
+func TestChaosSoakWithoutFarmFaults(t *testing.T) {
+	res := mustRun(t, context.Background(), soakJob(faultedSoak(14)), 0).Soak
+	f := res.Faults
+	t.Logf("%+v", f)
+	for _, fl := range res.Flips {
+		t.Errorf("soundness flip: %s round %d: %s", fl.Engine, fl.Round, fl.Reason)
+	}
+	if f.Cells == 0 || f.Kills == 0 || f.Truncated == 0 {
+		t.Errorf("engine or stream faults not exercised: %+v", f)
+	}
+	if f.JunkInjected == 0 || f.JunkInjected != f.JunkRejected {
+		t.Errorf("junk contract broken: injected=%d rejected=%d", f.JunkInjected, f.JunkRejected)
+	}
+	if res.Degraded != 0 {
+		t.Errorf("no farm faults were set but %d shards degraded", res.Degraded)
+	}
+}
+
 // TestChaosSoakNonKillSafeEngine: gl holds its lock from Begin and ple
 // locks at encounter, so a kill there would block the run. Their faulted
 // cells keep spurious aborts and delayed commits but kill nothing, and
