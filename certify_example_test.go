@@ -6,14 +6,14 @@ import (
 	"duopacity"
 )
 
-// TestCertifyExampleClaims pins what examples/certify says about its
-// matrix, on the example's configuration (keep the two equal): the
-// deferred-update engines accept every episode they certify (tl2, norec,
-// gl and pdur certify all 25), ple fails du-opacity, final-state opacity
-// and strict serializability on every episode, du-opacity never accepts
-// an episode final-state opacity rejects (Theorem 10), etl certifies 10
-// episodes and fails 9 of them, and etl+v certifies 1 (the rest of both
-// are skipped).
+// TestCertifyExampleClaims pins what examples/quickstart says about its
+// engine acceptance matrix, on the example's configuration (keep the two
+// equal): the deferred-update engines accept every episode they certify
+// (tl2, norec, gl and pdur certify all 25), ple fails du-opacity,
+// final-state opacity and strict serializability on every episode,
+// du-opacity never accepts an episode final-state opacity rejects
+// (Theorem 10), etl certifies 10 episodes and fails 9 of them, and etl+v
+// certifies 1 (the rest of both are skipped).
 func TestCertifyExampleClaims(t *testing.T) {
 	criteria := []duopacity.Criterion{
 		duopacity.DUOpacity,
@@ -68,7 +68,7 @@ func TestCertifyExampleClaims(t *testing.T) {
 					name, stats.Episodes, stats.Skipped, stats.Episodes-du, certified, episodes-certified, rejected)
 			}
 		default:
-			t.Errorf("engine %s has no claim in examples/certify", name)
+			t.Errorf("engine %s has no claim in examples/quickstart", name)
 		}
 	}
 }

@@ -6,7 +6,6 @@
 //	certd serve [-addr :9240] [-stream-addr :9241] [-lease-ttl 3s] [-max-streams N]
 //	certd work -connect http://host:9240 [-name NAME] [-poll 100ms]
 //	certd submit -connect http://host:9240 (-spec file.json|-) [-wait]
-//	certd loadtest (-connect host:9241 | -self) [-streams N] [-txns N] [-retire N] [-json]
 //
 // serve runs the coordinator: the HTTP job/lease surface on -addr
 // (/healthz and /statsz included) and the line-oriented monitor-stream
@@ -29,11 +28,6 @@
 // the report — byte-identical to the in-process farm's output for the
 // same spec. Exit status with -wait: 0 on a clean report, 1 when shards
 // degraded, 2 on errors.
-//
-// loadtest drives concurrent monitored streams against a stream
-// endpoint and reports aggregate events/sec; -self spins a private
-// in-process server first, making it a one-command benchmark. It exits 1
-// unless the run was clean: no bad lines and no violations.
 package main
 
 import (
@@ -64,7 +58,7 @@ func main() {
 
 func run(args []string, stdin io.Reader, stdout io.Writer) (int, error) {
 	if len(args) < 1 {
-		return 2, fmt.Errorf("usage: certd <serve|work|submit|loadtest> [flags]")
+		return 2, fmt.Errorf("usage: certd <serve|work|submit> [flags]")
 	}
 	switch args[0] {
 	case "serve":
@@ -73,10 +67,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (int, error) {
 		return runWork(args[1:], stdout)
 	case "submit":
 		return runSubmit(args[1:], stdin, stdout)
-	case "loadtest":
-		return runLoadtest(args[1:], stdout)
 	default:
-		return 2, fmt.Errorf("unknown subcommand %q (want serve, work, submit or loadtest)", args[0])
+		return 2, fmt.Errorf("unknown subcommand %q (want serve, work or submit)", args[0])
 	}
 }
 
@@ -210,58 +202,4 @@ func runSubmit(args []string, stdin io.Reader, stdout io.Writer) (int, error) {
 		return 1, nil
 	}
 	return 0, nil
-}
-
-func runLoadtest(args []string, stdout io.Writer) (int, error) {
-	fs := flag.NewFlagSet("certd loadtest", flag.ContinueOnError)
-	connect := fs.String("connect", "", "stream endpoint (host:port)")
-	self := fs.Bool("self", false, "spin a private in-process server to load-test")
-	streams := fs.Int("streams", 100, "concurrent monitored streams")
-	txns := fs.Int("txns", 250, "transactions per stream (4 events each)")
-	retire := fs.Int("retire", 8, "monitor retirement window per stream")
-	asJSON := fs.Bool("json", false, "emit the report as JSON")
-	timeout := fs.Duration("timeout", 2*time.Minute, "overall run budget")
-	if err := fs.Parse(args); err != nil {
-		return 2, err
-	}
-	addr := *connect
-	if *self {
-		s := certd.NewServer(certd.Config{MaxStreams: *streams + 8})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return 2, err
-		}
-		defer ln.Close()
-		go func() { _ = s.ServeStreams(ln) }()
-		addr = ln.Addr().String()
-	}
-	if addr == "" {
-		return 2, fmt.Errorf("loadtest: -connect or -self is required")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-	defer cancel()
-	rep, err := certd.LoadTest(ctx, certd.LoadTestConfig{Addr: addr, Streams: *streams, Txns: *txns, Retire: *retire})
-	if err != nil {
-		return 2, err
-	}
-	if *asJSON {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			return 2, err
-		}
-	} else {
-		fmt.Fprintf(stdout, "loadtest: %d streams x %d txns: %d events in %.1fms = %.0f events/sec (bad=%d violations=%d)\n",
-			rep.Streams, rep.TxnsPerConn, rep.Events, rep.ElapsedMS, rep.EventsPerSec, rep.Bad, rep.Violations)
-	}
-	return loadtestExit(rep), nil
-}
-
-// loadtestExit judges a load run: 1 unless it was clean — no bad lines,
-// no violations on the du-opaque generated streams.
-func loadtestExit(rep *certd.LoadTestReport) int {
-	if rep.Bad > 0 || rep.Violations > 0 {
-		return 1
-	}
-	return 0
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -110,45 +109,6 @@ func TestSubmitStdinSpec(t *testing.T) {
 	}
 }
 
-// TestLoadtestSelf exercises the one-command benchmark path and its JSON
-// output shape.
-func TestLoadtestSelf(t *testing.T) {
-	var out bytes.Buffer
-	code, err := runLoadtest([]string{"-self", "-streams", "4", "-txns", "10", "-json"}, &out)
-	if err != nil || code != 0 {
-		t.Fatalf("loadtest: exit %d, err %v\nout:\n%s", code, err, out.String())
-	}
-	var rep certd.LoadTestReport
-	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
-		t.Fatalf("loadtest JSON unparsable: %v\n%s", err, out.String())
-	}
-	if rep.Events != 4*10*4 || rep.EventsPerSec <= 0 {
-		t.Fatalf("loadtest report wrong: %+v", rep)
-	}
-}
-
-// TestLoadtestExit pins loadtest's own judgement of a run: exit 0 on a
-// clean run, 1 when any line was bad or any stream reported a violation,
-// alone or together.
-func TestLoadtestExit(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		rep  certd.LoadTestReport
-		code int
-	}{
-		{"pass", certd.LoadTestReport{Events: 100, Streams: 2, EventsPerSec: 20000}, 0},
-		{"unclean", certd.LoadTestReport{Events: 100, Streams: 2, EventsPerSec: 20000, Bad: 2, Violations: 1}, 1},
-		{"bad", certd.LoadTestReport{Events: 100, Streams: 2, Bad: 1}, 1},
-		{"violations", certd.LoadTestReport{Events: 100, Streams: 2, Violations: 1}, 1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if code := loadtestExit(&tc.rep); code != tc.code {
-				t.Fatalf("exit %d, want %d for %+v", code, tc.code, tc.rep)
-			}
-		})
-	}
-}
-
 // TestUsageErrors pins the input-error exits of every subcommand.
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
@@ -162,6 +122,10 @@ func TestUsageErrors(t *testing.T) {
 		code, err := run(args, strings.NewReader(""), &out)
 		if code != 2 || err == nil {
 			t.Errorf("args %q: exit %d, err %v", args, code, err)
+			continue
+		}
+		if len(args) == 1 && (args[0] == "bogus" || args[0] == "loadtest") && !strings.Contains(err.Error(), "unknown subcommand") {
+			t.Errorf("args %q: %v, want an unknown subcommand", args, err)
 		}
 	}
 }

@@ -7,9 +7,11 @@ import (
 	"io"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"duopacity/internal/follow"
 	"duopacity/internal/harness"
 )
 
@@ -207,6 +209,68 @@ func TestStreamAdmissionControl(t *testing.T) {
 	third := dialStream(t, addr, "STREAM du quiet")
 	if !third.r.Scan() || !strings.HasPrefix(third.r.Text(), "OK ") {
 		t.Fatalf("slot not freed after stream end: %q", third.r.Text())
+	}
+}
+
+// TestStreamHundredConcurrent: 100 monitored du streams open at once,
+// each fed 50 write/commit transactions under a retirement window of 8
+// and read to its end, monitor every event with no bad line and no
+// violation, and leave the open-stream gauge at 0 with /statsz's events
+// equal to the sum of the DONE counts.
+func TestStreamHundredConcurrent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("100 concurrent streams are not -short")
+	}
+	const streams, txns = 100, 50
+	s := NewServer(Config{})
+	addr := startStreams(t, s)
+	conns := make([]*streamConn, streams)
+	for i := range conns {
+		conns[i] = dialStream(t, addr, "STREAM du retire=8 quiet")
+		if !conns[i].r.Scan() || !strings.HasPrefix(conns[i].r.Text(), "OK ") {
+			t.Fatalf("stream %d refused: %q", i, conns[i].r.Text())
+		}
+	}
+	if open := s.Stats().Streams.Open; open != streams {
+		t.Fatalf("%d streams open after %d helloes, want %d", open, streams, streams)
+	}
+
+	dones := make([]follow.Done, streams)
+	var wg sync.WaitGroup
+	for i, sc := range conns {
+		wg.Add(1)
+		go func(i int, sc *streamConn) {
+			defer wg.Done()
+			for k := 1; k <= txns; k++ {
+				fmt.Fprintf(sc.w, "write %d X %d\ncommit %d\n", k, i*1000+k, k)
+			}
+			fmt.Fprintln(sc.w, "END")
+			if err := sc.w.Flush(); err != nil {
+				t.Errorf("stream %d: %v", i, err)
+				return
+			}
+			lines := sc.collect(t)
+			d, ok := follow.ParseDone(lastPrefixed(lines, "DONE "))
+			if !ok {
+				t.Errorf("stream %d ended without DONE: %q", i, lines)
+			}
+			dones[i] = d
+		}(i, sc)
+	}
+	wg.Wait()
+
+	var events int64
+	for i, d := range dones {
+		if d != (follow.Done{Events: 4 * txns}) {
+			t.Errorf("stream %d: %+v, want %d events, none bad or violating", i, d, 4*txns)
+		}
+		events += int64(d.Events)
+	}
+	if events != streams*txns*4 {
+		t.Fatalf("monitored %d events, want %d", events, streams*txns*4)
+	}
+	if st := s.Stats().Streams; st.Open != 0 || st.Total != streams || st.Events != events {
+		t.Fatalf("statsz after the run: open=%d total=%d events=%d, want 0, %d and %d", st.Open, st.Total, st.Events, streams, events)
 	}
 }
 

@@ -69,18 +69,14 @@ type Profile struct {
 	Seed int64
 }
 
-// Stats counts the faults an Engine actually injected.
-type Stats struct {
-	SpuriousAborts int64
-	CommitDelays   int64
-}
-
 // Engine wraps an inner stm.Engine with the engine-fault injector. It
 // preserves Name, so the wrapped engine has the inner one's traits.
 type Engine struct {
-	inner          stm.Engine
-	prof           Profile
-	seq            atomic.Int64
+	inner stm.Engine
+	prof  Profile
+	seq   atomic.Int64
+	// aborts and delays count the faults injected; nothing in a recorded
+	// history tells an injected commit delay from a real one.
 	aborts, delays atomic.Int64
 }
 
@@ -97,11 +93,6 @@ func (e *Engine) Name() string { return e.inner.Name() }
 
 // Objects implements stm.Engine.
 func (e *Engine) Objects() int { return e.inner.Objects() }
-
-// Stats returns the faults injected so far.
-func (e *Engine) Stats() Stats {
-	return Stats{SpuriousAborts: e.aborts.Load(), CommitDelays: e.delays.Load()}
-}
 
 // Begin implements stm.Engine. Each transaction draws its fault schedule
 // from a generator keyed by (profile seed, transaction serial).

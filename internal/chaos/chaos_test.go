@@ -48,8 +48,8 @@ func TestWrapZeroProfileInjectsNothing(t *testing.T) {
 	if got := driveSerial(t, e, 50); strings.Contains(got, "a") {
 		t.Fatalf("zero profile injected aborts: %s", got)
 	}
-	if st := e.Stats(); st != (Stats{}) {
-		t.Fatalf("zero profile counted faults: %+v", st)
+	if a, d := e.aborts.Load(), e.delays.Load(); a != 0 || d != 0 {
+		t.Fatalf("zero profile counted faults: %d aborts, %d delays", a, d)
 	}
 }
 
@@ -68,13 +68,14 @@ func TestWrapPreservesName(t *testing.T) {
 }
 
 func TestWrapFaultScheduleIsDeterministic(t *testing.T) {
-	runOnce := func() (string, Stats) {
+	type counts struct{ aborts, delays int64 }
+	runOnce := func() (string, counts) {
 		base, err := engines.New("tl2", 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		e := Wrap(base, Profile{SpuriousAbort: 0.3, CommitDelay: 0.3, Seed: 42})
-		return driveSerial(t, e, 100), e.Stats()
+		return driveSerial(t, e, 100), counts{e.aborts.Load(), e.delays.Load()}
 	}
 	p1, s1 := runOnce()
 	p2, s2 := runOnce()
@@ -82,12 +83,12 @@ func TestWrapFaultScheduleIsDeterministic(t *testing.T) {
 		t.Fatalf("fault pattern not reproducible:\n%s\n%s", p1, p2)
 	}
 	if s1 != s2 {
-		t.Fatalf("fault stats not reproducible: %+v vs %+v", s1, s2)
+		t.Fatalf("fault counts not reproducible: %+v vs %+v", s1, s2)
 	}
-	if s1.SpuriousAborts == 0 {
+	if s1.aborts == 0 {
 		t.Fatal("profile injected no spurious aborts in 100 transactions")
 	}
-	if s1.CommitDelays == 0 {
+	if s1.delays == 0 {
 		t.Fatal("profile injected no commit delays in 100 transactions")
 	}
 }
