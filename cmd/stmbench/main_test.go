@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"duopacity/internal/stm/engines"
 )
 
 func TestRunThroughputTable(t *testing.T) {
@@ -26,6 +28,32 @@ func TestRunCertification(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "certification") || !strings.Contains(out.String(), "du-opacity") {
 		t.Errorf("certification table missing:\n%s", out.String())
+	}
+}
+
+// TestInterleavedCertifySkipsNothing: under -interleaved every retry is
+// recorded as a transaction, and the certification shape must leave every
+// registered engine's episodes under the transaction cap, so that none is
+// skipped unchecked.
+func TestInterleavedCertifySkipsNothing(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{"-txns", "1", "-certify", "-interleaved", "-episodes", "6", "-jobs", "2"}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cert, _ := strings.Cut(out.String(), "== certification")
+	tables := 0
+	for _, line := range strings.Split(cert, "\n") {
+		if !strings.HasPrefix(line, "engine ") {
+			continue
+		}
+		tables++
+		if !strings.HasSuffix(line, ": 6 episodes (0 skipped)") {
+			t.Errorf("%s", line)
+		}
+	}
+	if n := len(engines.Names()); tables != n {
+		t.Fatalf("%d certification tables for %d engines:\n%s", tables, n, out.String())
 	}
 }
 

@@ -198,7 +198,10 @@ func TestWorkerDiesMidRunRequeues(t *testing.T) {
 // burns the attempts and the job completes with explicit degraded
 // artifacts — never a hung or failed coordinator.
 func TestAllWorkersDeadDegrades(t *testing.T) {
-	s, c := startFarm(t, Config{LeaseTTL: 60 * time.Millisecond, MaxShardAttempts: 2}, 0)
+	s, c := startFarm(t, Config{LeaseTTL: 60 * time.Millisecond}, 0)
+	s.mu.Lock()
+	s.attempts = 2
+	s.mu.Unlock()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 

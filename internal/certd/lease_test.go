@@ -214,12 +214,12 @@ func TestExpireFindingNothingAllocatesNothing(t *testing.T) {
 // explicit degraded artifact and the job still completes — never hangs.
 func TestLeaseExhaustionDegrades(t *testing.T) {
 	clk := newFakeClock()
-	s := clockedServer(Config{LeaseTTL: time.Second, MaxShardAttempts: 3}, clk)
+	s := clockedServer(Config{LeaseTTL: time.Second}, clk)
 	id, _, err := s.Submit(checkJobSpec("write 1 X 1\ncommit 1\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for attempt := 0; attempt < 3; attempt++ {
+	for attempt := 0; attempt < checkfarm.ShardAttempts; attempt++ {
 		if g := poll(s, "doomed"); g == nil {
 			t.Fatalf("attempt %d: no grant", attempt)
 		}
@@ -387,7 +387,8 @@ func TestStaleErrorAfterRequeue(t *testing.T) {
 // the shard back to the queue with the attempt burned.
 func TestErrorResultRequeues(t *testing.T) {
 	clk := newFakeClock()
-	s := clockedServer(Config{LeaseTTL: time.Second, MaxShardAttempts: 2}, clk)
+	s := clockedServer(Config{LeaseTTL: time.Second}, clk)
+	s.attempts = 2
 	id, _, err := s.Submit(checkJobSpec("write 1 X 1\ncommit 1\n"))
 	if err != nil {
 		t.Fatal(err)
@@ -765,7 +766,8 @@ func TestWaitJobReturnsAtFold(t *testing.T) {
 // degraded artifact — the job still completes.
 func TestGrantExhaustionDegrades(t *testing.T) {
 	clk := newFakeClock()
-	s := clockedServer(Config{LeaseTTL: time.Second, MaxShardAttempts: 2}, clk)
+	s := clockedServer(Config{LeaseTTL: time.Second}, clk)
+	s.attempts = 2
 	id := primedJob(t, s, 9, "w1")
 	for attempt := 0; attempt < 2; attempt++ {
 		taken := 0

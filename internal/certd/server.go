@@ -22,10 +22,6 @@ type Config struct {
 	// LeaseTTL is how long a granted shard stays owned without a
 	// heartbeat (default 3s). Heartbeats extend the lease by a full TTL.
 	LeaseTTL time.Duration
-	// MaxShardAttempts bounds how many grants a shard gets before the
-	// coordinator gives up and folds a degraded artifact in its place
-	// (default 3, matching the in-process farm's panic retries).
-	MaxShardAttempts int
 	// MaxStreams caps concurrently open monitor streams; helloes past the
 	// cap are refused with "ERR busy" (default 256).
 	MaxStreams int
@@ -34,9 +30,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 3 * time.Second
-	}
-	if c.MaxShardAttempts <= 0 {
-		c.MaxShardAttempts = 3
 	}
 	if c.MaxStreams <= 0 {
 		c.MaxStreams = 256
@@ -103,6 +96,10 @@ type Server struct {
 	Metrics Metrics
 	now     func() time.Time // lease bookkeeping's clock; tests substitute a fake one
 	slow    time.Duration    // delay before every stream append; tests hold a stream busy with it
+	// attempts bounds how many grants a shard gets before the coordinator
+	// folds a degraded artifact in its place: checkfarm.ShardAttempts, as
+	// the in-process farm's panic retries; tests lower it.
+	attempts int
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -124,13 +121,14 @@ type Server struct {
 // lazily on every lease and heartbeat call.
 func NewServer(cfg Config) *Server {
 	return &Server{
-		cfg:    cfg.withDefaults(),
-		now:    time.Now,
-		jobs:   make(map[string]*job),
-		leases: make(map[string]*lease),
-		polled: make(map[string]time.Time),
-		wake:   make(chan struct{}),
-		conns:  make(map[interface{ Close() error }]struct{}),
+		cfg:      cfg.withDefaults(),
+		now:      time.Now,
+		attempts: checkfarm.ShardAttempts,
+		jobs:     make(map[string]*job),
+		leases:   make(map[string]*lease),
+		polled:   make(map[string]time.Time),
+		wake:     make(chan struct{}),
+		conns:    make(map[interface{ Close() error }]struct{}),
 	}
 }
 
@@ -369,7 +367,7 @@ func (s *Server) Result(req ResultRequest) error {
 }
 
 // Expire reclaims every lease past its deadline: the shards it still
-// owes go back to the pending queue, or — past MaxShardAttempts grants —
+// owes go back to the pending queue, or — past the shard's attempts —
 // degrade into the explicit dead-worker artifact. Safe to call from a
 // ticker.
 func (s *Server) Expire() {
@@ -419,8 +417,8 @@ func (s *Server) releaseLocked(j *job, shard int) bool {
 // requeueLocked returns a leased shard to the queue, or degrades it once
 // its grants are spent.
 func (s *Server) requeueLocked(j *job, shard int, reason string) {
-	if j.attempts[shard] >= s.cfg.MaxShardAttempts {
-		s.degradeLocked(j, shard, fmt.Sprintf("%s (attempt %d/%d)", reason, j.attempts[shard], s.cfg.MaxShardAttempts))
+	if j.attempts[shard] >= s.attempts {
+		s.degradeLocked(j, shard, fmt.Sprintf("%s (attempt %d/%d)", reason, j.attempts[shard], s.attempts))
 		return
 	}
 	s.releaseLocked(j, shard)

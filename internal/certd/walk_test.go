@@ -307,11 +307,13 @@ const walkTTL = time.Second
 
 func newWalk(t testing.TB, results []*checkfarm.ShardResult, attempts int) *walk {
 	clk := newFakeClock()
+	s := clockedServer(Config{LeaseTTL: walkTTL}, clk)
+	s.attempts = attempts
 	return &walk{
 		t:        t,
 		results:  results,
 		attempts: attempts,
-		s:        clockedServer(Config{LeaseTTL: walkTTL, MaxShardAttempts: attempts}, clk),
+		s:        s,
 		clk:      clk,
 		first:    map[shardKey]*checkfarm.ShardResult{},
 		granted:  map[string]int{},
@@ -580,7 +582,7 @@ func (w *walk) check() {
 				nPending++
 				ok = queued == 1 && !s.draining
 			}
-			if !ok || j.attempts[shard] > s.cfg.MaxShardAttempts {
+			if !ok || j.attempts[shard] > s.attempts {
 				problems = append(problems, fmt.Sprintf("%s/%d: result %v, queued %d times, owner %v, attempts %d", j.id, shard, res != nil, queued, l, j.attempts[shard]))
 			}
 			granted += j.attempts[shard]

@@ -43,7 +43,7 @@ func TestRunProtectedRetriesThenSucceeds(t *testing.T) {
 	calls := 0
 	err := runProtected(context.Background(), 3, func() error {
 		calls++
-		if calls < shardAttempts {
+		if calls < ShardAttempts {
 			panic("transient")
 		}
 		return nil
@@ -51,8 +51,8 @@ func TestRunProtectedRetriesThenSucceeds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovered unit returned error: %v", err)
 	}
-	if calls != shardAttempts {
-		t.Fatalf("fn ran %d times, want %d", calls, shardAttempts)
+	if calls != ShardAttempts {
+		t.Fatalf("fn ran %d times, want %d", calls, ShardAttempts)
 	}
 
 	calls = 0
@@ -64,11 +64,11 @@ func TestRunProtectedRetriesThenSucceeds(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("past-retries panic returned %v, want *ShardPanicError", err)
 	}
-	if pe.Shard != 7 || pe.Attempt != shardAttempts-1 {
+	if pe.Shard != 7 || pe.Attempt != ShardAttempts-1 {
 		t.Fatalf("ShardPanicError = %+v", pe)
 	}
-	if calls != shardAttempts {
-		t.Fatalf("fn ran %d times, want %d", calls, shardAttempts)
+	if calls != ShardAttempts {
+		t.Fatalf("fn ran %d times, want %d", calls, ShardAttempts)
 	}
 	if !strings.Contains(pe.Error(), "permanent") {
 		t.Fatalf("error %q does not carry the panic value", pe.Error())
@@ -93,13 +93,13 @@ func TestRunProtectedOrdinaryErrorIsNotRetried(t *testing.T) {
 func TestCheckBatchRecoversInjectedPanic(t *testing.T) {
 	s := checkJob(acceptingHistories(t, 4), []spec.Criterion{spec.DUOpacity, spec.FinalStateOpacity})
 	want := mustRun(t, context.Background(), s, 2)
-	ff := &chaos.FarmFaults{PanicEvery: 1, PanicAttempts: shardAttempts - 1}
+	ff := &chaos.FarmFaults{PanicEvery: 1, PanicAttempts: ShardAttempts - 1}
 	got := mustRun(t, chaos.WithFarmFaults(context.Background(), ff), s, 2)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("results differ after recovered panics:\ngot  %v\nwant %v", got.Check, want.Check)
 	}
-	if n := len(s.Check.Histories); ff.Panics() != int64(n*(shardAttempts-1)) {
-		t.Fatalf("injected %d panics, want %d", ff.Panics(), n*(shardAttempts-1))
+	if n := len(s.Check.Histories); ff.Panics() != int64(n*(ShardAttempts-1)) {
+		t.Fatalf("injected %d panics, want %d", ff.Panics(), n*(ShardAttempts-1))
 	}
 }
 
@@ -157,7 +157,7 @@ func TestCertifyStreamRecoversInjectedPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ff := &chaos.FarmFaults{PanicEvery: 2, PanicAttempts: shardAttempts - 1}
+	ff := &chaos.FarmFaults{PanicEvery: 2, PanicAttempts: ShardAttempts - 1}
 	rep := mustRun(t, chaos.WithFarmFaults(context.Background(), ff), certifyJob(cfg, criteria), 2)
 	if !reflect.DeepEqual(*rep.Certify, want) {
 		t.Fatalf("recovered panics changed certification:\ngot  %#v\nwant %#v", *rep.Certify, want)
@@ -220,14 +220,14 @@ func TestRunDegradesEveryKind(t *testing.T) {
 		s := mustNormalize(t, s)
 		t.Run(string(s.Kind), func(t *testing.T) {
 			n := s.NumShards()
-			ff := &chaos.FarmFaults{PanicEvery: n, PanicAttempts: shardAttempts} // shard 0, every attempt
+			ff := &chaos.FarmFaults{PanicEvery: n, PanicAttempts: ShardAttempts} // shard 0, every attempt
 			rep := mustRun(t, chaos.WithFarmFaults(context.Background(), ff), s, 2)
 			if rep.Degraded != 1 {
 				t.Fatalf("report counts %d degraded shards, want 1", rep.Degraded)
 			}
 			reason := (&ShardPanicError{
-				Shard: 0, Attempt: shardAttempts - 1,
-				Value: fmt.Sprintf("chaos: injected worker panic (shard 0, attempt %d)", shardAttempts-1),
+				Shard: 0, Attempt: ShardAttempts - 1,
+				Value: fmt.Sprintf("chaos: injected worker panic (shard 0, attempt %d)", ShardAttempts-1),
 			}).Error()
 			results := make([]*ShardResult, n)
 			for i := range results {
@@ -469,13 +469,13 @@ func TestChaosSoakFarmDegradationContract(t *testing.T) {
 			}
 		}
 	}
-	recovered := &chaos.FarmFaults{PanicEvery: 3, PanicAttempts: shardAttempts - 1}
+	recovered := &chaos.FarmFaults{PanicEvery: 3, PanicAttempts: ShardAttempts - 1}
 	res := mustRun(t, chaos.WithFarmFaults(context.Background(), recovered), soakJob(cfg), 2).Soak
 	probes(res, func(int) bool { return false })
 	if res.Degraded != 0 || recovered.Panics() == 0 {
 		t.Errorf("recovered panics: %d injected, %d cells degraded", recovered.Panics(), res.Degraded)
 	}
-	past := &chaos.FarmFaults{PanicEvery: 3, PanicAttempts: shardAttempts}
+	past := &chaos.FarmFaults{PanicEvery: 3, PanicAttempts: ShardAttempts}
 	res = mustRun(t, chaos.WithFarmFaults(context.Background(), past), soakJob(cfg), 2).Soak
 	probes(res, func(i int) bool { return i%3 == 0 })
 	if want := (len(res.Cells) + 2) / 3; res.Degraded != want {

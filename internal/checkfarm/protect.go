@@ -12,7 +12,7 @@ import (
 // not take the whole certification down (ordinary errors keep the farm's
 // first-error-cancels semantics; a panic is not a verdict, it is a
 // crashed worker). JobSpec.Run wraps each shard's RunShard in
-// runProtected: a shard that panics is retried up to shardAttempts times
+// runProtected: a shard that panics is retried up to ShardAttempts times
 // with exponential backoff, and one that panics past its retries
 // degrades — Run substitutes DegradedShard, an explicit degraded-and-
 // undecided result carrying the reason, and the rest of the farm
@@ -20,12 +20,13 @@ import (
 // (chaos.WithFarmFaults) strikes inside the protected region, so injected
 // faults exercise exactly this machinery.
 
-// shardAttempts bounds how many times a panicking shard is retried before
-// it degrades (first run plus two retries).
-const shardAttempts = 3
+// ShardAttempts bounds how many times a shard runs before it degrades: a
+// panicking shard here (first run plus two retries), a granted one in
+// certd's coordinator.
+const ShardAttempts = 3
 
 // ShardPanicError reports a shard whose compute unit panicked on every
-// one of its shardAttempts attempts.
+// one of its ShardAttempts attempts.
 type ShardPanicError struct {
 	// Shard is the index of the work unit (episode, batch entry, plan).
 	Shard int
@@ -41,7 +42,7 @@ func (e *ShardPanicError) Error() string {
 
 // runProtected executes fn with panic recovery and bounded retry. A panic
 // is recovered, the shard backs off exponentially (1ms, 2ms, ... —
-// interruptible by ctx) and fn runs again, up to shardAttempts attempts;
+// interruptible by ctx) and fn runs again, up to ShardAttempts attempts;
 // the final failure returns a *ShardPanicError. Ordinary errors from fn
 // return immediately — retry is for crashes, not verdicts. Fault
 // schedules attached via chaos.WithFarmFaults strike inside the recovered
@@ -49,7 +50,7 @@ func (e *ShardPanicError) Error() string {
 func runProtected(ctx context.Context, shard int, fn func() error) error {
 	faults := chaos.FarmFaultsFromContext(ctx)
 	var last *ShardPanicError
-	for attempt := 0; attempt < shardAttempts; attempt++ {
+	for attempt := 0; attempt < ShardAttempts; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-ctx.Done():

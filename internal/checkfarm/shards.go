@@ -14,6 +14,7 @@ package checkfarm
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -331,6 +332,58 @@ func shipped(r *harness.EpisodeReport, h *history.History) *harness.EpisodeRepor
 	return ep
 }
 
+// Fits reports whether r holds what a shard of s's kind computes, and
+// nothing else: an episode with one verdict per criterion of the job, in
+// the job's order (none when skipped), an exploration, or one check
+// verdict per criterion. Every result RunShard computes or DegradedShard
+// builds fits; FoldJob refuses one that does not.
+func (r *ShardResult) Fits(s JobSpec) error {
+	episode, explore, check := r.Episode != nil, r.Explore != nil, r.Check != nil
+	switch s.Kind {
+	case KindCertify, KindSoak:
+		if !episode || explore || check {
+			return errors.New("carries no episode, or more than one")
+		}
+		var criteria []spec.Criterion
+		if s.Kind == KindSoak {
+			criteria = s.Soak.Config.Criteria
+		} else {
+			criteria = s.Certify.Criteria
+		}
+		if r.Episode.Skipped {
+			if len(r.Episode.Verdicts) > 0 {
+				return errors.New("a skipped episode carries verdicts")
+			}
+			return nil
+		}
+		return sameCriteria(r.Episode.Verdicts, criteria, func(v spec.Verdict) spec.Criterion { return v.Criterion })
+	case KindExplore:
+		if !explore || episode || check {
+			return errors.New("carries no exploration, or more than one")
+		}
+	case KindCheck:
+		if !check || episode || explore {
+			return errors.New("carries no check verdicts, or more than one")
+		}
+		return sameCriteria(r.Check, s.Check.Criteria, func(v WireVerdict) spec.Criterion { return v.Criterion })
+	}
+	return nil
+}
+
+// sameCriteria reports whether vs holds one verdict per criterion, in
+// criteria's order.
+func sameCriteria[V any](vs []V, criteria []spec.Criterion, criterion func(V) spec.Criterion) error {
+	if len(vs) != len(criteria) {
+		return fmt.Errorf("%d verdicts for %d criteria", len(vs), len(criteria))
+	}
+	for i, v := range vs {
+		if c := criterion(v); c != criteria[i] {
+			return fmt.Errorf("verdict %d is for %s, want %s", i, c, criteria[i])
+		}
+	}
+	return nil
+}
+
 // DegradedShard builds the explicit degradation artifact for a shard
 // that could not be computed — a shard that panicked past its retries
 // (JobSpec.Run), a worker dead past its lease retries, or a drain with
@@ -389,11 +442,11 @@ func FoldJob(ctx context.Context, s JobSpec, results []*ShardResult, jobs int) (
 		if r == nil {
 			return nil, fmt.Errorf("checkfarm: fold: missing result for shard %d (degrade it explicitly)", i)
 		}
+		if err := r.Fits(s); err != nil {
+			return nil, fmt.Errorf("checkfarm: fold: shard %d: %w", i, err)
+		}
 		if r.Degraded != "" {
 			rep.Degraded++
-		}
-		if (s.Kind == KindCertify || s.Kind == KindSoak) && r.Episode == nil {
-			return nil, fmt.Errorf("checkfarm: fold: shard %d carries no episode", i)
 		}
 	}
 	switch s.Kind {
@@ -406,9 +459,6 @@ func FoldJob(ctx context.Context, s JobSpec, results []*ShardResult, jobs int) (
 	case KindExplore:
 		reports := make([]harness.ExploreReport, len(results))
 		for i, r := range results {
-			if r.Explore == nil {
-				return nil, fmt.Errorf("checkfarm: fold: shard %d carries no exploration", i)
-			}
 			p, err := s.Explore.Plans[i].Plan()
 			if err != nil {
 				return nil, fmt.Errorf("checkfarm: fold: shard %d: %w", i, err)
@@ -420,9 +470,6 @@ func FoldJob(ctx context.Context, s JobSpec, results []*ShardResult, jobs int) (
 	case KindCheck:
 		rows := make([][]WireVerdict, len(results))
 		for i, r := range results {
-			if r.Check == nil {
-				return nil, fmt.Errorf("checkfarm: fold: shard %d carries no verdicts", i)
-			}
 			rows[i] = r.Check
 		}
 		rep.Check = rows

@@ -55,7 +55,7 @@ type SoakConfig struct {
 // (chaos.WithFarmFaults): every 25th shard, from shard 0, panics past its
 // retries and degrades, and every 7th is slowed by a millisecond.
 func SoakFarmFaults() *chaos.FarmFaults {
-	return &chaos.FarmFaults{PanicEvery: 25, PanicAttempts: shardAttempts, SlowEvery: 7, Delay: time.Millisecond}
+	return &chaos.FarmFaults{PanicEvery: 25, PanicAttempts: ShardAttempts, SlowEvery: 7, Delay: time.Millisecond}
 }
 
 // soakFaults is the fault profile of a faulted soak's concurrent cells,

@@ -130,10 +130,6 @@ type ExploreConfig struct {
 	// or step-truncated (default 1 << 17). Exhausting it with space left
 	// yields BudgetExhausted unless a violation was already found.
 	MaxSchedules int
-	// MaxSteps bounds a single schedule's length (default: a generous
-	// multiple of the plan size; exceeding it counts as budget
-	// exhaustion).
-	MaxSteps int
 	// NodeLimit bounds each monitor check (default 2_000_000, as
 	// certification). An undecided check makes the outcome
 	// BudgetExhausted: the proof obligation was not discharged.
@@ -142,6 +138,11 @@ type ExploreConfig struct {
 	// schedule instead of surveying the rest of the space (refutation
 	// needs one witness; proving still requires exhaustion).
 	StopAtFirstViolation bool
+
+	// maxSteps bounds a single schedule's length (a generous multiple of
+	// the plan size; exceeding it counts as budget exhaustion). Only this
+	// package's tests set it.
+	maxSteps int
 
 	// off turns prunings off. Only this package's tests set it: the
 	// naive enumeration it leaves behind is the reference the
@@ -186,11 +187,11 @@ func (cfg ExploreConfig) withDefaults(p stm.Plan) ExploreConfig {
 	if cfg.MaxSchedules <= 0 {
 		cfg.MaxSchedules = 1 << 17
 	}
-	if cfg.MaxSteps <= 0 {
+	if cfg.maxSteps <= 0 {
 		// Every retry replays at most one transaction's steps, and each
 		// abort forces another thread's t-completion first, so schedules
 		// are far shorter than this in practice.
-		cfg.MaxSteps = (cfg.MaxAttempts+1)*p.Steps() + 64
+		cfg.maxSteps = (cfg.MaxAttempts+1)*p.Steps() + 64
 	}
 	if cfg.NodeLimit <= 0 {
 		cfg.NodeLimit = 2_000_000
@@ -801,7 +802,7 @@ func (e *explorer) replay() pathEnd {
 			e.finishSchedule()
 			return endComplete
 		}
-		if len(e.sched) >= e.cfg.MaxSteps {
+		if len(e.sched) >= e.cfg.maxSteps {
 			// A latched violation survives the truncation: the criterion is
 			// prefix-closed, so the violating prefix refutes the plan no
 			// matter how the schedule would have continued (reachable only

@@ -22,8 +22,7 @@ import (
 //     retained or shared across goroutines while the stream is fed; the
 //     online monitor (package spec) uses it to run checks at every
 //     response event without copying.
-//   - History returns a detached immutable snapshot (sharing the
-//     already-written event storage), safe to retain, share and check
+//   - History returns an immutable copy, safe to retain, share and check
 //     like any FromEvents-built history.
 //
 // Truncate takes the newest events back off again — every effect of an
@@ -58,9 +57,6 @@ type Stream struct {
 	// free holds the views of transactions Truncate removed; the next new
 	// transaction takes one over, Ops storage included.
 	free []*TxnInfo
-	// shared: History has handed out a snapshot aliasing the event and Ops
-	// storage, which Truncate must therefore leave behind (see detach).
-	shared bool
 }
 
 // NewStream returns an empty stream with live incremental indexing.
@@ -327,7 +323,7 @@ func (s *Stream) indexWrite(it *IndexedTxn, gi, oi int, op Op) {
 // events, per-transaction views and live index — exactly as n Appends
 // left it; Truncate(0) is the reset. It is for streams built by NewStream
 // and panics when n is out of range. Like Append it invalidates what Live
-// handed out; snapshots taken with History are unaffected. The storage of
+// handed out; copies taken with History are unaffected. The storage of
 // what it removes (views, index rows) is kept for the Appends that follow.
 // Truncate(0) costs O(transactions + objects), whatever the length.
 func (s *Stream) Truncate(n int) {
@@ -341,9 +337,6 @@ func (s *Stream) Truncate(n int) {
 		s.reset()
 		return
 	}
-	if s.shared {
-		s.detach()
-	}
 	for i := len(s.h.events) - 1; i >= n; i-- {
 		s.retract(i, s.h.events[i])
 	}
@@ -354,15 +347,8 @@ func (s *Stream) Truncate(n int) {
 // event: every view goes onto the free list (the first transaction's
 // last, so that the next stream's first transaction takes it over),
 // the maps are cleared, and every row and list is re-sliced to nothing
-// with its storage kept. Storage a snapshot aliases is left to it.
+// with its storage kept.
 func (s *Stream) reset() {
-	if s.shared {
-		s.h.events = make([]Event, 0, cap(s.h.events))
-		for _, t := range s.h.txns {
-			t.Ops = nil
-		}
-		s.shared = false
-	}
 	for i := len(s.h.ids) - 1; i >= 0; i-- {
 		s.free = append(s.free, s.h.txns[s.h.ids[i]])
 	}
@@ -373,18 +359,6 @@ func (s *Stream) reset() {
 	clear(ix.txnIdx)
 	ix.Objs, ix.TxnIDs, ix.Txns = ix.Objs[:0], ix.TxnIDs[:0], ix.Txns[:0]
 	ix.RTPred, ix.Writers, ix.TComplete = ix.RTPred[:0], ix.Writers[:0], ix.TComplete[:0]
-}
-
-// detach moves the stream onto event and Ops storage of its own. A
-// snapshot aliases both on the promise that the stream only ever writes
-// past what the snapshot sees; un-completing an operation and overwriting
-// a truncated tail would break it.
-func (s *Stream) detach() {
-	s.h.events = append(make([]Event, 0, cap(s.h.events)), s.h.events...)
-	for _, t := range s.h.txns {
-		t.Ops = append(make([]Op, 0, cap(t.Ops)), t.Ops...)
-	}
-	s.shared = false
 }
 
 // retract undoes admit for the stream's newest event e, at index i. Each
@@ -494,32 +468,9 @@ func (s *Stream) Events() []Event { return append([]Event(nil), s.h.events...) }
 // updated in place by every Append, with its incrementally maintained
 // index behind History.Index. The view is valid until the next Append; it
 // must not be retained, and not shared across goroutines while the stream
-// is being fed. Use History for a detached snapshot.
+// is being fed. Use History for a copy to keep.
 func (s *Stream) Live() *History { return s.h }
 
-// History returns an immutable snapshot of the history observed so far.
-// The snapshot shares the already-written event storage with the stream
-// (appending more events never mutates it, and Truncate moves the stream
-// off it first) and costs O(transactions), not O(events); it is indexed on
-// first use, like any batch-built history.
-func (s *Stream) History() *History {
-	s.shared = true
-	evs := s.h.events
-	h := &History{
-		events: evs[:len(evs):len(evs)],
-		ids:    append([]TxnID(nil), s.h.ids...),
-		txns:   make(map[TxnID]*TxnInfo, len(s.h.ids)),
-	}
-	for id, t := range s.h.txns {
-		ct := *t
-		if n := len(t.Ops); n > 0 && t.Ops[n-1].Pending {
-			// The pending tail operation is completed in place by a later
-			// response; detach it.
-			ct.Ops = append([]Op(nil), t.Ops...)
-		} else {
-			ct.Ops = t.Ops[:len(t.Ops):len(t.Ops)]
-		}
-		h.txns[id] = &ct
-	}
-	return h
-}
+// History returns an immutable copy of the history observed so far, built
+// like FromEvents builds one: O(events), indexed on first use.
+func (s *Stream) History() *History { return MustFromEvents(s.h.events) }

@@ -353,61 +353,42 @@ func (e *engine) engineIndexOf(k history.TxnID) int {
 
 // staticReject performs order-independent feasibility checks so that common
 // violations are refuted without search, with a precise reason. It matches
-// the reference engine's messages exactly but scans the indexed writer
-// summaries instead of building a (object, value) -> writers map.
+// the reference engine's messages exactly but scans the index's per-object
+// writer sets instead of building a (object, value) -> writers map.
 func (e *engine) staticReject() string {
-	// When every transaction participates, the engine index space matches
-	// the index's, and the per-object writer sets narrow the candidate
-	// scan to the transactions that actually write the read's object.
-	useWriterMasks := e.n == e.ix.NumTxns()
+	// The writer sets hold dense indexes; engIdx maps them to the engine's
+	// when only some transactions participate.
+	identity := e.n == e.ix.NumTxns()
 	for i, it := range e.txs[:e.n] {
+		self := e.gidx[i]
 		for _, r := range it.Reads {
 			if r.Val == history.InitValue {
 				continue // T_0 is always a legal source
 			}
-			found := false
-			foundLocal := false
-			if useWriterMasks {
-				row := e.ix.Writers[r.Obj]
-				for w := 0; w < len(row) && !foundLocal; w++ {
-					m := row[w]
-					if w == i>>6 {
-						m &^= uint64(1) << uint(i&63)
-					}
-					for ; m != 0 && !foundLocal; m &= m - 1 {
-						c := w<<6 + bits.TrailingZeros64(m)
-						if e.role[c] == roleMustAbort {
+			found, foundLocal := false, false
+			row := e.ix.Writers[r.Obj]
+			for w := 0; w < len(row) && !foundLocal; w++ {
+				m := row[w]
+				if w == self>>6 {
+					m &^= uint64(1) << uint(self&63)
+				}
+				for ; m != 0 && !foundLocal; m &= m - 1 {
+					c := w<<6 + bits.TrailingZeros64(m)
+					if !identity {
+						if c = int(e.engIdx[c]); c < 0 {
 							continue
 						}
-						ct := e.txs[c]
-						for _, wr := range ct.Writes {
-							if wr.Obj != r.Obj || wr.Val != r.Val {
-								continue
-							}
-							found = true
-							if ct.TryCInv >= 0 && ct.TryCInv < r.ResIdx {
-								foundLocal = true
-							}
-							break
-						}
 					}
-				}
-			} else {
-				for c, ct := range e.txs[:e.n] {
-					if c == i || e.role[c] == roleMustAbort {
+					if e.role[c] == roleMustAbort {
 						continue
 					}
-					for _, w := range ct.Writes {
-						if w.Obj != r.Obj || w.Val != r.Val {
+					ct := e.txs[c]
+					for _, wr := range ct.Writes {
+						if wr.Obj != r.Obj || wr.Val != r.Val {
 							continue
 						}
 						found = true
-						if ct.TryCInv >= 0 && ct.TryCInv < r.ResIdx {
-							foundLocal = true
-						}
-						break
-					}
-					if foundLocal {
+						foundLocal = ct.TryCInv >= 0 && ct.TryCInv < r.ResIdx
 						break
 					}
 				}

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -231,4 +232,30 @@ func WitnessOrder(v Verdict) (order []int, commit []bool) {
 	}
 	v.w.check(v.gen)
 	return v.w.order, v.w.commit
+}
+
+// WatchRewindPlacements is a test hook: until stop is called, every
+// decider rewind (Session.Rewind, Monitor.Rewind) also places its
+// restricted witness order on an engine freshly drawn from the pool, and
+// fail is called with a description whenever that placement and the one
+// on the decider's held engine disagree, on the answer or on the placed
+// order. compared counts the rewinds checked. No session may run in
+// another goroutine while the hook is installed or removed.
+func WatchRewindPlacements(fail func(msg string)) (compared *int, stop func()) {
+	compared = new(int)
+	rewindOracle = func(d *decider, h *history.History, ro options, held bool) {
+		*compared++
+		e, reject := prepareEngine(h, d.mode(), ro)
+		fresh := reject == "" && e.placeOrder(d.order, d.commit)
+		same := fresh == held
+		if reject == "" {
+			same = same && (!fresh || slices.Equal(e.orderBuf, d.eng.orderBuf) && slices.Equal(e.commitBuf, d.eng.commitBuf))
+			e.release()
+		}
+		if !same {
+			fail(fmt.Sprintf("%v rewind to %d events: the held engine places the restricted order: %v, a pooled engine: %v\nhistory:\n%s",
+				d.crit, h.Len(), held, fresh, h))
+		}
+	}
+	return compared, func() { rewindOracle = nil }
 }

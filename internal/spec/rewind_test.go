@@ -1,6 +1,7 @@
 package spec_test
 
 import (
+	"context"
 	"math/rand"
 	"runtime/debug"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"duopacity/internal/history"
 	"duopacity/internal/koenig"
 	"duopacity/internal/spec"
+	"duopacity/internal/stm"
 )
 
 // prefixVerdict is what a rewound session must reproduce of a verdict.
@@ -163,6 +165,33 @@ func TestSessionRewindDifferential(t *testing.T) {
 		t.Fatal("vacuous: no rewind compared its held engine with a pooled one")
 	}
 	t.Logf("rewound sessions: %d searches, %d fast hits; %d rewind placements compared", searches, fastHits, placements)
+}
+
+// TestExploreRewindPlacements places every rewind of the schedule
+// explorer's one monitor on a freshly pooled engine beside the decider's
+// held one (spec.WatchRewindPlacements), over small plans on engines that
+// abort, block and write in place, for both explorable criteria: the held
+// engine, sized for the replay before, must give the same answer and the
+// same order. (With the explorer's prefix cut off, which only its own
+// tests can ask for, these plans rewind as often, cell by cell.)
+func TestExploreRewindPlacements(t *testing.T) {
+	compared, stop := spec.WatchRewindPlacements(func(msg string) { t.Error(msg) })
+	defer stop()
+	plans := []string{"w0\nr0 r0", "r0 r0\nw0 w0", "w0 w1 w0\nw1 w0 w1", "r0 w0\nr0 w0", "w0 r1 | r0\nr0 w1"}
+	for _, src := range plans {
+		p := stm.MustParsePlan(src)
+		for _, eng := range []string{"tl2", "norec", "ple", "gl", "etl", "dstm"} {
+			for _, c := range []spec.Criterion{spec.DUOpacity, spec.Opacity} {
+				if _, err := harness.ExplorePlanCtx(context.Background(), eng, p, harness.ExploreConfig{Criterion: c}); err != nil {
+					t.Fatalf("%s on %q: %v", eng, src, err)
+				}
+			}
+		}
+	}
+	if *compared == 0 {
+		t.Fatal("vacuous: no rewind placement compared")
+	}
+	t.Logf("%d rewind placements compared", *compared)
 }
 
 // TestSessionRewindUnderNodeLimit pins the caveat of Session.Rewind: when a

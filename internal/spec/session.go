@@ -64,10 +64,7 @@ type Session struct {
 	st *history.Stream
 	// spare is the stream a retirement rebuilds into before the two swap
 	// (nil until the first retirement), so that retiring reuses storage.
-	spare *history.Stream
-	// pooled: the streams come from streamPool, which Release hands them
-	// back to (a Session's); a Monitor's are its own.
-	pooled   bool
+	spare    *history.Stream
 	deciders []decider
 	// verdicts is the slice Append hands out, refreshed in place (nil for
 	// the one-criterion Monitor, which reads its decider directly).
@@ -111,7 +108,7 @@ const ckptTxn history.TxnID = -1
 // NewSession returns a session deciding the given criteria, each one of
 // MonitorableCriteria() (see NewMonitor for what each is monitored as).
 func NewSession(criteria []Criterion, opts ...Option) (*Session, error) {
-	s := &Session{pooled: true}
+	s := &Session{}
 	if err := s.init(criteria, opts); err != nil {
 		return nil, err
 	}
@@ -131,7 +128,7 @@ func (s *Session) init(criteria []Criterion, opts []Option) error {
 	// With spec.WithContext a cancelled context turns further rechecks
 	// into prompt undecided verdicts instead of full searches.
 	s.nodeLimit, s.ctx = o.nodeLimit, o.ctx
-	s.st = s.newStream()
+	s.st = newStream()
 	s.deciders = make([]decider, len(criteria))
 	for i, c := range criteria {
 		d := &s.deciders[i]
@@ -147,12 +144,8 @@ func (s *Session) init(criteria []Criterion, opts []Option) error {
 // streamPool holds the live-indexed streams released sessions handed back.
 var streamPool = sync.Pool{New: func() any { return history.NewStream() }}
 
-// newStream returns an empty live-indexed stream: for a Session one from
-// streamPool, reset, for a Monitor a new one, which it keeps.
-func (s *Session) newStream() *history.Stream {
-	if !s.pooled {
-		return history.NewStream()
-	}
+// newStream returns an empty live-indexed stream from streamPool.
+func newStream() *history.Stream {
 	st := streamPool.Get().(*history.Stream)
 	st.Truncate(0)
 	return st
@@ -164,7 +157,7 @@ func (s *Session) newStream() *history.Stream {
 // readable. A verdict's Witness (and an accepting verdict's String)
 // panics from now on, whether the verdict was handed out before or is
 // asked for through Verdicts: the stream it would render from may be
-// another session's by then. History snapshots taken before stay valid.
+// another session's by then. History copies taken before stay valid.
 // A second Release does nothing.
 func (s *Session) Release() {
 	if s.st == nil {
@@ -468,7 +461,7 @@ func (s *Session) retire(ix *history.Indexed, r int, sigma []history.IndexedWrit
 		firstLive = ix.Txns[r].First
 	}
 	if s.spare == nil {
-		s.spare = s.newStream()
+		s.spare = newStream()
 	}
 	ns := s.spare
 	ns.Truncate(0)
