@@ -2,10 +2,13 @@ package certd
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -383,6 +386,55 @@ func TestStreamDeadClientReleasesHandler(t *testing.T) {
 	}
 	if open := s.Metrics.StreamsOpen.Load(); open != 0 {
 		t.Fatalf("StreamsOpen = %d after dead client", open)
+	}
+}
+
+// TestDrainClosesOpenStream: a stream whose producer never sends END
+// holds Drain until its context expires. Drain then closes the connection
+// itself, waits for the handler and returns the context's error: the
+// client reads EOF, the handler has returned and /statsz shows no stream
+// open.
+func TestDrainClosesOpenStream(t *testing.T) {
+	s := NewServer(Config{})
+	addr := startStreams(t, s)
+	sc := dialStream(t, addr, "STREAM du")
+	if !sc.r.Scan() || !strings.HasPrefix(sc.r.Text(), "OK ") {
+		t.Fatalf("no OK hello: %q", sc.r.Text())
+	}
+	sc.send(t, "write 1 X 1")
+	if !sc.r.Scan() || !strings.Contains(sc.r.Text(), "write_1(X,1)") {
+		t.Fatalf("no echo of the first event: %q", sc.r.Text())
+	}
+
+	const deadline, slack = 100 * time.Millisecond, time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	err := s.Drain(ctx)
+	if took := time.Since(start); took > deadline+slack {
+		t.Errorf("Drain took %v, want at most %v", took, deadline+slack)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Drain = %v, want %v", err, context.DeadlineExceeded)
+	}
+	for sc.r.Scan() {
+	}
+	if err := sc.r.Err(); err != nil {
+		t.Errorf("client read %v, want EOF", err)
+	}
+	handled := make(chan struct{})
+	go func() { s.streams.Wait(); close(handled) }()
+	select {
+	case <-handled:
+	case <-time.After(slack):
+		t.Fatal("stream handler still running after Drain returned")
+	}
+	var st StatsSnapshot
+	if err := json.Unmarshal(serve(s.Handler(), http.MethodGet, "/statsz", nil).Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Streams.Open != 0 || st.Streams.Total != 1 {
+		t.Errorf("/statsz streams open=%d total=%d after Drain, want 0 and 1", st.Streams.Open, st.Streams.Total)
 	}
 }
 

@@ -91,9 +91,6 @@ func Wrap(eng stm.Engine, prof Profile) *Engine {
 // Name implements stm.Engine (the inner engine's name).
 func (e *Engine) Name() string { return e.inner.Name() }
 
-// Objects implements stm.Engine.
-func (e *Engine) Objects() int { return e.inner.Objects() }
-
 // Begin implements stm.Engine. Each transaction draws its fault schedule
 // from a generator keyed by (profile seed, transaction serial).
 func (e *Engine) Begin() stm.Txn {

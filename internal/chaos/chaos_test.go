@@ -62,9 +62,6 @@ func TestWrapPreservesName(t *testing.T) {
 	if e.Name() != "norec" {
 		t.Fatalf("Name() = %q, want norec", e.Name())
 	}
-	if e.Objects() != 2 {
-		t.Fatalf("Objects() = %d, want 2", e.Objects())
-	}
 }
 
 func TestWrapFaultScheduleIsDeterministic(t *testing.T) {

@@ -62,9 +62,6 @@ func SoakFarmFaults() *chaos.FarmFaults {
 // seeded per cell.
 var soakFaults = harness.Faults{Profile: chaos.Profile{SpuriousAbort: 0.15, CommitDelay: 0.25}, Kill: 0.15}
 
-// soakMaxTxns skips soak histories too large for exact checking.
-const soakMaxTxns = 40
-
 func (c SoakConfig) withDefaults() SoakConfig {
 	if len(c.Engines) == 0 {
 		c.Engines = SoakEngines()
@@ -106,9 +103,10 @@ type SoakCell struct {
 	Probe    bool
 	Workload harness.Workload
 	// EpisodeReport is the cell's history and verdicts. Skipped is set
-	// when the history exceeded soakMaxTxns. Degraded is set when the cell
-	// could not be observed at all: its shard panicked past its retries,
-	// or (under internal/certd) its worker died past its lease retries.
+	// when the history exceeded the certify cap (harness.CertConfig's
+	// default MaxTxns). Degraded is set when the cell could not be
+	// observed at all: its shard panicked past its retries, or (under
+	// internal/certd) its worker died past its lease retries.
 	// Skipped and degraded cells are excluded from the per-criterion
 	// counts, but a degradation is always reported, never a silent drop.
 	harness.EpisodeReport
@@ -151,8 +149,9 @@ type SoakResult struct {
 }
 
 // FaultTally counts a faulted soak's observed concurrent cells, those
-// skipped past soakMaxTxns, the transactions their histories leave live,
-// and the stream stage's junk events and truncated replays.
+// skipped past the certify cap on transactions, the transactions their
+// histories leave live, and the stream stage's junk events and truncated
+// replays.
 type FaultTally struct {
 	Cells, Skipped, Kills                 int
 	JunkInjected, JunkRejected, Truncated int
@@ -193,7 +192,8 @@ func soakTasks(cfg SoakConfig) []soakTask {
 
 // episode is the certify episode a task observes: the round's workload
 // on the task's engine, interleaved for a probe, under the soak's node
-// limit and transaction cap. Its episode 0 runs the round's seed.
+// limit and certification's defaults for the rest (the transaction cap
+// among them). Its episode 0 runs the round's seed.
 func (c SoakConfig) episode(t soakTask) harness.CertConfig {
 	w := c.roundWorkload(t.round)
 	w.Engine = t.engine
@@ -202,7 +202,7 @@ func (c SoakConfig) episode(t soakTask) harness.CertConfig {
 		f.Seed = w.Seed
 		w.Faults = &f
 	}
-	return harness.CertConfig{Workload: w, NodeLimit: c.NodeLimit, MaxTxns: soakMaxTxns, Interleaved: t.probe}
+	return harness.CertConfig{Workload: w, NodeLimit: c.NodeLimit, Interleaved: t.probe}.WithDefaults()
 }
 
 // foldSoak aggregates the episodes of the soak's cells, given in

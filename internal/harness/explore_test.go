@@ -14,6 +14,7 @@ import (
 	"duopacity/internal/recorder"
 	"duopacity/internal/spec"
 	"duopacity/internal/stm"
+	"duopacity/internal/stm/cm"
 	"duopacity/internal/stm/engines"
 	"duopacity/internal/stm/tl2"
 )
@@ -810,7 +811,7 @@ func TestExploreErrors(t *testing.T) {
 	}
 	// Forking is the only way the explorer replays: an engine without it
 	// is refused, and every registered engine has it.
-	if _, err := explore(context.Background(), "wrapped", struct{ stm.Engine }{tl2.New(1)}, good, ExploreConfig{}); err == nil {
+	if _, err := explore(context.Background(), "wrapped", struct{ stm.Engine }{tl2.New(1, cm.Passive)}, good, ExploreConfig{}); err == nil {
 		t.Error("engine that is not stm.Forkable accepted")
 	}
 	for _, name := range engines.Matrix() {

@@ -127,18 +127,8 @@ func (t *TxnInfo) applyExtend(i int, e Event) {
 	}
 }
 
-// extend incorporates event e (at history index i) into the view,
-// validating well-formedness.
-func (t *TxnInfo) extend(i int, e Event) error {
-	if err := t.checkExtend(e); err != nil {
-		return err
-	}
-	t.applyExtend(i, e)
-	return nil
-}
-
 // Events reconstructs the event subsequence H|k.
-func (t *TxnInfo) eventSeq() []Event {
+func (t *TxnInfo) Events() []Event {
 	evs := make([]Event, 0, 2*len(t.Ops))
 	for _, op := range t.Ops {
 		evs = append(evs, Event{Kind: Inv, Op: op.Kind, Txn: t.ID, Obj: op.Obj, Arg: op.Arg})
@@ -148,9 +138,6 @@ func (t *TxnInfo) eventSeq() []Event {
 	}
 	return evs
 }
-
-// Events is the materialized event subsequence H|k.
-func (t *TxnInfo) Events() []Event { return t.eventSeq() }
 
 // Complete reports whether the transaction is complete in H: H|k ends with
 // a response event.

@@ -9,6 +9,7 @@ import (
 	"duopacity/internal/history"
 	"duopacity/internal/spec"
 	"duopacity/internal/stm"
+	"duopacity/internal/stm/cm"
 	"duopacity/internal/stm/dstm"
 	"duopacity/internal/stm/engines"
 	"duopacity/internal/stm/etl"
@@ -18,7 +19,7 @@ import (
 )
 
 func TestRecordsSerialTransaction(t *testing.T) {
-	r := New(tl2.New(2))
+	r := New(tl2.New(2, cm.Passive))
 	tx := r.Begin()
 	if tx.ID() != 1 {
 		t.Fatalf("first txn id = %d, want 1", tx.ID())
@@ -55,7 +56,7 @@ func TestRecordsSerialTransaction(t *testing.T) {
 func TestRecordsAbortAsOperationResponse(t *testing.T) {
 	// When an engine op returns ErrAborted, the recorded history shows
 	// that operation returning A_k, and the transaction is t-complete.
-	tm := tl2.New(1)
+	tm := tl2.New(1, cm.Passive)
 	r := New(tm)
 
 	victim := r.Begin()
@@ -86,7 +87,7 @@ func TestRecordsAbortAsOperationResponse(t *testing.T) {
 }
 
 func TestRecordsExplicitAbort(t *testing.T) {
-	r := New(tl2.New(1))
+	r := New(tl2.New(1, cm.Passive))
 	tx := r.Begin()
 	if err := tx.Write(0, 3); err != nil {
 		t.Fatalf("write: %v", err)
@@ -101,7 +102,7 @@ func TestRecordsExplicitAbort(t *testing.T) {
 }
 
 func TestResetClearsEvents(t *testing.T) {
-	r := New(tl2.New(1))
+	r := New(tl2.New(1, cm.Passive))
 	if err := r.Atomically(func(tx *Txn) error { return tx.Write(0, 1) }); err != nil {
 		t.Fatalf("txn: %v", err)
 	}
@@ -164,7 +165,7 @@ func TestRestoreRecordsIdenticalRuns(t *testing.T) {
 		}
 		return r.History().Events()
 	}
-	eng := tl2.New(1)
+	eng := tl2.New(1, cm.Passive)
 	r := New(eng)
 	rd := first(r)
 	mid, lastID := r.Len(), r.LastID()
@@ -181,7 +182,7 @@ func TestRestoreRecordsIdenticalRuns(t *testing.T) {
 		t.Fatalf("after Restore: %d events, engine replaced: %v", r.Len(), r.Engine() == fork)
 	}
 	again := rest(r, r.Resume(new(Txn), rd.ID(), out[0]))
-	fresh := tl2.New(1)
+	fresh := tl2.New(1, cm.Passive)
 	r.Restore(fresh, 0, 0)
 	again2 := rest(r, first(r))
 	for _, got := range [][]history.Event{again, again2} {
@@ -228,7 +229,7 @@ func TestPLEViolatesDeferredUpdateDeterministically(t *testing.T) {
 }
 
 func TestDeferredUpdateEnginesPassTheProbe(t *testing.T) {
-	for _, e := range []stm.Engine{tl2.New(1), norec.New(1), dstm.New(1)} {
+	for _, e := range []stm.Engine{tl2.New(1, cm.Passive), norec.New(1, cm.Passive), dstm.New(1, cm.Passive)} {
 		h := orchestrate(e)
 		// The reader must have seen 0, not the uncommitted 42.
 		reader := h.Txn(2)
@@ -293,7 +294,7 @@ func TestVarName(t *testing.T) {
 }
 
 func TestEngineAccessor(t *testing.T) {
-	tm := tl2.New(1)
+	tm := tl2.New(1, cm.Passive)
 	r := New(tm)
 	if r.Engine() != tm {
 		t.Fatal("Engine() does not return the wrapped engine")
@@ -304,7 +305,7 @@ func TestRecordsWriteAbort(t *testing.T) {
 	// An engine write that returns ErrAborted is recorded as the write
 	// returning A_k. ETL provides this deterministically: writing an
 	// object owned by another transaction aborts.
-	tm := etl.New(1)
+	tm := etl.New(1, cm.Passive, false)
 	r := New(tm)
 	owner := r.Begin()
 	if err := owner.Write(0, 1); err != nil {
@@ -345,7 +346,7 @@ func TestRecordsWriteAbort(t *testing.T) {
 
 func TestRecordsCommitAbort(t *testing.T) {
 	// A tryC that fails is recorded as tryC -> A_k.
-	tm := tl2.New(1)
+	tm := tl2.New(1, cm.Passive)
 	r := New(tm)
 	a := r.Begin()
 	if _, err := a.Read(0); err != nil {
@@ -374,7 +375,7 @@ func TestRecordsCommitAbort(t *testing.T) {
 }
 
 func TestAtomicallyRetriesAndPropagatesUserError(t *testing.T) {
-	tm := tl2.New(1)
+	tm := tl2.New(1, cm.Passive)
 	r := New(tm)
 	// Retry on conflict: the first attempt aborts at commit.
 	attempt := 0
@@ -415,7 +416,7 @@ func TestAtomicallyRetriesAndPropagatesUserError(t *testing.T) {
 // retried like stm.Atomically retries it, each attempt a fresh recorded
 // transaction, not handed back to the caller as a user error.
 func TestAtomicallyRetriesWrappedAbort(t *testing.T) {
-	r := New(tl2.New(1))
+	r := New(tl2.New(1, cm.Passive))
 	calls := 0
 	err := r.Atomically(func(tx *Txn) error {
 		calls++

@@ -110,6 +110,16 @@ func ParsePolicy(name string) (Policy, error) {
 	return 0, fmt.Errorf("unknown contention manager %q (valid: %s)", name, strings.Join(Names(), ", "))
 }
 
+// Suffix renders p as the suffix of an "engine[+cm]" name: empty for
+// Passive, which a bare name means, and "+" and the policy's name
+// otherwise. An engine's Name is its base name and this suffix.
+func (p Policy) Suffix() string {
+	if p == Passive {
+		return ""
+	}
+	return "+" + p.String()
+}
+
 // Resolution is a Manager's answer to a conflict.
 type Resolution uint8
 
@@ -152,14 +162,6 @@ type Source struct {
 // NewSource returns a Source minting managers of the given policy.
 func NewSource(p Policy) *Source {
 	return &Source{policy: p}
-}
-
-// Policy reports the policy this source mints.
-func (s *Source) Policy() Policy {
-	if s == nil {
-		return Passive
-	}
-	return s.policy
 }
 
 // Manager carries one transaction attempt's contention state. Like the

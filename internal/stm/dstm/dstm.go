@@ -20,9 +20,9 @@
 // skew). Writers treat a committing owner as an active one, so the
 // engine stays obstruction-free.
 //
-// Without a contention-management policy, a writer that finds an object
-// owned by another live transaction kills the owner. WithPolicy switches
-// conflict arbitration to the shared cm layer (internal/stm/cm), where
+// Under cm.Passive, a writer that finds an object owned by another live
+// transaction kills the owner. Any other policy switches conflict
+// arbitration to the shared cm layer (internal/stm/cm), where
 // the policies every other engine uses — backoff, karma, greedy —
 // arbitrate with full knowledge of both sides' priorities: each
 // transaction descriptor carries its cm.Manager, so karma can compare
@@ -47,8 +47,9 @@ const (
 )
 
 // desc is a transaction descriptor; locators point at it. mgr is the
-// transaction's contention manager (cm mode only): opponents that find
-// the descriptor through a locator read its priority to arbitrate.
+// transaction's contention manager (used under a non-passive policy):
+// opponents that find the descriptor through a locator read its priority
+// to arbitrate.
 type desc struct {
 	status atomic.Int32
 	mgr    cm.Manager
@@ -67,35 +68,20 @@ type locator struct {
 
 // TM is a DSTM-style software transactional memory.
 type TM struct {
-	cmPolicy cm.Policy
-	useCM    bool
-	src      *cm.Source
-	objs     []atomic.Pointer[locator]
+	policy cm.Policy
+	src    *cm.Source // nil under cm.Passive: a writer kills the owner
+	objs   []atomic.Pointer[locator]
 }
 
 var _ stm.Forkable = (*TM)(nil)
 
-// Option configures the engine.
-type Option func(*TM)
-
-// WithPolicy switches conflict arbitration to the shared cm layer with
-// the given policy. Under cm.Passive a writer aborts itself at a
-// conflict.
-func WithPolicy(p cm.Policy) Option {
-	return func(t *TM) {
-		t.useCM = true
-		t.cmPolicy = p
-	}
-}
-
-// New returns a DSTM TM over objects t-objects initialized to zero.
-func New(objects int, opts ...Option) *TM {
-	t := &TM{objs: make([]atomic.Pointer[locator], objects)}
-	for _, o := range opts {
-		o(t)
-	}
-	if t.useCM {
-		t.src = cm.NewSource(t.cmPolicy)
+// New returns a DSTM TM over objects t-objects initialized to zero. Under
+// cm.Passive a writer kills a conflicting owner; any other policy p
+// arbitrates conflicts through the shared cm layer.
+func New(objects int, p cm.Policy) *TM {
+	t := &TM{policy: p, objs: make([]atomic.Pointer[locator], objects)}
+	if p != cm.Passive {
+		t.src = cm.NewSource(p)
 	}
 	root := &desc{}
 	root.status.Store(committed)
@@ -106,15 +92,7 @@ func New(objects int, opts ...Option) *TM {
 }
 
 // Name implements stm.Engine.
-func (t *TM) Name() string {
-	if t.useCM && t.cmPolicy != cm.Passive {
-		return "dstm+" + t.cmPolicy.String()
-	}
-	return "dstm"
-}
-
-// Objects implements stm.Engine.
-func (t *TM) Objects() int { return len(t.objs) }
+func (t *TM) Name() string { return "dstm" + t.policy.Suffix() }
 
 // Begin implements stm.Engine.
 func (t *TM) Begin() stm.Txn {
@@ -235,10 +213,10 @@ func (x *txn) Write(obj int, v int64) error {
 }
 
 // manageConflict applies the contention policy against an active owner:
-// without a cm policy the owner is killed. It returns false if the caller
+// under cm.Passive the owner is killed. It returns false if the caller
 // must abort itself.
 func (x *txn) manageConflict(owner *desc) bool {
-	if !x.tm.useCM {
+	if x.tm.src == nil {
 		kill(owner)
 		return true
 	}
@@ -294,11 +272,7 @@ func (x *txn) Abort() {
 func (t *TM) Fork(dst stm.Engine, txns, out []stm.Txn) stm.Engine {
 	d, _ := dst.(*TM)
 	if d == nil {
-		var opts []Option
-		if t.useCM {
-			opts = append(opts, WithPolicy(t.cmPolicy))
-		}
-		d = New(len(t.objs), opts...)
+		d = New(len(t.objs), t.policy)
 	}
 	if t.src != nil {
 		t.src.CopyTo(d.src)

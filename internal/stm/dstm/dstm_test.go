@@ -8,10 +8,11 @@ import (
 	"testing"
 
 	"duopacity/internal/stm"
+	"duopacity/internal/stm/cm"
 	"duopacity/internal/stm/stmtest"
 )
 
-func factory(objects int) stm.Engine { return New(objects) }
+func factory(objects int) stm.Engine { return New(objects, cm.Passive) }
 
 func TestBasic(t *testing.T)         { stmtest.Basic(t, factory) }
 func TestAbortRollback(t *testing.T) { stmtest.AbortRollback(t, factory) }
@@ -31,7 +32,7 @@ func TestPolicies(t *testing.T) {
 func TestReadersSeeOldValueOfActiveOwner(t *testing.T) {
 	// The deferred-update guarantee: while a writer is active, readers see
 	// the pre-transaction value.
-	tm := New(1)
+	tm := New(1, cm.Passive)
 	w := tm.Begin()
 	if err := w.Write(0, 42); err != nil {
 		t.Fatalf("write: %v", err)
@@ -59,7 +60,7 @@ func TestReadersSeeOldValueOfActiveOwner(t *testing.T) {
 }
 
 func TestAggressiveAbortsConflictingOwner(t *testing.T) {
-	tm := New(1) // bare dstm kills the conflicting owner
+	tm := New(1, cm.Passive) // bare dstm kills the conflicting owner
 	a := tm.Begin()
 	if err := a.Write(0, 1); err != nil {
 		t.Fatalf("a.Write: %v", err)
@@ -83,7 +84,7 @@ func TestAggressiveAbortsConflictingOwner(t *testing.T) {
 }
 
 func TestValidationCatchesStaleRead(t *testing.T) {
-	tm := New(2)
+	tm := New(2, cm.Passive)
 	r := tm.Begin()
 	if _, err := r.Read(0); err != nil {
 		t.Fatalf("read: %v", err)
@@ -99,7 +100,7 @@ func TestValidationCatchesStaleRead(t *testing.T) {
 }
 
 func TestSpeculativeValuesInvisibleAfterAbort(t *testing.T) {
-	tm := New(1)
+	tm := New(1, cm.Passive)
 	w := tm.Begin()
 	if err := w.Write(0, 7); err != nil {
 		t.Fatalf("write: %v", err)
@@ -114,7 +115,7 @@ func TestSpeculativeValuesInvisibleAfterAbort(t *testing.T) {
 
 func TestConcurrentMixedPolicies(t *testing.T) {
 	// Several goroutines over one TM: no deadlock, exact counting.
-	tm := New(1)
+	tm := New(1, cm.Passive)
 	var wg sync.WaitGroup
 	const workers, incs = 6, 100
 	for w := 0; w < workers; w++ {
@@ -158,7 +159,7 @@ func TestConcurrentMixedPolicies(t *testing.T) {
 func TestNoWriteSkewAtCommit(t *testing.T) {
 	const rounds, pad = 2000, 64
 	for r := 0; r < rounds; r++ {
-		tm := New(2 + pad)
+		tm := New(2+pad, cm.Passive)
 		var ready, wg sync.WaitGroup
 		var start atomic.Bool
 		var committed [2]bool

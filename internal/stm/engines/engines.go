@@ -6,6 +6,14 @@
 // what an engine is; Names, CMEngines, Matrix, Parse and New read the
 // same table.
 //
+// The registry is also the one place an engine is configured. A row's
+// constructor passes the object count and the parsed policy to its
+// package's New as plain arguments — etl+v's row also turns on etl's
+// read validation — and the engine packages have no options of their
+// own: an engine's Fork rebuilds its copy from the same arguments, and
+// its Name renders them back (cm.Policy.Suffix), which is what
+// TestRegistryRoundTrip and TestMatrixConstructs check row by row.
+//
 // Engine names come in two parts: a base engine and an optional
 // contention-management suffix, "engine[+cm]" — e.g. "tl2+karma" is TL2
 // arbitrating conflicts with the karma policy. Parse is the one place
@@ -120,31 +128,22 @@ type engine struct {
 
 // registry holds one row per base engine, in presentation order.
 var registry = []engine{
-	{"tl2", func(n int, p cm.Policy) stm.Engine { return tl2.New(n, tl2.WithPolicy(p)) },
+	{"tl2", func(n int, p cm.Policy) stm.Engine { return tl2.New(n, p) },
 		Traits{CM: true, DeferredUpdate: true, KillSafe: true, Commute: BufferedWrites}},
-	{"norec", func(n int, p cm.Policy) stm.Engine { return norec.New(n, norec.WithPolicy(p)) },
+	{"norec", func(n int, p cm.Policy) stm.Engine { return norec.New(n, p) },
 		Traits{CM: true, DeferredUpdate: true, KillSafe: true, Commute: BufferedWrites}},
-	{"dstm", newDSTM,
+	{"dstm", func(n int, p cm.Policy) stm.Engine { return dstm.New(n, p) },
 		Traits{CM: true, DeferredUpdate: true, KillSafe: true}},
-	{"etl", func(n int, p cm.Policy) stm.Engine { return etl.New(n, etl.WithPolicy(p)) },
+	{"etl", func(n int, p cm.Policy) stm.Engine { return etl.New(n, p, false) },
 		Traits{CM: true}},
-	{"etl+v", func(n int, p cm.Policy) stm.Engine { return etl.New(n, etl.WithValidation(), etl.WithPolicy(p)) },
+	{"etl+v", func(n int, p cm.Policy) stm.Engine { return etl.New(n, p, true) },
 		Traits{CM: true}},
 	{"gl", func(n int, _ cm.Policy) stm.Engine { return gl.New(n) },
 		Traits{DeferredUpdate: true, Blocking: GlobalLock}},
 	{"ple", func(n int, _ cm.Policy) stm.Engine { return ple.New(n) },
 		Traits{Blocking: WriterLock, Commute: UnvalidatedReads}},
-	{"pdur", func(n int, p cm.Policy) stm.Engine { return pdur.New(n, pdur.WithPolicy(p)) },
+	{"pdur", func(n int, p cm.Policy) stm.Engine { return pdur.New(n, p) },
 		Traits{CM: true, DeferredUpdate: true, KillSafe: true, Commute: BufferedWrites}},
-}
-
-// newDSTM builds bare dstm (kill the conflicting owner) for cm.Passive
-// and a cm-arbitrated dstm otherwise.
-func newDSTM(n int, p cm.Policy) stm.Engine {
-	if p == cm.Passive {
-		return dstm.New(n)
-	}
-	return dstm.New(n, dstm.WithPolicy(p))
 }
 
 func row(base string) *engine {
@@ -184,7 +183,7 @@ func Matrix() []string {
 	for _, e := range CMEngines() {
 		for _, p := range cm.Policies() {
 			if p != cm.Passive {
-				out = append(out, e+"+"+p.String())
+				out = append(out, e+p.Suffix())
 			}
 		}
 	}

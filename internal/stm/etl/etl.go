@@ -2,24 +2,24 @@
 // locks acquired at first write, in-place updates with an undo log, and —
 // optionally — value-based read validation.
 //
-// Contention management is pluggable (WithPolicy): when a read or a
+// Contention management is pluggable (New's policy): when a read or a
 // write hits an object owned by another transaction, the contention
 // manager decides whether to back off (a bounded spin — the owner may
-// release) and retry, or to roll back immediately. The default passive
-// policy reproduces the original fail-fast behavior. Waits are always
-// bounded: an owner that never releases (e.g. a vthread suspended by
-// the deterministic stepper) exhausts the wait budget and the
-// transaction degrades to fail-fast, so the stepper's no-blocking
-// admissibility rule holds for every policy.
+// release) and retry, or to roll back immediately. cm.Passive reproduces
+// the original fail-fast behavior. Waits are always bounded: an owner
+// that never releases (e.g. a vthread suspended by the deterministic
+// stepper) exhausts the wait budget and the transaction degrades to
+// fail-fast, so the stepper's no-blocking admissibility rule holds for
+// every policy.
 //
 // Eager (write-through) designs in the DSTM/TinySTM family expose a window
 // in which a doomed or still-running writer's values are observable; the
 // base configuration here deliberately keeps that window (reads are only
 // guarded by an ownership check, with no revalidation), making it the
 // repository's ablation knob for zombie reads: recorded histories are
-// frequently rejected by the du-opacity checker. WithValidation narrows
-// the window with NOrec-style value validation of the whole read log on
-// every read and at commit.
+// frequently rejected by the du-opacity checker. New's validate flag (the
+// registry's etl+v) narrows the window with NOrec-style value validation
+// of the whole read log on every read and at commit.
 package etl
 
 import (
@@ -41,49 +41,28 @@ type TM struct {
 
 var _ stm.Forkable = (*TM)(nil)
 
-// Option configures the engine.
-type Option func(*TM)
-
-// WithValidation enables value-based read-log validation on every read and
-// at commit, closing most (not all: the check is not atomic with the read)
-// zombie-read windows.
-func WithValidation() Option {
-	return func(t *TM) { t.validate = true }
-}
-
-// WithPolicy selects the contention-management policy (default
-// cm.Passive, the fail-fast behavior).
-func WithPolicy(p cm.Policy) Option {
-	return func(t *TM) { t.policy = p }
-}
-
-// New returns an ETL TM over objects t-objects initialized to zero.
-func New(objects int, opts ...Option) *TM {
-	t := &TM{
-		owner: make([]atomic.Int64, objects),
-		vals:  make([]atomic.Int64, objects),
+// New returns an ETL TM over objects t-objects initialized to zero, whose
+// conflicts the contention-management policy p arbitrates (cm.Passive
+// fails fast). validate turns on value-based read-log validation on every
+// read and at commit, closing most (not all: the check is not atomic with
+// the read) zombie-read windows.
+func New(objects int, p cm.Policy, validate bool) *TM {
+	return &TM{
+		validate: validate,
+		policy:   p,
+		src:      cm.NewSource(p),
+		owner:    make([]atomic.Int64, objects),
+		vals:     make([]atomic.Int64, objects),
 	}
-	for _, o := range opts {
-		o(t)
-	}
-	t.src = cm.NewSource(t.policy)
-	return t
 }
 
 // Name implements stm.Engine.
 func (t *TM) Name() string {
-	name := "etl"
 	if t.validate {
-		name = "etl+v"
+		return "etl+v" + t.policy.Suffix()
 	}
-	if t.policy != cm.Passive {
-		name += "+" + t.policy.String()
-	}
-	return name
+	return "etl" + t.policy.Suffix()
 }
-
-// Objects implements stm.Engine.
-func (t *TM) Objects() int { return len(t.vals) }
 
 // Begin implements stm.Engine.
 func (t *TM) Begin() stm.Txn {
@@ -221,8 +200,7 @@ func (x *txn) Abort() {
 func (t *TM) Fork(dst stm.Engine, txns, out []stm.Txn) stm.Engine {
 	d, _ := dst.(*TM)
 	if d == nil {
-		d = New(len(t.vals), WithPolicy(t.policy))
-		d.validate = t.validate
+		d = New(len(t.vals), t.policy, t.validate)
 	}
 	d.nextID.Store(t.nextID.Load())
 	for i := range t.vals {

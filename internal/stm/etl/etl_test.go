@@ -5,11 +5,12 @@ import (
 	"testing"
 
 	"duopacity/internal/stm"
+	"duopacity/internal/stm/cm"
 	"duopacity/internal/stm/stmtest"
 )
 
-func base(objects int) stm.Engine      { return New(objects) }
-func validated(objects int) stm.Engine { return New(objects, WithValidation()) }
+func base(objects int) stm.Engine      { return New(objects, cm.Passive, false) }
+func validated(objects int) stm.Engine { return New(objects, cm.Passive, true) }
 
 func TestBasicBase(t *testing.T)              { stmtest.Basic(t, base) }
 func TestBasicValidated(t *testing.T)         { stmtest.Basic(t, validated) }
@@ -21,10 +22,10 @@ func TestSmokeBase(t *testing.T)              { stmtest.Smoke(t, base, 8, 200) }
 func TestSmokeValidated(t *testing.T)         { stmtest.Smoke(t, validated, 8, 200) }
 
 func TestNames(t *testing.T) {
-	if got := New(1).Name(); got != "etl" {
+	if got := New(1, cm.Passive, false).Name(); got != "etl" {
 		t.Errorf("Name = %q, want etl", got)
 	}
-	if got := New(1, WithValidation()).Name(); got != "etl+v" {
+	if got := New(1, cm.Passive, true).Name(); got != "etl+v" {
 		t.Errorf("Name = %q, want etl+v", got)
 	}
 }
@@ -33,7 +34,7 @@ func TestInPlaceWritesVisibleBeforeCommit(t *testing.T) {
 	// The documented (anti-)feature: encounter-time writes hit shared
 	// memory before tryC. A raw engine read cannot observe it (readers of
 	// owned objects abort), but the value is physically there.
-	tm := New(1)
+	tm := New(1, cm.Passive, false)
 	w := tm.Begin()
 	if err := w.Write(0, 5); err != nil {
 		t.Fatalf("write: %v", err)
@@ -52,7 +53,7 @@ func TestInPlaceWritesVisibleBeforeCommit(t *testing.T) {
 }
 
 func TestUndoRestoresOnAbort(t *testing.T) {
-	tm := New(1)
+	tm := New(1, cm.Passive, false)
 	if err := stm.Atomically(tm, func(tx stm.Txn) error { return tx.Write(0, 3) }); err != nil {
 		t.Fatalf("setup: %v", err)
 	}
@@ -73,7 +74,7 @@ func TestUndoRestoresOnAbort(t *testing.T) {
 }
 
 func TestValidationAbortsStaleRead(t *testing.T) {
-	tm := New(2, WithValidation())
+	tm := New(2, cm.Passive, true)
 	r := tm.Begin()
 	if _, err := r.Read(0); err != nil {
 		t.Fatalf("read: %v", err)
@@ -90,7 +91,7 @@ func TestValidationAbortsStaleRead(t *testing.T) {
 func TestValidationAcceptsOwnWriteAfterRead(t *testing.T) {
 	// Read X then write X in the same transaction: validation must compare
 	// against the acquisition-time value, not the own in-place write.
-	tm := New(2, WithValidation())
+	tm := New(2, cm.Passive, true)
 	tx := tm.Begin()
 	v, err := tx.Read(0)
 	if err != nil {
@@ -112,7 +113,7 @@ func TestValidationAcceptsOwnWriteAfterRead(t *testing.T) {
 }
 
 func TestWriteWriteConflictAborts(t *testing.T) {
-	tm := New(1)
+	tm := New(1, cm.Passive, false)
 	a := tm.Begin()
 	if err := a.Write(0, 1); err != nil {
 		t.Fatalf("a.Write: %v", err)

@@ -27,9 +27,6 @@ func New(objects int) *TM {
 // Name implements stm.Engine.
 func (t *TM) Name() string { return "gl" }
 
-// Objects implements stm.Engine.
-func (t *TM) Objects() int { return len(t.vals) }
-
 // Begin implements stm.Engine. It blocks until the global lock is
 // available; the transaction holds the lock until Commit or Abort.
 func (t *TM) Begin() stm.Txn {

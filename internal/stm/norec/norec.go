@@ -16,11 +16,11 @@
 // begins another transaction that recycles it; using a dead handle
 // beyond that point is a contract violation.
 //
-// Contention management is pluggable (WithPolicy): when validation
+// Contention management is pluggable (New's policy): when validation
 // fails, the manager chooses how long to back off before surrendering
 // (the retried attempt then restarts from a fresh snapshot at the
-// stm.Atomically layer), which damps abort storms on hot objects. The
-// default passive policy reproduces the original fail-fast behavior.
+// stm.Atomically layer), which damps abort storms on hot objects.
+// cm.Passive reproduces the original fail-fast behavior.
 package norec
 
 import (
@@ -44,36 +44,17 @@ type TM struct {
 
 var _ stm.Forkable = (*TM)(nil)
 
-// Option configures a TM.
-type Option func(*TM)
-
-// WithPolicy selects the contention-management policy (default
-// cm.Passive, the fail-fast behavior).
-func WithPolicy(p cm.Policy) Option {
-	return func(t *TM) { t.policy = p }
-}
-
-// New returns a NOrec TM over objects t-objects initialized to zero.
-func New(objects int, opts ...Option) *TM {
-	t := &TM{vals: make([]atomic.Int64, objects)}
-	for _, o := range opts {
-		o(t)
-	}
-	t.src = cm.NewSource(t.policy)
+// New returns a NOrec TM over objects t-objects initialized to zero,
+// whose conflicts the contention-management policy p arbitrates
+// (cm.Passive fails fast).
+func New(objects int, p cm.Policy) *TM {
+	t := &TM{vals: make([]atomic.Int64, objects), policy: p, src: cm.NewSource(p)}
 	t.pool.New = func() any { return new(txn) }
 	return t
 }
 
 // Name implements stm.Engine.
-func (t *TM) Name() string {
-	if t.policy == cm.Passive {
-		return "norec"
-	}
-	return "norec+" + t.policy.String()
-}
-
-// Objects implements stm.Engine.
-func (t *TM) Objects() int { return len(t.vals) }
+func (t *TM) Name() string { return "norec" + t.policy.Suffix() }
 
 // Begin implements stm.Engine.
 func (t *TM) Begin() stm.Txn {
@@ -234,7 +215,7 @@ func (x *txn) Abort() {
 func (t *TM) Fork(dst stm.Engine, txns, out []stm.Txn) stm.Engine {
 	d, _ := dst.(*TM)
 	if d == nil {
-		d = New(len(t.vals), WithPolicy(t.policy))
+		d = New(len(t.vals), t.policy)
 	}
 	d.seq.Store(t.seq.Load())
 	for i := range t.vals {

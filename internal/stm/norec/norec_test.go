@@ -5,10 +5,11 @@ import (
 	"testing"
 
 	"duopacity/internal/stm"
+	"duopacity/internal/stm/cm"
 	"duopacity/internal/stm/stmtest"
 )
 
-func factory(objects int) stm.Engine { return New(objects) }
+func factory(objects int) stm.Engine { return New(objects, cm.Passive) }
 
 func TestBasic(t *testing.T)         { stmtest.Basic(t, factory) }
 func TestAbortRollback(t *testing.T) { stmtest.AbortRollback(t, factory) }
@@ -18,7 +19,7 @@ func TestBankInvariant(t *testing.T) { stmtest.BankInvariant(t, factory, 8, 300)
 func TestSmoke(t *testing.T)         { stmtest.Smoke(t, factory, 8, 200) }
 
 func TestSeqStaysEvenWhenIdle(t *testing.T) {
-	tm := New(1)
+	tm := New(1, cm.Passive)
 	if err := stm.Atomically(tm, func(tx stm.Txn) error { return tx.Write(0, 1) }); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
@@ -31,7 +32,7 @@ func TestSeqStaysEvenWhenIdle(t *testing.T) {
 }
 
 func TestValueValidationAbortsStaleReader(t *testing.T) {
-	tm := New(2)
+	tm := New(2, cm.Passive)
 	reader := tm.Begin()
 	if v, err := reader.Read(0); err != nil || v != 0 {
 		t.Fatalf("read(0) = %d, %v", v, err)
@@ -49,7 +50,7 @@ func TestValueValidationToleratesABA(t *testing.T) {
 	// NOrec validates by value: if a writer restores the exact value the
 	// reader logged, the reader may continue (this is NOrec's documented
 	// semantics, not a bug — the snapshot is still consistent by value).
-	tm := New(2)
+	tm := New(2, cm.Passive)
 	reader := tm.Begin()
 	if _, err := reader.Read(0); err != nil {
 		t.Fatalf("read(0): %v", err)
@@ -66,7 +67,7 @@ func TestValueValidationToleratesABA(t *testing.T) {
 }
 
 func TestWriterCommitBumpsByTwo(t *testing.T) {
-	tm := New(1)
+	tm := New(1, cm.Passive)
 	for i := 1; i <= 3; i++ {
 		if err := stm.Atomically(tm, func(tx stm.Txn) error { return tx.Write(0, int64(i)) }); err != nil {
 			t.Fatalf("commit %d: %v", i, err)

@@ -53,9 +53,9 @@ import (
 	"duopacity/internal/stm/cm"
 )
 
-// defaultPartitions is the certifier count when WithPartitions is not
-// given (clamped to the object count).
-const defaultPartitions = 16
+// partitions is the certifier count New gives a TM (clamped to the
+// object count).
+const partitions = 16
 
 // part is one partition's certifier: a sequence lock (even = idle, odd
 // = a commit in flight), padded to a cache line.
@@ -75,55 +75,25 @@ type TM struct {
 
 var _ stm.Forkable = (*TM)(nil)
 
-// Option configures a TM.
-type Option func(*TM)
+// New returns a PDUR TM over objects t-objects initialized to zero, with
+// partitions certifiers, whose conflicts the contention-management policy
+// p arbitrates (cm.Passive fails fast).
+func New(objects int, p cm.Policy) *TM { return newTM(objects, p, partitions) }
 
-// WithPolicy selects the contention-management policy (default
-// cm.Passive, fail fast).
-func WithPolicy(p cm.Policy) Option {
-	return func(t *TM) { t.policy = p }
-}
-
-// WithPartitions sets the certifier count (clamped to [1, objects]).
-func WithPartitions(n int) Option {
-	return func(t *TM) { t.parts = make([]part, n) }
-}
-
-// New returns a PDUR TM over objects t-objects initialized to zero.
-func New(objects int, opts ...Option) *TM {
-	t := &TM{vals: make([]atomic.Int64, objects)}
-	for _, o := range opts {
-		o(t)
+// newTM is New with np certifiers (clamped to [1, objects]).
+func newTM(objects int, p cm.Policy, np int) *TM {
+	t := &TM{
+		parts:  make([]part, max(1, min(np, objects))),
+		vals:   make([]atomic.Int64, objects),
+		policy: p,
+		src:    cm.NewSource(p),
 	}
-	np := len(t.parts)
-	if np == 0 {
-		np = defaultPartitions
-	}
-	if np > objects {
-		np = objects
-	}
-	if np < 1 {
-		np = 1
-	}
-	t.parts = make([]part, np)
-	t.src = cm.NewSource(t.policy)
 	t.pool.New = func() any { return new(txn) }
 	return t
 }
 
 // Name implements stm.Engine.
-func (t *TM) Name() string {
-	if t.policy == cm.Passive {
-		return "pdur"
-	}
-	return "pdur+" + t.policy.String()
-}
-
-// Objects implements stm.Engine.
-func (t *TM) Objects() int { return len(t.vals) }
-
-// Partitions reports the certifier count.
-func (t *TM) Partitions() int { return len(t.parts) }
+func (t *TM) Name() string { return "pdur" + t.policy.Suffix() }
 
 // pidx maps an object to its partition: contiguous blocks, so disjoint
 // object ranges land on disjoint certifiers.
@@ -435,7 +405,7 @@ func (x *txn) Abort() {
 func (t *TM) Fork(dst stm.Engine, txns, out []stm.Txn) stm.Engine {
 	d, _ := dst.(*TM)
 	if d == nil {
-		d = New(len(t.vals), WithPolicy(t.policy), WithPartitions(len(t.parts)))
+		d = newTM(len(t.vals), t.policy, len(t.parts))
 	}
 	for i := range t.parts {
 		d.parts[i].seq.Store(t.parts[i].seq.Load())

@@ -5,10 +5,11 @@ import (
 	"testing"
 
 	"duopacity/internal/stm"
+	"duopacity/internal/stm/cm"
 	"duopacity/internal/stm/stmtest"
 )
 
-func factory(objects int) stm.Engine { return New(objects) }
+func factory(objects int) stm.Engine { return New(objects, cm.Passive) }
 
 func TestBasic(t *testing.T)         { stmtest.Basic(t, factory) }
 func TestAbortRollback(t *testing.T) { stmtest.AbortRollback(t, factory) }
@@ -18,16 +19,16 @@ func TestBankInvariant(t *testing.T) { stmtest.BankInvariant(t, factory, 8, 300)
 func TestSmoke(t *testing.T)         { stmtest.Smoke(t, factory, 8, 200) }
 
 func TestPartitionCount(t *testing.T) {
-	if got := New(256).Partitions(); got != defaultPartitions {
-		t.Errorf("default partitions = %d, want %d", got, defaultPartitions)
+	if got := len(New(256, cm.Passive).parts); got != partitions {
+		t.Errorf("default partitions = %d, want %d", got, partitions)
 	}
-	if got := New(4).Partitions(); got != 4 {
+	if got := len(New(4, cm.Passive).parts); got != 4 {
 		t.Errorf("partitions clamped = %d, want 4", got)
 	}
-	if got := New(64, WithPartitions(2)).Partitions(); got != 2 {
-		t.Errorf("WithPartitions(2) = %d", got)
+	if got := len(newTM(64, cm.Passive, 2).parts); got != 2 {
+		t.Errorf("newTM(64, cm.Passive, 2) partitions = %d", got)
 	}
-	tm := New(64, WithPartitions(4))
+	tm := newTM(64, cm.Passive, 4)
 	// Contiguous block mapping: disjoint ranges hit disjoint certifiers.
 	if tm.pidx(0) != 0 || tm.pidx(15) != 0 || tm.pidx(16) != 1 || tm.pidx(63) != 3 {
 		t.Errorf("block mapping broken: %d %d %d %d",
@@ -40,7 +41,7 @@ func TestPartitionCount(t *testing.T) {
 // and writes only partition 1 is still live, and the latter still
 // commits.
 func TestDisjointPartitionsCommitIndependently(t *testing.T) {
-	tm := New(32, WithPartitions(2)) // objects 0-15 -> p0, 16-31 -> p1
+	tm := newTM(32, cm.Passive, 2) // objects 0-15 -> p0, 16-31 -> p1
 	b := tm.Begin()
 	if _, err := b.Read(16); err != nil {
 		t.Fatalf("b.Read: %v", err)
@@ -60,7 +61,7 @@ func TestDisjointPartitionsCommitIndependently(t *testing.T) {
 // A commit in a partition the reader touched forces revalidation; a
 // changed value kills the reader (no stale mixes).
 func TestCrossPartitionConsistency(t *testing.T) {
-	tm := New(32, WithPartitions(2))
+	tm := newTM(32, cm.Passive, 2)
 	r := tm.Begin()
 	if v, err := r.Read(0); err != nil || v != 0 {
 		t.Fatalf("read(0) = %d, %v", v, err)
@@ -85,7 +86,7 @@ func TestCrossPartitionConsistency(t *testing.T) {
 // Deferred update: a buffered write is invisible to other transactions
 // until commit.
 func TestWritesDeferredUntilCommit(t *testing.T) {
-	tm := New(8)
+	tm := New(8, cm.Passive)
 	w := tm.Begin()
 	if err := w.Write(0, 42); err != nil {
 		t.Fatalf("w.Write: %v", err)
@@ -118,7 +119,7 @@ func TestWritesDeferredUntilCommit(t *testing.T) {
 
 // Partition locks are released after a failed certification.
 func TestLocksReleasedAfterAbortedCommit(t *testing.T) {
-	tm := New(32, WithPartitions(2))
+	tm := newTM(32, cm.Passive, 2)
 	a := tm.Begin()
 	if _, err := a.Read(0); err != nil {
 		t.Fatalf("a.Read: %v", err)

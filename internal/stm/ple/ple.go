@@ -37,9 +37,6 @@ func New(objects int) *TM {
 // Name implements stm.Engine.
 func (t *TM) Name() string { return "ple" }
 
-// Objects implements stm.Engine.
-func (t *TM) Objects() int { return len(t.vals) }
-
 // Begin implements stm.Engine.
 func (t *TM) Begin() stm.Txn { return &txn{tm: t} }
 

@@ -28,13 +28,17 @@
 //     commits touching disjoint partitions proceed in parallel
 //     (following the SCert/PaT line of arXiv:1312.0742).
 //
-// The CM-capable engines (tl2, norec, dstm, etl, etl+v, pdur) also accept
-// a contention-management policy from internal/stm/cm, selected by the
-// "engine+policy" names that internal/stm/engines parses ("tl2+karma",
-// "pdur+backoff", ...). What the tooling knows about an engine — whether
-// it takes a policy, defers its updates, survives an abandoned
-// transaction, how it blocks and which of its steps commute — is its row
-// in that registry (engines.TraitsOf), and nowhere else.
+// The CM-capable engines (tl2, norec, dstm, etl, etl+v, pdur) also take
+// a contention-management policy from internal/stm/cm as a constructor
+// argument, selected by the "engine+policy" names that
+// internal/stm/engines parses ("tl2+karma", "pdur+backoff", ...). That
+// registry is the one place an engine is configured: each row calls its
+// package's New with the object count and the parsed policy (and etl+v's
+// row turns on etl's read validation); no engine has options of its own.
+// What the tooling knows about an engine — whether it takes a policy,
+// defers its updates, survives an abandoned transaction, how it blocks
+// and which of its steps commute — is its row in that registry
+// (engines.TraitsOf), and nowhere else.
 //
 // Every engine is also Forkable: its whole state — t-objects, metadata
 // and the transactions in flight — can be copied into a second instance,
@@ -68,10 +72,9 @@ var ErrAborted = errors.New("stm: transaction aborted")
 // Engine is a software transactional memory over a fixed set of t-objects.
 // Implementations must be safe for concurrent use.
 type Engine interface {
-	// Name identifies the engine (e.g. "tl2").
+	// Name identifies the engine: the name internal/stm/engines builds
+	// it from (e.g. "tl2", "tl2+karma").
 	Name() string
-	// Objects returns the number of t-objects managed.
-	Objects() int
 	// Begin starts a transaction. Every transaction must end with Commit
 	// or Abort.
 	Begin() Txn

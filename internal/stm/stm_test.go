@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"duopacity/internal/stm"
+	"duopacity/internal/stm/cm"
 	"duopacity/internal/stm/engines"
 	"duopacity/internal/stm/tl2"
 )
 
 func TestAtomicallyRetriesConflicts(t *testing.T) {
-	tm := tl2.New(1)
+	tm := tl2.New(1, cm.Passive)
 	// Force one conflict: the first attempt's read version is invalidated
 	// by an interfering commit before its own commit.
 	attempt := 0
@@ -42,7 +43,7 @@ func TestAtomicallyRetriesConflicts(t *testing.T) {
 }
 
 func TestAtomicallyNBoundsAttempts(t *testing.T) {
-	tm := tl2.New(1)
+	tm := tl2.New(1, cm.Passive)
 	calls := 0
 	err := stm.AtomicallyN(tm.Begin, 3, func(tx stm.Txn) error {
 		calls++
@@ -64,9 +65,6 @@ func TestEngineRegistry(t *testing.T) {
 		}
 		if e.Name() != name {
 			t.Errorf("engine %q reports name %q", name, e.Name())
-		}
-		if e.Objects() != 4 {
-			t.Errorf("engine %q objects = %d", name, e.Objects())
 		}
 		// Each registered engine must complete a trivial transaction.
 		if err := stm.Atomically(e, func(tx stm.Txn) error {

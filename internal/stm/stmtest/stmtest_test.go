@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"duopacity/internal/stm"
+	"duopacity/internal/stm/cm"
 	"duopacity/internal/stm/gl"
 	"duopacity/internal/stm/stmtest"
 	"duopacity/internal/stm/tl2"
@@ -16,7 +17,7 @@ import (
 // itself exercised under -race even as engine tests evolve.
 
 func glFactory(objects int) stm.Engine  { return gl.New(objects) }
-func tl2Factory(objects int) stm.Engine { return tl2.New(objects) }
+func tl2Factory(objects int) stm.Engine { return tl2.New(objects, cm.Passive) }
 
 func TestSuiteAgainstGlobalLock(t *testing.T) {
 	stmtest.Basic(t, glFactory)

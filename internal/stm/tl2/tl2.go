@@ -28,10 +28,10 @@
 //     beyond that point is a contract violation (stm.Txn handles are
 //     dead after their terminal call).
 //
-// Contention management is pluggable (WithPolicy): on a locked stripe —
+// Contention management is pluggable (New's policy): on a locked stripe —
 // during a read or while acquiring commit locks — the transaction asks
-// its cm.Manager whether to back off and retry or to abort. The default
-// passive policy reproduces the original fail-fast behavior.
+// its cm.Manager whether to back off and retry or to abort. cm.Passive
+// reproduces the original fail-fast behavior.
 package tl2
 
 import (
@@ -70,17 +70,10 @@ type TM struct {
 
 var _ stm.Forkable = (*TM)(nil)
 
-// Option configures a TM.
-type Option func(*TM)
-
-// WithPolicy selects the contention-management policy (default
-// cm.Passive, the fail-fast behavior).
-func WithPolicy(p cm.Policy) Option {
-	return func(t *TM) { t.policy = p }
-}
-
-// New returns a TL2 TM over objects t-objects initialized to zero.
-func New(objects int, opts ...Option) *TM {
+// New returns a TL2 TM over objects t-objects initialized to zero, whose
+// conflicts the contention-management policy p arbitrates (cm.Passive
+// fails fast).
+func New(objects int, p cm.Policy) *TM {
 	n := 1
 	for n < objects && n < maxStripes {
 		n <<= 1
@@ -89,25 +82,15 @@ func New(objects int, opts ...Option) *TM {
 		stripes: make([]stripe, n),
 		mask:    n - 1,
 		vals:    make([]atomic.Int64, objects),
+		policy:  p,
+		src:     cm.NewSource(p),
 	}
-	for _, o := range opts {
-		o(t)
-	}
-	t.src = cm.NewSource(t.policy)
 	t.pool.New = func() any { return new(txn) }
 	return t
 }
 
 // Name implements stm.Engine.
-func (t *TM) Name() string {
-	if t.policy == cm.Passive {
-		return "tl2"
-	}
-	return "tl2+" + t.policy.String()
-}
-
-// Objects implements stm.Engine.
-func (t *TM) Objects() int { return len(t.vals) }
+func (t *TM) Name() string { return "tl2" + t.policy.Suffix() }
 
 // Begin implements stm.Engine.
 func (t *TM) Begin() stm.Txn {
@@ -300,7 +283,7 @@ func (x *txn) Abort() {
 func (t *TM) Fork(dst stm.Engine, txns, out []stm.Txn) stm.Engine {
 	d, _ := dst.(*TM)
 	if d == nil {
-		d = New(len(t.vals), WithPolicy(t.policy))
+		d = New(len(t.vals), t.policy)
 	}
 	d.clock.Store(t.clock.Load())
 	for i := range t.stripes {

@@ -5,10 +5,11 @@ import (
 	"testing"
 
 	"duopacity/internal/stm"
+	"duopacity/internal/stm/cm"
 	"duopacity/internal/stm/stmtest"
 )
 
-func factory(objects int) stm.Engine { return New(objects) }
+func factory(objects int) stm.Engine { return New(objects, cm.Passive) }
 
 func TestBasic(t *testing.T)         { stmtest.Basic(t, factory) }
 func TestAbortRollback(t *testing.T) { stmtest.AbortRollback(t, factory) }
@@ -20,7 +21,7 @@ func TestSmoke(t *testing.T)         { stmtest.Smoke(t, factory, 8, 200) }
 func TestReadSeesCommittedOnly(t *testing.T) {
 	// A reader that began before a writer's commit aborts (its read
 	// version is stale) rather than observing a mix.
-	tm := New(2)
+	tm := New(2, cm.Passive)
 	reader := tm.Begin()
 	if v, err := reader.Read(0); err != nil || v != 0 {
 		t.Fatalf("read(0) = %d, %v", v, err)
@@ -43,7 +44,7 @@ func TestReadSeesCommittedOnly(t *testing.T) {
 }
 
 func TestWriteWriteConflictAborts(t *testing.T) {
-	tm := New(1)
+	tm := New(1, cm.Passive)
 	a := tm.Begin()
 	b := tm.Begin()
 	if err := a.Write(0, 1); err != nil {
@@ -69,7 +70,7 @@ func TestWriteWriteConflictAborts(t *testing.T) {
 }
 
 func TestClockAdvancesOnCommit(t *testing.T) {
-	tm := New(1)
+	tm := New(1, cm.Passive)
 	before := tm.clock.Load()
 	if err := stm.Atomically(tm, func(tx stm.Txn) error { return tx.Write(0, 5) }); err != nil {
 		t.Fatalf("commit: %v", err)
@@ -87,7 +88,7 @@ func TestClockAdvancesOnCommit(t *testing.T) {
 }
 
 func TestLocksReleasedAfterAbortedCommit(t *testing.T) {
-	tm := New(2)
+	tm := New(2, cm.Passive)
 	a := tm.Begin()
 	if _, err := a.Read(0); err != nil {
 		t.Fatalf("a.Read: %v", err)
